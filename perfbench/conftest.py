@@ -1,0 +1,9 @@
+"""Put the package source on the path for the benchmark's own tests.
+
+Run them from the repository root with ``python3 -m pytest perfbench -q``.
+"""
+
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
