@@ -353,7 +353,7 @@ class FaultDriver:
 
     def participating(self, live: tuple[int, ...]) -> tuple[int, ...]:
         """Live sensors the root's query currently covers."""
-        if self.repair is None:
+        if self.repair is None or not self.repair.detached:
             return live
         detached = self.repair.detached
         return tuple(v for v in live if v not in detached)
@@ -379,10 +379,11 @@ class FaultDriver:
         """
         assert self.graph is not None
         root = self.net.tree.root
-        avoid = frozenset(
-            v
-            for v in range(self.net.tree.num_vertices)
-            if v != root and self.net.plan.is_down(v)
+        down = self.net._down_mask()
+        avoid = (
+            frozenset()
+            if down is None
+            else frozenset(np.flatnonzero(down).tolist()) - {root}
         )
         link_stats = (
             self.net.link_stats if self.repair_metric == "etx" else None
@@ -417,7 +418,7 @@ class FaultDriver:
         net = self.net
         net.begin_faults_round(round_index)
         plan = net.plan
-        if all(plan.is_dead(v) for v in net.tree.sensor_nodes):
+        if plan.dead.issuperset(net.tree.sensor_nodes):
             # Permanent churn killed everyone; nothing can ever come back,
             # so there is no degraded service to provide — stop the loop.
             return None
@@ -507,6 +508,14 @@ class FaultDriver:
             # the re-init broadcast + convergecast is real traffic and is
             # charged to the open ledger round like everything else.
             failed = True
+            if (
+                repair_record is None
+                and self.repair is not None
+                and root_down_reason is None
+            ):
+                # A membership hook raised inside the repair pass, which
+                # booked what it had done before re-raising.
+                repair_record = self.repair.stats.rounds[-1]
             self.failures += 1
             if not self.participating(live):
                 # Even recovery has nobody to replant the query on.  Keep
@@ -627,13 +636,11 @@ class FaultDriver:
             return False
         if self._scheduled_reinit:
             return False
-        plan = self.net.plan
         if self.repair is None:
             # Without a repair layer the root has no membership view at
-            # all; only a completely fault-free network keeps it in sync.
-            return not any(
-                plan.is_down(v) for v in self.net.tree.sensor_nodes
-            )
+            # all; only a completely fault-free network keeps it in sync
+            # (``live`` holds this round's up sensors).
+            return len(live) == self.net.tree.num_sensor_nodes
         return set(self.participating(live)) == set(
             self.repair.reachable_sensors()
         )

@@ -20,7 +20,8 @@ protection end to end:
   size (a bigger subtree means fewer orphans to re-attach), with a seeded
   random jitter breaking exact ties.  Each candidate announces itself with
   one ACK-sized election beacon heard by the other candidates — charged
-  traffic, like everything else.
+  traffic, like everything else, applied to the ledger as one ordered
+  batch.
 
 * **Hand-over** — the root-side query state migrates through the
   algorithm's :meth:`~repro.core.base.ContinuousQuantileAlgorithm.handover`
@@ -58,6 +59,7 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.network.tree import tree_multi_reparented
 from repro.radio.message import ack_cost
+from repro.sim.vectorized import ChargeLog
 
 #: Ledger phase every fail-over charge (beacons + state flood) books under.
 FAILOVER_PHASE = "failover"
@@ -188,7 +190,8 @@ class RootFailover:
 
     def _elect(self, candidates: tuple[int, ...]) -> int:
         tree = self.net.tree
-        plan = self.net.plan
+        mask = self.net._down_mask()
+        down = [False] * tree.num_vertices if mask is None else mask.tolist()
         stats = self.net.link_stats
         # One jitter draw per candidate, in sorted order — deterministic
         # for a given seed regardless of set/dict iteration.
@@ -198,9 +201,7 @@ class RootFailover:
             observed = [
                 stats.etx(vertex, u)
                 for u in self._neighbors(vertex)
-                if not plan.is_dead(u)
-                and not plan.is_down(u)
-                and stats.link_observed(vertex, u)
+                if not down[u] and stats.link_observed(vertex, u)
             ]
             mean_etx = (
                 sum(observed) / len(observed) if observed else float("inf")
@@ -284,19 +285,26 @@ class RootFailover:
         )
 
     def _charge_election(self, candidates: tuple[int, ...]) -> None:
-        """Each candidate beacons once; the other candidates listen."""
+        """Each candidate beacons once; the other candidates listen.
+
+        The beacons are logged in scalar order and reach the ledger as one
+        batch before anything else of the fail-over charges or reads it.
+        """
         net = self.net
         beacon = ack_cost()
-        total_bits = 0
-        for sender in sorted(candidates):
-            net.ledger.charge_send(sender, beacon)
-            total_bits += beacon.total_bits
-            for receiver in candidates:
-                if receiver != sender:
-                    net.ledger.charge_recv(receiver, beacon)
+        log = ChargeLog(net.ledger)
+        try:
+            for sender in sorted(candidates):
+                log.charge_send(sender, beacon)
+                log.charge_recv_each(
+                    [v for v in candidates if v != sender], beacon
+                )
+        finally:
+            log.flush()
         phase_bits = net.phase_bits
         phase_bits[FAILOVER_PHASE] = (
-            phase_bits.get(FAILOVER_PHASE, 0) + total_bits
+            phase_bits.get(FAILOVER_PHASE, 0)
+            + beacon.total_bits * len(candidates)
         )
 
     def _distance(self, a: int, b: int) -> float:

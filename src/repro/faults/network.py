@@ -270,9 +270,12 @@ class FaultyTreeNetwork(TreeNetwork):
 
     def live_sensor_nodes(self) -> tuple[int, ...]:
         """Sensor nodes that are up this round (not dead, not in an outage)."""
-        return tuple(
-            v for v in self.tree.sensor_nodes if not self.plan.is_down(v)
-        )
+        sensors = self.tree.sensor_nodes
+        mask = self._down_mask()
+        if mask is None:
+            return sensors
+        down = mask.tolist()
+        return tuple(v for v in sensors if not down[v])
 
     # -- engine fault hooks ---------------------------------------------------
 

@@ -42,9 +42,17 @@ This module adds the reactions a real deployment uses first:
   population's quantile through arbitrary churn.
 
 All repair traffic — probe beacons, neighbour replies, the adopt handshake,
-membership reports and filter re-pushes — is charged to the energy ledger
-under the ``"repair"`` phase, so ``repro faults`` can show what recovery
-actually costs next to what it saves.
+membership reports, filter re-pushes and parked listens — is charged to the
+energy ledger under the ``"repair"`` phase, so ``repro faults`` can show
+what recovery actually costs next to what it saves.  The charges are
+recorded in scalar order into one :class:`~repro.sim.vectorized.ChargeLog`
+and reach the ledger as ordered batches, so the ledger is bit-identical to
+charging them one by one.
+
+A pass costs O(n) plus O(orphans x degree): the orphan set is read off the
+down vertices' children once, and each adoption updates a per-pass working
+tree (parent, children, depth, a rooted-up mask and cached ETX hop lists)
+instead of rescanning the network (see ``DESIGN.md``, "Recovery pass").
 
 The root's membership view is modelled as consistent at the end of each
 repair pass (link-layer hello detection plus membership reports); reports
@@ -65,11 +73,16 @@ from repro.errors import ConfigurationError
 from repro.faults.network import FaultyTreeNetwork
 from repro.faults.watchdog import RootWatchdog
 from repro.network.topology import PhysicalGraph
-from repro.network.tree import tree_multi_reparented
+from repro.network.tree import RoutingTree, tree_multi_reparented
 from repro.radio.message import MessageCost, ack_cost, message_bits
+from repro.sim.vectorized import ChargeLog
 
 #: Phase label repair traffic is charged under in ``net.phase_bits``.
 REPAIR_PHASE = "repair"
+
+#: Logged charges that trigger a mid-pass flush, which keeps the batch
+#: (and its memory) bounded on rounds with many orphans.
+_FLUSH_AT = 1024
 
 
 @dataclass(frozen=True)
@@ -117,6 +130,136 @@ class RepairStats:
     repair_bits: int = 0
     #: Per-round records, in order.
     rounds: list[RepairRound] = field(default_factory=list)
+
+
+def _cut_off(tree: RoutingTree, down: np.ndarray | None) -> set[int]:
+    """Vertices whose tree path to the root passes a down vertex.
+
+    That is the union of the down vertices' subtrees.  The root's own state
+    is the fail-over's business, so a down root cuts nothing here.  Once a
+    pass has re-attached the orphans, only down vertices and parked
+    subtrees remain, so the walk is far below O(n) on most rounds.
+    """
+    if down is None:
+        return set()
+    children = tree.children
+    stack = [v for v in np.flatnonzero(down).tolist() if v != tree.root]
+    cut: set[int] = set()
+    while stack:
+        vertex = stack.pop()
+        if vertex not in cut:
+            cut.add(vertex)
+            stack.extend(children[vertex])
+    return cut
+
+
+class _WorkingTree:
+    """The routing tree as one repair pass rewrites it, adoption by adoption.
+
+    Only orphans change parent, and each adopts a *rooted-up* vertex, one
+    whose whole working path to the root is up.  Within a pass, therefore:
+
+    * the orphan set cannot grow;
+    * a rooted-up vertex keeps its path, so its ETX hop list is cached;
+    * an orphan's own subtree hangs below a down parent, so none of it is
+      rooted-up, and eligibility is one mask lookup;
+    * an adoption moves one subtree: its depths shift by one constant, and
+      the members whose path up to the orphan is up become rooted-up.
+
+    Children lists are copied on write, so setting up costs a few O(n)
+    copies at C speed.
+    """
+
+    __slots__ = ("root", "parent", "depth", "rooted", "_children", "_moved", "_hops")
+
+    def __init__(self, tree: RoutingTree, cut: set[int]) -> None:
+        self.root = tree.root
+        self.parent = list(tree.parent)
+        self.depth = list(tree.depth)
+        rooted = [True] * tree.num_vertices
+        for vertex in cut:
+            rooted[vertex] = False
+        self.rooted = rooted
+        self._children = tree.children
+        self._moved: dict[int, list[int]] = {}
+        self._hops: dict[int, tuple[tuple[float, ...], bool]] = {}
+
+    def children(self, vertex: int) -> list[int] | tuple[int, ...]:
+        moved = self._moved.get(vertex)
+        return self._children[vertex] if moved is None else moved
+
+    def subtree(self, vertex: int) -> list[int]:
+        """``vertex``'s working subtree, itself and down vertices included."""
+        out, stack = [], [vertex]
+        while stack:
+            v = stack.pop()
+            out.append(v)
+            stack.extend(self.children(v))
+        return out
+
+    def adopt(self, orphan: int, new_parent: int, down: list[bool]) -> list[int]:
+        """Re-parent ``orphan`` under ``new_parent``; returns the moved subtree."""
+        old_parent = self.parent[orphan]
+        self._moved[old_parent] = [
+            v for v in self.children(old_parent) if v != orphan
+        ]
+        self._moved[new_parent] = [*self.children(new_parent), orphan]
+        self.parent[orphan] = new_parent
+        members = self.subtree(orphan)
+        depth = self.depth
+        shift = depth[new_parent] + 1 - depth[orphan]
+        for v in members:
+            depth[v] += shift
+        rooted, stack = self.rooted, [orphan]
+        while stack:
+            v = stack.pop()
+            if not down[v]:
+                rooted[v] = True
+                stack.extend(self.children(v))
+        return members
+
+    def etx_path_costs(
+        self, stats, orphan: int, candidates: list[int]
+    ) -> tuple[list[float], bool]:
+        """Per candidate: the ETX of the probe link plus the candidate's
+        working path to the root.
+
+        Also reports whether *any* link on those routes has ever been
+        observed — if none has, the costs are pure prior and the caller
+        prefers the distance ranking instead.  Each cost is a left fold
+        from the probe link up to the root, never a ``sum()``, whose
+        compensated float summation differs across Python versions.
+        """
+        etx, link_observed, hops = stats.etx, stats.link_observed, self._hops
+        costs, any_observed = [], False
+        for candidate in candidates:
+            tail, observed = hops.get(candidate) or self._hop_list(stats, candidate)
+            cost = etx(orphan, candidate)
+            for hop in tail:
+                cost += hop
+            costs.append(cost)
+            any_observed = (
+                any_observed or observed or link_observed(orphan, candidate)
+            )
+        return costs, any_observed
+
+    def _hop_list(self, stats, vertex: int) -> tuple[tuple[float, ...], bool]:
+        """Per-hop ETX from ``vertex`` up to the root, and whether any of
+        those links was observed; cached for the pass."""
+        hops, parent, chain = self._hops, self.parent, []
+        while vertex != self.root and vertex not in hops:
+            chain.append(vertex)
+            vertex = parent[vertex]
+        entry = ((), False) if vertex == self.root else hops[vertex]
+        for v in reversed(chain):
+            up = parent[v]
+            tail, observed = entry
+            entry = (
+                (stats.etx(v, up), *tail),
+                observed or stats.link_observed(v, up),
+            )
+            hops[v] = entry
+        return entry
 
 
 class TreeRepair:
@@ -170,7 +313,6 @@ class TreeRepair:
         self.watchdog = watchdog
         self.parent_metric = parent_metric
         self.heal_patience = heal_patience
-        self.plan = net.plan
         self.stats = RepairStats()
         #: Sensors the root currently considers outside the query.
         self.detached: set[int] = set()
@@ -183,24 +325,19 @@ class TreeRepair:
         self._expired: list[int] = []
         self._waiting: list[int] = []
         self._healed: list[int] = []
+        #: Repair charges not yet applied to the ledger, and their bits.
+        self._log = ChargeLog(net.ledger)
+        self._bits = 0
 
     # -- root-reachability ----------------------------------------------------
 
-    def _reachable(self) -> list[bool]:
-        """Per-vertex: is the whole tree path to the root up right now?"""
-        tree = self.net.tree
-        ok = [False] * tree.num_vertices
-        ok[tree.root] = True
-        for vertex in tree.top_down_order:
-            if vertex == tree.root:
-                continue
-            ok[vertex] = ok[tree.parent[vertex]] and not self.plan.is_down(vertex)
-        return ok
-
     def reachable_sensors(self) -> tuple[int, ...]:
         """Up sensors whose whole path to the root is up."""
-        ok = self._reachable()
-        return tuple(v for v in self.net.tree.sensor_nodes if ok[v])
+        tree = self.net.tree
+        cut = _cut_off(tree, self.net._down_mask())
+        if not cut:
+            return tree.sensor_nodes
+        return tuple(v for v in tree.sensor_nodes if v not in cut)
 
     # -- the per-round pass ---------------------------------------------------
 
@@ -214,32 +351,46 @@ class TreeRepair:
         :class:`~repro.errors.ProtocolError`; the internal membership set is
         updated *before* the algorithm hook so a driver that reacts by
         re-initializing can resynchronize via :meth:`resync_after_reinit`.
+        The pass is booked before the error propagates: its charges reach
+        the ledger, and :attr:`stats` records what it did up to the hook
+        that raised (``stats.rounds[-1]``).
         """
         energy_before = float(self.net.ledger.energy.sum())
-        reattached = self._reattach_orphans()
-        fallback = self._expired_fallbacks()
-        detached, rejoined = self._sync_membership(algorithm, values)
-        round_record = RepairRound(
-            reattached=tuple(reattached),
-            fallback=tuple(fallback),
-            detached=tuple(detached),
-            rejoined=tuple(rejoined),
-            parked=tuple(self._waiting),
-            healed=tuple(self._healed),
-        )
+        reattached: list[tuple[int, int]] = []
+        fallback: list[int] = []
+        detached: list[int] = []
+        rejoined: list[int] = []
+        try:
+            reattached = self._reattach_orphans()
+            fallback = self._expired_fallbacks()
+            self._sync_membership(algorithm, values, detached, rejoined)
+        finally:
+            self._flush()
+            round_record = RepairRound(
+                reattached=tuple(reattached),
+                fallback=tuple(fallback),
+                detached=tuple(detached),
+                rejoined=tuple(rejoined),
+                parked=tuple(self._waiting),
+                healed=tuple(self._healed),
+            )
+            self._book(round_record, energy_before)
         if round_record.changed_membership and self.watchdog is not None:
             self.watchdog.retarget(self.net.tree, self.reachable_sensors())
-        self.stats.reattach_count += len(reattached)
-        self.stats.fallback_count += len(fallback)
-        self.stats.detach_count += len(detached)
-        self.stats.rejoin_count += len(rejoined)
-        self.stats.parked_rounds += len(round_record.parked)
-        self.stats.healed_count += len(round_record.healed)
-        self.stats.repair_energy_j += (
+        return round_record
+
+    def _book(self, round_record: RepairRound, energy_before: float) -> None:
+        stats = self.stats
+        stats.reattach_count += len(round_record.reattached)
+        stats.fallback_count += len(round_record.fallback)
+        stats.detach_count += len(round_record.detached)
+        stats.rejoin_count += len(round_record.rejoined)
+        stats.parked_rounds += len(round_record.parked)
+        stats.healed_count += len(round_record.healed)
+        stats.repair_energy_j += (
             float(self.net.ledger.energy.sum()) - energy_before
         )
-        self.stats.rounds.append(round_record)
-        return round_record
+        stats.rounds.append(round_record)
 
     def resync_after_reinit(self, algorithm) -> None:
         """Align a freshly constructed algorithm with current reachability.
@@ -247,116 +398,90 @@ class TreeRepair:
         Called by the driver right before re-initializing: the new query is
         planted on the reachable population only.
         """
-        reachable = set(self.reachable_sensors())
-        self.detached = set(self.net.tree.sensor_nodes) - reachable
+        tree = self.net.tree
+        cut = _cut_off(tree, self.net._down_mask())
+        self.detached = {v for v in cut if v not in tree.relays}
         algorithm.reset_participation(self.net, self.detached)
         if self.watchdog is not None:
-            self.watchdog.retarget(self.net.tree, tuple(sorted(reachable)))
+            self.watchdog.retarget(
+                tree, (v for v in tree.sensor_nodes if v not in cut)
+            )
 
     # -- orphan re-attach -----------------------------------------------------
     #
-    # The whole pass works on *working copies* of the parent/link arrays:
-    # adoptions mutate the copies, eligibility checks walk them, and the
-    # real RoutingTree is rebuilt exactly once per round via
-    # tree_multi_reparented (a cascade of k adoptions used to pay k full
-    # O(n) derived-structure rebuilds — quadratic in the cascade size).
-
-    def _orphans_in(self, parent: list[int]) -> list[int]:
-        """Up sensors whose (working) parent is down, shallowest first."""
-        orphans = [
-            v
-            for v in self.net.tree.sensor_nodes
-            if not self.plan.is_down(v) and self.plan.is_down(parent[v])
-        ]
-        orphans.sort(key=lambda v: (self._depth_in(parent, v), v))
-        return orphans
-
-    def _depth_in(self, parent: list[int], vertex: int) -> int:
-        root, depth = self.net.tree.root, 0
-        while vertex != root:
-            vertex = parent[vertex]
-            depth += 1
-        return depth
-
-    def _in_subtree(self, parent: list[int], vertex: int, ancestor: int) -> bool:
-        """Whether ``vertex`` lies in ``ancestor``'s (working) subtree."""
-        root = self.net.tree.root
-        while True:
-            if vertex == ancestor:
-                return True
-            if vertex == root:
-                return False
-            vertex = parent[vertex]
-
-    def _path_up_ok(self, parent: list[int], vertex: int) -> bool:
-        """Whether the whole (working) path from ``vertex`` to the root is up."""
-        root = self.net.tree.root
-        while vertex != root:
-            if self.plan.is_down(vertex):
-                return False
-            vertex = parent[vertex]
-        return True
-
-    def _subtree_in(self, parent: list[int], vertex: int) -> frozenset[int]:
-        """All vertices of ``vertex``'s subtree under the working array."""
-        root = self.net.tree.root
-        children: dict[int, list[int]] = {}
-        for v in range(len(parent)):
-            if v != root:
-                children.setdefault(parent[v], []).append(v)
-        out: set[int] = set()
-        stack = [vertex]
-        while stack:
-            v = stack.pop()
-            out.add(v)
-            stack.extend(children.get(v, ()))
-        return frozenset(out)
+    # The pass works on a _WorkingTree: adoptions rewrite it, eligibility
+    # reads its rooted-up mask, and the real RoutingTree is rebuilt exactly
+    # once per round via tree_multi_reparented.
 
     def _reattach_orphans(self) -> list[tuple[int, int]]:
-        tree = self.net.tree
-        parent = list(tree.parent)
-        link = list(tree.link_distance)
-        moves: list[tuple[int, int, float]] = []
-        failed: set[int] = set()
-        while True:
-            pending = [v for v in self._orphans_in(parent) if v not in failed]
-            if not pending:
-                break
-            orphan = pending[0]
-            candidate = self._probe_for_parent(orphan, parent)
-            if candidate is None:
-                failed.add(orphan)
-                continue
-            distance = self._distance(orphan, candidate)
-            self._charge_adopt_handshake(orphan, candidate, distance)
-            if failed:
-                # A successful adopt restores root connectivity for exactly
-                # the orphan's subtree; a previously failed orphan can only
-                # have gained an eligible candidate if it physically
-                # neighbours that subtree.  Everyone else's probe would
-                # replay the identical (charged!) beacon exchange and fail
-                # identically — don't re-probe them.
-                reconnected = self._subtree_in(parent, orphan)
-                failed = {
-                    v
-                    for v in failed
-                    if not any(
-                        n in reconnected for n in self.graph.neighbors(v)
-                    )
-                }
-            parent[orphan] = candidate
-            link[orphan] = distance
-            moves.append((orphan, candidate, distance))
-        if moves:
-            self.net.retarget(tree_multi_reparented(tree, moves))
-            # The adopting parents report the membership change up the
-            # repaired tree so the root can patch its branch bookkeeping.
-            for _, new_parent, _ in moves:
-                self._report_to_root(new_parent)
-        self._settle_park_queue(parent, failed)
-        return [(orphan, new_parent) for orphan, new_parent, _ in moves]
+        """Re-attach this round's orphans: up sensors whose parent is down.
 
-    def _settle_park_queue(self, parent: list[int], failed: set[int]) -> None:
+        Orphans probe shallowest working depth first, then by vertex id.
+        The pass's charges are on the ledger when this returns.
+        """
+        try:
+            tree = self.net.tree
+            down_mask = self.net._down_mask()
+            if down_mask is None:
+                self._settle_park_queue(None, [], set())
+                return []
+            down = down_mask.tolist()
+            relays = tree.relays
+            pending = [
+                child
+                for vertex in np.flatnonzero(down_mask).tolist()
+                for child in tree.children[vertex]
+                if not down[child] and child not in relays
+            ]
+            if not pending:
+                self._settle_park_queue(None, down, set())
+                return []
+            work = _WorkingTree(tree, _cut_off(tree, down_mask))
+            depth = work.depth
+            moves: list[tuple[int, int, float]] = []
+            failed: set[int] = set()
+            while True:
+                choices = [v for v in pending if v not in failed]
+                if not choices:
+                    break
+                orphan = min(choices, key=lambda v: (depth[v], v))
+                found = self._probe_for_parent(orphan, work, down)
+                if found is None:
+                    failed.add(orphan)
+                    continue
+                candidate, distance = found
+                self._charge_adopt_handshake(orphan, candidate, distance)
+                pending.remove(orphan)
+                moved = work.adopt(orphan, candidate, down)
+                if failed:
+                    # A successful adopt restores root connectivity for exactly
+                    # the orphan's subtree; a previously failed orphan can only
+                    # have gained an eligible candidate if it physically
+                    # neighbours that subtree.  Everyone else's probe would
+                    # replay the identical (charged!) beacon exchange and fail
+                    # identically — don't re-probe them.
+                    reconnected = set(moved)
+                    neighbors = self.graph.neighbors
+                    failed = {
+                        v
+                        for v in failed
+                        if not any(n in reconnected for n in neighbors(v))
+                    }
+                moves.append((orphan, candidate, distance))
+            if moves:
+                self.net.retarget(tree_multi_reparented(tree, moves))
+                # The adopting parents report the membership change up the
+                # repaired tree so the root can patch its branch bookkeeping.
+                for _, new_parent, _ in moves:
+                    self._report_to_root(new_parent)
+            self._settle_park_queue(work, down, failed)
+            return [(orphan, new_parent) for orphan, new_parent, _ in moves]
+        finally:
+            self._flush()
+
+    def _settle_park_queue(
+        self, work: _WorkingTree | None, down: list[bool], failed: set[int]
+    ) -> None:
         """Advance the parked-orphan queue after one re-attach pass.
 
         A previously waiting orphan (streak below ``heal_patience``) that is
@@ -386,85 +511,65 @@ class TreeRepair:
                 self._waiting.append(vertex)
         ack = ack_cost()
         for vertex in self._waiting:
-            for member in self._subtree_in(parent, vertex):
-                if not self.plan.is_down(member):
-                    self._charge_recv(member, ack)
+            # Every listen costs the same, so the order of the subtree walk
+            # leaves each vertex's float sum unchanged.
+            listeners = [m for m in work.subtree(vertex) if not down[m]]
+            self._log.charge_recv_each(listeners, ack)
+            self._maybe_flush()
 
     def _expired_fallbacks(self) -> list[int]:
         fresh = self._expired
         self._expired = []
         return fresh
 
-    def _probe_for_parent(self, orphan: int, parent: list[int]) -> int | None:
-        """One probe beacon + replies; returns the best eligible neighbour.
+    def _probe_for_parent(
+        self, orphan: int, work: _WorkingTree, down: list[bool]
+    ) -> tuple[int, float] | None:
+        """One probe beacon + replies; the best eligible neighbour and its
+        distance, or ``None``.
 
-        Eligible: physically in range, up, outside the orphan's own
-        (working) subtree, and with a fully-up tree path to the root.
-        Ranking follows :attr:`parent_metric` — ETX-weighted path cost to
-        the root when link estimates exist, Euclidean distance otherwise.
+        Eligible: physically in range and rooted-up in the working tree,
+        which also rules out the orphan's own subtree.  Ranking follows
+        :attr:`parent_metric` — ETX-weighted path cost to the root when
+        link estimates exist, Euclidean distance otherwise.
         """
-        root = self.net.tree.root
+        root = work.root
+        rooted = work.rooted
         ack = ack_cost()
+        log = self._log
         # The probe is a local broadcast at full radio range; every up
         # neighbour pays the listen, but only neighbours that actually hold
         # a working route (and are not in the orphan's own subtree) answer
         # with an ack-sized beacon — nodes without a route to offer keep
         # quiet, exactly like route advertisements in CTP/RPL.
         self.stats.probe_count += 1
-        self._charge_send(orphan, ack, self.graph.radio_range)
-        stats = self.net.link_stats if self.parent_metric == "etx" else None
-        candidates: list[tuple[float, float, int, bool]] = []
-        for neighbor in self.graph.neighbors(orphan):
-            if neighbor != root and self.plan.is_down(neighbor):
-                continue
-            self._charge_recv(neighbor, ack)
-            if self._in_subtree(parent, neighbor, orphan) or not (
-                self._path_up_ok(parent, neighbor)
-            ):
-                continue
-            distance = self._distance(orphan, neighbor)
-            self._charge_send(neighbor, ack, distance)
-            self._charge_recv(orphan, ack)
-            if stats is None:
-                etx_cost, observed = 0.0, False
-            else:
-                etx_cost, observed = self._etx_path_cost(
-                    stats, parent, orphan, neighbor
-                )
-            candidates.append((etx_cost, distance, neighbor, observed))
-        if not candidates:
+        listeners = [
+            v for v in self.graph.neighbors(orphan) if v == root or not down[v]
+        ]
+        repliers = [v for v in listeners if rooted[v]]
+        distances = self._distances(orphan, repliers)
+        # A listener hears the beacon before it replies, and the orphan
+        # beacons before it hears a reply: grouping the charges by kind
+        # keeps every vertex's own charge order, hence its float sums.
+        log.charge_send(orphan, ack, link_distance=self.graph.radio_range)
+        log.charge_recv_each(listeners, ack)
+        log.charge_send_each(repliers, ack, distances)
+        log.charge_recv_each([orphan] * len(repliers), ack)
+        self._bits += (1 + len(repliers)) * ack.total_bits
+        self._maybe_flush()
+        if not repliers:
             return None
-        if stats is not None and any(observed for *_, observed in candidates):
-            best = min(candidates)
-        else:
-            # No relevant link ever observed: ETX would just replay the
-            # prior everywhere, so fall back to nearest-neighbour adoption.
-            best = min(candidates, key=lambda c: (c[1], c[2]))
-        return best[2]
-
-    def _etx_path_cost(
-        self,
-        stats,
-        parent: list[int],
-        orphan: int,
-        candidate: int,
-    ) -> tuple[float, bool]:
-        """ETX of the probe link plus the candidate's (working) path to root.
-
-        Also reports whether *any* link on that route has ever been
-        observed — if none has, the cost is pure prior and the caller
-        prefers the distance ranking instead.
-        """
-        root = self.net.tree.root
-        cost = stats.etx(orphan, candidate)
-        observed = stats.link_observed(orphan, candidate)
-        vertex = candidate
-        while vertex != root:
-            up = parent[vertex]
-            cost += stats.etx(vertex, up)
-            observed = observed or stats.link_observed(vertex, up)
-            vertex = up
-        return cost, observed
+        if self.parent_metric == "etx":
+            costs, observed = work.etx_path_costs(
+                self.net.link_stats, orphan, repliers
+            )
+            if observed:
+                _, distance, neighbor = min(zip(costs, distances, repliers))
+                return neighbor, distance
+        # No relevant link ever observed: ETX would just replay the prior
+        # everywhere, so fall back to nearest-neighbour adoption.
+        distance, neighbor = min(zip(distances, repliers))
+        return neighbor, distance
 
     def _charge_adopt_handshake(
         self, orphan: int, new_parent: int, distance: float
@@ -479,53 +584,91 @@ class TreeRepair:
     # -- membership sync ------------------------------------------------------
 
     def _sync_membership(
-        self, algorithm, values: np.ndarray
-    ) -> tuple[list[int], list[int]]:
+        self,
+        algorithm,
+        values: np.ndarray,
+        detached: list[int],
+        rejoined: list[int],
+    ) -> None:
+        """Detach the newly cut-off sensors and rejoin the reconnected ones,
+        appending each to ``detached``/``rejoined`` before its hook runs.
+
+        The hooks are root-side bookkeeping and charge nothing, so the
+        logged charges keep their order around them.
+        """
         tree = self.net.tree
-        ok = self._reachable()
-        reachable = {v for v in tree.sensor_nodes if ok[v]}
+        cut = _cut_off(tree, self.net._down_mask())
+        relays = tree.relays
         newly_gone = sorted(
-            v
-            for v in tree.sensor_nodes
-            if v not in self.detached and v not in reachable
+            v for v in cut if v not in relays and v not in self.detached
         )
-        newly_back = sorted(v for v in self.detached if v in reachable)
+        newly_back = sorted(
+            v
+            for v in self.detached
+            if v not in cut and v != tree.root and v not in relays
+        )
+        try:
+            for vertex in newly_gone:
+                # A down node's silence is noticed by its parent; the report
+                # can only travel where an up path exists.
+                reporter = tree.parent[vertex]
+                if reporter not in cut:
+                    self._report_to_root(reporter)
+                self.detached.add(vertex)
+                detached.append(vertex)
+                algorithm.detach(self.net, vertex)
 
-        for vertex in newly_gone:
-            # A down node's silence is noticed by its parent; the report can
-            # only travel where an up path exists.
-            reporter = tree.parent[vertex]
-            if reporter == tree.root or (
-                reporter >= 0 and ok[reporter]
-            ):
-                self._report_to_root(reporter)
-            self.detached.add(vertex)
-            algorithm.detach(self.net, vertex)
-
-        for vertex in newly_back:
-            # Filter re-push (one hop down), then the node reports its
-            # current value up so the root can patch its counters.
             push = message_bits(VALUE_BITS)
-            parent = tree.parent[vertex]
-            self._charge_send(parent, push, tree.link_distance[vertex])
-            self._charge_recv(vertex, push)
-            self._report_to_root(vertex)
-            self.detached.discard(vertex)
-            algorithm.rejoin(self.net, values, vertex)
-        return newly_gone, newly_back
+            for vertex in newly_back:
+                # Filter re-push (one hop down), then the node reports its
+                # current value up so the root can patch its counters.
+                self._charge_send(
+                    tree.parent[vertex], push, tree.link_distance[vertex]
+                )
+                self._charge_recv(vertex, push)
+                self._report_to_root(vertex)
+                self.detached.discard(vertex)
+                rejoined.append(vertex)
+                algorithm.rejoin(self.net, values, vertex)
+        finally:
+            self._flush()
 
     # -- charging helpers -----------------------------------------------------
 
-    def _distance(self, a: int, b: int) -> float:
-        pa, pb = self.graph.positions[a], self.graph.positions[b]
-        return float(np.hypot(pa[0] - pb[0], pa[1] - pb[1]))
+    def _distances(self, vertex: int, others: list[int]) -> list[float]:
+        """Euclidean distance from ``vertex`` to each of ``others``.
+
+        ``np.hypot`` runs the same libm call per element as on scalars, so
+        every distance is the float a per-pair call would give.
+        """
+        if not others:
+            return []
+        positions = self.graph.positions
+        here, there = positions[vertex], positions[others]
+        return np.hypot(here[0] - there[:, 0], here[1] - there[:, 1]).tolist()
 
     def _charge_send(self, sender: int, cost: MessageCost, distance: float) -> None:
-        self.net.ledger.charge_send(sender, cost, link_distance=distance)
-        self._account_bits(cost)
+        self._log.charge_send(sender, cost, link_distance=distance)
+        self._bits += cost.total_bits
 
     def _charge_recv(self, receiver: int, cost: MessageCost) -> None:
-        self.net.ledger.charge_recv(receiver, cost)
+        self._log.charge_recv(receiver, cost)
+
+    def _maybe_flush(self) -> None:
+        if len(self._log) >= _FLUSH_AT:
+            self._flush()
+
+    def _flush(self) -> None:
+        """Apply the logged charges to the ledger, in logged order, and
+        their on-air bits to the repair phase."""
+        self._log.flush()
+        if self._bits:
+            self.stats.repair_bits += self._bits
+            phase_bits = self.net.phase_bits
+            phase_bits[REPAIR_PHASE] = (
+                phase_bits.get(REPAIR_PHASE, 0) + self._bits
+            )
+            self._bits = 0
 
     def _report_to_root(self, start: int) -> None:
         """Report a membership change from ``start`` up the tree path.
@@ -534,16 +677,18 @@ class TreeRepair:
         piggybacked on the next already-scheduled frame of each hop, so they
         cost their payload bits but no extra MAC frames or headers.
         """
-        if start == self.net.tree.root:
-            return
         tree = self.net.tree
+        if start == tree.root:
+            return
         cost = MessageCost(messages=0, total_bits=VALUE_BITS, payload_bits=VALUE_BITS)
         path = tree.path_to_root(start)
-        for child, parent in zip(path, path[1:]):
-            self._charge_send(child, cost, tree.link_distance[child])
-            self._charge_recv(parent, cost)
-
-    def _account_bits(self, cost: MessageCost) -> None:
-        self.stats.repair_bits += cost.total_bits
-        phase_bits = self.net.phase_bits
-        phase_bits[REPAIR_PHASE] = phase_bits.get(REPAIR_PHASE, 0) + cost.total_bits
+        senders = path[:-1]
+        # Each hop is a send by the child and a receive by its parent.
+        # Every vertex hears its child before it forwards, so logging all
+        # receives before all sends keeps each vertex's charge order.
+        self._log.charge_recv_each(path[1:], cost)
+        self._log.charge_send_each(
+            senders, cost, [tree.link_distance[v] for v in senders]
+        )
+        self._bits += cost.total_bits * len(senders)
+        self._maybe_flush()

@@ -10,6 +10,7 @@ on every round.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -52,7 +53,10 @@ class RoutingTree:
         """Number of measuring nodes ``|N|`` (root and relays excluded)."""
         return self.num_vertices - 1 - len(self.relays)
 
-    @property
+    # The derived orders below are cached per instance (the tree is
+    # immutable; ``with_relays`` and the rebuilders return new instances).
+
+    @cached_property
     def sensor_nodes(self) -> tuple[int, ...]:
         """Indices of all measuring nodes (root and relays excluded)."""
         return tuple(
@@ -75,7 +79,7 @@ class RoutingTree:
 
         return replace(self, relays=relays)
 
-    @property
+    @cached_property
     def top_down_order(self) -> tuple[int, ...]:
         """Vertices ordered root-first (reverse of the bottom-up order)."""
         return tuple(reversed(self.bottom_up_order))

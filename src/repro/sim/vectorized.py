@@ -239,7 +239,7 @@ class ChargeLog:
         "_ledger",
         "_model",
         "_radio_range",
-        "_cpb_by_distance",
+        "_send_cpb",
         "_recv_cpb",
         "_vertices",
         "_joules",
@@ -253,9 +253,13 @@ class ChargeLog:
         self._ledger = ledger
         self._model = ledger.model
         self._radio_range = ledger.radio_range
-        #: Distance -> J/bit cache; with ``per_link_distance`` off every
-        #: distance maps to the same constant, so this hits immediately.
-        self._cpb_by_distance: dict[float, float] = {}
+        #: Send J/bit, one constant unless ``per_link_distance`` makes it
+        #: depend on the link (``None``: computed per charge).
+        self._send_cpb = (
+            None
+            if self._model.per_link_distance
+            else self._model.send_cost_per_bit(self._radio_range)
+        )
         self._recv_cpb = ledger.model.recv_cost
         self._vertices: list[int] = []
         self._joules: list[float] = []
@@ -275,12 +279,11 @@ class ChargeLog:
         link_distance: float = 0.0,
     ) -> None:
         """Record one transmission (same contract as the ledger's)."""
-        cpb = self._cpb_by_distance.get(link_distance)
+        cpb = self._send_cpb
         if cpb is None:
             cpb = self._model.send_cost_per_bit(
                 self._radio_range, link_distance
             )
-            self._cpb_by_distance[link_distance] = cpb
         self._vertices.append(sender)
         self._joules.append(cost.total_bits * cpb)
         self._is_send.append(True)
@@ -296,6 +299,44 @@ class ChargeLog:
         self._messages.append(cost.messages)
         self._bits.append(cost.total_bits)
         self._values.append(0)
+
+    def charge_send_each(
+        self,
+        senders: Sequence[int],
+        cost: "MessageCost",
+        link_distances: Sequence[float],
+    ) -> None:
+        """Record one ``cost`` transmission per sender, in order, each over
+        its own link: :meth:`charge_send` in a loop, at list speed."""
+        count = len(senders)
+        cpb = self._send_cpb
+        if cpb is None:
+            send_cpb, radio_range = self._model.send_cost_per_bit, self._radio_range
+            joules = [
+                cost.total_bits * send_cpb(radio_range, distance)
+                for distance in link_distances
+            ]
+        else:
+            joules = [cost.total_bits * cpb] * count
+        self._vertices.extend(senders)
+        self._joules.extend(joules)
+        self._is_send.extend([True] * count)
+        self._messages.extend([cost.messages] * count)
+        self._bits.extend([cost.total_bits] * count)
+        self._values.extend([0] * count)
+
+    def charge_recv_each(
+        self, receivers: Sequence[int], cost: "MessageCost"
+    ) -> None:
+        """Record one ``cost`` reception per receiver, in order:
+        :meth:`charge_recv` in a loop, at list speed."""
+        count = len(receivers)
+        self._vertices.extend(receivers)
+        self._joules.extend([cost.total_bits * self._recv_cpb] * count)
+        self._is_send.extend([False] * count)
+        self._messages.extend([cost.messages] * count)
+        self._bits.extend([cost.total_bits] * count)
+        self._values.extend([0] * count)
 
     def flush(self) -> None:
         """Apply every recorded charge to the ledger in recorded order."""

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError, TopologyError
+from repro.errors import ConfigurationError, ProtocolError, TopologyError
 from repro.experiments.config import default_algorithms
 from repro.faults import (
     AdaptiveArqPolicy,
@@ -557,3 +557,150 @@ class TestRepairBeatsWatchdogBaseline:
         # fewer re-inits and a cooler hotspot.
         assert on.reinit_count < off.reinit_count
         assert on.hotspot_energy_mj < off.hotspot_energy_mj
+
+
+class TestPartialPassAccounting:
+    """Regression: a membership hook that raises mid-pass used to leave
+    the tree rewritten and the ledger charged, yet ``RepairStats`` and the
+    round report empty.  The pass now books itself before re-raising."""
+
+    class RaisingDetach:
+        """Hooks whose ``detach`` fails, as a negative counter would."""
+
+        def detach(self, net, vertex):
+            raise ProtocolError(f"negative count detaching {vertex}")
+
+        def rejoin(self, net, values, vertex):  # pragma: no cover - unused
+            raise AssertionError("no rejoin expected")
+
+    def test_raising_hook_keeps_the_pass_on_the_books(self, reattachable):
+        from repro.faults.network import FaultyTreeNetwork
+        from repro.radio.energy import EnergyModel
+        from repro.radio.ledger import EnergyLedger
+
+        graph, tree = reattachable
+        plan = FaultPlan(outages=ScheduledOutages({1: [(3, 2)]}))
+        ledger = EnergyLedger(tree.num_vertices, tree.root, EnergyModel(), RANGE)
+        net = FaultyTreeNetwork(tree, ledger, plan=plan)
+        repair = TreeRepair(graph, net)
+        plan.begin_round(tree, 0)
+        plan.begin_round(tree, 1)
+        ledger.begin_round()
+        before = float(ledger.energy.sum())
+        with pytest.raises(ProtocolError):
+            repair.repair_round(self.RaisingDetach(), np.zeros(5))
+        ledger.end_round()
+
+        gained = float(ledger.energy.sum()) - before
+        assert net.tree.parent[4] == 2
+        assert gained > 0.0
+        stats = repair.stats
+        (record,) = stats.rounds
+        assert record.reattached == ((4, 2),)
+        # The membership view moved before the hook raised.
+        assert record.detached == (3,)
+        assert repair.detached == {3}
+        assert stats.reattach_count == 1
+        assert stats.detach_count == 1
+        # Every logged charge reached the ledger: nothing left unflushed.
+        assert stats.repair_energy_j == gained
+        assert stats.repair_bits == net.phase_bits["repair"] > 0
+
+    def test_driver_report_carries_the_partial_pass(self, reattachable):
+        graph, tree = reattachable
+        pos = default_algorithms()["POS"]
+
+        def fragile(spec):
+            algorithm = pos(spec)
+            algorithm.detach = self.RaisingDetach().detach
+            return algorithm
+
+        plan = FaultPlan(outages=ScheduledOutages({2: [(3, 2)]}))
+        driver = FaultDriver(
+            fragile,
+            QuerySpec(r_min=0, r_max=127),
+            tree,
+            SequenceWorkload(chain_rounds(5, 4)),
+            plan,
+            ArqPolicy(max_retries=2),
+            graph=graph,
+            radio_range=RANGE,
+        )
+        reports = driver.run(4)
+
+        report = reports[2]
+        assert report.failed and report.reinitialized
+        assert report.repair is driver.repair.stats.rounds[2]
+        assert report.repair.reattached == ((4, 2),)
+        assert report.repair.detached == (3,)
+        point = driver.point("POS", 0.0, 0.0, 0.0)
+        assert point.reattach_count == 1
+        assert point.repair_energy_mj > 0.0
+
+
+def test_repair_and_failover_make_no_scalar_charges(monkeypatch):
+    """Repair and fail-over traffic reaches the ledger only as ordered
+    batches: killing the sink of a 1,000-node deployment (one election,
+    then a cascade of re-attachments) makes no scalar charge at all."""
+    from repro.datasets.synthetic import SyntheticWorkload
+    from repro.faults import RandomOutages, ScheduledChurn
+    from repro.faults.failover import RootFailover
+    from repro.network.routing import build_routing_tree
+    from repro.network.topology import connected_random_graph
+    from repro.radio.ledger import EnergyLedger
+
+    rng = np.random.default_rng(1000)
+    graph = connected_random_graph(1001, 35.0, rng, area_side=200.0)
+    tree = build_routing_tree(graph, root=0)
+    workload = SyntheticWorkload(graph.positions, rng)
+    plan = FaultPlan(
+        churn=ScheduledChurn({2: (tree.root,)}),
+        outages=RandomOutages(0.01, mean_downtime=3.0),
+        rng=np.random.default_rng(1001),
+    )
+    driver = FaultDriver(
+        default_algorithms()["IQ"],
+        QuerySpec(r_min=workload.r_min, r_max=workload.r_max),
+        tree,
+        workload,
+        plan,
+        ArqPolicy(max_retries=2),
+        graph=graph,
+        core="vector",
+    )
+
+    inside, scalar = [0], []
+
+    def watched(method):
+        def wrapper(*args, **kwargs):
+            inside[0] += 1
+            try:
+                return method(*args, **kwargs)
+            finally:
+                inside[0] -= 1
+
+        return wrapper
+
+    def counted(name, method):
+        def wrapper(*args, **kwargs):
+            if inside[0]:
+                scalar.append(name)
+            return method(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("charge_send", "charge_recv"):
+        monkeypatch.setattr(
+            EnergyLedger, name, counted(name, getattr(EnergyLedger, name))
+        )
+    monkeypatch.setattr(
+        TreeRepair, "repair_round", watched(TreeRepair.repair_round)
+    )
+    monkeypatch.setattr(
+        RootFailover, "maybe_failover", watched(RootFailover.maybe_failover)
+    )
+    driver.run(4)
+
+    assert driver.failover.count == 1
+    assert driver.repair.stats.reattach_count > 10
+    assert scalar == []

@@ -85,3 +85,51 @@ class TestValidation:
     def test_rejects_out_of_range_root(self):
         with pytest.raises(TopologyError):
             tree_from_parents(3, [-1, 0])
+
+
+class TestCachedOrders:
+    """``sensor_nodes`` and ``top_down_order`` are computed once per tree;
+    every derived tree (relays, batched re-parenting, re-root) computes
+    its own and never inherits its source's."""
+
+    @staticmethod
+    def definitions(tree: RoutingTree) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        sensors = tuple(
+            v
+            for v in range(tree.num_vertices)
+            if v != tree.root and v not in tree.relays
+        )
+        return sensors, tuple(reversed(tree.bottom_up_order))
+
+    def test_cached_orders_equal_their_definitions(self, random_deployment):
+        from repro.network.tree import tree_multi_reparented
+
+        _, tree = random_deployment
+        # Fill the source's caches first, so a leak would show below.
+        assert (tree.sensor_nodes, tree.top_down_order) == self.definitions(tree)
+        leaf = tree.bottom_up_order[0]
+        successor = tree.children[tree.root][0]
+        derived = [
+            tree.with_relays({leaf}),
+            tree_multi_reparented(tree, [(leaf, tree.root, 1.0)]),
+            tree_multi_reparented(
+                tree, [(tree.root, successor, 1.0)], new_root=successor
+            ),
+        ]
+        for variant in derived:
+            assert (
+                variant.sensor_nodes,
+                variant.top_down_order,
+            ) == self.definitions(variant)
+            assert variant.sensor_nodes is variant.sensor_nodes
+            assert variant.top_down_order is variant.top_down_order
+        relayed, _, rerooted = derived
+        assert leaf not in relayed.sensor_nodes
+        assert rerooted.root not in rerooted.sensor_nodes
+        assert tree.root in rerooted.sensor_nodes
+
+    def test_caches_leave_equality_and_hashing_alone(self, small_tree):
+        twin = tree_from_parents(0, list(small_tree.parent))
+        assert small_tree.sensor_nodes and small_tree.top_down_order
+        assert twin == small_tree
+        assert hash(twin) == hash(small_tree)
