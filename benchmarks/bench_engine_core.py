@@ -1,16 +1,18 @@
-"""Engine hot-path microbenchmark: vectorized core vs the object core.
+"""Engine hot-path microbenchmark: the array core vs the per-hop reference.
 
 Times lossless convergecast rounds (the paper's dominant primitive) on
-random recursive trees at 300 / 3 000 / 30 000 vertices under both
-simulation cores, plus the vectorized full round (convergecast +
-broadcast) and the per-round ledger-batch overhead.  The node counts are
+random recursive trees at 300 / 3 000 / 30 000 vertices, on the package's
+array convergecast and on the per-hop reference walk in
+``tests/reference_engine.py`` (the ``object_*`` columns), plus the array
+full round (convergecast + broadcast) and the per-round ledger-batch
+overhead.  The node counts are
 the trajectory axis and stay fixed across scales; ``REPRO_BENCH_SCALE``
 only controls how many rounds are timed.  Results land in
 ``BENCH_engine.json`` (results dir + repo root) — the machine-readable
 perf trajectory that ``benchmarks/check_perf.py`` gates CI on.
 
 The acceptance headline is the 3 000-vertex cell: the committed record
-must show the vectorized core >= 5x the object core on lossless
+must show the array core >= 5x the reference walk on lossless
 convergecast.  The in-test assertion uses a 3x floor so a noisy CI
 runner cannot flake a genuinely fast core.
 """
@@ -29,6 +31,7 @@ from repro.network.tree import RoutingTree, tree_from_parents
 from repro.radio.energy import EnergyModel
 from repro.radio.ledger import EnergyLedger
 from repro.sim.engine import TreeNetwork, UniformPayload
+from tests.reference_engine import ReferenceTreeNetwork
 
 SIZES = (300, 3_000, 30_000)
 #: Timed rounds per size at scale 1; multiplied by the benchmark scale.
@@ -72,14 +75,15 @@ def random_recursive_tree(n: int, seed: int = 29) -> RoutingTree:
     return tree_from_parents(0, parents)
 
 
-def fresh_net(tree: RoutingTree, core: str) -> TreeNetwork:
+def fresh_net(tree: RoutingTree, reference: bool = False) -> TreeNetwork:
     ledger = EnergyLedger(
         num_vertices=tree.num_vertices,
         root=tree.root,
         model=EnergyModel(),
         radio_range=RADIO_RANGE,
     )
-    return TreeNetwork(tree, ledger, core=core)
+    cls = ReferenceTreeNetwork if reference else TreeNetwork
+    return cls(tree, ledger)
 
 
 #: Timed repeats per measurement; best-of is reported.  Wall-clock noise is
@@ -159,18 +163,18 @@ def measure_size(n: int, rounds: int) -> dict:
     tree = random_recursive_tree(n)
     contributions = {v: CountPayload(1) for v in tree.sensor_nodes}
     object_rps = time_rounds(
-        fresh_net(tree, "object"), contributions, rounds, broadcast=False
+        fresh_net(tree, reference=True), contributions, rounds, broadcast=False
     )
     vector_rps = time_rounds(
-        fresh_net(tree, "vector"),
+        fresh_net(tree),
         contributions,
-        # The vector core is fast enough to time many more rounds for the
+        # The array core is fast enough to time many more rounds for the
         # same wall-clock budget, which stabilizes the measurement.
         rounds * 10,
         broadcast=False,
     )
     full_round_rps = time_rounds(
-        fresh_net(tree, "vector"), contributions, rounds * 10, broadcast=True
+        fresh_net(tree), contributions, rounds * 10, broadcast=True
     )
     return {
         "num_vertices": n,

@@ -10,7 +10,7 @@ from __future__ import annotations
 from repro.experiments.config import default_algorithms
 
 from benchmarks.common import archive, bench_scale, run_once
-from repro.extensions.loss import run_loss_experiment
+from repro.faults import run_fault_experiment
 
 LOSS_RATES = (0.0, 0.01, 0.05, 0.1, 0.2)
 
@@ -22,9 +22,11 @@ def compute():
         for name, factory in default_algorithms().items()
         if name in ("TAG", "POS", "HBC", "IQ")
     }
-    return run_loss_experiment(
+    # Message loss alone: i.i.d. loss with no ARQ retries, no churn.
+    return run_fault_experiment(
         algorithms,
-        loss_probabilities=LOSS_RATES,
+        loss_rates=LOSS_RATES,
+        retry_budgets=(0,),
         num_nodes=max(50, round(500 * scale)),
         num_rounds=max(25, round(250 * scale)),
     )
@@ -41,7 +43,7 @@ def test_ext_loss_rank_error(benchmark):
     for name in algorithms:
         for point in result.series(name):
             lines.append(
-                f"{name:10s} {point.loss_probability:5.2f} "
+                f"{name:10s} {point.loss_rate:5.2f} "
                 f"{point.exact_fraction:7.2f} {point.mean_rank_error:9.2f} "
                 f"{point.mean_value_error:10.2f} {point.failure_rate:9.2f}"
             )

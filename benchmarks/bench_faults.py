@@ -8,8 +8,9 @@ small retry budget buys back most of the accuracy that loss destroys — at a
 measured, bounded energy premium.
 
 ``test_faulty_core_throughput`` additionally times the faulty convergecast
-itself — vectorized core vs the object reference, per loss x retry cell —
-after asserting the two cores produce bit-identical ledgers, and emits the
+itself — the array core vs the per-hop reference walk in
+``tests/reference_engine.py`` (the ``object_*`` columns), per loss x retry
+cell — after asserting the two produce bit-identical ledgers, and emits the
 machine-readable ``BENCH_faults.json`` record that ``check_perf.py`` gates
 CI on.
 """
@@ -44,20 +45,23 @@ from repro.network.topology import connected_random_graph
 from repro.radio.energy import EnergyModel
 from repro.radio.ledger import EnergyLedger
 from repro.types import QuerySpec
+from tests.reference_engine import ReferenceFaultyTreeNetwork, reference_drivers
 
 LOSS_RATES = (0.0, 0.05, 0.1)
 RETRY_BUDGETS = (0, 2)
 
 #: Node count of the throughput headline cell (matches the engine bench).
 THROUGHPUT_SIZE = 3_000
-#: Object-core timed rounds per cell at scale 1; the vector core times 5x.
+#: Reference timed rounds per cell at scale 1; the array core times 5x.
 THROUGHPUT_BASE_ROUNDS = 40
 #: Node count of the cheap per-cell bit-equality precondition.
 EQUIVALENCE_SIZE = 300
 RADIO_RANGE = 35.0
 
 
-def faulty_net(tree, core: str, loss_rate: float, retries: int, seed: int):
+def faulty_net(
+    tree, reference: bool, loss_rate: float, retries: int, seed: int
+):
     ledger = EnergyLedger(
         num_vertices=tree.num_vertices,
         root=tree.root,
@@ -67,9 +71,8 @@ def faulty_net(tree, core: str, loss_rate: float, retries: int, seed: int):
     plan = FaultPlan(
         loss=IndependentLoss(loss_rate), rng=np.random.default_rng(seed)
     )
-    return FaultyTreeNetwork(
-        tree, ledger, plan=plan, arq=ArqPolicy(max_retries=retries), core=core
-    )
+    cls = ReferenceFaultyTreeNetwork if reference else FaultyTreeNetwork
+    return cls(tree, ledger, plan=plan, arq=ArqPolicy(max_retries=retries))
 
 
 def time_faulty_rounds(net, contributions, rounds: int) -> float:
@@ -97,17 +100,17 @@ def time_faulty_rounds(net, contributions, rounds: int) -> float:
 
 
 def assert_cores_bit_identical(loss_rate: float, retries: int) -> None:
-    """Both cores must produce bit-identical ledgers before we time them."""
+    """The array core must match the reference's ledgers before we time it."""
     tree = random_recursive_tree(EQUIVALENCE_SIZE, seed=31)
     contributions = {v: CountPayload(1) for v in tree.sensor_nodes}
     ledgers = {}
-    for core in ("object", "vector"):
-        net = faulty_net(tree, core, loss_rate, retries, seed=90125)
+    for reference in (True, False):
+        net = faulty_net(tree, reference, loss_rate, retries, seed=90125)
         for r in range(6):
             net.begin_faults_round(r)
             net.convergecast(contributions)
-        ledgers[core] = net.ledger
-    a, b = ledgers["object"], ledgers["vector"]
+        ledgers[reference] = net.ledger
+    a, b = ledgers[True], ledgers[False]
     assert np.array_equal(a.energy, b.energy)
     assert np.array_equal(a.bits_sent, b.bits_sent)
     assert np.array_equal(a.messages_received, b.messages_received)
@@ -123,7 +126,7 @@ FAILOVER_KILL_ROUND = 3
 FAILOVER_BASE_ROUNDS = 20
 
 
-def build_failover_driver(core: str) -> FaultDriver:
+def build_failover_driver() -> FaultDriver:
     rng = np.random.default_rng(31)
     graph = connected_random_graph(FAILOVER_SIZE, RADIO_RANGE, rng)
     tree = build_routing_tree(graph, root=0)
@@ -144,21 +147,22 @@ def build_failover_driver(core: str) -> FaultDriver:
         repair=True,
         radio_range=RADIO_RANGE,
         failover_rng=np.random.default_rng(19),
-        core=core,
     )
 
 
-def time_failover_runs(core: str, rounds: int) -> float:
+def time_failover_runs(reference: bool, rounds: int) -> float:
     """Best-of-``REPEATS`` full driver rounds/sec across a root kill.
 
     Each repeat runs a fresh driver end to end (the fail-over mutates the
     tree, so a run cannot be re-timed in place); the sink dies at
     ``FAILOVER_KILL_ROUND``, so every timed window pays for one election,
     hand-over flood and O(n) re-root on top of the ordinary faulty rounds.
+    ``reference`` builds the drivers on the per-hop reference walk.
     """
     best = 0.0
     for _ in range(REPEATS):
-        driver = build_failover_driver(core)
+        with reference_drivers(reference):
+            driver = build_failover_driver()
         start = time.perf_counter()
         driver.run(rounds)
         elapsed = time.perf_counter() - start
@@ -177,14 +181,14 @@ def compute_faulty_throughput() -> dict:
         for retries in RETRY_BUDGETS:
             assert_cores_bit_identical(loss_rate, retries)
             object_rps = time_faulty_rounds(
-                faulty_net(tree, "object", loss_rate, retries, seed=90125),
+                faulty_net(tree, True, loss_rate, retries, seed=90125),
                 contributions,
                 rounds,
             )
             vector_rps = time_faulty_rounds(
-                faulty_net(tree, "vector", loss_rate, retries, seed=90125),
+                faulty_net(tree, False, loss_rate, retries, seed=90125),
                 contributions,
-                # The vector core times more rounds in the same wall-clock
+                # The array core times more rounds in the same wall-clock
                 # budget, stabilizing the measurement (engine bench idiom).
                 rounds * 5,
             )
@@ -201,20 +205,20 @@ def compute_faulty_throughput() -> dict:
         "timed_rounds": failover_rounds,
         "kill_round": FAILOVER_KILL_ROUND,
         "object_failover_rounds_per_sec": time_failover_runs(
-            "object", failover_rounds
+            True, failover_rounds
         ),
         "vector_failover_rounds_per_sec": time_failover_runs(
-            "vector", failover_rounds
+            False, failover_rounds
         ),
     }
     return {
         "num_vertices": THROUGHPUT_SIZE,
         "timed_rounds": rounds,
         "cells": cells,
-        # The acceptance headline is the *worst* cell: the vectorized
-        # faulty path must beat the object core everywhere, not on average.
+        # The acceptance headline is the *worst* cell: the array faulty
+        # path must beat the reference walk everywhere, not on average.
         "headline_speedup": min(c["speedup"] for c in cells.values()),
-        # Full-driver rounds/sec across a mid-run root kill (both cores):
+        # Full-driver rounds/sec across a mid-run root kill (both walks):
         # the *_rounds_per_sec leaves are gated by check_perf.py, so a
         # regression in the election/hand-over/re-root path fails CI.
         "failover": failover,

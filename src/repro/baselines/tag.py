@@ -47,7 +47,7 @@ class TAG(ContinuousQuantileAlgorithm):
         # On a reliable tree at least k values always arrive.  Under message
         # loss (the Section 6 extension) the root answers best-effort from
         # whatever reached it — the introduced rank error is exactly what
-        # repro.extensions.loss measures.
+        # ``repro loss`` measures.
         quantile = merged.values[min(k, len(merged.values)) - 1]
         self.current_quantile = quantile
         return RoundOutcome(quantile=quantile)

@@ -46,7 +46,6 @@ from repro.experiments.figures import fig4_xi_trace
 from repro.experiments.report import format_comparison, format_sweep_table
 from repro.experiments.runner import run_synthetic_experiment
 from repro.experiments.sweeps import SWEEP_VARIABLES, sweep, sweep_pressure
-from repro.extensions.loss import run_loss_experiment
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -492,9 +491,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 0
 
     if command == "loss":
-        result = run_loss_experiment(
+        from repro.faults import run_fault_experiment
+
+        result = run_fault_experiment(
             default_algorithms(),
-            loss_probabilities=tuple(args.rates),
+            loss_rates=tuple(args.rates),
+            retry_budgets=(0,),
             num_nodes=args.nodes,
             num_rounds=args.rounds,
         )
@@ -505,7 +507,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         for name in sorted({p.algorithm for p in result.points}):
             for point in result.series(name):
                 print(
-                    f"{name:10s} {point.loss_probability:5.2f} "
+                    f"{name:10s} {point.loss_rate:5.2f} "
                     f"{point.exact_fraction:7.2f} {point.mean_rank_error:9.2f} "
                     f"{point.mean_value_error:10.2f} {point.failure_rate:9.2f}"
                 )

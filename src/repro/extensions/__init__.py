@@ -1,15 +1,7 @@
 """Extensions the paper points at but does not build (Sections 3.1, 4.2, 6)."""
 
 from repro.extensions.adaptive import AdaptiveQuantile
-from repro.extensions.balancing import (
-    FaultAwareRotatingRunner,
-    RotatingTreeRunner,
-)
-from repro.extensions.loss import (
-    LossExperimentResult,
-    LossyTreeNetwork,
-    run_loss_experiment,
-)
+from repro.extensions.balancing import RotatingTreeRunner
 from repro.extensions.sampling import (
     SamplingResult,
     run_sampling_experiment,
@@ -18,12 +10,8 @@ from repro.extensions.sampling import (
 
 __all__ = [
     "AdaptiveQuantile",
-    "FaultAwareRotatingRunner",
     "RotatingTreeRunner",
-    "LossExperimentResult",
-    "LossyTreeNetwork",
     "SamplingResult",
-    "run_loss_experiment",
     "run_sampling_experiment",
     "sample_layer",
 ]

@@ -146,101 +146,3 @@ class RotatingTreeRunner:
         result.totals = ledger.totals()
         result.phase_bits = dict(net.phase_bits)
         return result
-
-
-class _CallableWorkload:
-    """Adapts a ``ValuesProvider`` callable to the workload protocol."""
-
-    def __init__(self, provider: ValuesProvider) -> None:
-        self._provider = provider
-
-    def values(self, round_index: int) -> np.ndarray:
-        return np.asarray(self._provider(round_index))
-
-
-class FaultAwareRotatingRunner:
-    """Tree rotation that survives faults (and repair that survives rotation).
-
-    :class:`RotatingTreeRunner` runs on the fault-free ``TreeNetwork``;
-    the repair layer never rotated.  This runner composes both: it drives a
-    :class:`~repro.faults.experiment.FaultDriver` with ``rotate_every`` set,
-    so every rotation samples a fresh randomized min-hop tree that avoids
-    currently-down parents (ETX-biased away from lossy links with the
-    default metric), membership counters carry across rotations via the
-    detach/rejoin machinery, and the watchdog follows the moving topology.
-
-    Args:
-        graph: the physical deployment (fixed).
-        radio_range: nominal radio range [m].
-        rng: randomness for the tie-broken parent choices (shared by the
-            initial tree and every rotation).
-        rebuild_every: rounds between tree rotations (>= 1; rotation is the
-            point of this runner — use :class:`~repro.faults.experiment.
-            FaultDriver` directly for a non-rotating fault run).
-        repair_metric: candidate-parent ranking for repair and the rotation
-            bias — ``"etx"`` (default) or ``"nearest"``.
-        watchdog_patience: strikes before the root re-initializes.
-    """
-
-    def __init__(
-        self,
-        graph: PhysicalGraph,
-        radio_range: float,
-        rng: np.random.Generator,
-        rebuild_every: int = 10,
-        root: int = 0,
-        repair_metric: str = "etx",
-        watchdog_patience: int = 2,
-    ) -> None:
-        if rebuild_every < 1:
-            raise ConfigurationError(
-                f"rebuild_every must be >= 1, got {rebuild_every}"
-            )
-        self.graph = graph
-        self.radio_range = radio_range
-        self.rng = rng
-        self.rebuild_every = rebuild_every
-        self.root = root
-        self.repair_metric = repair_metric
-        self.watchdog_patience = watchdog_patience
-        #: The driver of the most recent :meth:`run` (reports, stats, net).
-        self.driver = None
-
-    def run(
-        self,
-        factory,
-        spec,
-        values_provider: ValuesProvider,
-        num_rounds: int,
-        plan=None,
-        arq=None,
-    ):
-        """Run ``num_rounds`` rounds under ``plan``; returns the round reports.
-
-        ``factory``/``spec`` build the algorithm (re-initialization under
-        faults needs the recipe, not an instance).  The driver is kept on
-        :attr:`driver` for ledger/repair/rotation inspection.
-        """
-        from repro.faults.experiment import FaultDriver
-        from repro.faults.plan import FaultPlan
-
-        if num_rounds < 1:
-            raise ProtocolError(f"num_rounds must be >= 1, got {num_rounds}")
-        tree = build_randomized_routing_tree(self.graph, self.rng, self.root)
-        driver = FaultDriver(
-            factory,
-            spec,
-            tree,
-            _CallableWorkload(values_provider),
-            plan if plan is not None else FaultPlan(),
-            arq,
-            graph=self.graph,
-            repair=True,
-            radio_range=self.radio_range,
-            watchdog_patience=self.watchdog_patience,
-            repair_metric=self.repair_metric,
-            rotate_every=self.rebuild_every,
-            rotate_rng=self.rng,
-        )
-        self.driver = driver
-        return driver.run(num_rounds)

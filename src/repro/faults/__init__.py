@@ -2,7 +2,7 @@
 
 This package is the single seam through which *every* algorithm (exact and
 sketch) runs under injected faults: :class:`FaultyTreeNetwork` plugs a
-:class:`FaultPlan` into the engine's fault hooks, :class:`ArqPolicy` adds
+:class:`FaultPlan` into the engine's fault seam, :class:`ArqPolicy` adds
 per-hop acknowledgements with a bounded retry budget, and
 :class:`RootWatchdog` turns persistently silent subtrees into measured
 re-initializations.  :class:`TreeRepair` reacts *before* the watchdog has
@@ -13,27 +13,22 @@ its observed loss.  Even the sink may fail: :class:`RootFailover` elects a
 successor among the live root children, migrates the root-side query
 state in one charged flood, and re-roots the tree in place (the plan no
 longer special-cases the root).  ``run_fault_experiment`` sweeps all of
-it (the :class:`FaultDriver` round loop is steppable by tests); the old
-``extensions.loss`` API remains as a thin view.
+it (the :class:`FaultDriver` round loop is steppable by tests).
 """
 
 from repro.faults.experiment import (
     FaultDriver,
     FaultExperimentResult,
     FaultSeriesPoint,
-    LossExperimentResult,
-    LossSeriesPoint,
     RoundReport,
     fault_lineup,
     insertion_rank_error,
     run_fault_experiment,
-    run_loss_experiment,
 )
 from repro.faults.network import (
     AdaptiveArqPolicy,
     ArqPolicy,
     FaultyTreeNetwork,
-    LossyTreeNetwork,
 )
 from repro.faults.failover import FailoverEvent, RootFailover
 from repro.faults.plan import (
@@ -66,9 +61,6 @@ __all__ = [
     "GilbertElliottLoss",
     "IndependentLoss",
     "LinkLossModel",
-    "LossExperimentResult",
-    "LossSeriesPoint",
-    "LossyTreeNetwork",
     "OutageModel",
     "RandomChurn",
     "RandomOutages",
@@ -83,5 +75,4 @@ __all__ = [
     "fault_lineup",
     "insertion_rank_error",
     "run_fault_experiment",
-    "run_loss_experiment",
 ]

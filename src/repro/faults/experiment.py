@@ -1,7 +1,8 @@
 """The fault study: accuracy, recovery and energy under injected faults.
 
-This generalizes the old ``extensions/loss.py`` experiment (which covered
-only the exact algorithms under i.i.d. convergecast loss) along three axes:
+This generalizes the Section-6 loss study (only the exact algorithms under
+i.i.d. convergecast loss, which ``repro loss`` still prints) along three
+axes:
 
 * **algorithms** — every algorithm runs, including the sketch track
   (``SK1``/``SKQ``), whose rank bounds widen gracefully when subtrees go
@@ -265,7 +266,6 @@ class FaultDriver:
         rotate_every: int = 0,
         rotate_rng: np.random.Generator | None = None,
         heal_patience: int = 1,
-        core: str | None = None,
         history=None,
         root_grace: int = 1,
         failover_rng: np.random.Generator | None = None,
@@ -299,11 +299,7 @@ class FaultDriver:
         self.ledger = EnergyLedger(
             tree.num_vertices, tree.root, EnergyModel(), radio_range
         )
-        # ``core`` pins the simulation core (differential tests run the
-        # same scenario on both); ``None`` keeps the env-var default.
-        self.net = FaultyTreeNetwork(
-            tree, self.ledger, plan=plan, arq=arq, core=core
-        )
+        self.net = FaultyTreeNetwork(tree, self.ledger, plan=plan, arq=arq)
         self.watchdog = RootWatchdog(tree, patience=watchdog_patience)
         self.repair: TreeRepair | None = None
         if repair and graph is not None:
@@ -823,68 +819,3 @@ def _loss_model(loss: float, burst_length: float | None) -> LinkLossModel | None
     if burst_length is None:
         return IndependentLoss(loss)
     return GilbertElliottLoss.from_average(loss, burst_length=burst_length)
-
-
-# -- legacy loss-study API (extensions/loss.py) ------------------------------
-
-
-@dataclass
-class LossSeriesPoint:
-    """Per-(algorithm, loss-rate) outcome of the original loss study."""
-
-    algorithm: str
-    loss_probability: float
-    exact_fraction: float
-    mean_rank_error: float
-    mean_value_error: float
-    failure_rate: float
-
-
-@dataclass
-class LossExperimentResult:
-    """All series of the loss study, keyed by algorithm name."""
-
-    points: list[LossSeriesPoint]
-
-    def series(self, algorithm: str) -> list[LossSeriesPoint]:
-        """The loss sweep of one algorithm, ordered by loss rate."""
-        selected = [p for p in self.points if p.algorithm == algorithm]
-        return sorted(selected, key=lambda p: p.loss_probability)
-
-
-def run_loss_experiment(
-    algorithms: dict[str, AlgorithmFactory],
-    loss_probabilities: tuple[float, ...] = (0.0, 0.01, 0.05, 0.1, 0.2),
-    num_nodes: int = 100,
-    num_rounds: int = 60,
-    radio_range: float = 35.0,
-    seed: int = 20140324,
-) -> LossExperimentResult:
-    """The original Section-6 study: rank error under i.i.d. loss, no ARQ.
-
-    Now a thin view over :func:`run_fault_experiment` — same fault path,
-    same recovery layer — narrowed to the retry-less, churn-free setting
-    and the original result shape.
-    """
-    result = run_fault_experiment(
-        algorithms,
-        loss_rates=tuple(loss_probabilities),
-        retry_budgets=(0,),
-        num_nodes=num_nodes,
-        num_rounds=num_rounds,
-        radio_range=radio_range,
-        seed=seed,
-    )
-    return LossExperimentResult(
-        points=[
-            LossSeriesPoint(
-                algorithm=p.algorithm,
-                loss_probability=p.loss_rate,
-                exact_fraction=p.exact_fraction,
-                mean_rank_error=p.mean_rank_error,
-                mean_value_error=p.mean_value_error,
-                failure_rate=p.failure_rate,
-            )
-            for p in result.points
-        ]
-    )

@@ -198,14 +198,16 @@ class RootFailover:
         jitter = {v: float(self._rng.random()) for v in sorted(candidates)}
 
         def score(vertex: int):
-            observed = [
-                stats.etx(vertex, u)
-                for u in self._neighbors(vertex)
-                if not down[u] and stats.link_observed(vertex, u)
-            ]
-            mean_etx = (
-                sum(observed) / len(observed) if observed else float("inf")
-            )
+            # A left fold, never a builtin sum(): Python 3.12+ compensates
+            # float sums, which would let a near-tie elect a different
+            # successor per Python version (repair's ETX path cost folds
+            # the same way).
+            total, observed = 0.0, 0
+            for u in self._neighbors(vertex):
+                if not down[u] and stats.link_observed(vertex, u):
+                    total += stats.etx(vertex, u)
+                    observed += 1
+            mean_etx = total / observed if observed else float("inf")
             return (mean_etx, -tree.subtree_size[vertex], jitter[vertex], vertex)
 
         return min(candidates, key=score)

@@ -2,8 +2,10 @@
 optionally fights back with per-hop ARQ.
 
 :class:`FaultyTreeNetwork` plugs a :class:`~repro.faults.plan.FaultPlan`
-into the engine's fault hooks, so **every** algorithm in the package (exact
-and sketch) runs under injected faults without modification.  On top of the
+into the engine's fault seam — its own batched convergecast draws from the
+plan, and broadcasts and repair read the plan's down set through
+``_down_mask`` — so **every** algorithm in the package (exact and sketch)
+runs under injected faults without modification.  On top of the
 raw faults sits the first recovery mechanism, :class:`ArqPolicy`: stop-and-
 wait acknowledgements with a bounded retransmission budget, every attempt
 honestly charged to the energy ledger:
@@ -213,6 +215,11 @@ class AdaptiveArqPolicy(ArqPolicy):
 class FaultyTreeNetwork(TreeNetwork):
     """Tree network with pluggable fault injection and per-hop ARQ."""
 
+    #: Always true: the batched faulty convergecast is the only one.  Kept
+    #: as a class attribute for perfbench's
+    #: ``test_tracer_keeps_hook_identities_and_restores_everything``.
+    _vector_faulty_convergecast = True
+
     def __init__(
         self,
         tree: RoutingTree,
@@ -221,9 +228,8 @@ class FaultyTreeNetwork(TreeNetwork):
         arq: ArqPolicy | None = None,
         virtual_vertices: frozenset[int] | set[int] = frozenset(),
         link_stats: LinkQualityEstimator | None = None,
-        core: str | None = None,
     ) -> None:
-        super().__init__(tree, ledger, virtual_vertices, core=core)
+        super().__init__(tree, ledger, virtual_vertices)
         self.plan = plan if plan is not None else FaultPlan()
         self.arq = arq if arq is not None else ArqPolicy()
         if link_stats is None:
@@ -240,17 +246,6 @@ class FaultyTreeNetwork(TreeNetwork):
         # must not fold the raw data-frame outcome in a second time.
         self._feeds_uplink_stats = (
             getattr(self.arq, "estimator", None) is not self.link_stats
-        )
-        self._track_sources = True
-        # The batched faulty convergecast replays this class's exact ARQ
-        # decision sequence, so it is only sound while this class's hooks
-        # are authoritative: a subclass overriding either hook falls back
-        # to the per-hop object walk (whose charges still flush as one
-        # batch on the vector core).
-        cls = type(self)
-        self._vector_faulty_convergecast = self.core == "vector" and (
-            cls._hop_delivered is FaultyTreeNetwork._hop_delivered
-            and cls._vertex_down is FaultyTreeNetwork._vertex_down
         )
         #: Data frames that failed to reach their (live) parent, attempts
         #: counted individually.
@@ -277,10 +272,7 @@ class FaultyTreeNetwork(TreeNetwork):
         down = mask.tolist()
         return tuple(v for v in sensors if not down[v])
 
-    # -- engine fault hooks ---------------------------------------------------
-
-    def _vertex_down(self, vertex: int) -> bool:
-        return self.plan.is_down(vertex)
+    # -- fault seam -----------------------------------------------------------
 
     def _down_mask(self) -> np.ndarray | None:
         plan = self.plan
@@ -293,65 +285,9 @@ class FaultyTreeNetwork(TreeNetwork):
             mask[list(plan.down)] = True
         return mask
 
-    def _hop_delivered(
-        self, vertex: int, parent: int, payload: Payload
-    ) -> tuple[bool, int]:
-        cost = message_bits(payload.payload_bits())
-        distance = self.tree.link_distance[vertex]
-        parent_down = self._vertex_down(parent)
-        ack = ack_cost()
-        arq = self.arq
-        delivered = False
-        bits = 0
-        for attempt in range(max(1, arq.attempts_for(vertex, parent))):
-            if attempt > 0:
-                self.retransmissions += 1
-            self._charges.charge_send(
-                vertex, cost, values=payload.num_values(), link_distance=distance
-            )
-            bits += cost.total_bits
-            if parent_down:
-                frame_ok = False
-            else:
-                # The parent listens on its TDMA schedule whether or not the
-                # frame survives the channel.
-                self._charges.charge_recv(parent, cost)
-                frame_ok = not self.plan.transmission_lost(vertex, parent)
-                if self._feeds_uplink_stats:
-                    # Channel truth for the uplink (a down parent is not a
-                    # channel sample and must not poison the loss estimate).
-                    self.link_stats.observe(vertex, parent, frame_ok)
-            if frame_ok:
-                delivered = True
-            else:
-                self.lost_transmissions += 1
-            if not arq.enabled:
-                break
-            if frame_ok:
-                # Parent acknowledges; the ACK rides the same lossy channel.
-                self._charges.charge_send(parent, ack, link_distance=distance)
-                self._charges.charge_recv(vertex, ack)
-                self.acks_sent += 1
-                bits += ack.total_bits
-                ack_ok = not self.plan.transmission_lost(parent, vertex)
-                # The ACK samples the downlink — the other half of ETX.
-                self.link_stats.observe(parent, vertex, ack_ok)
-                if ack_ok:
-                    arq.observe(vertex, parent, True)
-                    break
-                self.lost_acks += 1
-            else:
-                # The child listens through the ACK window in vain.
-                self._charges.charge_recv(vertex, ack)
-            # From the sender's viewpoint only an ACK confirms the attempt.
-            arq.observe(vertex, parent, False)
-        return delivered, bits
-
     # -- vectorized faulty convergecast ---------------------------------------
 
     def convergecast(self, contributions: Mapping[int, P]) -> Optional[P]:
-        if not self._vector_faulty_convergecast:
-            return super().convergecast(contributions)
         arq = self.arq
         arq_cls = type(arq)
         static_arq = (
@@ -359,7 +295,7 @@ class FaultyTreeNetwork(TreeNetwork):
             and arq_cls.observe is ArqPolicy.observe
         )
         # The uniform path reads plan.dead/plan.down as a mask, so a plan
-        # subclass redefining is_down must keep the object-intake walk.
+        # subclass redefining is_down must keep the per-object walk.
         if (
             static_arq
             and contributions
@@ -392,7 +328,7 @@ class FaultyTreeNetwork(TreeNetwork):
     ) -> Optional[Payload]:
         """Faulty convergecast under the ``UniformPayload`` contract.
 
-        Bit-identical to the object walk, like
+        Bit-identical to the per-hop reference walk, like
         :meth:`_convergecast_faulty_vector`, but payload state never
         travels as objects: only the loss/ARQ *decisions* stay in a
         boolean Python loop (they consume one ordered RNG stream), and
@@ -404,7 +340,7 @@ class FaultyTreeNetwork(TreeNetwork):
           order);
         * the root answer comes from ``vector_reduce`` over the payloads
           whose whole path delivered (the contract makes that equal to
-          the object walk's tree-order ``merged_with`` fold);
+          the reference walk's tree-order ``merged_with`` fold);
         * i.i.d. loss draws compare pre-drawn uniform blocks inline, with
           the same rewind-and-replay exit as
           :class:`~repro.faults.plan.UniformBlockStream`, so the
@@ -794,7 +730,7 @@ class FaultyTreeNetwork(TreeNetwork):
     def _convergecast_faulty_vector(
         self, contributions: Mapping[int, P]
     ) -> Optional[P]:
-        """Batched loss/ARQ convergecast, bit-identical to the object walk.
+        """Batched loss/ARQ convergecast, bit-identical to the per-hop walk.
 
         The per-hop *decisions* (loss draws, retry cut-offs, payload
         merges) still run in a lean Python loop — they are sequential by
@@ -803,7 +739,7 @@ class FaultyTreeNetwork(TreeNetwork):
 
         * uniforms come block-wise from :meth:`FaultPlan.batched_sampling`,
           which leaves the generator in the exact state scalar sampling
-          would (so the two cores' RNG streams never diverge);
+          would (so the stream never diverges from the reference walk's);
         * under a static ARQ policy the link-quality observations are
           deferred and replayed once via ``observe_batch`` (same per-link
           EWMA order — nothing reads the estimator mid-convergecast);
@@ -995,22 +931,3 @@ class FaultyTreeNetwork(TreeNetwork):
             CollectionRecord(expected=expected, delivered=delivered_sources)
         )
         return accumulated[tree.root]
-
-
-class LossyTreeNetwork(FaultyTreeNetwork):
-    """Back-compat facade: i.i.d. convergecast loss, no churn, no ARQ.
-
-    This is the exact network ``extensions/loss.py`` shipped before the
-    fault subsystem existed; it remains importable from there.
-    """
-
-    def __init__(
-        self,
-        tree: RoutingTree,
-        ledger: EnergyLedger,
-        loss_probability: float,
-        rng: np.random.Generator,
-    ) -> None:
-        plan = FaultPlan(loss=IndependentLoss(loss_probability), rng=rng)
-        super().__init__(tree, ledger, plan=plan)
-        self.loss_probability = loss_probability

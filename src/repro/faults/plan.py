@@ -15,7 +15,7 @@ Link loss is modelled per directed link so acknowledgements can be lost
 independently of the data frames they confirm.  Two loss processes ship:
 
 * :class:`IndependentLoss` — i.i.d. Bernoulli loss per transmission, the
-  classical model (and what ``extensions/loss.py`` always simulated).
+  classical model (and what ``repro loss`` simulates).
 * :class:`GilbertElliottLoss` — the two-state Markov burst-loss model:
   each link flips between a good state (rare loss) and a bad/burst state
   (frequent loss).  Bursts are what interference and fading actually look
@@ -560,7 +560,7 @@ class FaultPlan:
         On exit (normal or exceptional) the real generator is restored
         and advanced to the exact state sequential sampling would have
         left it in, so churn/outage draws in later rounds stay
-        bit-identical across the object and vector cores.
+        bit-identical to scalar, one-draw-at-a-time sampling.
 
         Sessions must not nest (the inner snapshot would capture the
         shim, not the generator), and the plan must not be shared across

@@ -9,8 +9,9 @@ a subtree through the lossiest link in range).
 
 :class:`LinkQualityEstimator` is the one shared answer.  It keeps an
 exponentially weighted loss estimate per *directed* link, fed with raw
-channel outcomes by :meth:`~repro.faults.network.FaultyTreeNetwork._hop_delivered`
-(data frames update the uplink, ACK frames the downlink), and derives the
+channel outcomes by the ARQ exchanges of
+:meth:`~repro.faults.network.FaultyTreeNetwork.convergecast` (data frames
+update the uplink, ACK frames the downlink), and derives the
 classical ETX metric of De Couto et al.::
 
     ETX(a, b) = 1 / ((1 - p_up) * (1 - p_down))

@@ -19,30 +19,21 @@ Energy and traffic are charged to the :class:`~repro.radio.EnergyLedger`
 exactly as described in Section 5.1.4: the sender pays
 ``s * (alpha + beta * rho^p)``, every scheduled receiver pays ``s * alpha_r``.
 
-Two interchangeable cores run the primitives (``core=`` or the
-``REPRO_SIM_CORE`` environment variable):
-
-* ``"vector"`` (the default) — the struct-of-arrays core built on
-  :mod:`repro.sim.vectorized`: one convergecast or broadcast is a handful
-  of segmented array operations over per-vertex arrays, and the energy
-  ledger is charged in one ordered batch.  Payload *merging* stays
-  per-object (it is algorithm-defined) unless the payload class opts into
-  the :class:`UniformPayload` contract, in which case even the merge folds
-  level by level as array sums.  Fault injection gets the same treatment:
-  :class:`~repro.faults.network.FaultyTreeNetwork` batches its loss/ARQ
-  convergecast (block-drawn uniforms, deferred link-stats replay, one
-  expanded charge batch) while keeping the per-hop decision sequence —
-  and under the uniform contract drops per-hop payload objects entirely.
-* ``"object"`` — the original per-vertex reference implementation, kept
-  verbatim as the differential baseline: both cores must produce
-  bit-for-bit identical ledgers, logs and answers on every input
-  (``tests/test_vectorized.py`` pins this across the loss, churn and
-  rotation axes).
+Both primitives run on the struct-of-arrays core built on
+:mod:`repro.sim.vectorized`: one convergecast or broadcast is a handful of
+segmented array operations over per-vertex arrays, and the energy ledger is
+charged in one ordered batch.  Payload *merging* stays per-object (it is
+algorithm-defined) unless the payload class opts into the
+:class:`UniformPayload` contract, in which case even the merge folds level
+by level as array sums.  :class:`~repro.faults.network.FaultyTreeNetwork`
+batches its loss/ARQ convergecast the same way.  Faults enter through
+:meth:`TreeNetwork._down_mask` and a :class:`~repro.faults.plan.FaultPlan`;
+the per-hop walk these paths replaced lives on in
+``tests/reference_engine.py`` as the oracle they must match bit for bit.
 """
 
 from __future__ import annotations
 
-import os
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import ClassVar, Mapping, Optional, Sequence, TypeVar
@@ -50,18 +41,13 @@ from typing import ClassVar, Mapping, Optional, Sequence, TypeVar
 import numpy as np
 
 from repro.constants import HEADER_BITS, MAX_PAYLOAD_BITS
-from repro.errors import ConfigurationError, ProtocolError
+from repro.errors import ProtocolError
 from repro.network.tree import RoutingTree
 from repro.radio.ledger import EnergyLedger
 from repro.radio.message import message_bits
-from repro.sim.vectorized import ChargeLog, TreeArrays, send_cost_per_bit_array
+from repro.sim.vectorized import TreeArrays, send_cost_per_bit_array
 
 P = TypeVar("P", bound="Payload")
-
-#: Environment variable selecting the default simulation core.
-CORE_ENV = "REPRO_SIM_CORE"
-
-_CORES = ("vector", "object")
 
 
 @dataclass(frozen=True)
@@ -125,13 +111,13 @@ class UniformPayload(Payload):
     * :meth:`vector_reduce` equals folding ``merged_with`` over the same
       payloads in any order.
 
-    When every contribution of a convergecast is one such class (and no
-    fault hooks are active), the vectorized core never merges objects:
-    subtree occupancy and value counts fold bottom-up one topological level
-    at a time with ``np.add.at``, and only the root answer is materialized
-    via :meth:`vector_reduce`.  Classes that cannot honour all four
-    promises must stay plain :class:`Payload` subclasses — they still run
-    on the vectorized core, just through the per-object path.
+    When every contribution of a convergecast is one such class, the
+    convergecast never merges objects: subtree occupancy and value counts
+    fold bottom-up one topological level at a time with ``np.add.at``, and
+    only the root answer is materialized via :meth:`vector_reduce`.
+    Classes that cannot honour all four promises must stay plain
+    :class:`Payload` subclasses — they still run on the array core, just
+    through the per-object merge.
     """
 
     #: Serialized size [bits] of a leaf payload and of any merge result.
@@ -168,22 +154,34 @@ class TreeNetwork:
     no radio energy or message accounting is charged on it.  Virtual
     vertices must be leaves.
 
-    ``core`` selects the simulation core (``"vector"``/``"object"``, see
-    the module docstring); ``None`` reads :data:`CORE_ENV` and falls back
-    to ``"vector"``.  The object-view contract for subclasses: overriding
-    :meth:`_vertex_down` or :meth:`_hop_delivered` automatically routes
-    convergecasts through the per-hop path (the hooks stay authoritative),
-    and a subclass overriding :meth:`_vertex_down` must override
-    :meth:`_down_mask` to match or its broadcasts fall back to the object
-    path as well.
+    Faults enter through :meth:`_down_mask` and, in
+    :class:`~repro.faults.network.FaultyTreeNetwork`, a
+    :class:`~repro.faults.plan.FaultPlan`.  No convergecast or broadcast
+    calls the scalar :meth:`_vertex_down` or :meth:`_hop_delivered`, so a
+    subclass that overrides either one is refused when it is defined
+    rather than silently ignored.
     """
+
+    #: Always true: the array convergecast is the only one.  Kept as a
+    #: class attribute for perfbench's
+    #: ``test_tracer_keeps_hook_identities_and_restores_everything``.
+    _vector_convergecast = True
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        for hook in ("_vertex_down", "_hop_delivered"):
+            if hook in vars(cls):
+                raise TypeError(
+                    f"{cls.__qualname__} overrides TreeNetwork.{hook}, which "
+                    "no convergecast or broadcast calls; inject faults "
+                    "through _down_mask and a FaultPlan instead"
+                )
 
     def __init__(
         self,
         tree: RoutingTree,
         ledger: EnergyLedger,
         virtual_vertices: frozenset[int] | set[int] = frozenset(),
-        core: str | None = None,
     ) -> None:
         if tree.num_vertices != ledger.num_vertices:
             raise ProtocolError(
@@ -202,16 +200,9 @@ class TreeNetwork:
                 raise ProtocolError(
                     f"virtual vertex {vertex} must be a leaf of the tree"
                 )
-        if core is None:
-            core = os.environ.get(CORE_ENV, "vector")
-        if core not in _CORES:
-            raise ConfigurationError(
-                f"unknown simulation core {core!r}; pick one of {_CORES}"
-            )
         self.tree = tree
         self.ledger = ledger
         self.virtual_vertices = virtual
-        self.core = core
         #: Completed tree traversals (convergecasts + broadcasts).  Each
         #: traversal costs one tree depth of TDMA slots, so the runner
         #: derives per-round latency from the delta of this counter — the
@@ -226,44 +217,13 @@ class TreeNetwork:
         #: fault experiments feed these to the root-side watchdog; long
         #: reliable runs may :meth:`list.clear` it between rounds.
         self.collection_log: list[CollectionRecord] = []
-        #: Whether convergecasts must track per-hop payload provenance.
-        #: Reliable networks deliver every contribution, so the base class
-        #: skips the bookkeeping; fault-injecting subclasses enable it.
-        self._track_sources = False
-
-        cls = type(self)
-        hooks_overridden = (
-            cls._vertex_down is not TreeNetwork._vertex_down
-            or cls._hop_delivered is not TreeNetwork._hop_delivered
-        )
-        down_mask_consistent = (
-            cls._vertex_down is TreeNetwork._vertex_down
-            or cls._down_mask is not TreeNetwork._down_mask
-        )
-        vector = core == "vector"
-        #: Segmented convergecast is only sound while the reliable base
-        #: hooks are authoritative; fault-injecting subclasses provide
-        #: their own batched walk (FaultyTreeNetwork.convergecast) or
-        #: fall back to the per-hop loop, whose charges still flush as
-        #: one batch.
-        self._vector_convergecast = vector and not hooks_overridden
-        self._vector_broadcast = vector and down_mask_consistent
-        #: Charge sink for the per-hop paths: the ledger itself on the
-        #: object core, an ordered :class:`ChargeLog` on the vector core.
-        self._charges: EnergyLedger | ChargeLog = (
-            ChargeLog(ledger) if vector else ledger
-        )
-        self._arrays: TreeArrays | None = None
-        self._order_no_root: tuple[int, ...] = ()
         self._send_cpb: float = 0.0
-        self._send_cpb_array: np.ndarray | None = None
         self._virtual_mask: np.ndarray | None = None
-        if vector:
-            if virtual:
-                mask = np.zeros(tree.num_vertices, dtype=bool)
-                mask[list(virtual)] = True
-                self._virtual_mask = mask
-            self._refresh_cached_arrays()
+        if virtual:
+            mask = np.zeros(tree.num_vertices, dtype=bool)
+            mask[list(virtual)] = True
+            self._virtual_mask = mask
+        self._refresh_cached_arrays()
 
     @property
     def num_sensor_nodes(self) -> int:
@@ -272,8 +232,6 @@ class TreeNetwork:
 
     def _refresh_cached_arrays(self) -> None:
         """Rebuild the struct-of-arrays tree view after a tree swap."""
-        if self.core != "vector":
-            return
         tree = self.tree
         self._arrays = TreeArrays(tree)
         self._order_no_root = tree.bottom_up_order[:-1]
@@ -314,44 +272,38 @@ class TreeNetwork:
         self.tree = tree
         self._refresh_cached_arrays()
 
-    # -- fault-injection hooks ------------------------------------------------
+    # -- fault seam -----------------------------------------------------------
     #
-    # The base class is a perfectly reliable network; these hooks are the
-    # single seam through which ``repro.faults.FaultyTreeNetwork`` injects
-    # link loss, node death and per-hop ARQ.  Both primitives below route
-    # every radio interaction through them, so *any* algorithm written
-    # against TreeNetwork runs under faults unchanged.
+    # The base class is a perfectly reliable network.  Faults enter through
+    # :meth:`_down_mask`, which the broadcast and the faulty convergecast
+    # read, and through ``FaultyTreeNetwork``'s plan.  The two scalar
+    # definitions below are the one-vertex and one-hop forms of the
+    # reliable network; only the per-hop reference walk in
+    # ``tests/reference_engine.py`` calls them, and subclasses may not
+    # override them (see ``__init_subclass__``).
 
     def _vertex_down(self, vertex: int) -> bool:
-        """True when ``vertex`` is permanently dead (churn).  Never the root."""
+        """True when ``vertex`` is dead or in an outage: never, here."""
         return False
 
     def _down_mask(self) -> np.ndarray | None:
-        """Per-vertex boolean view of :meth:`_vertex_down` (``None`` = all up).
-
-        The vectorized broadcast consumes the mask instead of n scalar
-        hook calls.  A subclass overriding :meth:`_vertex_down` must keep
-        this consistent — if it does not override the mask, the constructor
-        detects the mismatch and broadcasts take the object path.
-        """
+        """Per-vertex boolean down mask (``None`` = all up)."""
         return None
 
     def _hop_delivered(self, vertex: int, parent: int, payload: "Payload") -> tuple[bool, int]:
         """Transmit one merged payload over the ``vertex -> parent`` link.
 
-        Charges all radio activity for the hop to the charge sink (the
-        ledger, or the vector core's ordered batch) and returns
-        ``(delivered, bits_on_air)``.  The reliable base implementation is
-        one send + one receive and always delivers.
+        Charges one send and one receive to the ledger and returns
+        ``(delivered, bits_on_air)``: a reliable hop always delivers.
         """
         cost = message_bits(payload.payload_bits())
-        self._charges.charge_send(
+        self.ledger.charge_send(
             vertex,
             cost,
             values=payload.num_values(),
             link_distance=self.tree.link_distance[vertex],
         )
-        self._charges.charge_recv(parent, cost)
+        self.ledger.charge_recv(parent, cost)
         return True, cost.total_bits
 
     def convergecast(
@@ -370,68 +322,6 @@ class TreeNetwork:
             The payload as seen by the root, or ``None`` if nobody sent
             anything.
         """
-        if self._vector_convergecast and not self._track_sources:
-            return self._convergecast_vector(contributions)
-        tree = self.tree
-        self.exchanges += 1
-        accumulated: dict[int, P] = {}
-        expected = 0
-        contributors: list[int] = []
-        sources: dict[int, set[int]] = {}
-        for vertex, payload in contributions.items():
-            if payload.is_empty():
-                continue
-            expected += 1
-            if self._vertex_down(vertex):
-                continue  # a dead node measures and transmits nothing
-            accumulated[vertex] = payload
-            contributors.append(vertex)
-            if self._track_sources:
-                sources[vertex] = {vertex}
-
-        phase_total = 0
-        for vertex in tree.bottom_up_order:
-            if vertex == tree.root:
-                continue
-            merged = accumulated.get(vertex)
-            if merged is None:
-                continue
-            if self._vertex_down(vertex):
-                continue  # forwarded state dies with the forwarding node
-            parent = tree.parent[vertex]
-            if vertex in self.virtual_vertices:
-                delivered = True  # device-internal link, no radio
-            else:
-                delivered, bits = self._hop_delivered(vertex, parent, merged)
-                phase_total += bits
-            if not delivered:
-                continue
-            existing = accumulated.get(parent)
-            accumulated[parent] = (
-                merged if existing is None else existing.merged_with(merged)
-            )
-            if self._track_sources:
-                sources.setdefault(parent, set()).update(sources.get(vertex, ()))
-        charges = self._charges
-        if charges is not self.ledger:
-            charges.flush()
-        self.phase_bits[self.phase] = (
-            self.phase_bits.get(self.phase, 0) + phase_total
-        )
-        if self._track_sources:
-            delivered_sources = frozenset(sources.get(tree.root, set()))
-        else:
-            # Reliable delivery: every live contribution reaches the root.
-            delivered_sources = frozenset(contributors)
-        self.collection_log.append(
-            CollectionRecord(expected=expected, delivered=delivered_sources)
-        )
-        return accumulated.get(tree.root)
-
-    # -- vectorized convergecast ---------------------------------------------
-
-    def _convergecast_vector(self, contributions: Mapping[int, P]) -> Optional[P]:
-        """Reliable-network convergecast on the struct-of-arrays core."""
         self.exchanges += 1
         count = len(contributions)
         if count:
@@ -567,7 +457,6 @@ class TreeNetwork:
         single int when the class pins ``uniform_leaf_values``.
         """
         arrays = self._arrays
-        assert arrays is not None
         n = arrays.num_vertices
         occupancy = np.zeros(n, dtype=np.int64)
         occupancy[contributor_idx] = 1
@@ -630,13 +519,12 @@ class TreeNetwork:
         """Batch-charge one convergecast's hops; returns total on-air bits.
 
         The hop sequence arrives in bottom-up order, so interleaving each
-        send with its matching receive reproduces the scalar core's exact
+        send with its matching receive reproduces the per-hop walk's exact
         per-vertex float-addition order.
         """
         if not send_vertices:
             return 0
         arrays = self._arrays
-        assert arrays is not None
         senders = np.array(send_vertices, dtype=np.int64)
         payload_bits = np.array(send_payload_bits, dtype=np.int64)
         frames = np.where(
@@ -682,40 +570,7 @@ class TreeNetwork:
         """
         if payload_bits < 0:
             raise ProtocolError(f"payload_bits must be >= 0, got {payload_bits}")
-        if self._vector_broadcast:
-            return self._broadcast_vector(payload_bits)
-        tree = self.tree
-        self.exchanges += 1
-        cost = message_bits(payload_bits)
-        phase_total = 0
-        reached = [False] * tree.num_vertices
-        reached[tree.root] = True
-        reached_count = 0
-        for vertex in tree.top_down_order:
-            if not reached[vertex] or not tree.children[vertex]:
-                continue
-            if vertex != tree.root and self._vertex_down(vertex):
-                continue  # pruned by churn: the subtree misses the flood
-            self.ledger.charge_send(
-                vertex, cost, link_distance=tree.link_distance[vertex]
-            )
-            phase_total += cost.total_bits
-            for child in tree.children[vertex]:
-                if self._vertex_down(child):
-                    continue  # dead receivers neither listen nor pay
-                reached[child] = True
-                reached_count += 1
-                if child not in self.virtual_vertices:
-                    self.ledger.charge_recv(child, cost)
-        self.phase_bits[self.phase] = (
-            self.phase_bits.get(self.phase, 0) + phase_total
-        )
-        return reached_count
-
-    def _broadcast_vector(self, payload_bits: int) -> int:
-        """Flood on the struct-of-arrays core: level sweeps + one batch."""
         arrays = self._arrays
-        assert arrays is not None
         tree = self.tree
         self.exchanges += 1
         cost = message_bits(payload_bits)
@@ -756,7 +611,7 @@ class TreeNetwork:
                 len(senders), cost.total_bits * self._send_cpb
             )
         # A vertex receives from its parent before it retransmits, so the
-        # receive batch is applied first to preserve the scalar core's
+        # receive batch is applied first to preserve the per-hop walk's
         # per-vertex float-addition order.
         energy_vertices = np.concatenate([receivers, senders])
         energy_joules = np.concatenate(

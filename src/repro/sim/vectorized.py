@@ -1,9 +1,9 @@
 """Struct-of-arrays building blocks for the vectorized simulation core.
 
-The object engine (:mod:`repro.sim.engine`) walks one Python object per
-vertex and charges the energy ledger one scalar numpy update at a time —
-fine at 30 nodes, ruinous at 30k.  This module holds the three pieces that
-turn a round into a handful of segmented array operations:
+Walking one Python object per vertex and charging the energy ledger one
+scalar numpy update at a time is fine at 30 nodes, ruinous at 30k.  This
+module holds the pieces that turn a round of :mod:`repro.sim.engine` into
+a handful of segmented array operations:
 
 * :class:`TreeArrays` — a per-vertex array view of a
   :class:`~repro.network.tree.RoutingTree` (parent, depth, topological
@@ -133,8 +133,9 @@ def expand_arq_charges(
 
     Input arrays are flat per *data-frame attempt*, ordered by hop then
     attempt — the exact order the scalar faulty walk issues charges in.
-    Each attempt expands to up to four energy events, in the scalar
-    sequence of ``FaultyTreeNetwork._hop_delivered``:
+    Each attempt expands to up to four energy events, in the sequence a
+    one-attempt-at-a-time stop-and-wait hop charges them (the per-hop
+    reference walk in ``tests/reference_engine.py``):
 
     1. child data send — always;
     2. parent data receive — iff the parent is up;
@@ -228,11 +229,11 @@ def expand_arq_charges(
 class ChargeLog:
     """Ordered radio-charge recorder, flushed as one ledger batch.
 
-    Presents the ledger's ``charge_send``/``charge_recv`` signature so the
-    fault hooks write through it unchanged; the per-charge joules are
-    computed immediately with the scalar ledger's own arithmetic, only the
-    array updates are deferred.  ``flush()`` must run before anything reads
-    the ledger — the engine flushes at the end of every primitive.
+    Presents the ledger's ``charge_send``/``charge_recv`` signature so
+    scalar-style charging code (tree repair, fail-over beacons) writes
+    through it unchanged; the per-charge joules are computed immediately
+    with the scalar ledger's own arithmetic, only the array updates are
+    deferred.  ``flush()`` must run before anything reads the ledger.
     """
 
     __slots__ = (

@@ -35,6 +35,8 @@ from repro.sim.engine import TreeNetwork
 from repro.sim.oracle import exact_quantile, quantile_rank, rank_error
 from repro.types import QuerySpec, RoundOutcome
 
+from tests.reference_engine import reference_drivers
+
 
 def drive(
     algorithm: ContinuousQuantileAlgorithm,
@@ -101,7 +103,7 @@ def assert_differential_invariant(
     rotate_seed: int = 0,
     repair_metric: str = "etx",
     heal_patience: int = 1,
-    core: str | None = None,
+    reference: bool = False,
     root_failover: int | None = None,
     root_grace: int = 1,
 ) -> dict[str, list[RoundReport]]:
@@ -122,9 +124,10 @@ def assert_differential_invariant(
     ``repair_metric`` selects the orphan-adoption ranking under test;
     ``heal_patience`` lets parked orphans wait that many rounds for a heal
     before the re-init fallback (the near-total-churn axis exercises it);
-    ``core`` pins the simulation core (``"object"``/``"vector"``) so the
-    same invariant can be asserted against either implementation — the
-    cross-core fuzz axis in ``tests/test_vectorized.py`` runs both.
+    ``reference`` runs every driver on the per-hop reference walk
+    (``tests/reference_engine.py``) instead of the array paths, so the same
+    invariant can be asserted against either — the fuzz axis in
+    ``tests/test_vectorized.py`` runs both.
 
     ``root_failover`` schedules the sink's death at that round on top of
     whatever the plan injects (RNG-safe: scheduled churn draws nothing),
@@ -140,25 +143,25 @@ def assert_differential_invariant(
             plan.churn = CompositeChurn(
                 plan.churn, ScheduledChurn({root_failover: (tree.root,)})
             )
-        driver = FaultDriver(
-            factory,
-            spec,
-            tree,
-            workload,
-            plan,
-            ArqPolicy(max_retries=retries),
-            graph=graph,
-            repair=True,
-            radio_range=(
-                radio_range if radio_range is not None else graph.radio_range
-            ),
-            repair_metric=repair_metric,
-            rotate_every=rotate_every,
-            rotate_rng=np.random.default_rng(rotate_seed),
-            heal_patience=heal_patience,
-            core=core,
-            root_grace=root_grace,
-        )
+        with reference_drivers(reference):
+            driver = FaultDriver(
+                factory,
+                spec,
+                tree,
+                workload,
+                plan,
+                ArqPolicy(max_retries=retries),
+                graph=graph,
+                repair=True,
+                radio_range=(
+                    radio_range if radio_range is not None else graph.radio_range
+                ),
+                repair_metric=repair_metric,
+                rotate_every=rotate_every,
+                rotate_rng=np.random.default_rng(rotate_seed),
+                heal_patience=heal_patience,
+                root_grace=root_grace,
+            )
         reports = driver.run(len(rounds))
         algorithm = driver.algorithm
         trustworthy = 0

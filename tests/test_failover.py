@@ -11,6 +11,8 @@ population, deterministic and fuzzed.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -22,6 +24,7 @@ from repro.faults import (
     ArqPolicy,
     FaultDriver,
     FaultPlan,
+    FaultyTreeNetwork,
     IndependentLoss,
     RootFailover,
     ScheduledChurn,
@@ -29,8 +32,12 @@ from repro.faults import (
 )
 from repro.faults.failover import FAILOVER_PHASE
 from repro.faults.watchdog import RootWatchdog
+from repro.network.linkstats import LinkQualityEstimator
 from repro.network.routing import build_routing_tree
 from repro.network.topology import connected_random_graph
+from repro.network.tree import tree_from_parents
+from repro.radio.energy import EnergyModel
+from repro.radio.ledger import EnergyLedger
 from repro.sim.engine import CollectionRecord
 from repro.types import QuerySpec
 
@@ -154,6 +161,32 @@ class TestFailoverMechanics:
         assert events[0].new_root == events[1].new_root
         assert events[0].candidates == events[1].candidates
         assert events[0].handover_bits == events[1].handover_bits
+
+    def test_near_tie_election_is_the_same_on_every_python(self):
+        """Seven links of ETX 1.9 average to 1.9000000000000001 by a left
+        fold but to exactly 1.9 by a compensated sum (the builtin ``sum()``
+        on Python 3.12+).  The lone 1.9 link must win on every version,
+        never the tie-break on subtree size that favours vertex 1."""
+
+        class FixedEtx(LinkQualityEstimator):
+            def __init__(self, table):
+                super().__init__()
+                self.table = table
+
+            def link_observed(self, a, b):
+                return (a, b) in self.table
+
+            def etx(self, a, b):
+                return self.table[(a, b)]
+
+        tree = tree_from_parents(0, [-1, 0, 0] + [1] * 7 + [2])
+        table = {(1, leaf): 1.9 for leaf in range(3, 10)}
+        table[(2, 10)] = 1.9
+        ledger = EnergyLedger(tree.num_vertices, tree.root, EnergyModel(), 35.0)
+        net = FaultyTreeNetwork(tree, ledger, link_stats=FixedEtx(table))
+        failover = RootFailover(net, rng=np.random.default_rng(0))
+        assert math.fsum([1.9] * 7) / 7 == 1.9
+        assert failover._elect((1, 2)) == 2
 
     def test_negative_grace_rejected(self, small_net):
         with pytest.raises(ConfigurationError):

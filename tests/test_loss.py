@@ -1,4 +1,9 @@
-"""Unit tests for the message-loss / rank-error extension."""
+"""Unit tests for the message-loss study: lossy convergecasts and rank error.
+
+Message loss is one fault of :mod:`repro.faults`: a ``FaultyTreeNetwork``
+under ``FaultPlan(loss=IndependentLoss(p))`` with ARQ off, and the
+``repro loss`` study is ``run_fault_experiment`` with a zero retry budget.
+"""
 
 from __future__ import annotations
 
@@ -7,10 +12,12 @@ import pytest
 
 from repro.core.payloads import ValueSetPayload
 from repro.errors import ConfigurationError
-from repro.extensions.loss import (
-    LossyTreeNetwork,
-    _rank_error,
-    run_loss_experiment,
+from repro.faults import (
+    FaultPlan,
+    FaultyTreeNetwork,
+    IndependentLoss,
+    insertion_rank_error,
+    run_fault_experiment,
 )
 from repro.radio.energy import EnergyModel
 from repro.radio.ledger import EnergyLedger
@@ -18,7 +25,8 @@ from repro.radio.ledger import EnergyLedger
 
 def make_lossy(tree, loss, seed=0):
     ledger = EnergyLedger(tree.num_vertices, tree.root, EnergyModel(), 35.0)
-    return LossyTreeNetwork(tree, ledger, loss, np.random.default_rng(seed))
+    plan = FaultPlan(loss=IndependentLoss(loss), rng=np.random.default_rng(seed))
+    return FaultyTreeNetwork(tree, ledger, plan=plan)
 
 
 class TestLossyTreeNetwork:
@@ -72,20 +80,20 @@ class TestLossyTreeNetwork:
 class TestRankError:
     def test_exact_answer_has_zero_error(self):
         values = np.array([1, 2, 3, 4, 5])
-        assert _rank_error(values, 3, k=3) == 0
+        assert insertion_rank_error(values, 3, k=3) == 0
 
     def test_duplicates_span_ranks(self):
         values = np.array([1, 3, 3, 3, 5])
         for k in (2, 3, 4):
-            assert _rank_error(values, 3, k=k) == 0
-        assert _rank_error(values, 3, k=1) == 1
-        assert _rank_error(values, 3, k=5) == 1
+            assert insertion_rank_error(values, 3, k=k) == 0
+        assert insertion_rank_error(values, 3, k=1) == 1
+        assert insertion_rank_error(values, 3, k=5) == 1
 
     def test_absent_value_measured_by_insertion_rank(self):
         values = np.array([10, 20, 30, 40])
         # 25 would sit at rank 3; asking for k=1 gives error 2.
-        assert _rank_error(values, 25, k=1) == 2
-        assert _rank_error(values, 25, k=3) == 0
+        assert insertion_rank_error(values, 25, k=1) == 2
+        assert insertion_rank_error(values, 25, k=3) == 0
 
 
 class TestRunLossExperiment:
@@ -93,9 +101,10 @@ class TestRunLossExperiment:
         from repro.baselines.pos import POS
         from repro.baselines.tag import TAG
 
-        return run_loss_experiment(
+        return run_fault_experiment(
             {"TAG": TAG, "POS": POS},
-            loss_probabilities=losses,
+            loss_rates=losses,
+            retry_budgets=(0,),
             num_nodes=40,
             num_rounds=20,
             radio_range=60.0,
@@ -118,4 +127,4 @@ class TestRunLossExperiment:
     def test_series_sorted_by_loss(self):
         result = self.make()
         series = result.series("TAG")
-        assert [p.loss_probability for p in series] == [0.0, 0.15]
+        assert [p.loss_rate for p in series] == [0.0, 0.15]

@@ -666,7 +666,6 @@ def test_repair_and_failover_make_no_scalar_charges(monkeypatch):
         plan,
         ArqPolicy(max_retries=2),
         graph=graph,
-        core="vector",
     )
 
     inside, scalar = [0], []

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.experiments.config import default_algorithms
-from repro.extensions import FaultAwareRotatingRunner
 from repro.faults import (
     ArqPolicy,
     FaultDriver,
@@ -240,32 +239,35 @@ def test_fuzzed_rotation_and_outage_schedules_stay_oracle_exact(
     )
 
 
-# -- the fault-aware rotating runner ------------------------------------------
+# -- rotation through the fault driver ----------------------------------------
 
 
-class TestFaultAwareRotatingRunner:
+class TestDriverRotation:
     def test_rotates_and_stays_exact_under_faults(self):
         graph, _ = _deployment()
         rounds = random_rounds(
             np.random.default_rng(17), graph.num_vertices, 20, 10, 117
         )
         workload = SequenceWorkload(rounds)
-        runner = FaultAwareRotatingRunner(
-            graph, graph.radio_range, np.random.default_rng(2), rebuild_every=5
-        )
-        reports = runner.run(
+        # One generator seeds the randomized start tree and every rotation.
+        rng = np.random.default_rng(2)
+        driver = FaultDriver(
             default_algorithms()["POS"],
             SPEC,
-            workload.values,
-            20,
-            plan=FaultPlan(
+            build_randomized_routing_tree(graph, rng, root=0),
+            workload,
+            FaultPlan(
                 loss=IndependentLoss(0.05),
                 outages=ScheduledOutages({4: [(3, 2)]}),
                 seed=7,
             ),
-            arq=ArqPolicy(max_retries=8),
+            ArqPolicy(max_retries=8),
+            graph=graph,
+            radio_range=graph.radio_range,
+            rotate_every=5,
+            rotate_rng=rng,
         )
-        driver = runner.driver
+        reports = driver.run(20)
         assert driver.rotations == 3  # rounds 5, 10 and 15
         trustworthy = [r for r in reports if r.trustworthy]
         assert len(trustworthy) >= 5
@@ -276,14 +278,6 @@ class TestFaultAwareRotatingRunner:
                 workload.values(report.round_index)[participants], k
             )
             assert report.answer == truth
-
-    def test_rejects_non_rotating_configuration(self):
-        graph, _ = _deployment()
-        with pytest.raises(ConfigurationError):
-            FaultAwareRotatingRunner(
-                graph, graph.radio_range, np.random.default_rng(0),
-                rebuild_every=0,
-            )
 
 
 class TestExperimentRotationAxis:

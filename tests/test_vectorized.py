@@ -1,17 +1,20 @@
-"""Bit-for-bit equivalence of the vectorized and object simulation cores.
+"""Bit-for-bit equivalence of the array paths and the per-hop reference.
 
-Every test runs the same scenario twice — ``core="object"`` (the original
-per-vertex reference implementation) and ``core="vector"`` (the
-struct-of-arrays core) — and asserts the ledgers, logs, counters and
+Every test runs the same scenario twice — on the per-vertex reference walk
+in ``tests/reference_engine.py`` and on the package's struct-of-arrays
+convergecast and broadcast — and asserts the ledgers, logs, counters and
 answers are *identical*, floats included.  The scenarios sweep the same
 axes the differential invariant harness covers: payload shape (mixed
 sizes, empty, uniform, mixed-type), virtual vertices, energy-model
 ablations, link loss (i.i.d. and bursty) with ARQ, churn and outages with
-broadcast pruning, tree repair and rotation via the full fault driver.
+broadcast pruning, tree repair, rotation and root fail-over via the full
+fault driver, and the CLI's fault slices.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -20,7 +23,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ConfigurationError, ProtocolError
+from repro import cli
+from repro.errors import ProtocolError
 from repro.experiments.config import default_algorithms
 from repro.faults import AdaptiveArqPolicy, ArqPolicy, FaultDriver, FaultPlan
 from repro.faults.network import FaultyTreeNetwork
@@ -40,6 +44,11 @@ from repro.sim.engine import Payload, TreeNetwork, UniformPayload
 from repro.types import QuerySpec
 
 from tests.helpers import SequenceWorkload, assert_differential_invariant
+from tests.reference_engine import (
+    ReferenceFaultyTreeNetwork,
+    ReferenceTreeNetwork,
+    reference_drivers,
+)
 from tests.test_fault_sampling import states_equal
 
 RADIO_RANGE = 40.0
@@ -92,7 +101,7 @@ class OneReading(UniformPayload):
     """One reading per contributor: exercises the constant-intake path.
 
     ``uniform_leaf_values = 1`` plus the default ``is_empty`` lets the
-    vectorized core take contributor ids straight off the mapping keys
+    array convergecast take contributor ids straight off the mapping keys
     without touching the payload objects.
     """
 
@@ -126,7 +135,7 @@ def random_tree(n: int, seed: int = 5) -> RoutingTree:
 
 
 def make_net(
-    core: str,
+    reference: bool,
     tree: RoutingTree,
     model: EnergyModel | None = None,
     virtual: frozenset[int] = frozenset(),
@@ -137,7 +146,8 @@ def make_net(
         model=model if model is not None else EnergyModel(),
         radio_range=RADIO_RANGE,
     )
-    return TreeNetwork(tree, ledger, virtual_vertices=virtual, core=core)
+    cls = ReferenceTreeNetwork if reference else TreeNetwork
+    return cls(tree, ledger, virtual_vertices=virtual)
 
 
 def assert_ledgers_identical(a: EnergyLedger, b: EnergyLedger) -> None:
@@ -186,9 +196,9 @@ def sized_contributions(
 
 
 class TestLosslessEquivalence:
-    def run_rounds(self, core: str, model: EnergyModel | None = None):
+    def run_rounds(self, reference: bool, model: EnergyModel | None = None):
         tree = random_tree(60)
-        net = make_net(core, tree, model=model)
+        net = make_net(reference, tree, model=model)
         answers = []
         for r in range(6):
             net.ledger.begin_round()
@@ -199,25 +209,23 @@ class TestLosslessEquivalence:
         return net, answers
 
     def test_object_payloads_identical_across_cores(self):
-        object_net, object_answers = self.run_rounds("object")
-        vector_net, vector_answers = self.run_rounds("vector")
-        assert_networks_identical(object_net, vector_net)
-        assert [a.values for a in object_answers] == [
-            a.values for a in vector_answers
-        ]
+        ref_net, ref_answers = self.run_rounds(True)
+        net, answers = self.run_rounds(False)
+        assert_networks_identical(ref_net, net)
+        assert [a.values for a in ref_answers] == [a.values for a in answers]
 
     def test_per_link_distance_and_idle_model(self):
         model = EnergyModel(per_link_distance=True, idle_cost_per_round=1e-6)
-        object_net, object_answers = self.run_rounds("object", model=model)
-        vector_net, vector_answers = self.run_rounds("vector", model=model)
-        assert_networks_identical(object_net, vector_net)
-        assert object_answers[-1].values == vector_answers[-1].values
+        ref_net, ref_answers = self.run_rounds(True, model=model)
+        net, answers = self.run_rounds(False, model=model)
+        assert_networks_identical(ref_net, net)
+        assert ref_answers[-1].values == answers[-1].values
 
     def test_uniform_payloads_identical_across_cores(self):
         tree = random_tree(80, seed=9)
         nets = {}
-        for core in ("object", "vector"):
-            net = make_net(core, tree)
+        for reference in (True, False):
+            net = make_net(reference, tree)
             for r in range(5):
                 contributions = {
                     v: CountPayload(1 + (v + r) % 3)
@@ -228,14 +236,14 @@ class TestLosslessEquivalence:
                 assert answer.count == sum(
                     p.count for p in contributions.values()
                 )
-            nets[core] = net
-        assert_networks_identical(nets["object"], nets["vector"])
+            nets[reference] = net
+        assert_networks_identical(nets[True], nets[False])
 
     def test_uniform_leaf_values_fast_intake_identical(self):
         tree = random_tree(70, seed=14)
         nets = {}
-        for core in ("object", "vector"):
-            net = make_net(core, tree)
+        for reference in (True, False):
+            net = make_net(reference, tree)
             for r in range(4):
                 contributions = {
                     v: OneReading(v * 7 + r)
@@ -246,15 +254,15 @@ class TestLosslessEquivalence:
                 assert answer.value == max(
                     p.value for p in contributions.values()
                 )
-            nets[core] = net
-        assert_networks_identical(nets["object"], nets["vector"])
+            nets[reference] = net
+        assert_networks_identical(nets[True], nets[False])
 
     def test_mixed_payload_types_fall_back_identically(self):
         """A subclass in the mix defeats the all-same-type check.
 
         ``WideCount`` merges fine with ``CountPayload`` but is a different
-        class, so the vectorized core must fall back to the per-object
-        path — and still match the object core exactly.
+        class, so the array convergecast must fall back to the per-object
+        merge — and still match the reference exactly.
         """
 
         class WideCount(CountPayload):
@@ -263,23 +271,23 @@ class TestLosslessEquivalence:
         tree = random_tree(40, seed=3)
         answers = {}
         nets = {}
-        for core in ("object", "vector"):
-            net = make_net(core, tree)
+        for reference in (True, False):
+            net = make_net(reference, tree)
             contributions: dict[int, Payload] = {
                 v: CountPayload(1) for v in tree.sensor_nodes
             }
             for v in sorted(contributions)[::3]:
                 contributions[v] = WideCount(1)
-            answers[core] = net.convergecast(contributions)
-            nets[core] = net
-        assert answers["object"].count == answers["vector"].count
-        assert_networks_identical(nets["object"], nets["vector"])
+            answers[reference] = net.convergecast(contributions)
+            nets[reference] = net
+        assert answers[True].count == answers[False].count
+        assert_networks_identical(nets[True], nets[False])
 
     def test_empty_convergecast_identical(self):
         tree = random_tree(20, seed=1)
         nets = {}
-        for core in ("object", "vector"):
-            net = make_net(core, tree)
+        for reference in (True, False):
+            net = make_net(reference, tree)
             assert net.convergecast({}) is None
             assert (
                 net.convergecast(
@@ -289,13 +297,13 @@ class TestLosslessEquivalence:
             )
             assert net.phase_bits == {"other": 0}
             assert [rec.expected for rec in net.collection_log] == [0, 0]
-            nets[core] = net
-        assert_networks_identical(nets["object"], nets["vector"])
+            nets[reference] = net
+        assert_networks_identical(nets[True], nets[False])
 
     def test_root_contribution_merged_without_radio(self):
         tree = random_tree(25, seed=2)
-        for core in ("object", "vector"):
-            net = make_net(core, tree)
+        for reference in (True, False):
+            net = make_net(reference, tree)
             answer = net.convergecast({tree.root: CountPayload(5)})
             assert answer.count == 5
             assert net.ledger.totals().bits_sent == 0
@@ -306,8 +314,8 @@ class TestLosslessEquivalence:
             v for v in tree.sensor_nodes if tree.is_leaf(v)
         )
         nets = {}
-        for core in ("object", "vector"):
-            net = make_net(core, tree, virtual=virtual)
+        for reference in (True, False):
+            net = make_net(reference, tree, virtual=virtual)
             for r in range(4):
                 net.convergecast(sized_contributions(tree, r))
                 net.broadcast(32)
@@ -316,20 +324,20 @@ class TestLosslessEquivalence:
             net.convergecast(
                 {v: CountPayload(1) for v in tree.sensor_nodes}
             )
-            nets[core] = net
-        assert_networks_identical(nets["object"], nets["vector"])
+            nets[reference] = net
+        assert_networks_identical(nets[True], nets[False])
 
     def test_broadcast_identical_including_zero_bits(self):
         tree = random_tree(50, seed=4)
         nets = {}
-        for core in ("object", "vector"):
-            net = make_net(core, tree)
+        for reference in (True, False):
+            net = make_net(reference, tree)
             assert net.broadcast(0) == tree.num_vertices - 1
             assert net.broadcast(4096) == tree.num_vertices - 1
             with pytest.raises(ProtocolError):
                 net.broadcast(-1)
-            nets[core] = net
-        assert_networks_identical(nets["object"], nets["vector"])
+            nets[reference] = net
+        assert_networks_identical(nets[True], nets[False])
 
     def test_retarget_refreshes_vector_state(self):
         tree = random_tree(30, seed=6)
@@ -343,31 +351,30 @@ class TestLosslessEquivalence:
             positions=None,
         )
         nets = {}
-        for core in ("object", "vector"):
-            net = make_net(core, tree)
+        for reference in (True, False):
+            net = make_net(reference, tree)
             net.convergecast(sized_contributions(tree, 0))
             net.retarget(reparented)
             net.convergecast(sized_contributions(reparented, 1))
             net.broadcast(64)
-            nets[core] = net
-        assert_networks_identical(nets["object"], nets["vector"])
+            nets[reference] = net
+        assert_networks_identical(nets[True], nets[False])
 
 
 class TestFaultyEquivalence:
-    """Same fault schedule, same seeds, both cores: identical everything."""
+    """Same fault schedule, same seeds, both walks: identical everything."""
 
-    def faulty_net(self, core: str, tree: RoutingTree, plan: FaultPlan, arq):
+    def faulty_net(self, reference: bool, tree: RoutingTree, plan: FaultPlan, arq):
         ledger = EnergyLedger(
             num_vertices=tree.num_vertices,
             root=tree.root,
             model=EnergyModel(),
             radio_range=RADIO_RANGE,
         )
-        return FaultyTreeNetwork(
-            tree, ledger, plan=plan, arq=arq, core=core
-        )
+        cls = ReferenceFaultyTreeNetwork if reference else FaultyTreeNetwork
+        return cls(tree, ledger, plan=plan, arq=arq)
 
-    def run_faulty(self, core: str, loss, churn=None, outages=None, retries=3):
+    def run_faulty(self, reference: bool, loss, churn=None, outages=None, retries=3):
         tree = random_tree(45, seed=12)
         plan = FaultPlan(
             loss=loss,
@@ -376,7 +383,7 @@ class TestFaultyEquivalence:
             rng=np.random.default_rng(424242),
         )
         net = self.faulty_net(
-            core, tree, plan, ArqPolicy(max_retries=retries)
+            reference, tree, plan, ArqPolicy(max_retries=retries)
         )
         reached = []
         answers = []
@@ -399,12 +406,8 @@ class TestFaultyEquivalence:
             assert getattr(a, field) == getattr(b, field), field
 
     def test_independent_loss_with_arq(self):
-        results = {
-            core: self.run_faulty(core, IndependentLoss(0.2))
-            for core in ("object", "vector")
-        }
-        net_o, ans_o, reach_o = results["object"]
-        net_v, ans_v, reach_v = results["vector"]
+        net_o, ans_o, reach_o = self.run_faulty(True, IndependentLoss(0.2))
+        net_v, ans_v, reach_v = self.run_faulty(False, IndependentLoss(0.2))
         assert_networks_identical(net_o, net_v)
         self.assert_fault_counters_equal(net_o, net_v)
         assert reach_o == reach_v
@@ -413,41 +416,38 @@ class TestFaultyEquivalence:
 
     def test_gilbert_elliott_loss_no_arq(self):
         results = {
-            core: self.run_faulty(
-                core, GilbertElliottLoss(0.3, 0.5, 0.02), retries=0
+            reference: self.run_faulty(
+                reference, GilbertElliottLoss(0.3, 0.5, 0.02), retries=0
             )
-            for core in ("object", "vector")
+            for reference in (True, False)
         }
-        assert_networks_identical(results["object"][0], results["vector"][0])
-        self.assert_fault_counters_equal(
-            results["object"][0], results["vector"][0]
-        )
+        assert_networks_identical(results[True][0], results[False][0])
+        self.assert_fault_counters_equal(results[True][0], results[False][0])
 
     def test_churn_and_outages_prune_broadcasts_identically(self):
         churn = ScheduledChurn({3: (9,), 5: (14,)})
         outages = ScheduledOutages({2: ((7, 3), (11, 2)), 6: ((20, 2),)})
         results = {
-            core: self.run_faulty(
-                core, IndependentLoss(0.1), churn=churn, outages=outages
+            reference: self.run_faulty(
+                reference, IndependentLoss(0.1), churn=churn, outages=outages
             )
-            for core in ("object", "vector")
+            for reference in (True, False)
         }
-        net_o, _, reach_o = results["object"]
-        net_v, _, reach_v = results["vector"]
+        net_o, _, reach_o = results[True]
+        net_v, _, reach_v = results[False]
         assert_networks_identical(net_o, net_v)
         assert reach_o == reach_v
         # Churn really pruned some broadcast subtree at least once.
         assert min(reach_o) < net_o.tree.num_vertices - 1
 
-    def test_full_driver_stack_identical(self, monkeypatch):
+    def test_full_driver_stack_identical(self):
         """Loss + churn + outages + ARQ + repair + rotation, end to end.
 
-        The driver constructs its own networks, so the core is selected the
-        way production code does it: via ``REPRO_SIM_CORE``.
+        The driver constructs its own network, so the reference walk is
+        swapped in through ``reference_drivers``.
         """
 
-        def run(core: str):
-            monkeypatch.setenv("REPRO_SIM_CORE", core)
+        def run(reference: bool):
             rng = np.random.default_rng(11)
             n = 40
             positions = rng.uniform(0, 30, size=(n, 2))
@@ -466,25 +466,27 @@ class TestFaultyEquivalence:
                 outages=ScheduledOutages({3: ((7, 2),), 5: ((12, 2),)}),
                 rng=np.random.default_rng(99),
             )
-            driver = FaultDriver(
-                default_algorithms()["POS"],
-                QuerySpec(r_min=0, r_max=127),
-                tree,
-                SequenceWorkload(rounds),
-                plan,
-                ArqPolicy(max_retries=3),
-                graph=graph,
-                repair=True,
-                radio_range=RADIO_RANGE,
-                rotate_every=4,
-                rotate_rng=np.random.default_rng(1),
-            )
+            with reference_drivers(reference):
+                driver = FaultDriver(
+                    default_algorithms()["POS"],
+                    QuerySpec(r_min=0, r_max=127),
+                    tree,
+                    SequenceWorkload(rounds),
+                    plan,
+                    ArqPolicy(max_retries=3),
+                    graph=graph,
+                    repair=True,
+                    radio_range=RADIO_RANGE,
+                    rotate_every=4,
+                    rotate_rng=np.random.default_rng(1),
+                )
             reports = driver.run(len(rounds))
             return reports, driver.ledger, driver.net
 
-        reports_o, ledger_o, net_o = run("object")
-        reports_v, ledger_v, net_v = run("vector")
-        assert net_o.core == "object" and net_v.core == "vector"
+        reports_o, ledger_o, net_o = run(True)
+        reports_v, ledger_v, net_v = run(False)
+        assert type(net_o) is ReferenceFaultyTreeNetwork
+        assert type(net_v) is FaultyTreeNetwork
         assert [r.answer for r in reports_o] == [r.answer for r in reports_v]
         assert [r.trustworthy for r in reports_o] == [
             r.trustworthy for r in reports_v
@@ -504,16 +506,16 @@ LOSS_AXIS = {
 class TestFaultyEquivalenceMatrix:
     """Exhaustive loss × ARQ budget × churn × payload-shape sweep.
 
-    Every cell runs both cores under random churn *and* outages (so the
+    Every cell runs both walks under random churn *and* outages (so the
     plan's RNG is consulted between convergecasts too) and asserts the
     complete observable state matches bit for bit: ledgers, answers,
     collection logs, fault counters, the link-quality EWMA table — values
     *and* insertion order — and the fault plan's final generator state.
-    The payload axis covers both vectorized faulty walks: ``uniform``
-    takes the array-fold fast path, ``generic`` the batched object walk.
+    The payload axis covers both batched faulty paths: ``uniform`` takes
+    the array-fold fast path, ``generic`` the batched per-object walk.
     """
 
-    def run_cell(self, core, loss_factory, retries, kind, adaptive=False):
+    def run_cell(self, reference, loss_factory, retries, kind, adaptive=False):
         tree = random_tree(50, seed=18)
         plan = FaultPlan(
             loss=loss_factory(),
@@ -532,7 +534,8 @@ class TestFaultyEquivalenceMatrix:
             model=EnergyModel(),
             radio_range=RADIO_RANGE,
         )
-        net = FaultyTreeNetwork(tree, ledger, plan=plan, arq=arq, core=core)
+        cls = ReferenceFaultyTreeNetwork if reference else FaultyTreeNetwork
+        net = cls(tree, ledger, plan=plan, arq=arq)
         answers = []
         for r in range(10):
             net.begin_faults_round(r)
@@ -568,7 +571,7 @@ class TestFaultyEquivalenceMatrix:
             net_v.link_stats._loss.items()
         )
         assert net_o.link_stats.observations == net_v.link_stats.observations
-        # Identical final RNG state proves both cores consumed the exact
+        # Identical final RNG state proves both walks consumed the exact
         # same draw sequence (churn/outage draws included).
         assert states_equal(
             net_o.plan.rng.bit_generator.state,
@@ -580,20 +583,20 @@ class TestFaultyEquivalenceMatrix:
     @pytest.mark.parametrize("loss_name", sorted(LOSS_AXIS))
     def test_matrix_cell(self, loss_name, retries, kind):
         loss_factory = LOSS_AXIS[loss_name]
-        net_o, ans_o = self.run_cell("object", loss_factory, retries, kind)
-        net_v, ans_v = self.run_cell("vector", loss_factory, retries, kind)
+        net_o, ans_o = self.run_cell(True, loss_factory, retries, kind)
+        net_v, ans_v = self.run_cell(False, loss_factory, retries, kind)
         self.assert_cells_identical(net_o, ans_o, net_v, ans_v, kind)
 
     @pytest.mark.parametrize("kind", ["uniform", "generic"])
     @pytest.mark.parametrize("loss_name", ["iid-high", "gilbert-elliott"])
     def test_adaptive_arq_cell(self, loss_name, kind):
-        """Adaptive ARQ: learned budgets must evolve identically per core."""
+        """Adaptive ARQ: learned budgets must evolve identically per walk."""
         loss_factory = LOSS_AXIS[loss_name]
         net_o, ans_o = self.run_cell(
-            "object", loss_factory, retries=4, kind=kind, adaptive=True
+            True, loss_factory, retries=4, kind=kind, adaptive=True
         )
         net_v, ans_v = self.run_cell(
-            "vector", loss_factory, retries=4, kind=kind, adaptive=True
+            False, loss_factory, retries=4, kind=kind, adaptive=True
         )
         self.assert_cells_identical(net_o, ans_o, net_v, ans_v, kind)
         # And the budgets the policy would hand out next round agree.
@@ -607,9 +610,9 @@ class TestFaultyEquivalenceMatrix:
     @pytest.mark.parametrize("repair", [False, True])
     @pytest.mark.parametrize("rotate_every", [0, 4])
     def test_driver_rotation_repair_matrix(self, rotate_every, repair):
-        """Rotation × repair through the full driver, core-pinned."""
+        """Rotation × repair through the full driver, walk-pinned."""
 
-        def run(core: str):
+        def run(reference: bool):
             rng = np.random.default_rng(23)
             n = 36
             positions = rng.uniform(0, 30, size=(n, 2))
@@ -626,25 +629,25 @@ class TestFaultyEquivalenceMatrix:
                 outages=RandomOutages(0.05),
                 rng=np.random.default_rng(555),
             )
-            driver = FaultDriver(
-                default_algorithms()["POS"],
-                QuerySpec(r_min=0, r_max=99),
-                tree,
-                SequenceWorkload(rounds),
-                plan,
-                ArqPolicy(max_retries=2),
-                graph=graph,
-                repair=repair,
-                radio_range=RADIO_RANGE,
-                rotate_every=rotate_every,
-                rotate_rng=np.random.default_rng(2),
-                core=core,
-            )
+            with reference_drivers(reference):
+                driver = FaultDriver(
+                    default_algorithms()["POS"],
+                    QuerySpec(r_min=0, r_max=99),
+                    tree,
+                    SequenceWorkload(rounds),
+                    plan,
+                    ArqPolicy(max_retries=2),
+                    graph=graph,
+                    repair=repair,
+                    radio_range=RADIO_RANGE,
+                    rotate_every=rotate_every,
+                    rotate_rng=np.random.default_rng(2),
+                )
             reports = driver.run(len(rounds))
             return reports, driver
 
-        reports_o, driver_o = run("object")
-        reports_v, driver_v = run("vector")
+        reports_o, driver_o = run(True)
+        reports_v, driver_v = run(False)
         assert [r.answer for r in reports_o] == [r.answer for r in reports_v]
         assert [r.trustworthy for r in reports_o] == [
             r.trustworthy for r in reports_v
@@ -670,8 +673,8 @@ class TestFaultyEquivalenceMatrix:
     def test_fuzz_differential_invariant_both_cores(
         self, seed, loss_rate, retries
     ):
-        """The oracle invariant holds on both cores for fuzzed fault cells,
-        and the cores agree with each other round by round."""
+        """The oracle invariant holds on both walks for fuzzed fault cells,
+        and the walks agree with each other round by round."""
         rng = np.random.default_rng(seed)
         n = 24
         positions = rng.uniform(0, 25, size=(n, 2))
@@ -692,8 +695,8 @@ class TestFaultyEquivalenceMatrix:
                 rng=np.random.default_rng(seed + 3),
             )
 
-        per_core = {
-            core: assert_differential_invariant(
+        per_walk = {
+            reference: assert_differential_invariant(
                 factories,
                 graph,
                 tree,
@@ -703,23 +706,23 @@ class TestFaultyEquivalenceMatrix:
                 retries=retries,
                 radio_range=RADIO_RANGE,
                 min_trustworthy=0,
-                core=core,
+                reference=reference,
             )["POS"]
-            for core in ("object", "vector")
+            for reference in (True, False)
         }
-        assert [r.answer for r in per_core["object"]] == [
-            r.answer for r in per_core["vector"]
+        assert [r.answer for r in per_walk[True]] == [
+            r.answer for r in per_walk[False]
         ]
-        assert [r.trustworthy for r in per_core["object"]] == [
-            r.trustworthy for r in per_core["vector"]
+        assert [r.trustworthy for r in per_walk[True]] == [
+            r.trustworthy for r in per_walk[False]
         ]
 
     def test_root_failover_identical_across_cores(self):
-        """A mid-run root kill under loss + ARQ: both cores elect the same
+        """A mid-run root kill under loss + ARQ: both walks elect the same
         successor, charge the same hand-over traffic, and stay in lockstep
         through the re-rooted tail of the run."""
 
-        def run(core: str):
+        def run(reference: bool):
             rng = np.random.default_rng(31)
             n = 30
             positions = rng.uniform(0, 28, size=(n, 2))
@@ -736,24 +739,24 @@ class TestFaultyEquivalenceMatrix:
                 outages=RandomOutages(0.05),
                 rng=np.random.default_rng(77),
             )
-            driver = FaultDriver(
-                default_algorithms()["POS"],
-                QuerySpec(r_min=0, r_max=99),
-                tree,
-                SequenceWorkload(rounds),
-                plan,
-                ArqPolicy(max_retries=2),
-                graph=graph,
-                repair=True,
-                radio_range=RADIO_RANGE,
-                failover_rng=np.random.default_rng(19),
-                core=core,
-            )
+            with reference_drivers(reference):
+                driver = FaultDriver(
+                    default_algorithms()["POS"],
+                    QuerySpec(r_min=0, r_max=99),
+                    tree,
+                    SequenceWorkload(rounds),
+                    plan,
+                    ArqPolicy(max_retries=2),
+                    graph=graph,
+                    repair=True,
+                    radio_range=RADIO_RANGE,
+                    failover_rng=np.random.default_rng(19),
+                )
             reports = driver.run(len(rounds))
             return reports, driver
 
-        reports_o, driver_o = run("object")
-        reports_v, driver_v = run("vector")
+        reports_o, driver_o = run(True)
+        reports_v, driver_v = run(False)
         assert driver_o.failover.events == driver_v.failover.events
         assert driver_o.failover.count == 1
         assert driver_o.net.tree.root == driver_v.net.tree.root != 0
@@ -774,70 +777,71 @@ class TestFaultyEquivalenceMatrix:
         )
 
 
-class TestCoreSelection:
-    def test_default_is_vector(self):
-        tree = random_tree(10)
-        assert make_net("vector", tree).core == "vector"
-        net = TreeNetwork(
-            tree,
-            EnergyLedger(
-                num_vertices=tree.num_vertices,
-                root=tree.root,
-                model=EnergyModel(),
-                radio_range=RADIO_RANGE,
-            ),
+# The CLI's two fault slices: the faulty path with repair and transient
+# churn, and a mid-run sink kill under loss and ARQ.
+CLI_SLICES = {
+    "faults": [
+        "faults", "--loss", "0.05", "--retries", "2", "--transient", "0.05",
+        "--nodes", "20", "--rounds", "8", "--range", "60", "--seed", "7",
+    ],
+    "root-kill": [
+        "faults", "--loss", "0.05", "--retries", "2", "--root-kill", "5",
+        "--nodes", "20", "--rounds", "12", "--range", "60", "--seed", "7",
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLI_SLICES))
+def test_cli_slice_identical_to_reference(name):
+    """``repro faults`` prints byte-identical tables on both walks."""
+    printed = {}
+    for reference in (True, False):
+        out = io.StringIO()
+        with reference_drivers(reference), contextlib.redirect_stdout(out):
+            assert cli.main(CLI_SLICES[name]) == 0
+        printed[reference] = out.getvalue()
+    assert printed[True] == printed[False]
+    if name == "root-kill":
+        assert "root killed @5" in printed[False]
+
+
+class TestFaultSeam:
+    """Faults enter through ``_down_mask`` and a ``FaultPlan``, nowhere else."""
+
+    @pytest.mark.parametrize("base", [TreeNetwork, FaultyTreeNetwork])
+    @pytest.mark.parametrize("hook", ["_vertex_down", "_hop_delivered"])
+    def test_scalar_hook_override_refused(self, base, hook):
+        with pytest.raises(TypeError, match="_down_mask and a FaultPlan"):
+            type("Overrider", (base,), {hook: lambda self, *args: False})
+
+    def test_array_paths_never_call_the_scalar_hooks(self, monkeypatch):
+        def refuse(self, *args):
+            raise AssertionError("an array path called a scalar hook")
+
+        monkeypatch.setattr(TreeNetwork, "_vertex_down", refuse)
+        monkeypatch.setattr(TreeNetwork, "_hop_delivered", refuse)
+        tree = random_tree(40, seed=21)
+        plan = FaultPlan(
+            loss=IndependentLoss(0.2),
+            churn=ScheduledChurn({1: (5,)}),
+            outages=ScheduledOutages({1: ((9, 2),)}),
+            rng=np.random.default_rng(3),
         )
-        assert net.core == "vector"
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_CORE", "object")
-        tree = random_tree(10)
-        net = TreeNetwork(
-            tree,
-            EnergyLedger(
-                num_vertices=tree.num_vertices,
-                root=tree.root,
-                model=EnergyModel(),
-                radio_range=RADIO_RANGE,
-            ),
-        )
-        assert net.core == "object"
-        assert net._charges is net.ledger
-
-    def test_invalid_core_rejected(self):
-        tree = random_tree(10)
-        with pytest.raises(ConfigurationError):
-            make_net("simd", tree)
-
-    def test_subclass_overriding_vertex_down_without_mask_falls_back(self):
-        class HalfFaulty(TreeNetwork):
-            def _vertex_down(self, vertex: int) -> bool:
-                return False
-
-        tree = random_tree(10)
         ledger = EnergyLedger(
             num_vertices=tree.num_vertices,
             root=tree.root,
             model=EnergyModel(),
             radio_range=RADIO_RANGE,
         )
-        net = HalfFaulty(tree, ledger, core="vector")
-        # Hooks overridden: convergecast must take the per-hop path, and an
-        # inconsistent down view must disable the vectorized broadcast too.
-        assert not net._vector_convergecast
-        assert not net._vector_broadcast
-
-    def test_faulty_network_keeps_vector_broadcast(self):
-        tree = random_tree(10)
-        ledger = EnergyLedger(
-            num_vertices=tree.num_vertices,
-            root=tree.root,
-            model=EnergyModel(),
-            radio_range=RADIO_RANGE,
-        )
-        net = FaultyTreeNetwork(tree, ledger, core="vector")
-        assert not net._vector_convergecast  # ARQ hook stays authoritative
-        assert net._vector_broadcast  # _down_mask mirrors _vertex_down
+        nets = [
+            make_net(False, tree),
+            FaultyTreeNetwork(tree, ledger, plan=plan, arq=ArqPolicy(2)),
+        ]
+        nets[1].begin_faults_round(1)
+        for net in nets:
+            net.convergecast(sized_contributions(tree, 1))
+            net.convergecast({v: OneReading(v) for v in tree.sensor_nodes})
+            net.broadcast(24)
 
 
 def test_add_at_accumulates_in_array_order():
