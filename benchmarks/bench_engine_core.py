@@ -30,7 +30,7 @@ from benchmarks.common import archive, bench_scale, emit_perf, peak_rss_kb, run_
 from repro.network.tree import RoutingTree, tree_from_parents
 from repro.radio.energy import EnergyModel
 from repro.radio.ledger import EnergyLedger
-from repro.sim.engine import TreeNetwork, UniformPayload
+from repro.sim.engine import Payload, PayloadBatch, TreeNetwork
 from tests.reference_engine import ReferenceTreeNetwork
 
 SIZES = (300, 3_000, 30_000)
@@ -41,31 +41,49 @@ RADIO_RANGE = 35.0
 BROADCAST_BITS = 64
 
 
+#: On-air size [bits] of one count payload, leaf or merged.
+COUNT_BITS = 32
+
+
 @dataclass(frozen=True)
-class CountPayload(UniformPayload):
+class CountPayload(Payload):
     """Fixed-size counter payload: every sensor contributes one reading.
 
-    This is the paper's canonical convergecast workload, so it pins
-    ``uniform_leaf_values = 1`` — each contributed instance carries exactly
-    one value, which lets the vectorized core skip per-object intake.
+    This is the paper's canonical convergecast workload.  The per-hop
+    reference walk merges these objects; the array core folds the
+    equivalent :class:`CountBatch`.
     """
 
     count: int
 
-    uniform_bits = 32
-    uniform_leaf_values = 1
-
     def merged_with(self, other: "CountPayload") -> "CountPayload":
         return CountPayload(self.count + other.count)
+
+    def payload_bits(self) -> int:
+        return COUNT_BITS
 
     def num_values(self) -> int:
         return self.count
 
-    @classmethod
-    def vector_reduce(cls, payloads: Sequence["CountPayload"]) -> "CountPayload":
-        # Leaves carry exactly one value each (uniform_leaf_values), so the
-        # fold over any order is simply the contributor count.
-        return cls(len(payloads))
+
+class CountBatch(PayloadBatch):
+    """One reading per contributing vertex, as one add-fold column: the
+    array core's form of ``{v: CountPayload(1) for v in vertices}``."""
+
+    def __init__(self, vertices: Sequence[int]) -> None:
+        super().__init__(np.asarray(vertices, dtype=np.int64))
+
+    def columns(self) -> np.ndarray:
+        return np.ones((len(self.ids), 1), dtype=np.int64)
+
+    def hop_sizes(self, sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return np.full(sums.shape[0], COUNT_BITS, dtype=np.int64), sums[:, 0]
+
+    def root_payload(self, sums: np.ndarray, reached) -> CountPayload:
+        return CountPayload(int(sums[0]))
+
+    def payloads(self) -> dict[int, CountPayload]:
+        return {vertex: CountPayload(1) for vertex in self.ids.tolist()}
 
 
 def random_recursive_tree(n: int, seed: int = 29) -> RoutingTree:
@@ -162,19 +180,20 @@ def time_ledger_batch(tree: RoutingTree, rounds: int) -> float:
 def measure_size(n: int, rounds: int) -> dict:
     tree = random_recursive_tree(n)
     contributions = {v: CountPayload(1) for v in tree.sensor_nodes}
+    batch = CountBatch(tree.sensor_nodes)
     object_rps = time_rounds(
         fresh_net(tree, reference=True), contributions, rounds, broadcast=False
     )
     vector_rps = time_rounds(
         fresh_net(tree),
-        contributions,
+        batch,
         # The array core is fast enough to time many more rounds for the
         # same wall-clock budget, which stabilizes the measurement.
         rounds * 10,
         broadcast=False,
     )
     full_round_rps = time_rounds(
-        fresh_net(tree), contributions, rounds * 10, broadcast=True
+        fresh_net(tree), batch, rounds * 10, broadcast=True
     )
     return {
         "num_vertices": n,

@@ -24,6 +24,7 @@ import numpy as np
 
 from benchmarks.bench_engine_core import (
     REPEATS,
+    CountBatch,
     CountPayload,
     random_recursive_tree,
 )
@@ -102,13 +103,16 @@ def time_faulty_rounds(net, contributions, rounds: int) -> float:
 def assert_cores_bit_identical(loss_rate: float, retries: int) -> None:
     """The array core must match the reference's ledgers before we time it."""
     tree = random_recursive_tree(EQUIVALENCE_SIZE, seed=31)
-    contributions = {v: CountPayload(1) for v in tree.sensor_nodes}
+    forms = {
+        True: {v: CountPayload(1) for v in tree.sensor_nodes},
+        False: CountBatch(tree.sensor_nodes),
+    }
     ledgers = {}
     for reference in (True, False):
         net = faulty_net(tree, reference, loss_rate, retries, seed=90125)
         for r in range(6):
             net.begin_faults_round(r)
-            net.convergecast(contributions)
+            net.convergecast(forms[reference])
         ledgers[reference] = net.ledger
     a, b = ledgers[True], ledgers[False]
     assert np.array_equal(a.energy, b.energy)
@@ -176,6 +180,7 @@ def compute_faulty_throughput() -> dict:
     rounds = max(4, round(THROUGHPUT_BASE_ROUNDS * scale))
     tree = random_recursive_tree(THROUGHPUT_SIZE, seed=31)
     contributions = {v: CountPayload(1) for v in tree.sensor_nodes}
+    batch = CountBatch(tree.sensor_nodes)
     cells = {}
     for loss_rate in LOSS_RATES:
         for retries in RETRY_BUDGETS:
@@ -187,7 +192,7 @@ def compute_faulty_throughput() -> dict:
             )
             vector_rps = time_faulty_rounds(
                 faulty_net(tree, False, loss_rate, retries, seed=90125),
-                contributions,
+                batch,
                 # The array core times more rounds in the same wall-clock
                 # budget, stabilizing the measurement (engine bench idiom).
                 rounds * 5,

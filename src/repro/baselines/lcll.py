@@ -41,8 +41,8 @@ from repro.core.base import (
     ContinuousQuantileAlgorithm,
     tag_initialization,
 )
-from repro.core.histogram import BucketGrid, make_grid
-from repro.core.payloads import BucketDeltaPayload, HistogramPayload
+from repro.core.histogram import BucketGrid, locate_bucket, make_grid
+from repro.core.payloads import BucketDeltaBatch, HistogramBatch
 from repro.errors import ProtocolError
 from repro.sim.engine import TreeNetwork
 from repro.types import QuerySpec, RoundOutcome
@@ -87,7 +87,7 @@ class LCLLHierarchical(ContinuousQuantileAlgorithm):
             refinements += 1
             self._grids.append(grid)
             self._counts.append(counts)
-            bucket, skipped = _locate_bucket(counts, k - below - 1)
+            bucket, skipped = locate_bucket(counts, k - below - 1)
             bucket_low, bucket_high = grid.bucket_bounds(bucket)
             if bucket_low == bucket_high:
                 quantile = bucket_low
@@ -116,7 +116,7 @@ class LCLLHierarchical(ContinuousQuantileAlgorithm):
                     f"rank {k} outside level-{level} grid "
                     f"[{grid.low}, {grid.high}]"
                 )
-            bucket, skipped = _locate_bucket(counts, target)
+            bucket, skipped = locate_bucket(counts, target)
             bucket_low, bucket_high = grid.bucket_bounds(bucket)
             if bucket_low == bucket_high:
                 # Exact value reachable from cached counts: no refinement.
@@ -165,7 +165,7 @@ class LCLLHierarchical(ContinuousQuantileAlgorithm):
             refinements += 1
             self._grids.append(grid)
             self._counts.append(counts)
-            bucket, skipped = _locate_bucket(counts, k - below - 1)
+            bucket, skipped = locate_bucket(counts, k - below - 1)
             bucket_low, bucket_high = grid.bucket_bounds(bucket)
             if bucket_low == bucket_high:
                 return bucket_low, refinements
@@ -176,27 +176,29 @@ class LCLLHierarchical(ContinuousQuantileAlgorithm):
         """Delta convergecast; applies the merged deltas to cached counts."""
         assert self._registration is not None
         old_reg = self._registration
-        contributions: dict[int, BucketDeltaPayload] = {}
-        levels = len(self._grids)
-        changed = np.flatnonzero((old_reg != new_registration).any(axis=0))
-        for vertex in changed:
-            vertex = int(vertex)
-            deltas: dict[tuple[int, int], int] = {}
-            for level in range(levels):
-                old = int(old_reg[level, vertex])
-                new = int(new_registration[level, vertex])
-                if old == new:
-                    continue
-                if old >= 0:
-                    deltas[(level, old)] = deltas.get((level, old), 0) - 1
-                if new >= 0:
-                    deltas[(level, new)] = deltas.get((level, new), 0) + 1
-            if deltas:
-                contributions[vertex] = BucketDeltaPayload(
-                    deltas=tuple(sorted(deltas.items()))
-                )
+        moved = old_reg != new_registration  # (levels, vertices)
+        changed = np.flatnonzero(moved.any(axis=0))
+        # Per moved level: -1 for the bucket the value left, +1 for the one
+        # it entered (-1 registrations are outside the level's grid).  Key
+        # (level, bucket) is column level * b + bucket of a levels x b grid.
+        level, row = np.nonzero(moved[:, changed])
+        vertex = changed[row]
+        buckets = np.concatenate(
+            (old_reg[level, vertex], new_registration[level, vertex])
+        ).astype(np.int64)
+        inside = buckets >= 0
+        keys = np.concatenate((level, level)) * self.num_buckets + buckets
+        deltas = np.repeat(np.array([-1, 1], dtype=np.int64), len(row))
         net.phase = "validation"
-        merged = net.convergecast(contributions)
+        merged = net.convergecast(
+            BucketDeltaBatch(
+                changed,
+                np.concatenate((row, row))[inside],
+                keys[inside],
+                deltas[inside],
+                grid=tuple((lvl, self.num_buckets) for lvl in range(len(self._grids))),
+            )
+        )
         if merged is None:
             return
         for (level, bucket), delta in merged.as_dict().items():
@@ -267,13 +269,10 @@ class LCLLHierarchical(ContinuousQuantileAlgorithm):
             self._mask = self.participation_mask(net)
         indices = grid.bucket_of_array(np.asarray(values))
         indices[~self._mask] = -1
-        contributions: dict[int, HistogramPayload] = {}
-        for vertex in np.flatnonzero(indices >= 0):
-            vertex = int(vertex)
-            counts = [0] * grid.num_buckets
-            counts[int(indices[vertex])] = 1
-            contributions[vertex] = HistogramPayload(counts=tuple(counts))
-        merged = net.convergecast(contributions)
+        inside = np.flatnonzero(indices >= 0)
+        merged = net.convergecast(
+            HistogramBatch(inside, indices[inside], grid.num_buckets)
+        )
         if merged is None:
             return (0,) * grid.num_buckets
         return merged.counts
@@ -343,7 +342,7 @@ class LCLLSlip(ContinuousQuantileAlgorithm):
             inside = sum(self._cells)
             if self._below < k <= self._below + inside:
                 target = k - self._below - 1
-                cell, _ = _locate_bucket(tuple(self._cells), target)
+                cell, _ = locate_bucket(tuple(self._cells), target)
                 quantile = self._window_low + cell
                 self.current_quantile = quantile
                 return RoundOutcome(quantile=quantile, refinements=refinements)
@@ -392,21 +391,23 @@ class LCLLSlip(ContinuousQuantileAlgorithm):
 
     def _validate(self, net: TreeNetwork, new_state: np.ndarray) -> None:
         assert self._state is not None
-        contributions: dict[int, BucketDeltaPayload] = {}
-        for vertex in np.flatnonzero(self._state != new_state):
-            vertex = int(vertex)
-            old, new = int(self._state[vertex]), int(new_state[vertex])
-            deltas: dict[tuple[int, int], int] = {}
-            for position, delta in ((old, -1), (new, +1)):
-                key = self._delta_key(position)
-                deltas[key] = deltas.get(key, 0) + delta
-            pruned = {key: d for key, d in deltas.items() if d != 0}
-            if pruned:
-                contributions[vertex] = BucketDeltaPayload(
-                    deltas=tuple(sorted(pruned.items()))
-                )
+        changed = np.flatnonzero(self._state != new_state)
+        rows = np.arange(len(changed))
         net.phase = "validation"
-        merged = net.convergecast(contributions)
+        merged = net.convergecast(
+            BucketDeltaBatch(
+                changed,
+                np.concatenate((rows, rows)),
+                np.concatenate(
+                    (
+                        self._delta_columns(self._state[changed]),
+                        self._delta_columns(new_state[changed]),
+                    )
+                ),
+                np.repeat(np.array([-1, 1], dtype=np.int64), len(changed)),
+                grid=((_REGION_LEVEL, 2), (0, self.window_cells)),
+            )
+        )
         if merged is None:
             return
         for (level, index), delta in merged.as_dict().items():
@@ -470,12 +471,15 @@ class LCLLSlip(ContinuousQuantileAlgorithm):
                 "membership patch produced negative boundary counts"
             )
 
-    def _delta_key(self, position: int) -> tuple[int, int]:
-        if position == -1:
-            return (_REGION_LEVEL, _BELOW)
-        if position == self.window_cells:
-            return (_REGION_LEVEL, _ABOVE)
-        return (0, position)
+    def _delta_columns(self, positions: np.ndarray) -> np.ndarray:
+        """Delta-grid columns of window positions: the boundary counters
+        ``(_REGION_LEVEL, _BELOW)`` and ``(_REGION_LEVEL, _ABOVE)`` first,
+        then cell ``(0, position)``."""
+        positions = positions.astype(np.int64)
+        columns = positions + 2
+        columns[positions == -1] = _BELOW
+        columns[positions == self.window_cells] = _ABOVE
+        return columns
 
     def _positions(self, net: TreeNetwork, values: np.ndarray) -> np.ndarray:
         """Window position of every vertex: -1 below, cell index, or ``cells``."""
@@ -498,24 +502,17 @@ class LCLLSlip(ContinuousQuantileAlgorithm):
             self._mask = self.participation_mask(net)
         values = np.asarray(values)
         window_high = window_low + self.window_cells - 1
-        inside = self._mask & (values >= window_low) & (values <= window_high)
-        contributions: dict[int, HistogramPayload] = {}
-        for vertex in np.flatnonzero(inside):
-            vertex = int(vertex)
-            counts = [0] * self.window_cells
-            counts[int(values[vertex]) - window_low] = 1
-            contributions[vertex] = HistogramPayload(counts=tuple(counts))
-        merged = net.convergecast(contributions)
+        inside = np.flatnonzero(
+            self._mask & (values >= window_low) & (values <= window_high)
+        )
+        merged = net.convergecast(
+            HistogramBatch(
+                inside,
+                values[inside].astype(np.int64) - window_low,
+                self.window_cells,
+            )
+        )
         if merged is None:
             return (0,) * self.window_cells
         return merged.counts
 
-
-def _locate_bucket(counts: tuple[int, ...] | list[int], target: int) -> tuple[int, int]:
-    """Bucket index containing 0-based rank ``target`` and the count before it."""
-    skipped = 0
-    for index, count in enumerate(counts):
-        if target < skipped + count:
-            return index, skipped
-        skipped += count
-    raise ProtocolError(f"rank {target} beyond histogram total {skipped}")

@@ -27,6 +27,7 @@ from repro.core.base import (
     LT,
     ContinuousQuantileAlgorithm,
     RootCounters,
+    build_transitions,
     build_validation,
     classify,
     classify_array,
@@ -188,8 +189,8 @@ class POS(ContinuousQuantileAlgorithm):
             net.broadcast(VALUE_BITS)  # refinement request: the candidate
             refinements += 1
             candidate_state = self._classify_all(net, values, candidate)
-            contributions = self._transition_contributions(
-                net, self._classify_all(net, values, anchor), candidate_state
+            contributions = build_transitions(
+                self._classify_all(net, values, anchor), candidate_state
             )
             merged = net.convergecast(contributions)
             if merged is not None:
@@ -294,20 +295,3 @@ class POS(ContinuousQuantileAlgorithm):
         if self._mask is None:
             self._mask = self.participation_mask(net)
         return classify_array(values, filter_value, None, self._mask)
-
-    def _transition_contributions(
-        self, net: TreeNetwork, old_state: np.ndarray, new_state: np.ndarray
-    ) -> dict[int, ValidationPayload]:
-        """Counter-only messages for refinement rounds (no hints needed)."""
-        contributions: dict[int, ValidationPayload] = {}
-        for vertex in np.flatnonzero(old_state != new_state):
-            vertex = int(vertex)
-            old, new = int(old_state[vertex]), int(new_state[vertex])
-            contributions[vertex] = ValidationPayload(
-                into_lt=1 if new == LT else 0,
-                outof_lt=1 if old == LT else 0,
-                into_gt=1 if new == GT else 0,
-                outof_gt=1 if old == GT else 0,
-                hint_values=0,
-            )
-        return contributions

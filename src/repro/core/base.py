@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.constants import VALUE_BITS
-from repro.core.payloads import ValidationPayload, ValueSetPayload
+from repro.core.payloads import ValidationBatch, ValidationPayload, ValueSetPayload
 from repro.errors import MembershipError, ProtocolError
 from repro.sim.engine import TreeNetwork
 from repro.sim.oracle import quantile_rank
@@ -152,11 +152,11 @@ def build_validation(
     old_state: np.ndarray,
     new_state: np.ndarray,
     hint_values: int,
-) -> dict[int, ValidationPayload]:
+) -> ValidationBatch:
     """Per-node validation contributions for one round.
 
     Args:
-        net: the network (provides the sensor-node set).
+        net: the network the contributions travel on.
         values: current measurements, indexed by vertex.
         old_state: per-vertex interval label from the previous round.
         new_state: per-vertex interval label for the current value.
@@ -164,38 +164,30 @@ def build_validation(
             (2 for POS's two-sided hints, 1 for the max-difference variant).
 
     A node contributes iff its interval label changed; the contribution
-    carries the transition counters and the node's current value as a hint.
+    carries the transition counters and the node's current value as a hint
+    (``astype`` truncates toward zero, like ``int()`` of one value).
     Non-sensor vertices are pinned to ``EQ`` by :func:`classify_array`, so
     scanning the changed entries alone suffices.
     """
     changed = np.flatnonzero(old_state != new_state)
-    if changed.size == 0:
-        return {}
-    # The transition flags are plain array comparisons; only the payload
-    # construction itself stays per-vertex (tolist() hands the zip loop
-    # native Python ints, so no per-element numpy indexing remains).
-    olds = old_state[changed]
-    news = new_state[changed]
-    into_lt = (news == LT).astype(np.int64).tolist()
-    outof_lt = (olds == LT).astype(np.int64).tolist()
-    into_gt = (news == GT).astype(np.int64).tolist()
-    outof_gt = (olds == GT).astype(np.int64).tolist()
-    # astype truncates toward zero exactly like the old int(values[v]).
-    hint = values[changed].astype(np.int64).tolist()
-    return {
-        vertex: ValidationPayload(
-            into_lt=i_lt,
-            outof_lt=o_lt,
-            into_gt=i_gt,
-            outof_gt=o_gt,
-            hint_min=value,
-            hint_max=value,
-            hint_values=hint_values,
-        )
-        for vertex, i_lt, o_lt, i_gt, o_gt, value in zip(
-            changed.tolist(), into_lt, outof_lt, into_gt, outof_gt, hint
-        )
-    }
+    return ValidationBatch(
+        changed,
+        old_state[changed],
+        new_state[changed],
+        value=values[changed].astype(np.int64),
+        hinted=np.ones(len(changed), dtype=bool),
+        hint_values=hint_values,
+    )
+
+
+def build_transitions(old_state: np.ndarray, new_state: np.ndarray) -> ValidationBatch:
+    """Counter-only validation contributions: no hints, no values.
+
+    The refinement and re-anchoring exchanges only need the root's
+    ``(l, e, g)`` counters to follow the nodes whose label changed.
+    """
+    changed = np.flatnonzero(old_state != new_state)
+    return ValidationBatch(changed, old_state[changed], new_state[changed])
 
 
 def hint_bounds(

@@ -42,8 +42,8 @@ from repro.core.base import (
     tag_initialization,
 )
 from repro.core.cost_model import exact_optimal_buckets, rounded_optimal_buckets
-from repro.core.histogram import BucketGrid, make_grid
-from repro.core.payloads import HistogramPayload, ValueSetPayload
+from repro.core.histogram import BucketGrid, locate_bucket, make_grid
+from repro.core.payloads import HistogramBatch, ValueSetPayload
 from repro.errors import ProtocolError
 from repro.sim.engine import TreeNetwork
 from repro.types import QuerySpec, RoundOutcome
@@ -222,7 +222,7 @@ class HBC(ContinuousQuantileAlgorithm):
                 raise ProtocolError(
                     f"rank {k} not inside refinement interval [{low}, {high}]"
                 )
-            bucket, skipped = _locate_bucket(counts, target)
+            bucket, skipped = locate_bucket(counts, target)
             bucket_low, bucket_high = grid.bucket_bounds(bucket)
             if bucket_low == bucket_high:
                 return self._finish(
@@ -358,26 +358,14 @@ class HBC(ContinuousQuantileAlgorithm):
             self._mask = self.participation_mask(net)
         inside = self._mask & (values >= grid.low) & (values <= grid.high)
         participants = np.flatnonzero(inside)
-        # Buckets for all participants in one array call; the per-bucket
-        # one-hot tuples are shared (payloads are immutable), so each
-        # contribution is a dict insert plus one dataclass construction.
-        buckets = grid.bucket_of_array(values[participants])
-        num_buckets = grid.num_buckets
-        compressed = self.compressed_histograms
-        one_hot = [
-            HistogramPayload(
-                counts=tuple(
-                    1 if i == b else 0 for i in range(num_buckets)
-                ),
-                compressed=compressed,
+        merged = net.convergecast(
+            HistogramBatch(
+                participants,
+                grid.bucket_of_array(values[participants]),
+                grid.num_buckets,
+                compressed=self.compressed_histograms,
             )
-            for b in range(num_buckets)
-        ]
-        contributions: dict[int, HistogramPayload] = {
-            vertex: one_hot[b]
-            for vertex, b in zip(participants.tolist(), buckets.tolist())
-        }
-        merged = net.convergecast(contributions)
+        )
         if merged is None:
             return (0,) * grid.num_buckets
         return merged.counts
@@ -401,12 +389,3 @@ class HBC(ContinuousQuantileAlgorithm):
         self._counters = counters
         self._state = self._classify_all(net, values, low, high)
 
-
-def _locate_bucket(counts: tuple[int, ...], target: int) -> tuple[int, int]:
-    """Bucket index containing 0-based rank ``target`` and the count before it."""
-    skipped = 0
-    for index, count in enumerate(counts):
-        if target < skipped + count:
-            return index, skipped
-        skipped += count
-    raise ProtocolError(f"rank {target} beyond histogram total {skipped}")

@@ -8,10 +8,11 @@ bucket can be refined recursively until it covers a single value.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ProtocolError
 
 
 @dataclass(frozen=True)
@@ -80,3 +81,13 @@ def make_grid(low: int, high: int, num_buckets: int) -> BucketGrid:
     buckets = min(num_buckets, width)
     edges = tuple(low + (width * i) // buckets for i in range(buckets)) + (high + 1,)
     return BucketGrid(low=low, high=high, edges=edges)
+
+
+def locate_bucket(counts: "Sequence[int]", target: int) -> tuple[int, int]:
+    """Bucket index containing 0-based rank ``target`` and the count before it."""
+    skipped = 0
+    for index, count in enumerate(counts):
+        if target < skipped + count:
+            return index, skipped
+        skipped += count
+    raise ProtocolError(f"rank {target} beyond histogram total {skipped}")

@@ -36,7 +36,7 @@ from repro.core.base import (
     shift_counter,
     tag_initialization,
 )
-from repro.core.payloads import ValidationPayload, ValueSetPayload
+from repro.core.payloads import ValidationBatch, ValidationPayload, ValueSetPayload
 from repro.core.xi import InitPolicy, XiTracker, initial_xi
 from repro.errors import ProtocolError
 from repro.sim.engine import TreeNetwork
@@ -199,26 +199,20 @@ class IQ(ContinuousQuantileAlgorithm):
             & (values != old_quantile)
         )
         net.phase = "validation"
-        relevant = np.flatnonzero((new_state != self._state) | in_band_mask)
-        contributions: dict[int, ValidationPayload] = {}
-        for vertex in relevant:
-            vertex = int(vertex)
-            value = int(values[vertex])
-            old = int(self._state[vertex])
-            new = int(new_state[vertex])
-            changed = old != new
-            in_band = bool(in_band_mask[vertex])
-            contributions[vertex] = ValidationPayload(
-                into_lt=1 if changed and new == -1 else 0,
-                outof_lt=1 if changed and old == -1 else 0,
-                into_gt=1 if changed and new == 1 else 0,
-                outof_gt=1 if changed and old == 1 else 0,
-                hint_min=value if changed else None,
-                hint_max=value if changed else None,
+        changed = new_state != self._state
+        relevant = np.flatnonzero(changed | in_band_mask)
+        # A changed node hints its value, an in-band one sends it in A.
+        return net.convergecast(
+            ValidationBatch(
+                relevant,
+                self._state[relevant],
+                new_state[relevant],
+                value=values[relevant].astype(np.int64),
+                hinted=changed[relevant],
+                in_band=in_band_mask[relevant],
                 hint_values=1,
-                values=(value,) if in_band else (),
             )
-        return net.convergecast(contributions)
+        )
 
     # -- resolution -----------------------------------------------------------
 

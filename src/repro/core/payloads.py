@@ -3,11 +3,23 @@
 Every payload implements :class:`repro.sim.Payload` so the engine can merge
 it in-network and account its size.  Sizes follow Table 1 / Section 5.1.4:
 16-bit measurements and counters, 8-bit bucket identifiers.
+
+The three payloads whose merge is integer addition — validation counters,
+histograms and bucket deltas — also come as column batches
+(:class:`ValidationBatch`, :class:`HistogramBatch`,
+:class:`BucketDeltaBatch`): the algorithms build those straight from their
+value and state arrays, and the convergecast folds them as integer
+columns (:class:`repro.sim.PayloadBatch`).  The dataclasses remain the
+root's view of a merged batch and the per-hop form the reference walk
+merges.  Value sets stay objects: their merge sorts and prunes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass
+
+import numpy as np
 
 from repro.constants import (
     BUCKET_COUNT_BITS,
@@ -16,27 +28,27 @@ from repro.constants import (
     VALUE_BITS,
 )
 from repro.errors import ProtocolError
-from repro.sim.engine import Payload
+from repro.sim.engine import Payload, PayloadBatch
+
+#: On-air size of one compressed histogram entry or one bucket delta.
+_ENTRY_BITS = BUCKET_ID_BITS + BUCKET_COUNT_BITS
 
 
 def merge_sorted(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """Merge two ascending tuples into one ascending tuple."""
+    """Merge two ascending tuples into one ascending tuple.
+
+    Runs that do not overlap are concatenated; otherwise ``sorted`` merges
+    the two ascending runs (timsort finds and merges them in C).
+    """
     if not a:
         return b
     if not b:
         return a
-    merged: list[int] = []
-    i = j = 0
-    while i < len(a) and j < len(b):
-        if a[i] <= b[j]:
-            merged.append(a[i])
-            i += 1
-        else:
-            merged.append(b[j])
-            j += 1
-    merged.extend(a[i:])
-    merged.extend(b[j:])
-    return tuple(merged)
+    if a[-1] <= b[0]:
+        return a + b
+    if b[-1] <= a[0]:
+        return b + a
+    return tuple(sorted(a + b))
 
 
 @dataclass(frozen=True)
@@ -120,7 +132,11 @@ class ValueSetPayload(Payload):
         if (self.keep, self.keep_largest) != (other.keep, other.keep_largest):
             raise ProtocolError("cannot merge value sets with different pruning")
         merged = merge_sorted(self.values, other.values)
-        return replace(self, values=prune_with_ties(merged, self.keep, self.keep_largest))
+        return ValueSetPayload(
+            prune_with_ties(merged, self.keep, self.keep_largest),
+            self.keep,
+            self.keep_largest,
+        )
 
     def payload_bits(self) -> int:
         return len(self.values) * VALUE_BITS
@@ -146,16 +162,8 @@ def prune_with_ties(
     if keep <= 0:
         raise ProtocolError(f"keep must be positive, got {keep}")
     if keep_largest:
-        boundary = ascending[-keep]
-        start = len(ascending) - keep
-        while start > 0 and ascending[start - 1] == boundary:
-            start -= 1
-        return ascending[start:]
-    boundary = ascending[keep - 1]
-    end = keep
-    while end < len(ascending) and ascending[end] == boundary:
-        end += 1
-    return ascending[:end]
+        return ascending[bisect_left(ascending, ascending[-keep]) :]
+    return ascending[: bisect_right(ascending, ascending[keep - 1])]
 
 
 @dataclass(frozen=True)
@@ -223,34 +231,225 @@ class BucketDeltaPayload(Payload):
         return dict(self.deltas)
 
 
-@dataclass(frozen=True)
-class CombinedPayload(Payload):
-    """Several heterogeneous payloads travelling in one transmission.
+class ValidationBatch(PayloadBatch):
+    """Validation contributions (:class:`ValidationPayload`) as arrays.
 
-    Used when an algorithm piggybacks independent pieces of information on
-    the same convergecast (e.g. LCLL-S boundary counters next to bucket
-    deltas).  Parts are merged pairwise by position.
+    Row ``i`` is vertex ``ids[i]``.  Its interval label moved from
+    ``old[i]`` to ``new[i]`` (sign-coded like :mod:`repro.core.base`:
+    ``-1`` below, ``0`` at, ``1`` above the filter; equal labels are no
+    transition).  ``hinted[i]`` says whether it carries its current value
+    ``value[i]`` as a hint, ``in_band[i]`` whether that value rides in IQ's
+    multiset ``A``.  Every row has the same ``hint_values``.  Omitted
+    arrays mean no hints and no values.
+
+    The hops need only two add-folds, the number of hinted and of in-band
+    contributions; counters, hint extremes and the sorted multiset are
+    read at the root alone.
     """
 
-    parts: tuple[Payload, ...] = field(default_factory=tuple)
+    __slots__ = ("old", "new", "value", "hinted", "in_band", "hint_values")
 
-    def merged_with(self, other: "CombinedPayload") -> "CombinedPayload":
-        if len(self.parts) != len(other.parts):
-            raise ProtocolError("combined payloads must have the same arity")
-        merged = tuple(
-            mine.merged_with(theirs)
-            for mine, theirs in zip(self.parts, other.parts)
+    def __init__(
+        self,
+        ids: np.ndarray,
+        old: np.ndarray,
+        new: np.ndarray,
+        value: np.ndarray | None = None,
+        hinted: np.ndarray | None = None,
+        in_band: np.ndarray | None = None,
+        hint_values: int = 0,
+    ) -> None:
+        super().__init__(ids)
+        rows = len(ids)
+        self.old = old
+        self.new = new
+        self.value = np.zeros(rows, dtype=np.int64) if value is None else value
+        self.hinted = np.zeros(rows, dtype=bool) if hinted is None else hinted
+        self.in_band = np.zeros(rows, dtype=bool) if in_band is None else in_band
+        self.hint_values = hint_values
+
+    def columns(self) -> np.ndarray:
+        return np.column_stack((self.hinted, self.in_band)).astype(np.int64)
+
+    def hop_sizes(self, sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        in_band = sums[:, 1]
+        hints = (sums[:, 0] > 0) * (self.hint_values * VALUE_BITS)
+        return 4 * COUNTER_BITS + hints + in_band * VALUE_BITS, in_band
+
+    def root_payload(
+        self, sums: np.ndarray, reached: np.ndarray | None
+    ) -> ValidationPayload:
+        old, new, value = self.old, self.new, self.value
+        hinted, in_band = self.hinted, self.in_band
+        if reached is not None:
+            old, new, value = old[reached], new[reached], value[reached]
+            hinted, in_band = hinted[reached], in_band[reached]
+        moved = old != new
+        hints = value[hinted]
+        return ValidationPayload(
+            into_lt=int(np.count_nonzero(moved & (new < 0))),
+            outof_lt=int(np.count_nonzero(moved & (old < 0))),
+            into_gt=int(np.count_nonzero(moved & (new > 0))),
+            outof_gt=int(np.count_nonzero(moved & (old > 0))),
+            hint_min=int(hints.min()) if hints.size else None,
+            hint_max=int(hints.max()) if hints.size else None,
+            hint_values=self.hint_values,
+            values=tuple(np.sort(value[in_band]).tolist()),
         )
-        return CombinedPayload(parts=merged)
 
-    def payload_bits(self) -> int:
-        return sum(part.payload_bits() for part in self.parts if not part.is_empty())
+    def payloads(self) -> dict[int, ValidationPayload]:
+        out: dict[int, ValidationPayload] = {}
+        for vertex, old, new, value, hinted, in_band in zip(
+            self.ids.tolist(),
+            self.old.tolist(),
+            self.new.tolist(),
+            self.value.tolist(),
+            self.hinted.tolist(),
+            self.in_band.tolist(),
+        ):
+            moved = old != new
+            out[vertex] = ValidationPayload(
+                into_lt=int(moved and new < 0),
+                outof_lt=int(moved and old < 0),
+                into_gt=int(moved and new > 0),
+                outof_gt=int(moved and old > 0),
+                hint_min=value if hinted else None,
+                hint_max=value if hinted else None,
+                hint_values=self.hint_values,
+                values=(value,) if in_band else (),
+            )
+        return out
 
-    def num_values(self) -> int:
-        return sum(part.num_values() for part in self.parts)
 
-    def is_empty(self) -> bool:
-        return all(part.is_empty() for part in self.parts)
+class HistogramBatch(PayloadBatch):
+    """One-hot histogram contributions (:class:`HistogramPayload`).
+
+    Row ``i`` adds one to bucket ``bucket[i]`` of a ``num_buckets``-bucket
+    histogram.  Only buckets some row touches become columns; a hop's
+    compressed size counts its nonzero column sums.
+    """
+
+    __slots__ = ("bucket", "num_buckets", "compressed", "_touched", "_column")
+
+    def __init__(
+        self,
+        ids: np.ndarray,
+        bucket: np.ndarray,
+        num_buckets: int,
+        compressed: bool = True,
+    ) -> None:
+        super().__init__(ids)
+        self.bucket = bucket
+        self.num_buckets = num_buckets
+        self.compressed = compressed
+        present = np.zeros(num_buckets, dtype=bool)
+        present[bucket] = True
+        self._touched = np.flatnonzero(present)
+        self._column = (np.cumsum(present) - 1)[bucket]
+
+    def columns(self) -> np.ndarray:
+        rows = len(self.ids)
+        cols = np.zeros((rows, len(self._touched)), dtype=np.int64)
+        cols[np.arange(rows), self._column] = 1
+        return cols
+
+    def hop_sizes(self, sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        hops = sums.shape[0]
+        dense = self.num_buckets * BUCKET_COUNT_BITS
+        if self.compressed:
+            bits = np.minimum(np.count_nonzero(sums, axis=1) * _ENTRY_BITS, dense)
+        else:
+            bits = np.full(hops, dense, dtype=np.int64)
+        return bits, np.zeros(hops, dtype=np.int64)
+
+    def root_payload(
+        self, sums: np.ndarray, reached: np.ndarray | None
+    ) -> HistogramPayload:
+        counts = np.zeros(self.num_buckets, dtype=np.int64)
+        counts[self._touched] = sums
+        return HistogramPayload(counts=tuple(counts.tolist()), compressed=self.compressed)
+
+    def payloads(self) -> dict[int, HistogramPayload]:
+        one_hot = [
+            HistogramPayload(
+                counts=tuple(int(i == b) for i in range(self.num_buckets)),
+                compressed=self.compressed,
+            )
+            for b in range(self.num_buckets)
+        ]
+        return {
+            vertex: one_hot[b]
+            for vertex, b in zip(self.ids.tolist(), self.bucket.tolist())
+        }
+
+
+class BucketDeltaBatch(PayloadBatch):
+    """Bucket-delta contributions (:class:`BucketDeltaPayload`).
+
+    Keys ``(level, index)`` live on a dense grid: ``grid`` lists
+    ``(level, width)`` blocks in ascending level order, and key ``(level,
+    index)`` is column ``offset(level) + index``, so column order is sorted
+    key order.  Entry ``j`` adds ``deltas[j]`` to column ``keys[j]`` of row
+    ``rows[j]``.  Rows whose entries cancel to all zeros are dropped (an
+    empty delta message is never sent).  A hop's size counts its nonzero
+    column sums: merged deltas that cancel are dropped from the message.
+    """
+
+    __slots__ = ("grid", "_touched", "_cols")
+
+    def __init__(
+        self,
+        ids: np.ndarray,
+        rows: np.ndarray,
+        keys: np.ndarray,
+        deltas: np.ndarray,
+        grid: tuple[tuple[int, int], ...],
+    ) -> None:
+        present = np.zeros(sum(width for _, width in grid), dtype=bool)
+        present[keys] = True
+        touched = np.flatnonzero(present)
+        cols = np.zeros((len(ids), len(touched)), dtype=np.int64)
+        np.add.at(cols, (rows, (np.cumsum(present) - 1)[keys]), deltas)
+        nonzero = cols.any(axis=1)
+        if not nonzero.all():
+            ids, cols = ids[nonzero], cols[nonzero]
+        super().__init__(ids)
+        self.grid = grid
+        self._touched = touched
+        self._cols = cols
+
+    def columns(self) -> np.ndarray:
+        return self._cols
+
+    def hop_sizes(self, sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        bits = np.count_nonzero(sums, axis=1) * _ENTRY_BITS
+        return bits, np.zeros(sums.shape[0], dtype=np.int64)
+
+    def root_payload(
+        self, sums: np.ndarray, reached: np.ndarray | None
+    ) -> BucketDeltaPayload:
+        return BucketDeltaPayload(deltas=self._entries(sums))
+
+    def payloads(self) -> dict[int, BucketDeltaPayload]:
+        return {
+            vertex: BucketDeltaPayload(deltas=self._entries(row))
+            for vertex, row in zip(self.ids.tolist(), self._cols)
+        }
+
+    def _entries(self, row: np.ndarray) -> tuple[tuple[tuple[int, int], int], ...]:
+        """``((level, index), delta)`` entries of the nonzero columns of a
+        touched-column row, in key order."""
+        nonzero = np.flatnonzero(row)
+        entries = []
+        for column, delta in zip(
+            self._touched[nonzero].tolist(), row[nonzero].tolist()
+        ):
+            for level, width in self.grid:
+                if column < width:
+                    entries.append(((level, column), delta))
+                    break
+                column -= width
+        return tuple(entries)
 
 
 def _opt_min(a: int | None, b: int | None) -> int | None:

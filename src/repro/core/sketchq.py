@@ -32,13 +32,12 @@ import numpy as np
 from repro.constants import REFINEMENT_REQUEST_BITS, VALUE_BITS
 from repro.core.base import (
     EQ,
-    GT,
     LT,
     ContinuousQuantileAlgorithm,
+    build_transitions,
     classify,
     classify_array,
 )
-from repro.core.payloads import ValidationPayload
 from repro.errors import ConfigurationError, ProtocolError
 from repro.sim.engine import TreeNetwork
 from repro.sketch import KLLSketch, QDigest, QuantileSketch, SketchPayload
@@ -123,7 +122,7 @@ class SketchQuantile(ContinuousQuantileAlgorithm):
 
         # Validation: exact transition counters from nodes that crossed f.
         new_state = classify_array(values, self._filter, None, self._mask)
-        contributions = self._transition_contributions(self._state, new_state)
+        contributions = build_transitions(self._state, new_state)
         net.phase = "validation"
         merged = net.convergecast(contributions)
         if merged is not None:
@@ -257,20 +256,3 @@ class SketchQuantile(ContinuousQuantileAlgorithm):
         # The base's (l, e, g) slot carries the l-bounds; the le-bounds
         # interval is the extra root-side state the successor inherits.
         return super().handover_state_bits() + 2 * VALUE_BITS
-
-    def _transition_contributions(
-        self, old_state: np.ndarray, new_state: np.ndarray
-    ) -> dict[int, ValidationPayload]:
-        """Counter-only validation messages (no hints — the gate needs none)."""
-        contributions: dict[int, ValidationPayload] = {}
-        for vertex in np.flatnonzero(old_state != new_state):
-            vertex = int(vertex)
-            old, new = int(old_state[vertex]), int(new_state[vertex])
-            contributions[vertex] = ValidationPayload(
-                into_lt=1 if new == LT else 0,
-                outof_lt=1 if old == LT else 0,
-                into_gt=1 if new == GT else 0,
-                outof_gt=1 if old == GT else 0,
-                hint_values=0,
-            )
-        return contributions

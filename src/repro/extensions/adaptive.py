@@ -36,12 +36,12 @@ from repro.constants import VALUE_BITS
 from repro.core.base import (
     ContinuousQuantileAlgorithm,
     RootCounters,
-    classify,
-    classify_interval,
+    build_transitions,
+    classify_array,
+    sensor_mask,
 )
 from repro.core.hbc import HBC
 from repro.core.iq import IQ
-from repro.core.payloads import ValidationPayload
 from repro.errors import ConfigurationError, ProtocolError
 from repro.sim.engine import TreeNetwork
 from repro.types import QuerySpec, RoundOutcome
@@ -226,21 +226,15 @@ class AdaptiveQuantile(ContinuousQuantileAlgorithm):
         outgoing_counters = self._outgoing_counters()
         net.phase = "switch"
         net.broadcast(2 * VALUE_BITS)  # switch announcement: algo id + filter
-        contributions: dict[int, ValidationPayload] = {}
-        for vertex in net.tree.sensor_nodes:
-            value = int(values[vertex])
-            old = classify_interval(value, old_low, old_high)
-            new = classify(value, quantile)
-            if old == new:
-                continue
-            contributions[vertex] = ValidationPayload(
-                into_lt=1 if new == -1 else 0,
-                outof_lt=1 if old == -1 else 0,
-                into_gt=1 if new == 1 else 0,
-                outof_gt=1 if old == 1 else 0,
-                hint_values=0,
+        # Every sensor re-labels its value (truncated like ``int()``).
+        measured = np.asarray(values).astype(np.int64)
+        sensors = sensor_mask(net)
+        merged = net.convergecast(
+            build_transitions(
+                classify_array(measured, old_low, old_high, sensors),
+                classify_array(measured, quantile, None, sensors),
             )
-        merged = net.convergecast(contributions)
+        )
         counters = RootCounters(
             l=outgoing_counters.l, e=outgoing_counters.e, g=outgoing_counters.g
         )

@@ -31,7 +31,7 @@ import math
 from contextlib import nullcontext
 from itertools import compress
 from dataclasses import dataclass
-from typing import Mapping, Optional, TypeVar
+from typing import Callable, Mapping, Optional, TypeVar
 
 import numpy as np
 
@@ -40,14 +40,15 @@ from repro.faults.plan import FaultPlan, IndependentLoss
 from repro.network.linkstats import LinkQualityEstimator
 from repro.network.tree import RoutingTree
 from repro.radio.ledger import EnergyLedger
-from repro.radio.message import ack_cost, message_bits
+from repro.radio.message import ack_cost
 from repro.sim.engine import (
     CollectionRecord,
     Payload,
+    PayloadBatch,
     TreeNetwork,
-    UniformPayload,
+    frame_costs,
 )
-from repro.sim.vectorized import expand_arq_charges
+from repro.sim.vectorized import expand_arq_charges, fold_columns
 
 P = TypeVar("P", bound=Payload)
 
@@ -286,108 +287,180 @@ class FaultyTreeNetwork(TreeNetwork):
         return mask
 
     # -- vectorized faulty convergecast ---------------------------------------
+    #
+    # Loss and ARQ decide whether a hop's frame gets through, never how big
+    # it is.  So one walk (:meth:`_walk_hops`) makes every hop decision first
+    # — loss draws, retry cut-offs, ARQ feedback, tracking only which
+    # vertices hold something — and the payloads are folded afterwards:
+    # column batches as prefix sums (:meth:`_convergecast_faulty_batch`),
+    # payload objects with ``merged_with`` (:meth:`_convergecast_faulty_vector`).
+    # Both then charge the hops in one ordered batch (:meth:`_charge_hops`).
 
-    def convergecast(self, contributions: Mapping[int, P]) -> Optional[P]:
-        arq = self.arq
-        arq_cls = type(arq)
-        static_arq = (
-            arq_cls.attempts_for is ArqPolicy.attempts_for
-            and arq_cls.observe is ArqPolicy.observe
-        )
-        # The uniform path reads plan.dead/plan.down as a mask, so a plan
-        # subclass redefining is_down must keep the per-object walk.
-        if (
-            static_arq
-            and contributions
-            and type(self.plan).is_down is FaultPlan.is_down
-        ):
-            first = next(iter(contributions.values()))
-            cls_p = type(first)
-            if (
-                isinstance(first, UniformPayload)
-                and cls_p.uniform_leaf_values is not None
-                and cls_p.is_empty is Payload.is_empty
-            ):
-                payloads = list(contributions.values())
-                if set(map(type, payloads)) == {cls_p}:
-                    contributor_idx = np.fromiter(
-                        contributions.keys(),
-                        dtype=np.int64,
-                        count=len(payloads),
-                    )
-                    return self._convergecast_faulty_uniform(
-                        cls_p, contributor_idx, payloads
-                    )
+    def convergecast(
+        self, contributions: "Mapping[int, P] | PayloadBatch"
+    ) -> Optional[P]:
+        self.exchanges += 1
+        if isinstance(contributions, PayloadBatch):
+            return self._convergecast_faulty_batch(contributions)
         return self._convergecast_faulty_vector(contributions)
 
-    def _convergecast_faulty_uniform(
+    def _convergecast_faulty_batch(self, batch: PayloadBatch) -> Optional[Payload]:
+        """Faulty convergecast of a :class:`~repro.sim.engine.PayloadBatch`.
+
+        A sender holds its subtree's contributions minus those stuck
+        strictly below it, so every hop's size comes from its column sums
+        (:func:`~repro.sim.vectorized.fold_columns`, with each
+        contribution's ``top`` from the walk) and no payload travels as an
+        object.  The root payload folds the contributions whose ``top`` is
+        an up root.
+        """
+        ids = batch.ids
+        if not len(ids):
+            return self._log_silent()
+        hops = self._walk_hops(ids)
+        _, sums, root_sums = fold_columns(
+            self._arrays, ids, batch.columns(), holders=hops.senders, top=hops.reach[ids]
+        )
+        self._charge_hops(hops, *batch.hop_sizes(sums))
+        reached = self._log_delivered(hops, ids, batch.contributors)
+        if not reached.any():
+            return None
+        return batch.root_payload(root_sums, reached)
+
+    def _convergecast_faulty_vector(
+        self, contributions: Mapping[int, P]
+    ) -> Optional[P]:
+        """Faulty convergecast of payload objects (value sets, sketches, ...).
+
+        After the walk, the payloads merge along the delivered uplinks in
+        hop order — each sender's merged payload prices its hop — exactly
+        as the per-hop reference walk merges them.
+        """
+        contributors: list[int] = []
+        payloads: list[P] = []
+        for vertex, payload in contributions.items():
+            if payload.is_empty():
+                continue
+            contributors.append(vertex)
+            payloads.append(payload)
+        if not contributors:
+            return self._log_silent()
+        ids = np.array(contributors, dtype=np.int64)
+        hops = self._walk_hops(ids)
+        accumulated: list[Optional[P]] = [None] * self.tree.num_vertices
+        down = hops.down
+        for vertex, payload in zip(contributors, payloads):
+            if not down[vertex]:
+                accumulated[vertex] = payload
+        parent = self.tree.parent
+        virtual = self.virtual_vertices
+        delivered_up = hops.delivered_up
+        bits: list[int] = []
+        values: list[int] = []
+        # A down vertex never holds anything: its own payload stays out and
+        # every frame to it is lost.
+        for vertex in self._order_no_root:
+            merged = accumulated[vertex]
+            if merged is None:
+                continue
+            if vertex not in virtual:
+                bits.append(merged.payload_bits())
+                values.append(merged.num_values())
+            if delivered_up[vertex]:
+                par = parent[vertex]
+                existing = accumulated[par]
+                accumulated[par] = (
+                    merged if existing is None else existing.merged_with(merged)
+                )
+        self._charge_hops(
+            hops,
+            np.array(bits, dtype=np.int64),
+            np.array(values, dtype=np.int64),
+        )
+        self._log_delivered(hops, ids, None)
+        return accumulated[self.tree.root]
+
+    def _log_delivered(
         self,
-        cls_p: type,
-        contributor_idx: np.ndarray,
-        payloads: list,
-    ) -> Optional[Payload]:
-        """Faulty convergecast under the ``UniformPayload`` contract.
+        hops: "_Hops",
+        ids: np.ndarray,
+        everyone: "Callable[[], frozenset[int]] | None",
+    ) -> np.ndarray:
+        """Log which contributions reached an up root; returns that mask.
 
-        Bit-identical to the per-hop reference walk, like
-        :meth:`_convergecast_faulty_vector`, but payload state never
-        travels as objects: only the loss/ARQ *decisions* stay in a
-        boolean Python loop (they consume one ordered RNG stream), and
-        everything derived from them is folded as arrays afterwards —
+        ``everyone`` builds the set of all ``ids`` when every contribution
+        got through (a batch caches it); ``None`` builds it afresh.
+        """
+        root = self.tree.root
+        reached = hops.reach[ids] == root
+        if hops.down[root]:
+            reached[:] = False  # not even the root's own contribution counts
+        if everyone is not None and reached.all():
+            delivered = everyone()
+        else:
+            delivered = frozenset(ids[reached].tolist())
+        self.collection_log.append(
+            CollectionRecord(expected=len(ids), delivered=delivered)
+        )
+        return reached
 
-        * subtree value counts and the delivered-contributor set are
-          per-vertex folds over the delivered edges, one topological
-          level at a time (int sums commute, so level order equals hop
-          order);
-        * the root answer comes from ``vector_reduce`` over the payloads
-          whose whole path delivered (the contract makes that equal to
-          the reference walk's tree-order ``merged_with`` fold);
-        * i.i.d. loss draws compare pre-drawn uniform blocks inline, with
-          the same rewind-and-replay exit as
-          :class:`~repro.faults.plan.UniformBlockStream`, so the
-          generator state matches scalar sampling exactly (other loss
-          models keep the :meth:`~repro.faults.plan.FaultPlan.batched_sampling`
-          shim);
-        * deferred link-quality samples replay through a position-wise
-          EWMA fold (:meth:`_replay_uniform_link_stats`) — valid because
-          each directed link is sampled by exactly one hop per
-          convergecast, so per-link chains are independent;
-        * charges expand per attempt through
-          :func:`~repro.sim.vectorized.expand_arq_charges` into one
-          ordered ``charge_batch``.
+    def _walk_hops(self, ids: np.ndarray) -> "_Hops":
+        """Make every hop decision of one convergecast of ``ids``' payloads.
 
-        Only reached for static ARQ policies (the caller checks), so no
-        estimator feedback is read mid-walk.
+        Bit-identical to the per-hop reference walk's decisions:
+
+        * i.i.d. loss under a static policy compares pre-drawn uniform
+          blocks inline, with the same rewind-and-replay exit as
+          :class:`~repro.faults.plan.UniformBlockStream`, so the generator
+          state matches scalar sampling exactly; other loss models (and a
+          plan overriding ``transmission_lost``) sample through the
+          :meth:`~repro.faults.plan.FaultPlan.batched_sampling` shim;
+        * a static policy's link-quality samples are replayed after the
+          walk (:meth:`_replay_link_stats`, from :meth:`_charge_hops`); a
+          learning policy (overridden ``attempts_for`` or ``observe``)
+          reads its estimator between hops, so its budgets and feedback
+          run inline, in the reference walk's order.
+
+        The result also carries ``reach``: per vertex, the highest vertex
+        a payload held there gets to, one top-down pass over the levels
+        along delivered uplinks.  A down contributor never sends, so its
+        ``reach`` is itself.
         """
         tree = self.tree
-        self.exchanges += 1
         plan = self.plan
-        arrays = self._arrays
-        assert arrays is not None
         n = tree.num_vertices
-        expected = len(payloads)
         down_arr = self._down_mask()
+        has_payload = np.zeros(n, dtype=bool)
         if down_arr is None:
-            live_idx = contributor_idx
+            has_payload[ids] = True
             down_list = [False] * n
         else:
-            live_idx = contributor_idx[~down_arr[contributor_idx]]
+            has_payload[ids[~down_arr[ids]]] = True
             down_list = down_arr.tolist()
-        has_payload = np.zeros(n, dtype=bool)
-        has_payload[live_idx] = True
         hp = has_payload.tolist()
         parent = tree.parent
         virtual = self.virtual_vertices
         arq = self.arq
+        arq_cls = type(arq)
+        fixed_budget = arq_cls.attempts_for is ArqPolicy.attempts_for
+        arq_observes = arq_cls.observe is not ArqPolicy.observe
+        learning = not fixed_budget or arq_observes
+        attempts_for = arq.attempts_for
+        arq_observe = arq.observe
+        observe = self.link_stats.observe
+        observe_up = learning and self._feeds_uplink_stats
         enabled = arq.enabled
         budget = max(1, arq.max_attempts)
         loss = plan.loss
+        custom_loss = type(plan).transmission_lost is not FaultPlan.transmission_lost
         inline_iid = (
-            type(plan).transmission_lost is FaultPlan.transmission_lost
-            and type(loss) is IndependentLoss
+            not learning and not custom_loss and type(loss) is IndependentLoss
         )
         p = loss.probability if inline_iid else 0.0
         draws = inline_iid and p > 0.0
-        shim_mode = loss is not None and not inline_iid
+        sampled = learning or (
+            not inline_iid and (loss is not None or custom_loss)
+        )
         transmission_lost = plan.transmission_lost
 
         tx: list[int] = []
@@ -409,14 +482,16 @@ class FaultyTreeNetwork(TreeNetwork):
         # so the generator ends bit-identical to scalar consumption.
         rng = plan.rng
         rng_random = rng.random
-        block = max(128, 2 * expected)
+        block = max(128, 2 * len(ids))
         buf: list[float] = []
         bi = 0
         blen = 0
         nblocks = 0
         state0 = rng.bit_generator.state if draws else None
         session = (
-            plan.batched_sampling(block=block) if shim_mode else nullcontext()
+            plan.batched_sampling(block=block)
+            if sampled and loss is not None
+            else nullcontext()
         )
         has_virtual = bool(virtual)
         try:
@@ -431,14 +506,21 @@ class FaultyTreeNetwork(TreeNetwork):
                         edge_del[vertex] = True  # device-internal link
                         hp[par] = True
                         continue
+                    hop_budget = (
+                        budget
+                        if fixed_budget
+                        else max(1, attempts_for(vertex, par))
+                    )
                     k = 0
                     delivered = False
                     afin = False
                     if down_list[par]:
                         # Dead air: every attempt fails without a draw.
-                        k = budget if enabled else 1
+                        k = hop_budget if enabled else 1
                         for _ in range(k):
                             fo_append(False)
+                            if arq_observes and enabled:
+                                arq_observe(vertex, par, False)
                         pd_hops.append(hop_i)
                     elif draws:
                         while True:
@@ -468,22 +550,30 @@ class FaultyTreeNetwork(TreeNetwork):
                                 break
                             if k == budget:
                                 break
-                    elif shim_mode:
+                    elif sampled:
                         while True:
                             k += 1
                             fo = not transmission_lost(vertex, par)
+                            if observe_up:
+                                observe(vertex, par, fo)
                             fo_append(fo)
                             if fo:
                                 delivered = True
                                 if not enabled:
                                     break
                                 afin = not transmission_lost(par, vertex)
+                                if learning:
+                                    observe(par, vertex, afin)
                                 if afin:
+                                    if arq_observes:
+                                        arq_observe(vertex, par, True)
                                     break
                                 lost_acks += 1
                             elif not enabled:
                                 break
-                            if k == budget:
+                            if arq_observes:
+                                arq_observe(vertex, par, False)
+                            if k == hop_budget:
                                 break
                     else:
                         # Loss disabled or zero-probability: no randomness
@@ -506,57 +596,71 @@ class FaultyTreeNetwork(TreeNetwork):
                 if consumed:
                     rng_random(consumed)
 
-        n_hops = hop_i
+        arrays = self._arrays
         parent_np = arrays.parent
-        edge_del_arr = np.array(edge_del, dtype=bool)
-        values = np.zeros(n, dtype=np.int64)
-        values[live_idx] = cls_p.uniform_leaf_values
-        for level in reversed(arrays.levels[1:]):  # deepest level first
-            m = edge_del_arr[level]
-            if m.any():
-                lv = level[m]
-                np.add.at(values, parent_np[lv], values[lv])
-        path_ok = np.zeros(n, dtype=bool)
-        path_ok[tree.root] = True
+        delivered_up = np.array(edge_del, dtype=bool)
+        reach = np.arange(n, dtype=np.int64)
         for level in arrays.levels[1:]:
-            path_ok[level] = path_ok[parent_np[level]] & edge_del_arr[level]
-        delivered_mask = path_ok[contributor_idx]
+            reach[level] = np.where(
+                delivered_up[level], reach[parent_np[level]], level
+            )
+        parent_up = np.ones(hop_i, dtype=bool)
+        if pd_hops:
+            parent_up[pd_hops] = False
+        return _Hops(
+            senders=np.array(tx, dtype=np.int64),
+            attempts=np.array(natt, dtype=np.int64),
+            frame_ok=np.array(fo_flat, dtype=bool),
+            parent_up=parent_up,
+            final_ack=final_ack,
+            lost_acks=lost_acks,
+            learned=learning,
+            down=down_list,
+            delivered_up=edge_del,
+            reach=reach,
+        )
 
+    def _charge_hops(
+        self, hops: "_Hops", payload_bits: np.ndarray, values: np.ndarray
+    ) -> None:
+        """Charge every attempt of the walk's hops in one ordered batch.
+
+        ``payload_bits`` and ``values`` are per hop.  A static policy's
+        deferred link-quality samples are replayed here too.
+        """
+        n_hops = len(hops.senders)
         phase_total = 0
         if n_hops:
-            tx_arr = np.array(tx, dtype=np.int64)
-            natt_arr = np.array(natt, dtype=np.int64)
-            fo_arr = np.array(fo_flat, dtype=bool)
-            par_arr = parent_np[tx_arr]
-            parent_up_arr = np.ones(n_hops, dtype=bool)
-            if pd_hops:
-                parent_up_arr[pd_hops] = False
-            offsets = np.zeros(n_hops, dtype=np.int64)
-            np.cumsum(natt_arr[:-1], out=offsets[1:])
-            nfo = (
-                np.add.reduceat(fo_arr.astype(np.int64), offsets)
-                if enabled
-                else None
-            )
-            self._replay_uniform_link_stats(
-                tx,
-                par_arr,
-                parent_up_arr,
-                natt_arr,
-                fo_arr,
-                offsets,
-                nfo,
-                final_ack,
-                enabled,
-            )
+            enabled = self.arq.enabled
+            tx_arr = hops.senders
+            natt_arr = hops.attempts
+            fo_arr = hops.frame_ok
+            par_arr = self._arrays.parent[tx_arr]
+            parent_up_arr = hops.parent_up
+            if not hops.learned:
+                offsets = np.zeros(n_hops, dtype=np.int64)
+                np.cumsum(natt_arr[:-1], out=offsets[1:])
+                nfo = (
+                    np.add.reduceat(fo_arr.astype(np.int64), offsets)
+                    if enabled
+                    else None
+                )
+                self._replay_link_stats(
+                    tx_arr.tolist(),
+                    par_arr,
+                    parent_up_arr,
+                    natt_arr,
+                    fo_arr,
+                    offsets,
+                    nfo,
+                    hops.final_ack,
+                    enabled,
+                )
+            frames, hop_bits = frame_costs(payload_bits)
             hop_index = np.repeat(np.arange(n_hops), natt_arr)
             att_child = tx_arr[hop_index]
-            att_parent = par_arr[hop_index]
-            cost = message_bits(cls_p.uniform_bits)
+            att_bits = hop_bits[hop_index]
             ack = ack_cost()
-            total_attempts = int(hop_index.shape[0])
-            att_bits = np.full(total_attempts, cost.total_bits, dtype=np.int64)
-            att_frames = np.full(total_attempts, cost.messages, dtype=np.int64)
             send_cpb = (
                 self._send_cpb_array[att_child]
                 if self._send_cpb_array is not None
@@ -565,10 +669,10 @@ class FaultyTreeNetwork(TreeNetwork):
             self.ledger.charge_batch(
                 **expand_arq_charges(
                     att_child,
-                    att_parent,
+                    par_arr[hop_index],
                     att_bits,
-                    att_frames,
-                    values[att_child],
+                    frames[hop_index],
+                    values[hop_index],
                     parent_up_arr[hop_index],
                     fo_arr,
                     enabled,
@@ -577,34 +681,20 @@ class FaultyTreeNetwork(TreeNetwork):
                     ack.total_bits,
                 )
             )
+            total_attempts = int(hop_index.shape[0])
             ok_attempts = int(fo_arr.sum())
             self.lost_transmissions += total_attempts - ok_attempts
             self.retransmissions += total_attempts - n_hops
-            self.lost_acks += lost_acks
-            phase_total = cost.total_bits * total_attempts
+            self.lost_acks += hops.lost_acks
+            phase_total = int(att_bits.sum())
             if enabled:
                 self.acks_sent += ok_attempts
                 phase_total += ack.total_bits * ok_attempts
-
         self.phase_bits[self.phase] = (
             self.phase_bits.get(self.phase, 0) + phase_total
         )
-        delivered_sources = frozenset(
-            contributor_idx[delivered_mask].tolist()
-        )
-        self.collection_log.append(
-            CollectionRecord(expected=expected, delivered=delivered_sources)
-        )
-        if not delivered_mask.any():
-            return None
-        kept = [
-            payload
-            for payload, ok in zip(payloads, delivered_mask.tolist())
-            if ok
-        ]
-        return cls_p.vector_reduce(kept)
 
-    def _replay_uniform_link_stats(
+    def _replay_link_stats(
         self,
         tx: list[int],
         par_arr: np.ndarray,
@@ -727,207 +817,27 @@ class FaultyTreeNetwork(TreeNetwork):
                     d[key] = val
         est.observations += samples
 
-    def _convergecast_faulty_vector(
-        self, contributions: Mapping[int, P]
-    ) -> Optional[P]:
-        """Batched loss/ARQ convergecast, bit-identical to the per-hop walk.
 
-        The per-hop *decisions* (loss draws, retry cut-offs, payload
-        merges) still run in a lean Python loop — they are sequential by
-        nature: every draw consumes the plan's single RNG stream and every
-        merge feeds the next hop.  Everything else is batched:
+@dataclass
+class _Hops:
+    """One faulty convergecast's hop decisions (see ``_walk_hops``)."""
 
-        * uniforms come block-wise from :meth:`FaultPlan.batched_sampling`,
-          which leaves the generator in the exact state scalar sampling
-          would (so the stream never diverges from the reference walk's);
-        * under a static ARQ policy the link-quality observations are
-          deferred and replayed once via ``observe_batch`` (same per-link
-          EWMA order — nothing reads the estimator mid-convergecast);
-        * all radio charges expand per attempt through
-          :func:`~repro.sim.vectorized.expand_arq_charges` into a single
-          ordered :meth:`~repro.radio.ledger.EnergyLedger.charge_batch`.
-
-        An adaptive policy (overridden ``attempts_for``/``observe``) reads
-        its estimator between hops, so its feedback stays inline; only the
-        charge accounting is batched in that case.
-        """
-        tree = self.tree
-        self.exchanges += 1
-        plan = self.plan
-        is_down = plan.is_down
-        accumulated: list[Optional[P]] = [None] * tree.num_vertices
-        expected = 0
-        sources: dict[int, set[int]] = {}
-        for vertex, payload in contributions.items():
-            if payload.is_empty():
-                continue
-            expected += 1
-            if is_down(vertex):
-                continue
-            accumulated[vertex] = payload
-            sources[vertex] = {vertex}
-
-        arq = self.arq
-        arq_cls = type(arq)
-        fixed_budget = arq_cls.attempts_for is ArqPolicy.attempts_for
-        arq_observes = arq_cls.observe is not ArqPolicy.observe
-        defer_stats = fixed_budget and not arq_observes
-        enabled = arq.enabled
-        budget_const = max(1, arq.max_attempts) if fixed_budget else 0
-        feeds_up = self._feeds_uplink_stats
-        observe = self.link_stats.observe
-        transmission_lost = plan.transmission_lost
-        virtual = self.virtual_vertices
-        parent = tree.parent
-        ack = ack_cost()
-
-        # (frames, total_bits) per distinct payload size — message_bits is
-        # pure, and a convergecast usually carries very few distinct sizes.
-        cost_cache: dict[int, tuple[int, int]] = {}
-        hop_child: list[int] = []
-        hop_parent: list[int] = []
-        hop_bits: list[int] = []
-        hop_frames: list[int] = []
-        hop_values: list[int] = []
-        hop_attempts: list[int] = []
-        hop_parent_up: list[bool] = []
-        frame_oks: list[bool] = []
-        stat_senders: list[int] = []
-        stat_receivers: list[int] = []
-        stat_delivered: list[bool] = []
-        fo_append = frame_oks.append
-        lost_acks = 0
-
-        session = (
-            plan.batched_sampling(block=max(128, 2 * expected))
-            if plan.loss is not None
-            else nullcontext()
-        )
-        with session:
-            for vertex in self._order_no_root:
-                merged = accumulated[vertex]
-                if merged is None:
-                    continue
-                if is_down(vertex):
-                    continue  # forwarded state dies with the forwarding node
-                par = parent[vertex]
-                if vertex in virtual:
-                    delivered = True  # device-internal link, no radio
-                else:
-                    size = merged.payload_bits()
-                    entry = cost_cache.get(size)
-                    if entry is None:
-                        cost = message_bits(size)
-                        entry = (cost.messages, cost.total_bits)
-                        cost_cache[size] = entry
-                    parent_up = not is_down(par)
-                    budget = (
-                        budget_const
-                        if fixed_budget
-                        else max(1, arq.attempts_for(vertex, par))
-                    )
-                    delivered = False
-                    attempts = 0
-                    for _ in range(budget):
-                        attempts += 1
-                        if parent_up:
-                            frame_ok = not transmission_lost(vertex, par)
-                            if feeds_up:
-                                if defer_stats:
-                                    stat_senders.append(vertex)
-                                    stat_receivers.append(par)
-                                    stat_delivered.append(frame_ok)
-                                else:
-                                    observe(vertex, par, frame_ok)
-                        else:
-                            frame_ok = False
-                        fo_append(frame_ok)
-                        if frame_ok:
-                            delivered = True
-                        if not enabled:
-                            break
-                        if frame_ok:
-                            ack_ok = not transmission_lost(par, vertex)
-                            if defer_stats:
-                                stat_senders.append(par)
-                                stat_receivers.append(vertex)
-                                stat_delivered.append(ack_ok)
-                            else:
-                                observe(par, vertex, ack_ok)
-                            if ack_ok:
-                                if arq_observes:
-                                    arq.observe(vertex, par, True)
-                                break
-                            lost_acks += 1
-                        if arq_observes:
-                            arq.observe(vertex, par, False)
-                    hop_child.append(vertex)
-                    hop_parent.append(par)
-                    hop_frames.append(entry[0])
-                    hop_bits.append(entry[1])
-                    hop_values.append(merged.num_values())
-                    hop_attempts.append(attempts)
-                    hop_parent_up.append(parent_up)
-                if not delivered:
-                    continue
-                existing = accumulated[par]
-                accumulated[par] = (
-                    merged if existing is None else existing.merged_with(merged)
-                )
-                sources.setdefault(par, set()).update(sources.get(vertex, ()))
-
-        if stat_senders:
-            self.link_stats.observe_batch(
-                stat_senders, stat_receivers, stat_delivered
-            )
-
-        phase_total = 0
-        n_hops = len(hop_child)
-        if n_hops:
-            attempt_counts = np.array(hop_attempts, dtype=np.int64)
-            hop_index = np.repeat(np.arange(n_hops), attempt_counts)
-            att_child = np.array(hop_child, dtype=np.int64)[hop_index]
-            att_parent = np.array(hop_parent, dtype=np.int64)[hop_index]
-            att_bits = np.array(hop_bits, dtype=np.int64)[hop_index]
-            att_frames = np.array(hop_frames, dtype=np.int64)[hop_index]
-            att_values = np.array(hop_values, dtype=np.int64)[hop_index]
-            att_parent_up = np.array(hop_parent_up, dtype=bool)[hop_index]
-            att_frame_ok = np.array(frame_oks, dtype=bool)
-            send_cpb = (
-                self._send_cpb_array[att_child]
-                if self._send_cpb_array is not None
-                else self._send_cpb
-            )
-            self.ledger.charge_batch(
-                **expand_arq_charges(
-                    att_child,
-                    att_parent,
-                    att_bits,
-                    att_frames,
-                    att_values,
-                    att_parent_up,
-                    att_frame_ok,
-                    enabled,
-                    send_cpb,
-                    self.ledger.model.recv_cost,
-                    ack.total_bits,
-                )
-            )
-            total_attempts = int(att_frame_ok.shape[0])
-            ok_attempts = int(att_frame_ok.sum())
-            self.lost_transmissions += total_attempts - ok_attempts
-            self.retransmissions += total_attempts - n_hops
-            self.lost_acks += lost_acks
-            phase_total = int(att_bits.sum())
-            if enabled:
-                self.acks_sent += ok_attempts
-                phase_total += ack.total_bits * ok_attempts
-
-        self.phase_bits[self.phase] = (
-            self.phase_bits.get(self.phase, 0) + phase_total
-        )
-        delivered_sources = frozenset(sources.get(tree.root, set()))
-        self.collection_log.append(
-            CollectionRecord(expected=expected, delivered=delivered_sources)
-        )
-        return accumulated[tree.root]
+    #: Transmitting vertices, in hop (bottom-up) order.
+    senders: np.ndarray
+    #: Data-frame attempts per hop.
+    attempts: np.ndarray
+    #: Per attempt: the data frame got through.
+    frame_ok: np.ndarray
+    #: Per hop: the receiving parent was up.
+    parent_up: np.ndarray
+    #: Per hop: the outcome of its last ACK.
+    final_ack: list[bool]
+    lost_acks: int
+    #: ARQ feedback already reached the estimator during the walk.
+    learned: bool
+    #: Per vertex: dead or in an outage.
+    down: list[bool]
+    #: Per vertex: its uplink delivered (a virtual vertex's always does).
+    delivered_up: list[bool]
+    #: Per vertex: the highest vertex a payload held there gets to.
+    reach: np.ndarray

@@ -420,7 +420,22 @@ class FaultPlan:
     A plan with no model (the default) is a perfectly reliable network, so
     :class:`~repro.faults.network.FaultyTreeNetwork` degrades gracefully
     to the plain engine behaviour.
+
+    The network reads the down set as a mask built from :attr:`dead` and
+    :attr:`down` (``FaultyTreeNetwork._down_mask``), so a subclass that
+    overrides :meth:`is_down` is refused when it is defined rather than
+    silently ignored; script outages through an :class:`OutageModel`.
     """
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        if "is_down" in vars(cls):
+            raise TypeError(
+                f"{cls.__qualname__} overrides FaultPlan.is_down, but the "
+                "network reads the dead and down sets through "
+                "FaultyTreeNetwork._down_mask, so the override would be "
+                "ignored; script outages through an OutageModel instead"
+            )
 
     def __init__(
         self,

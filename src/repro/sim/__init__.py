@@ -1,16 +1,16 @@
 """Round-based WSN simulation engine."""
 
-from repro.sim.engine import Payload, TreeNetwork, UniformPayload
+from repro.sim.engine import Payload, PayloadBatch, TreeNetwork
 from repro.sim.oracle import exact_quantile, quantile_rank
 from repro.sim.runner import RoundRecord, RunResult, SimulationRunner
 
 __all__ = [
     "Payload",
+    "PayloadBatch",
     "RoundRecord",
     "RunResult",
     "SimulationRunner",
     "TreeNetwork",
-    "UniformPayload",
     "exact_quantile",
     "quantile_rank",
 ]

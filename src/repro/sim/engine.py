@@ -22,21 +22,28 @@ exactly as described in Section 5.1.4: the sender pays
 Both primitives run on the struct-of-arrays core built on
 :mod:`repro.sim.vectorized`: one convergecast or broadcast is a handful of
 segmented array operations over per-vertex arrays, and the energy ledger is
-charged in one ordered batch.  Payload *merging* stays per-object (it is
-algorithm-defined) unless the payload class opts into the
-:class:`UniformPayload` contract, in which case even the merge folds level
-by level as array sums.  :class:`~repro.faults.network.FaultyTreeNetwork`
-batches its loss/ARQ convergecast the same way.  Faults enter through
-:meth:`TreeNetwork._down_mask` and a :class:`~repro.faults.plan.FaultPlan`;
-the per-hop walk these paths replaced lives on in
-``tests/reference_engine.py`` as the oracle they must match bit for bit.
+charged in one ordered batch.  Contributions arrive in one of two forms:
+
+* a :class:`PayloadBatch` — integer columns whose merge is addition (the
+  paper's validation counters, histograms and bucket deltas).  The merge
+  itself becomes prefix sums over the tree's preorder
+  (:func:`~repro.sim.vectorized.fold_columns`), so no payload object is
+  built per hop;
+* a ``{vertex: payload}`` mapping of :class:`Payload` objects, merged per
+  hop with ``merged_with`` (value sets, sketches, anything else).
+
+:class:`~repro.faults.network.FaultyTreeNetwork` takes the same two forms
+under loss and ARQ.  Faults enter through :meth:`TreeNetwork._down_mask`
+and a :class:`~repro.faults.plan.FaultPlan`; the per-hop walk these paths
+replaced lives on in ``tests/reference_engine.py`` as the oracle they must
+match bit for bit.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import ClassVar, Mapping, Optional, Sequence, TypeVar
+from typing import Mapping, Optional, TypeVar
 
 import numpy as np
 
@@ -45,7 +52,11 @@ from repro.errors import ProtocolError
 from repro.network.tree import RoutingTree
 from repro.radio.ledger import EnergyLedger
 from repro.radio.message import message_bits
-from repro.sim.vectorized import TreeArrays, send_cost_per_bit_array
+from repro.sim.vectorized import (
+    TreeArrays,
+    fold_columns,
+    send_cost_per_bit_array,
+)
 
 P = TypeVar("P", bound="Payload")
 
@@ -97,51 +108,69 @@ class Payload(ABC):
         return False
 
 
-class UniformPayload(Payload):
-    """Opt-in contract for the fully segmented convergecast path.
+class PayloadBatch(ABC):
+    """One convergecast's contributions as integer columns.
 
-    A payload class may subclass this to promise, on top of the base
-    :class:`Payload` contract:
+    A batch stands for a ``{vertex: payload}`` mapping whose payloads merge
+    by integer addition.  ``ids`` holds the contributing vertices (unique,
+    ``int64``) and :meth:`columns` one row of add-fold columns per
+    contributor.  Every per-hop quantity the ledger needs — payload size
+    and values statistic — must be a function of the hop's column sums
+    (:meth:`hop_sizes`), so the convergecast folds the batch with prefix
+    sums over the tree and builds no payload object per hop.  Whatever
+    does not add (hint extremes, sorted value lists) is read only at the
+    root (:meth:`root_payload`), as one reduction over the contributors
+    that reached it.
 
-    * ``payload_bits()`` equals :attr:`uniform_bits` for leaves **and** for
-      any ``merged_with`` result — message sizing never needs the objects;
-    * ``merged_with`` is *exactly* order-independent (commutative and
-      associative with no rounding: integer or set semantics, not floats);
-    * ``num_values`` of a merge equals the sum over its operands;
-    * :meth:`vector_reduce` equals folding ``merged_with`` over the same
-      payloads in any order.
-
-    When every contribution of a convergecast is one such class, the
-    convergecast never merges objects: subtree occupancy and value counts
-    fold bottom-up one topological level at a time with ``np.add.at``, and
-    only the root answer is materialized via :meth:`vector_reduce`.
-    Classes that cannot honour all four promises must stay plain
-    :class:`Payload` subclasses — they still run on the array core, just
-    through the per-object merge.
+    A batch lists only contributions the object walk would not skip as
+    ``is_empty()``, so ``len(batch)`` equals the length of the mapping it
+    replaces.  :meth:`payloads` expands it into exactly that mapping; the
+    per-hop reference walk folds the expansion with ``merged_with``, and
+    the two must agree bit for bit: ledger, logs and root payload (``==``).
     """
 
-    #: Serialized size [bits] of a leaf payload and of any merge result.
-    uniform_bits: ClassVar[int] = 0
+    __slots__ = ("ids", "_contributors")
 
-    #: Optional extra promise: every *contributed* (leaf) instance reports
-    #: ``num_values() == uniform_leaf_values`` (merge results may differ).
-    #: When set — and the class keeps the default ``is_empty`` — the engine
-    #: never touches the payload objects during intake either: contributor
-    #: ids come straight off the mapping keys and the values statistic is
-    #: priced from this constant.  The paper's canonical workload (every
-    #: sensor contributes one reading per round) is ``uniform_leaf_values
-    #: = 1``.
-    uniform_leaf_values: ClassVar[int | None] = None
+    def __init__(self, ids: np.ndarray) -> None:
+        self.ids = ids
+        self._contributors: frozenset[int] | None = None
 
-    def payload_bits(self) -> int:
-        return type(self).uniform_bits
+    def __len__(self) -> int:
+        return int(self.ids.shape[0])
 
-    @classmethod
+    def contributors(self) -> frozenset[int]:
+        """The contributing vertices as a set, built once per batch."""
+        if self._contributors is None:
+            self._contributors = frozenset(self.ids.tolist())
+        return self._contributors
+
     @abstractmethod
-    def vector_reduce(
-        cls, payloads: "Sequence[UniformPayload]"
-    ) -> "UniformPayload":
-        """Merge ``payloads`` (at least one) into the root's answer."""
+    def columns(self) -> np.ndarray:
+        """``len(self) x c`` int64 add-fold columns, row ``i`` for ``ids[i]``."""
+
+    @abstractmethod
+    def hop_sizes(self, sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Payload bits and values statistic (two int64 vectors) of hops
+        whose merged payloads have the column sums ``sums`` (``h x c``)."""
+
+    @abstractmethod
+    def root_payload(self, sums: np.ndarray, reached: np.ndarray | None) -> Payload:
+        """The merged payload of the contributors that reached the root.
+
+        ``sums`` are their column sums; ``reached`` masks them among the
+        batch's rows (``None``: all of them).
+        """
+
+    @abstractmethod
+    def payloads(self) -> dict[int, Payload]:
+        """The ``{vertex: payload}`` mapping this batch stands for."""
+
+
+def frame_costs(payload_bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized :func:`~repro.radio.message.message_bits`: frames and
+    on-air bits (headers included) per payload size."""
+    frames = np.where(payload_bits > 0, -(-payload_bits // MAX_PAYLOAD_BITS), 1)
+    return frames, frames * HEADER_BITS + payload_bits
 
 
 class TreeNetwork:
@@ -307,13 +336,14 @@ class TreeNetwork:
         return True, cost.total_bits
 
     def convergecast(
-        self, contributions: Mapping[int, P]
+        self, contributions: "Mapping[int, P] | PayloadBatch"
     ) -> Optional[P]:
         """Aggregate payloads leaf-to-root; return the merged root payload.
 
         Args:
-            contributions: per-vertex local payloads.  Vertices absent from
-                the mapping (and vertices whose merged payload reports
+            contributions: per-vertex local payloads, as a mapping or as a
+                :class:`PayloadBatch`.  Vertices absent from it (and, in a
+                mapping, vertices whose merged payload reports
                 ``is_empty()``) stay silent unless they must forward a
                 child's data.  A contribution keyed by the root itself is
                 merged into the result without radio cost.
@@ -323,30 +353,8 @@ class TreeNetwork:
             anything.
         """
         self.exchanges += 1
-        count = len(contributions)
-        if count:
-            first = next(iter(contributions.values()))
-            cls_p = type(first)
-            if (
-                isinstance(first, UniformPayload)
-                and cls_p.uniform_leaf_values is not None
-                and cls_p.is_empty is Payload.is_empty
-            ):
-                # Constant-time-per-payload intake: nothing can be empty,
-                # the values statistic is a class constant, so contributor
-                # ids come straight off the mapping at C speed.
-                payloads = list(contributions.values())
-                if set(map(type, payloads)) == {cls_p}:
-                    contributor_idx = np.fromiter(
-                        contributions.keys(), dtype=np.int64, count=count
-                    )
-                    return self._convergecast_vector_uniform(
-                        cls_p,
-                        contributor_idx,
-                        frozenset(contributions),
-                        payloads,
-                        cls_p.uniform_leaf_values,
-                    )
+        if isinstance(contributions, PayloadBatch):
+            return self._convergecast_batch(contributions)
         contributors: list[int] = []
         payloads = []
         for vertex, payload in contributions.items():
@@ -355,33 +363,37 @@ class TreeNetwork:
             contributors.append(vertex)
             payloads.append(payload)
         if not payloads:
-            self.phase_bits[self.phase] = self.phase_bits.get(self.phase, 0)
-            self.collection_log.append(
-                CollectionRecord(expected=0, delivered=frozenset())
-            )
-            return None
-        first = payloads[0]
-        if isinstance(first, UniformPayload):
-            cls_p = type(first)
-            if all(type(p) is cls_p for p in payloads):
-                leaf = cls_p.uniform_leaf_values
-                counts = (
-                    leaf
-                    if leaf is not None
-                    else np.fromiter(
-                        (p.num_values() for p in payloads),
-                        dtype=np.int64,
-                        count=len(payloads),
-                    )
-                )
-                return self._convergecast_vector_uniform(
-                    cls_p,
-                    np.array(contributors, dtype=np.int64),
-                    frozenset(contributors),
-                    payloads,
-                    counts,
-                )
+            return self._log_silent()
         return self._convergecast_vector_objects(contributors, payloads)
+
+    def _log_silent(self) -> None:
+        """Book a convergecast in which nobody contributed."""
+        self.phase_bits[self.phase] = self.phase_bits.get(self.phase, 0)
+        self.collection_log.append(CollectionRecord(expected=0, delivered=frozenset()))
+
+    def _convergecast_batch(self, batch: PayloadBatch) -> Optional[Payload]:
+        """Columnar convergecast: the merge is a prefix-sum fold.
+
+        On a reliable network every contribution reaches the root, so the
+        senders are the bottom-up vertices (virtual ones excluded) whose
+        subtree holds a contribution, and each one's payload is the sum of
+        its subtree's columns.
+        """
+        ids = batch.ids
+        if not len(ids):
+            return self._log_silent()
+        senders, sums, root_sums = fold_columns(
+            self._arrays, ids, batch.columns(), exclude=self._virtual_mask
+        )
+        bits, values = batch.hop_sizes(sums)
+        phase_total = self._charge_convergecast_sends(senders, bits, values)
+        self.phase_bits[self.phase] = (
+            self.phase_bits.get(self.phase, 0) + phase_total
+        )
+        self.collection_log.append(
+            CollectionRecord(expected=len(ids), delivered=batch.contributors())
+        )
+        return batch.root_payload(root_sums, None)
 
     def _convergecast_vector_objects(
         self, contributors: list[int], payloads: list[P]
@@ -439,82 +451,11 @@ class TreeNetwork:
         )
         return accumulated[tree.root]
 
-    def _convergecast_vector_uniform(
-        self,
-        cls_p: type,
-        contributor_idx: np.ndarray,
-        delivered: frozenset[int],
-        payloads: list[P],
-        leaf_counts: "int | np.ndarray",
-    ) -> Optional[P]:
-        """Segmented convergecast: no per-hop objects at all.
-
-        Valid under the :class:`UniformPayload` contract — subtree
-        occupancy decides who transmits, subtree value sums price the
-        ``values_sent`` statistic, and the payload size is a class
-        constant, so the whole traversal folds one topological level at a
-        time.  ``leaf_counts`` is each contributor's ``num_values()`` — a
-        single int when the class pins ``uniform_leaf_values``.
-        """
-        arrays = self._arrays
-        n = arrays.num_vertices
-        occupancy = np.zeros(n, dtype=np.int64)
-        occupancy[contributor_idx] = 1
-        values = np.zeros(n, dtype=np.int64)
-        values[contributor_idx] = leaf_counts
-        parent = arrays.parent
-        for level in reversed(arrays.levels[1:]):  # deepest level first
-            parents_of_level = parent[level]
-            np.add.at(occupancy, parents_of_level, occupancy[level])
-            np.add.at(values, parents_of_level, values[level])
-        order = arrays.bottom_up_no_root
-        transmit = occupancy[order] > 0
-        if self._virtual_mask is not None:
-            transmit &= ~self._virtual_mask[order]
-        senders = order[transmit]
-        phase_total = 0
-        if len(senders):
-            cost = message_bits(cls_p.uniform_bits)
-            receivers = parent[senders]
-            m = len(senders)
-            if self._send_cpb_array is not None:
-                send_joules = cost.total_bits * self._send_cpb_array[senders]
-            else:
-                send_joules = np.full(m, cost.total_bits * self._send_cpb)
-            recv_joule = cost.total_bits * self.ledger.model.recv_cost
-            energy_vertices = np.empty(2 * m, dtype=np.int64)
-            energy_vertices[0::2] = senders
-            energy_vertices[1::2] = receivers
-            energy_joules = np.empty(2 * m, dtype=np.float64)
-            energy_joules[0::2] = send_joules
-            energy_joules[1::2] = recv_joule
-            uniform_frames = np.full(m, cost.messages, dtype=np.int64)
-            uniform_bits = np.full(m, cost.total_bits, dtype=np.int64)
-            self.ledger.charge_batch(
-                energy_vertices=energy_vertices,
-                energy_joules=energy_joules,
-                send_vertices=senders,
-                send_messages=uniform_frames,
-                send_bits=uniform_bits,
-                send_values=values[senders],
-                recv_vertices=receivers,
-                recv_messages=uniform_frames,
-                recv_bits=uniform_bits,
-            )
-            phase_total = cost.total_bits * m
-        self.phase_bits[self.phase] = (
-            self.phase_bits.get(self.phase, 0) + phase_total
-        )
-        self.collection_log.append(
-            CollectionRecord(expected=len(payloads), delivered=delivered)
-        )
-        return cls_p.vector_reduce(payloads)
-
     def _charge_convergecast_sends(
         self,
-        send_vertices: list[int],
-        send_payload_bits: list[int],
-        send_values: list[int],
+        send_vertices: "list[int] | np.ndarray",
+        send_payload_bits: "list[int] | np.ndarray",
+        send_values: "list[int] | np.ndarray",
     ) -> int:
         """Batch-charge one convergecast's hops; returns total on-air bits.
 
@@ -522,15 +463,13 @@ class TreeNetwork:
         send with its matching receive reproduces the per-hop walk's exact
         per-vertex float-addition order.
         """
-        if not send_vertices:
+        if not len(send_vertices):
             return 0
         arrays = self._arrays
-        senders = np.array(send_vertices, dtype=np.int64)
-        payload_bits = np.array(send_payload_bits, dtype=np.int64)
-        frames = np.where(
-            payload_bits > 0, -(-payload_bits // MAX_PAYLOAD_BITS), 1
+        senders = np.asarray(send_vertices, dtype=np.int64)
+        frames, total_bits = frame_costs(
+            np.asarray(send_payload_bits, dtype=np.int64)
         )
-        total_bits = frames * HEADER_BITS + payload_bits
         receivers = arrays.parent[senders]
         if self._send_cpb_array is not None:
             send_joules = total_bits * self._send_cpb_array[senders]
@@ -550,7 +489,7 @@ class TreeNetwork:
             send_vertices=senders,
             send_messages=frames,
             send_bits=total_bits,
-            send_values=np.array(send_values, dtype=np.int64),
+            send_values=np.asarray(send_values, dtype=np.int64),
             recv_vertices=receivers,
             recv_messages=frames,
             recv_bits=total_bits,

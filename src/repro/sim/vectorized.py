@@ -20,12 +20,13 @@ a handful of segmented array operations:
   addition sequence — and therefore every float in the ledger — matches the
   scalar call sequence bit for bit.
 
-The opt-in contract for the fully segmented convergecast path —
-:class:`~repro.sim.engine.UniformPayload` — lives next to the base
-:class:`~repro.sim.engine.Payload` contract in the engine module, so this
-module stays free of engine imports.  Payload state under that contract
-never travels as objects at all; subtree occupancy and value counts are
-per-vertex arrays folded one topological level at a time.
+* :func:`fold_columns` — the columnar convergecast fold.  A
+  :class:`~repro.sim.engine.PayloadBatch` (the contract lives next to the
+  base :class:`~repro.sim.engine.Payload` in the engine module, so this
+  module stays free of engine imports) hands it contributor ids and
+  integer add-fold columns; every hop's column sums come out as two
+  prefix-sum differences over the tree's preorder, with no per-hop
+  payload objects and no per-level scatter.
 
 The engine keeps its object API on top of these (see ``DESIGN.md``,
 "Vectorized simulation core"); algorithms never see this module.
@@ -59,6 +60,10 @@ class TreeArrays:
         bottom_up_no_root: the tree's bottom-up traversal order minus the
             root — the canonical hop order of a convergecast.
         has_children: boolean mask of internal vertices (broadcast senders).
+
+    The preorder bounds the columnar fold needs (:meth:`preorder`) are
+    built on first use, so constructing the view stays as cheap as it was
+    for networks that never fold a batch.
     """
 
     __slots__ = (
@@ -70,9 +75,13 @@ class TreeArrays:
         "levels",
         "bottom_up_no_root",
         "has_children",
+        "_subtree_size",
+        "_preorder",
     )
 
     def __init__(self, tree: "RoutingTree") -> None:
+        self._subtree_size = tree.subtree_size
+        self._preorder: tuple[np.ndarray, np.ndarray] | None = None
         n = tree.num_vertices
         self.num_vertices = n
         self.root = tree.root
@@ -97,6 +106,99 @@ class TreeArrays:
         self.has_children = np.array(
             [len(kids) > 0 for kids in tree.children], dtype=bool
         )
+
+    def preorder(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per-vertex preorder bounds ``(start, end)``, built on first use.
+
+        The subtree of ``v`` occupies exactly the preorder positions
+        ``start[v] <= p < end[v]``, so a sum over a subtree's contributors
+        is the difference of two prefix sums.  Siblings are laid out in
+        vertex order, each after the subtrees of the siblings before it.
+        """
+        if self._preorder is None:
+            parent = self.parent
+            size = np.array(self._subtree_size, dtype=np.int64)
+            child = np.flatnonzero(parent != np.arange(self.num_vertices))
+            child = child[np.argsort(parent[child], kind="stable")]
+            sizes = size[child]
+            before = np.cumsum(sizes) - sizes
+            group = parent[child]
+            first = np.ones(len(child), dtype=bool)
+            first[1:] = group[1:] != group[:-1]
+            # ``before`` never decreases, so a running maximum over the
+            # group starts carries each sibling group's base forward.
+            base = np.maximum.accumulate(np.where(first, before, 0))
+            offset = np.zeros(self.num_vertices, dtype=np.int64)
+            offset[child] = before - base
+            start = np.zeros(self.num_vertices, dtype=np.int64)
+            for level in self.levels[1:]:
+                start[level] = start[parent[level]] + 1 + offset[level]
+            self._preorder = (start, start + size)
+        return self._preorder
+
+
+def fold_columns(
+    arrays: TreeArrays,
+    ids: np.ndarray,
+    cols: np.ndarray,
+    holders: np.ndarray | None = None,
+    top: np.ndarray | None = None,
+    exclude: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Column sums of the contributions each holder forwards.
+
+    ``ids`` are unique contributor vertices and ``cols`` their add-fold
+    rows (``len(ids) x c`` int64).  A vertex holds a contribution from
+    its own subtree unless the contribution stopped below it: ``top[i]``
+    is the highest vertex contribution ``i`` reached (``None``: every one
+    reached the root).  So the holder ``v`` sums its preorder range minus
+    the contributions whose ``top`` lies strictly inside its subtree —
+    two prefix sums over contributors sorted by preorder position.  The
+    sort is a scatter: preorder positions are unique, so marking them and
+    taking a running count gives every contributor its rank.
+
+    ``holders`` defaults to the bottom-up vertices (root excluded) whose
+    subtree holds at least one contribution, minus the ``exclude`` mask.
+    Returns ``(holders, sums, root_sums)``: one row of ``sums`` per holder,
+    and the column sums of the contributions whose ``top`` is the root.
+    Temporaries stay at contributors x columns plus a few per-vertex
+    vectors.
+    """
+    start, end = arrays.preorder()
+    n = arrays.num_vertices
+    m, c = cols.shape
+    rank = np.zeros(n + 1, dtype=np.int64)
+    rank[start[ids] + 1] = 1
+    np.cumsum(rank, out=rank)  # rank[p]: contributors placed before p
+    if holders is None:
+        order = arrays.bottom_up_no_root
+        held = rank[end[order]] > rank[start[order]]
+        if exclude is not None:
+            held &= ~exclude[order]
+        holders = order[held]
+    prefix = np.zeros((m + 1, c), dtype=np.int64)
+    prefix[rank[start[ids]] + 1] = cols
+    np.cumsum(prefix, axis=0, out=prefix)
+    lo, hi = start[holders], end[holders]
+    sums = prefix[rank[hi]]
+    sums -= prefix[rank[lo]]
+    root_sums = prefix[m]
+    if top is not None:
+        stuck = top != arrays.root
+        if stuck.any():
+            # Same scatter-rank trick over the stuck contributions' tops;
+            # several may share a top, so their rows add up in one scatter.
+            keys = start[top[stuck]]
+            key_rank = np.zeros(n + 1, dtype=np.int64)
+            key_rank[keys + 1] = 1
+            np.cumsum(key_rank, out=key_rank)
+            inner = np.zeros((int(key_rank[-1]) + 1, c), dtype=np.int64)
+            np.add.at(inner, key_rank[keys] + 1, cols[stuck])
+            np.cumsum(inner, axis=0, out=inner)
+            sums -= inner[key_rank[hi]]
+            sums += inner[key_rank[lo + 1]]
+            root_sums = root_sums - inner[-1]
+    return holders, sums, root_sums
 
 
 def send_cost_per_bit_array(

@@ -25,10 +25,10 @@ from repro.constants import (
     VALUE_BITS,
     VALUES_PER_MESSAGE,
 )
-from repro.core.base import RootCounters, tag_initialization
+from repro.core.base import RootCounters, sensor_mask, tag_initialization
 from repro.core.cost_model import rounded_optimal_buckets
-from repro.core.histogram import make_grid
-from repro.core.payloads import HistogramPayload, ValueSetPayload
+from repro.core.histogram import locate_bucket, make_grid
+from repro.core.payloads import HistogramBatch, ValueSetPayload
 from repro.errors import ProtocolError
 from repro.sim.engine import TreeNetwork
 
@@ -97,7 +97,7 @@ def bary_snapshot(
         target = k - below - 1
         if not 0 <= target < inside:
             raise ProtocolError(f"rank {k} not inside [{low}, {high}]")
-        bucket, skipped = _locate(counts, target)
+        bucket, skipped = locate_bucket(counts, target)
         bucket_low, bucket_high = grid.bucket_bounds(bucket)
         if bucket_low == bucket_high:
             quantile = bucket_low
@@ -155,24 +155,16 @@ def _direct(
 
 
 def _collect_histogram(net: TreeNetwork, values: np.ndarray, grid) -> tuple[int, ...]:
-    contributions: dict[int, HistogramPayload] = {}
-    for vertex in net.tree.sensor_nodes:
-        value = int(values[vertex])
-        if not grid.low <= value <= grid.high:
-            continue
-        counts = [0] * grid.num_buckets
-        counts[grid.bucket_of(value)] = 1
-        contributions[vertex] = HistogramPayload(counts=tuple(counts))
-    merged = net.convergecast(contributions)
+    # Every sensor buckets its value, truncated like ``int()``.
+    measured = np.asarray(values).astype(np.int64)
+    inside = np.flatnonzero(
+        sensor_mask(net) & (measured >= grid.low) & (measured <= grid.high)
+    )
+    merged = net.convergecast(
+        HistogramBatch(
+            inside, grid.bucket_of_array(measured[inside]), grid.num_buckets
+        )
+    )
     if merged is None:
         return (0,) * grid.num_buckets
     return merged.counts
-
-
-def _locate(counts: tuple[int, ...], target: int) -> tuple[int, int]:
-    skipped = 0
-    for index, count in enumerate(counts):
-        if target < skipped + count:
-            return index, skipped
-        skipped += count
-    raise ProtocolError(f"rank {target} beyond histogram total {skipped}")

@@ -1,0 +1,129 @@
+"""Column batches for the equivalence suite, one random maker per kind.
+
+:class:`CountBatch` is a batch kind defined outside the package: one
+add-fold column of positive counts, whose reference-walk form is the plain
+:class:`CountPayload`.  It shows the :class:`~repro.sim.PayloadBatch`
+contract is open to new kinds.  :func:`make_batch` draws one random batch
+of any kind — the count batch or one of the paper's three — so a test can
+run the same contributions through the array paths and, expanded with
+``payloads()``, through the per-hop reference walk.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Mapping
+
+import numpy as np
+
+from repro.core.payloads import BucketDeltaBatch, HistogramBatch, ValidationBatch
+from repro.sim.engine import Payload, PayloadBatch
+
+#: Size [bits] of one count payload on the air.
+COUNT_BITS = 24
+
+#: Every batch kind :func:`make_batch` draws.  ``uniform`` is the count
+#: batch: every hop carries the same fixed-size payload.
+KINDS = ("uniform", "validation", "histogram", "delta")
+
+
+@dataclass(frozen=True)
+class CountPayload(Payload):
+    """Fixed-size counter: the reference walk's form of :class:`CountBatch`."""
+
+    count: int
+
+    def merged_with(self, other: "CountPayload") -> "CountPayload":
+        return CountPayload(self.count + other.count)
+
+    def payload_bits(self) -> int:
+        return COUNT_BITS
+
+    def num_values(self) -> int:
+        return self.count
+
+    def is_empty(self) -> bool:
+        return self.count == 0
+
+
+class CountBatch(PayloadBatch):
+    """Positive per-vertex counts as one add-fold column."""
+
+    def __init__(self, counts: Mapping[int, int]) -> None:
+        super().__init__(np.fromiter(counts, dtype=np.int64, count=len(counts)))
+        self.counts = np.fromiter(
+            counts.values(), dtype=np.int64, count=len(counts)
+        )
+
+    def columns(self) -> np.ndarray:
+        return self.counts[:, None]
+
+    def hop_sizes(self, sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return np.full(sums.shape[0], COUNT_BITS, dtype=np.int64), sums[:, 0]
+
+    def root_payload(self, sums: np.ndarray, reached) -> CountPayload:
+        return CountPayload(int(sums[0]))
+
+    def payloads(self) -> dict[int, CountPayload]:
+        return {
+            vertex: CountPayload(count)
+            for vertex, count in zip(self.ids.tolist(), self.counts.tolist())
+        }
+
+
+def make_batch(
+    kind: str, rng: np.random.Generator, vertices: np.ndarray
+) -> PayloadBatch:
+    """One random batch of ``kind`` over a random subset of ``vertices``.
+
+    * validation rows mix POS-style hinted transitions, counter-only
+      transitions (any ``hint_values``, also 0) and IQ-style in-band rows
+      that carry a value but no hint;
+    * histograms pick bucket counts on both sides of the dense/compressed
+      switch, compressed or not;
+    * deltas draw few keys over a small grid, so merged deltas cancel at
+      some senders and some rows cancel to nothing (and are dropped).
+    """
+    ids = np.sort(vertices[rng.random(len(vertices)) < 0.7]).astype(np.int64)
+    rows = len(ids)
+    if kind == "uniform":
+        return CountBatch(
+            dict(zip(ids.tolist(), rng.integers(1, 4, rows).tolist()))
+        )
+    if kind == "validation":
+        old = rng.integers(-1, 2, rows).astype(np.int8)
+        new = rng.integers(-1, 2, rows).astype(np.int8)
+        moved = old != new
+        hinted = moved & (rng.random(rows) < 0.6)
+        in_band = rng.random(rows) < 0.3
+        keep = moved | in_band
+        return ValidationBatch(
+            ids[keep],
+            old[keep],
+            new[keep],
+            value=rng.integers(-40, 40, rows)[keep],
+            hinted=hinted[keep],
+            in_band=in_band[keep],
+            hint_values=int(rng.integers(0, 3)),
+        )
+    if kind == "histogram":
+        buckets = int(rng.choice([2, 3, 8, 24]))
+        return HistogramBatch(
+            ids,
+            rng.integers(0, buckets, rows),
+            buckets,
+            compressed=bool(rng.random() < 0.75),
+        )
+    if kind == "delta":
+        grid = ((-1, 2), (0, 3)) if rng.random() < 0.5 else ((0, 2), (1, 2))
+        width = sum(w for _, w in grid)
+        entries = rng.integers(1, 3, rows)
+        entry_rows = np.repeat(np.arange(rows), entries)
+        return BucketDeltaBatch(
+            ids,
+            entry_rows,
+            rng.integers(0, width, len(entry_rows)),
+            rng.choice([-2, -1, 1, 2], len(entry_rows)),
+            grid,
+        )
+    raise ValueError(f"unknown batch kind {kind!r}")

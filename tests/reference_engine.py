@@ -31,7 +31,7 @@ from repro.errors import ProtocolError
 from repro.faults import experiment
 from repro.faults.network import FaultyTreeNetwork
 from repro.radio.message import ack_cost, message_bits
-from repro.sim.engine import CollectionRecord, Payload, TreeNetwork
+from repro.sim.engine import CollectionRecord, Payload, PayloadBatch, TreeNetwork
 
 P = TypeVar("P", bound=Payload)
 VertexDown = Callable[[int], bool]
@@ -40,7 +40,7 @@ HopDelivered = Callable[[int, int, Payload], tuple[bool, int]]
 
 def walk_convergecast(
     net: TreeNetwork,
-    contributions: Mapping[int, P],
+    contributions: "Mapping[int, P] | PayloadBatch",
     vertex_down: VertexDown,
     hop_delivered: HopDelivered,
     track_sources: bool,
@@ -51,8 +51,12 @@ def walk_convergecast(
     ``hop_delivered`` transmits one merged payload over a ``vertex ->
     parent`` link, charges the ledger and returns ``(delivered,
     bits_on_air)``.  ``track_sources`` follows per-hop provenance, which a
-    lossy network needs to report the delivered contributors.
+    lossy network needs to report the delivered contributors.  A column
+    batch is expanded into the payload objects it stands for and merged
+    with ``merged_with`` like any other mapping.
     """
+    if isinstance(contributions, PayloadBatch):
+        contributions = contributions.payloads()
     tree = net.tree
     net.exchanges += 1
     accumulated: dict[int, P] = {}
@@ -150,7 +154,9 @@ class ReferenceTreeNetwork(TreeNetwork):
     :meth:`~TreeNetwork._vertex_down` and :meth:`~TreeNetwork._hop_delivered`.
     """
 
-    def convergecast(self, contributions: Mapping[int, P]) -> Optional[P]:
+    def convergecast(
+        self, contributions: "Mapping[int, P] | PayloadBatch"
+    ) -> Optional[P]:
         return walk_convergecast(
             self,
             contributions,
@@ -171,7 +177,9 @@ class ReferenceFaultyTreeNetwork(FaultyTreeNetwork):
     time.
     """
 
-    def convergecast(self, contributions: Mapping[int, P]) -> Optional[P]:
+    def convergecast(
+        self, contributions: "Mapping[int, P] | PayloadBatch"
+    ) -> Optional[P]:
         return walk_convergecast(
             self,
             contributions,

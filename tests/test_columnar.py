@@ -1,0 +1,288 @@
+"""The columnar convergecast: which path runs, and that it equals the walk.
+
+The paper's validation counters, histograms and bucket deltas travel as
+column batches (:class:`~repro.sim.PayloadBatch`) and fold as integer
+columns on both networks.  These tests pin:
+
+* that each paper algorithm stays on that fold on the reliable network and
+  under static and learning ARQ — merging one of the three payload classes
+  or expanding a batch anywhere fails here instead of hiding under a perf
+  gate — while TAG's value sets still merge as objects;
+* that every batch kind equals the per-hop reference walk over its
+  expanded payloads, on random trees with virtual vertices, a root-keyed
+  contribution, loss, static and learning ARQ, outages and dead forwarders;
+* the fixes that came with it: a down root's own contribution is not
+  delivered, and a fault plan overriding ``is_down`` is refused.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.payloads import (
+    BucketDeltaBatch,
+    BucketDeltaPayload,
+    HistogramBatch,
+    HistogramPayload,
+    ValidationBatch,
+    ValidationPayload,
+    ValueSetPayload,
+)
+from repro.datasets.synthetic import SyntheticWorkload
+from repro.experiments.config import default_algorithms
+from repro.faults import AdaptiveArqPolicy, ArqPolicy, FaultDriver, FaultPlan
+from repro.faults.network import FaultyTreeNetwork
+from repro.faults.plan import (
+    IndependentLoss,
+    RandomOutages,
+    ScheduledChurn,
+    ScheduledOutages,
+)
+from repro.network.routing import build_routing_tree
+from repro.network.topology import connected_random_graph
+from repro.network.tree import tree_from_parents
+from repro.radio.energy import EnergyModel
+from repro.radio.ledger import EnergyLedger
+from repro.sim.vectorized import TreeArrays
+from repro.types import QuerySpec
+
+from tests import test_vectorized
+from tests.batch_kinds import KINDS, CountBatch, make_batch
+from tests.helpers import drive
+from tests.reference_engine import ReferenceFaultyTreeNetwork
+from tests.test_fault_sampling import states_equal
+from tests.test_vectorized import (
+    RADIO_RANGE,
+    assert_networks_identical,
+    make_net,
+    random_tree,
+)
+
+COLUMNAR_PAYLOADS = (ValidationPayload, HistogramPayload, BucketDeltaPayload)
+COLUMNAR_BATCHES = (ValidationBatch, HistogramBatch, BucketDeltaBatch)
+PAPER_LINEUP = ("TAG", "POS", "LCLL-H", "LCLL-S", "HBC", "IQ")
+
+
+#: The batch kinds each paper algorithm folds (more than 64 sensors, so
+#: refinements take histograms and binary-search probes, not only direct
+#: value requests).
+FOLDS = {
+    "TAG": set(),
+    "POS": {"ValidationBatch"},
+    "LCLL-H": {"HistogramBatch", "BucketDeltaBatch"},
+    "LCLL-S": {"HistogramBatch", "BucketDeltaBatch"},
+    "HBC": {"ValidationBatch", "HistogramBatch"},
+    "IQ": {"ValidationBatch"},
+}
+
+
+class TestPaperAlgorithmsStayColumnar:
+    """Dropping off the columnar fold fails here, not under a perf gate."""
+
+    @pytest.fixture
+    def paths(self, monkeypatch) -> dict[str, int]:
+        """Refuse object merges of the columnar payloads and batch
+        expansion; count value-set merges and folded batches by kind."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a columnar payload left the columnar fold")
+
+        for cls in COLUMNAR_PAYLOADS:
+            monkeypatch.setattr(cls, "merged_with", refuse)
+        counts: dict[str, int] = {}
+
+        def counting(name, method):
+            def counted(self, *args):
+                counts[name] = counts.get(name, 0) + 1
+                return method(self, *args)
+
+            return counted
+
+        for cls in COLUMNAR_BATCHES:
+            monkeypatch.setattr(cls, "payloads", refuse)
+            monkeypatch.setattr(cls, "columns", counting(cls.__name__, cls.columns))
+        monkeypatch.setattr(
+            ValueSetPayload,
+            "merged_with",
+            counting("ValueSetPayload", ValueSetPayload.merged_with),
+        )
+        return counts
+
+    @staticmethod
+    def deployment(seed: int = 5, nodes: int = 150):
+        rng = np.random.default_rng(seed)
+        graph = connected_random_graph(nodes + 1, 40.0, rng, area_side=150.0)
+        tree = build_routing_tree(graph, root=0)
+        workload = SyntheticWorkload(graph.positions, rng, area_side=150.0)
+        spec = QuerySpec(r_min=workload.r_min, r_max=workload.r_max)
+        return graph, tree, workload, spec
+
+    @staticmethod
+    def assert_paths(name: str, paths: dict[str, int]) -> None:
+        assert set(paths) - {"ValueSetPayload"} == FOLDS[name]
+        if name == "TAG":
+            assert paths["ValueSetPayload"] > 0
+
+    @pytest.mark.parametrize("name", PAPER_LINEUP)
+    def test_reliable_network(self, name, paths):
+        _, tree, workload, spec = self.deployment()
+        rounds = [workload.values(t) for t in range(8)]
+        drive(default_algorithms()[name](spec), tree, rounds)
+        self.assert_paths(name, paths)
+
+    @pytest.mark.parametrize("arq", ["static", "adaptive"])
+    @pytest.mark.parametrize("name", PAPER_LINEUP)
+    def test_faulty_network(self, name, arq, paths):
+        graph, tree, workload, spec = self.deployment()
+        plan = FaultPlan(
+            loss=IndependentLoss(0.1),
+            outages=RandomOutages(0.03, mean_downtime=2.0),
+            rng=np.random.default_rng(8),
+        )
+        policy = (
+            AdaptiveArqPolicy(max_retries=3)
+            if arq == "adaptive"
+            else ArqPolicy(max_retries=2)
+        )
+        driver = FaultDriver(
+            default_algorithms()[name],
+            spec,
+            tree,
+            workload,
+            plan,
+            policy,
+            graph=graph,
+            repair=True,
+            radio_range=40.0,
+        )
+        driver.run(8)
+        self.assert_paths(name, paths)
+
+
+def test_preorder_ranges_are_subtrees():
+    tree = random_tree(40, seed=7)
+    start, end = TreeArrays(tree).preorder()
+    assert sorted(start.tolist()) == list(range(tree.num_vertices))
+    for vertex in range(tree.num_vertices):
+        inside = {
+            v for v in range(tree.num_vertices) if start[vertex] <= start[v] < end[vertex]
+        }
+        assert inside == set(tree.subtree_vertices(vertex))
+
+
+def faulty_pair(tree, plan_factory, arq_factory, virtual=frozenset()):
+    nets = []
+    for cls in (ReferenceFaultyTreeNetwork, FaultyTreeNetwork):
+        ledger = EnergyLedger(
+            num_vertices=tree.num_vertices,
+            root=tree.root,
+            model=EnergyModel(),
+            radio_range=RADIO_RANGE,
+        )
+        nets.append(
+            cls(
+                tree,
+                ledger,
+                plan=plan_factory(),
+                arq=arq_factory(),
+                virtual_vertices=virtual,
+            )
+        )
+    return nets
+
+
+def assert_faulty_identical(reference, net) -> None:
+    assert_networks_identical(reference, net)
+    test_vectorized.TestFaultyEquivalence.assert_fault_counters_equal(reference, net)
+    assert list(reference.link_stats._loss.items()) == list(
+        net.link_stats._loss.items()
+    )
+    assert reference.link_stats.observations == net.link_stats.observations
+    assert states_equal(
+        reference.plan.rng.bit_generator.state, net.plan.rng.bit_generator.state
+    )
+
+
+def test_down_root_delivers_nothing():
+    """A root in an outage receives nothing, its own contribution included."""
+    tree = random_tree(30, seed=4)
+    answers = []
+    nets = faulty_pair(
+        tree,
+        lambda: FaultPlan(outages=ScheduledOutages({0: ((tree.root, 2),)})),
+        ArqPolicy,
+    )
+    for net in nets:
+        net.begin_faults_round(0)
+        answers.append(
+            net.convergecast(CountBatch({v: 1 for v in range(tree.num_vertices)}))
+        )
+    assert answers == [None, None]
+    assert nets[1].collection_log[-1].delivered == frozenset()
+    assert nets[1].collection_log[-1].expected == tree.num_vertices
+    assert_faulty_identical(*nets)
+
+
+def test_fault_plan_is_down_override_refused():
+    with pytest.raises(TypeError, match="_down_mask"):
+        type("Overrider", (FaultPlan,), {"is_down": lambda self, vertex: False})
+
+
+NETWORKS = ("clean", "reliable", "lossy-static", "lossy-adaptive", "dead-forwarders")
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**16),
+    size=st.integers(min_value=2, max_value=45),
+    kind=st.sampled_from(KINDS),
+    network=st.sampled_from(NETWORKS),
+)
+def test_batch_fold_equals_reference_walk(seed, size, kind, network):
+    """Every batch kind folds exactly like ``merged_with`` over its payloads."""
+    rng = np.random.default_rng(seed)
+    parents = [-1] + [int(rng.integers(0, v)) for v in range(1, size)]
+    tree = tree_from_parents(0, parents, rng.uniform(0.0, 30.0, size=(size, 2)))
+    leaves = [v for v in tree.sensor_nodes if tree.is_leaf(v)]
+    virtual = frozenset(v for v in leaves if rng.random() < 0.3)
+    internal = [v for v in tree.sensor_nodes if not tree.is_leaf(v)]
+    dead = tuple(v for v in internal if rng.random() < 0.25)
+
+    def plan():
+        if network == "reliable":
+            return FaultPlan()
+        return FaultPlan(
+            loss=IndependentLoss(0.3),
+            churn=ScheduledChurn({0: dead}) if network == "dead-forwarders" else None,
+            outages=RandomOutages(0.1, mean_downtime=2.0),
+            rng=np.random.default_rng(seed + 1),
+        )
+
+    retries = int(rng.integers(0, 3))
+
+    def arq():
+        if network == "lossy-adaptive":
+            return AdaptiveArqPolicy(max_retries=3)
+        return ArqPolicy(max_retries=retries)
+
+    if network == "clean":
+        nets = [make_net(reference, tree, virtual=virtual) for reference in (True, False)]
+    else:
+        nets = faulty_pair(tree, plan, arq, virtual)
+    # Root included: a root-keyed contribution merges without radio cost.
+    vertices = np.arange(tree.num_vertices)
+    answers = [[], []]
+    for r in range(3):
+        batch = make_batch(kind, np.random.default_rng((seed, r)), vertices)
+        for net, out in zip(nets, answers):
+            if network != "clean":
+                net.begin_faults_round(r)
+            out.append(net.convergecast(batch))
+    assert answers[0] == answers[1]
+    if network == "clean":
+        assert_networks_identical(*nets)
+    else:
+        assert_faulty_identical(*nets)

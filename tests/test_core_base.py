@@ -72,17 +72,25 @@ class TestBuildValidation:
         values = np.array([0, 10, 20, 30, 40, 50, 60, 70])
         old_state = np.array([0, -1, -1, 1, 1, 0, -1, 1], dtype=np.int8)
         new_state = np.array([0, -1, 1, 1, -1, 0, -1, 1], dtype=np.int8)
-        contributions = build_validation(
+        batch = build_validation(
             small_net, values, old_state, new_state, hint_values=2
         )
-        assert set(contributions) == {2, 4}
+        assert batch.ids.tolist() == [2, 4]
+        contributions = batch.payloads()
+        assert len(batch) == len(contributions) == 2
         # Vertex 2 moved lt -> gt.
         payload = contributions[2]
         assert payload.outof_lt == 1 and payload.into_gt == 1
+        assert payload.into_lt == payload.outof_gt == 0
         assert payload.hint_min == payload.hint_max == 20
+        assert payload.hint_values == 2 and payload.values == ()
         # Vertex 4 moved gt -> lt.
         payload = contributions[4]
         assert payload.outof_gt == 1 and payload.into_lt == 1
+        assert payload.hint_min == payload.hint_max == 40
+        # The batch folds to what merging its payloads gives.
+        merged = payload.merged_with(contributions[2])
+        assert batch.root_payload(batch.columns().sum(axis=0), None) == merged
 
     def test_counter_semantics_match_root_update(self, small_net, rng):
         """Applying merged validation reproduces the true (l, e, g)."""

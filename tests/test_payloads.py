@@ -12,7 +12,6 @@ from repro.constants import (
 )
 from repro.core.payloads import (
     BucketDeltaPayload,
-    CombinedPayload,
     HistogramPayload,
     ValidationPayload,
     ValueSetPayload,
@@ -176,31 +175,3 @@ class TestBucketDeltaPayload:
     def test_emptiness(self):
         assert BucketDeltaPayload().is_empty()
 
-
-class TestCombinedPayload:
-    def test_merges_pairwise(self):
-        a = CombinedPayload(parts=(HistogramPayload((1, 0)), ValueSetPayload((3,))))
-        b = CombinedPayload(parts=(HistogramPayload((0, 1)), ValueSetPayload((5,))))
-        merged = a.merged_with(b)
-        assert merged.parts[0].counts == (1, 1)
-        assert merged.parts[1].values == (3, 5)
-
-    def test_size_skips_empty_parts(self):
-        payload = CombinedPayload(
-            parts=(HistogramPayload((0, 0)), ValueSetPayload((1,)))
-        )
-        assert payload.payload_bits() == VALUE_BITS
-
-    def test_arity_mismatch_rejected(self):
-        a = CombinedPayload(parts=(ValueSetPayload((1,)),))
-        b = CombinedPayload(parts=())
-        with pytest.raises(ProtocolError):
-            a.merged_with(b)
-
-    def test_num_values_and_emptiness(self):
-        payload = CombinedPayload(
-            parts=(ValueSetPayload((1, 2)), HistogramPayload((0,)))
-        )
-        assert payload.num_values() == 2
-        assert not payload.is_empty()
-        assert CombinedPayload(parts=(HistogramPayload((0,)),)).is_empty()

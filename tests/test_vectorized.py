@@ -4,11 +4,12 @@ Every test runs the same scenario twice — on the per-vertex reference walk
 in ``tests/reference_engine.py`` and on the package's struct-of-arrays
 convergecast and broadcast — and asserts the ledgers, logs, counters and
 answers are *identical*, floats included.  The scenarios sweep the same
-axes the differential invariant harness covers: payload shape (mixed
-sizes, empty, uniform, mixed-type), virtual vertices, energy-model
-ablations, link loss (i.i.d. and bursty) with ARQ, churn and outages with
-broadcast pruning, tree repair, rotation and root fail-over via the full
-fault driver, and the CLI's fault slices.
+axes the differential invariant harness covers: payload shape (mixed-size
+objects, empty, and every column-batch kind), virtual vertices,
+energy-model ablations, link loss (i.i.d. and bursty) with static and
+learning ARQ, churn and outages with broadcast pruning, tree repair,
+rotation and root fail-over via the full fault driver, and the CLI's fault
+slices.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from __future__ import annotations
 import contextlib
 import io
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 import pytest
@@ -40,9 +40,10 @@ from repro.network.topology import build_physical_graph
 from repro.network.tree import RoutingTree, tree_from_parents
 from repro.radio.energy import EnergyModel
 from repro.radio.ledger import EnergyLedger
-from repro.sim.engine import Payload, TreeNetwork, UniformPayload
+from repro.sim.engine import Payload, TreeNetwork
 from repro.types import QuerySpec
 
+from tests.batch_kinds import KINDS, CountBatch, CountPayload, make_batch
 from tests.helpers import SequenceWorkload, assert_differential_invariant
 from tests.reference_engine import (
     ReferenceFaultyTreeNetwork,
@@ -71,59 +72,6 @@ class SizedPayload(Payload):
 
     def is_empty(self) -> bool:
         return not self.values
-
-
-@dataclass(frozen=True)
-class CountPayload(UniformPayload):
-    """Fixed-size counter: the canonical UniformPayload."""
-
-    count: int
-
-    uniform_bits = 24
-
-    def merged_with(self, other: "CountPayload") -> "CountPayload":
-        return type(self)(self.count + other.count)
-
-    def num_values(self) -> int:
-        # Additive under merging, as the UniformPayload contract demands.
-        return self.count
-
-    def is_empty(self) -> bool:
-        return self.count == 0
-
-    @classmethod
-    def vector_reduce(cls, payloads: Sequence["CountPayload"]) -> "CountPayload":
-        return cls(sum(p.count for p in payloads))
-
-
-@dataclass(frozen=True)
-class OneReading(UniformPayload):
-    """One reading per contributor: exercises the constant-intake path.
-
-    ``uniform_leaf_values = 1`` plus the default ``is_empty`` lets the
-    array convergecast take contributor ids straight off the mapping keys
-    without touching the payload objects.
-    """
-
-    value: int
-    count: int = 1
-
-    uniform_bits = 16
-    uniform_leaf_values = 1
-
-    def merged_with(self, other: "OneReading") -> "OneReading":
-        return OneReading(
-            max(self.value, other.value), self.count + other.count
-        )
-
-    def num_values(self) -> int:
-        # Additive under merging, per the UniformPayload contract; each
-        # contributed leaf carries exactly one (uniform_leaf_values).
-        return self.count
-
-    @classmethod
-    def vector_reduce(cls, payloads: Sequence["OneReading"]) -> "OneReading":
-        return cls(max(p.value for p in payloads), len(payloads))
 
 
 def random_tree(n: int, seed: int = 5) -> RoutingTree:
@@ -222,47 +170,28 @@ class TestLosslessEquivalence:
         assert ref_answers[-1].values == answers[-1].values
 
     def test_uniform_payloads_identical_across_cores(self):
+        """Fixed-size counts, as a column batch defined outside the package."""
         tree = random_tree(80, seed=9)
         nets = {}
         for reference in (True, False):
             net = make_net(reference, tree)
             for r in range(5):
-                contributions = {
-                    v: CountPayload(1 + (v + r) % 3)
+                counts = {
+                    v: 1 + (v + r) % 3
                     for v in tree.sensor_nodes
                     if (v + r) % 6 != 0
                 }
-                answer = net.convergecast(contributions)
-                assert answer.count == sum(
-                    p.count for p in contributions.values()
-                )
-            nets[reference] = net
-        assert_networks_identical(nets[True], nets[False])
-
-    def test_uniform_leaf_values_fast_intake_identical(self):
-        tree = random_tree(70, seed=14)
-        nets = {}
-        for reference in (True, False):
-            net = make_net(reference, tree)
-            for r in range(4):
-                contributions = {
-                    v: OneReading(v * 7 + r)
-                    for v in tree.sensor_nodes
-                    if (v + r) % 5 != 0
-                }
-                answer = net.convergecast(contributions)
-                assert answer.value == max(
-                    p.value for p in contributions.values()
-                )
+                answer = net.convergecast(CountBatch(counts))
+                assert answer.count == sum(counts.values())
             nets[reference] = net
         assert_networks_identical(nets[True], nets[False])
 
     def test_mixed_payload_types_fall_back_identically(self):
-        """A subclass in the mix defeats the all-same-type check.
+        """Mixed payload classes in one mapping merge per object.
 
         ``WideCount`` merges fine with ``CountPayload`` but is a different
-        class, so the array convergecast must fall back to the per-object
-        merge — and still match the reference exactly.
+        class; the object convergecast never looks at classes, and still
+        matches the reference exactly.
         """
 
         class WideCount(CountPayload):
@@ -281,6 +210,23 @@ class TestLosslessEquivalence:
             answers[reference] = net.convergecast(contributions)
             nets[reference] = net
         assert answers[True].count == answers[False].count
+        assert_networks_identical(nets[True], nets[False])
+
+    @pytest.mark.parametrize("kind", ["validation", "histogram", "delta"])
+    def test_paper_batches_identical_across_cores(self, kind):
+        tree = random_tree(70, seed=14)
+        nets, answers = {}, {}
+        for reference in (True, False):
+            net = make_net(reference, tree)
+            rng = np.random.default_rng(41)
+            answers[reference] = [
+                net.convergecast(
+                    make_batch(kind, rng, np.arange(tree.num_vertices))
+                )
+                for _ in range(6)
+            ]
+            nets[reference] = net
+        assert answers[True] == answers[False]
         assert_networks_identical(nets[True], nets[False])
 
     def test_empty_convergecast_identical(self):
@@ -304,7 +250,7 @@ class TestLosslessEquivalence:
         tree = random_tree(25, seed=2)
         for reference in (True, False):
             net = make_net(reference, tree)
-            answer = net.convergecast({tree.root: CountPayload(5)})
+            answer = net.convergecast(CountBatch({tree.root: 5}))
             assert answer.count == 5
             assert net.ledger.totals().bits_sent == 0
 
@@ -320,10 +266,8 @@ class TestLosslessEquivalence:
                 net.convergecast(sized_contributions(tree, r))
                 net.broadcast(32)
             assert all(net.ledger.energy[v] == 0.0 for v in virtual)
-            # Uniform path exercises its own virtual masking.
-            net.convergecast(
-                {v: CountPayload(1) for v in tree.sensor_nodes}
-            )
+            # The columnar fold exercises its own virtual masking.
+            net.convergecast(CountBatch({v: 1 for v in tree.sensor_nodes}))
             nets[reference] = net
         assert_networks_identical(nets[True], nets[False])
 
@@ -511,8 +455,8 @@ class TestFaultyEquivalenceMatrix:
     complete observable state matches bit for bit: ledgers, answers,
     collection logs, fault counters, the link-quality EWMA table — values
     *and* insertion order — and the fault plan's final generator state.
-    The payload axis covers both batched faulty paths: ``uniform`` takes
-    the array-fold fast path, ``generic`` the batched per-object walk.
+    The payload axis covers both faulty paths: each column-batch kind
+    takes the columnar fold, ``generic`` the batched per-object walk.
     """
 
     def run_cell(self, reference, loss_factory, retries, kind, adaptive=False):
@@ -537,17 +481,16 @@ class TestFaultyEquivalenceMatrix:
         cls = ReferenceFaultyTreeNetwork if reference else FaultyTreeNetwork
         net = cls(tree, ledger, plan=plan, arq=arq)
         answers = []
+        batches = np.random.default_rng(99)
         for r in range(10):
             net.begin_faults_round(r)
             net.ledger.begin_round()
-            if kind == "uniform":
-                contributions = {
-                    v: OneReading(v * 3 + r)
-                    for v in tree.sensor_nodes
-                    if (v + r) % 6 != 0
-                }
-            else:
+            if kind == "generic":
                 contributions = sized_contributions(tree, r)
+            else:
+                contributions = make_batch(
+                    kind, batches, np.arange(tree.num_vertices)
+                )
             answers.append(net.convergecast(contributions))
             net.broadcast(24)
             net.ledger.end_round()
@@ -557,14 +500,7 @@ class TestFaultyEquivalenceMatrix:
     def assert_cells_identical(net_o, ans_o, net_v, ans_v, kind):
         assert_networks_identical(net_o, net_v)
         TestFaultyEquivalence.assert_fault_counters_equal(net_o, net_v)
-        if kind == "uniform":
-            assert [a and (a.value, a.count) for a in ans_o] == [
-                a and (a.value, a.count) for a in ans_v
-            ]
-        else:
-            assert [a and a.values for a in ans_o] == [
-                a and a.values for a in ans_v
-            ]
+        assert ans_o == ans_v
         # The EWMA link table must agree in values AND insertion order —
         # repair/rotation iterate it, so order is observable behaviour.
         assert list(net_o.link_stats._loss.items()) == list(
@@ -578,7 +514,7 @@ class TestFaultyEquivalenceMatrix:
             net_v.plan.rng.bit_generator.state,
         )
 
-    @pytest.mark.parametrize("kind", ["uniform", "generic"])
+    @pytest.mark.parametrize("kind", ["generic", *KINDS])
     @pytest.mark.parametrize("retries", [0, 2])
     @pytest.mark.parametrize("loss_name", sorted(LOSS_AXIS))
     def test_matrix_cell(self, loss_name, retries, kind):
@@ -587,7 +523,7 @@ class TestFaultyEquivalenceMatrix:
         net_v, ans_v = self.run_cell(False, loss_factory, retries, kind)
         self.assert_cells_identical(net_o, ans_o, net_v, ans_v, kind)
 
-    @pytest.mark.parametrize("kind", ["uniform", "generic"])
+    @pytest.mark.parametrize("kind", ["generic", *KINDS])
     @pytest.mark.parametrize("loss_name", ["iid-high", "gilbert-elliott"])
     def test_adaptive_arq_cell(self, loss_name, kind):
         """Adaptive ARQ: learned budgets must evolve identically per walk."""
@@ -777,12 +713,18 @@ class TestFaultyEquivalenceMatrix:
         )
 
 
-# The CLI's two fault slices: the faulty path with repair and transient
-# churn, and a mid-run sink kill under loss and ARQ.
+# The CLI's fault slices: the faulty path with repair and transient churn,
+# the same under learning (adaptive) ARQ, and a mid-run sink kill under
+# loss and ARQ.
 CLI_SLICES = {
     "faults": [
         "faults", "--loss", "0.05", "--retries", "2", "--transient", "0.05",
         "--nodes", "20", "--rounds", "8", "--range", "60", "--seed", "7",
+    ],
+    "adaptive": [
+        "faults", "--loss", "0.05", "--retries", "1", "--transient", "0.05",
+        "--adaptive-arq",
+        "--nodes", "20", "--rounds", "10", "--range", "60", "--seed", "7",
     ],
     "root-kill": [
         "faults", "--loss", "0.05", "--retries", "2", "--root-kill", "5",
@@ -803,6 +745,8 @@ def test_cli_slice_identical_to_reference(name):
     assert printed[True] == printed[False]
     if name == "root-kill":
         assert "root killed @5" in printed[False]
+    if name == "adaptive":
+        assert "adp" in printed[False]
 
 
 class TestFaultSeam:
@@ -840,7 +784,7 @@ class TestFaultSeam:
         nets[1].begin_faults_round(1)
         for net in nets:
             net.convergecast(sized_contributions(tree, 1))
-            net.convergecast({v: OneReading(v) for v in tree.sensor_nodes})
+            net.convergecast(CountBatch({v: 1 for v in tree.sensor_nodes}))
             net.broadcast(24)
 
 
