@@ -1,7 +1,6 @@
 """Extensions the paper points at but does not build (Sections 3.1, 4.2, 6)."""
 
 from repro.extensions.adaptive import AdaptiveQuantile
-from repro.extensions.balancing import RotatingTreeRunner
 from repro.extensions.sampling import (
     SamplingResult,
     run_sampling_experiment,
@@ -10,7 +9,6 @@ from repro.extensions.sampling import (
 
 __all__ = [
     "AdaptiveQuantile",
-    "RotatingTreeRunner",
     "SamplingResult",
     "run_sampling_experiment",
     "sample_layer",

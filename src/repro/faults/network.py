@@ -29,9 +29,8 @@ from __future__ import annotations
 
 import math
 from contextlib import nullcontext
-from itertools import compress
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, TypeVar
+from typing import Mapping, Optional, TypeVar
 
 import numpy as np
 
@@ -40,15 +39,7 @@ from repro.faults.plan import FaultPlan, IndependentLoss
 from repro.network.linkstats import LinkQualityEstimator
 from repro.network.tree import RoutingTree
 from repro.radio.ledger import EnergyLedger
-from repro.radio.message import ack_cost
-from repro.sim.engine import (
-    CollectionRecord,
-    Payload,
-    PayloadBatch,
-    TreeNetwork,
-    frame_costs,
-)
-from repro.sim.vectorized import expand_arq_charges, fold_columns
+from repro.sim.engine import Payload, PayloadBatch, TreeNetwork, _Hops
 
 P = TypeVar("P", bound=Payload)
 
@@ -93,13 +84,6 @@ class ArqPolicy:
         """Feedback after one attempt (ACK-confirmed or not).
 
         The static policy ignores it; adaptive controllers learn from it.
-        """
-
-    def observe_batch(self, senders, receivers, delivered) -> None:
-        """Batched feedback: equal-length outcome vectors, in attempt order.
-
-        Must match a sample-by-sample :meth:`observe` replay exactly; the
-        static policy ignores the batch like it ignores the scalars.
         """
 
 
@@ -191,11 +175,6 @@ class AdaptiveArqPolicy(ArqPolicy):
     def observe(self, sender: int, receiver: int, delivered: bool) -> None:
         self.estimator.observe(sender, receiver, delivered)
 
-    def observe_batch(self, senders, receivers, delivered) -> None:
-        # Delegates to the estimator's ordered EWMA replay, so batched
-        # feedback yields bit-identical budgets to scalar feedback.
-        self.estimator.observe_batch(senders, receivers, delivered)
-
     # The frozen-dataclass __eq__/__repr__ inherited from ArqPolicy compare
     # and print ``max_retries`` alone, silently equating policies whose
     # learned per-link state (and even target_delivery/smoothing) differ.
@@ -286,125 +265,24 @@ class FaultyTreeNetwork(TreeNetwork):
             mask[list(plan.down)] = True
         return mask
 
-    # -- vectorized faulty convergecast ---------------------------------------
+    # -- faulty convergecast --------------------------------------------------
     #
     # Loss and ARQ decide whether a hop's frame gets through, never how big
-    # it is.  So one walk (:meth:`_walk_hops`) makes every hop decision first
-    # — loss draws, retry cut-offs, ARQ feedback, tracking only which
-    # vertices hold something — and the payloads are folded afterwards:
-    # column batches as prefix sums (:meth:`_convergecast_faulty_batch`),
-    # payload objects with ``merged_with`` (:meth:`_convergecast_faulty_vector`).
-    # Both then charge the hops in one ordered batch (:meth:`_charge_hops`).
+    # it is.  So the faulty network differs from the reliable one only in
+    # its hop decider: :meth:`_walk_hops` makes every hop decision first —
+    # loss draws, retry cut-offs, ARQ feedback, tracking only which
+    # vertices hold something — and the engine's one fold merges and
+    # charges along those decisions.  ``convergecast`` stays this class's
+    # own one-statement method rather than a call to the base one, so an
+    # instrumentation wrapper around each class's ``convergecast`` times a
+    # faulty convergecast apart from a reliable one.
 
     def convergecast(
         self, contributions: "Mapping[int, P] | PayloadBatch"
     ) -> Optional[P]:
-        self.exchanges += 1
-        if isinstance(contributions, PayloadBatch):
-            return self._convergecast_faulty_batch(contributions)
-        return self._convergecast_faulty_vector(contributions)
+        return self._fold(contributions, self._walk_hops)
 
-    def _convergecast_faulty_batch(self, batch: PayloadBatch) -> Optional[Payload]:
-        """Faulty convergecast of a :class:`~repro.sim.engine.PayloadBatch`.
-
-        A sender holds its subtree's contributions minus those stuck
-        strictly below it, so every hop's size comes from its column sums
-        (:func:`~repro.sim.vectorized.fold_columns`, with each
-        contribution's ``top`` from the walk) and no payload travels as an
-        object.  The root payload folds the contributions whose ``top`` is
-        an up root.
-        """
-        ids = batch.ids
-        if not len(ids):
-            return self._log_silent()
-        hops = self._walk_hops(ids)
-        _, sums, root_sums = fold_columns(
-            self._arrays, ids, batch.columns(), holders=hops.senders, top=hops.reach[ids]
-        )
-        self._charge_hops(hops, *batch.hop_sizes(sums))
-        reached = self._log_delivered(hops, ids, batch.contributors)
-        if not reached.any():
-            return None
-        return batch.root_payload(root_sums, reached)
-
-    def _convergecast_faulty_vector(
-        self, contributions: Mapping[int, P]
-    ) -> Optional[P]:
-        """Faulty convergecast of payload objects (value sets, sketches, ...).
-
-        After the walk, the payloads merge along the delivered uplinks in
-        hop order — each sender's merged payload prices its hop — exactly
-        as the per-hop reference walk merges them.
-        """
-        contributors: list[int] = []
-        payloads: list[P] = []
-        for vertex, payload in contributions.items():
-            if payload.is_empty():
-                continue
-            contributors.append(vertex)
-            payloads.append(payload)
-        if not contributors:
-            return self._log_silent()
-        ids = np.array(contributors, dtype=np.int64)
-        hops = self._walk_hops(ids)
-        accumulated: list[Optional[P]] = [None] * self.tree.num_vertices
-        down = hops.down
-        for vertex, payload in zip(contributors, payloads):
-            if not down[vertex]:
-                accumulated[vertex] = payload
-        parent = self.tree.parent
-        virtual = self.virtual_vertices
-        delivered_up = hops.delivered_up
-        bits: list[int] = []
-        values: list[int] = []
-        # A down vertex never holds anything: its own payload stays out and
-        # every frame to it is lost.
-        for vertex in self._order_no_root:
-            merged = accumulated[vertex]
-            if merged is None:
-                continue
-            if vertex not in virtual:
-                bits.append(merged.payload_bits())
-                values.append(merged.num_values())
-            if delivered_up[vertex]:
-                par = parent[vertex]
-                existing = accumulated[par]
-                accumulated[par] = (
-                    merged if existing is None else existing.merged_with(merged)
-                )
-        self._charge_hops(
-            hops,
-            np.array(bits, dtype=np.int64),
-            np.array(values, dtype=np.int64),
-        )
-        self._log_delivered(hops, ids, None)
-        return accumulated[self.tree.root]
-
-    def _log_delivered(
-        self,
-        hops: "_Hops",
-        ids: np.ndarray,
-        everyone: "Callable[[], frozenset[int]] | None",
-    ) -> np.ndarray:
-        """Log which contributions reached an up root; returns that mask.
-
-        ``everyone`` builds the set of all ``ids`` when every contribution
-        got through (a batch caches it); ``None`` builds it afresh.
-        """
-        root = self.tree.root
-        reached = hops.reach[ids] == root
-        if hops.down[root]:
-            reached[:] = False  # not even the root's own contribution counts
-        if everyone is not None and reached.all():
-            delivered = everyone()
-        else:
-            delivered = frozenset(ids[reached].tolist())
-        self.collection_log.append(
-            CollectionRecord(expected=len(ids), delivered=delivered)
-        )
-        return reached
-
-    def _walk_hops(self, ids: np.ndarray) -> "_Hops":
+    def _walk_hops(self, ids: np.ndarray) -> _Hops:
         """Make every hop decision of one convergecast of ``ids``' payloads.
 
         Bit-identical to the per-hop reference walk's decisions:
@@ -416,15 +294,17 @@ class FaultyTreeNetwork(TreeNetwork):
           plan overriding ``transmission_lost``) sample through the
           :meth:`~repro.faults.plan.FaultPlan.batched_sampling` shim;
         * a static policy's link-quality samples are replayed after the
-          walk (:meth:`_replay_link_stats`, from :meth:`_charge_hops`); a
-          learning policy (overridden ``attempts_for`` or ``observe``)
-          reads its estimator between hops, so its budgets and feedback
-          run inline, in the reference walk's order.
+          walk (:meth:`~repro.network.linkstats.LinkQualityEstimator.
+          observe_hops`); a learning policy (overridden ``attempts_for``
+          or ``observe``) reads its estimator between hops, so its budgets
+          and feedback run inline, in the reference walk's order.
 
-        The result also carries ``reach``: per vertex, the highest vertex
-        a payload held there gets to, one top-down pass over the levels
-        along delivered uplinks.  A down contributor never sends, so its
-        ``reach`` is itself.
+        The walk books the fault counters (lost frames, retransmissions,
+        ACKs sent and lost) itself, so the fold's charge knows nothing of
+        faults.  The result also carries ``reach``: per vertex, the
+        highest vertex a payload held there gets to, one top-down pass
+        over the levels along delivered uplinks.  A down contributor never
+        sends, so its ``reach`` is itself.
         """
         tree = self.tree
         plan = self.plan
@@ -503,7 +383,10 @@ class FaultyTreeNetwork(TreeNetwork):
                         continue
                     par = parent[vertex]
                     if has_virtual and vertex in virtual:
-                        edge_del[vertex] = True  # device-internal link
+                        # A device-internal link: no radio, and it delivers
+                        # unless the host is down (a down vertex holds
+                        # nothing, so its virtual children's data dies too).
+                        edge_del[vertex] = not down_list[par]
                         hp[par] = True
                         continue
                     hop_budget = (
@@ -607,237 +490,32 @@ class FaultyTreeNetwork(TreeNetwork):
         parent_up = np.ones(hop_i, dtype=bool)
         if pd_hops:
             parent_up[pd_hops] = False
+        senders = np.array(tx, dtype=np.int64)
+        attempts = np.array(natt, dtype=np.int64)
+        frame_ok = np.array(fo_flat, dtype=bool)
+        ok_attempts = fo_flat.count(True)
+        self.lost_transmissions += len(fo_flat) - ok_attempts
+        self.retransmissions += len(fo_flat) - hop_i
+        self.lost_acks += lost_acks
+        if enabled:
+            self.acks_sent += ok_attempts
+        if hop_i and not learning:
+            # A static policy's channel samples, replayed in one pass.
+            self.link_stats.observe_hops(
+                tx,
+                parent_np[senders].tolist(),
+                attempts,
+                frame_ok,
+                parent_up if self._feeds_uplink_stats else None,
+                final_ack if enabled else None,
+            )
         return _Hops(
-            senders=np.array(tx, dtype=np.int64),
-            attempts=np.array(natt, dtype=np.int64),
-            frame_ok=np.array(fo_flat, dtype=bool),
+            senders=senders,
+            attempts=attempts,
+            frame_ok=frame_ok,
             parent_up=parent_up,
-            final_ack=final_ack,
-            lost_acks=lost_acks,
-            learned=learning,
+            arq=enabled,
             down=down_list,
             delivered_up=edge_del,
             reach=reach,
         )
-
-    def _charge_hops(
-        self, hops: "_Hops", payload_bits: np.ndarray, values: np.ndarray
-    ) -> None:
-        """Charge every attempt of the walk's hops in one ordered batch.
-
-        ``payload_bits`` and ``values`` are per hop.  A static policy's
-        deferred link-quality samples are replayed here too.
-        """
-        n_hops = len(hops.senders)
-        phase_total = 0
-        if n_hops:
-            enabled = self.arq.enabled
-            tx_arr = hops.senders
-            natt_arr = hops.attempts
-            fo_arr = hops.frame_ok
-            par_arr = self._arrays.parent[tx_arr]
-            parent_up_arr = hops.parent_up
-            if not hops.learned:
-                offsets = np.zeros(n_hops, dtype=np.int64)
-                np.cumsum(natt_arr[:-1], out=offsets[1:])
-                nfo = (
-                    np.add.reduceat(fo_arr.astype(np.int64), offsets)
-                    if enabled
-                    else None
-                )
-                self._replay_link_stats(
-                    tx_arr.tolist(),
-                    par_arr,
-                    parent_up_arr,
-                    natt_arr,
-                    fo_arr,
-                    offsets,
-                    nfo,
-                    hops.final_ack,
-                    enabled,
-                )
-            frames, hop_bits = frame_costs(payload_bits)
-            hop_index = np.repeat(np.arange(n_hops), natt_arr)
-            att_child = tx_arr[hop_index]
-            att_bits = hop_bits[hop_index]
-            ack = ack_cost()
-            send_cpb = (
-                self._send_cpb_array[att_child]
-                if self._send_cpb_array is not None
-                else self._send_cpb
-            )
-            self.ledger.charge_batch(
-                **expand_arq_charges(
-                    att_child,
-                    par_arr[hop_index],
-                    att_bits,
-                    frames[hop_index],
-                    values[hop_index],
-                    parent_up_arr[hop_index],
-                    fo_arr,
-                    enabled,
-                    send_cpb,
-                    self.ledger.model.recv_cost,
-                    ack.total_bits,
-                )
-            )
-            total_attempts = int(hop_index.shape[0])
-            ok_attempts = int(fo_arr.sum())
-            self.lost_transmissions += total_attempts - ok_attempts
-            self.retransmissions += total_attempts - n_hops
-            self.lost_acks += hops.lost_acks
-            phase_total = int(att_bits.sum())
-            if enabled:
-                self.acks_sent += ok_attempts
-                phase_total += ack.total_bits * ok_attempts
-        self.phase_bits[self.phase] = (
-            self.phase_bits.get(self.phase, 0) + phase_total
-        )
-
-    def _replay_link_stats(
-        self,
-        tx: list[int],
-        par_arr: np.ndarray,
-        parent_up_arr: np.ndarray,
-        natt_arr: np.ndarray,
-        fo_arr: np.ndarray,
-        offsets: np.ndarray,
-        nfo: np.ndarray | None,
-        final_ack: list[bool],
-        enabled: bool,
-    ) -> None:
-        """Replay one convergecast's deferred channel samples, bit-exactly.
-
-        Each directed link is sampled by exactly one hop per convergecast
-        (a vertex transmits at most once, so the ``(child, parent)`` and
-        ``(parent, child)`` keys across hops are all distinct) and every
-        sample of a link is consecutive within its hop.  Per-link EWMA
-        chains are therefore independent, and folding them position-wise —
-        one elementwise ``(1-s)*prev + s*sample`` array step per attempt
-        index — performs the exact scalar float sequence per link.  The
-        uplink chain of a hop is its per-attempt frame outcome; the
-        downlink chain is one lost ACK per surviving frame except the
-        last, whose outcome the walk recorded.  New links are inserted in
-        hop order, uplink before downlink, matching scalar insertion
-        order.
-        """
-        est = self.link_stats
-        d = est._loss
-        prior = est.prior_loss
-        s = est.smoothing
-        keep = 1.0 - s
-        dget = d.get
-        feeds_up = self._feeds_uplink_stats
-        all_up = bool(parent_up_arr.all())
-        par_list = par_arr.tolist()
-        dn_flags = (nfo > 0).tolist() if enabled else None
-        # Key tuples come straight off zip (the pair IS the key); prior
-        # lookups run as map(dict.get, ...) at C speed, with a missing
-        # link surfacing as None.  Missing links only appear while the
-        # topology is still being explored, so the slow interleaved
-        # insertion loop runs a handful of times per experiment.
-        if feeds_up:
-            pairs_up = zip(tx, par_list)
-            up_keys = (
-                list(pairs_up)
-                if all_up
-                else list(compress(pairs_up, parent_up_arr.tolist()))
-            )
-            prev_up = list(map(dget, up_keys))
-        else:
-            up_keys = []
-            prev_up = []
-        if dn_flags is not None:
-            dn_keys = list(compress(zip(par_list, tx), dn_flags))
-            prev_dn = list(map(dget, dn_keys))
-        else:
-            dn_keys = []
-            prev_dn = []
-        new_links = (None in prev_up) or (None in prev_dn)
-        if new_links:
-            prev_up = [prior if p is None else p for p in prev_up]
-            prev_dn = [prior if p is None else p for p in prev_dn]
-        samples = 0
-        up_vals: list[float] = []
-        dn_vals: list[float] = []
-        if up_keys:
-            up_hops = (
-                np.arange(len(tx))
-                if all_up
-                else np.flatnonzero(parent_up_arr)
-            )
-            cur = np.array(prev_up, dtype=np.float64)
-            lens = natt_arr[up_hops]
-            starts = offsets[up_hops]
-            fail = (~fo_arr).astype(np.float64)
-            for j in range(int(lens.max())):
-                m = lens > j
-                cur[m] = keep * cur[m] + s * fail[starts[m] + j]
-            up_vals = cur.tolist()
-            samples += int(lens.sum())
-        if dn_keys:
-            assert nfo is not None
-            dn_hops = np.flatnonzero(nfo > 0)
-            curd = np.array(prev_dn, dtype=np.float64)
-            k_arr = nfo[dn_hops]
-            final_fail = (
-                ~np.array(final_ack, dtype=bool)[dn_hops]
-            ).astype(np.float64)
-            for j in range(int(k_arr.max())):
-                m = k_arr > j
-                sample = np.where(k_arr[m] == j + 1, final_fail[m], 1.0)
-                curd[m] = keep * curd[m] + s * sample
-            dn_vals = curd.tolist()
-            samples += int(k_arr.sum())
-        if not new_links:
-            # Every key already exists, so assignment order cannot change
-            # the dict's (observable) insertion order: bulk-update.
-            d.update(zip(up_keys, up_vals))
-            d.update(zip(dn_keys, dn_vals))
-        else:
-            # First sighting of at least one link: insert in the scalar
-            # walk's order — hop by hop, uplink before downlink.
-            n_hops = len(tx)
-            up_iter = iter(zip(up_keys, up_vals))
-            dn_iter = iter(zip(dn_keys, dn_vals))
-            if not feeds_up:
-                up_flags = [False] * n_hops
-            elif all_up:
-                up_flags = [True] * n_hops
-            else:
-                up_flags = parent_up_arr.tolist()
-            if dn_flags is None:
-                dn_flags = [False] * n_hops
-            for up_here, dn_here in zip(up_flags, dn_flags):
-                if up_here:
-                    key, val = next(up_iter)
-                    d[key] = val
-                if dn_here:
-                    key, val = next(dn_iter)
-                    d[key] = val
-        est.observations += samples
-
-
-@dataclass
-class _Hops:
-    """One faulty convergecast's hop decisions (see ``_walk_hops``)."""
-
-    #: Transmitting vertices, in hop (bottom-up) order.
-    senders: np.ndarray
-    #: Data-frame attempts per hop.
-    attempts: np.ndarray
-    #: Per attempt: the data frame got through.
-    frame_ok: np.ndarray
-    #: Per hop: the receiving parent was up.
-    parent_up: np.ndarray
-    #: Per hop: the outcome of its last ACK.
-    final_ack: list[bool]
-    lost_acks: int
-    #: ARQ feedback already reached the estimator during the walk.
-    learned: bool
-    #: Per vertex: dead or in an outage.
-    down: list[bool]
-    #: Per vertex: its uplink delivered (a virtual vertex's always does).
-    delivered_up: list[bool]
-    #: Per vertex: the highest vertex a payload held there gets to.
-    reach: np.ndarray

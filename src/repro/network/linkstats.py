@@ -30,6 +30,10 @@ across.  Consumers:
 
 from __future__ import annotations
 
+from itertools import compress
+
+import numpy as np
+
 from repro.errors import ConfigurationError
 
 #: Loss estimates are clamped below this when inverted into ETX so a
@@ -73,29 +77,125 @@ class LinkQualityEstimator:
         )
         self.observations += 1
 
-    def observe_batch(self, senders, receivers, delivered) -> None:
-        """Fold a batch of channel outcomes, sample by sample, in order.
+    def observe_hops(
+        self,
+        senders: list[int],
+        receivers: list[int],
+        attempts: np.ndarray,
+        frame_ok: np.ndarray,
+        uplink: np.ndarray | None,
+        final_ack: list[bool] | None,
+    ) -> None:
+        """Fold the channel samples of a batch of stop-and-wait hops.
 
-        Accepts any equal-length sequences (lists or numpy arrays).  Each
-        element goes through the exact scalar EWMA recurrence of
-        :meth:`observe`, so per-link estimates, dict insertion order and
-        the :attr:`observations` counter are bit-identical to the
-        equivalent sequence of scalar calls — the EWMA is order-dependent,
-        so no closed-form fold is attempted.  The vectorized faulty
-        convergecast uses this to replay its deferred observations once
-        per phase instead of once per hop.
+        Hop ``h`` sends ``attempts[h]`` data frames from ``senders[h]`` to
+        ``receivers[h]``; ``frame_ok`` holds every frame's outcome, hop by
+        hop.  When ``uplink[h]`` is set, each frame is one sample of the
+        uplink (``None``: no hop samples its uplink).  With ARQ on, every
+        delivered frame is acknowledged and each ACK samples the downlink:
+        all of a hop's ACKs but the last were lost, and the last one's
+        outcome is ``final_ack[h]`` (``None``: ARQ is off, no ACK).
+
+        Contract: each directed link is sampled by at most one hop of the
+        batch, and a hop's samples of a link are consecutive.  Per-link
+        EWMA chains are then independent, so folding them attempt rank by
+        attempt rank, one ``(1-s)*prev + s*sample`` array step each, runs
+        exactly the float sequence of :meth:`observe` called in hop order.
+        Links seen for the first time enter the table in hop order, uplink
+        before downlink, as the scalar calls would insert them.
         """
         loss = self._loss
         prior = self.prior_loss
-        weight = self.smoothing
-        count = 0
-        for sender, receiver, ok in zip(senders, receivers, delivered):
-            key = (sender, receiver)
-            previous = loss.get(key, prior)
-            sample = 0.0 if ok else 1.0
-            loss[key] = (1.0 - weight) * previous + weight * sample
-            count += 1
-        self.observations += count
+        s = self.smoothing
+        keep = 1.0 - s
+        dget = loss.get
+        n_hops = len(senders)
+        offsets = np.zeros(n_hops, dtype=np.int64)
+        np.cumsum(attempts[:-1], out=offsets[1:])
+        all_up = uplink is not None and bool(uplink.all())
+        # Key tuples come straight off zip (the pair IS the key); prior
+        # lookups run as map(dict.get, ...) at C speed, with a missing
+        # link surfacing as None.  Missing links only appear while the
+        # topology is still being explored, so the slow interleaved
+        # insertion loop runs a handful of times per experiment.
+        if uplink is not None:
+            pairs_up = zip(senders, receivers)
+            up_keys = (
+                list(pairs_up)
+                if all_up
+                else list(compress(pairs_up, uplink.tolist()))
+            )
+        else:
+            up_keys = []
+        acks = (
+            np.add.reduceat(frame_ok.astype(np.int64), offsets)
+            if final_ack is not None
+            else None
+        )
+        dn_flags = (acks > 0).tolist() if acks is not None else None
+        if dn_flags is not None:
+            dn_keys = list(compress(zip(receivers, senders), dn_flags))
+        else:
+            dn_keys = []
+        prev_up = list(map(dget, up_keys))
+        prev_dn = list(map(dget, dn_keys))
+        new_links = (None in prev_up) or (None in prev_dn)
+        if new_links:
+            prev_up = [prior if p is None else p for p in prev_up]
+            prev_dn = [prior if p is None else p for p in prev_dn]
+        samples = 0
+        up_vals: list[float] = []
+        dn_vals: list[float] = []
+        if up_keys:
+            up_hops = np.arange(n_hops) if all_up else np.flatnonzero(uplink)
+            cur = np.array(prev_up, dtype=np.float64)
+            lens = attempts[up_hops]
+            starts = offsets[up_hops]
+            fail = (~frame_ok).astype(np.float64)
+            for j in range(int(lens.max())):
+                m = lens > j
+                cur[m] = keep * cur[m] + s * fail[starts[m] + j]
+            up_vals = cur.tolist()
+            samples += int(lens.sum())
+        if dn_keys:
+            dn_hops = np.flatnonzero(acks > 0)
+            curd = np.array(prev_dn, dtype=np.float64)
+            k_arr = acks[dn_hops]
+            final_fail = (
+                ~np.array(final_ack, dtype=bool)[dn_hops]
+            ).astype(np.float64)
+            for j in range(int(k_arr.max())):
+                m = k_arr > j
+                sample = np.where(k_arr[m] == j + 1, final_fail[m], 1.0)
+                curd[m] = keep * curd[m] + s * sample
+            dn_vals = curd.tolist()
+            samples += int(k_arr.sum())
+        if not new_links:
+            # Every key already exists, so assignment order cannot change
+            # the dict's (observable) insertion order: bulk-update.
+            loss.update(zip(up_keys, up_vals))
+            loss.update(zip(dn_keys, dn_vals))
+        else:
+            # First sighting of at least one link: insert in the scalar
+            # order — hop by hop, uplink before downlink.
+            up_iter = iter(zip(up_keys, up_vals))
+            dn_iter = iter(zip(dn_keys, dn_vals))
+            if uplink is None:
+                up_flags = [False] * n_hops
+            elif all_up:
+                up_flags = [True] * n_hops
+            else:
+                up_flags = uplink.tolist()
+            if dn_flags is None:
+                dn_flags = [False] * n_hops
+            for up_here, dn_here in zip(up_flags, dn_flags):
+                if up_here:
+                    key, val = next(up_iter)
+                    loss[key] = val
+                if dn_here:
+                    key, val = next(dn_iter)
+                    loss[key] = val
+        self.observations += samples
 
     def loss(self, sender: int, receiver: int) -> float:
         """Current loss estimate for the directed link (prior if unseen)."""

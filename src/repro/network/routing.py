@@ -69,8 +69,8 @@ def build_randomized_routing_tree(
 
     Every vertex keeps its BFS depth and picks among all neighbours one hop
     closer to the root.  Re-sampling this tree spreads the forwarding load
-    over different hotspot candidates — the basis of the tree-rotation
-    load-balancing extension (:mod:`repro.extensions.balancing`).
+    over different hotspot candidates — the basis of tree rotation
+    (``FaultDriver``'s ``rotate_every``).
 
     By default the pick is uniform.  Two knobs make rotation fault-aware:
 

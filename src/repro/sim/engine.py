@@ -32,9 +32,11 @@ charged in one ordered batch.  Contributions arrive in one of two forms:
 * a ``{vertex: payload}`` mapping of :class:`Payload` objects, merged per
   hop with ``merged_with`` (value sets, sketches, anything else).
 
-:class:`~repro.faults.network.FaultyTreeNetwork` takes the same two forms
-under loss and ARQ.  Faults enter through :meth:`TreeNetwork._down_mask`
-and a :class:`~repro.faults.plan.FaultPlan`; the per-hop walk these paths
+Both networks run one fold over both forms (:meth:`TreeNetwork._fold`);
+:class:`~repro.faults.network.FaultyTreeNetwork` differs only in the hop
+decisions it hands the fold (loss, ARQ, dead and down vertices).  Faults
+enter through :meth:`TreeNetwork._down_mask` and a
+:class:`~repro.faults.plan.FaultPlan`; the per-hop walk these paths
 replaced lives on in ``tests/reference_engine.py`` as the oracle they must
 match bit for bit.
 """
@@ -43,7 +45,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Mapping, Optional, TypeVar
+from typing import Callable, Mapping, Optional, TypeVar
 
 import numpy as np
 
@@ -51,10 +53,13 @@ from repro.constants import HEADER_BITS, MAX_PAYLOAD_BITS
 from repro.errors import ProtocolError
 from repro.network.tree import RoutingTree
 from repro.radio.ledger import EnergyLedger
-from repro.radio.message import message_bits
+from repro.radio.message import ack_cost, message_bits
 from repro.sim.vectorized import (
     TreeArrays,
+    expand_arq_charges,
     fold_columns,
+    held_vertices,
+    preorder_rank,
     send_cost_per_bit_array,
 )
 
@@ -171,6 +176,53 @@ def frame_costs(payload_bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     on-air bits (headers included) per payload size."""
     frames = np.where(payload_bits > 0, -(-payload_bits // MAX_PAYLOAD_BITS), 1)
     return frames, frames * HEADER_BITS + payload_bits
+
+
+@dataclass(frozen=True)
+class _Hops:
+    """One convergecast's hop decisions, as a hop decider returns them.
+
+    ``None`` in a field means the reliable case: the fold finds the
+    senders itself, every hop is one delivered attempt with ARQ off,
+    nobody is down, every uplink delivers and every contribution reaches
+    the root (:data:`_RELIABLE`).
+    """
+
+    #: Transmitting vertices, in hop (bottom-up) order.
+    senders: np.ndarray | None
+    #: Data-frame attempts per hop.
+    attempts: np.ndarray | None
+    #: Per attempt: the data frame got through.
+    frame_ok: np.ndarray | None
+    #: Per hop: the receiving parent was up.
+    parent_up: np.ndarray | None
+    #: Stop-and-wait ARQ is on: every delivered frame is acknowledged and
+    #: every attempt listens through an ACK window.
+    arq: bool
+    #: Per vertex: dead or in an outage.
+    down: list[bool] | None
+    #: Per vertex: its uplink delivered (a virtual vertex's does unless
+    #: its host is down).
+    delivered_up: list[bool] | None
+    #: Per vertex: the highest vertex a payload held there gets to.
+    reach: np.ndarray | None
+
+
+_RELIABLE = _Hops(
+    senders=None,
+    attempts=None,
+    frame_ok=None,
+    parent_up=None,
+    arq=False,
+    down=None,
+    delivered_up=None,
+    reach=None,
+)
+
+
+def _reliable_hops(ids: np.ndarray) -> _Hops:
+    """The reliable network's hop decider: every hop delivers."""
+    return _RELIABLE
 
 
 class TreeNetwork:
@@ -352,149 +404,197 @@ class TreeNetwork:
             The payload as seen by the root, or ``None`` if nobody sent
             anything.
         """
+        return self._fold(contributions, _reliable_hops)
+
+    # -- the fold -------------------------------------------------------------
+    #
+    # Loss and ARQ decide which hops happen and how often a frame is sent,
+    # never how big a hop's payload is.  So a convergecast is one fold over
+    # a hop decider: the decider returns the round's :class:`_Hops` record
+    # (here the constant reliable one; ``FaultyTreeNetwork`` passes its
+    # ``_walk_hops``), and the fold merges the payloads along the delivered
+    # uplinks, prices every hop by its merged payload and charges them all
+    # in one ordered batch.
+
+    def _fold(
+        self,
+        contributions: "Mapping[int, P] | PayloadBatch",
+        decide: Callable[[np.ndarray], _Hops],
+    ) -> Optional[P]:
+        """Fold one convergecast's contributions over ``decide``'s hops.
+
+        A :class:`PayloadBatch` folds as prefix sums
+        (:func:`~repro.sim.vectorized.fold_columns`); a mapping merges its
+        payload objects with ``merged_with`` along the delivered uplinks,
+        in bottom-up order, each sender's merged payload pricing its hop.
+        """
         self.exchanges += 1
         if isinstance(contributions, PayloadBatch):
-            return self._convergecast_batch(contributions)
+            ids = contributions.ids
+            if not len(ids):
+                return self._log_silent()
+            hops = decide(ids)
+            senders, sums, root_sums = fold_columns(
+                self._arrays,
+                ids,
+                contributions.columns(),
+                holders=hops.senders,
+                top=None if hops.reach is None else hops.reach[ids],
+                exclude=self._virtual_mask,
+            )
+            self._charge_hops(hops, senders, *contributions.hop_sizes(sums))
+            reached = self._log_delivered(hops, ids, contributions.contributors)
+            if reached is not None and not reached.any():
+                return None
+            return contributions.root_payload(root_sums, reached)
+
+        accumulated: list[Optional[P]] = [None] * self.tree.num_vertices
         contributors: list[int] = []
-        payloads = []
         for vertex, payload in contributions.items():
             if payload.is_empty():
                 continue
             contributors.append(vertex)
-            payloads.append(payload)
-        if not payloads:
+            accumulated[vertex] = payload
+        if not contributors:
             return self._log_silent()
-        return self._convergecast_vector_objects(contributors, payloads)
+        ids = np.array(contributors, dtype=np.int64)
+        hops = decide(ids)
+        if hops.down is not None:
+            down = hops.down
+            for vertex in contributors:
+                if down[vertex]:
+                    accumulated[vertex] = None
+        delivered_up = hops.delivered_up
+        if delivered_up is None:
+            # Every uplink delivers: visit only the vertices whose subtree
+            # holds a contribution.
+            arrays = self._arrays
+            visit = held_vertices(arrays, preorder_rank(arrays, ids)).tolist()
+        else:
+            visit = self._order_no_root
+        parent = self.tree.parent
+        holders: list[int] = []
+        bits: list[int] = []
+        values: list[int] = []
+        hold, size, count = holders.append, bits.append, values.append
+        # A down vertex never holds anything: its own payload stays out and
+        # every frame to it is lost.
+        for vertex in visit:
+            merged = accumulated[vertex]
+            if merged is None:
+                continue
+            hold(vertex)
+            size(merged.payload_bits())
+            count(merged.num_values())
+            if delivered_up is None or delivered_up[vertex]:
+                par = parent[vertex]
+                existing = accumulated[par]
+                accumulated[par] = (
+                    merged if existing is None else existing.merged_with(merged)
+                )
+        senders = np.array(holders, dtype=np.int64)
+        hop_bits = np.array(bits, dtype=np.int64)
+        hop_values = np.array(values, dtype=np.int64)
+        if self._virtual_mask is not None:
+            # A virtual vertex's link is device-internal: it holds, never sends.
+            radio = ~self._virtual_mask[senders]
+            senders, hop_bits, hop_values = (
+                senders[radio], hop_bits[radio], hop_values[radio]
+            )
+        self._charge_hops(hops, senders, hop_bits, hop_values)
+        self._log_delivered(hops, ids, lambda: frozenset(contributors))
+        return accumulated[self.tree.root]
 
     def _log_silent(self) -> None:
         """Book a convergecast in which nobody contributed."""
         self.phase_bits[self.phase] = self.phase_bits.get(self.phase, 0)
         self.collection_log.append(CollectionRecord(expected=0, delivered=frozenset()))
 
-    def _convergecast_batch(self, batch: PayloadBatch) -> Optional[Payload]:
-        """Columnar convergecast: the merge is a prefix-sum fold.
-
-        On a reliable network every contribution reaches the root, so the
-        senders are the bottom-up vertices (virtual ones excluded) whose
-        subtree holds a contribution, and each one's payload is the sum of
-        its subtree's columns.
-        """
-        ids = batch.ids
-        if not len(ids):
-            return self._log_silent()
-        senders, sums, root_sums = fold_columns(
-            self._arrays, ids, batch.columns(), exclude=self._virtual_mask
-        )
-        bits, values = batch.hop_sizes(sums)
-        phase_total = self._charge_convergecast_sends(senders, bits, values)
-        self.phase_bits[self.phase] = (
-            self.phase_bits.get(self.phase, 0) + phase_total
-        )
-        self.collection_log.append(
-            CollectionRecord(expected=len(ids), delivered=batch.contributors())
-        )
-        return batch.root_payload(root_sums, None)
-
-    def _convergecast_vector_objects(
-        self, contributors: list[int], payloads: list[P]
-    ) -> Optional[P]:
-        """Per-object merge with batched accounting (any Payload class)."""
-        tree = self.tree
-        accumulated: list[Optional[P]] = [None] * tree.num_vertices
-        for vertex, payload in zip(contributors, payloads):
-            accumulated[vertex] = payload
-        parent = tree.parent
-        virtual = self.virtual_vertices
-        send_vertices: list[int] = []
-        send_payload_bits: list[int] = []
-        send_values: list[int] = []
-        append_vertex = send_vertices.append
-        append_bits = send_payload_bits.append
-        append_values = send_values.append
-        if virtual:
-            for vertex in self._order_no_root:
-                merged = accumulated[vertex]
-                if merged is None:
-                    continue
-                par = parent[vertex]
-                if vertex not in virtual:
-                    append_vertex(vertex)
-                    append_bits(merged.payload_bits())
-                    append_values(merged.num_values())
-                existing = accumulated[par]
-                accumulated[par] = (
-                    merged if existing is None else existing.merged_with(merged)
-                )
-        else:
-            for vertex in self._order_no_root:
-                merged = accumulated[vertex]
-                if merged is None:
-                    continue
-                par = parent[vertex]
-                append_vertex(vertex)
-                append_bits(merged.payload_bits())
-                append_values(merged.num_values())
-                existing = accumulated[par]
-                accumulated[par] = (
-                    merged if existing is None else existing.merged_with(merged)
-                )
-        phase_total = self._charge_convergecast_sends(
-            send_vertices, send_payload_bits, send_values
-        )
-        self.phase_bits[self.phase] = (
-            self.phase_bits.get(self.phase, 0) + phase_total
-        )
-        self.collection_log.append(
-            CollectionRecord(
-                expected=len(contributors), delivered=frozenset(contributors)
-            )
-        )
-        return accumulated[tree.root]
-
-    def _charge_convergecast_sends(
+    def _log_delivered(
         self,
-        send_vertices: "list[int] | np.ndarray",
-        send_payload_bits: "list[int] | np.ndarray",
-        send_values: "list[int] | np.ndarray",
-    ) -> int:
-        """Batch-charge one convergecast's hops; returns total on-air bits.
+        hops: _Hops,
+        ids: np.ndarray,
+        everyone: Callable[[], frozenset[int]],
+    ) -> np.ndarray | None:
+        """Log which contributions reached an up root.
 
-        The hop sequence arrives in bottom-up order, so interleaving each
-        send with its matching receive reproduces the per-hop walk's exact
-        per-vertex float-addition order.
+        Returns that mask over ``ids``, or ``None`` when the hops reach the
+        root by construction (every one of them got through).  ``everyone``
+        builds the set of all ``ids`` (a batch caches it).
         """
-        if not len(send_vertices):
-            return 0
-        arrays = self._arrays
-        senders = np.asarray(send_vertices, dtype=np.int64)
-        frames, total_bits = frame_costs(
-            np.asarray(send_payload_bits, dtype=np.int64)
-        )
-        receivers = arrays.parent[senders]
-        if self._send_cpb_array is not None:
-            send_joules = total_bits * self._send_cpb_array[senders]
+        if hops.reach is None:
+            reached = None
+            delivered = everyone()
         else:
-            send_joules = total_bits * self._send_cpb
-        recv_joules = total_bits * self.ledger.model.recv_cost
-        m = len(senders)
-        energy_vertices = np.empty(2 * m, dtype=np.int64)
-        energy_vertices[0::2] = senders
-        energy_vertices[1::2] = receivers
-        energy_joules = np.empty(2 * m, dtype=np.float64)
-        energy_joules[0::2] = send_joules
-        energy_joules[1::2] = recv_joules
-        self.ledger.charge_batch(
-            energy_vertices=energy_vertices,
-            energy_joules=energy_joules,
-            send_vertices=senders,
-            send_messages=frames,
-            send_bits=total_bits,
-            send_values=np.asarray(send_values, dtype=np.int64),
-            recv_vertices=receivers,
-            recv_messages=frames,
-            recv_bits=total_bits,
+            root = self.tree.root
+            reached = hops.reach[ids] == root
+            if hops.down[root]:
+                reached[:] = False  # not even the root's own contribution counts
+            delivered = (
+                everyone() if reached.all() else frozenset(ids[reached].tolist())
+            )
+        self.collection_log.append(
+            CollectionRecord(expected=len(ids), delivered=delivered)
         )
-        return int(total_bits.sum())
+        return reached
+
+    def _charge_hops(
+        self,
+        hops: _Hops,
+        senders: np.ndarray,
+        payload_bits: np.ndarray,
+        values: np.ndarray,
+    ) -> None:
+        """Charge every attempt of one convergecast's hops in one batch.
+
+        ``senders``, ``payload_bits`` and ``values`` are per hop, in hop
+        (bottom-up) order, so the batch reproduces the per-hop walk's
+        per-vertex float-addition order.  Hops with no attempt record
+        (``hops.attempts is None``) are one delivered attempt each.
+        """
+        phase_total = 0
+        if len(senders):
+            frames, hop_bits = frame_costs(payload_bits)
+            receivers = self._arrays.parent[senders]
+            parent_up = None
+            if hops.attempts is not None:
+                # The per-attempt records are in the walk's own hop order.
+                assert np.array_equal(senders, hops.senders)
+                hop_index = np.repeat(np.arange(len(senders)), hops.attempts)
+                senders = senders[hop_index]
+                receivers = receivers[hop_index]
+                hop_bits = hop_bits[hop_index]
+                frames = frames[hop_index]
+                values = values[hop_index]
+                parent_up = hops.parent_up[hop_index]
+            send_cpb = (
+                self._send_cpb_array[senders]
+                if self._send_cpb_array is not None
+                else self._send_cpb
+            )
+            ack_bits = 0
+            if hops.arq:
+                ack_bits = ack_cost().total_bits
+                phase_total = ack_bits * int(np.count_nonzero(hops.frame_ok))
+            self.ledger.charge_batch(
+                **expand_arq_charges(
+                    senders,
+                    receivers,
+                    hop_bits,
+                    frames,
+                    values,
+                    parent_up,
+                    hops.frame_ok,
+                    hops.arq,
+                    send_cpb,
+                    self.ledger.model.recv_cost,
+                    ack_bits,
+                )
+            )
+            phase_total += int(hop_bits.sum())
+        self.phase_bits[self.phase] = (
+            self.phase_bits.get(self.phase, 0) + phase_total
+        )
 
     def broadcast(self, payload_bits: int) -> int:
         """Flood ``payload_bits`` of payload from the root to every node.

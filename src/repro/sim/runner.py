@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from repro.errors import ProtocolError
+from repro.errors import ConfigurationError, ProtocolError
 from repro.network.tree import RoutingTree
 from repro.radio.energy import EnergyModel
 from repro.radio.ledger import EnergyLedger, TrafficCounters
@@ -27,8 +27,11 @@ if TYPE_CHECKING:  # imported lazily to avoid a core <-> sim import cycle
 #: Maps a round index to per-vertex measurements (root entry ignored).
 ValuesProvider = Callable[[int], np.ndarray]
 
-#: Builds the network binding for one run — the seam through which fault
-#: injection (``repro.faults.FaultyTreeNetwork``) slips under any runner.
+#: Builds the network binding for one run — the seam through which link
+#: loss (``repro.faults.FaultyTreeNetwork``) slips under any runner.  Churn
+#: and outages advance once per round, which only
+#: ``repro.faults.FaultDriver`` does; :meth:`SimulationRunner.run` refuses a
+#: network whose plan has either.
 NetworkFactory = Callable[[RoutingTree, EnergyLedger], TreeNetwork]
 
 
@@ -91,8 +94,11 @@ class SimulationRunner:
             benchmarks may disable it to measure pure protocol cost).
         network_factory: builds the tree/ledger binding per run; inject
             ``repro.faults.FaultyTreeNetwork`` here to run any algorithm
-            under faults (``check`` should then be off — under loss even
-            exact algorithms legitimately miss the oracle).
+            under link loss (``check`` should then be off — under loss even
+            exact algorithms legitimately miss the oracle).  The runner
+            never advances a fault plan's rounds, so a plan with churn or
+            outages raises :class:`~repro.errors.ConfigurationError`; run
+            those through ``repro.faults.FaultDriver``.
     """
 
     def __init__(
@@ -125,6 +131,13 @@ class SimulationRunner:
             radio_range=self.radio_range,
         )
         net = self.network_factory(self.tree, ledger)
+        plan = getattr(net, "plan", None)
+        if plan is not None and (plan.churn is not None or plan.outages is not None):
+            raise ConfigurationError(
+                "SimulationRunner never advances a fault plan, so its churn "
+                "and outages would never happen; run them through "
+                "repro.faults.FaultDriver"
+            )
         k = quantile_rank(net.num_sensor_nodes, algorithm.spec.phi)
         result = RunResult(algorithm=algorithm.name)
 

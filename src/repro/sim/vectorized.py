@@ -81,7 +81,7 @@ class TreeArrays:
 
     def __init__(self, tree: "RoutingTree") -> None:
         self._subtree_size = tree.subtree_size
-        self._preorder: tuple[np.ndarray, np.ndarray] | None = None
+        self._preorder: tuple[np.ndarray, ...] | None = None
         n = tree.num_vertices
         self.num_vertices = n
         self.root = tree.root
@@ -115,6 +115,11 @@ class TreeArrays:
         is the difference of two prefix sums.  Siblings are laid out in
         vertex order, each after the subtrees of the siblings before it.
         """
+        return self._bounds()[:2]
+
+    def _bounds(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(start, end)`` per vertex, then the same two gathered in
+        :attr:`bottom_up_no_root` order."""
         if self._preorder is None:
             parent = self.parent
             size = np.array(self._subtree_size, dtype=np.int64)
@@ -133,8 +138,38 @@ class TreeArrays:
             start = np.zeros(self.num_vertices, dtype=np.int64)
             for level in self.levels[1:]:
                 start[level] = start[parent[level]] + 1 + offset[level]
-            self._preorder = (start, start + size)
+            end = start + size
+            order = self.bottom_up_no_root
+            self._preorder = (start, end, start[order], end[order])
         return self._preorder
+
+
+def preorder_rank(arrays: TreeArrays, ids: np.ndarray) -> np.ndarray:
+    """``rank[p]``: how many of the unique vertices ``ids`` sit at preorder
+    positions before ``p`` (``n + 1`` entries).
+
+    The sort is a scatter: preorder positions are unique, so marking them
+    and taking a running count gives every vertex its rank, and a subtree
+    ``[start[v], end[v])`` holds ``rank[end[v]] - rank[start[v]]`` of them.
+    """
+    start, _ = arrays.preorder()
+    rank = np.zeros(arrays.num_vertices + 1, dtype=np.int64)
+    rank[start[ids] + 1] = 1
+    np.cumsum(rank, out=rank)
+    return rank
+
+
+def held_vertices(
+    arrays: TreeArrays, rank: np.ndarray, exclude: np.ndarray | None = None
+) -> np.ndarray:
+    """The bottom-up vertices (root excluded) whose subtree holds a ranked
+    vertex (:func:`preorder_rank`), minus the ``exclude`` mask."""
+    _, _, start, end = arrays._bounds()
+    order = arrays.bottom_up_no_root
+    held = rank[end] > rank[start]
+    if exclude is not None:
+        held &= ~exclude[order]
+    return order[held]
 
 
 def fold_columns(
@@ -153,29 +188,21 @@ def fold_columns(
     is the highest vertex contribution ``i`` reached (``None``: every one
     reached the root).  So the holder ``v`` sums its preorder range minus
     the contributions whose ``top`` lies strictly inside its subtree —
-    two prefix sums over contributors sorted by preorder position.  The
-    sort is a scatter: preorder positions are unique, so marking them and
-    taking a running count gives every contributor its rank.
+    two prefix sums over contributors sorted by preorder position
+    (:func:`preorder_rank`).
 
-    ``holders`` defaults to the bottom-up vertices (root excluded) whose
-    subtree holds at least one contribution, minus the ``exclude`` mask.
-    Returns ``(holders, sums, root_sums)``: one row of ``sums`` per holder,
-    and the column sums of the contributions whose ``top`` is the root.
-    Temporaries stay at contributors x columns plus a few per-vertex
-    vectors.
+    ``holders`` defaults to :func:`held_vertices` minus the ``exclude``
+    mask.  Returns ``(holders, sums, root_sums)``: one row of ``sums`` per
+    holder, and the column sums of the contributions whose ``top`` is the
+    root.  Temporaries stay at contributors x columns plus a few
+    per-vertex vectors.
     """
     start, end = arrays.preorder()
     n = arrays.num_vertices
     m, c = cols.shape
-    rank = np.zeros(n + 1, dtype=np.int64)
-    rank[start[ids] + 1] = 1
-    np.cumsum(rank, out=rank)  # rank[p]: contributors placed before p
+    rank = preorder_rank(arrays, ids)
     if holders is None:
-        order = arrays.bottom_up_no_root
-        held = rank[end[order]] > rank[start[order]]
-        if exclude is not None:
-            held &= ~exclude[order]
-        holders = order[held]
+        holders = held_vertices(arrays, rank, exclude)
     prefix = np.zeros((m + 1, c), dtype=np.int64)
     prefix[rank[start[ids]] + 1] = cols
     np.cumsum(prefix, axis=0, out=prefix)
@@ -224,8 +251,8 @@ def expand_arq_charges(
     att_bits: np.ndarray,
     att_frames: np.ndarray,
     att_values: np.ndarray,
-    att_parent_up: np.ndarray,
-    att_frame_ok: np.ndarray,
+    att_parent_up: np.ndarray | None,
+    att_frame_ok: np.ndarray | None,
     arq_enabled: bool,
     send_cpb,
     recv_cpb: float,
@@ -252,7 +279,31 @@ def expand_arq_charges(
     the returned ``charge_batch`` kwargs accumulates every per-vertex
     float in scalar order, bit for bit.  The integer traffic counters are
     order-independent and returned pre-split by direction.
+
+    ``att_parent_up=None`` is the reliable network's case: one delivered
+    attempt per hop, every parent up and ARQ off, so each hop is one send
+    followed by one receive.
     """
+    if att_parent_up is None:
+        # One delivered attempt per hop, no ARQ: send, receive, send, ...
+        m = att_child.shape[0]
+        energy_vertices = np.empty(2 * m, dtype=np.int64)
+        energy_vertices[0::2] = att_child
+        energy_vertices[1::2] = att_parent
+        energy_joules = np.empty(2 * m, dtype=np.float64)
+        np.multiply(att_bits, send_cpb, out=energy_joules[0::2])
+        np.multiply(att_bits, recv_cpb, out=energy_joules[1::2])
+        return {
+            "energy_vertices": energy_vertices,
+            "energy_joules": energy_joules,
+            "send_vertices": att_child,
+            "send_messages": att_frames,
+            "send_bits": att_bits,
+            "send_values": att_values,
+            "recv_vertices": att_parent,
+            "recv_messages": att_frames,
+            "recv_bits": att_bits,
+        }
     n = att_child.shape[0]
     if np.ndim(send_cpb) == 0:
         send_cpb = np.full(n, float(send_cpb))

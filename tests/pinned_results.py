@@ -1,0 +1,263 @@
+"""Pinned simulated results: one SHA-256 per seeded scenario.
+
+The equivalence suite pins the array walk to the per-hop reference, but
+not an algorithm's own traffic from one change to the next.  This module
+runs a fixed set of seeded scenarios and hashes everything they simulate:
+
+* every ledger array (energy, message, bit and value counters) and the
+  archived per-round energies;
+* ``phase_bits`` and the answer series;
+* the fault counters and the link-quality table;
+* for ``FaultDriver`` runs, each round's trustworthy flag and degraded
+  reason.
+
+Scenarios: the six paper algorithms through ``SimulationRunner`` on a
+reliable network; the same six through ``FaultDriver`` under loss 0.05,
+ARQ 2, outages and a sink kill; one ``MultiQueryRunner`` run.  The digests
+live in ``tests/pinned_results.json`` and ``tests/test_pinned_results.py``
+compares against them.
+
+A change that alters any simulated quantity on purpose regenerates them::
+
+    PYTHONPATH=src python -m tests.pinned_results --write
+
+and gives the reason in ``CHANGES.md``.  Integers are hashed exactly and
+floats at 12 significant digits, so the digests do not depend on how a
+numpy or Python version rounds the last bits of a float reduction.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+from pathlib import Path
+
+import numpy as np
+
+from repro import (
+    HBC,
+    IQ,
+    POS,
+    TAG,
+    LCLLHierarchical,
+    LCLLSlip,
+    QuerySpec,
+    SimulationRunner,
+    SyntheticWorkload,
+    TreeNetwork,
+    build_routing_tree,
+    connected_random_graph,
+)
+from repro.faults import (
+    ArqPolicy,
+    FaultDriver,
+    FaultPlan,
+    IndependentLoss,
+    RandomOutages,
+    ScheduledChurn,
+)
+from repro.serving import MultiQueryRunner, PhiQuery, QueryRegistry, RangeQuery
+
+PINNED = Path(__file__).with_name("pinned_results.json")
+
+NODES = 250
+ROUNDS = 12
+RADIO_RANGE = 35.0
+AREA_SIDE = 140.0
+LINEUP = (
+    ("TAG", TAG),
+    ("POS", POS),
+    ("LCLL-H", LCLLHierarchical),
+    ("LCLL-S", LCLLSlip),
+    ("HBC", HBC),
+    ("IQ", IQ),
+)
+
+
+#: Significant digits a float is hashed at.
+DIGITS = 12
+
+
+def rounded(part):
+    """``part`` with every float (also inside lists and tuples) written at
+    :data:`DIGITS` significant digits."""
+    if isinstance(part, float):
+        return f"{part:.{DIGITS - 1}e}"
+    if isinstance(part, (list, tuple)):
+        return [rounded(item) for item in part]
+    return part
+
+
+class Digest:
+    """SHA-256 over integer arrays (raw bytes) and other values (``repr``
+    of :func:`rounded`)."""
+
+    def __init__(self) -> None:
+        self._sha = hashlib.sha256()
+
+    def feed(self, *parts) -> None:
+        for part in parts:
+            if isinstance(part, np.ndarray):
+                self._sha.update(f"{part.dtype}{part.shape}".encode())
+                if part.dtype.kind != "f":
+                    self._sha.update(np.ascontiguousarray(part).tobytes())
+                    continue
+                part = part.ravel().tolist()
+            self._sha.update(repr(rounded(part)).encode())
+
+    def ledger(self, ledger, phase_bits) -> None:
+        self.feed(
+            ledger.energy,
+            ledger.messages_sent,
+            ledger.messages_received,
+            ledger.bits_sent,
+            ledger.bits_received,
+            ledger.values_sent,
+            np.array(ledger.round_energy_history),
+            sorted(phase_bits.items()),
+        )
+
+    def faults(self, net) -> None:
+        self.feed(
+            net.lost_transmissions,
+            net.retransmissions,
+            net.acks_sent,
+            net.lost_acks,
+            list(net.link_stats._loss.items()),
+            net.link_stats.observations,
+        )
+
+    def hexdigest(self) -> str:
+        return self._sha.hexdigest()
+
+
+def deployment(seed: int = 2014):
+    rng = np.random.default_rng(seed)
+    graph = connected_random_graph(NODES + 1, RADIO_RANGE, rng, area_side=AREA_SIDE)
+    tree = build_routing_tree(graph, root=0)
+    workload = SyntheticWorkload(graph.positions, rng, area_side=AREA_SIDE)
+    spec = QuerySpec(r_min=workload.r_min, r_max=workload.r_max)
+    return graph, tree, workload, spec
+
+
+def fault_plan(tree, cell: int) -> FaultPlan:
+    """Loss 0.05, transient outages and the sink killed mid-run."""
+    return FaultPlan(
+        loss=IndependentLoss(0.05),
+        churn=ScheduledChurn({ROUNDS // 2: (tree.root,)}),
+        outages=RandomOutages(0.01, mean_downtime=3),
+        rng=np.random.default_rng((2014, cell)),
+    )
+
+
+def clean_digest(name: str, factory) -> str:
+    _, tree, workload, spec = deployment()
+    captured = []
+
+    def network(tree, ledger):
+        net = TreeNetwork(tree, ledger)
+        captured.append(net)
+        return net
+
+    runner = SimulationRunner(tree, RADIO_RANGE, network_factory=network)
+    result = runner.run(factory(spec), workload.values, ROUNDS)
+    net = captured[-1]
+    digest = Digest()
+    digest.feed(name, result.quantile_series, [r.exchanges for r in result.rounds])
+    digest.ledger(net.ledger, net.phase_bits)
+    return digest.hexdigest()
+
+
+def faulty_digest(cell: int, factory) -> str:
+    graph, tree, workload, spec = deployment()
+    driver = FaultDriver(
+        factory,
+        spec,
+        tree,
+        workload,
+        fault_plan(tree, cell),
+        ArqPolicy(max_retries=2),
+        graph=graph,
+        failover_rng=np.random.default_rng((2014, cell, 1)),
+    )
+    reports = driver.run(ROUNDS)
+    digest = Digest()
+    digest.feed(
+        [
+            (r.answer, r.trustworthy, r.degraded_reason, r.reinitialized, r.failed)
+            for r in reports
+        ],
+        driver.reinits,
+        driver.failover.count,
+    )
+    digest.faults(driver.net)
+    digest.ledger(driver.ledger, driver.net.phase_bits)
+    return digest.hexdigest()
+
+
+def serving_digest() -> str:
+    graph, tree, workload, spec = deployment()
+    span = spec.r_max - spec.r_min
+    registry = QueryRegistry()
+    registry.register(PhiQuery("grid", phis=(0.5, 0.9, 0.99)))
+    registry.register(
+        RangeQuery("band", spec.r_min + span // 4, spec.r_min + 3 * span // 4)
+    )
+    runner = MultiQueryRunner(
+        registry,
+        spec,
+        tree,
+        workload,
+        fault_plan(tree, len(LINEUP)),
+        ArqPolicy(max_retries=2),
+        graph=graph,
+        failover_rng=np.random.default_rng((2014, len(LINEUP), 1)),
+    )
+    served = runner.run(ROUNDS)
+    digest = Digest()
+    for round_ in served:
+        report = round_.report
+        digest.feed(
+            report.answer,
+            report.trustworthy,
+            report.degraded_reason,
+            [
+                (a.query, a.trustworthy, a.reason, [(i.label, i.value, i.lo, i.hi) for i in a.items])
+                for a in round_.answers
+            ],
+        )
+    driver = runner.driver
+    digest.faults(driver.net)
+    digest.ledger(driver.ledger, driver.net.phase_bits)
+    return digest.hexdigest()
+
+
+def scenario_digests() -> dict[str, str]:
+    """Every scenario's digest, keyed ``clean/<alg>``, ``faults/<alg>``,
+    ``serving``."""
+    out = {}
+    for name, factory in LINEUP:
+        out[f"clean/{name}"] = clean_digest(name, factory)
+    for cell, (name, factory) in enumerate(LINEUP):
+        out[f"faults/{name}"] = faulty_digest(cell, factory)
+    out["serving"] = serving_digest()
+    return out
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--write", action="store_true", help=f"rewrite {PINNED.name}"
+    )
+    args = parser.parse_args(argv)
+    digests = scenario_digests()
+    text = json.dumps(digests, indent=2, sort_keys=True) + "\n"
+    if args.write:
+        PINNED.write_text(text)
+    print(text, end="")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

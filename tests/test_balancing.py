@@ -8,15 +8,18 @@ import pytest
 from repro.baselines.pos import POS
 from repro.core.iq import IQ
 from repro.datasets.synthetic import SyntheticWorkload
-from repro.errors import ConfigurationError, ProtocolError, TopologyError
-from repro.extensions.balancing import RotatingTreeRunner
+from repro.errors import TopologyError
+from repro.faults import FaultDriver, FaultPlan
 from repro.network.routing import (
     build_randomized_routing_tree,
     build_routing_tree,
 )
 from repro.network.topology import build_physical_graph, connected_random_graph
+from repro.sim.engine import TreeNetwork
 from repro.sim.runner import SimulationRunner
 from repro.types import QuerySpec
+
+from tests.test_vectorized import assert_networks_identical
 
 
 class TestRandomizedRoutingTree:
@@ -57,15 +60,39 @@ def balancing_setup():
     return graph, workload
 
 
+def rotating_driver(graph, workload, factory, rng, rotate_every):
+    """Tree rotation on a reliable network: ``FaultDriver`` under an empty
+    plan, starting from a randomized min-hop tree drawn from ``rng``."""
+    spec = QuerySpec(r_min=workload.r_min, r_max=workload.r_max)
+    return FaultDriver(
+        factory,
+        spec,
+        build_randomized_routing_tree(graph, rng, 0),
+        workload,
+        FaultPlan(),
+        graph=graph,
+        repair=False,
+        repair_metric="nearest",
+        rotate_every=rotate_every,
+        rotate_rng=rng,
+    )
+
+
 class TestRotatingTreeRunner:
+    """Hotspot balancing by tree rotation, run through ``FaultDriver``.
+
+    The algorithms' state is value-domain, so rotation swaps the tree
+    under a running algorithm with no re-initialization.
+    """
+
     def test_exact_across_rotations(self, balancing_setup):
         graph, workload = balancing_setup
-        spec = QuerySpec(r_min=workload.r_min, r_max=workload.r_max)
-        runner = RotatingTreeRunner(
-            graph, 35.0, np.random.default_rng(1), rebuild_every=7
-        )
-        result = runner.run(IQ(spec), workload.values, 40)
-        assert result.all_exact
+        driver = rotating_driver(graph, workload, IQ, np.random.default_rng(1), 7)
+        reports = driver.run(40)
+        assert driver.rotations == 5
+        assert driver.exact == 40
+        assert all(report.trustworthy for report in reports)
+        assert driver.failures == driver.reinits == 0
 
     @pytest.mark.parametrize("factory", [IQ, POS])
     def test_rotation_extends_lifetime(self, balancing_setup, factory):
@@ -73,97 +100,35 @@ class TestRotatingTreeRunner:
         spec = QuerySpec(r_min=workload.r_min, r_max=workload.r_max)
         fixed = SimulationRunner(build_routing_tree(graph, 0), 35.0)
         fixed_result = fixed.run(factory(spec), workload.values, 60)
-        rotating = RotatingTreeRunner(
-            graph, 35.0, np.random.default_rng(3), rebuild_every=10
+        rotating = rotating_driver(
+            graph, workload, factory, np.random.default_rng(3), 10
         )
-        rotating_result = rotating.run(factory(spec), workload.values, 60)
+        rotating.run(60)
         assert (
-            rotating_result.lifetime_rounds > fixed_result.lifetime_rounds * 0.95
+            rotating.ledger.steady_state_lifetime()
+            > fixed_result.lifetime_rounds * 0.95
         )
 
     def test_zero_rebuild_matches_fixed_tree_behaviour(self, balancing_setup):
+        """``rotate_every=0`` is ``SimulationRunner`` on the same tree."""
         graph, workload = balancing_setup
+        driver = rotating_driver(graph, workload, IQ, np.random.default_rng(4), 0)
+        reports = driver.run(20)
+        captured = []
+
+        def network(tree, ledger):
+            captured.append(TreeNetwork(tree, ledger))
+            return captured[-1]
+
         spec = QuerySpec(r_min=workload.r_min, r_max=workload.r_max)
-        runner = RotatingTreeRunner(
-            graph, 35.0, np.random.default_rng(4), rebuild_every=0
-        )
+        runner = SimulationRunner(driver.net.tree, 35.0, network_factory=network)
         result = runner.run(IQ(spec), workload.values, 20)
-        assert result.all_exact
-        assert result.num_rounds == 20
-
-    def test_exchange_counter_survives_rotation(self, balancing_setup):
-        graph, workload = balancing_setup
-        spec = QuerySpec(r_min=workload.r_min, r_max=workload.r_max)
-        runner = RotatingTreeRunner(
-            graph, 35.0, np.random.default_rng(5), rebuild_every=5
-        )
-        result = runner.run(IQ(spec), workload.values, 20)
-        assert all(record.exchanges >= 0 for record in result.rounds)
-        assert sum(record.exchanges for record in result.rounds) > 0
-
-    def test_invalid_arguments_rejected(self, balancing_setup):
-        graph, workload = balancing_setup
-        with pytest.raises(ConfigurationError):
-            RotatingTreeRunner(
-                graph, 35.0, np.random.default_rng(0), rebuild_every=-1
-            )
-        runner = RotatingTreeRunner(graph, 35.0, np.random.default_rng(0))
-        spec = QuerySpec(r_min=workload.r_min, r_max=workload.r_max)
-        with pytest.raises(ProtocolError):
-            runner.run(IQ(spec), workload.values, 0)
-
-    def test_oracle_check_gated_on_exact_for_sketches(self, balancing_setup):
-        """Regression: rotating with a sketch used to raise ProtocolError.
-
-        ``RotatingTreeRunner.run`` asserted *every* algorithm's answer
-        against the oracle; an approximate sketch legitimately missing it
-        within its rank bound blew up the run on the first inexact round.
-        The check is now gated on ``algorithm.exact`` (like the main
-        runner) and the per-round rank error is recorded instead.
-        """
-        from repro.experiments.config import sketch_algorithms
-
-        graph, workload = balancing_setup
-        spec = QuerySpec(r_min=workload.r_min, r_max=workload.r_max)
-        factory = sketch_algorithms((0.1,), gated=False, one_shot=True)[
-            "SK1@0.1"
-        ]
-        algorithm = factory(spec)
-        assert not algorithm.exact
-        runner = RotatingTreeRunner(
-            graph, 35.0, np.random.default_rng(8), rebuild_every=5, check=True
-        )
-        result = runner.run(algorithm, workload.values, 20)  # must not raise
-        assert result.num_rounds == 20
-        # The run really exercised the gate: some rounds missed the oracle
-        # (each of which used to raise), and their rank error is recorded
-        # like the main runner records it.
-        inexact = [
-            r for r in result.rounds if r.outcome.quantile != r.true_quantile
-        ]
-        assert inexact
-        assert any(record.rank_error > 0 for record in result.rounds)
-        assert all(record.rank_error >= 0 for record in result.rounds)
-
-    def test_round_stats_report_ledger_message_deltas(self, balancing_setup):
-        """Regression: rotation rounds hardcoded messages/values to zero.
-
-        The per-round stats must reconcile with the ledger's run totals,
-        exactly like ``SimulationRunner``'s accounting does.
-        """
-        graph, workload = balancing_setup
-        spec = QuerySpec(r_min=workload.r_min, r_max=workload.r_max)
-        runner = RotatingTreeRunner(
-            graph, 35.0, np.random.default_rng(9), rebuild_every=5
-        )
-        result = runner.run(IQ(spec), workload.values, 20)
-        assert result.totals is not None
-        assert sum(r.messages_sent for r in result.rounds) == (
-            result.totals.messages_sent
-        )
-        assert sum(r.values_sent for r in result.rounds) == (
-            result.totals.values_sent
-        )
-        # The initialization round alone moves every sensor's value.
-        assert result.rounds[0].messages_sent > 0
-        assert result.rounds[0].values_sent > 0
+        assert [r.answer for r in reports] == result.quantile_series
+        assert driver.rotations == 0
+        assert_networks_identical(driver.net, captured[0])
+        assert len(driver.ledger.round_energy_history) == 20
+        for mine, theirs in zip(
+            driver.ledger.round_energy_history,
+            captured[0].ledger.round_energy_history,
+        ):
+            assert np.array_equal(mine, theirs)

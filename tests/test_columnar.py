@@ -12,7 +12,8 @@ columns on both networks.  These tests pin:
   expanded payloads, on random trees with virtual vertices, a root-keyed
   contribution, loss, static and learning ARQ, outages and dead forwarders;
 * the fixes that came with it: a down root's own contribution is not
-  delivered, and a fault plan overriding ``is_down`` is refused.
+  delivered, a down host delivers nothing of its virtual children, and a
+  fault plan overriding ``is_down`` is refused.
 """
 
 from __future__ import annotations
@@ -56,6 +57,7 @@ from tests.reference_engine import ReferenceFaultyTreeNetwork
 from tests.test_fault_sampling import states_equal
 from tests.test_vectorized import (
     RADIO_RANGE,
+    SizedPayload,
     assert_networks_identical,
     make_net,
     random_tree,
@@ -226,6 +228,32 @@ def test_down_root_delivers_nothing():
     assert_faulty_identical(*nets)
 
 
+def test_virtual_leaf_under_down_host_delivers_nothing():
+    """Regression: a down host used to count as a sender for its virtual
+    child's payload, so the object fold priced the hops off by one."""
+    # 0 <- 6 <- 1 <- {2 (virtual), 5}, 0 <- 3 <- 4; vertex 1 dies, and its
+    # parent 6 sends after it.
+    tree = tree_from_parents(
+        0, [-1, 6, 1, 0, 3, 1, 0], np.random.default_rng(1).uniform(0.0, 30.0, (7, 2))
+    )
+    nets = faulty_pair(
+        tree,
+        lambda: FaultPlan(churn=ScheduledChurn({0: (1,)})),
+        lambda: ArqPolicy(max_retries=1),
+        virtual=frozenset({2}),
+    )
+    contributions = {
+        v: SizedPayload(frozenset(range(10 * v, 10 * v + v))) for v in range(1, 7)
+    }
+    answers = []
+    for net in nets:
+        net.begin_faults_round(0)
+        answers.append(net.convergecast(contributions))
+    assert answers[0] == answers[1]
+    assert nets[1].collection_log[-1].delivered == frozenset({3, 4, 6})
+    assert_faulty_identical(*nets)
+
+
 def test_fault_plan_is_down_override_refused():
     with pytest.raises(TypeError, match="_down_mask"):
         type("Overrider", (FaultPlan,), {"is_down": lambda self, vertex: False})
@@ -242,7 +270,8 @@ NETWORKS = ("clean", "reliable", "lossy-static", "lossy-adaptive", "dead-forward
     network=st.sampled_from(NETWORKS),
 )
 def test_batch_fold_equals_reference_walk(seed, size, kind, network):
-    """Every batch kind folds exactly like ``merged_with`` over its payloads."""
+    """Every batch kind folds exactly like ``merged_with`` over its payloads,
+    and so does the object fold over those payloads."""
     rng = np.random.default_rng(seed)
     parents = [-1] + [int(rng.integers(0, v)) for v in range(1, size)]
     tree = tree_from_parents(0, parents, rng.uniform(0.0, 30.0, size=(size, 2)))
@@ -272,6 +301,22 @@ def test_batch_fold_equals_reference_walk(seed, size, kind, network):
         nets = [make_net(reference, tree, virtual=virtual) for reference in (True, False)]
     else:
         nets = faulty_pair(tree, plan, arq, virtual)
+    null_pair = []
+    if network == "reliable":
+        # The reliable network and the faulty one under a null plan differ
+        # only in their hop decider, so they must fold every payload form
+        # identically; one network class relies on this.
+        model = EnergyModel(per_link_distance=bool(rng.integers(2)))
+        null_pair = [
+            make_net(False, tree, model=model, virtual=virtual),
+            FaultyTreeNetwork(
+                tree,
+                EnergyLedger(tree.num_vertices, tree.root, model, RADIO_RANGE),
+                plan=FaultPlan(),
+                arq=ArqPolicy(),
+                virtual_vertices=virtual,
+            ),
+        ]
     # Root included: a root-keyed contribution merges without radio cost.
     vertices = np.arange(tree.num_vertices)
     answers = [[], []]
@@ -280,9 +325,19 @@ def test_batch_fold_equals_reference_walk(seed, size, kind, network):
         for net, out in zip(nets, answers):
             if network != "clean":
                 net.begin_faults_round(r)
+            # The batch, then the payload objects it stands for.
             out.append(net.convergecast(batch))
+            out.append(net.convergecast(batch.payloads()))
+        if null_pair:
+            for form in (batch, batch.payloads()):
+                reliable, null_plan = (net.convergecast(form) for net in null_pair)
+                assert reliable == null_plan
+            for net in null_pair:
+                net.broadcast(16 * r)
     assert answers[0] == answers[1]
     if network == "clean":
         assert_networks_identical(*nets)
     else:
         assert_faulty_identical(*nets)
+    if null_pair:
+        assert_networks_identical(*null_pair)

@@ -69,86 +69,96 @@ class TestEwma:
             est.observe(4, 0, delivered=bool(rng.random() >= rate))
         assert est.loss(4, 0) == pytest.approx(rate, abs=0.1)
 
-
-class TestObserveBatch:
-    """Batched feedback must be a literal ordered replay of ``observe``.
-
-    The vectorized faulty convergecast defers its per-hop channel outcomes
-    and folds them in one ``observe_batch`` call per phase; these pinned
-    regression values guarantee the batch path never drifts from the
-    scalar EWMA recurrence (order, insertion order, counters included).
-    """
-
-    def test_pinned_regression_values(self):
-        est = LinkQualityEstimator(smoothing=0.5, prior_loss=0.1)
-        est.observe_batch([1, 1, 2], [2, 2, 1], [False, True, False])
-        # link (1,2): 0.1 -> 0.55 -> 0.275; link (2,1): 0.1 -> 0.55.
-        assert est.loss(1, 2) == 0.275
-        assert est.loss(2, 1) == 0.55
-        assert est.observations == 3
-
-    def test_matches_scalar_replay_bit_for_bit(self):
-        rng = np.random.default_rng(77)
-        senders = rng.integers(0, 6, size=200).tolist()
-        receivers = rng.integers(6, 12, size=200).tolist()
-        outcomes = (rng.random(200) < 0.6).tolist()
-
-        scalar = LinkQualityEstimator(smoothing=0.3, prior_loss=0.08)
-        for s, r, ok in zip(senders, receivers, outcomes):
-            scalar.observe(s, r, ok)
-        batched = LinkQualityEstimator(smoothing=0.3, prior_loss=0.08)
-        batched.observe_batch(senders, receivers, outcomes)
-
-        # Values, insertion order and the sample counter all identical —
-        # `==` on floats, no approx: the recurrence must be the same code
-        # path arithmetic, not merely close.
-        assert list(scalar._loss.items()) == list(batched._loss.items())
-        assert scalar.observations == batched.observations
-
-    def test_accepts_numpy_arrays(self):
-        est = LinkQualityEstimator(smoothing=0.5, prior_loss=0.1)
-        est.observe_batch(
-            np.array([4, 4]), np.array([0, 0]), np.array([False, False])
-        )
-        # 0.1 -> 0.55 -> 0.775
-        assert est.loss(4, 0) == 0.775
-        assert est.observations == 2
-
-    def test_empty_batch_is_a_no_op(self):
-        est = LinkQualityEstimator()
-        est.observe_batch([], [], [])
-        assert est.observations == 0
-        assert est.num_links == 0
-
-    def test_adaptive_arq_budgets_from_batched_feedback(self):
-        """Pinned budgets: batched outcomes drive the same retry counts."""
+    def test_adaptive_arq_budget_follows_scalar_feedback(self):
+        """Pinned budgets: a loss burst ramps the retry count to the cap."""
         from repro.faults import AdaptiveArqPolicy
 
-        scalar_policy = AdaptiveArqPolicy(
+        policy = AdaptiveArqPolicy(
             max_retries=5, target_delivery=0.99, smoothing=0.5, prior_loss=0.05
         )
-        batched_policy = AdaptiveArqPolicy(
-            max_retries=5, target_delivery=0.99, smoothing=0.5, prior_loss=0.05
-        )
-        outcomes = [False, False, True, False, False, False]
-        for ok in outcomes:
-            scalar_policy.observe(3, 0, ok)
-        batched_policy.observe_batch([3] * 6, [0] * 6, outcomes)
-
-        assert scalar_policy.estimator.loss(3, 0) == batched_policy.estimator.loss(
-            3, 0
-        )
+        for ok in [False, False, True, False, False, False]:
+            policy.observe(3, 0, ok)
         # Loss after the burst: 0.05 -> .525 -> .7625 -> .38125 -> .690625
         # -> .8453125 -> .92265625; ceil(log(.01)/log(p)) = 57, clamped to
         # the max_retries+1 = 6 attempt budget.
-        assert batched_policy.estimator.loss(3, 0) == 0.92265625
-        assert scalar_policy.attempts_for(3, 0) == 6
-        assert batched_policy.attempts_for(3, 0) == 6
-        # A quiet link decays back to a single attempt under both paths.
-        batched_policy.observe_batch([3] * 8, [0] * 8, [True] * 8)
+        assert policy.estimator.loss(3, 0) == 0.92265625
+        assert policy.attempts_for(3, 0) == 6
+        # A quiet link decays back to a single attempt.
         for _ in range(8):
-            scalar_policy.observe(3, 0, True)
-        assert scalar_policy.attempts_for(3, 0) == batched_policy.attempts_for(3, 0)
+            policy.observe(3, 0, True)
+        assert policy.attempts_for(3, 0) == 1
+
+
+class TestObserveHops:
+    """The replay of a batch of stop-and-wait hops is ``observe`` in hop order."""
+
+    @staticmethod
+    def stop_and_wait(rng, hops: int, arq: bool):
+        """Random hops over distinct links, as the faulty walk records them."""
+        senders = rng.permutation(np.arange(1, 40))[:hops].tolist()
+        receivers = [s + 100 for s in senders]
+        attempts, frame_ok, acks, final_ack = [], [], [], []
+        for _ in range(hops):
+            k = delivered = 0
+            last_ack = False
+            while True:
+                k += 1
+                ok = bool(rng.random() < 0.6)
+                frame_ok.append(ok)
+                if ok:
+                    delivered += 1
+                    if not arq:
+                        break
+                    last_ack = bool(rng.random() < 0.7)
+                    if last_ack:
+                        break
+                elif not arq:
+                    break
+                if k == 3:
+                    break
+            attempts.append(k)
+            acks.append(delivered)
+            final_ack.append(last_ack)
+        return senders, receivers, attempts, frame_ok, acks, final_ack
+
+    @pytest.mark.parametrize("arq", [False, True])
+    @pytest.mark.parametrize("seed", [3, 11, 29])
+    def test_matches_scalar_observe_in_hop_order(self, seed, arq):
+        rng = np.random.default_rng(seed)
+        senders, receivers, attempts, frame_ok, acks, final_ack = (
+            self.stop_and_wait(rng, 25, arq)
+        )
+        uplink = rng.random(25) < 0.8
+        scalar = LinkQualityEstimator(smoothing=0.3, prior_loss=0.08)
+        # Known links already in the table, in a scrambled order.
+        for s in senders[::3]:
+            scalar.observe(s, s + 100, True)
+        batched = LinkQualityEstimator(smoothing=0.3, prior_loss=0.08)
+        for s in senders[::3]:
+            batched.observe(s, s + 100, True)
+
+        i = 0
+        for h, (s, r) in enumerate(zip(senders, receivers)):
+            seen_acks = 0
+            for ok in frame_ok[i : i + attempts[h]]:
+                if uplink[h]:
+                    scalar.observe(s, r, ok)
+                if arq and ok:
+                    seen_acks += 1
+                    last = seen_acks == acks[h]
+                    scalar.observe(r, s, final_ack[h] if last else False)
+            i += attempts[h]
+        batched.observe_hops(
+            senders,
+            receivers,
+            np.array(attempts, dtype=np.int64),
+            np.array(frame_ok, dtype=bool),
+            uplink,
+            final_ack if arq else None,
+        )
+        # Values, insertion order and the sample counter all identical.
+        assert list(scalar._loss.items()) == list(batched._loss.items())
+        assert scalar.observations == batched.observations
 
 
 class TestEtx:

@@ -8,7 +8,7 @@ import pytest
 from repro.baselines.pos import POS
 from repro.baselines.tag import TAG
 from repro.core.base import ContinuousQuantileAlgorithm
-from repro.errors import ProtocolError
+from repro.errors import ConfigurationError, ProtocolError
 from repro.sim.runner import SimulationRunner
 from repro.types import QuerySpec, RoundOutcome
 
@@ -86,3 +86,49 @@ class TestSimulationRunner:
         assert result.total_refinements == sum(
             r.outcome.refinements for r in result.rounds
         )
+
+
+class TestFaultPlans:
+    """The runner never advances a fault plan: only loss may ride along."""
+
+    @staticmethod
+    def faulty_factory(plan):
+        from repro.faults import FaultyTreeNetwork
+
+        return lambda tree, ledger: FaultyTreeNetwork(tree, ledger, plan=plan)
+
+    def test_churn_and_outages_refused(self, random_deployment, rng):
+        """Regression: a churn plan used to be dropped without a word.
+
+        Thirty sensors scheduled to die in round 1 never died: the runner
+        never called ``begin_faults_round``, every sensor delivered and
+        the run reported ``all_exact``.
+        """
+        from repro.faults import FaultPlan, RandomOutages, ScheduledChurn
+
+        _, tree = random_deployment
+        assert tree.num_vertices == 61
+        values = rng.integers(0, 1000, size=tree.num_vertices)
+        plans = [
+            FaultPlan(churn=ScheduledChurn({1: tuple(tree.sensor_nodes[:30])})),
+            FaultPlan(outages=RandomOutages(0.2)),
+        ]
+        for plan in plans:
+            runner = SimulationRunner(
+                tree, 35.0, network_factory=self.faulty_factory(plan)
+            )
+            with pytest.raises(ConfigurationError, match="FaultDriver"):
+                runner.run(TAG(QuerySpec(r_max=1000)), static_provider(values), 5)
+            assert not plan.dead and not plan.down
+
+    def test_loss_alone_still_runs(self, random_deployment, rng):
+        from repro.faults import FaultPlan, IndependentLoss
+
+        _, tree = random_deployment
+        values = rng.integers(0, 1000, size=tree.num_vertices)
+        plan = FaultPlan(loss=IndependentLoss(0.2), rng=np.random.default_rng(3))
+        runner = SimulationRunner(
+            tree, 35.0, check=False, network_factory=self.faulty_factory(plan)
+        )
+        result = runner.run(TAG(QuerySpec(r_max=1000)), static_provider(values), 5)
+        assert result.num_rounds == 5
