@@ -294,9 +294,10 @@ class MultiQuerySketch(ContinuousQuantileAlgorithm):
         mask = self.participation_mask(net)
         self._mask = mask
         targets: dict[tuple, GateTarget] = {}
+        scopes: dict[frozenset[str], QDigest | None] = {}
         for index, plan_target in enumerate(self.plan.targets):
             targets[plan_target.key] = self._build_target(
-                plan_target, index, collected, values, mask
+                plan_target, index, collected, values, mask, scopes
             )
         self.targets = targets
         self._broadcast_filters(net)
@@ -308,8 +309,14 @@ class MultiQuerySketch(ContinuousQuantileAlgorithm):
         collected: TaggedSketchPayload,
         values: np.ndarray,
         mask: np.ndarray,
+        scopes: dict[frozenset[str], QDigest | None],
     ) -> GateTarget:
-        """Fresh gate state for one plan target from a collected payload."""
+        """Fresh gate state for one plan target from a collected payload.
+
+        ``scopes`` caches the merged digest per cell set for the current
+        refresh, so targets sharing a scope share one merge and one query
+        index.
+        """
         scope_mask = np.zeros(len(values), dtype=bool)
         if plan_target.scope:
             scope_mask[list(plan_target.scope)] = True
@@ -318,7 +325,10 @@ class MultiQuerySketch(ContinuousQuantileAlgorithm):
         )
         participating = scope_mask & mask
         n_scope = int(participating.sum())
-        sub = collected.merged_cells(plan_target.cells)
+        cells = plan_target.cells
+        if cells not in scopes:
+            scopes[cells] = collected.merged_cells(cells)
+        sub = scopes[cells]
         if n_scope == 0:
             target.empty_scope = True
         elif sub is None or sub.n == 0:
@@ -348,10 +358,11 @@ class MultiQuerySketch(ContinuousQuantileAlgorithm):
         collected = self._collect(net, values, cells=cells)
         if collected is not None:
             self.partial_refreshes += 1
+            scopes: dict[frozenset[str], QDigest | None] = {}
             for index, plan_target in enumerate(self.plan.targets):
                 if plan_target.cells and plan_target.cells <= cells:
                     self.targets[plan_target.key] = self._build_target(
-                        plan_target, index, collected, values, self._mask
+                        plan_target, index, collected, values, self._mask, scopes
                     )
             self._broadcast_filters(net)
         return RoundOutcome(

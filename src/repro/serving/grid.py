@@ -22,8 +22,10 @@ from repro.sketch.payload import QuantileSketch
 def phi_grid(sketch: QuantileSketch, phis: tuple[float, ...]) -> tuple[int, ...]:
     """The sketch's answer for every grid point, in the given φ order.
 
-    Answers are monotone non-decreasing for ascending φ because the
-    underlying rank query scans the same value ordering for every rank.
+    Answers are monotone non-decreasing for ascending φ: the rank is
+    non-decreasing in φ, and the sketch answers every rank from one prefix
+    list, its cumulative counts over values in ascending order, so a
+    higher rank never lands on a smaller value.
     """
     if sketch.n == 0:
         raise ConfigurationError("cannot decode a phi grid from an empty sketch")

@@ -28,14 +28,32 @@ mutates either operand (the engine merges payloads in arbitrary order).
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable
+from functools import cached_property
+from itertools import accumulate
+from typing import Iterable, NamedTuple
 
 from repro.constants import COUNTER_BITS
 from repro.errors import ConfigurationError, ProtocolError
 
 #: Bits spent declaring the per-entry count width in the serialized header.
 _COUNT_WIDTH_BITS = 5
+
+
+class _QueryIndex(NamedTuple):
+    """Root-side query index of one digest (never serialized).
+
+    ``ends`` holds every entry's range end, clipped to the universe, in
+    ascending order; ``end_prefix[i]`` is the total count of the first
+    ``i`` of them.  ``starts`` and ``start_prefix`` do the same for range
+    starts.  Both prefix lists have one more element than the entries.
+    """
+
+    ends: list[int]
+    end_prefix: list[int]
+    starts: list[int]
+    start_prefix: list[int]
 
 
 @dataclass(frozen=True)
@@ -126,47 +144,35 @@ class QDigest:
     def rank_bounds(self, x: int) -> tuple[int, int]:
         """Sound bounds ``(lo, hi)`` on ``#{values < x}``.
 
-        ``hi - lo`` is the ambiguity at the boundary, at most ``eps * n``.
+        ``lo`` counts the entries whose range ends before the boundary,
+        ``hi`` those whose range starts before it; ``hi - lo`` is the
+        ambiguity at the boundary, at most ``eps * n``.  Two bisections on
+        the query index.
         """
         if x <= self.r_min:
             return 0, 0
         if x > self.r_max:
             return self.n, self.n
         boundary = x - self.r_min  # leaf index split
-        lo = hi = 0
-        for node, count in self.entries:
-            a, b = self._node_range(node)
-            # Padding leaves beyond the universe never hold measurements, so
-            # a range reaching into the padding effectively ends at r_max.
-            b = min(b, self.universe_size - 1)
-            if b < boundary:
-                lo += count
-                hi += count
-            elif a < boundary:
-                hi += count
+        index = self._index
+        lo = index.end_prefix[bisect_left(index.ends, boundary)]
+        hi = index.start_prefix[bisect_left(index.starts, boundary)]
         return lo, hi
 
     def quantile(self, k: int) -> int:
         """An approximation of the ``k``-th smallest summarized value.
 
         The returned value's true rank differs from ``k`` by at most
-        ``eps * n``.  Stored nodes are scanned in ascending order of their
-        range maximum (deeper nodes first on ties) and the range maximum of
-        the node reaching cumulative count ``k`` is reported.
+        ``eps * n``.  It is the (universe-clipped) range maximum of the
+        first stored node, in order of range maximum, at which the
+        cumulative count reaches ``k``: one bisection on the prefix counts.
+        Nodes sharing a range maximum report the same value, so their
+        order among themselves never changes the answer.
         """
         if not 1 <= k <= self.n:
             raise ConfigurationError(f"rank {k} out of range for {self.n} values")
-        ordered = sorted(
-            self.entries, key=lambda item: (self._node_range(item[0])[1], item[0])
-        )
-        cumulative = 0
-        result = self.r_min
-        for node, count in ordered:
-            cumulative += count
-            result = self.r_min + self._node_range(node)[1]
-            if cumulative >= k:
-                break
-        return min(result, self.r_max)
+        index = self._index
+        return self.r_min + index.ends[bisect_left(index.end_prefix, k) - 1]
 
     def quantile_phi(self, phi: float) -> int:
         """The ``phi``-quantile under the paper's rank convention."""
@@ -233,12 +239,33 @@ class QDigest:
             count <= bound for node, count in self.entries if node < leaf_base
         )
 
-    def _node_range(self, node: int) -> tuple[int, int]:
-        """Inclusive leaf-index range ``[a, b]`` covered by ``node``."""
-        depth = node.bit_length() - 1
-        span = 1 << (self.levels - depth)
-        first = (node - (1 << depth)) * span
-        return first, first + span - 1
+    @cached_property
+    def _index(self) -> _QueryIndex:
+        """The query index, built on the first query (the digest is immutable).
+
+        Padding leaves beyond the universe never hold measurements, so a
+        range reaching into the padding effectively ends at ``r_max``: the
+        ends are clipped there.  ``O(m log m)`` once for ``m`` entries;
+        every query after that is ``O(log m)``.
+        """
+        levels = self.levels
+        last = self.universe_size - 1
+        by_end = []
+        by_start = []
+        for node, count in self.entries:
+            # A node at depth d covers 2^(L-d) leaves from (node - 2^d) * 2^(L-d).
+            shift = levels + 1 - node.bit_length()
+            first = (node << shift) - (1 << levels)
+            by_end.append((min(first + (1 << shift) - 1, last), count))
+            by_start.append((first, count))
+        by_end.sort()
+        by_start.sort()
+        return _QueryIndex(
+            ends=[end for end, _ in by_end],
+            end_prefix=list(accumulate((c for _, c in by_end), initial=0)),
+            starts=[first for first, _ in by_start],
+            start_prefix=list(accumulate((c for _, c in by_start), initial=0)),
+        )
 
 
 def _validate_params(eps: float, r_min: int, r_max: int) -> None:

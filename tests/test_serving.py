@@ -31,6 +31,7 @@ from repro.serving import (
     range_count_bounds,
     value_bounds,
 )
+from repro.serving.algorithm import MultiQuerySketch
 from repro.sim.oracle import exact_quantile, quantile_rank, rank_error
 from repro.sketch import QDigest
 from repro.types import QuerySpec
@@ -299,6 +300,51 @@ class TestServingFaultFree:
         )
         assert all(not a.trustworthy for a in answers)
         assert all(a.reason == "stale" for a in answers)
+
+
+def quadrant(vertex, position):
+    """The quarter of the 200 m field a sensor stands in."""
+    return ("S" if position[1] < 100.0 else "N") + (
+        "W" if position[0] < 100.0 else "E"
+    )
+
+
+def test_one_merge_per_scope_per_refresh(monkeypatch):
+    """Targets sharing a scope share one merged digest per refresh.
+
+    A φ-grid, a 4-quadrant group-by and a range query plan 10 targets
+    over 5 distinct cell sets: 6 global targets over all 4 quadrant cells
+    (3 merges, once) and 4 single-cell quadrant targets (no merge).
+    Merging per target instead would cost 6 * 3 = 18 merges.
+    """
+    graph, tree, workload, spec = make_deployment(num_nodes=60)
+    registry = QueryRegistry()
+    registry.register(PhiQuery("grid", phis=(0.5, 0.9, 0.95, 0.99)))
+    registry.register(GroupByQuery("quadrants", assign=quadrant))
+    registry.register(RangeQuery("band", low=spec.r_min + 100, high=spec.r_min + 300))
+    runner = MultiQueryRunner(registry, spec, tree, workload, graph=graph)
+
+    merged = QDigest.merged
+    rebuild = MultiQuerySketch._rebuild
+    merges: list[int] = []
+
+    def counting_merged(digest, other):
+        merges[-1] += 1
+        return merged(digest, other)
+
+    def counting_rebuild(self, *args):
+        merges.append(0)
+        with monkeypatch.context() as patch:
+            patch.setattr(QDigest, "merged", counting_merged)
+            rebuild(self, *args)
+
+    monkeypatch.setattr(MultiQuerySketch, "_rebuild", counting_rebuild)
+    runner.step(0)
+
+    plan = runner.driver.algorithm.plan
+    assert len(plan.targets) == 10
+    assert len({target.cells for target in plan.targets}) == 5
+    assert merges == [3]
 
 
 def test_phi_label():
