@@ -39,10 +39,11 @@ from repro.constants import (
 )
 from repro.core.base import (
     ContinuousQuantileAlgorithm,
+    collect_histogram,
     tag_initialization,
 )
 from repro.core.histogram import BucketGrid, locate_bucket, make_grid
-from repro.core.payloads import BucketDeltaBatch, HistogramBatch
+from repro.core.payloads import BucketDeltaBatch
 from repro.errors import ProtocolError
 from repro.sim.engine import TreeNetwork
 from repro.types import QuerySpec, RoundOutcome
@@ -68,32 +69,15 @@ class LCLLHierarchical(ContinuousQuantileAlgorithm):
         self._grids: list[BucketGrid] = []
         self._counts: list[list[int]] = []
         self._registration: np.ndarray | None = None  # (levels, vertices)
-        self._mask: np.ndarray | None = None
 
     # -- rounds ---------------------------------------------------------------
 
     def initialize(self, net: TreeNetwork, values: np.ndarray) -> RoundOutcome:
         k = self.rank(net)
         self._grids, self._counts = [], []
-        low, high = self.spec.r_min, self.spec.r_max
-        below = 0
-        refinements = 0
-        quantile: int | None = None
-        net.phase = "refinement"
-        while True:
-            grid = make_grid(low, high, self.num_buckets)
-            net.broadcast(REFINEMENT_REQUEST_BITS)  # zoom-in request
-            counts = list(self._collect_histogram(net, values, grid))
-            refinements += 1
-            self._grids.append(grid)
-            self._counts.append(counts)
-            bucket, skipped = locate_bucket(counts, k - below - 1)
-            bucket_low, bucket_high = grid.bucket_bounds(bucket)
-            if bucket_low == bucket_high:
-                quantile = bucket_low
-                break
-            below += skipped
-            low, high = bucket_low, bucket_high
+        quantile, refinements = self._descend(
+            net, values, k, 0, self.spec.r_min, self.spec.r_max
+        )
         self._registration = self._register_all(net, values)
         self.current_quantile = quantile
         return RoundOutcome(quantile=quantile, refinements=refinements)
@@ -160,8 +144,10 @@ class LCLLHierarchical(ContinuousQuantileAlgorithm):
         refinements = 0
         while True:
             grid = make_grid(low, high, self.num_buckets)
-            net.broadcast(REFINEMENT_REQUEST_BITS)
-            counts = list(self._collect_histogram(net, values, grid))
+            net.broadcast(REFINEMENT_REQUEST_BITS)  # zoom-in request
+            counts = list(
+                collect_histogram(net, values, grid, self.participation_mask(net))
+            )
             refinements += 1
             self._grids.append(grid)
             self._counts.append(counts)
@@ -212,8 +198,6 @@ class LCLLHierarchical(ContinuousQuantileAlgorithm):
 
     def detach(self, net: TreeNetwork, vertex: int) -> None:
         super().detach(net, vertex)
-        if self._mask is not None:
-            self._mask[vertex] = False
         if self._registration is None:
             return
         for level in range(len(self._grids)):
@@ -228,8 +212,6 @@ class LCLLHierarchical(ContinuousQuantileAlgorithm):
 
     def rejoin(self, net: TreeNetwork, values: np.ndarray, vertex: int) -> None:
         super().rejoin(net, values, vertex)
-        if self._mask is not None:
-            self._mask[vertex] = True
         if self._registration is None:
             return
         value = int(values[vertex])
@@ -251,31 +233,15 @@ class LCLLHierarchical(ContinuousQuantileAlgorithm):
 
     def _register_all(self, net: TreeNetwork, values: np.ndarray) -> np.ndarray:
         """Per-level bucket registration of every vertex (-1 = outside)."""
-        if self._mask is None:
-            self._mask = self.participation_mask(net)
+        outside = ~self.participation_mask(net)
         levels = len(self._grids)
         registration = np.full((levels, net.tree.num_vertices), -1, dtype=np.int32)
         values = np.asarray(values)
         for level, grid in enumerate(self._grids):
             indices = grid.bucket_of_array(values)
-            indices[~self._mask] = -1
+            indices[outside] = -1
             registration[level] = indices
         return registration
-
-    def _collect_histogram(
-        self, net: TreeNetwork, values: np.ndarray, grid: BucketGrid
-    ) -> tuple[int, ...]:
-        if self._mask is None:
-            self._mask = self.participation_mask(net)
-        indices = grid.bucket_of_array(np.asarray(values))
-        indices[~self._mask] = -1
-        inside = np.flatnonzero(indices >= 0)
-        merged = net.convergecast(
-            HistogramBatch(inside, indices[inside], grid.num_buckets)
-        )
-        if merged is None:
-            return (0,) * grid.num_buckets
-        return merged.counts
 
 
 class LCLLSlip(ContinuousQuantileAlgorithm):
@@ -293,7 +259,6 @@ class LCLLSlip(ContinuousQuantileAlgorithm):
         self._below: int = 0
         self._above: int = 0
         self._state: np.ndarray | None = None
-        self._mask: np.ndarray | None = None
 
     @property
     def _window_high(self) -> int:
@@ -427,8 +392,6 @@ class LCLLSlip(ContinuousQuantileAlgorithm):
 
     def detach(self, net: TreeNetwork, vertex: int) -> None:
         super().detach(net, vertex)
-        if self._mask is not None:
-            self._mask[vertex] = False
         if self._window_low is None or self._state is None:
             return
         self._shift_position(int(self._state[vertex]), -1)
@@ -436,8 +399,6 @@ class LCLLSlip(ContinuousQuantileAlgorithm):
 
     def rejoin(self, net: TreeNetwork, values: np.ndarray, vertex: int) -> None:
         super().rejoin(net, values, vertex)
-        if self._mask is not None:
-            self._mask[vertex] = True
         if self._window_low is None or self._state is None:
             return
         value = int(values[vertex])
@@ -484,35 +445,19 @@ class LCLLSlip(ContinuousQuantileAlgorithm):
     def _positions(self, net: TreeNetwork, values: np.ndarray) -> np.ndarray:
         """Window position of every vertex: -1 below, cell index, or ``cells``."""
         assert self._window_low is not None
-        if self._mask is None:
-            self._mask = self.participation_mask(net)
         values = np.asarray(values)
         low, high = self._window_low, self._window_high
         state = (values - low).astype(np.int32)
         state[values < low] = -1
         state[values > high] = self.window_cells
-        state[~self._mask] = -1
+        state[~self.participation_mask(net)] = -1
         return state
 
     def _collect_window(
         self, net: TreeNetwork, values: np.ndarray, window_low: int
     ) -> tuple[int, ...]:
         """One-hot cell histograms from nodes inside the (new) window."""
-        if self._mask is None:
-            self._mask = self.participation_mask(net)
-        values = np.asarray(values)
-        window_high = window_low + self.window_cells - 1
-        inside = np.flatnonzero(
-            self._mask & (values >= window_low) & (values <= window_high)
-        )
-        merged = net.convergecast(
-            HistogramBatch(
-                inside,
-                values[inside].astype(np.int64) - window_low,
-                self.window_cells,
-            )
-        )
-        if merged is None:
-            return (0,) * self.window_cells
-        return merged.counts
+        high = window_low + self.window_cells - 1
+        cells = make_grid(window_low, high, self.window_cells)  # unit-wide
+        return collect_histogram(net, values, cells, self.participation_mask(net))
 

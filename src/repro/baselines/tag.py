@@ -13,8 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.constants import VALUE_BITS
-from repro.core.base import ContinuousQuantileAlgorithm
-from repro.core.payloads import ValueSetPayload
+from repro.core.base import ContinuousQuantileAlgorithm, request_values
 from repro.errors import ProtocolError
 from repro.sim.engine import TreeNetwork
 from repro.types import RoundOutcome
@@ -37,17 +36,13 @@ class TAG(ContinuousQuantileAlgorithm):
     def _collect(self, net: TreeNetwork, values: np.ndarray) -> RoundOutcome:
         net.phase = "collection"
         k = self.rank(net)
-        contributions = {
-            vertex: ValueSetPayload(values=(int(values[vertex]),), keep=k)
-            for vertex in self.participating_sensors(net)
-        }
-        merged = net.convergecast(contributions)
-        if merged is None or not merged.values:
+        received = request_values(net, values, self.participating_sensors(net), keep=k)
+        if not received:
             raise ProtocolError("TAG collection delivered no values at all")
         # On a reliable tree at least k values always arrive.  Under message
         # loss (the Section 6 extension) the root answers best-effort from
         # whatever reached it — the introduced rank error is exactly what
         # ``repro loss`` measures.
-        quantile = merged.values[min(k, len(merged.values)) - 1]
+        quantile = received[min(k, len(received)) - 1]
         self.current_quantile = quantile
         return RoundOutcome(quantile=quantile)

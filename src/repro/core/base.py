@@ -10,7 +10,11 @@ POS, HBC and IQ all share the same skeleton (Sections 3.2, 4.1, 4.2):
 4. an optional filter broadcast.
 
 This module provides the counter bookkeeping, the validation construction,
-the shared TAG initialization and the abstract driver interface.
+the shared TAG initialization, the abstract driver interface with its
+participation mask, the filter family's base :class:`FilterQuantile`, and
+one helper per request kind: :func:`request_values` (the only builder of
+value-set contributions), :func:`direct_request` and
+:func:`collect_histogram` (the only builder of histogram contributions).
 """
 
 from __future__ import annotations
@@ -18,11 +22,18 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from repro.constants import VALUE_BITS
-from repro.core.payloads import ValidationBatch, ValidationPayload, ValueSetPayload
+from repro.core.histogram import BucketGrid
+from repro.core.payloads import (
+    HistogramBatch,
+    ValidationBatch,
+    ValidationPayload,
+    ValueSetPayload,
+)
 from repro.errors import MembershipError, ProtocolError
 from repro.sim.engine import TreeNetwork
 from repro.sim.oracle import quantile_rank
@@ -152,6 +163,7 @@ def build_validation(
     old_state: np.ndarray,
     new_state: np.ndarray,
     hint_values: int,
+    in_band: np.ndarray | None = None,
 ) -> ValidationBatch:
     """Per-node validation contributions for one round.
 
@@ -162,20 +174,25 @@ def build_validation(
         new_state: per-vertex interval label for the current value.
         hint_values: how many hint values the payload is charged for
             (2 for POS's two-sided hints, 1 for the max-difference variant).
+        in_band: per-vertex mask of the nodes whose value rides in IQ's
+            multiset ``A`` (``None``: nobody's).
 
-    A node contributes iff its interval label changed; the contribution
-    carries the transition counters and the node's current value as a hint
-    (``astype`` truncates toward zero, like ``int()`` of one value).
-    Non-sensor vertices are pinned to ``EQ`` by :func:`classify_array`, so
-    scanning the changed entries alone suffices.
+    A node contributes iff its interval label changed or it is in band; a
+    changed node carries the transition counters and its current value as a
+    hint (``astype`` truncates toward zero, like ``int()`` of one value), an
+    in-band one its value in ``A``.  Non-sensor vertices are pinned to
+    ``EQ`` by :func:`classify_array`, so scanning the changed entries alone
+    suffices.
     """
-    changed = np.flatnonzero(old_state != new_state)
+    changed = old_state != new_state
+    rows = np.flatnonzero(changed if in_band is None else changed | in_band)
     return ValidationBatch(
-        changed,
-        old_state[changed],
-        new_state[changed],
-        value=values[changed].astype(np.int64),
-        hinted=np.ones(len(changed), dtype=bool),
+        rows,
+        old_state[rows],
+        new_state[rows],
+        value=values[rows].astype(np.int64),
+        hinted=changed[rows],
+        in_band=None if in_band is None else in_band[rows],
         hint_values=hint_values,
     )
 
@@ -248,6 +265,8 @@ class ContinuousQuantileAlgorithm(ABC):
         #: hints cannot bound the quantile's move (see
         #: :meth:`consume_stale_hints`).
         self._hints_stale = False
+        #: Cached :meth:`participation_mask`; ``None`` until first asked.
+        self._mask: np.ndarray | None = None
 
     def population(self, net: TreeNetwork) -> int:
         """Number of sensors currently participating in the query."""
@@ -262,11 +281,18 @@ class ContinuousQuantileAlgorithm(ABC):
         )
 
     def participation_mask(self, net: TreeNetwork) -> np.ndarray:
-        """Like :func:`sensor_mask` but with detached vertices cleared."""
-        mask = sensor_mask(net)
-        for vertex in self._detached_vertices:
-            mask[vertex] = False
-        return mask
+        """Like :func:`sensor_mask` but with detached vertices cleared.
+
+        Built once and cached: :meth:`detach` and :meth:`rejoin` keep it in
+        step and :meth:`reset_participation` drops it, so it always equals
+        a fresh build.  Callers read the returned array and never write it.
+        """
+        if self._mask is None:
+            mask = sensor_mask(net)
+            for vertex in self._detached_vertices:
+                mask[vertex] = False
+            self._mask = mask
+        return self._mask
 
     def rank(self, net: TreeNetwork) -> int:
         """The queried rank ``k`` for the current participating population."""
@@ -279,7 +305,8 @@ class ContinuousQuantileAlgorithm(ABC):
         outage, or is cut off the root.  The base implementation shrinks the
         tracked population so ``k`` keeps following Definition 2.1; exact
         algorithms additionally patch their counters/state in overrides
-        (which must call ``super().detach(...)`` first).
+        (which must call ``super().detach(...)`` first).  The participation
+        mask clears the vertex here.
 
         The population may legally reach zero: under sustained transient
         churn even the last participating sensor can leave.  The query then
@@ -293,6 +320,8 @@ class ContinuousQuantileAlgorithm(ABC):
                 f"{net.num_sensor_nodes})"
             )
         self._detached_vertices.add(vertex)
+        if self._mask is not None:
+            self._mask[vertex] = False
         self._hints_stale = True
 
     def rejoin(self, net: TreeNetwork, values: np.ndarray, vertex: int) -> None:
@@ -310,6 +339,8 @@ class ContinuousQuantileAlgorithm(ABC):
                 f"{net.num_sensor_nodes})"
             )
         self._detached_vertices.discard(vertex)
+        if self._mask is not None:
+            self._mask[vertex] = True
         self._hints_stale = True
 
     def handover(self, net: TreeNetwork, old_root: int, new_root: int) -> int:
@@ -336,6 +367,8 @@ class ContinuousQuantileAlgorithm(ABC):
         self.detach(net, new_root)
         self._detached_vertices.discard(new_root)
         self._detached_vertices.add(old_root)
+        # The participation mask already clears both: the successor by the
+        # detach, the old root as the sink it was.
         return self.handover_state_bits()
 
     def handover_state_bits(self) -> int:
@@ -364,6 +397,7 @@ class ContinuousQuantileAlgorithm(ABC):
                 f"detached)"
             )
         self._detached_vertices = detached
+        self._mask = None
         # The caller re-initializes next, which re-seeds exact counters.
         self._hints_stale = False
 
@@ -393,6 +427,278 @@ class ContinuousQuantileAlgorithm(ABC):
         """Run one continuous update round and return its outcome."""
 
 
+class FilterQuantile(ContinuousQuantileAlgorithm):
+    """The filter family: POS, HBC and IQ (Sections 3.2, 4.1, 4.2).
+
+    Every member tracks the exact quantile against a node-side filter
+    ``[low, high]`` (a point filter is ``[f, f]``) and shares the rest of
+    the protocol, which this base owns:
+
+    * the TAG initialization and its point-filter broadcast (IQ overrides
+      it to seed Ξ as well);
+    * :attr:`counters`, the root's ``(l, e, g)`` counts relative to the
+      filter, and each vertex's label against it (one labelling method);
+    * the validation fold: nodes whose label changed report transitions
+      (and hints), the root folds them and adopts the new labels;
+    * membership patching: :meth:`detach` moves a node's last label out of
+      the counters, :meth:`rejoin` labels it against :meth:`filter_bounds`
+      and moves it in;
+    * :meth:`warm_start`, which lets the adaptive switcher hand the query
+      over mid-stream without re-initializing (Section 4.2);
+    * the raw-value request that ends a refinement with a filter broadcast.
+
+    Subclasses say where their filter sits (:meth:`filter_bounds`) and how
+    they collapse it onto a point (:meth:`_collapse`).
+    """
+
+    #: Hint values a changed node's validation message is charged for: 2
+    #: for POS's two-sided hints, 1 for the max-difference variant.
+    hint_values: int = 1
+
+    def __init__(self, spec: QuerySpec) -> None:
+        super().__init__(spec)
+        #: The root's counters relative to :meth:`filter_bounds`.
+        self.counters: RootCounters | None = None
+        #: Each vertex's label against the filter, as the root knows it.
+        self._state: np.ndarray | None = None
+
+    @abstractmethod
+    def filter_bounds(self) -> tuple[int, int]:
+        """The node-side filter as an inclusive interval ``(low, high)``."""
+
+    @abstractmethod
+    def _collapse(self, quantile: int, quantile_history: list[int] | None) -> None:
+        """Move the filter onto the point ``quantile`` (root-side only)."""
+
+    def initialize(self, net: TreeNetwork, values: np.ndarray) -> RoundOutcome:
+        """TAG round, then one broadcast of the quantile as a point filter."""
+        k = self.rank(net)
+        quantile, counters, _ = tag_initialization(
+            net, values, k, participants=self.participating_sensors(net)
+        )
+        net.phase = "filter"
+        net.broadcast(VALUE_BITS)  # filter dissemination (Section 3.2)
+        # Every node now holds the filter: adopt it like a warm start.
+        self.warm_start(net, values, quantile, counters)
+        return RoundOutcome(quantile=quantile, filter_broadcast=True)
+
+    def warm_start(
+        self,
+        net: TreeNetwork,
+        values: np.ndarray,
+        quantile: int,
+        counters: RootCounters,
+        quantile_history: list[int] | None = None,
+    ) -> None:
+        """Adopt state mid-stream instead of running an initialization round.
+
+        The caller (the adaptive switcher) is responsible for having
+        broadcast ``quantile`` as the new network-wide filter and for
+        providing counters that are exact relative to it.
+        ``quantile_history`` (oldest first, ``quantile`` last) lets IQ
+        re-seed Ξ from the recent trend; the other members ignore it.
+        """
+        self._collapse(quantile, quantile_history)
+        self._anchor(net, values, counters)
+        self.current_quantile = quantile
+
+    def _labels(
+        self, net: TreeNetwork, values: np.ndarray, low: int, high: int
+    ) -> np.ndarray:
+        """Every vertex's label against the filter ``[low, high]``."""
+        return classify_array(values, low, high, self.participation_mask(net))
+
+    def _anchor(
+        self, net: TreeNetwork, values: np.ndarray, counters: RootCounters
+    ) -> None:
+        """Adopt ``counters``, exact for the current filter, and relabel."""
+        self.counters = counters
+        self._state = self._labels(net, values, *self.filter_bounds())
+
+    def _validate(
+        self,
+        net: TreeNetwork,
+        values: np.ndarray,
+        in_band: np.ndarray | None = None,
+    ) -> ValidationPayload | None:
+        """The round's validation convergecast against the current filter.
+
+        Folds the merged transition counters into :attr:`counters`, adopts
+        the new labels and returns the merged payload (hints, and IQ's
+        multiset ``A`` from the ``in_band`` nodes).
+        """
+        if self.counters is None or self._state is None:
+            raise ProtocolError("update() called before initialize()")
+        new_state = self._labels(net, values, *self.filter_bounds())
+        batch = build_validation(
+            net, values, self._state, new_state, self.hint_values, in_band
+        )
+        net.phase = "validation"
+        merged = net.convergecast(batch)
+        if merged is not None:
+            self.counters.apply_validation(merged)
+        self._state = new_state
+        return merged
+
+    def _direct_request(
+        self,
+        net: TreeNetwork,
+        values: np.ndarray,
+        k: int,
+        low: int,
+        high: int,
+        below_low: int | None,
+        above_high: int | None,
+        refinements: int,
+    ) -> RoundOutcome:
+        """End a refinement with a raw-value request (:func:`direct_request`).
+
+        The nodes cannot infer the new quantile from the request, so the
+        round ends with a filter broadcast and the filter collapses onto it.
+        """
+        net.phase = "refinement"
+        quantile, counters, _ = direct_request(
+            net,
+            values,
+            self.participating_sensors(net),
+            self.population(net),
+            k,
+            low,
+            high,
+            below_low,
+            above_high,
+        )
+        net.phase = "filter"
+        net.broadcast(VALUE_BITS)  # the new filter
+        self._collapse(quantile, None)
+        self._anchor(net, values, counters)
+        return RoundOutcome(
+            quantile=quantile,
+            refinements=refinements,
+            direct_request=True,
+            filter_broadcast=True,
+        )
+
+    # -- repair hooks (repro.faults.repair) -----------------------------------
+
+    def detach(self, net: TreeNetwork, vertex: int) -> None:
+        super().detach(net, vertex)
+        if self.counters is None or self._state is None:
+            return
+        shift_counter(self.counters, int(self._state[vertex]), -1)
+        self._state[vertex] = EQ
+
+    def rejoin(self, net: TreeNetwork, values: np.ndarray, vertex: int) -> None:
+        super().rejoin(net, values, vertex)
+        if self.counters is None or self._state is None:
+            return
+        label = classify_interval(int(values[vertex]), *self.filter_bounds())
+        shift_counter(self.counters, label, 1)
+        self._state[vertex] = label
+
+
+def request_values(
+    net: TreeNetwork,
+    values: np.ndarray,
+    participants: Sequence[int],
+    low: int | None = None,
+    high: int | None = None,
+    keep: int | None = None,
+    keep_largest: bool = False,
+) -> tuple[int, ...]:
+    """One value-set convergecast; returns the ascending values received.
+
+    Every participant sends its value (truncated like ``int()``), or only
+    those whose value lies in ``[low, high]`` when bounds are given.  With
+    ``keep`` the hops prune to the ``keep`` smallest (``keep_largest``:
+    largest) values plus ties of the boundary value (Section 4.2.2).  This
+    is the only place value-set contributions are built; phase labels and
+    request broadcasts stay with the callers.
+    """
+    if low is not None:
+        participants = [v for v in participants if low <= int(values[v]) <= high]
+    merged = net.convergecast(
+        {
+            vertex: ValueSetPayload(
+                values=(int(values[vertex]),), keep=keep, keep_largest=keep_largest
+            )
+            for vertex in participants
+        }
+    )
+    return merged.values if merged is not None else ()
+
+
+def direct_request(
+    net: TreeNetwork,
+    values: np.ndarray,
+    participants: Sequence[int],
+    population: int,
+    k: int,
+    low: int,
+    high: int,
+    below_low: int | None,
+    above_high: int | None,
+) -> tuple[int, RootCounters, tuple[int, ...]]:
+    """Request all values in ``[low, high]`` and pick rank ``k`` centrally.
+
+    Broadcasts the interval bounds (under the caller's phase), collects the
+    raw values and returns the quantile, exact counters relative to it and
+    the received values.  ``below_low`` / ``above_high`` count the
+    ``population`` values strictly below / above the interval; one of them
+    may be unknown, and the quantile's offset inside the response is
+    computed from the known side.  The quantile is guaranteed to lie in
+    ``[low, high]``, so all of its duplicates are in the response and the
+    counters come out exact.
+    """
+    net.broadcast(2 * VALUE_BITS)  # request: the interval bounds
+    received = request_values(net, values, participants, low, high)
+    if below_low is None:
+        # Everything at or below ``high`` except the response lies below.
+        assert above_high is not None
+        below_low = population - above_high - len(received)
+    index = k - below_low - 1
+    if not 0 <= index < len(received):
+        raise ProtocolError(
+            f"direct request returned {len(received)} values but rank "
+            f"offset is {index}"
+        )
+    quantile = received[index]
+    # The response is ascending: the splits are two binary searches.
+    before = bisect_left(received, quantile)
+    less = below_low + before
+    equal = bisect_right(received, quantile) - before
+    counters = RootCounters(l=less, e=equal, g=population - less - equal)
+    return quantile, counters, received
+
+
+def collect_histogram(
+    net: TreeNetwork,
+    values: np.ndarray,
+    grid: BucketGrid,
+    mask: np.ndarray,
+    compressed: bool = True,
+) -> tuple[int, ...]:
+    """One histogram convergecast over ``grid``; returns the bucket counts.
+
+    Every vertex in ``mask`` whose value lies in the grid reports its
+    bucket; ``compressed`` drops empty buckets from the on-air encoding.
+    This is the only place histogram contributions are built.
+    """
+    values = np.asarray(values)
+    inside = np.flatnonzero(mask & (values >= grid.low) & (values <= grid.high))
+    merged = net.convergecast(
+        HistogramBatch(
+            inside,
+            grid.bucket_of_array(values[inside]),
+            grid.num_buckets,
+            compressed=compressed,
+        )
+    )
+    if merged is None:
+        return (0,) * grid.num_buckets
+    return merged.counts
+
+
 def tag_initialization(
     net: TreeNetwork,
     values: np.ndarray,
@@ -418,14 +724,9 @@ def tag_initialization(
     population = len(participants)
     net.phase = "initialization"
     net.broadcast(VALUE_BITS)  # query dissemination: k
-    contributions = {
-        vertex: ValueSetPayload(values=(int(values[vertex]),), keep=k)
-        for vertex in participants
-    }
-    merged = net.convergecast(contributions)
-    if merged is None or len(merged.values) < k:
+    smallest = request_values(net, values, participants, keep=k)
+    if len(smallest) < k:
         raise ProtocolError("TAG initialization did not deliver k values")
-    smallest = merged.values
     quantile = smallest[k - 1]
     # ValueSetPayload merges keep the tuple ascending, so the rank splits
     # fall out of two binary searches instead of two linear scans.

@@ -32,24 +32,19 @@ from repro.constants import REFINEMENT_REQUEST_BITS, VALUE_BITS, VALUES_PER_MESS
 from repro.core.base import (
     EQ,
     GT,
-    ContinuousQuantileAlgorithm,
+    FilterQuantile,
     RootCounters,
-    build_validation,
-    classify_array,
-    classify_interval,
+    collect_histogram,
     hint_bounds,
-    shift_counter,
-    tag_initialization,
 )
 from repro.core.cost_model import exact_optimal_buckets, rounded_optimal_buckets
-from repro.core.histogram import BucketGrid, locate_bucket, make_grid
-from repro.core.payloads import HistogramBatch, ValueSetPayload
+from repro.core.histogram import locate_bucket, make_grid
 from repro.errors import ProtocolError
 from repro.sim.engine import TreeNetwork
 from repro.types import QuerySpec, RoundOutcome
 
 
-class HBC(ContinuousQuantileAlgorithm):
+class HBC(FilterQuantile):
     """Histogram-Based Continuous quantile queries.
 
     Args:
@@ -90,40 +85,14 @@ class HBC(ContinuousQuantileAlgorithm):
         self.compressed_histograms = compressed_histograms
         self._low: int | None = None
         self._high: int | None = None
-        self._counters: RootCounters | None = None
-        self._state: np.ndarray | None = None
-        self._mask: np.ndarray | None = None
 
     # -- rounds ---------------------------------------------------------------
 
-    def initialize(self, net: TreeNetwork, values: np.ndarray) -> RoundOutcome:
-        k = self.rank(net)
-        quantile, counters, _ = tag_initialization(
-            net, values, k, participants=self.participating_sensors(net)
-        )
-        net.phase = "filter"
-        net.broadcast(VALUE_BITS)  # filter dissemination
-        self._set_interval(net, values, quantile, quantile, counters)
-        self.current_quantile = quantile
-        return RoundOutcome(quantile=quantile, filter_broadcast=True)
-
     def update(self, net: TreeNetwork, values: np.ndarray) -> RoundOutcome:
-        if self._low is None or self._high is None:
-            raise ProtocolError("update() called before initialize()")
-        assert self._counters is not None and self._state is not None
+        merged = self._validate(net, values)
         hints_stale = self.consume_stale_hints()
         k = self.rank(net)
-        new_state = self._classify_all(net, values, self._low, self._high)
-        contributions = build_validation(
-            net, values, self._state, new_state, hint_values=1
-        )
-        net.phase = "validation"
-        merged = net.convergecast(contributions)
-        if merged is not None:
-            self._counters.apply_validation(merged)
-        self._state = new_state
-
-        counters = self._counters
+        counters = self.counters
         position = counters.position_of_rank(k)
         if position == EQ and self._low == self._high:
             # The tracked interval has collapsed onto the quantile and the
@@ -155,7 +124,7 @@ class HBC(ContinuousQuantileAlgorithm):
         self.current_quantile = outcome.quantile
         return outcome
 
-    # -- warm start (adaptive switching, Section 4.2 / DESIGN.md S18) ---------
+    # -- the filter -----------------------------------------------------------
 
     def filter_bounds(self) -> tuple[int, int]:
         """The node-side filter interval (collapses to a point after resets)."""
@@ -163,16 +132,8 @@ class HBC(ContinuousQuantileAlgorithm):
             raise ProtocolError("filter_bounds() called before initialize()")
         return self._low, self._high
 
-    def warm_start(
-        self,
-        net: TreeNetwork,
-        values: np.ndarray,
-        quantile: int,
-        counters: RootCounters,
-    ) -> None:
-        """Adopt state mid-stream; see :meth:`repro.baselines.POS.warm_start`."""
-        self._set_interval(net, values, quantile, quantile, counters)
-        self.current_quantile = quantile
+    def _collapse(self, quantile: int, quantile_history: list[int] | None) -> None:
+        self._low = self._high = quantile
 
     # -- refinement -----------------------------------------------------------
 
@@ -210,7 +171,13 @@ class HBC(ContinuousQuantileAlgorithm):
             if self.recompute_buckets:
                 buckets = exact_optimal_buckets(high - low + 1)
             grid = make_grid(low, high, buckets)
-            counts = self._collect_histogram(net, values, grid)
+            counts = collect_histogram(
+                net,
+                values,
+                grid,
+                self.participation_mask(net),
+                compressed=self.compressed_histograms,
+            )
             inside = sum(counts)
             if below_low is None:
                 assert above_high is not None
@@ -256,8 +223,8 @@ class HBC(ContinuousQuantileAlgorithm):
         """
         if self.interval_tracking:
             below, inside, above = interval_counts
-            counters = RootCounters(l=below, e=inside, g=above)
-            self._set_interval(net, values, interval[0], interval[1], counters)
+            self._low, self._high = interval
+            self._anchor(net, values, RootCounters(l=below, e=inside, g=above))
             return RoundOutcome(quantile=quantile, refinements=refinements)
         less, equal = quantile_counts
         net.phase = "filter"
@@ -265,127 +232,13 @@ class HBC(ContinuousQuantileAlgorithm):
         counters = RootCounters(
             l=less, e=equal, g=self.population(net) - less - equal
         )
-        self._set_interval(net, values, quantile, quantile, counters)
+        self._collapse(quantile, None)
+        self._anchor(net, values, counters)
         return RoundOutcome(
             quantile=quantile, refinements=refinements, filter_broadcast=True
         )
-
-    def _direct_request(
-        self,
-        net: TreeNetwork,
-        values: np.ndarray,
-        k: int,
-        low: int,
-        high: int,
-        below_low: int | None,
-        above_high: int | None,
-        refinements: int,
-    ) -> RoundOutcome:
-        """Raw-value shortcut; always ends with a filter broadcast."""
-        num_nodes = self.population(net)
-        net.phase = "refinement"
-        net.broadcast(2 * VALUE_BITS)
-        contributions = {
-            vertex: ValueSetPayload(values=(int(values[vertex]),))
-            for vertex in self.participating_sensors(net)
-            if low <= int(values[vertex]) <= high
-        }
-        merged = net.convergecast(contributions)
-        received = merged.values if merged is not None else ()
-        if below_low is not None:
-            index = k - below_low - 1
-        else:
-            assert above_high is not None
-            at_most_high = num_nodes - above_high
-            index = len(received) - (at_most_high - k + 1)
-        if not 0 <= index < len(received):
-            raise ProtocolError(
-                f"direct request returned {len(received)} values, offset {index}"
-            )
-        quantile = received[index]
-
-        equal = sum(1 for value in received if value == quantile)
-        if below_low is not None:
-            less = below_low + sum(1 for value in received if value < quantile)
-        else:
-            at_most_high = num_nodes - above_high  # type: ignore[operator]
-            less = at_most_high - sum(1 for value in received if value >= quantile)
-        counters = RootCounters(l=less, e=equal, g=num_nodes - less - equal)
-
-        net.phase = "filter"
-        net.broadcast(VALUE_BITS)  # filter broadcast resets the interval
-        self._set_interval(net, values, quantile, quantile, counters)
-        return RoundOutcome(
-            quantile=quantile,
-            refinements=refinements,
-            direct_request=True,
-            filter_broadcast=True,
-        )
-
-    # -- repair hooks (repro.faults.repair) -----------------------------------
-
-    def detach(self, net: TreeNetwork, vertex: int) -> None:
-        super().detach(net, vertex)
-        if self._mask is not None:
-            self._mask[vertex] = False
-        if self._counters is None or self._state is None:
-            return
-        shift_counter(self._counters, int(self._state[vertex]), -1)
-        self._state[vertex] = EQ
-
-    def rejoin(self, net: TreeNetwork, values: np.ndarray, vertex: int) -> None:
-        super().rejoin(net, values, vertex)
-        if self._mask is not None:
-            self._mask[vertex] = True
-        if self._low is None or self._high is None:
-            return
-        assert self._counters is not None and self._state is not None
-        label = classify_interval(int(values[vertex]), self._low, self._high)
-        shift_counter(self._counters, label, 1)
-        self._state[vertex] = label
 
     def handover_state_bits(self) -> int:
         # Interval filter: one extra bound on top of the base family's
         # single filter value.
         return super().handover_state_bits() + VALUE_BITS
-
-    # -- node-side helpers ----------------------------------------------------
-
-    def _collect_histogram(
-        self, net: TreeNetwork, values: np.ndarray, grid: BucketGrid
-    ) -> tuple[int, ...]:
-        if self._mask is None:
-            self._mask = self.participation_mask(net)
-        inside = self._mask & (values >= grid.low) & (values <= grid.high)
-        participants = np.flatnonzero(inside)
-        merged = net.convergecast(
-            HistogramBatch(
-                participants,
-                grid.bucket_of_array(values[participants]),
-                grid.num_buckets,
-                compressed=self.compressed_histograms,
-            )
-        )
-        if merged is None:
-            return (0,) * grid.num_buckets
-        return merged.counts
-
-    def _classify_all(
-        self, net: TreeNetwork, values: np.ndarray, low: int, high: int
-    ) -> np.ndarray:
-        if self._mask is None:
-            self._mask = self.participation_mask(net)
-        return classify_array(values, low, high, self._mask)
-
-    def _set_interval(
-        self,
-        net: TreeNetwork,
-        values: np.ndarray,
-        low: int,
-        high: int,
-        counters: RootCounters,
-    ) -> None:
-        self._low, self._high = low, high
-        self._counters = counters
-        self._state = self._classify_all(net, values, low, high)
-

@@ -28,22 +28,20 @@ from repro.constants import COUNTER_BITS, REFINEMENT_REQUEST_BITS, VALUE_BITS
 from repro.core.base import (
     EQ,
     GT,
-    ContinuousQuantileAlgorithm,
+    FilterQuantile,
     RootCounters,
-    classify,
-    classify_array,
     hint_bounds,
-    shift_counter,
+    request_values,
     tag_initialization,
 )
-from repro.core.payloads import ValidationBatch, ValidationPayload, ValueSetPayload
+from repro.core.payloads import ValidationPayload
 from repro.core.xi import InitPolicy, XiTracker, initial_xi
 from repro.errors import ProtocolError
 from repro.sim.engine import TreeNetwork
 from repro.types import IQDiagnostics, QuerySpec, RoundOutcome
 
 
-class IQ(ContinuousQuantileAlgorithm):
+class IQ(FilterQuantile):
     """Interval-based Quantiles.
 
     Args:
@@ -77,9 +75,6 @@ class IQ(ContinuousQuantileAlgorithm):
         self.record_diagnostics = record_diagnostics
         self.diagnostics: list[IQDiagnostics] = []
         self._tracker: XiTracker | None = None
-        self._counters: RootCounters | None = None
-        self._state: np.ndarray | None = None
-        self._mask: np.ndarray | None = None
 
     # -- rounds ---------------------------------------------------------------
 
@@ -92,57 +87,59 @@ class IQ(ContinuousQuantileAlgorithm):
         net.phase = "filter"
         net.broadcast(2 * VALUE_BITS)  # filter broadcast: (v_k, xi)
         self._tracker = XiTracker(quantile, xi_seed, window=self.window)
-        self._counters = counters
-        self._state = self._classify_all(net, values, quantile)
+        self._anchor(net, values, counters)
         self.current_quantile = quantile
         self._record(net, values, quantile, refined=False)
         return RoundOutcome(quantile=quantile, filter_broadcast=True)
 
     def update(self, net: TreeNetwork, values: np.ndarray) -> RoundOutcome:
-        if self._tracker is None or self._counters is None or self._state is None:
+        if self._tracker is None:
             raise ProtocolError("update() called before initialize()")
         hints_stale = self.consume_stale_hints()
         k = self.rank(net)
         old_quantile = self._tracker.current_quantile
         band_low, band_high = self._tracker.band()
 
-        merged = self._validation(net, values, old_quantile, band_low, band_high)
-        if merged is not None:
-            self._counters.apply_validation(merged)
-        counters = self._counters
+        # POS-style counters, plus the multiset A: nodes inside Ξ send
+        # their value (the old quantile's own duplicates are counted in e).
+        in_band = (
+            self.participation_mask(net)
+            & (values >= band_low)
+            & (values <= band_high)
+            & (values != old_quantile)
+        )
+        merged = self._validate(net, values, in_band)
+        counters = self.counters
         received_a = merged.values if merged is not None else ()
 
         position = counters.position_of_rank(k)
         if position == EQ:
-            quantile = old_quantile
-            outcome = RoundOutcome(quantile=quantile)
-            refined = False
+            quantile, refined = old_quantile, False
         elif position == GT:
-            quantile, refined = self._resolve_up(
+            quantile, counters, refined = self._resolve_up(
                 net, values, k, old_quantile, band_high, received_a, merged,
                 hints_stale,
             )
-            outcome = self._broadcast_filter(quantile, refined)
         else:
-            quantile, refined = self._resolve_down(
+            quantile, counters, refined = self._resolve_down(
                 net, values, k, old_quantile, band_low, received_a, merged,
                 hints_stale,
             )
-            outcome = self._broadcast_filter(quantile, refined)
 
-        if outcome.filter_broadcast:
+        if position != EQ:
             net.phase = "filter"
             net.broadcast(VALUE_BITS)
         self._tracker.observe(quantile)
-        if quantile != old_quantile:
-            self._state = self._classify_all(net, values, quantile)
-        else:
-            self._state = self._classify_all(net, values, old_quantile)
+        self._anchor(net, values, counters)
         self.current_quantile = quantile
         self._record(net, values, quantile, refined=refined)
-        return outcome
+        return RoundOutcome(
+            quantile=quantile,
+            refinements=1 if refined else 0,
+            filter_broadcast=position != EQ,
+        )
 
-    # -- warm start (adaptive switching, Section 4.2 / DESIGN.md S18) ---------
+    # -- the filter -----------------------------------------------------------
 
     def filter_bounds(self) -> tuple[int, int]:
         """The node-side filter (IQ filters against the quantile value)."""
@@ -151,15 +148,8 @@ class IQ(ContinuousQuantileAlgorithm):
         quantile = self._tracker.current_quantile
         return quantile, quantile
 
-    def warm_start(
-        self,
-        net: TreeNetwork,
-        values: np.ndarray,
-        quantile: int,
-        counters: RootCounters,
-        quantile_history: list[int] | None = None,
-    ) -> None:
-        """Adopt state mid-stream; Ξ is re-seeded from the recent history.
+    def _collapse(self, quantile: int, quantile_history: list[int] | None) -> None:
+        """Re-seed Ξ from the recent history instead of a fresh band.
 
         ``quantile_history`` (oldest first, ``quantile`` last) replays the
         switcher's observed quantiles into a fresh tracker so the band is
@@ -173,46 +163,6 @@ class IQ(ContinuousQuantileAlgorithm):
         self._tracker = XiTracker(history[0], seed, window=self.window)
         for value in history[1:]:
             self._tracker.observe(value)
-        self._counters = counters
-        self._state = self._classify_all(net, values, quantile)
-        self.current_quantile = quantile
-
-    # -- validation -----------------------------------------------------------
-
-    def _validation(
-        self,
-        net: TreeNetwork,
-        values: np.ndarray,
-        old_quantile: int,
-        band_low: int,
-        band_high: int,
-    ) -> ValidationPayload | None:
-        """POS-style counters plus the multiset ``A`` of values inside Ξ."""
-        assert self._state is not None
-        if self._mask is None:
-            self._mask = self.participation_mask(net)
-        new_state = classify_array(values, old_quantile, None, self._mask)
-        in_band_mask = (
-            self._mask
-            & (values >= band_low)
-            & (values <= band_high)
-            & (values != old_quantile)
-        )
-        net.phase = "validation"
-        changed = new_state != self._state
-        relevant = np.flatnonzero(changed | in_band_mask)
-        # A changed node hints its value, an in-band one sends it in A.
-        return net.convergecast(
-            ValidationBatch(
-                relevant,
-                self._state[relevant],
-                new_state[relevant],
-                value=values[relevant].astype(np.int64),
-                hinted=changed[relevant],
-                in_band=in_band_mask[relevant],
-                hint_values=1,
-            )
-        )
 
     # -- resolution -----------------------------------------------------------
 
@@ -226,9 +176,9 @@ class IQ(ContinuousQuantileAlgorithm):
         received_a: tuple[int, ...],
         merged: ValidationPayload | None,
         hints_stale: bool = False,
-    ) -> tuple[int, bool]:
+    ) -> tuple[int, RootCounters, bool]:
         """The new quantile lies below the old one (``l >= k``)."""
-        counters = self._counters
+        counters = self.counters
         assert counters is not None
         a_below = sum(1 for x in received_a if x < old_quantile)
         below_band = counters.l - a_below  # L: values strictly below Ξ
@@ -236,10 +186,10 @@ class IQ(ContinuousQuantileAlgorithm):
             quantile = received_a[k - below_band - 1]
             less = below_band + sum(1 for x in received_a if x < quantile)
             equal = sum(1 for x in received_a if x == quantile)
-            self._counters = RootCounters(
+            exact = RootCounters(
                 l=less, e=equal, g=self.population(net) - less - equal
             )
-            return quantile, False
+            return quantile, exact, False
 
         fetch = below_band - k + 1  # f1 largest values below the band
         hint_low, _ = hint_bounds(
@@ -258,10 +208,8 @@ class IQ(ContinuousQuantileAlgorithm):
         quantile = received[len(received) - fetch]
         less = below_band - len(received)
         equal = sum(1 for x in received if x == quantile)
-        self._counters = RootCounters(
-            l=less, e=equal, g=self.population(net) - less - equal
-        )
-        return quantile, True
+        exact = RootCounters(l=less, e=equal, g=self.population(net) - less - equal)
+        return quantile, exact, True
 
     def _resolve_up(
         self,
@@ -273,9 +221,9 @@ class IQ(ContinuousQuantileAlgorithm):
         received_a: tuple[int, ...],
         merged: ValidationPayload | None,
         hints_stale: bool = False,
-    ) -> tuple[int, bool]:
+    ) -> tuple[int, RootCounters, bool]:
         """The new quantile lies above the old one (``l + e < k``)."""
-        counters = self._counters
+        counters = self.counters
         assert counters is not None
         a_above = sum(1 for x in received_a if x > old_quantile)
         at_most_band = counters.l + counters.e + a_above  # U: values <= Ξ's top
@@ -289,10 +237,10 @@ class IQ(ContinuousQuantileAlgorithm):
                 + sum(1 for x in received_a if old_quantile < x < quantile)
             )
             equal = sum(1 for x in received_a if x == quantile)
-            self._counters = RootCounters(
+            exact = RootCounters(
                 l=less, e=equal, g=self.population(net) - less - equal
             )
-            return quantile, False
+            return quantile, exact, False
 
         fetch = k - at_most_band  # f2 smallest values above the band
         _, hint_high = hint_bounds(
@@ -311,10 +259,8 @@ class IQ(ContinuousQuantileAlgorithm):
         quantile = received[fetch - 1]
         less = at_most_band + sum(1 for x in received if x < quantile)
         equal = sum(1 for x in received if x == quantile)
-        self._counters = RootCounters(
-            l=less, e=equal, g=self.population(net) - less - equal
-        )
-        return quantile, True
+        exact = RootCounters(l=less, e=equal, g=self.population(net) - less - equal)
+        return quantile, exact, True
 
     def _refinement(
         self,
@@ -330,36 +276,15 @@ class IQ(ContinuousQuantileAlgorithm):
             raise ProtocolError(f"refinement fetch count must be >= 1, got {fetch}")
         net.phase = "refinement"
         net.broadcast(REFINEMENT_REQUEST_BITS + COUNTER_BITS)
-        contributions = {
-            vertex: ValueSetPayload(
-                values=(int(values[vertex]),), keep=fetch, keep_largest=keep_largest
-            )
-            for vertex in self.participating_sensors(net)
-            if low <= int(values[vertex]) <= high
-        }
-        merged = net.convergecast(contributions)
-        return merged.values if merged is not None else ()
-
-    # -- repair hooks (repro.faults.repair) -----------------------------------
-
-    def detach(self, net: TreeNetwork, vertex: int) -> None:
-        super().detach(net, vertex)
-        if self._mask is not None:
-            self._mask[vertex] = False
-        if self._counters is None or self._state is None:
-            return
-        shift_counter(self._counters, int(self._state[vertex]), -1)
-        self._state[vertex] = EQ
-
-    def rejoin(self, net: TreeNetwork, values: np.ndarray, vertex: int) -> None:
-        super().rejoin(net, values, vertex)
-        if self._mask is not None:
-            self._mask[vertex] = True
-        if self._tracker is None or self._counters is None or self._state is None:
-            return
-        label = classify(int(values[vertex]), self._tracker.current_quantile)
-        shift_counter(self._counters, label, 1)
-        self._state[vertex] = label
+        return request_values(
+            net,
+            values,
+            self.participating_sensors(net),
+            low,
+            high,
+            keep=fetch,
+            keep_largest=keep_largest,
+        )
 
     def handover_state_bits(self) -> int:
         # The successor must continue the Ξ band exactly, so the whole
@@ -370,20 +295,6 @@ class IQ(ContinuousQuantileAlgorithm):
         return bits
 
     # -- helpers --------------------------------------------------------------
-
-    def _broadcast_filter(self, quantile: int, refined: bool) -> RoundOutcome:
-        return RoundOutcome(
-            quantile=quantile,
-            refinements=1 if refined else 0,
-            filter_broadcast=True,
-        )
-
-    def _classify_all(
-        self, net: TreeNetwork, values: np.ndarray, filter_value: int
-    ) -> np.ndarray:
-        if self._mask is None:
-            self._mask = self.participation_mask(net)
-        return classify_array(values, filter_value, None, self._mask)
 
     def _record(
         self, net: TreeNetwork, values: np.ndarray, quantile: int, refined: bool

@@ -92,7 +92,6 @@ class SketchQuantile(ContinuousQuantileAlgorithm):
         self._l_bounds: tuple[int, int] | None = None  # bounds on #{< f}
         self._le_bounds: tuple[int, int] | None = None  # bounds on #{<= f}
         self._state: np.ndarray | None = None
-        self._mask: np.ndarray | None = None
 
     # -- rounds ---------------------------------------------------------------
 
@@ -121,7 +120,9 @@ class SketchQuantile(ContinuousQuantileAlgorithm):
         assert self._l_bounds is not None and self._le_bounds is not None
 
         # Validation: exact transition counters from nodes that crossed f.
-        new_state = classify_array(values, self._filter, None, self._mask)
+        new_state = classify_array(
+            values, self._filter, None, self.participation_mask(net)
+        )
         contributions = build_transitions(self._state, new_state)
         net.phase = "validation"
         merged = net.convergecast(contributions)
@@ -213,16 +214,14 @@ class SketchQuantile(ContinuousQuantileAlgorithm):
         missing = max(0, self.population(net) - sketch.n)
         self._l_bounds = (l_lo, l_hi + missing)
         self._le_bounds = (le_lo, le_hi + missing)
-        if self._mask is None:
-            self._mask = self.participation_mask(net)
-        self._state = classify_array(values, quantile, None, self._mask)
+        self._state = classify_array(
+            values, quantile, None, self.participation_mask(net)
+        )
 
     # -- repair hooks (repro.faults.repair) -----------------------------------
 
     def detach(self, net: TreeNetwork, vertex: int) -> None:
         super().detach(net, vertex)
-        if self._mask is not None:
-            self._mask[vertex] = False
         if self._state is None:
             return
         assert self._l_bounds is not None and self._le_bounds is not None
@@ -240,8 +239,6 @@ class SketchQuantile(ContinuousQuantileAlgorithm):
 
     def rejoin(self, net: TreeNetwork, values: np.ndarray, vertex: int) -> None:
         super().rejoin(net, values, vertex)
-        if self._mask is not None:
-            self._mask[vertex] = True
         if self._state is None or self._filter is None:
             return
         assert self._l_bounds is not None and self._le_bounds is not None

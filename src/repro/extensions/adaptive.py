@@ -35,6 +35,7 @@ import numpy as np
 from repro.constants import VALUE_BITS
 from repro.core.base import (
     ContinuousQuantileAlgorithm,
+    FilterQuantile,
     RootCounters,
     build_transitions,
     classify_array,
@@ -46,8 +47,8 @@ from repro.errors import ConfigurationError, ProtocolError
 from repro.sim.engine import TreeNetwork
 from repro.types import QuerySpec, RoundOutcome
 
-#: Builds one switchable candidate; must support ``warm_start``.
-CandidateFactory = Callable[[QuerySpec], ContinuousQuantileAlgorithm]
+#: Builds one switchable candidate: a member of the filter family.
+CandidateFactory = Callable[[QuerySpec], FilterQuantile]
 
 
 def default_candidates() -> list[CandidateFactory]:
@@ -87,9 +88,10 @@ class AdaptiveQuantile(ContinuousQuantileAlgorithm):
             raise ConfigurationError(f"smoothing must be in (0, 1], got {smoothing}")
         self.candidates = [factory(spec) for factory in factories]
         for candidate in self.candidates:
-            if not hasattr(candidate, "warm_start"):
+            if not isinstance(candidate, FilterQuantile):
                 raise ConfigurationError(
-                    f"{candidate.name} does not support warm_start()"
+                    f"{candidate.name} cannot warm-start: candidates must be "
+                    "FilterQuantile algorithms (POS, HBC, IQ)"
                 )
         self.probe_every = probe_every
         self.probe_rounds = probe_rounds
@@ -105,7 +107,7 @@ class AdaptiveQuantile(ContinuousQuantileAlgorithm):
         self._last_values: np.ndarray | None = None
 
     @property
-    def active(self) -> ContinuousQuantileAlgorithm:
+    def active(self) -> FilterQuantile:
         """The algorithm currently answering the query."""
         return self.candidates[self.active_index]
 
@@ -195,16 +197,11 @@ class AdaptiveQuantile(ContinuousQuantileAlgorithm):
         if quantile is None or values is None:
             raise ProtocolError("cannot switch before the first quantile")
 
-        old_low, old_high = outgoing.filter_bounds()  # type: ignore[attr-defined]
+        old_low, old_high = outgoing.filter_bounds()
         counters = self._reanchor(net, values, old_low, old_high, quantile)
-
-        incoming = self.candidates[target]
-        if isinstance(incoming, IQ):
-            incoming.warm_start(
-                net, values, quantile, counters, quantile_history=list(self._history)
-            )
-        else:
-            incoming.warm_start(net, values, quantile, counters)  # type: ignore[attr-defined]
+        self.candidates[target].warm_start(
+            net, values, quantile, counters, quantile_history=list(self._history)
+        )
         self.active_index = target
         self.switches += 1
 
@@ -223,7 +220,9 @@ class AdaptiveQuantile(ContinuousQuantileAlgorithm):
         them to the point filter ``quantile`` — only nodes whose membership
         label changes transmit.
         """
-        outgoing_counters = self._outgoing_counters()
+        outgoing_counters = self.active.counters
+        if outgoing_counters is None:
+            raise ProtocolError("outgoing algorithm has no root counters")
         net.phase = "switch"
         net.broadcast(2 * VALUE_BITS)  # switch announcement: algo id + filter
         # Every sensor re-labels its value (truncated like ``int()``).
@@ -240,12 +239,6 @@ class AdaptiveQuantile(ContinuousQuantileAlgorithm):
         )
         if merged is not None:
             counters.apply_validation(merged)
-        return counters
-
-    def _outgoing_counters(self) -> RootCounters:
-        counters = getattr(self.active, "_counters", None)
-        if counters is None:
-            raise ProtocolError("outgoing algorithm has no root counters")
         return counters
 
     @staticmethod

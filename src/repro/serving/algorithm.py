@@ -157,7 +157,6 @@ class MultiQuerySketch(ContinuousQuantileAlgorithm):
         self.positions = positions
         self.plan: ServingPlan | None = None
         self.targets: dict[tuple, GateTarget] = {}
-        self._mask: np.ndarray | None = None
         #: Full refresh collections performed (initialization included).
         self.refreshes = 0
         #: Selective refreshes: collections restricted to the cells of the
@@ -292,7 +291,6 @@ class MultiQuerySketch(ContinuousQuantileAlgorithm):
         assert self.plan is not None
         self.refreshes += 1
         mask = self.participation_mask(net)
-        self._mask = mask
         targets: dict[tuple, GateTarget] = {}
         scopes: dict[frozenset[str], QDigest | None] = {}
         for index, plan_target in enumerate(self.plan.targets):
@@ -584,8 +582,6 @@ class MultiQuerySketch(ContinuousQuantileAlgorithm):
 
     def detach(self, net: TreeNetwork, vertex: int) -> None:
         super().detach(net, vertex)
-        if self._mask is not None:
-            self._mask[vertex] = False
         for target in self.targets.values():
             if target.state is None or not target.scope_mask[vertex]:
                 continue
@@ -614,8 +610,6 @@ class MultiQuerySketch(ContinuousQuantileAlgorithm):
 
     def rejoin(self, net: TreeNetwork, values: np.ndarray, vertex: int) -> None:
         super().rejoin(net, values, vertex)
-        if self._mask is not None:
-            self._mask[vertex] = True
         for target in self.targets.values():
             if (
                 target.state is None

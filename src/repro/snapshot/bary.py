@@ -20,15 +20,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.constants import (
-    REFINEMENT_REQUEST_BITS,
-    VALUE_BITS,
-    VALUES_PER_MESSAGE,
+from repro.constants import REFINEMENT_REQUEST_BITS, VALUES_PER_MESSAGE
+from repro.core.base import (
+    RootCounters,
+    collect_histogram,
+    direct_request,
+    sensor_mask,
+    tag_initialization,
 )
-from repro.core.base import RootCounters, sensor_mask, tag_initialization
 from repro.core.cost_model import rounded_optimal_buckets
 from repro.core.histogram import locate_bucket, make_grid
-from repro.core.payloads import HistogramBatch, ValueSetPayload
 from repro.errors import ProtocolError
 from repro.sim.engine import TreeNetwork
 
@@ -81,18 +82,37 @@ def bary_snapshot(
     if buckets < 2:
         raise ProtocolError(f"need at least 2 buckets, got {buckets}")
 
+    # Every sensor buckets its value, truncated like ``int()``.
+    measured = np.asarray(values).astype(np.int64)
+    sensors = sensor_mask(net)
     low, high = r_min, r_max
     below = 0
     inside = net.num_sensor_nodes
     refinements = 0
     while True:
         if 0 < direct_request_limit and inside <= direct_request_limit:
-            return _direct(net, values, k, low, high, below, refinements)
+            quantile, counters, received = direct_request(
+                net,
+                values,
+                net.tree.sensor_nodes,
+                net.num_sensor_nodes,
+                k,
+                low,
+                high,
+                below,
+                None,
+            )
+            return SnapshotResult(
+                quantile=quantile,
+                counters=counters,
+                received_values=received,
+                refinements=refinements,
+            )
 
         net.broadcast(REFINEMENT_REQUEST_BITS)
         refinements += 1
         grid = make_grid(low, high, buckets)
-        counts = _collect_histogram(net, values, grid)
+        counts = collect_histogram(net, measured, grid, sensors)
         inside = sum(counts)
         target = k - below - 1
         if not 0 <= target < inside:
@@ -116,55 +136,3 @@ def bary_snapshot(
         below += skipped
         inside = counts[bucket]
         low, high = bucket_low, bucket_high
-
-
-def _direct(
-    net: TreeNetwork,
-    values: np.ndarray,
-    k: int,
-    low: int,
-    high: int,
-    below: int,
-    refinements: int,
-) -> SnapshotResult:
-    net.broadcast(2 * VALUE_BITS)
-    contributions = {
-        vertex: ValueSetPayload(values=(int(values[vertex]),))
-        for vertex in net.tree.sensor_nodes
-        if low <= int(values[vertex]) <= high
-    }
-    merged = net.convergecast(contributions)
-    received = merged.values if merged is not None else ()
-    index = k - below - 1
-    if not 0 <= index < len(received):
-        raise ProtocolError(
-            f"direct request returned {len(received)} values, offset {index}"
-        )
-    quantile = received[index]
-    less = below + sum(1 for value in received if value < quantile)
-    equal = sum(1 for value in received if value == quantile)
-    counters = RootCounters(
-        l=less, e=equal, g=net.num_sensor_nodes - less - equal
-    )
-    return SnapshotResult(
-        quantile=quantile,
-        counters=counters,
-        received_values=received,
-        refinements=refinements,
-    )
-
-
-def _collect_histogram(net: TreeNetwork, values: np.ndarray, grid) -> tuple[int, ...]:
-    # Every sensor buckets its value, truncated like ``int()``.
-    measured = np.asarray(values).astype(np.int64)
-    inside = np.flatnonzero(
-        sensor_mask(net) & (measured >= grid.low) & (measured <= grid.high)
-    )
-    merged = net.convergecast(
-        HistogramBatch(
-            inside, grid.bucket_of_array(measured[inside]), grid.num_buckets
-        )
-    )
-    if merged is None:
-        return (0,) * grid.num_buckets
-    return merged.counts

@@ -13,7 +13,11 @@ runs a fixed set of seeded scenarios and hashes everything they simulate:
 
 Scenarios: the six paper algorithms through ``SimulationRunner`` on a
 reliable network; the same six through ``FaultDriver`` under loss 0.05,
-ARQ 2, outages and a sink kill; one ``MultiQueryRunner`` run.  The digests
+ARQ 2, outages and a sink kill; one ``MultiQueryRunner`` run.  Option
+variants (POS and IQ without hints, HBC without interval tracking or with
+recomputed buckets, direct requests off), the adaptive switcher and the
+gated sketch tracker add ``clean/`` and ``faults/`` cells of their own, and
+``snapshot/bary`` runs the b-ary snapshot search every round.  The digests
 live in ``tests/pinned_results.json`` and ``tests/test_pinned_results.py``
 compares against them.
 
@@ -31,6 +35,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -40,15 +45,20 @@ from repro import (
     IQ,
     POS,
     TAG,
+    EnergyLedger,
+    EnergyModel,
     LCLLHierarchical,
     LCLLSlip,
     QuerySpec,
     SimulationRunner,
+    SketchQuantile,
     SyntheticWorkload,
     TreeNetwork,
     build_routing_tree,
     connected_random_graph,
+    quantile_rank,
 )
+from repro.extensions.adaptive import AdaptiveQuantile
 from repro.faults import (
     ArqPolicy,
     FaultDriver,
@@ -58,6 +68,7 @@ from repro.faults import (
     ScheduledChurn,
 )
 from repro.serving import MultiQueryRunner, PhiQuery, QueryRegistry, RangeQuery
+from repro.snapshot.bary import bary_snapshot
 
 PINNED = Path(__file__).with_name("pinned_results.json")
 
@@ -72,6 +83,31 @@ LINEUP = (
     ("LCLL-S", LCLLSlip),
     ("HBC", HBC),
     ("IQ", IQ),
+)
+#: Option variants and extensions on the reliable network.
+CLEAN_VARIANTS = (
+    ("POS-nohints", partial(POS, use_hints=False)),
+    ("POS-nohints-nodirect", partial(POS, use_hints=False, direct_request_limit=0)),
+    ("HBC-notracking", partial(HBC, interval_tracking=False)),
+    (
+        "HBC-recompute-nodirect",
+        partial(HBC, recompute_buckets=True, direct_request_limit=0),
+    ),
+    ("IQ-nohints", partial(IQ, use_hints=False)),
+    (
+        "ADAPT",
+        partial(
+            AdaptiveQuantile, candidates=[IQ, HBC, POS], probe_every=4, probe_rounds=2
+        ),
+    ),
+    ("SKQ", partial(SketchQuantile, eps=0.05)),
+)
+#: Variants under the fault plan; their cells follow the lineup's and the
+#: serving run's.
+FAULT_VARIANTS = (
+    ("POS-nohints", partial(POS, use_hints=False)),
+    ("HBC-notracking", partial(HBC, interval_tracking=False)),
+    ("SKQ", partial(SketchQuantile, eps=0.05)),
 )
 
 
@@ -233,15 +269,51 @@ def serving_digest() -> str:
     return digest.hexdigest()
 
 
+def bary_digest() -> str:
+    """``bary_snapshot`` every round, with and without the direct request,
+    charged to one ledger."""
+    _, tree, workload, spec = deployment()
+    ledger = EnergyLedger(
+        num_vertices=tree.num_vertices,
+        root=tree.root,
+        model=EnergyModel(),
+        radio_range=RADIO_RANGE,
+    )
+    net = TreeNetwork(tree, ledger)
+    k = quantile_rank(net.num_sensor_nodes, spec.phi)
+    digest = Digest()
+    for round_index in range(ROUNDS):
+        values = workload.values(round_index)
+        ledger.begin_round()
+        for limit in (0, 64):
+            result = bary_snapshot(
+                net, values, k, spec.r_min, spec.r_max, direct_request_limit=limit
+            )
+            counters = result.counters
+            digest.feed(
+                limit,
+                result.quantile,
+                (counters.l, counters.e, counters.g),
+                result.received_values,
+                result.refinements,
+            )
+        ledger.end_round()
+    digest.ledger(ledger, net.phase_bits)
+    return digest.hexdigest()
+
+
 def scenario_digests() -> dict[str, str]:
     """Every scenario's digest, keyed ``clean/<alg>``, ``faults/<alg>``,
-    ``serving``."""
+    ``serving`` and ``snapshot/bary``."""
     out = {}
-    for name, factory in LINEUP:
+    for name, factory in LINEUP + CLEAN_VARIANTS:
         out[f"clean/{name}"] = clean_digest(name, factory)
     for cell, (name, factory) in enumerate(LINEUP):
         out[f"faults/{name}"] = faulty_digest(cell, factory)
     out["serving"] = serving_digest()
+    for cell, (name, factory) in enumerate(FAULT_VARIANTS, start=len(LINEUP) + 1):
+        out[f"faults/{name}"] = faulty_digest(cell, factory)
+    out["snapshot/bary"] = bary_digest()
     return out
 
 

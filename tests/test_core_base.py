@@ -2,22 +2,34 @@
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from repro.baselines.lcll import LCLLHierarchical, LCLLSlip
+from repro.baselines.pos import POS
 from repro.core.base import (
     EQ,
     GT,
     LT,
+    FilterQuantile,
     RootCounters,
     build_validation,
     classify,
     classify_interval,
     hint_bounds,
+    sensor_mask,
     tag_initialization,
 )
+from repro.core.hbc import HBC
+from repro.core.iq import IQ
 from repro.core.payloads import ValidationPayload
+from repro.core.sketchq import SketchQuantile
 from repro.errors import MembershipError, ProtocolError
+from repro.network.tree import tree_from_parents
 from repro.sim.oracle import rank_of_value
 from repro.types import QuerySpec
 
@@ -252,3 +264,103 @@ class TestMembershipContract:
         with pytest.raises(MembershipError) as excinfo:
             algorithm.reset_participation(small_net, everyone)
         assert "7 of 7 sensors detached" in str(excinfo.value)
+
+
+class TestParticipationMaskCache:
+    """The base class's cached participation mask follows membership.
+
+    Random valid sequences of :meth:`detach`, :meth:`rejoin`,
+    :meth:`reset_participation` (followed by the re-initialization the
+    driver runs) and update rounds, on the 8-vertex tree.  After every step
+    the mask equals a fresh :func:`sensor_mask` with the detached set
+    cleared, and the filter family's counters equal the oracle's counts
+    below, inside and above :meth:`filter_bounds` over the participating
+    values.
+    """
+
+    PARENTS = [-1, 0, 0, 1, 1, 2, 4, 2]
+    SPEC = QuerySpec(r_min=0, r_max=63)
+
+    sensor_values = st.lists(st.integers(0, 40), min_size=7, max_size=7)
+    steps = st.lists(
+        st.tuples(
+            st.sampled_from(["detach", "rejoin", "reset", "update"]),
+            st.integers(0, 2**7 - 1),
+            sensor_values,
+        ),
+        max_size=12,
+    )
+
+    @pytest.mark.parametrize(
+        "factory",
+        [
+            POS,
+            HBC,
+            # Without the direct request HBC keeps tracking an interval.
+            partial(HBC, direct_request_limit=0),
+            IQ,
+            LCLLHierarchical,
+            LCLLSlip,
+            SketchQuantile,
+        ],
+        ids=["POS", "HBC", "HBC-interval", "IQ", "LCLL-H", "LCLL-S", "SKQ"],
+    )
+    @settings(
+        max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+    )
+    @given(first=sensor_values, steps=steps)
+    def test_mask_and_counters_follow_membership(self, factory, first, steps):
+        net = _fresh_net(tree_from_parents(0, self.PARENTS))
+        sensors = list(net.tree.sensor_nodes)
+        algorithm = factory(self.SPEC)
+        current = np.array([0] + first, dtype=np.int64)
+        algorithm.initialize(net, current)
+        detached: set[int] = set()
+        self._check(algorithm, net, current, detached)
+        for kind, pick, fresh in steps:
+            inside = [v for v in sensors if v not in detached]
+            outside = sorted(detached)
+            if kind == "detach":
+                if not inside:
+                    continue
+                vertex = inside[pick % len(inside)]
+                algorithm.detach(net, vertex)
+                detached.add(vertex)
+            elif kind == "rejoin":
+                if not outside:
+                    continue
+                vertex = outside[pick % len(outside)]
+                # The node may come back with a value it measured while away.
+                current[vertex] = fresh[vertex - 1]
+                algorithm.rejoin(net, current, vertex)
+                detached.discard(vertex)
+            elif kind == "reset":
+                chosen = {v for v in sensors if pick >> (v - 1) & 1}
+                if len(chosen) == len(sensors):
+                    continue
+                detached = chosen
+                algorithm.reset_participation(net, detached)
+                current = np.array([0] + fresh, dtype=np.int64)
+                algorithm.initialize(net, current)
+            else:
+                if not inside:
+                    continue
+                current = np.array([0] + fresh, dtype=np.int64)
+                algorithm.update(net, current)
+            self._check(algorithm, net, current, detached)
+
+    @staticmethod
+    def _check(algorithm, net, values, detached):
+        expected = sensor_mask(net)
+        expected[sorted(detached)] = False
+        assert np.array_equal(algorithm.participation_mask(net), expected)
+        if not isinstance(algorithm, FilterQuantile):
+            return
+        low, high = algorithm.filter_bounds()
+        participating = values[expected]
+        counters = algorithm.counters
+        assert (counters.l, counters.e, counters.g) == (
+            int(np.count_nonzero(participating < low)),
+            int(np.count_nonzero((participating >= low) & (participating <= high))),
+            int(np.count_nonzero(participating > high)),
+        )
