@@ -199,8 +199,33 @@ def build_parser() -> argparse.ArgumentParser:
     sketch.add_argument("--phi", type=float, default=0.5)
     sketch.add_argument("--seed", type=int, default=20140324)
 
+    # The flags of a served deployment, shared by ``queries`` and ``history``.
+    served = argparse.ArgumentParser(add_help=False)
+    served.add_argument(
+        "--eps", type=float, default=0.05,
+        help="per-query rank-error budget (fraction of the population)",
+    )
+    served.add_argument(
+        "--loss", type=float, default=0.0,
+        help="i.i.d. link loss rate for the fault layer",
+    )
+    served.add_argument(
+        "--retries", type=int, default=2,
+        help="per-hop ARQ retry budget (0 disables ARQ)",
+    )
+    served.add_argument(
+        "--transient", type=float, default=0.0,
+        help="per-round probability of each sensor starting a transient "
+        "outage",
+    )
+    served.add_argument("--range-radio", type=float, default=35.0,
+                        dest="radio_range", metavar="M",
+                        help="radio range in metres")
+    served.add_argument("--seed", type=int, default=20140324)
+
     queries = sub.add_parser(
         "queries",
+        parents=[served],
         help="multi-query serving: a phi-grid, group-by regions and range "
         "predicates over one shared convergecast (repro.serving)",
     )
@@ -220,35 +245,15 @@ def build_parser() -> argparse.ArgumentParser:
         "(repeatable)",
     )
     queries.add_argument(
-        "--eps", type=float, default=0.05,
-        help="per-query rank-error budget (fraction of the population)",
-    )
-    queries.add_argument(
-        "--loss", type=float, default=0.0,
-        help="i.i.d. link loss rate for the fault layer",
-    )
-    queries.add_argument(
-        "--retries", type=int, default=2,
-        help="per-hop ARQ retry budget (0 disables ARQ)",
-    )
-    queries.add_argument(
-        "--transient", type=float, default=0.0,
-        help="per-round probability of each sensor starting a transient "
-        "outage",
-    )
-    queries.add_argument(
         "--no-baseline", action="store_true",
         help="skip the single-query SKQ amortization comparison run",
     )
     queries.add_argument("--nodes", type=int, default=120)
     queries.add_argument("--rounds", type=int, default=30)
-    queries.add_argument("--range-radio", type=float, default=35.0,
-                         dest="radio_range", metavar="M",
-                         help="radio range in metres")
-    queries.add_argument("--seed", type=int, default=20140324)
 
     history = sub.add_parser(
         "history",
+        parents=[served],
         help="root-side history service: windows, decay and cached reads "
         "over a served run (repro.serving.history)",
     )
@@ -273,29 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="cached reads to replay against the store for the "
         "throughput/hit-rate report",
     )
-    history.add_argument(
-        "--eps", type=float, default=0.05,
-        help="per-query rank-error budget (fraction of the population)",
-    )
-    history.add_argument(
-        "--loss", type=float, default=0.0,
-        help="i.i.d. link loss rate for the fault layer",
-    )
-    history.add_argument(
-        "--retries", type=int, default=2,
-        help="per-hop ARQ retry budget (0 disables ARQ)",
-    )
-    history.add_argument(
-        "--transient", type=float, default=0.0,
-        help="per-round probability of each sensor starting a transient "
-        "outage",
-    )
     history.add_argument("--nodes", type=int, default=80)
     history.add_argument("--rounds", type=int, default=40)
-    history.add_argument("--range-radio", type=float, default=35.0,
-                         dest="radio_range", metavar="M",
-                         help="radio range in metres")
-    history.add_argument("--seed", type=int, default=20140324)
 
     report = sub.add_parser(
         "report", help="regenerate the paper's full evaluation as markdown"
@@ -516,25 +500,22 @@ def main(argv: Sequence[str] | None = None) -> int:
     raise AssertionError(f"unhandled command {command!r}")  # pragma: no cover
 
 
-def _run_queries(args) -> int:
-    """The ``queries`` subcommand: serve a small dashboard and report it."""
+def _served_deployment(args):
+    """The deployment ``queries`` and ``history`` serve, from their shared
+    flags: a random field, one :class:`~repro.serving.PhiQuery` per
+    ``--phis`` value, the fault plan and the ARQ policy.
+
+    Returns the serving runner and ``fault_driver(factory)``, which builds a
+    second driver on the same deployment under a fresh fault plan.
+    """
     import numpy as np
 
-    from repro.core.sketchq import SketchQuantile
     from repro.datasets.synthetic import SyntheticWorkload
-    from repro.experiments.report import format_query_table
     from repro.faults import ArqPolicy, FaultDriver, FaultPlan
     from repro.faults.plan import IndependentLoss, RandomOutages
     from repro.network.routing import build_routing_tree
     from repro.network.topology import connected_random_graph
-    from repro.serving import (
-        GroupByQuery,
-        MultiQueryRunner,
-        PhiQuery,
-        QueryRegistry,
-        RangeQuery,
-        phi_label,
-    )
+    from repro.serving import MultiQueryRunner, PhiQuery, QueryRegistry, phi_label
     from repro.types import QuerySpec
 
     rng = np.random.default_rng(args.seed)
@@ -542,14 +523,45 @@ def _run_queries(args) -> int:
     tree = build_routing_tree(graph, root=0)
     workload = SyntheticWorkload(graph.positions, rng)
     spec = QuerySpec(r_min=workload.r_min, r_max=workload.r_max)
-
     registry = QueryRegistry()
     for phi in args.phis:
-        registry.register(
-            PhiQuery(phi_label(phi), phis=(phi,), eps=args.eps)
+        registry.register(PhiQuery(phi_label(phi), phis=(phi,), eps=args.eps))
+    arq = ArqPolicy(max_retries=args.retries) if args.retries > 0 else None
+
+    def make_plan():
+        return FaultPlan(
+            loss=IndependentLoss(args.loss) if args.loss > 0 else None,
+            outages=(
+                RandomOutages(args.transient) if args.transient > 0 else None
+            ),
+            seed=args.seed,
         )
+
+    def fault_driver(factory):
+        return FaultDriver(
+            factory, spec, tree, workload, make_plan(), arq,
+            graph=graph, radio_range=args.radio_range,
+        )
+
+    runner = MultiQueryRunner(
+        registry, spec, tree, workload, make_plan(), arq,
+        graph=graph, radio_range=args.radio_range,
+    )
+    return runner, fault_driver
+
+
+def _run_queries(args) -> int:
+    """The ``queries`` subcommand: serve a small dashboard and report it."""
+    import numpy as np
+
+    from repro.core.sketchq import SketchQuantile
+    from repro.experiments.report import format_query_table
+    from repro.serving import GroupByQuery, RangeQuery
+
+    runner, fault_driver = _served_deployment(args)
+    registry = runner.registry
     if args.regions > 0:
-        span = float(graph.positions[:, 0].max()) + 1e-9
+        span = float(runner.driver.graph.positions[:, 0].max()) + 1e-9
         width = span / args.regions
 
         def stripe(vertex, position, _w=width):
@@ -569,21 +581,6 @@ def _run_queries(args) -> int:
                 eps=args.eps,
             )
         )
-
-    def make_plan():
-        return FaultPlan(
-            loss=IndependentLoss(args.loss) if args.loss > 0 else None,
-            outages=(
-                RandomOutages(args.transient) if args.transient > 0 else None
-            ),
-            seed=args.seed,
-        )
-
-    arq = ArqPolicy(max_retries=args.retries) if args.retries > 0 else None
-    runner = MultiQueryRunner(
-        registry, spec, tree, workload, make_plan(), arq,
-        graph=graph, radio_range=args.radio_range,
-    )
     runner.run(args.rounds)
 
     def mj_per_round(ledger):
@@ -608,11 +605,7 @@ def _run_queries(args) -> int:
           f"({total / max(1, len(registry)):.3f} mJ/round per query)")
 
     if not args.no_baseline:
-        baseline_driver = FaultDriver(
-            lambda s: SketchQuantile(s, eps=args.eps),
-            spec, tree, workload, make_plan(), arq,
-            graph=graph, radio_range=args.radio_range,
-        )
+        baseline_driver = fault_driver(lambda s: SketchQuantile(s, eps=args.eps))
         baseline_driver.run(args.rounds)
         baseline = mj_per_round(baseline_driver.ledger)
         k = len(registry)
@@ -628,45 +621,12 @@ def _run_history(args) -> int:
     """The ``history`` subcommand: serve a run, then read its past back."""
     import time
 
-    import numpy as np
-
-    from repro.datasets.synthetic import SyntheticWorkload
-    from repro.faults import ArqPolicy, FaultPlan
-    from repro.faults.plan import IndependentLoss, RandomOutages
-    from repro.network.routing import build_routing_tree
-    from repro.network.topology import connected_random_graph
-    from repro.serving import (
-        MultiQueryRunner,
-        PhiQuery,
-        QueryRegistry,
-        phi_label,
-    )
-    from repro.types import QuerySpec
-
-    rng = np.random.default_rng(args.seed)
-    graph = connected_random_graph(args.nodes + 1, args.radio_range, rng)
-    tree = build_routing_tree(graph, root=0)
-    workload = SyntheticWorkload(graph.positions, rng)
-    spec = QuerySpec(r_min=workload.r_min, r_max=workload.r_max)
-
-    registry = QueryRegistry()
-    for phi in args.phis:
-        registry.register(PhiQuery(phi_label(phi), phis=(phi,), eps=args.eps))
-    plan = FaultPlan(
-        loss=IndependentLoss(args.loss) if args.loss > 0 else None,
-        outages=RandomOutages(args.transient) if args.transient > 0 else None,
-        seed=args.seed,
-    )
-    arq = ArqPolicy(max_retries=args.retries) if args.retries > 0 else None
-    runner = MultiQueryRunner(
-        registry, spec, tree, workload, plan, arq,
-        graph=graph, radio_range=args.radio_range,
-    )
+    runner, _ = _served_deployment(args)
     runner.run(args.rounds)
     store = runner.history
 
     print(
-        f"history service: {len(registry)} queries, {args.nodes} nodes, "
+        f"history service: {len(runner.registry)} queries, {args.nodes} nodes, "
         f"{args.rounds} rounds, loss={args.loss:g}, "
         f"transient={args.transient:g} — all reads root-side, zero radio"
     )

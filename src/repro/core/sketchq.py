@@ -27,6 +27,8 @@ guarantee is probabilistic (see ``sketch/kll.py``).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from repro.constants import REFINEMENT_REQUEST_BITS, VALUE_BITS
@@ -45,6 +47,72 @@ from repro.types import QuerySpec, RoundOutcome
 
 #: Sketch backends this algorithm can run on.
 SKETCH_KINDS = ("qdigest", "kll")
+
+
+@dataclass
+class RankBounds:
+    """Sound bounds on the rank of a boundary value ``f``.
+
+    ``l_lo <= #{values < f} <= l_hi`` and ``le_lo <= #{values <= f} <=
+    le_hi``: anchored from a sketch's rank bounds, then moved exactly by
+    transition counters and membership changes.  This is the one rank-bound
+    rule of the gated sketch tracker and of every serving-gate target.
+    """
+
+    l_lo: int = 0
+    l_hi: int = 0
+    le_lo: int = 0
+    le_hi: int = 0
+
+    def anchor(self, sketch: QuantileSketch, value: int, missing: int) -> None:
+        """Re-anchor at ``value`` from the sketch's own rank bounds.
+
+        When the sketch saw ``missing`` fewer values than the population
+        holds (message loss or churn eating subtrees), each missing value
+        could lie on either side of ``value``, so both upper bounds widen by
+        that count: the bounds stay *sound* for the full population, and a
+        lossy collection narrows the head-room instead of poisoning it.
+        """
+        self.l_lo, l_hi = sketch.rank_bounds(value)
+        self.le_lo, le_hi = sketch.rank_bounds(value + 1)
+        self.l_hi = l_hi + missing
+        self.le_hi = le_hi + missing
+
+    def shift(self, into_lt: int, outof_lt: int, into_gt: int, outof_gt: int) -> None:
+        """Apply one round's merged transition counters exactly."""
+        delta_l = into_lt - outof_lt
+        delta_g = into_gt - outof_gt
+        self.l_lo += delta_l
+        self.l_hi += delta_l
+        # #{<= f} = n - #{> f} shifts opposite to the gt counter.
+        self.le_lo -= delta_g
+        self.le_hi -= delta_g
+
+    def move(self, label: int, delta: int) -> None:
+        """A node whose value is ``label`` against ``f`` joins (``delta=1``)
+        or leaves (``delta=-1``).
+
+        Its label was tracked exactly, so the bounds move exactly: a value
+        ``< f`` counts in ``#{< f}`` and ``#{<= f}``, a value ``== f`` only in
+        ``#{<= f}``, a value ``> f`` in neither.  A departure clamps the
+        bounds it moves at zero.
+        """
+
+        def moved(bound: int) -> int:
+            return bound + delta if delta > 0 else max(0, bound + delta)
+
+        if label == LT:
+            self.l_lo, self.l_hi = moved(self.l_lo), moved(self.l_hi)
+        if label in (LT, EQ):
+            self.le_lo, self.le_hi = moved(self.le_lo), moved(self.le_hi)
+
+    def worst_rank_error(self, k: int) -> int:
+        """An upper bound on ``f``'s rank error as the answer for rank ``k``.
+
+        The true error ``max(0, l + 1 - k, k - (l + e))`` is at most this,
+        whatever ``#{< f}`` and ``#{<= f}`` are within their bounds.
+        """
+        return max(0, self.l_hi + 1 - k, k - self.le_lo)
 
 
 class SketchQuantile(ContinuousQuantileAlgorithm):
@@ -89,8 +157,7 @@ class SketchQuantile(ContinuousQuantileAlgorithm):
         self._sketch_eps = eps / 2.0 if gated else eps
         self._kll_k = KLLSketch.k_for_eps(self._sketch_eps)
         self._filter: int | None = None
-        self._l_bounds: tuple[int, int] | None = None  # bounds on #{< f}
-        self._le_bounds: tuple[int, int] | None = None  # bounds on #{<= f}
+        self._bounds = RankBounds()  # on #{< f} and #{<= f}
         self._state: np.ndarray | None = None
 
     # -- rounds ---------------------------------------------------------------
@@ -117,7 +184,6 @@ class SketchQuantile(ContinuousQuantileAlgorithm):
 
         if self._filter is None or self._state is None:
             raise ProtocolError("update() called before initialize()")
-        assert self._l_bounds is not None and self._le_bounds is not None
 
         # Validation: exact transition counters from nodes that crossed f.
         new_state = classify_array(
@@ -127,20 +193,12 @@ class SketchQuantile(ContinuousQuantileAlgorithm):
         net.phase = "validation"
         merged = net.convergecast(contributions)
         if merged is not None:
-            delta_l = merged.into_lt - merged.outof_lt
-            delta_g = merged.into_gt - merged.outof_gt
-            self._l_bounds = (
-                self._l_bounds[0] + delta_l,
-                self._l_bounds[1] + delta_l,
-            )
-            # #{<= f} = n - #{> f} shifts opposite to the gt counter.
-            self._le_bounds = (
-                self._le_bounds[0] - delta_g,
-                self._le_bounds[1] - delta_g,
+            self._bounds.shift(
+                merged.into_lt, merged.outof_lt, merged.into_gt, merged.outof_gt
             )
         self._state = new_state
 
-        if self._worst_case_error(k) <= self.eps * self.population(net):
+        if self._bounds.worst_rank_error(k) <= self.eps * self.population(net):
             self.current_quantile = self._filter
             return RoundOutcome(quantile=self._filter)
 
@@ -156,17 +214,6 @@ class SketchQuantile(ContinuousQuantileAlgorithm):
         )
 
     # -- helpers --------------------------------------------------------------
-
-    def _worst_case_error(self, k: int) -> int:
-        """An upper bound on the cached answer's current rank error.
-
-        ``[l_lo, l_hi]`` soundly bounds ``#{values < f}`` and
-        ``[le_lo, le_hi]`` bounds ``#{values <= f}`` (q-digest bounds
-        shifted by exactly-counted transitions), so the true error
-        ``max(0, l + 1 - k, k - (l + e))`` is at most this.
-        """
-        assert self._l_bounds is not None and self._le_bounds is not None
-        return max(0, self._l_bounds[1] + 1 - k, k - self._le_bounds[0])
 
     def _collect(self, net: TreeNetwork, values: np.ndarray) -> QuantileSketch:
         """One sketch convergecast: every sensor ships its measurement."""
@@ -198,22 +245,13 @@ class SketchQuantile(ContinuousQuantileAlgorithm):
         sketch: QuantileSketch,
         quantile: int,
     ) -> None:
-        """Broadcast the new filter and re-anchor the rank bounds.
-
-        When the sketch saw fewer values than the network holds (message
-        loss or churn eating subtrees), each missing value could lie on
-        either side of the filter, so the upper bounds widen by the missing
-        count.  The bounds stay *sound* for the full population — a lossy
-        collection narrows the gate's head-room instead of poisoning it.
-        """
+        """Broadcast the new filter and re-anchor the rank bounds, widened
+        by the values the sketch did not see."""
         net.phase = "filter"
         net.broadcast(VALUE_BITS)
         self._filter = quantile
-        l_lo, l_hi = sketch.rank_bounds(quantile)
-        le_lo, le_hi = sketch.rank_bounds(quantile + 1)
         missing = max(0, self.population(net) - sketch.n)
-        self._l_bounds = (l_lo, l_hi + missing)
-        self._le_bounds = (le_lo, le_hi + missing)
+        self._bounds.anchor(sketch, quantile, missing)
         self._state = classify_array(
             values, quantile, None, self.participation_mask(net)
         )
@@ -224,29 +262,20 @@ class SketchQuantile(ContinuousQuantileAlgorithm):
         super().detach(net, vertex)
         if self._state is None:
             return
-        assert self._l_bounds is not None and self._le_bounds is not None
-        # The departing node's label was tracked exactly, so the sound rank
-        # bounds shift exactly: a value < f leaves #{< f} and #{<= f}, a
-        # value == f leaves only #{<= f}, a value > f leaves neither.
-        label = int(self._state[vertex])
-        if label == LT:
-            self._l_bounds = (self._l_bounds[0] - 1, self._l_bounds[1] - 1)
-        if label in (LT, EQ):
-            self._le_bounds = (self._le_bounds[0] - 1, self._le_bounds[1] - 1)
+        bounds = self._bounds
+        bounds.move(int(self._state[vertex]), -1)
         self._state[vertex] = EQ
-        self._l_bounds = (max(0, self._l_bounds[0]), max(0, self._l_bounds[1]))
-        self._le_bounds = (max(0, self._le_bounds[0]), max(0, self._le_bounds[1]))
+        # Unlike a serving-gate target, SKQ clamps the bounds that did not
+        # move too.
+        bounds.l_lo, bounds.l_hi = max(0, bounds.l_lo), max(0, bounds.l_hi)
+        bounds.le_lo, bounds.le_hi = max(0, bounds.le_lo), max(0, bounds.le_hi)
 
     def rejoin(self, net: TreeNetwork, values: np.ndarray, vertex: int) -> None:
         super().rejoin(net, values, vertex)
         if self._state is None or self._filter is None:
             return
-        assert self._l_bounds is not None and self._le_bounds is not None
         label = classify(int(values[vertex]), self._filter)
-        if label == LT:
-            self._l_bounds = (self._l_bounds[0] + 1, self._l_bounds[1] + 1)
-        if label in (LT, EQ):
-            self._le_bounds = (self._le_bounds[0] + 1, self._le_bounds[1] + 1)
+        self._bounds.move(label, 1)
         self._state[vertex] = label
 
     def handover_state_bits(self) -> int:

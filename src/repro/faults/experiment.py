@@ -40,7 +40,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.constants import VALUE_BITS
 from repro.datasets.synthetic import SyntheticWorkload
 from repro.errors import ConfigurationError, ProtocolError
 from repro.experiments.config import AlgorithmFactory, sketch_algorithms
@@ -71,7 +70,7 @@ from repro.network.tree import RoutingTree
 from repro.radio.energy import EnergyModel
 from repro.radio.ledger import EnergyLedger
 from repro.sim.oracle import exact_quantile, quantile_rank
-from repro.types import QuerySpec
+from repro.types import QuerySpec, RoundOutcome
 
 
 def insertion_rank_error(sensor_values: np.ndarray, answer: int, k: int) -> int:
@@ -144,7 +143,8 @@ class FaultSeriesPoint:
     healed_partitions: int = 0
     #: Orphan-rounds spent parked (duty-cycled, awaiting a heal).
     parked_orphan_rounds: int = 0
-    #: Energy [mJ] spent on re-initialization rounds' traffic.
+    #: Energy [mJ] spent on re-initialization traffic, attempts that
+    #: drowned included.
     reinit_energy_mj: float = 0.0
     #: Root fail-overs executed (successor elected, tree re-rooted).
     failovers: int = 0
@@ -266,7 +266,6 @@ class FaultDriver:
         rotate_every: int = 0,
         rotate_rng: np.random.Generator | None = None,
         heal_patience: int = 1,
-        history=None,
         root_grace: int = 1,
         failover_rng: np.random.Generator | None = None,
     ) -> None:
@@ -282,12 +281,6 @@ class FaultDriver:
         self.spec = spec
         self.workload = workload
         self.graph = graph
-        #: Optional root-side :class:`~repro.serving.history.HistoryStore`
-        #: (duck-typed to avoid a faults -> serving import cycle): when
-        #: attached, every round report is absorbed as the history's
-        #: ``__primary__`` track — degraded rounds advance its clock but
-        #: never reach the summaries.
-        self.history = history
         self.repair_metric = repair_metric
         self.rotate_every = rotate_every
         self._rotate_rng = (
@@ -322,11 +315,9 @@ class FaultDriver:
         )
         #: Extra root-side state (beyond the algorithm's own) a successor
         #: sink must inherit on fail-over.  Each entry is a zero-argument
-        #: callable returning a size in bits; the serving layer registers
-        #: its history summaries and cached multi-query answers here.
+        #: callable returning a size in bits; the serving runner registers
+        #: its cached answers and history summaries here.
         self.handover_state_providers: list = []
-        if history is not None:
-            self.handover_state_providers.append(self._history_handover_bits)
         self.algorithm = factory(spec)
         self.last_answer: int | None = None
         self.reinits = 0
@@ -353,12 +344,6 @@ class FaultDriver:
             return live
         detached = self.repair.detached
         return tuple(v for v in live if v not in detached)
-
-    def _history_handover_bits(self) -> int:
-        """Serialized size [bits] of the root-side history summaries."""
-        return VALUE_BITS * sum(
-            self.history.size_items(query) for query in self.history.queries()
-        )
 
     # -- fault-aware rotation -------------------------------------------------
 
@@ -485,12 +470,7 @@ class FaultDriver:
                     reinitialized = True
                 if self.repair is not None:
                     self.repair.resync_after_reinit(self.algorithm)
-                energy_before = float(self.ledger.energy.sum())
-                outcome = self.algorithm.initialize(net, values)
-                if reinitialized:
-                    self.reinit_energy_j += (
-                        float(self.ledger.energy.sum()) - energy_before
-                    )
+                outcome = self._initialize(values, booked=reinitialized)
                 self._initialized = True
                 self._scheduled_reinit = False
                 self._tainted = False
@@ -527,13 +507,9 @@ class FaultDriver:
                 if self.repair is not None:
                     self.repair.resync_after_reinit(self.algorithm)
                 try:
-                    energy_before = float(self.ledger.energy.sum())
-                    outcome = self.algorithm.initialize(net, values)
+                    outcome = self._initialize(values, booked=True)
                     self.reinits += 1
                     reinitialized = True
-                    self.reinit_energy_j += (
-                        float(self.ledger.energy.sum()) - energy_before
-                    )
                     self._initialized = True
                     self._scheduled_reinit = False
                     self._tainted = False
@@ -609,8 +585,6 @@ class FaultDriver:
             degraded_reason=degraded_reason,
             failover=failover_event,
         )
-        if self.history is not None:
-            self.history.absorb_report(report)
         return report
 
     def run(self, num_rounds: int) -> list[RoundReport]:
@@ -626,6 +600,19 @@ class FaultDriver:
                 break
             reports.append(report)
         return reports
+
+    def _initialize(self, values: np.ndarray, *, booked: bool) -> RoundOutcome:
+        """Run the algorithm's initialization.  A re-initialization's
+        traffic is ``booked`` to :attr:`reinit_energy_j` even when the
+        attempt raises: what it sent before drowning was spent."""
+        energy_before = float(self.ledger.energy.sum())
+        try:
+            return self.algorithm.initialize(self.net, values)
+        finally:
+            if booked:
+                self.reinit_energy_j += (
+                    float(self.ledger.energy.sum()) - energy_before
+                )
 
     def _trustworthy(self, failed: bool, live: tuple[int, ...]) -> bool:
         if failed or self._tainted or not self._initialized:

@@ -11,11 +11,9 @@ composes the gate with the fault layer and fans out per-round
 :class:`QueryAnswer` records.
 """
 
-from repro.serving.algorithm import GridValidationPayload, MultiQuerySketch
-from repro.serving.grid import (
-    phi_grid,
-    range_count_bounds,
-    range_fraction,
+from repro.serving.algorithm import (
+    GridValidationPayload,
+    MultiQuerySketch,
     value_bounds,
 )
 from repro.serving.history import (
@@ -73,9 +71,6 @@ __all__ = [
     "ServingPlan",
     "ServingRound",
     "oracle_grid",
-    "phi_grid",
     "phi_label",
-    "range_count_bounds",
-    "range_fraction",
     "value_bounds",
 ]

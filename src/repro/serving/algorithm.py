@@ -39,8 +39,8 @@ from repro.core.base import (
     classify,
     classify_array,
 )
-from repro.errors import ProtocolError
-from repro.serving.grid import value_bounds
+from repro.core.sketchq import RankBounds
+from repro.errors import ConfigurationError, ProtocolError
 from repro.serving.registry import PlanTarget, QueryRegistry, ServingPlan
 from repro.sim.engine import Payload, TreeNetwork
 from repro.sim.oracle import quantile_rank
@@ -95,15 +95,15 @@ class GridValidationPayload(Payload):
         return not self.counts
 
 
-@dataclass
-class GateTarget:
+@dataclass(kw_only=True)
+class GateTarget(RankBounds):
     """Root-side state of one boundary the gate tracks.
 
-    ``l_lo``/``l_hi`` soundly bound ``#{scope values < value}``; for φ
-    targets ``le_lo``/``le_hi`` additionally bound ``#{<= value}``.  Both
-    are digest bounds re-anchored at the last refresh and shifted exactly
-    by transition counters and membership patches since.  ``value is
-    None`` means the scope was empty or delivered no data at the last
+    The :class:`~repro.core.sketchq.RankBounds` soundly bound the number of
+    scope values below and at ``value``: digest bounds re-anchored at the
+    last refresh and moved exactly by transition counters and membership
+    patches since.  Boundary targets read only ``l_lo``/``l_hi``.  ``value
+    is None`` means the scope was empty or delivered no data at the last
     refresh — answers flag it instead of serving garbage.
     """
 
@@ -111,24 +111,58 @@ class GateTarget:
     index: int
     scope_mask: np.ndarray
     value: int | None = None
-    l_lo: int = 0
-    l_hi: int = 0
-    le_lo: int = 0
-    le_hi: int = 0
     value_lo: int | None = None
     value_hi: int | None = None
     state: np.ndarray | None = None
     #: Scope had no participating sensors at the last refresh.
     empty_scope: bool = field(default=False)
     #: Boundary targets only: sensors whose refresh-time value sat within
-    #: ``band`` of the boundary.  They are counted as permanently uncertain
-    #: (the bounds carry their worst case) and never report flutter.
+    #: the exemption band of the boundary.  They are counted as permanently
+    #: uncertain (the bounds carry their worst case) and never report
+    #: flutter.
     exempt: np.ndarray | None = None
-    band: int = 0
 
     @property
     def eps(self) -> float:
         return self.plan.eps
+
+
+def value_bounds(sketch, k: int) -> tuple[int, int]:
+    """A sound value interval containing the true k-th smallest value.
+
+    The value interval of a φ target's answer (:meth:`MultiQuerySketch._anchor`).
+    Uses only the sketch's sound rank bounds: the true k-th value ``x*``
+    satisfies ``x* <= v`` iff ``#{< v+1} >= k`` and ``x* >= v`` iff
+    ``#{< v} < k``, both monotone in ``v``, so each endpoint is a binary
+    search over the universe.  The interval's rank-width is at most the
+    sketch's ambiguity (``eps * n`` for a q-digest), and it contains the
+    exact quantile of the summarized multiset for every valid ``k``.
+    """
+    if not 1 <= k <= sketch.n:
+        raise ConfigurationError(f"rank {k} out of range for {sketch.n} values")
+    r_min, r_max = sketch.r_min, sketch.r_max
+
+    # Upper endpoint: smallest v with a *guaranteed* #{< v+1} >= k.
+    lo_v, hi_v = r_min, r_max
+    while lo_v < hi_v:
+        mid = (lo_v + hi_v) // 2
+        if sketch.rank_bounds(mid + 1)[0] >= k:
+            hi_v = mid
+        else:
+            lo_v = mid + 1
+    upper = lo_v
+
+    # Lower endpoint: largest v with a *guaranteed* #{< v} < k.
+    lo_v, hi_v = r_min, r_max
+    while lo_v < hi_v:
+        mid = (lo_v + hi_v + 1) // 2
+        if sketch.rank_bounds(mid)[1] < k:
+            lo_v = mid
+        else:
+            hi_v = mid - 1
+    lower = lo_v
+
+    return min(lower, upper), upper
 
 
 class MultiQuerySketch(ContinuousQuantileAlgorithm):
@@ -395,16 +429,18 @@ class MultiQuerySketch(ContinuousQuantileAlgorithm):
         values: np.ndarray,
         participating: np.ndarray,
     ) -> None:
-        """Seed one target's value, bounds and state from its sub-digest."""
+        """Seed one target's value, bounds and state from its sub-digest.
+
+        Missing values could lie on either side of the boundary: the upper
+        bounds widened by the shortfall stay sound for the full scope, at
+        the cost of head-room.
+        """
         plan_target = target.plan
         tracked = participating
         if plan_target.kind == "phi":
             k = min(quantile_rank(n_scope, plan_target.phi), sub.n)
             value = int(sub.quantile(k))
-            l_lo, l_hi = sub.rank_bounds(value)
-            le_lo, le_hi = sub.rank_bounds(value + 1)
-            l_hi += missing
-            le_hi += missing
+            target.anchor(sub, value, missing)
             target.value_lo, target.value_hi = value_bounds(sub, k)
         else:
             value = int(plan_target.boundary)
@@ -416,34 +452,26 @@ class MultiQuerySketch(ContinuousQuantileAlgorithm):
             # absorbed into the bounds as permanently uncertain and never
             # report noise flutter across the boundary.
             budget = plan_target.eps * n_scope
-            band = self._exemption_band(sub, value, l_hi - l_lo, budget)
+            band, uncertain = self._exemption_band(sub, value, l_hi - l_lo, budget)
             if band >= 0:
-                uncertain = max(
-                    0,
-                    sub.rank_bounds(value + band + 1)[1]
-                    - sub.rank_bounds(value - band + 1)[0],
-                )
                 exempt = (
                     participating
                     & (values > value - band)
                     & (values <= value + band)
                 )
                 target.exempt = exempt
-                target.band = band
                 l_lo = max(0, l_lo - uncertain)
                 l_hi = l_hi + uncertain
                 tracked = participating & ~exempt
-            le_lo, le_hi = l_lo, l_hi
+            target.l_lo, target.l_hi = l_lo, l_hi
         target.value = value
-        # Missing values could lie on either side: the upper bounds widened
-        # by the shortfall stay sound for the full scope, at the cost of
-        # head-room.
-        target.l_lo, target.l_hi = l_lo, l_hi
-        target.le_lo, target.le_hi = le_lo, le_hi
         target.state = classify_array(values, value, None, tracked)
 
-    def _exemption_band(self, sub, boundary: int, width: int, budget: float) -> int:
-        """Widest band with ``width + 2 * uncertain(band) <= budget``, or -1.
+    def _exemption_band(
+        self, sub, boundary: int, width: int, budget: float
+    ) -> tuple[int, int]:
+        """Widest band with ``width + 2 * uncertain(band) <= budget`` and its
+        ``uncertain(band)``, or ``(-1, 0)``.
 
         ``uncertain(band)`` (an upper bound on the sensors inside the band,
         from the digest's own rank bounds) is monotone in the band radius,
@@ -459,16 +487,18 @@ class MultiQuerySketch(ContinuousQuantileAlgorithm):
                 - sub.rank_bounds(boundary - band + 1)[0],
             )
 
-        if width + 2 * uncertain(0) > budget:
-            return -1
+        count = uncertain(0)
+        if width + 2 * count > budget:
+            return -1, 0
         lo, hi = 0, max(0, int(sub.r_max) - int(sub.r_min))
         while lo < hi:
             mid = (lo + hi + 1) // 2
-            if width + 2 * uncertain(mid) <= budget:
-                lo = mid
+            inside = uncertain(mid)
+            if width + 2 * inside <= budget:
+                lo, count = mid, inside
             else:
                 hi = mid - 1
-        return lo
+        return lo, count
 
     def _primary(self) -> int:
         """The driver-facing answer: the global target at ``spec.phi``."""
@@ -512,18 +542,8 @@ class MultiQuerySketch(ContinuousQuantileAlgorithm):
         by_index = {t.index: t for t in self.targets.values()}
         for tid, into_lt, outof_lt, into_gt, outof_gt in merged.counts:
             target = by_index.get(tid)
-            if target is None or target.value is None:
-                continue
-            delta_l = into_lt - outof_lt
-            delta_g = into_gt - outof_gt
-            target.l_lo += delta_l
-            target.l_hi += delta_l
-            if target.plan.kind == "phi":
-                # #{<= f} = n - #{> f} shifts opposite to the gt counter.
-                target.le_lo -= delta_g
-                target.le_hi -= delta_g
-            else:
-                target.le_lo, target.le_hi = target.l_lo, target.l_hi
+            if target is not None and target.value is not None:
+                target.shift(into_lt, outof_lt, into_gt, outof_gt)
 
     def _violated_targets(self) -> list[GateTarget]:
         """Targets whose worst-case error has left their budget."""
@@ -543,8 +563,7 @@ class MultiQuerySketch(ContinuousQuantileAlgorithm):
                 continue  # answers flag the empty scope; nothing to validate
             if target.plan.kind == "phi":
                 k = quantile_rank(n_now, target.plan.phi)
-                worst = max(0, target.l_hi + 1 - k, k - target.le_lo)
-                if worst > target.eps * n_now:
+                if target.worst_rank_error(k) > target.eps * n_now:
                     violated.append(target)
             elif (target.l_hi - target.l_lo) > target.eps * n_now:
                 violated.append(target)
@@ -586,26 +605,13 @@ class MultiQuerySketch(ContinuousQuantileAlgorithm):
             if target.state is None or not target.scope_mask[vertex]:
                 continue
             if target.exempt is not None and target.exempt[vertex]:
-                # Uncertain member leaves: it may or may not have counted
-                # below the boundary, so only the lower bounds move.
+                # Uncertain member of a boundary target leaves: it may or
+                # may not have counted below the boundary, so only the
+                # lower bound moves.
                 target.exempt[vertex] = False
                 target.l_lo = max(0, target.l_lo - 1)
-                if target.plan.kind == "phi":
-                    target.le_lo = max(0, target.le_lo - 1)
-                else:
-                    target.le_lo, target.le_hi = target.l_lo, target.l_hi
                 continue
-            # The node's label per target was tracked exactly, so every
-            # target's sound bounds shift exactly — same as SKQ, per row.
-            label = int(target.state[vertex])
-            if label == LT:
-                target.l_lo = max(0, target.l_lo - 1)
-                target.l_hi = max(0, target.l_hi - 1)
-            if label in (LT, EQ) and target.plan.kind == "phi":
-                target.le_lo = max(0, target.le_lo - 1)
-                target.le_hi = max(0, target.le_hi - 1)
-            if target.plan.kind != "phi":
-                target.le_lo, target.le_hi = target.l_lo, target.l_hi
+            target.move(int(target.state[vertex]), -1)
             target.state[vertex] = EQ
 
     def rejoin(self, net: TreeNetwork, values: np.ndarray, vertex: int) -> None:
@@ -618,14 +624,7 @@ class MultiQuerySketch(ContinuousQuantileAlgorithm):
             ):
                 continue
             label = classify(int(values[vertex]), target.value)
-            if label == LT:
-                target.l_lo += 1
-                target.l_hi += 1
-            if label in (LT, EQ) and target.plan.kind == "phi":
-                target.le_lo += 1
-                target.le_hi += 1
-            if target.plan.kind != "phi":
-                target.le_lo, target.le_hi = target.l_lo, target.l_hi
+            target.move(label, 1)
             target.state[vertex] = label
 
     def handover_state_bits(self) -> int:

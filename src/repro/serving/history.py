@@ -257,15 +257,9 @@ class _LabelSeries:
         "absorbed",
     )
 
-    def __init__(
-        self,
-        window_capacity: int,
-        grid: int,
-        batch: int,
-        max_checkpoints: int,
-    ) -> None:
+    def __init__(self, window_capacity: int, max_checkpoints: int) -> None:
         self.ring: deque[tuple[int, float]] = deque(maxlen=window_capacity)
-        self.summary = IncrementalQuantile(grid=grid, batch=batch)
+        self.summary = IncrementalQuantile()
         self.checkpoint_rounds: list[int] = []
         self.checkpoint_values: list[float] = []
         self.checkpoint_every = 1
@@ -298,15 +292,11 @@ class _LabelSeries:
 
 
 class _QueryTrack:
-    """Per-query state: label series, the latest-answer record, the cache."""
+    """Per-query state: label series, skipped degraded rounds, the cache."""
 
     def __init__(self, store: "HistoryStore") -> None:
         self.store = store
         self.series: dict[str, _LabelSeries] = {}
-        self.last_answer_round = -1
-        self.last_absorbed_round = -1
-        self.last_trustworthy = False
-        self.last_reason: str | None = None
         self.degraded_skipped = 0
         self.cache: dict[tuple, HistoryRead] = {}
         self.hits = 0
@@ -316,10 +306,7 @@ class _QueryTrack:
         series = self.series.get(label)
         if series is None:
             series = self.series[label] = _LabelSeries(
-                self.store.window_capacity,
-                self.store.summary_grid,
-                self.store.summary_batch,
-                self.store.max_checkpoints,
+                self.store.window_capacity, self.store.max_checkpoints
             )
         return series
 
@@ -329,9 +316,6 @@ class HistoryStore:
 
     Args:
         window_capacity: ring size — the largest answerable window.
-        summary_grid: interior p-value grid points of the incremental
-            full-history summary.
-        summary_batch: batch-buffer size of the summary.
         max_checkpoints: bound on retained checkpoints per series.
         include_degraded: absorb degraded-round (re-served, stale) answers
             into summaries too.  Off by default: a degraded round only
@@ -343,8 +327,6 @@ class HistoryStore:
         self,
         *,
         window_capacity: int = DEFAULT_WINDOW_CAPACITY,
-        summary_grid: int = DEFAULT_GRID,
-        summary_batch: int = DEFAULT_BATCH,
         max_checkpoints: int = DEFAULT_MAX_CHECKPOINTS,
         include_degraded: bool = False,
     ) -> None:
@@ -353,8 +335,6 @@ class HistoryStore:
                 f"window_capacity must be >= 1, got {window_capacity}"
             )
         self.window_capacity = window_capacity
-        self.summary_grid = summary_grid
-        self.summary_batch = summary_batch
         self.max_checkpoints = max_checkpoints
         self.include_degraded = include_degraded
         self.current_round = -1
@@ -374,11 +354,7 @@ class HistoryStore:
         self.current_round = max(self.current_round, round_index)
         for answer in answers:
             track = self._track(answer.query)
-            track.last_answer_round = round_index
-            track.last_trustworthy = answer.trustworthy
-            track.last_reason = answer.reason
-            degraded = answer.reason == "degraded"
-            if degraded and not self.include_degraded:
+            if answer.reason == "degraded" and not self.include_degraded:
                 track.degraded_skipped += 1
                 continue
             absorbed_any = False
@@ -390,16 +366,12 @@ class HistoryStore:
                 )
                 absorbed_any = True
             if absorbed_any:
-                track.last_absorbed_round = round_index
                 track.cache.clear()
 
     def absorb_report(self, report: "RoundReport") -> None:
         """Absorb a fault driver's own answer as the primary track."""
         self.current_round = max(self.current_round, report.round_index)
         track = self._track(PRIMARY_TRACK)
-        track.last_answer_round = report.round_index
-        track.last_trustworthy = report.trustworthy
-        track.last_reason = report.degraded_reason if report.degraded else None
         if report.degraded and not self.include_degraded:
             track.degraded_skipped += 1
             return
@@ -408,7 +380,6 @@ class HistoryStore:
         track.series_for(PRIMARY_LABEL).absorb(
             report.round_index, float(report.answer), report.trustworthy
         )
-        track.last_absorbed_round = report.round_index
         track.cache.clear()
 
     # -- read API -------------------------------------------------------------
@@ -424,16 +395,8 @@ class HistoryStore:
         series = self._series_or_raise(track, query, label)
         if series.last_value is None:
             raise ConfigurationError(f"query {query!r} has no absorbed data")
-        return HistoryRead(
-            query=query,
-            label=self._label(track, label),
-            op="latest",
-            value=series.last_value,
-            round_index=series.last_round,
-            age_rounds=self.current_round - series.last_round,
-            trustworthy=series.last_trustworthy
-            and series.last_round == self.current_round,
-            count=1,
+        return self._clock_read(
+            query, self._label(track, label), "latest", series, series.last_value, 1
         )
 
     def window(
@@ -593,27 +556,38 @@ class HistoryStore:
         track.cache[key] = read
         return read
 
+    def _clock_read(
+        self,
+        query: str,
+        label: str,
+        op: str,
+        series: _LabelSeries,
+        value: float,
+        count: int,
+    ) -> HistoryRead:
+        """A read reflecting the series' newest absorbed round, aged against
+        the store's clock: trustworthy only while that round is current."""
+        newest = series.last_round
+        return HistoryRead(
+            query=query,
+            label=label,
+            op=op,
+            value=value,
+            round_index=newest,
+            age_rounds=self.current_round - newest,
+            trustworthy=series.last_trustworthy and newest == self.current_round,
+            count=count,
+        )
+
     def _compute_window(
         self, query: str, key: tuple, series: _LabelSeries
     ) -> HistoryRead:
         _, label, n, phi = key
         if not series.ring:
             raise ConfigurationError(f"query {query!r} has no absorbed data")
-        retained = list(series.ring)[-n:]
-        values = np.array([value for _, value in retained])
-        value = float(np.quantile(values, phi))
-        newest = retained[-1][0]
-        return HistoryRead(
-            query=query,
-            label=label,
-            op="window",
-            value=value,
-            round_index=newest,
-            age_rounds=self.current_round - newest,
-            trustworthy=series.last_trustworthy
-            and newest == self.current_round,
-            count=len(retained),
-        )
+        retained = [value for _, value in list(series.ring)[-n:]]
+        value = float(np.quantile(np.array(retained), phi))
+        return self._clock_read(query, label, "window", series, value, len(retained))
 
     def _compute_decayed(
         self, query: str, key: tuple, series: _LabelSeries
@@ -623,51 +597,34 @@ class HistoryStore:
             raise ConfigurationError(f"query {query!r} has no absorbed data")
         rounds = np.array([r for r, _ in series.ring], dtype=float)
         values = np.array([value for _, value in series.ring])
-        newest = int(rounds[-1])
-        weights = np.exp2(-(newest - rounds) / half_life)
+        weights = np.exp2(-(rounds[-1] - rounds) / half_life)
         value = float(np.sum(weights * values) / np.sum(weights))
-        return HistoryRead(
-            query=query,
-            label=label,
-            op="decayed",
-            value=value,
-            round_index=newest,
-            age_rounds=self.current_round - newest,
-            trustworthy=series.last_trustworthy
-            and newest == self.current_round,
-            count=len(values),
-        )
+        return self._clock_read(query, label, "decayed", series, value, len(values))
 
     def _compute_at_round(
         self, query: str, key: tuple, series: _LabelSeries
     ) -> HistoryRead:
         _, label, round_index = key
-        # The ring answers exactly while the round is retained.
-        for absorbed, value in reversed(series.ring):
-            if absorbed <= round_index:
-                return HistoryRead(
-                    query=query,
-                    label=label,
-                    op="at-round",
-                    value=value,
-                    round_index=absorbed,
-                    age_rounds=round_index - absorbed,
-                    trustworthy=absorbed == round_index,
-                    count=1,
+        # The ring answers exactly while the round is retained; beyond it,
+        # the nearest earlier checkpoint does.
+        found = next(
+            ((r, value) for r, value in reversed(series.ring) if r <= round_index),
+            None,
+        )
+        if found is None:
+            pos = bisect.bisect_right(series.checkpoint_rounds, round_index) - 1
+            if pos < 0:
+                raise ConfigurationError(
+                    f"no history for query {query!r} at or before round "
+                    f"{round_index}"
                 )
-        # Beyond the ring: nearest earlier checkpoint.
-        pos = bisect.bisect_right(series.checkpoint_rounds, round_index) - 1
-        if pos < 0:
-            raise ConfigurationError(
-                f"no history for query {query!r} at or before round "
-                f"{round_index}"
-            )
-        absorbed = series.checkpoint_rounds[pos]
+            found = (series.checkpoint_rounds[pos], series.checkpoint_values[pos])
+        absorbed, value = found
         return HistoryRead(
             query=query,
             label=label,
             op="at-round",
-            value=series.checkpoint_values[pos],
+            value=value,
             round_index=absorbed,
             age_rounds=round_index - absorbed,
             trustworthy=absorbed == round_index,
@@ -678,14 +635,11 @@ class HistoryStore:
         self, query: str, key: tuple, series: _LabelSeries
     ) -> HistoryRead:
         _, label, phi = key
-        return HistoryRead(
-            query=query,
-            label=label,
-            op="summary",
-            value=series.summary.quantile(phi),
-            round_index=series.last_round,
-            age_rounds=self.current_round - series.last_round,
-            trustworthy=series.last_trustworthy
-            and series.last_round == self.current_round,
-            count=series.summary.count,
+        return self._clock_read(
+            query,
+            label,
+            "summary",
+            series,
+            series.summary.quantile(phi),
+            series.summary.count,
         )

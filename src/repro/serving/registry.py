@@ -386,9 +386,7 @@ class QueryRegistry:
             )
             return AnswerItem(label=planned.label, value=None), reason, 0.0
         k = quantile_rank(population, target.plan.phi)
-        worst = float(
-            max(0, target.l_hi + 1 - k, k - target.le_lo)
-        )
+        worst = float(target.worst_rank_error(k))
         oracle_error: float | None = None
         if values is not None:
             scope_values = values[list(algorithm.scope_members(target))]

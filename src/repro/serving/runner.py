@@ -19,7 +19,9 @@ query with the same name must never be served the old query's values);
 its *history* survives in the runner's :class:`HistoryStore`, which
 absorbs every round's answers — including the driver's own answer as the
 ``__primary__`` track — and serves window/decay/at-round reads at zero
-radio cost.
+radio cost.  On root fail-over the successor sink inherits the cached
+answers and the history summaries; the runner registers their size with
+the driver, so the hand-over flood pays for them.
 """
 
 from __future__ import annotations
@@ -114,20 +116,19 @@ class MultiQueryRunner:
             plan if plan is not None else FaultPlan(),
             arq,
             graph=graph,
-            history=self.history,
             **driver_kwargs,
         )
         self.rounds: list[ServingRound] = []
         self._cache: dict[str, QueryAnswer] = {}
-        # On root fail-over the successor sink inherits the serving cache
-        # (last good answer + eps per registered query) along with the
-        # algorithm's own state; registering its size makes the hand-over
-        # broadcast pay for it.
-        self.driver.handover_state_providers.append(self._cache_handover_bits)
+        self.driver.handover_state_providers.append(self._handover_bits)
 
-    def _cache_handover_bits(self) -> int:
-        """Serialized size [bits] of the cached per-query answers."""
-        return 2 * VALUE_BITS * len(self._cache)
+    def _handover_bits(self) -> int:
+        """Serialized size [bits] of the root-side serving state: the
+        cached answers (last good value + eps per query) and every history
+        summary."""
+        history = self.history
+        retained = sum(history.size_items(query) for query in history.queries())
+        return VALUE_BITS * (2 * len(self._cache) + retained)
 
     # -- registry passthrough -------------------------------------------------
 
@@ -154,6 +155,7 @@ class MultiQueryRunner:
         report = self.driver.step(round_index)
         if report is None:
             return None
+        self.history.absorb_report(report)
         history = self.driver.ledger.round_energy_history
         round_energy_mj = float(history[-1].sum()) * 1e3 if history else 0.0
         share = round_energy_mj / max(1, len(self.registry))
@@ -227,46 +229,37 @@ class MultiQueryRunner:
     # -- aggregates -----------------------------------------------------------
 
     def stats(self) -> list[QueryStats]:
-        """Per-query aggregates over every round served so far."""
-        names: dict[str, str] = {}
+        """Per-query aggregates over every round served so far, in order of
+        each query's first answer."""
+        by_query: dict[str, list[QueryAnswer]] = {}
         for served in self.rounds:
             for answer in served.answers:
-                names.setdefault(answer.query, answer.kind)
+                by_query.setdefault(answer.query, []).append(answer)
         out: list[QueryStats] = []
-        for name, kind in names.items():
-            rounds = 0
-            answered = 0
-            trusted = 0
-            errors: list[float] = []
+        for name, answers in by_query.items():
+            # Summed in round order with ``+=``: ``sum()`` of floats rounds
+            # differently from Python 3.12 on.
             energy = 0.0
-            for served in self.rounds:
-                for answer in served.answers:
-                    if answer.query != name:
-                        continue
-                    rounds += 1
-                    energy += answer.energy_share_mj
-                    if any(i.value is not None for i in answer.items):
-                        answered += 1
-                    if answer.trustworthy:
-                        trusted += 1
-                    errors.extend(
-                        i.oracle_error
-                        for i in answer.items
-                        if i.oracle_error is not None
-                    )
+            errors: list[float] = []
+            for answer in answers:
+                energy += answer.energy_share_mj
+                errors.extend(
+                    i.oracle_error for i in answer.items if i.oracle_error is not None
+                )
             out.append(
                 QueryStats(
                     query=name,
-                    kind=kind,
-                    rounds=rounds,
-                    answered_rounds=answered,
-                    trustworthy_fraction=trusted / rounds if rounds else 0.0,
-                    mean_oracle_error=(
-                        float(np.mean(errors)) if errors else 0.0
+                    kind=answers[0].kind,
+                    rounds=len(answers),
+                    answered_rounds=sum(
+                        any(i.value is not None for i in answer.items)
+                        for answer in answers
                     ),
-                    max_oracle_error=(
-                        float(np.max(errors)) if errors else 0.0
+                    trustworthy_fraction=(
+                        sum(answer.trustworthy for answer in answers) / len(answers)
                     ),
+                    mean_oracle_error=float(np.mean(errors)) if errors else 0.0,
+                    max_oracle_error=float(np.max(errors)) if errors else 0.0,
                     total_energy_mj=energy,
                 )
             )

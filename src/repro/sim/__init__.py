@@ -2,12 +2,11 @@
 
 from repro.sim.engine import Payload, PayloadBatch, TreeNetwork
 from repro.sim.oracle import exact_quantile, quantile_rank
-from repro.sim.runner import RoundRecord, RunResult, SimulationRunner
+from repro.sim.runner import RunResult, SimulationRunner
 
 __all__ = [
     "Payload",
     "PayloadBatch",
-    "RoundRecord",
     "RunResult",
     "SimulationRunner",
     "TreeNetwork",

@@ -35,10 +35,6 @@ ValuesProvider = Callable[[int], np.ndarray]
 NetworkFactory = Callable[[RoutingTree, EnergyLedger], TreeNetwork]
 
 
-#: Public alias: one entry of :attr:`RunResult.rounds`.
-RoundRecord = RoundStats
-
-
 @dataclass
 class RunResult:
     """Everything measured over one simulation run."""

@@ -13,7 +13,10 @@ runs a fixed set of seeded scenarios and hashes everything they simulate:
 
 Scenarios: the six paper algorithms through ``SimulationRunner`` on a
 reliable network; the same six through ``FaultDriver`` under loss 0.05,
-ARQ 2, outages and a sink kill; one ``MultiQueryRunner`` run.  Option
+ARQ 2, outages and a sink kill; two ``MultiQueryRunner`` runs (``serving``
+and ``serving/dashboard``, which also hashes every history read, the
+read-cache counters and the per-query stats); and the stdout of the
+``repro queries`` and ``repro history`` commands (``cli/...``).  Option
 variants (POS and IQ without hints, HBC without interval tracking or with
 recomputed buckets, direct requests off), the adaptive switcher and the
 gated sketch tracker add ``clean/`` and ``faults/`` cells of their own, and
@@ -33,8 +36,11 @@ numpy or Python version rounds the last bits of a float reduction.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
+from dataclasses import astuple
 from functools import partial
 from pathlib import Path
 
@@ -67,7 +73,15 @@ from repro.faults import (
     RandomOutages,
     ScheduledChurn,
 )
-from repro.serving import MultiQueryRunner, PhiQuery, QueryRegistry, RangeQuery
+from repro.cli import main as cli_main
+from repro.errors import ConfigurationError
+from repro.serving import (
+    GroupByQuery,
+    MultiQueryRunner,
+    PhiQuery,
+    QueryRegistry,
+    RangeQuery,
+)
 from repro.snapshot.bary import bary_snapshot
 
 PINNED = Path(__file__).with_name("pinned_results.json")
@@ -269,6 +283,114 @@ def serving_digest() -> str:
     return digest.hexdigest()
 
 
+def quadrant(vertex, position) -> str:
+    """Group-by assigner: the field's four quadrants."""
+    half = AREA_SIDE / 2
+    return f"q{int(position[0] >= half)}{int(position[1] >= half)}"
+
+
+def history_reads(store, query: str, label: str, round_index: int):
+    """Every history read kind for one label, in a fixed order; a read the
+    store refuses is hashed as its error message."""
+    reads = (
+        lambda: store.latest(query, label),
+        lambda: store.window(query, 4, label),
+        lambda: store.window(query, 8, label, phi=0.9),
+        lambda: store.decayed(query, 4.0, label),
+        lambda: store.at_round(query, round_index - 3, label),
+        lambda: store.at_round(query, round_index, label),
+        lambda: store.summary_quantile(query, 0.5, label),
+    )
+    out = []
+    for read in reads:
+        try:
+            out.append(astuple(read()))
+        except ConfigurationError as error:
+            out.append(str(error))
+    return out
+
+
+def dashboard_digest() -> str:
+    """A served dashboard under the fault plan: a φ grid reaching below its
+    ε, a 4-quadrant group-by, and a range query deregistered at round 3 and
+    re-registered at round 7, after the sink kill."""
+    graph, tree, workload, spec = deployment()
+    span = spec.r_max - spec.r_min
+    band = RangeQuery("band", spec.r_min + span // 4, spec.r_min + 3 * span // 4)
+    registry = QueryRegistry()
+    registry.register(PhiQuery("grid", phis=(0.01, 0.5, 0.9, 0.99)))
+    registry.register(GroupByQuery("quadrants", assign=quadrant, phis=(0.5, 0.9)))
+    registry.register(band)
+    cell = len(LINEUP) + len(FAULT_VARIANTS) + 1
+    runner = MultiQueryRunner(
+        registry,
+        spec,
+        tree,
+        workload,
+        fault_plan(tree, cell),
+        ArqPolicy(max_retries=2),
+        graph=graph,
+        failover_rng=np.random.default_rng((2014, cell, 1)),
+    )
+    store = runner.history
+    digest = Digest()
+    for round_index in range(ROUNDS):
+        if round_index == 3:
+            runner.deregister("band")
+        if round_index == 7:
+            runner.register(band)
+        served = runner.step(round_index)
+        report = served.report
+        digest.feed(
+            round_index,
+            report.answer,
+            report.trustworthy,
+            report.degraded_reason,
+            report.reinitialized,
+            report.failed,
+            astuple(report.failover) if report.failover is not None else None,
+            [astuple(answer) for answer in served.answers],
+        )
+        for query in store.queries():
+            for label in store.labels(query):
+                digest.feed(query, label, history_reads(store, query, label, round_index))
+    driver = runner.driver
+    digest.feed(
+        [astuple(stats) for stats in runner.stats()],
+        [astuple(stats) for stats in store.cache_stats()],
+        [astuple(event) for event in driver.failover.events],
+        driver.reinits,
+    )
+    digest.faults(driver.net)
+    digest.ledger(driver.ledger, driver.net.phase_bits)
+    return digest.hexdigest()
+
+
+#: The CI smoke arguments of the two served-deployment commands.
+CLI_RUNS = {
+    "queries": (
+        "queries --phis 0.5 0.95 0.99 --regions 2 --range 200 399 "
+        "--loss 0.05 --retries 2 --nodes 24 --rounds 10 --range-radio 60 --seed 7"
+    ),
+    "history": (
+        "history --phis 0.5 0.95 --windows 4 8 --half-lives 4 16 --at-round 5 "
+        "--reads 2000 --loss 0.05 --retries 2 --nodes 24 --rounds 10 "
+        "--range-radio 60 --seed 7"
+    ),
+}
+
+
+def cli_digest(command: str) -> str:
+    """The command's stdout, minus the wall-clock ``reads/sec`` line."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli_main(CLI_RUNS[command].split()) == 0
+    lines = [line for line in out.getvalue().splitlines() if "reads/sec" not in line]
+    digest = Digest()
+    digest.feed(lines)
+    return digest.hexdigest()
+
+
 def bary_digest() -> str:
     """``bary_snapshot`` every round, with and without the direct request,
     charged to one ledger."""
@@ -304,7 +426,8 @@ def bary_digest() -> str:
 
 def scenario_digests() -> dict[str, str]:
     """Every scenario's digest, keyed ``clean/<alg>``, ``faults/<alg>``,
-    ``serving`` and ``snapshot/bary``."""
+    ``serving``, ``serving/dashboard``, ``cli/<command>`` and
+    ``snapshot/bary``."""
     out = {}
     for name, factory in LINEUP + CLEAN_VARIANTS:
         out[f"clean/{name}"] = clean_digest(name, factory)
@@ -314,6 +437,9 @@ def scenario_digests() -> dict[str, str]:
     for cell, (name, factory) in enumerate(FAULT_VARIANTS, start=len(LINEUP) + 1):
         out[f"faults/{name}"] = faulty_digest(cell, factory)
     out["snapshot/bary"] = bary_digest()
+    out["serving/dashboard"] = dashboard_digest()
+    for command in CLI_RUNS:
+        out[f"cli/{command}"] = cli_digest(command)
     return out
 
 

@@ -8,7 +8,7 @@ slow on purpose: they are the oracle ``tests/test_qdigest_index.py`` pins
 the bisection queries to.
 
 :class:`ScanDigest` wraps a digest so that generic sketch consumers
-(``repro.serving.grid.value_bounds`` and the like) run on the scans.
+(such as ``repro.serving.value_bounds``) run on the scans.
 """
 
 from __future__ import annotations

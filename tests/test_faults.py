@@ -367,6 +367,49 @@ class TestFaultExperiment:
         with pytest.raises(KeyError):
             result.cell("TAG", 0.5, 9)
 
+    @pytest.mark.parametrize("name", ["HBC", "IQ"])
+    def test_reinit_energy_books_attempts_that_drown(self, name):
+        """Every initialization after the first books its traffic to
+        ``reinit_energy_j``, including an attempt that raises
+        ``ProtocolError`` (a re-init whose collection drowns under loss)."""
+        from repro import HBC, IQ, SyntheticWorkload, build_routing_tree
+        from repro.faults import FaultDriver, RandomOutages
+        from repro.network.topology import connected_random_graph
+
+        rng = np.random.default_rng(25)
+        graph = connected_random_graph(60, 35.0, rng, area_side=120.0)
+        tree = build_routing_tree(graph, root=0)
+        workload = SyntheticWorkload(graph.positions, rng, area_side=120.0)
+        spec = QuerySpec(r_min=workload.r_min, r_max=workload.r_max)
+        deltas: list[float] = []
+        failed: list[bool] = []
+
+        def factory(s):
+            algorithm = {"HBC": HBC, "IQ": IQ}[name](s)
+            initialize = algorithm.initialize
+
+            def metered(net, values):
+                before = float(driver.ledger.energy.sum())
+                completed = False
+                try:
+                    outcome = initialize(net, values)
+                    completed = True
+                    return outcome
+                finally:
+                    deltas.append(float(driver.ledger.energy.sum()) - before)
+                    failed.append(not completed)
+
+            algorithm.initialize = metered
+            return algorithm
+
+        plan = FaultPlan(
+            loss=IndependentLoss(0.2), outages=RandomOutages(0.02), seed=25
+        )
+        driver = FaultDriver(factory, spec, tree, workload, plan, graph=graph)
+        driver.run(25)
+        assert any(failed[1:]), "the scenario must drown a re-initialization"
+        assert driver.reinit_energy_j == pytest.approx(sum(deltas[1:]), rel=1e-12)
+
 
 class TestRefinementTermination:
     def test_lcll_slip_raises_instead_of_oscillating(self, small_tree):

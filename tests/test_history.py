@@ -435,6 +435,8 @@ class TestWiring:
         assert store.degraded_skipped(PRIMARY_TRACK) == degraded_count
 
     def test_fault_driver_accepts_history_directly(self):
+        """A bare driver's round reports feed the store's primary track
+        directly; no serving runner is needed in between."""
         positions = [(0.0, 0.0), (8.0, 0.0)]
         graph = build_physical_graph(np.asarray(positions, dtype=float), RANGE)
         tree = build_routing_tree(graph, root=0)
@@ -451,8 +453,8 @@ class TestWiring:
             FaultPlan(),
             graph=graph,
             radio_range=RANGE,
-            history=store,
         )
-        driver.run(5)
+        for report in driver.run(5):
+            store.absorb_report(report)
         assert store.latest(PRIMARY_TRACK).round_index == 4
         assert store.summary_quantile(PRIMARY_TRACK, 0.5).count == 5

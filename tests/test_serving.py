@@ -2,7 +2,7 @@
 
 The fault-free half of the serving tests: registering typed queries,
 compiling them into one shared plan (eps planning rule, content-based
-target dedup, group-by cells), decoding φ-grids and range fractions from
+target dedup, group-by cells), decoding a φ-grid and its value bounds from
 one q-digest, and serving a whole dashboard from a single gated
 convergecast — including mid-run (de)registration without re-initializing
 the network.  The faulted half lives in ``test_serving_faults.py``.
@@ -26,9 +26,7 @@ from repro.serving import (
     QueryRegistry,
     RangeQuery,
     oracle_grid,
-    phi_grid,
     phi_label,
-    range_count_bounds,
     value_bounds,
 )
 from repro.serving.algorithm import MultiQuerySketch
@@ -146,32 +144,6 @@ class TestPlanning:
         assert boundaries == [100, 200]
 
 
-class TestGridMath:
-    def digest(self, values):
-        return QDigest.from_values(
-            tuple(int(v) for v in values), 0.01, 0, 1023
-        )
-
-    def test_phi_grid_matches_oracle_on_exact_digest(self):
-        values = np.arange(1, 101)
-        sketch = self.digest(values)
-        grid = phi_grid(sketch, (0.1, 0.5, 0.9))
-        for phi, value in zip((0.1, 0.5, 0.9), grid):
-            k = quantile_rank(len(values), phi)
-            assert rank_error(values, value, k) <= 0.01 * len(values)
-
-    def test_range_count_bounds_contain_truth(self):
-        values = np.array([10, 20, 30, 40, 50, 60])
-        sketch = self.digest(values)
-        lo, hi = range_count_bounds(sketch, 20, 45)
-        assert lo <= 3 <= hi
-
-    def test_phi_grid_rejects_empty_sketch(self):
-        sketch = QDigest.from_values((), 0.05, 0, 1023)
-        with pytest.raises(Exception):
-            phi_grid(sketch, (0.5,))
-
-
 @settings(max_examples=50, deadline=None)
 @given(
     values=st.lists(st.integers(0, 1023), min_size=1, max_size=120),
@@ -181,15 +153,16 @@ def test_phi_grid_monotone_and_bounds_contain_oracle(values, eps):
     """Property: a decoded φ-grid is monotone and its bounds hold the oracle.
 
     For any value multiset and budget, the grid decoded from one q-digest
-    must be non-decreasing in φ, every grid point must be within
-    ``eps * n`` ranks of the true quantile, and every per-φ value interval
-    from :func:`value_bounds` must contain the oracle's exact quantile.
+    (``QDigest.quantile`` per φ, as the gate anchors its φ targets) must be
+    non-decreasing in φ, every grid point must be within ``eps * n`` ranks
+    of the true quantile, and every per-φ value interval from
+    :func:`value_bounds` must contain the oracle's exact quantile.
     """
     array = np.asarray(values)
     sketch = QDigest.from_values(tuple(values), eps, 0, 1023)
     phis = (0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0)
-    grid = phi_grid(sketch, phis)
-    assert list(grid) == sorted(grid)
+    grid = [sketch.quantile(quantile_rank(sketch.n, phi)) for phi in phis]
+    assert grid == sorted(grid)
     for phi, value in zip(phis, grid):
         k = quantile_rank(len(values), phi)
         assert rank_error(array, value, k) <= eps * len(values)

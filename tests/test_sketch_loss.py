@@ -115,10 +115,9 @@ class TestSketchQuantileUnderLoss:
         # The widened bounds must still contain the full-population truth.
         sensor_values = values[list(tree.sensor_nodes)]
         f = algorithm._filter
-        lo, hi = algorithm._l_bounds
-        assert lo <= int((sensor_values < f).sum()) <= hi
-        lo_le, hi_le = algorithm._le_bounds
-        assert lo_le <= int((sensor_values <= f).sum()) <= hi_le
+        bounds = algorithm._bounds
+        assert bounds.l_lo <= int((sensor_values < f).sum()) <= bounds.l_hi
+        assert bounds.le_lo <= int((sensor_values <= f).sum()) <= bounds.le_hi
 
     def test_gated_updates_never_raise_under_loss(self, deployment):
         tree, values = deployment
