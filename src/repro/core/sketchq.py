@@ -42,7 +42,12 @@ from repro.core.base import (
 )
 from repro.errors import ConfigurationError, ProtocolError
 from repro.sim.engine import TreeNetwork
-from repro.sketch import KLLSketch, QDigest, QuantileSketch, SketchPayload
+from repro.sketch import (
+    KLLSketch,
+    QuantileSketch,
+    SketchPayload,
+    one_value_digests,
+)
 from repro.types import QuerySpec, RoundOutcome
 
 #: Sketch backends this algorithm can run on.
@@ -216,27 +221,33 @@ class SketchQuantile(ContinuousQuantileAlgorithm):
     # -- helpers --------------------------------------------------------------
 
     def _collect(self, net: TreeNetwork, values: np.ndarray) -> QuantileSketch:
-        """One sketch convergecast: every sensor ships its measurement."""
+        """One sketch convergecast: every sensor ships its measurement.
+
+        q-digests travel as a column batch while no hop can compress
+        (:func:`~repro.sketch.payload.one_value_digests`).
+        """
         net.phase = "collection"
-        contributions = {
-            vertex: SketchPayload(self._local_sketch(int(values[vertex]), vertex))
-            for vertex in self.participating_sensors(net)
-        }
+        sensors = self.participating_sensors(net)
+        if self.kind == "qdigest":
+            ids = np.array(sensors, dtype=np.int64)
+            contributions = one_value_digests(
+                ids, values[ids], self._sketch_eps, self.spec.r_min, self.spec.r_max
+            )
+        else:
+            # Per-vertex seeds keep compaction coins independent; the merge
+            # combines them order-insensitively (min).
+            contributions = {
+                vertex: SketchPayload(
+                    KLLSketch.from_values(
+                        (int(values[vertex]),), k=self._kll_k, seed=self.seed + vertex
+                    )
+                )
+                for vertex in sensors
+            }
         merged = net.convergecast(contributions)
         if merged is None:
             raise ProtocolError("sketch convergecast delivered nothing")
         return merged.sketch
-
-    def _local_sketch(self, value: int, vertex: int) -> QuantileSketch:
-        if self.kind == "qdigest":
-            return QDigest.from_values(
-                (value,), self._sketch_eps, self.spec.r_min, self.spec.r_max
-            )
-        # Per-vertex seeds keep compaction coins independent; the merge
-        # combines them order-insensitively (min).
-        return KLLSketch.from_values(
-            (value,), k=self._kll_k, seed=self.seed + vertex
-        )
 
     def _adopt(
         self,

@@ -44,7 +44,7 @@ from repro.errors import ConfigurationError, ProtocolError
 from repro.serving.registry import PlanTarget, QueryRegistry, ServingPlan
 from repro.sim.engine import Payload, TreeNetwork
 from repro.sim.oracle import quantile_rank
-from repro.sketch import QDigest, TaggedSketchPayload
+from repro.sketch import QDigest, TaggedSketchPayload, one_value_digests
 from repro.sketch.payload import TAG_BITS
 from repro.types import QuerySpec, RoundOutcome
 
@@ -291,26 +291,28 @@ class MultiQuerySketch(ContinuousQuantileAlgorithm):
         With ``cells``, only sensors inside those cells contribute — the
         selective-refresh path.  Returns ``None`` only for a restricted
         collection with no eligible sensor; a *full* collection delivering
-        nothing is a protocol failure (the driver re-initializes).
+        nothing is a protocol failure (the driver re-initializes).  The
+        digests travel as a column batch while no hop can compress
+        (:func:`~repro.sketch.payload.one_value_digests`).
         """
         assert self.plan is not None
         net.phase = "collection"
-        spec = self.spec
-        eps = self.plan.sketch_eps
-        contributions = {}
+        cell_of = self.plan.cell_of
+        ids: list[int] = []
+        tags: list[str] = []
         for vertex in self.participating_sensors(net):
-            tag = self.plan.cell_of.get(vertex, "*")
-            if cells is not None and tag not in cells:
-                continue
-            contributions[vertex] = TaggedSketchPayload.single(
-                tag,
-                QDigest.from_values(
-                    (int(values[vertex]),), eps, spec.r_min, spec.r_max
-                ),
-            )
-        if cells is not None and not contributions:
+            tag = cell_of.get(vertex, "*")
+            if cells is None or tag in cells:
+                ids.append(vertex)
+                tags.append(tag)
+        if cells is not None and not ids:
             return None
-        merged = net.convergecast(contributions)
+        spec = self.spec
+        merged = net.convergecast(
+            one_value_digests(
+                ids, values[ids], self.plan.sketch_eps, spec.r_min, spec.r_max, tags
+            )
+        )
         if merged is None and cells is None:
             raise ProtocolError("serving convergecast delivered nothing")
         return merged

@@ -25,12 +25,14 @@ segmented array operations over per-vertex arrays, and the energy ledger is
 charged in one ordered batch.  Contributions arrive in one of two forms:
 
 * a :class:`PayloadBatch` — integer columns whose merge is addition (the
-  paper's validation counters, histograms and bucket deltas).  The merge
-  itself becomes prefix sums over the tree's preorder
+  paper's validation counters, histograms and bucket deltas, and one-value
+  q-digests while no hop can compress).  The merge itself becomes prefix
+  sums over the tree's preorder
   (:func:`~repro.sim.vectorized.fold_columns`), so no payload object is
   built per hop;
 * a ``{vertex: payload}`` mapping of :class:`Payload` objects, merged per
-  hop with ``merged_with`` (value sets, sketches, anything else).
+  hop with ``merged_with`` (value sets, compressing sketches, anything
+  else).
 
 Both networks run one fold over both forms (:meth:`TreeNetwork._fold`);
 :class:`~repro.faults.network.FaultyTreeNetwork` differs only in the hop

@@ -12,21 +12,27 @@ error for energy.  Two sketches share one structural interface
 
 :class:`SketchPayload` adapts either to the simulator's payload contract,
 and :class:`~repro.core.sketchq.SketchQuantile` builds a continuous
-algorithm on top.
+algorithm on top.  :func:`one_value_digests` builds a q-digest
+collection's contributions: a :class:`DigestBatch` of integer columns
+while no hop can compress, payload objects otherwise.
 """
 
 from repro.sketch.kll import KLLSketch
 from repro.sketch.payload import (
+    DigestBatch,
     QuantileSketch,
     SketchPayload,
     TaggedSketchPayload,
+    one_value_digests,
 )
 from repro.sketch.qdigest import QDigest
 
 __all__ = [
+    "DigestBatch",
     "KLLSketch",
     "QDigest",
     "QuantileSketch",
     "SketchPayload",
     "TaggedSketchPayload",
+    "one_value_digests",
 ]

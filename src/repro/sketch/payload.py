@@ -21,10 +21,13 @@ must clamp query ranks to it and widen rank bounds by the shortfall — see
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol, runtime_checkable
+from typing import Protocol, Sequence, runtime_checkable
 
-from repro.errors import ProtocolError
-from repro.sim.engine import Payload
+import numpy as np
+
+from repro.errors import ConfigurationError, ProtocolError
+from repro.sim.engine import Payload, PayloadBatch
+from repro.sketch.qdigest import QDigest, encoded_bits
 
 
 @runtime_checkable
@@ -153,3 +156,189 @@ class TaggedSketchPayload(Payload):
                 continue
             result = sketch if result is None else result.merged(sketch)
         return result
+
+
+class DigestBatch(PayloadBatch):
+    """One-value q-digest contributions as integer columns.
+
+    Row ``i`` is contributor ``ids[i]`` with one measurement, ``values[i]``
+    (converted with ``int``), under cell tag ``tags[i]`` in the tagged form
+    (:class:`TaggedSketchPayload`) or alone in the untagged one
+    (:class:`SketchPayload`).  A row's key is its tag's index in the sorted
+    :attr:`tags` times the universe size, plus its leaf (value minus
+    ``r_min``).
+
+    The batch folds exactly only while no hop can compress
+    (:attr:`lossless`): when every tag has fewer than ``kappa``
+    contributors, so does every hop, every merge's threshold
+    ``n // kappa`` is 0, ``_compress`` changes nothing and merging digests
+    adds counts per key.  A hop's digest of a tag is then a sparse
+    histogram of leaves.
+
+    Columns: one per tag counting the rows whose key no other row shares,
+    then one per key two or more rows share.  A hop's per-tag count,
+    distinct entries and largest count follow from its sums, which is all
+    :func:`~repro.sketch.qdigest.encoded_bits` needs.  Temporaries are
+    contributors x (tags + shared keys), never contributors x distinct
+    values.
+    """
+
+    __slots__ = (
+        "template",
+        "tags",
+        "_key",
+        "_per_tag",
+        "_column",
+        "_num_shared",
+        "_runs",
+    )
+
+    def __init__(
+        self,
+        ids: np.ndarray,
+        values: Sequence[int],
+        eps: float,
+        r_min: int,
+        r_max: int,
+        tags: Sequence[str] | None = None,
+    ) -> None:
+        super().__init__(ids)
+        #: The empty digest of these parameters (validated on creation).
+        self.template = QDigest.empty(eps, r_min, r_max)
+        ints = list(map(int, np.asarray(values).tolist()))
+        if ints and not r_min <= min(ints) <= max(ints) <= r_max:
+            bad = next(v for v in ints if not r_min <= v <= r_max)
+            raise ConfigurationError(f"value {bad} outside universe [{r_min}, {r_max}]")
+        #: The sorted distinct cell tags, or ``None`` for the untagged form.
+        self.tags: tuple[str, ...] | None = None
+        if tags is None:
+            tag = np.zeros(len(ints), dtype=np.int64)
+            num_tags = 1
+        else:
+            self.tags = tuple(sorted(set(tags)))
+            index = {name: i for i, name in enumerate(self.tags)}
+            tag = np.fromiter(map(index.__getitem__, tags), dtype=np.int64, count=len(ints))
+            num_tags = len(self.tags)
+        universe = self.template.universe_size
+        self._key = tag * universe + (np.array(ints, dtype=np.int64) - r_min)
+        self._per_tag = np.bincount(tag, minlength=num_tags)
+        keys, key_of_row, rows_per_key = np.unique(
+            self._key, return_inverse=True, return_counts=True
+        )
+        shared = rows_per_key > 1
+        column_of_key = np.where(shared, num_tags + np.cumsum(shared) - 1, keys // universe)
+        self._column = column_of_key[key_of_row]
+        # Keys sort by tag, so each tag's shared columns form one run:
+        # the runs' first shared columns and their tags.
+        shared_tag = keys[shared] // universe
+        starts = np.flatnonzero(np.diff(shared_tag, prepend=-1))
+        self._num_shared = len(shared_tag)
+        self._runs = (starts, shared_tag[starts])
+
+    @property
+    def lossless(self) -> bool:
+        """Every tag has fewer than ``kappa`` contributors: no hop can
+        compress, so the batch folds exactly."""
+        return not len(self) or int(self._per_tag.max()) < self.template.kappa
+
+    def columns(self) -> np.ndarray:
+        if not self.lossless:
+            raise ProtocolError("a compressing digest collection merges as objects")
+        rows = len(self.ids)
+        cols = np.zeros((rows, len(self._per_tag) + self._num_shared), dtype=np.int64)
+        cols[np.arange(rows), self._column] = 1
+        return cols
+
+    def hop_sizes(self, sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        num_tags = len(self._per_tag)
+        singles = sums[:, :num_tags]
+        n = singles.copy()
+        distinct = singles.copy()
+        largest = (singles > 0).astype(np.int64)
+        if self._num_shared:
+            starts, owners = self._runs
+            shared = sums[:, num_tags:]
+            n[:, owners] += np.add.reduceat(shared, starts, axis=1)
+            distinct[:, owners] += np.add.reduceat(
+                (shared > 0).astype(np.int64), starts, axis=1
+            )
+            largest[:, owners] = np.maximum(
+                largest[:, owners], np.maximum.reduceat(shared, starts, axis=1)
+            )
+        # frexp's exponent is the exact bit length of an integer below 2**53.
+        bits = encoded_bits(
+            distinct, np.frexp(largest)[1], n, self.template.levels, True
+        )
+        if self.tags is not None:
+            bits += TAG_BITS
+        return (bits * (n > 0)).sum(axis=1), distinct.sum(axis=1)
+
+    def root_payload(
+        self, sums: np.ndarray, reached: np.ndarray | None
+    ) -> "SketchPayload | TaggedSketchPayload":
+        template = self.template
+        universe = template.universe_size
+        keys, counts = np.unique(
+            self._key if reached is None else self._key[reached], return_counts=True
+        )
+        tag_bounds = np.searchsorted(
+            keys, np.arange(len(self._per_tag) + 1) * universe
+        ).tolist()
+        nodes = (keys % universe + (1 << template.levels)).tolist()
+        counts = counts.tolist()
+        digests = [
+            (
+                tag,
+                QDigest(
+                    entries=tuple(zip(nodes[lo:hi], counts[lo:hi])),
+                    n=sum(counts[lo:hi]),
+                    eps=template.eps,
+                    r_min=template.r_min,
+                    r_max=template.r_max,
+                ),
+            )
+            for tag, (lo, hi) in enumerate(zip(tag_bounds, tag_bounds[1:]))
+            if lo < hi
+        ]
+        if self.tags is None:
+            return SketchPayload(digests[0][1])
+        return TaggedSketchPayload(
+            sketches=tuple((self.tags[tag], digest) for tag, digest in digests)
+        )
+
+    def payloads(self) -> "dict[int, SketchPayload | TaggedSketchPayload]":
+        template = self.template
+        universe = template.universe_size
+        out: dict[int, SketchPayload | TaggedSketchPayload] = {}
+        for vertex, key in zip(self.ids.tolist(), self._key.tolist()):
+            tag, leaf = divmod(key, universe)
+            digest = QDigest.from_values(
+                (template.r_min + leaf,), template.eps, template.r_min, template.r_max
+            )
+            out[vertex] = (
+                SketchPayload(digest)
+                if self.tags is None
+                else TaggedSketchPayload.single(self.tags[tag], digest)
+            )
+        return out
+
+
+def one_value_digests(
+    ids: Sequence[int],
+    values: Sequence[int],
+    eps: float,
+    r_min: int,
+    r_max: int,
+    tags: Sequence[str] | None = None,
+) -> "DigestBatch | dict[int, SketchPayload | TaggedSketchPayload]":
+    """Every contributor's one-value q-digest, ready for a convergecast.
+
+    ``values[i]`` (and, when tagged, ``tags[i]``) belong to vertex
+    ``ids[i]``.  Returns a :class:`DigestBatch` when no hop can compress
+    (every tag has fewer than ``kappa`` contributors) and otherwise the
+    ``{vertex: payload}`` mapping, merged as objects: a compressing merge
+    re-applies its threshold after each pairwise merge, so a hop's size
+    depends on the fold's merge order, not only on its column sums.
+    """
+    batch = DigestBatch(np.asarray(ids, dtype=np.int64), values, eps, r_min, r_max, tags)
+    return batch if batch.lossless else batch.payloads()

@@ -181,30 +181,17 @@ class QDigest:
     # -- accounting -----------------------------------------------------------
 
     def payload_bits(self) -> int:
-        """Honest serialized size in bits.
-
-        Two encodings, the smaller wins (mirroring the histogram payload's
-        dense/sparse choice):
-
-        * *sparse* — header (total count + declared count width) followed by
-          ``(node_id, count)`` pairs; ids take ``L + 1`` bits, counts the
-          declared width.
-        * *leaf list* — when every entry is an uncompressed leaf, the values
-          themselves as ``L``-bit leaf indices, duplicates repeated.
-        """
+        """Honest serialized size in bits (:func:`encoded_bits`)."""
         if not self.entries:
             return 0
-        id_bits = self.levels + 1
-        count_bits = max(
-            count for _, count in self.entries
-        ).bit_length()
-        header = COUNTER_BITS + _COUNT_WIDTH_BITS
-        sparse = header + len(self.entries) * (id_bits + count_bits)
         leaf_base = 1 << self.levels
-        if all(node >= leaf_base for node, _ in self.entries):
-            leaf_list = COUNTER_BITS + self.n * self.levels
-            return min(sparse, leaf_list)
-        return sparse
+        return encoded_bits(
+            len(self.entries),
+            max(count for _, count in self.entries).bit_length(),
+            self.n,
+            self.levels,
+            all(node >= leaf_base for node, _ in self.entries),
+        )
 
     def num_entries(self) -> int:
         """Stored ``(node, count)`` pairs."""
@@ -266,6 +253,28 @@ class QDigest:
             starts=[first for first, _ in by_start],
             start_prefix=list(accumulate((c for _, c in by_start), initial=0)),
         )
+
+
+def encoded_bits(entries, count_bits, n, levels: int, leaves_only):
+    """Serialized size in bits of a nonempty digest: the smaller of two
+    encodings (mirroring the histogram payload's dense/sparse choice).
+
+    * *sparse* — header (total count + declared count width) followed by
+      the ``entries`` ``(node_id, count)`` pairs; ids take ``L + 1`` bits,
+      counts the declared width ``count_bits``, the largest count's bit
+      length.
+    * *leaf list* — when every entry is an uncompressed leaf
+      (``leaves_only``), the ``n`` values themselves as ``L``-bit leaf
+      indices, duplicates repeated.
+
+    Integer arithmetic only, so it works elementwise on int64 arrays as on
+    ints: :meth:`QDigest.payload_bits` prices one digest with it and
+    :class:`~repro.sketch.payload.DigestBatch` every hop's digests at once.
+    """
+    sparse = COUNTER_BITS + _COUNT_WIDTH_BITS + entries * (levels + 1 + count_bits)
+    leaf_list = COUNTER_BITS + n * levels
+    shorter = leaves_only & (leaf_list < sparse)
+    return sparse + shorter * (leaf_list - sparse)
 
 
 def _validate_params(eps: float, r_min: int, r_max: int) -> None:

@@ -4,9 +4,10 @@
 add-fold column of positive counts, whose reference-walk form is the plain
 :class:`CountPayload`.  It shows the :class:`~repro.sim.PayloadBatch`
 contract is open to new kinds.  :func:`make_batch` draws one random batch
-of any kind — the count batch or one of the paper's three — so a test can
-run the same contributions through the array paths and, expanded with
-``payloads()``, through the per-hop reference walk.
+of any kind — the count batch, one of the paper's three or the one-value
+q-digest batch — so a test can run the same contributions through the
+array paths and, expanded with ``payloads()``, through the per-hop
+reference walk.
 """
 
 from __future__ import annotations
@@ -18,13 +19,14 @@ import numpy as np
 
 from repro.core.payloads import BucketDeltaBatch, HistogramBatch, ValidationBatch
 from repro.sim.engine import Payload, PayloadBatch
+from repro.sketch import DigestBatch
 
 #: Size [bits] of one count payload on the air.
 COUNT_BITS = 24
 
 #: Every batch kind :func:`make_batch` draws.  ``uniform`` is the count
 #: batch: every hop carries the same fixed-size payload.
-KINDS = ("uniform", "validation", "histogram", "delta")
+KINDS = ("uniform", "validation", "histogram", "delta", "digest")
 
 
 @dataclass(frozen=True)
@@ -82,7 +84,10 @@ def make_batch(
     * histograms pick bucket counts on both sides of the dense/compressed
       switch, compressed or not;
     * deltas draw few keys over a small grid, so merged deltas cancel at
-      some senders and some rows cancel to nothing (and are dropped).
+      some senders and some rows cancel to nothing (and are dropped);
+    * digests are tagged or not, over a narrow universe (keys repeat) or a
+      wide one (most keys are singletons), with values at both universe
+      ends, and an eps small enough that no hop compresses.
     """
     ids = np.sort(vertices[rng.random(len(vertices)) < 0.7]).astype(np.int64)
     rows = len(ids)
@@ -126,4 +131,17 @@ def make_batch(
             rng.choice([-2, -1, 1, 2], len(entry_rows)),
             grid,
         )
+    if kind == "digest":
+        r_min = int(rng.integers(-20, 20))
+        r_max = r_min + int(rng.choice([0, 3, 12, 1000]))
+        values = rng.integers(r_min, r_max + 1, rows)
+        values[rng.permutation(rows)[:2]] = (r_min, r_max)[: min(rows, 2)]
+        tags = None
+        if rng.random() < 0.7:
+            names = ("*", "q00", "q01", "q10")[: int(rng.integers(1, 5))]
+            tags = [names[t] for t in rng.integers(0, len(names), rows)]
+        # kappa = ceil(L / eps) >= 100 exceeds every test tree's contributor
+        # count, so no hop compresses.
+        eps = float(rng.choice([0.005, 0.01]))
+        return DigestBatch(ids, values, eps, r_min, r_max, tags)
     raise ValueError(f"unknown batch kind {kind!r}")

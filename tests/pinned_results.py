@@ -20,7 +20,11 @@ read-cache counters and the per-query stats); and the stdout of the
 variants (POS and IQ without hints, HBC without interval tracking or with
 recomputed buckets, direct requests off), the adaptive switcher and the
 gated sketch tracker add ``clean/`` and ``faults/`` cells of their own, and
-``snapshot/bary`` runs the b-ary snapshot search every round.  The digests
+``snapshot/bary`` runs the b-ary snapshot search every round.  The sketch
+collections of all these stay below the q-digest's ``kappa`` and fold as
+column batches; ``clean/SKQ-eps0.1``, ``faults/SKQ-eps0.1`` and
+``serving/eps0.1`` run at sketch eps 0.05 (``kappa`` = 200 < 250 sensors),
+so their top hops compress and merge digests as objects.  The digests
 live in ``tests/pinned_results.json`` and ``tests/test_pinned_results.py``
 compares against them.
 
@@ -115,6 +119,7 @@ CLEAN_VARIANTS = (
         ),
     ),
     ("SKQ", partial(SketchQuantile, eps=0.05)),
+    ("SKQ-eps0.1", partial(SketchQuantile, eps=0.1)),
 )
 #: Variants under the fault plan; their cells follow the lineup's and the
 #: serving run's.
@@ -246,23 +251,29 @@ def faulty_digest(cell: int, factory) -> str:
     return digest.hexdigest()
 
 
-def serving_digest() -> str:
-    graph, tree, workload, spec = deployment()
+def grid_and_band(spec: QuerySpec) -> tuple:
+    """The ``serving`` scenario's queries: a φ grid and a range count."""
     span = spec.r_max - spec.r_min
-    registry = QueryRegistry()
-    registry.register(PhiQuery("grid", phis=(0.5, 0.9, 0.99)))
-    registry.register(
-        RangeQuery("band", spec.r_min + span // 4, spec.r_min + 3 * span // 4)
+    return (
+        PhiQuery("grid", phis=(0.5, 0.9, 0.99)),
+        RangeQuery("band", spec.r_min + span // 4, spec.r_min + 3 * span // 4),
     )
+
+
+def serving_digest(queries=grid_and_band, cell: int = len(LINEUP)) -> str:
+    graph, tree, workload, spec = deployment()
+    registry = QueryRegistry()
+    for query in queries(spec):
+        registry.register(query)
     runner = MultiQueryRunner(
         registry,
         spec,
         tree,
         workload,
-        fault_plan(tree, len(LINEUP)),
+        fault_plan(tree, cell),
         ArqPolicy(max_retries=2),
         graph=graph,
-        failover_rng=np.random.default_rng((2014, len(LINEUP), 1)),
+        failover_rng=np.random.default_rng((2014, cell, 1)),
     )
     served = runner.run(ROUNDS)
     digest = Digest()
@@ -310,6 +321,13 @@ def history_reads(store, query: str, label: str, round_index: int):
     return out
 
 
+#: Fault cells after the variants': the dashboard's, then the compressing
+#: sketch scenarios'.
+DASHBOARD_CELL = len(LINEUP) + len(FAULT_VARIANTS) + 1
+COMPRESSING_SKQ_CELL = DASHBOARD_CELL + 1
+COMPRESSING_SERVING_CELL = DASHBOARD_CELL + 2
+
+
 def dashboard_digest() -> str:
     """A served dashboard under the fault plan: a φ grid reaching below its
     ε, a 4-quadrant group-by, and a range query deregistered at round 3 and
@@ -321,7 +339,7 @@ def dashboard_digest() -> str:
     registry.register(PhiQuery("grid", phis=(0.01, 0.5, 0.9, 0.99)))
     registry.register(GroupByQuery("quadrants", assign=quadrant, phis=(0.5, 0.9)))
     registry.register(band)
-    cell = len(LINEUP) + len(FAULT_VARIANTS) + 1
+    cell = DASHBOARD_CELL
     runner = MultiQueryRunner(
         registry,
         spec,
@@ -426,8 +444,8 @@ def bary_digest() -> str:
 
 def scenario_digests() -> dict[str, str]:
     """Every scenario's digest, keyed ``clean/<alg>``, ``faults/<alg>``,
-    ``serving``, ``serving/dashboard``, ``cli/<command>`` and
-    ``snapshot/bary``."""
+    ``serving``, ``serving/dashboard``, ``serving/eps0.1``,
+    ``cli/<command>`` and ``snapshot/bary``."""
     out = {}
     for name, factory in LINEUP + CLEAN_VARIANTS:
         out[f"clean/{name}"] = clean_digest(name, factory)
@@ -438,6 +456,12 @@ def scenario_digests() -> dict[str, str]:
         out[f"faults/{name}"] = faulty_digest(cell, factory)
     out["snapshot/bary"] = bary_digest()
     out["serving/dashboard"] = dashboard_digest()
+    out["faults/SKQ-eps0.1"] = faulty_digest(
+        COMPRESSING_SKQ_CELL, partial(SketchQuantile, eps=0.1)
+    )
+    out["serving/eps0.1"] = serving_digest(
+        lambda spec: (PhiQuery("median", eps=0.1),), COMPRESSING_SERVING_CELL
+    )
     for command in CLI_RUNS:
         out[f"cli/{command}"] = cli_digest(command)
     return out

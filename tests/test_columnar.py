@@ -11,6 +11,9 @@ columns on both networks.  These tests pin:
 * that every batch kind equals the per-hop reference walk over its
   expanded payloads, on random trees with virtual vertices, a root-keyed
   contribution, loss, static and learning ARQ, outages and dead forwarders;
+* which form each q-digest collection of the gated sketch tracker and the
+  serving gate takes: the digest batch while every cell has fewer than
+  ``kappa`` contributors, payload objects from ``kappa`` on and for KLL;
 * the fixes that came with it: a down root's own contribution is not
   delivered, a down host delivers nothing of its virtual children, and a
   fault plan overriding ``is_down`` is refused.
@@ -32,7 +35,9 @@ from repro.core.payloads import (
     ValidationPayload,
     ValueSetPayload,
 )
+from repro.core.sketchq import SketchQuantile
 from repro.datasets.synthetic import SyntheticWorkload
+from repro.errors import ConfigurationError
 from repro.experiments.config import default_algorithms
 from repro.faults import AdaptiveArqPolicy, ArqPolicy, FaultDriver, FaultPlan
 from repro.faults.network import FaultyTreeNetwork
@@ -47,7 +52,11 @@ from repro.network.topology import connected_random_graph
 from repro.network.tree import tree_from_parents
 from repro.radio.energy import EnergyModel
 from repro.radio.ledger import EnergyLedger
+from repro.serving import GroupByQuery, QueryRegistry
+from repro.serving.algorithm import MultiQuerySketch
+from repro.sim.engine import TreeNetwork
 from repro.sim.vectorized import TreeArrays
+from repro.sketch import DigestBatch, one_value_digests
 from repro.types import QuerySpec
 
 from tests import test_vectorized
@@ -162,6 +171,122 @@ class TestPaperAlgorithmsStayColumnar:
         )
         driver.run(8)
         self.assert_paths(name, paths)
+
+
+#: Universe [0, 15] has L = 4 levels, so a digest at sketch eps 0.25 (the
+#: gated trackers below, eps 0.5) has kappa = ceil(4 / 0.25) = 16.
+KAPPA_SPEC = QuerySpec(r_min=0, r_max=15)
+KAPPA = 16
+#: What the fold sees of a collection that folds as columns, of one that
+#: compresses (``one_value_digests`` expands its batch into payload
+#: objects) and of KLL sketches.
+BATCH = {"batch"}
+OBJECTS = {"payloads()", "objects"}
+KLL_OBJECTS = {"objects"}
+
+
+def gated_sketch():
+    return SketchQuantile(KAPPA_SPEC, eps=0.5)
+
+
+def serving_gate(first_cell: int):
+    """The serving gate over two cells: vertices ``1..first_cell`` and the
+    rest."""
+    registry = QueryRegistry()
+    registry.register(
+        GroupByQuery(
+            "split",
+            assign=lambda vertex, position: "a" if vertex <= first_cell else "b",
+            eps=0.5,
+        )
+    )
+    return MultiQuerySketch(KAPPA_SPEC, registry)
+
+
+class TestSketchCollectionPaths:
+    """q-digest collections fold as a batch exactly while no hop can
+    compress, and equal the reference walk on both paths."""
+
+    @pytest.fixture
+    def forms(self, monkeypatch) -> list[str]:
+        """The form each collection reaches the fold in (``batch`` or
+        ``objects``), and ``payloads()`` for every batch expansion."""
+        forms: list[str] = []
+        fold = TreeNetwork._fold
+
+        def spy(net, contributions, decide):
+            if net.phase == "collection":
+                batch = isinstance(contributions, DigestBatch)
+                forms.append("batch" if batch else "objects")
+            return fold(net, contributions, decide)
+
+        expand = DigestBatch.payloads
+
+        def expanded(batch):
+            forms.append("payloads()")
+            return expand(batch)
+
+        monkeypatch.setattr(TreeNetwork, "_fold", spy)
+        monkeypatch.setattr(DigestBatch, "payloads", expanded)
+        return forms
+
+    @staticmethod
+    def run(factory, sensors: int, reference: bool = False):
+        """Four rounds of random values over ``sensors`` sensors, so the
+        gates refresh; returns the outcomes and the network."""
+        tree = random_tree(sensors + 1, seed=sensors)
+        net = make_net(reference, tree)
+        rng = np.random.default_rng(sensors)
+        algorithm = factory()
+        outcomes = []
+        for round_index in range(4):
+            values = rng.integers(0, 16, tree.num_vertices)
+            step = algorithm.update if round_index else algorithm.initialize
+            outcomes.append(step(net, values))
+        return outcomes, net
+
+    def assert_path(self, forms, factory, sensors: int, expected: set[str]) -> None:
+        outcomes, net = self.run(factory, sensors)
+        assert forms and set(forms) == expected
+        forms.clear()
+        reference_outcomes, reference = self.run(factory, sensors, reference=True)
+        assert outcomes == reference_outcomes
+        assert_networks_identical(reference, net)
+
+    @pytest.mark.parametrize(
+        ("sensors", "expected"), [(KAPPA - 1, BATCH), (KAPPA, OBJECTS)], ids=["batch", "objects"]
+    )
+    def test_gated_sketch(self, forms, sensors, expected):
+        self.assert_path(forms, gated_sketch, sensors, expected)
+
+    @pytest.mark.parametrize(
+        ("largest", "expected"), [(KAPPA - 1, BATCH), (KAPPA, OBJECTS)], ids=["batch", "objects"]
+    )
+    def test_serving_gate_largest_cell_decides(self, forms, largest, expected):
+        """Cell ``a`` holds ``largest`` sensors, cell ``b`` five: the batch
+        needs every cell below kappa, not the whole collection (20 or 21
+        sensors), and one cell at kappa sends all of it to objects."""
+        self.assert_path(forms, lambda: serving_gate(largest), largest + 5, expected)
+
+    def test_kll_sketch_stays_on_objects(self, forms):
+        self.assert_path(
+            forms, lambda: SketchQuantile(KAPPA_SPEC, eps=0.5, kind="kll"), 6, KLL_OBJECTS
+        )
+
+    @pytest.mark.parametrize("sensors", [KAPPA - 1, KAPPA])
+    @pytest.mark.parametrize("tags", [None, "a"])
+    def test_out_of_universe_value_refused_on_both_paths(self, sensors, tags):
+        values = np.arange(sensors) % 16
+        values[sensors // 2] = 16
+        with pytest.raises(ConfigurationError, match="value 16 outside universe"):
+            one_value_digests(
+                np.arange(1, sensors + 1),
+                values,
+                0.25,
+                KAPPA_SPEC.r_min,
+                KAPPA_SPEC.r_max,
+                None if tags is None else [tags] * sensors,
+            )
 
 
 def test_preorder_ranges_are_subtrees():
