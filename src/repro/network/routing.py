@@ -8,54 +8,54 @@ parent), which keeps trees deterministic for a given deployment.
 
 from __future__ import annotations
 
-from collections import deque
-from heapq import heappop, heappush
-
 import numpy as np
 
 from repro.errors import TopologyError
 from repro.network.linkstats import LinkQualityEstimator
-from repro.network.topology import PhysicalGraph
+from repro.network.topology import PhysicalGraph, bfs_levels, csr_pairs
 from repro.network.tree import RoutingTree, tree_from_parents
 
 
 def build_routing_tree(graph: PhysicalGraph, root: int = 0) -> RoutingTree:
     """Build a minimum-hop Shortest Path Tree rooted at ``root``.
 
-    Breadth-first search from the root assigns every vertex the parent that
-    first reached it; among same-depth candidates the physically closest one
-    wins.  Raises :class:`TopologyError` if some vertex cannot reach the root.
+    Breadth-first search from the root assigns every vertex a parent one hop
+    closer to the root; among those candidates the physically closest one
+    wins, and a tie goes to the candidate a FIFO-queue search pops first.
+    Raises :class:`TopologyError` if some vertex cannot reach the root.
     """
+    depth, levels = _min_hop_depths(graph, root)
+    pos = graph.positions
+    parent = np.full(graph.num_vertices, -1, dtype=np.int64)
+    for level, frontier in enumerate(levels[:-1], start=1):
+        cand, child = csr_pairs(graph.indptr, graph.indices, frontier)
+        keep = depth[child] == level
+        cand, child = cand[keep], child[keep]
+        delta = pos[child] - pos[cand]
+        dist = np.hypot(delta[:, 0], delta[:, 1])
+        # Per child: the closest candidate, the earliest pair among equals.
+        order = np.lexsort((np.arange(len(child)), dist, child))
+        first = np.ones(len(order), dtype=bool)
+        first[1:] = child[order[1:]] != child[order[:-1]]
+        parent[child[order[first]]] = cand[order[first]]
+    return tree_from_parents(root, parent.tolist(), pos)
+
+
+def _min_hop_depths(
+    graph: PhysicalGraph, root: int
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """``bfs_levels`` from ``root``; every vertex must be reachable."""
     n = graph.num_vertices
     if not 0 <= root < n:
         raise TopologyError(f"root {root} out of range for {n} vertices")
-
-    depth = [-1] * n
-    parent = [-1] * n
-    depth[root] = 0
-    frontier = deque([root])
-    while frontier:
-        vertex = frontier.popleft()
-        for neighbor in graph.neighbors(vertex):
-            if depth[neighbor] == -1:
-                depth[neighbor] = depth[vertex] + 1
-                parent[neighbor] = vertex
-                frontier.append(neighbor)
-            elif depth[neighbor] == depth[vertex] + 1:
-                # Equal-hop alternative parent: prefer the closer one.
-                current = parent[neighbor]
-                d_current = _distance(graph.positions, neighbor, current)
-                d_candidate = _distance(graph.positions, neighbor, vertex)
-                if d_candidate < d_current:
-                    parent[neighbor] = vertex
-
-    missing = [v for v in range(n) if depth[v] == -1]
+    depth, levels = bfs_levels(graph.indptr, graph.indices, root)
+    missing = np.flatnonzero(depth < 0).tolist()
     if missing:
         raise TopologyError(
             f"{len(missing)} vertices cannot reach root {root} "
             f"(first few: {missing[:5]}); increase the radio range"
         )
-    return tree_from_parents(root, parent, graph.positions)
+    return depth, levels
 
 
 def build_randomized_routing_tree(
@@ -89,26 +89,7 @@ def build_randomized_routing_tree(
     combination of picks yields a valid min-hop tree (no cycles possible).
     """
     n = graph.num_vertices
-    if not 0 <= root < n:
-        raise TopologyError(f"root {root} out of range for {n} vertices")
-
-    depth = [-1] * n
-    depth[root] = 0
-    frontier = deque([root])
-    while frontier:
-        vertex = frontier.popleft()
-        for neighbor in graph.neighbors(vertex):
-            if depth[neighbor] == -1:
-                depth[neighbor] = depth[vertex] + 1
-                frontier.append(neighbor)
-
-    missing = [v for v in range(n) if depth[v] == -1]
-    if missing:
-        raise TopologyError(
-            f"{len(missing)} vertices cannot reach root {root} "
-            f"(first few: {missing[:5]}); increase the radio range"
-        )
-
+    depth = _min_hop_depths(graph, root)[0].tolist()
     parent = [-1] * n
     for vertex in range(n):
         if vertex == root:
@@ -131,42 +112,3 @@ def build_randomized_routing_tree(
         else:
             parent[vertex] = int(candidates[rng.integers(0, len(candidates))])
     return tree_from_parents(root, parent, graph.positions)
-
-
-def build_min_energy_tree(graph: PhysicalGraph, root: int = 0) -> RoutingTree:
-    """Build a tree minimising summed link distance to the root (Dijkstra).
-
-    Not used by the paper's headline experiments (they use min-hop SPTs) but
-    provided for ablations: with a distance-dependent amplifier, shorter
-    links cost less per bit.
-    """
-    n = graph.num_vertices
-    if not 0 <= root < n:
-        raise TopologyError(f"root {root} out of range for {n} vertices")
-
-    cost = [np.inf] * n
-    parent = [-1] * n
-    cost[root] = 0.0
-    heap: list[tuple[float, int]] = [(0.0, root)]
-    while heap:
-        vertex_cost, vertex = heappop(heap)
-        if vertex_cost > cost[vertex]:
-            continue
-        for neighbor in graph.neighbors(vertex):
-            candidate = vertex_cost + _distance(graph.positions, vertex, neighbor)
-            if candidate < cost[neighbor]:
-                cost[neighbor] = candidate
-                parent[neighbor] = vertex
-                heappush(heap, (candidate, neighbor))
-
-    missing = [v for v in range(n) if not np.isfinite(cost[v])]
-    if missing:
-        raise TopologyError(
-            f"{len(missing)} vertices cannot reach root {root} "
-            f"(first few: {missing[:5]}); increase the radio range"
-        )
-    return tree_from_parents(root, parent, graph.positions)
-
-
-def _distance(positions: np.ndarray, a: int, b: int) -> float:
-    return float(np.hypot(*(positions[a] - positions[b])))

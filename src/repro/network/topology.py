@@ -9,13 +9,12 @@ energy accounting (the root has an infinite supply).
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.errors import ConfigurationError, TopologyError
-from repro.network.geometry import neighbors_within, random_positions
+from repro.network.geometry import csr_ranges, neighbor_csr, random_positions
 
 
 @dataclass(frozen=True)
@@ -25,37 +24,69 @@ class PhysicalGraph:
     Attributes:
         positions: ``(n, 2)`` array of vertex coordinates in metres.
         radio_range: radio range ``rho`` in metres.
-        adjacency: per-vertex sorted lists of physical neighbours.
+        indptr, indices: the adjacency in CSR form (int64); the physical
+            neighbours of ``v`` are ``indices[indptr[v]:indptr[v + 1]]``,
+            ascending.
     """
 
     positions: np.ndarray
     radio_range: float
-    adjacency: tuple[tuple[int, ...], ...] = field(repr=False)
+    indptr: np.ndarray = field(repr=False)
+    indices: np.ndarray = field(repr=False)
 
     @property
     def num_vertices(self) -> int:
         """Total number of vertices including the root."""
-        return len(self.adjacency)
+        return len(self.indptr) - 1
 
     def neighbors(self, vertex: int) -> tuple[int, ...]:
-        """Physical neighbours of ``vertex``."""
-        return self.adjacency[vertex]
+        """Physical neighbours of ``vertex``, ascending."""
+        return tuple(self.indices[self.indptr[vertex] : self.indptr[vertex + 1]].tolist())
 
     def reachable_from(self, source: int) -> set[int]:
         """All vertices reachable from ``source`` over multi-hop paths."""
-        seen = {source}
-        frontier = deque([source])
-        while frontier:
-            vertex = frontier.popleft()
-            for neighbor in self.adjacency[vertex]:
-                if neighbor not in seen:
-                    seen.add(neighbor)
-                    frontier.append(neighbor)
-        return seen
+        depth, _ = bfs_levels(self.indptr, self.indices, source)
+        return set(np.flatnonzero(depth >= 0).tolist())
 
     def is_connected(self) -> bool:
         """True iff every vertex can reach every other vertex."""
-        return len(self.reachable_from(0)) == self.num_vertices
+        depth, _ = bfs_levels(self.indptr, self.indices, 0)
+        return bool((depth >= 0).all())
+
+
+def csr_pairs(
+    indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(row, neighbour)`` for every neighbour of every vertex in ``rows``:
+    in the order of ``rows``, then in adjacency order."""
+    starts = indptr[rows]
+    counts = indptr[rows + 1] - starts
+    return np.repeat(rows, counts), indices[csr_ranges(starts, counts)]
+
+
+def bfs_levels(
+    indptr: np.ndarray, indices: np.ndarray, source: int
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Level-synchronous breadth-first search over a CSR adjacency.
+
+    Returns the hop depth of every vertex (-1 where ``source`` cannot reach)
+    and one frontier array per level, ``levels[0] == [source]``.  Each
+    frontier lists its vertices in order of discovery: the previous frontier
+    in its order, each vertex's neighbours in adjacency order — the order a
+    FIFO-queue search pops them in.
+    """
+    depth = np.full(len(indptr) - 1, -1, dtype=np.int64)
+    depth[source] = 0
+    levels = [np.array([source], dtype=np.int64)]
+    while True:
+        _, reached = csr_pairs(indptr, indices, levels[-1])
+        reached = reached[depth[reached] < 0]
+        if not reached.size:
+            return depth, levels
+        _, first = np.unique(reached, return_index=True)
+        frontier = reached[np.sort(first)]
+        depth[frontier] = len(levels)
+        levels.append(frontier)
 
 
 def build_physical_graph(positions: np.ndarray, radio_range: float) -> PhysicalGraph:
@@ -65,12 +96,12 @@ def build_physical_graph(positions: np.ndarray, radio_range: float) -> PhysicalG
         positions: ``(n, 2)`` coordinates of all vertices (root included).
         radio_range: radio range ``rho`` in metres; must be positive.
     """
-    adjacency = neighbors_within(positions, radio_range)
-    frozen = tuple(tuple(sorted(row)) for row in adjacency)
+    indptr, indices = neighbor_csr(positions, radio_range)
     return PhysicalGraph(
         positions=np.asarray(positions, dtype=float),
         radio_range=float(radio_range),
-        adjacency=frozen,
+        indptr=indptr,
+        indices=indices,
     )
 
 

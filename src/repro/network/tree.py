@@ -16,6 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.errors import TopologyError
+from repro.network.topology import bfs_levels, csr_pairs
 
 
 @dataclass(frozen=True)
@@ -129,10 +130,10 @@ def tree_from_parents(
             raise TopologyError(f"vertex {vertex} has invalid parent {par}")
     if positions is not None:
         pos = np.asarray(positions, dtype=float)
-        link = [
-            0.0 if v == root else float(np.hypot(*(pos[v] - pos[parent[v]])))
-            for v in range(n)
-        ]
+        ends = np.array(parent)
+        ends[root] = root
+        delta = pos[:n] - pos[ends]
+        link = np.hypot(delta[:, 0], delta[:, 1]).tolist()
     else:
         link = [0.0] * n
     return _tree_from_parent_links(root, list(parent), link)
@@ -148,80 +149,62 @@ def _tree_from_parent_links(
     n = len(parent)
     if parent[root] != -1:
         raise TopologyError("parent[root] must be -1")
+    par = np.array(parent, dtype=np.int64)
+    bad = (par < 0) | (par >= n) | (par == np.arange(n))
+    bad[root] = False
+    if bad.any():
+        vertex = int(np.argmax(bad))
+        if par[vertex] == vertex:
+            raise TopologyError(f"vertex {vertex} is its own parent")
+        raise TopologyError(f"vertex {vertex} has invalid parent {parent[vertex]}")
 
-    children: list[list[int]] = [[] for _ in range(n)]
-    for vertex, par in enumerate(parent):
-        if vertex == root:
-            continue
-        if not 0 <= par < n:
-            raise TopologyError(f"vertex {vertex} has invalid parent {par}")
-        children[vertex_parent_check(vertex, par)].append(vertex)
+    # Children lists in CSR form, siblings ascending.
+    kids = np.argsort(par, kind="stable")[1:]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(par[kids], minlength=n), out=indptr[1:])
 
-    # Depth-first from the root establishes reachability and acyclicity: a
-    # parent array whose edges reach all n vertices from the root is a tree.
-    depth = [-1] * n
-    depth[root] = 0
-    order_top_down = [root]
-    stack = [root]
-    while stack:
-        vertex = stack.pop()
-        for child in children[vertex]:
-            if depth[child] != -1:
-                raise TopologyError(f"vertex {child} reached twice; not a tree")
-            depth[child] = depth[vertex] + 1
-            order_top_down.append(child)
-            stack.append(child)
-    unreachable = [v for v in range(n) if depth[v] == -1]
+    # Breadth-first from the root establishes reachability and acyclicity:
+    # a parent array whose edges reach all n vertices from the root is a
+    # tree (a cycle and whatever hangs off it stay unreached).
+    depth, levels = bfs_levels(indptr, kids, root)
+    unreachable = np.flatnonzero(depth < 0).tolist()
     if unreachable:
         raise TopologyError(
             f"{len(unreachable)} vertices unreachable from root "
             f"(first few: {unreachable[:5]})"
         )
 
-    bottom_up = tuple(reversed(order_top_down))
-    subtree = [1] * n
-    for vertex in bottom_up:
-        if vertex != root:
-            subtree[parent[vertex]] += subtree[vertex]
+    subtree = np.ones(n, dtype=np.int64)
+    for level in reversed(levels[1:]):
+        np.add.at(subtree, par[level], subtree[level])
 
+    # The top-down order is that of a stack search which pushes each popped
+    # vertex's children in ascending order: the root, then every child list
+    # in pop order.  The pops are a preorder that visits siblings in
+    # descending order, so a vertex pops after its parent and after every
+    # later sibling's subtree.
+    later = np.cumsum(subtree[kids])
+    later = later[indptr[par[kids] + 1] - 1] - later
+    pop_rank = np.zeros(n, dtype=np.int64)
+    pop_rank[kids] = later
+    for level in levels[1:]:
+        pop_rank[level] += pop_rank[par[level]] + 1
+    _, top_down = csr_pairs(indptr, kids, np.argsort(pop_rank))
+
+    bounds = indptr.tolist()
+    siblings = kids.tolist()
     return RoutingTree(
         root=root,
         parent=tuple(parent),
         link_distance=tuple(link),
-        children=tuple(tuple(sorted(kids)) for kids in children),
-        depth=tuple(depth),
-        bottom_up_order=bottom_up,
-        subtree_size=tuple(subtree),
+        children=tuple(
+            tuple(siblings[lo:hi]) for lo, hi in zip(bounds, bounds[1:])
+        ),
+        depth=tuple(depth.tolist()),
+        bottom_up_order=tuple(top_down[::-1].tolist()) + (root,),
+        subtree_size=tuple(subtree.tolist()),
         relays=relays,
     )
-
-
-def tree_reparented(
-    tree: RoutingTree, vertex: int, new_parent: int, link_distance: float
-) -> RoutingTree:
-    """A copy of ``tree`` with ``vertex`` (and its whole subtree) re-attached
-    under ``new_parent``.
-
-    This is the structural half of tree repair (an orphan adopting a new
-    parent after its old one went down).  ``new_parent`` must lie outside
-    the subtree of ``vertex`` — re-attaching inside it would cut the subtree
-    off the root and is rejected as a :class:`~repro.errors.TopologyError`.
-    """
-    if vertex == tree.root:
-        raise TopologyError("cannot re-parent the root")
-    if not 0 <= new_parent < tree.num_vertices:
-        raise TopologyError(f"new parent {new_parent} out of range")
-    if new_parent in tree.subtree_vertices(vertex):
-        raise TopologyError(
-            f"new parent {new_parent} lies inside the subtree of {vertex}"
-        )
-    if link_distance < 0.0:
-        raise TopologyError(f"link_distance must be >= 0, got {link_distance}")
-    parent = list(tree.parent)
-    parent[vertex] = new_parent
-    link = list(tree.link_distance)
-    link[vertex] = float(link_distance)
-    return _tree_from_parent_links(tree.root, parent, link, relays=tree.relays)
 
 
 def tree_multi_reparented(
@@ -273,10 +256,3 @@ def tree_multi_reparented(
     parent[root] = -1
     link[root] = 0.0
     return _tree_from_parent_links(root, parent, link, relays=tree.relays)
-
-
-def vertex_parent_check(vertex: int, parent: int) -> int:
-    """Reject self-parenting; returns ``parent`` unchanged otherwise."""
-    if vertex == parent:
-        raise TopologyError(f"vertex {vertex} is its own parent")
-    return parent

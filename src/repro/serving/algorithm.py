@@ -583,13 +583,12 @@ class MultiQuerySketch(ContinuousQuantileAlgorithm):
             return 0
         return int((target.scope_mask & self._mask).sum())
 
-    def scope_members(self, target: GateTarget) -> tuple[int, ...]:
-        """Vertex ids of the currently participating sensors in scope."""
+    def scope_values(self, target: GateTarget, values: np.ndarray) -> np.ndarray:
+        """``values`` of the currently participating sensors in scope, in
+        vertex order (empty before the first participation mask)."""
         if self._mask is None:
-            return ()
-        return tuple(
-            int(v) for v in np.flatnonzero(target.scope_mask & self._mask)
-        )
+            return values[:0]
+        return values[target.scope_mask & self._mask]
 
     def grid_answers(self) -> dict[float, tuple[int | None, float]]:
         """Global φ targets' ``(value, eps)`` — the harness's φ-grid axis."""

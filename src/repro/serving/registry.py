@@ -389,7 +389,7 @@ class QueryRegistry:
         worst = float(target.worst_rank_error(k))
         oracle_error: float | None = None
         if values is not None:
-            scope_values = values[list(algorithm.scope_members(target))]
+            scope_values = algorithm.scope_values(target, values)
             oracle_error = float(rank_error(scope_values, int(target.value), k))
         item = AnswerItem(
             label=planned.label,
@@ -429,7 +429,7 @@ class QueryRegistry:
         estimate = (lo + hi) / 2.0
         oracle_error: float | None = None
         if values is not None:
-            scope_values = values[list(algorithm.scope_members(low_t))]
+            scope_values = algorithm.scope_values(low_t, values)
             truth = float(
                 np.mean((scope_values >= q.low) & (scope_values <= q.high))
             )

@@ -20,7 +20,12 @@ read-cache counters and the per-query stats); and the stdout of the
 variants (POS and IQ without hints, HBC without interval tracking or with
 recomputed buckets, direct requests off), the adaptive switcher and the
 gated sketch tracker add ``clean/`` and ``faults/`` cells of their own, and
-``snapshot/bary`` runs the b-ary snapshot search every round.  The sketch
+``snapshot/bary`` runs the b-ary snapshot search every round.  Two cells
+pin what the tree builders feed: ``faults/HBC-rotate3`` rotates the tree
+every 3 rounds with ETX-weighted parent sampling
+(``build_randomized_routing_tree`` and its generator draws), and
+``clean/IQ-pressure`` runs IQ on an air-pressure deployment, whose SOM
+positions sit on a jittered lattice that does not start at the origin.  The sketch
 collections of all these stay below the q-digest's ``kappa`` and fold as
 column batches; ``clean/SKQ-eps0.1``, ``faults/SKQ-eps0.1`` and
 ``serving/eps0.1`` run at sketch eps 0.05 (``kappa`` = 200 < 250 sensors),
@@ -78,7 +83,9 @@ from repro.faults import (
     ScheduledChurn,
 )
 from repro.cli import main as cli_main
+from repro.datasets.pressure import PressureWorkload, suggested_radio_range
 from repro.errors import ConfigurationError
+from repro.experiments.runner import _pressure_graph
 from repro.serving import (
     GroupByQuery,
     MultiQueryRunner,
@@ -206,8 +213,24 @@ def fault_plan(tree, cell: int) -> FaultPlan:
     )
 
 
-def clean_digest(name: str, factory) -> str:
-    _, tree, workload, spec = deployment()
+def pressure_deployment(seed: int = 2014):
+    """An air-pressure deployment: SOM-placed sensors, the root next to the
+    middle trace node, and the graph the pressure experiment builds."""
+    workload = PressureWorkload(
+        np.random.default_rng(seed),
+        num_nodes=NODES,
+        num_rounds=ROUNDS,
+        root_node=NODES // 2,
+    )
+    radio_range = suggested_radio_range(NODES)
+    graph = _pressure_graph(workload, radio_range)
+    tree = build_routing_tree(graph, root=workload.root)
+    spec = QuerySpec(r_min=workload.r_min, r_max=workload.r_max)
+    return graph, tree, workload, spec, radio_range
+
+
+def clean_digest(name: str, factory, deployed=None, radio_range=RADIO_RANGE) -> str:
+    _, tree, workload, spec = deployment() if deployed is None else deployed
     captured = []
 
     def network(tree, ledger):
@@ -215,7 +238,7 @@ def clean_digest(name: str, factory) -> str:
         captured.append(net)
         return net
 
-    runner = SimulationRunner(tree, RADIO_RANGE, network_factory=network)
+    runner = SimulationRunner(tree, radio_range, network_factory=network)
     result = runner.run(factory(spec), workload.values, ROUNDS)
     net = captured[-1]
     digest = Digest()
@@ -224,7 +247,8 @@ def clean_digest(name: str, factory) -> str:
     return digest.hexdigest()
 
 
-def faulty_digest(cell: int, factory) -> str:
+def faulty_digest(cell: int, factory, **options) -> str:
+    """``options`` go to ``FaultDriver`` (e.g. ``rotate_every``)."""
     graph, tree, workload, spec = deployment()
     driver = FaultDriver(
         factory,
@@ -235,6 +259,7 @@ def faulty_digest(cell: int, factory) -> str:
         ArqPolicy(max_retries=2),
         graph=graph,
         failover_rng=np.random.default_rng((2014, cell, 1)),
+        **options,
     )
     reports = driver.run(ROUNDS)
     digest = Digest()
@@ -326,6 +351,7 @@ def history_reads(store, query: str, label: str, round_index: int):
 DASHBOARD_CELL = len(LINEUP) + len(FAULT_VARIANTS) + 1
 COMPRESSING_SKQ_CELL = DASHBOARD_CELL + 1
 COMPRESSING_SERVING_CELL = DASHBOARD_CELL + 2
+ROTATING_CELL = DASHBOARD_CELL + 3
 
 
 def dashboard_digest() -> str:
@@ -464,6 +490,9 @@ def scenario_digests() -> dict[str, str]:
     )
     for command in CLI_RUNS:
         out[f"cli/{command}"] = cli_digest(command)
+    out["faults/HBC-rotate3"] = faulty_digest(ROTATING_CELL, HBC, rotate_every=3)
+    *pressure, radio_range = pressure_deployment()
+    out["clean/IQ-pressure"] = clean_digest("IQ", IQ, pressure, radio_range)
     return out
 
 

@@ -9,11 +9,33 @@ from repro.constants import AREA_SIDE_M
 from repro.errors import ConfigurationError
 from repro.network.geometry import (
     Point,
-    grid_positions,
-    neighbors_within,
+    neighbor_csr,
     pairwise_distances,
     random_positions,
 )
+
+
+def grid_positions(num_points: int, area_side: float = AREA_SIDE_M) -> np.ndarray:
+    """Place ``num_points`` on a near-square lattice of cell centres.
+
+    A deterministic placement for tests.  The lattice is the smallest
+    square one with at least ``num_points`` cells; surplus cells are
+    dropped from the end.
+    """
+    if num_points <= 0:
+        raise ConfigurationError(f"num_points must be positive, got {num_points}")
+    side = int(np.ceil(np.sqrt(num_points)))
+    # Cell centres, so no node sits exactly on the area boundary.
+    coords = (np.arange(side) + 0.5) * (area_side / side)
+    xs, ys = np.meshgrid(coords, coords)
+    grid = np.column_stack([xs.ravel(), ys.ravel()])
+    return grid[:num_points]
+
+
+def neighbors_within(positions: np.ndarray, radius: float) -> list[list[int]]:
+    """:func:`neighbor_csr` as one neighbour list per node."""
+    indptr, indices = neighbor_csr(positions, radius)
+    return [indices[lo:hi].tolist() for lo, hi in zip(indptr[:-1], indptr[1:])]
 
 
 class TestPoint:

@@ -23,12 +23,32 @@ from repro.faults import (
     run_fault_experiment,
 )
 from repro.network.topology import build_physical_graph
-from repro.network.tree import tree_from_parents, tree_reparented
+from repro.network.tree import RoutingTree, tree_from_parents, tree_multi_reparented
 from repro.types import QuerySpec
 
 from tests.helpers import SequenceWorkload
 
 RANGE = 10.0
+
+
+def tree_reparented(
+    tree: RoutingTree, vertex: int, new_parent: int, link_distance: float
+) -> RoutingTree:
+    """A copy of ``tree`` with ``vertex`` (and its whole subtree) re-attached
+    under ``new_parent``: one orphan adopting a new parent after its old one
+    went down.  ``new_parent`` must lie outside the subtree of ``vertex``.
+    """
+    if vertex == tree.root:
+        raise TopologyError("cannot re-parent the root")
+    if not 0 <= new_parent < tree.num_vertices:
+        raise TopologyError(f"new parent {new_parent} out of range")
+    if new_parent in tree.subtree_vertices(vertex):
+        raise TopologyError(
+            f"new parent {new_parent} lies inside the subtree of {vertex}"
+        )
+    if link_distance < 0.0:
+        raise TopologyError(f"link_distance must be >= 0, got {link_distance}")
+    return tree_multi_reparented(tree, [(vertex, new_parent, link_distance)])
 
 
 def deployment(positions, parents):

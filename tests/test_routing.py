@@ -2,12 +2,54 @@
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
+
 import numpy as np
 import pytest
 
 from repro.errors import TopologyError
-from repro.network.routing import build_min_energy_tree, build_routing_tree
-from repro.network.topology import build_physical_graph, connected_random_graph
+from repro.network.routing import build_routing_tree
+from repro.network.topology import (
+    PhysicalGraph,
+    build_physical_graph,
+    connected_random_graph,
+)
+from repro.network.tree import RoutingTree, tree_from_parents
+
+
+def build_min_energy_tree(graph: PhysicalGraph, root: int = 0) -> RoutingTree:
+    """Build a tree minimising summed link distance to the root (Dijkstra).
+
+    Not used by the paper's experiments (they use min-hop SPTs); it is the
+    yardstick the min-hop tree's root-path lengths are compared with.
+    """
+    n = graph.num_vertices
+    if not 0 <= root < n:
+        raise TopologyError(f"root {root} out of range for {n} vertices")
+
+    cost = [np.inf] * n
+    parent = [-1] * n
+    cost[root] = 0.0
+    heap: list[tuple[float, int]] = [(0.0, root)]
+    while heap:
+        vertex_cost, vertex = heappop(heap)
+        if vertex_cost > cost[vertex]:
+            continue
+        for neighbor in graph.neighbors(vertex):
+            delta = graph.positions[vertex] - graph.positions[neighbor]
+            candidate = vertex_cost + float(np.hypot(*delta))
+            if candidate < cost[neighbor]:
+                cost[neighbor] = candidate
+                parent[neighbor] = vertex
+                heappush(heap, (candidate, neighbor))
+
+    missing = [v for v in range(n) if not np.isfinite(cost[v])]
+    if missing:
+        raise TopologyError(
+            f"{len(missing)} vertices cannot reach root {root} "
+            f"(first few: {missing[:5]}); increase the radio range"
+        )
+    return tree_from_parents(root, parent, graph.positions)
 
 
 class TestShortestPathTree:
