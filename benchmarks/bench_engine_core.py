@@ -143,10 +143,8 @@ def time_ledger_batch(tree: RoutingTree, rounds: int) -> float:
         model=EnergyModel(),
         radio_range=RADIO_RANGE,
     )
-    senders = np.array(
-        [v for v in tree.bottom_up_order if v != tree.root], dtype=np.int64
-    )
-    receivers = np.array([tree.parent[v] for v in senders], dtype=np.int64)
+    senders = tree.bottom_up
+    receivers = tree.parent_array[senders]
     m = len(senders)
     bits = np.full(m, 56, dtype=np.int64)
     frames = np.ones(m, dtype=np.int64)

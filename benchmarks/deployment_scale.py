@@ -1,12 +1,16 @@
-"""Deployment build at scale: the physical graph and its min-hop tree.
+"""Deployment build at scale: the physical graph, its min-hop tree, and the
+tree's use by the simulation core.
 
 Samples a connected random deployment of ``nodes`` sensors plus the root at
 the paper's density (35 m radio range, a field of side 200 m·√(nodes/1000))
-and builds its minimum-hop routing tree, then prints the build time and the
-process's peak resident set.  It exits non-zero when the peak exceeds
-1 GB, which guards the build's O(n) memory: at 30k nodes an n×n distance
-matrix alone would need 14.4 GB.  Run it in a process of its own, since
-the peak is process-wide::
+and builds its minimum-hop routing tree.  It then times the three things a
+fault run repeats on such a tree: one rebuild (1% of the leaves re-parented
+to their grandparents, as tree repair does through
+``tree_multi_reparented``), one ``TreeNetwork`` binding and one broadcast.
+It prints these times and the process's peak resident set on one line, and
+exits non-zero when the peak exceeds 1 GB, which guards the build's O(n)
+memory: at 30k nodes an n×n distance matrix alone would need 14.4 GB.  Run
+it in a process of its own, since the peak is process-wide::
 
     PYTHONPATH=src python benchmarks/deployment_scale.py          # 30,000 nodes
     PYTHONPATH=src python benchmarks/deployment_scale.py 10000
@@ -20,10 +24,28 @@ from time import perf_counter
 
 import numpy as np
 
-from repro import build_routing_tree, connected_random_graph
+from repro import (
+    EnergyLedger,
+    EnergyModel,
+    TreeNetwork,
+    build_routing_tree,
+    connected_random_graph,
+)
+from repro.network.tree import tree_multi_reparented
 
 RADIO_RANGE_M = 35.0
 PEAK_LIMIT_MB = 1024.0
+
+
+def grandparent_moves(tree, positions) -> list[tuple[int, int, float]]:
+    """Every hundredth leaf below depth 1, re-parented to its grandparent."""
+    parent = tree.parent_array
+    leaves = np.flatnonzero(tree.child_ptr[1:] == tree.child_ptr[:-1])
+    leaves = leaves[tree.depth_array[leaves] > 1][::100]
+    grand = parent[parent[leaves]]
+    delta = positions[leaves] - positions[grand]
+    distance = np.hypot(delta[:, 0], delta[:, 1])
+    return list(zip(leaves.tolist(), grand.tolist(), distance.tolist()))
 
 
 def main(argv: list[str]) -> int:
@@ -36,11 +58,27 @@ def main(argv: list[str]) -> int:
     built = perf_counter()
     tree = build_routing_tree(graph, root=0)
     done = perf_counter()
+
+    moves = grandparent_moves(tree, graph.positions)
+    ledger = EnergyLedger(tree.num_vertices, tree.root, EnergyModel(), RADIO_RANGE_M)
+    ledger.begin_round()
+    start_rebuild = perf_counter()
+    rebuilt = tree_multi_reparented(tree, moves)
+    start_bind = perf_counter()
+    net = TreeNetwork(rebuilt, ledger)
+    start_broadcast = perf_counter()
+    net.broadcast(16)
+    finished = perf_counter()
+
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     print(
-        f"{graph.num_vertices} vertices, tree depth {max(tree.depth)}: "
+        f"{graph.num_vertices} vertices, tree depth {int(tree.depth_array.max())}: "
         f"graph {built - start:.2f} s, "
-        f"tree {done - built:.2f} s, peak RSS {peak_mb:.0f} MB"
+        f"tree {done - built:.2f} s, "
+        f"rebuild ({len(moves)} moves) {(start_bind - start_rebuild) * 1e3:.2f} ms, "
+        f"bind {(start_broadcast - start_bind) * 1e3:.2f} ms, "
+        f"broadcast {(finished - start_broadcast) * 1e3:.2f} ms, "
+        f"peak RSS {peak_mb:.0f} MB"
     )
     if peak_mb > PEAK_LIMIT_MB:
         print(f"peak RSS above {PEAK_LIMIT_MB:.0f} MB")

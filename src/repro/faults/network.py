@@ -376,7 +376,7 @@ class FaultyTreeNetwork(TreeNetwork):
         has_virtual = bool(virtual)
         try:
             with session:
-                for vertex in self._order_no_root:
+                for vertex in tree.hop_order:
                     if not hp[vertex]:
                         continue
                     if down_list[vertex]:
@@ -479,11 +479,10 @@ class FaultyTreeNetwork(TreeNetwork):
                 if consumed:
                     rng_random(consumed)
 
-        arrays = self._arrays
-        parent_np = arrays.parent
+        parent_np = tree.parent_array
         delivered_up = np.array(edge_del, dtype=bool)
         reach = np.arange(n, dtype=np.int64)
-        for level in arrays.levels[1:]:
+        for level in tree.levels[1:]:
             reach[level] = np.where(
                 delivered_up[level], reach[parent_np[level]], level
             )

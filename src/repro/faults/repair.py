@@ -135,22 +135,13 @@ class RepairStats:
 def _cut_off(tree: RoutingTree, down: np.ndarray | None) -> set[int]:
     """Vertices whose tree path to the root passes a down vertex.
 
-    That is the union of the down vertices' subtrees.  The root's own state
-    is the fail-over's business, so a down root cuts nothing here.  Once a
-    pass has re-attached the orphans, only down vertices and parked
-    subtrees remain, so the walk is far below O(n) on most rounds.
+    That is the union of the down vertices' subtrees
+    (:meth:`~repro.network.tree.RoutingTree.below`).  The root's own state
+    is the fail-over's business, so a down root cuts nothing here.
     """
     if down is None:
         return set()
-    children = tree.children
-    stack = [v for v in np.flatnonzero(down).tolist() if v != tree.root]
-    cut: set[int] = set()
-    while stack:
-        vertex = stack.pop()
-        if vertex not in cut:
-            cut.add(vertex)
-            stack.extend(children[vertex])
-    return cut
+    return set(np.flatnonzero(tree.below(down)).tolist())
 
 
 class _WorkingTree:
@@ -174,8 +165,8 @@ class _WorkingTree:
 
     def __init__(self, tree: RoutingTree, cut: set[int]) -> None:
         self.root = tree.root
-        self.parent = list(tree.parent)
-        self.depth = list(tree.depth)
+        self.parent = tree.parent_array.tolist()
+        self.depth = tree.depth_array.tolist()
         rooted = [True] * tree.num_vertices
         for vertex in cut:
             rooted[vertex] = False

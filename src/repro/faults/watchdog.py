@@ -24,6 +24,8 @@ from __future__ import annotations
 
 from typing import Iterable
 
+import numpy as np
+
 from repro.errors import ConfigurationError
 from repro.network.tree import RoutingTree
 from repro.sim.engine import CollectionRecord
@@ -63,25 +65,25 @@ class RootWatchdog:
         self.patience = patience
         self.coverage_drop = coverage_drop
         self.full_fraction = full_fraction
-        self._branch = self._branch_map(tree)
         self._baseline_coverage = 1.0
-        self._baseline_branches = frozenset(
-            self._branch[v] for v in tree.sensor_nodes
-        )
+        self._baseline_branches = self._branches(tree.sensor_nodes)
         self._streak = 0
         #: Re-initializations recommended so far.
         self.triggered = 0
 
-    @staticmethod
-    def _branch_map(tree: RoutingTree) -> dict[int, int]:
-        """Each vertex's top-level ancestor (the root child of its branch)."""
-        branch: dict[int, int] = {tree.root: tree.root}
-        for vertex in tree.top_down_order:
-            if vertex == tree.root:
-                continue
-            parent = tree.parent[vertex]
-            branch[vertex] = vertex if parent == tree.root else branch[parent]
-        return branch
+    def _branches(self, vertices: Iterable[int]) -> frozenset[int]:
+        """The branches (root children, :attr:`RoutingTree.branch`) that
+        host ``vertices``.
+
+        The tree's branch array covers every vertex, so only an id outside
+        the tree can miss it; such an id counts as its own branch, which no
+        awaited branch ever is.
+        """
+        ids = np.fromiter(vertices, dtype=np.int64)
+        branch = self.tree.branch
+        inside = (ids >= 0) & (ids < len(branch))
+        ids[inside] = branch[ids[inside]]
+        return frozenset(ids.tolist())
 
     def is_full_collection(self, record: CollectionRecord, live: int) -> bool:
         """Whether ``record`` targeted (nearly) the whole live population."""
@@ -99,12 +101,9 @@ class RootWatchdog:
         if record.expected == 0 or not self._baseline_branches:
             return False
         coverage = record.coverage
-        # A contributor the branch map has never seen (adopted into the
-        # tree after the last retarget, or a promoted sink's re-rooted
-        # branch) counts as its own branch instead of KeyError-ing: an
-        # unknown vertex that *delivered* is never evidence of silence.
-        delivered_branches = {self._branch.get(v, v) for v in record.delivered}
-        silent_branches = self._baseline_branches - delivered_branches
+        silent_branches = self._baseline_branches - self._branches(
+            record.delivered
+        )
         suspicious = (
             coverage < self.coverage_drop * self._baseline_coverage
             or bool(silent_branches)
@@ -146,10 +145,9 @@ class RootWatchdog:
         collection on the new tree re-arms it at an honest level.
         """
         self.tree = tree
-        self._branch = self._branch_map(tree)
         if members is None:
             members = tree.sensor_nodes
-        self._baseline_branches = frozenset(self._branch[v] for v in members)
+        self._baseline_branches = self._branches(members)
         self._baseline_coverage = 0.0
         self._streak = 0
 
@@ -163,7 +161,5 @@ class RootWatchdog:
         if record.expected == 0:
             return
         self._baseline_coverage = record.coverage
-        self._baseline_branches = frozenset(
-            self._branch[v] for v in record.delivered
-        )
+        self._baseline_branches = self._branches(record.delivered)
         self._streak = 0

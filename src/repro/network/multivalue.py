@@ -62,7 +62,7 @@ def expand_tree(tree: RoutingTree, values_per_node: int) -> MultiValueExpansion:
             f"values_per_node must be >= 1, got {values_per_node}"
         )
     hosts = tree.sensor_nodes
-    parent = list(tree.parent)
+    parent = tree.parent_array.tolist()
     host_of = list(range(tree.num_vertices))
     slot_vertices: dict[int, list[int]] = {host: [host] for host in hosts}
     virtual: list[int] = []

@@ -1,15 +1,19 @@
 """The logical routing tree ``G_l`` of Section 2.
 
 All query traffic flows along this tree: convergecasts go child -> parent,
-broadcasts go parent -> children.  The tree is represented compactly by a
-parent array plus derived structures (children lists, a bottom-up traversal
-order, per-vertex depths and subtree sizes) that the simulation engine uses
-on every round.
+broadcasts go parent -> children.  The tree is a set of read-only per-vertex
+arrays (parent, link lengths, a children CSR, depths, breadth-first levels,
+subtree sizes, a preorder and the bottom-up hop order), derived once from
+the parent array when the tree is built.  This is the only module that
+derives structure from a parent array; the simulation engine, the faulty
+walk, the watchdog and tree repair all read these arrays.  Python loops that
+index the tree element by element read tuple views of the same arrays,
+built on first use.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Sequence
 
@@ -19,43 +23,148 @@ from repro.errors import TopologyError
 from repro.network.topology import bfs_levels, csr_pairs
 
 
-@dataclass(frozen=True)
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+@dataclass(frozen=True, eq=False, repr=False)
 class RoutingTree:
-    """A rooted tree over the network vertices.
+    """A rooted tree over the network vertices, as read-only arrays.
+
+    One tree is shared by the network, the watchdog, tree repair and every
+    runner of a deployment, so its arrays refuse in-place writes; the
+    rebuilders (:func:`tree_multi_reparented`, :meth:`with_relays`) return
+    new trees.
 
     Attributes:
         root: index of the root (sink) vertex.
-        parent: ``parent[v]`` is the parent of ``v``; ``parent[root] == -1``.
-        link_distance: Euclidean length [m] of the link ``v -> parent[v]``
+        parent_array: ``int64`` parent per vertex, ``-1`` at the root.
+        link_array: ``float64`` Euclidean length [m] of each vertex's uplink
             (0.0 for the root).  Kept for energy models where the transmit
             amplifier may depend on the actual link length rather than the
             nominal radio range.
+        child_ptr, child_index: the children in CSR form, siblings
+            ascending: the children of ``v`` are
+            ``child_index[child_ptr[v]:child_ptr[v + 1]]``.
+        depth_array: hop distance from the root per vertex.
+        levels: the breadth-first frontiers, ``levels[0] == [root]`` and
+            ``levels[d]`` the vertices at depth ``d``.  Broadcasts sweep
+            them top-down.
+        size_array: subtree size per vertex, itself included.
+        preorder: each vertex's position in a preorder (siblings visited in
+            descending index order); the subtree of ``v`` occupies exactly
+            the positions ``[preorder[v], preorder[v] + size_array[v])``.
+        bottom_up: the convergecast hop order, root excluded: children
+            before parents (see :attr:`bottom_up_order`).
+        relays: vertices that forward traffic but contribute no
+            measurements.  Empty in the paper's setting; the probabilistic
+            layered-sampling extension (Section 3.1 / [28]) marks
+            non-sampled nodes as relays.
     """
 
     root: int
-    parent: tuple[int, ...]
-    link_distance: tuple[float, ...]
-    children: tuple[tuple[int, ...], ...] = field(repr=False)
-    depth: tuple[int, ...] = field(repr=False)
-    bottom_up_order: tuple[int, ...] = field(repr=False)
-    subtree_size: tuple[int, ...] = field(repr=False)
-    #: Vertices that forward traffic but contribute no measurements.  Empty
-    #: in the paper's setting; the probabilistic layered-sampling extension
-    #: (Section 3.1 / [28]) marks non-sampled nodes as relays.
+    parent_array: np.ndarray
+    link_array: np.ndarray
+    child_ptr: np.ndarray
+    child_index: np.ndarray
+    depth_array: np.ndarray
+    levels: tuple[np.ndarray, ...]
+    size_array: np.ndarray
+    preorder: np.ndarray
+    bottom_up: np.ndarray
     relays: frozenset[int] = frozenset()
+
+    # Two trees are equal when they have the same root, parents, link
+    # lengths and relays; everything else derives from those.
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return (
+            self.root == other.root
+            and self.relays == other.relays
+            and np.array_equal(self.parent_array, other.parent_array)
+            and np.array_equal(self.link_array, other.link_array)
+        )
+
+    def __hash__(self) -> int:
+        # ``+ 0.0`` turns -0.0 into 0.0, which compares equal to it.
+        return hash(
+            (
+                self.root,
+                self.parent_array.tobytes(),
+                (self.link_array + 0.0).tobytes(),
+                self.relays,
+            )
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"RoutingTree(root={self.root!r}, parent={self.parent!r}, "
+            f"link_distance={self.link_distance!r}, relays={self.relays!r})"
+        )
 
     @property
     def num_vertices(self) -> int:
         """Total number of vertices, root included."""
-        return len(self.parent)
+        return len(self.parent_array)
 
     @property
     def num_sensor_nodes(self) -> int:
         """Number of measuring nodes ``|N|`` (root and relays excluded)."""
         return self.num_vertices - 1 - len(self.relays)
 
-    # The derived orders below are cached per instance (the tree is
-    # immutable; ``with_relays`` and the rebuilders return new instances).
+    # The views below are built on first use and cached per instance (the
+    # tree is immutable; ``with_relays`` and the rebuilders return new
+    # instances).  They hold Python ints and floats, whose reprs feed the
+    # pinned fingerprints; loops that index the tree one vertex at a time
+    # read them instead of the arrays.
+
+    @cached_property
+    def parent(self) -> tuple[int, ...]:
+        """``parent[v]`` is the parent of ``v``; ``parent[root] == -1``."""
+        return tuple(self.parent_array.tolist())
+
+    @cached_property
+    def link_distance(self) -> tuple[float, ...]:
+        """Uplink length [m] per vertex (0.0 for the root)."""
+        return tuple(self.link_array.tolist())
+
+    @cached_property
+    def children(self) -> tuple[tuple[int, ...], ...]:
+        """Each vertex's children, ascending."""
+        bounds = self.child_ptr.tolist()
+        kids = self.child_index.tolist()
+        return tuple(tuple(kids[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
+
+    @cached_property
+    def depth(self) -> tuple[int, ...]:
+        """Hop distance from the root per vertex."""
+        return tuple(self.depth_array.tolist())
+
+    @cached_property
+    def subtree_size(self) -> tuple[int, ...]:
+        """Subtree size per vertex, itself included."""
+        return tuple(self.size_array.tolist())
+
+    @cached_property
+    def hop_order(self) -> tuple[int, ...]:
+        """:attr:`bottom_up` as a tuple: the order a convergecast visits
+        its hops in."""
+        return tuple(self.bottom_up.tolist())
+
+    @cached_property
+    def bottom_up_order(self) -> tuple[int, ...]:
+        """Vertices ordered children-first, ending on the root: the reverse
+        of a stack search's top-down order, which pushes each popped
+        vertex's children ascending.  The faulty walk draws its random
+        values in this order, so it is part of the spec."""
+        return self.hop_order + (self.root,)
+
+    @cached_property
+    def top_down_order(self) -> tuple[int, ...]:
+        """Vertices ordered root-first (reverse of the bottom-up order)."""
+        return tuple(reversed(self.bottom_up_order))
 
     @cached_property
     def sensor_nodes(self) -> tuple[int, ...]:
@@ -65,6 +174,33 @@ class RoutingTree:
             for v in range(self.num_vertices)
             if v != self.root and v not in self.relays
         )
+
+    @cached_property
+    def branch(self) -> np.ndarray:
+        """Each vertex's top-level ancestor: the root child whose branch
+        holds it (the root maps to itself)."""
+        branch = np.arange(self.num_vertices, dtype=np.int64)
+        parent = self.parent_array
+        for level in self.levels[2:]:
+            branch[level] = branch[parent[level]]
+        return _read_only(branch)
+
+    def below(self, mask: np.ndarray) -> np.ndarray:
+        """Mask of the vertices in the subtree of some masked non-root
+        vertex, the masked ones included.
+
+        One cover over the preorder: each marked subtree adds one over its
+        range of positions, and a running sum finds the covered ones.  The
+        root's own state is not a subtree's, so a masked root covers
+        nothing.
+        """
+        marked = np.flatnonzero(mask)
+        marked = marked[marked != self.root]
+        start = self.preorder[marked]
+        n = self.num_vertices
+        cover = np.bincount(start, minlength=n + 1)
+        cover -= np.bincount(start + self.size_array[marked], minlength=n + 1)
+        return np.cumsum(cover[:n])[self.preorder] > 0
 
     def with_relays(self, relays: frozenset[int] | set[int]) -> "RoutingTree":
         """A copy of this tree with ``relays`` demoted to pure forwarders."""
@@ -76,22 +212,11 @@ class RoutingTree:
             raise TopologyError(f"relay vertices out of range: {out_of_range[:5]}")
         if len(relays) >= self.num_vertices - 1:
             raise TopologyError("at least one sensor node must remain")
-        from dataclasses import replace
-
         return replace(self, relays=relays)
-
-    @cached_property
-    def top_down_order(self) -> tuple[int, ...]:
-        """Vertices ordered root-first (reverse of the bottom-up order)."""
-        return tuple(reversed(self.bottom_up_order))
 
     def is_leaf(self, vertex: int) -> bool:
         """True iff ``vertex`` has no children."""
-        return not self.children[vertex]
-
-    def internal_vertices(self) -> tuple[int, ...]:
-        """Vertices with at least one child (these transmit on broadcasts)."""
-        return tuple(v for v in range(self.num_vertices) if self.children[v])
+        return bool(self.child_ptr[vertex] == self.child_ptr[vertex + 1])
 
     def path_to_root(self, vertex: int) -> list[int]:
         """The vertex sequence from ``vertex`` up to and including the root."""
@@ -99,16 +224,6 @@ class RoutingTree:
         while path[-1] != self.root:
             path.append(self.parent[path[-1]])
         return path
-
-    def subtree_vertices(self, vertex: int) -> tuple[int, ...]:
-        """All vertices of the subtree rooted at ``vertex`` (itself included)."""
-        out: list[int] = []
-        stack = [vertex]
-        while stack:
-            v = stack.pop()
-            out.append(v)
-            stack.extend(self.children[v])
-        return tuple(out)
 
 
 def tree_from_parents(
@@ -128,28 +243,34 @@ def tree_from_parents(
     for vertex, par in enumerate(parent):
         if vertex != root and not 0 <= par < n:
             raise TopologyError(f"vertex {vertex} has invalid parent {par}")
+    array = np.array(parent, dtype=np.int64)
     if positions is not None:
         pos = np.asarray(positions, dtype=float)
-        ends = np.array(parent)
+        ends = array.copy()
         ends[root] = root
         delta = pos[:n] - pos[ends]
-        link = np.hypot(delta[:, 0], delta[:, 1]).tolist()
+        link = np.hypot(delta[:, 0], delta[:, 1])
     else:
-        link = [0.0] * n
-    return _tree_from_parent_links(root, list(parent), link)
+        link = np.zeros(n)
+    return _tree_from_parent_links(root, array, link)
 
 
 def _tree_from_parent_links(
     root: int,
-    parent: list[int],
-    link: list[float],
+    parent: "Sequence[int] | np.ndarray",
+    link: "Sequence[float] | np.ndarray",
     relays: frozenset[int] = frozenset(),
 ) -> RoutingTree:
-    """Validate a parent array and derive the traversal structures."""
+    """Validate a parent array and derive the tree's arrays from it.
+
+    ``int64`` and ``float64`` arrays passed as ``parent`` and ``link``
+    become the tree's own (read-only) arrays, so callers pass arrays that
+    nothing else holds.
+    """
     n = len(parent)
     if parent[root] != -1:
         raise TopologyError("parent[root] must be -1")
-    par = np.array(parent, dtype=np.int64)
+    par = np.asarray(parent, dtype=np.int64)
     bad = (par < 0) | (par >= n) | (par == np.arange(n))
     bad[root] = False
     if bad.any():
@@ -185,24 +306,23 @@ def _tree_from_parent_links(
     # later sibling's subtree.
     later = np.cumsum(subtree[kids])
     later = later[indptr[par[kids] + 1] - 1] - later
-    pop_rank = np.zeros(n, dtype=np.int64)
-    pop_rank[kids] = later
+    preorder = np.zeros(n, dtype=np.int64)
+    preorder[kids] = later
     for level in levels[1:]:
-        pop_rank[level] += pop_rank[par[level]] + 1
-    _, top_down = csr_pairs(indptr, kids, np.argsort(pop_rank))
+        preorder[level] += preorder[par[level]] + 1
+    _, top_down = csr_pairs(indptr, kids, np.argsort(preorder))
 
-    bounds = indptr.tolist()
-    siblings = kids.tolist()
     return RoutingTree(
         root=root,
-        parent=tuple(parent),
-        link_distance=tuple(link),
-        children=tuple(
-            tuple(siblings[lo:hi]) for lo, hi in zip(bounds, bounds[1:])
-        ),
-        depth=tuple(depth.tolist()),
-        bottom_up_order=tuple(top_down[::-1].tolist()) + (root,),
-        subtree_size=tuple(subtree.tolist()),
+        parent_array=_read_only(par),
+        link_array=_read_only(np.asarray(link, dtype=np.float64)),
+        child_ptr=_read_only(indptr),
+        child_index=_read_only(kids),
+        depth_array=_read_only(depth),
+        levels=tuple(_read_only(level) for level in levels),
+        size_array=_read_only(subtree),
+        preorder=_read_only(preorder),
+        bottom_up=_read_only(top_down[::-1].copy()),
         relays=relays,
     )
 
@@ -240,8 +360,8 @@ def tree_multi_reparented(
         raise TopologyError(f"new root {root} out of range")
     if root in tree.relays:
         raise TopologyError(f"new root {root} is a relay")
-    parent = list(tree.parent)
-    link = list(tree.link_distance)
+    parent = tree.parent_array.copy()
+    link = tree.link_array.copy()
     for vertex, new_parent, link_distance in moves:
         if vertex == root or (new_root is None and vertex == tree.root):
             raise TopologyError("cannot re-parent the root")
@@ -252,7 +372,7 @@ def tree_multi_reparented(
                 f"link_distance must be >= 0, got {link_distance}"
             )
         parent[vertex] = new_parent
-        link[vertex] = float(link_distance)
+        link[vertex] = link_distance
     parent[root] = -1
     link[root] = 0.0
     return _tree_from_parent_links(root, parent, link, relays=tree.relays)

@@ -221,22 +221,6 @@ class EnergyLedger:
             return float("inf")
         return self._model.initial_energy / hottest
 
-    def depletion_round(self) -> int | None:
-        """First archived round index at which some sensor battery ran dry.
-
-        Exact replay over the archived per-round history; ``None`` when all
-        sensor nodes survive every archived round.
-        """
-        if not self.round_energy_history:
-            return None
-        cumulative = np.zeros(self.num_vertices)
-        mask = self.sensor_mask()
-        for index, round_energy in enumerate(self.round_energy_history):
-            cumulative += round_energy
-            if (cumulative[mask] > self._model.initial_energy).any():
-                return index
-        return None
-
     def totals(self) -> TrafficCounters:
         """Network-wide cumulative totals."""
         return TrafficCounters(

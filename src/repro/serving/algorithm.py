@@ -590,14 +590,6 @@ class MultiQuerySketch(ContinuousQuantileAlgorithm):
             return values[:0]
         return values[target.scope_mask & self._mask]
 
-    def grid_answers(self) -> dict[float, tuple[int | None, float]]:
-        """Global φ targets' ``(value, eps)`` — the harness's φ-grid axis."""
-        out: dict[float, tuple[int | None, float]] = {}
-        for target in self.targets.values():
-            if target.plan.kind == "phi" and target.plan.is_global:
-                out[float(target.plan.phi)] = (target.value, target.eps)
-        return out
-
     # -- repair hooks (repro.faults.repair) -----------------------------------
 
     def detach(self, net: TreeNetwork, vertex: int) -> None:

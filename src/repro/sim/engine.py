@@ -57,7 +57,6 @@ from repro.network.tree import RoutingTree
 from repro.radio.ledger import EnergyLedger
 from repro.radio.message import ack_cost, message_bits
 from repro.sim.vectorized import (
-    TreeArrays,
     expand_arq_charges,
     fold_columns,
     held_vertices,
@@ -306,22 +305,19 @@ class TreeNetwork:
             mask = np.zeros(tree.num_vertices, dtype=bool)
             mask[list(virtual)] = True
             self._virtual_mask = mask
-        self._refresh_cached_arrays()
+        self._refresh_send_cost()
 
     @property
     def num_sensor_nodes(self) -> int:
         """Number of measuring nodes ``|N|``."""
         return self.tree.num_sensor_nodes
 
-    def _refresh_cached_arrays(self) -> None:
-        """Rebuild the struct-of-arrays tree view after a tree swap."""
-        tree = self.tree
-        self._arrays = TreeArrays(tree)
-        self._order_no_root = tree.bottom_up_order[:-1]
+    def _refresh_send_cost(self) -> None:
+        """Rebuild the per-link send cost after a tree swap."""
         model = self.ledger.model
         if model.per_link_distance:
             self._send_cpb_array = send_cost_per_bit_array(
-                model, self.ledger.radio_range, tree.link_distance
+                model, self.ledger.radio_range, self.tree.link_distance
             )
         else:
             self._send_cpb_array = None
@@ -353,7 +349,7 @@ class TreeNetwork:
         if tree.relays != self.tree.relays:
             raise ProtocolError("retarget changed the relay set")
         self.tree = tree
-        self._refresh_cached_arrays()
+        self._refresh_send_cost()
 
     # -- fault seam -----------------------------------------------------------
     #
@@ -437,7 +433,7 @@ class TreeNetwork:
                 return self._log_silent()
             hops = decide(ids)
             senders, sums, root_sums = fold_columns(
-                self._arrays,
+                self.tree,
                 ids,
                 contributions.columns(),
                 holders=hops.senders,
@@ -466,15 +462,15 @@ class TreeNetwork:
             for vertex in contributors:
                 if down[vertex]:
                     accumulated[vertex] = None
+        tree = self.tree
         delivered_up = hops.delivered_up
         if delivered_up is None:
             # Every uplink delivers: visit only the vertices whose subtree
             # holds a contribution.
-            arrays = self._arrays
-            visit = held_vertices(arrays, preorder_rank(arrays, ids)).tolist()
+            visit = held_vertices(tree, preorder_rank(tree, ids)).tolist()
         else:
-            visit = self._order_no_root
-        parent = self.tree.parent
+            visit = tree.hop_order
+        parent = tree.parent
         holders: list[int] = []
         bits: list[int] = []
         values: list[int] = []
@@ -505,7 +501,7 @@ class TreeNetwork:
             )
         self._charge_hops(hops, senders, hop_bits, hop_values)
         self._log_delivered(hops, ids, lambda: frozenset(contributors))
-        return accumulated[self.tree.root]
+        return accumulated[tree.root]
 
     def _log_silent(self) -> None:
         """Book a convergecast in which nobody contributed."""
@@ -557,7 +553,7 @@ class TreeNetwork:
         phase_total = 0
         if len(senders):
             frames, hop_bits = frame_costs(payload_bits)
-            receivers = self._arrays.parent[senders]
+            receivers = self.tree.parent_array[senders]
             parent_up = None
             if hops.attempts is not None:
                 # The per-attempt records are in the walk's own hop order.
@@ -611,32 +607,32 @@ class TreeNetwork:
         """
         if payload_bits < 0:
             raise ProtocolError(f"payload_bits must be >= 0, got {payload_bits}")
-        arrays = self._arrays
         tree = self.tree
         self.exchanges += 1
         cost = message_bits(payload_bits)
-        n = arrays.num_vertices
+        n = tree.num_vertices
         root = tree.root
+        has_children = tree.child_ptr[1:] > tree.child_ptr[:-1]
         down = self._down_mask()
         if down is None:
-            senders_mask = arrays.has_children
+            senders_mask = has_children
             receivers_mask = np.ones(n, dtype=bool)
             receivers_mask[root] = False
             reached_count = n - 1
         else:
-            parent = arrays.parent
+            parent = tree.parent_array
             reached = np.zeros(n, dtype=bool)
             reached[root] = True
             live_sender = ~down
             live_sender[root] = True
-            for level in arrays.levels[1:]:
+            for level in tree.levels[1:]:
                 parents_of_level = parent[level]
                 reached[level] = (
                     reached[parents_of_level]
                     & live_sender[parents_of_level]
                     & live_sender[level]
                 )
-            senders_mask = reached & arrays.has_children & live_sender
+            senders_mask = reached & has_children & live_sender
             reached_count = int(reached.sum()) - 1
             receivers_mask = reached.copy()
             receivers_mask[root] = False

@@ -5,11 +5,6 @@ scalar numpy update at a time is fine at 30 nodes, ruinous at 30k.  This
 module holds the pieces that turn a round of :mod:`repro.sim.engine` into
 a handful of segmented array operations:
 
-* :class:`TreeArrays` — a per-vertex array view of a
-  :class:`~repro.network.tree.RoutingTree` (parent, depth, topological
-  levels, bottom-up order, children mask, link lengths).  Built once per
-  tree and reused every round; :meth:`TreeNetwork.retarget` rebuilds it.
-
 * :class:`ChargeLog` — an ordered recorder with the
   ``charge_send``/``charge_recv`` signature of
   :class:`~repro.radio.ledger.EnergyLedger`.  Joules are computed at log
@@ -26,7 +21,9 @@ a handful of segmented array operations:
   module stays free of engine imports) hands it contributor ids and
   integer add-fold columns; every hop's column sums come out as two
   prefix-sum differences over the tree's preorder, with no per-hop
-  payload objects and no per-level scatter.
+  payload objects and no per-level scatter.  It reads the arrays the
+  :class:`~repro.network.tree.RoutingTree` derived when it was built
+  (preorder, subtree sizes, bottom-up order) and builds no tree view.
 
 The engine keeps its object API on top of these (see ``DESIGN.md``,
 "Vectorized simulation core"); algorithms never see this module.
@@ -44,136 +41,36 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.radio.message import MessageCost
 
 
-class TreeArrays:
-    """Per-vertex array view of a routing tree, cached across rounds.
-
-    Attributes:
-        num_vertices: total vertex count, root included.
-        root: the sink vertex.
-        parent: ``int64`` parent index per vertex (root maps to itself so
-            fancy indexing never walks out of bounds; the root never sends).
-        depth: hop distance from the root per vertex.
-        link_distance: ``float64`` uplink length per vertex.
-        levels: index arrays grouping vertices by depth, ``levels[0]`` being
-            ``[root]``.  Broadcasts sweep them top-down, the segmented
-            convergecast sweeps them bottom-up.
-        bottom_up_no_root: the tree's bottom-up traversal order minus the
-            root — the canonical hop order of a convergecast.
-        has_children: boolean mask of internal vertices (broadcast senders).
-
-    The preorder bounds the columnar fold needs (:meth:`preorder`) are
-    built on first use, so constructing the view stays as cheap as it was
-    for networks that never fold a batch.
-    """
-
-    __slots__ = (
-        "num_vertices",
-        "root",
-        "parent",
-        "depth",
-        "link_distance",
-        "levels",
-        "bottom_up_no_root",
-        "has_children",
-        "_subtree_size",
-        "_preorder",
-    )
-
-    def __init__(self, tree: "RoutingTree") -> None:
-        self._subtree_size = tree.subtree_size
-        self._preorder: tuple[np.ndarray, ...] | None = None
-        n = tree.num_vertices
-        self.num_vertices = n
-        self.root = tree.root
-        parent = np.array(tree.parent, dtype=np.int64)
-        parent[tree.root] = tree.root
-        self.parent = parent
-        self.depth = np.array(tree.depth, dtype=np.int64)
-        self.link_distance = np.array(tree.link_distance, dtype=np.float64)
-        order = np.argsort(self.depth, kind="stable")
-        boundaries = np.searchsorted(
-            self.depth[order], np.arange(int(self.depth.max()) + 2)
-        )
-        self.levels = [
-            order[boundaries[d] : boundaries[d + 1]]
-            for d in range(len(boundaries) - 1)
-        ]
-        # bottom_up_order ends on the root (it is the reverse of a
-        # root-first traversal), so dropping the last entry drops the root.
-        self.bottom_up_no_root = np.array(
-            tree.bottom_up_order[:-1], dtype=np.int64
-        )
-        self.has_children = np.array(
-            [len(kids) > 0 for kids in tree.children], dtype=bool
-        )
-
-    def preorder(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-vertex preorder bounds ``(start, end)``, built on first use.
-
-        The subtree of ``v`` occupies exactly the preorder positions
-        ``start[v] <= p < end[v]``, so a sum over a subtree's contributors
-        is the difference of two prefix sums.  Siblings are laid out in
-        vertex order, each after the subtrees of the siblings before it.
-        """
-        return self._bounds()[:2]
-
-    def _bounds(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """``(start, end)`` per vertex, then the same two gathered in
-        :attr:`bottom_up_no_root` order."""
-        if self._preorder is None:
-            parent = self.parent
-            size = np.array(self._subtree_size, dtype=np.int64)
-            child = np.flatnonzero(parent != np.arange(self.num_vertices))
-            child = child[np.argsort(parent[child], kind="stable")]
-            sizes = size[child]
-            before = np.cumsum(sizes) - sizes
-            group = parent[child]
-            first = np.ones(len(child), dtype=bool)
-            first[1:] = group[1:] != group[:-1]
-            # ``before`` never decreases, so a running maximum over the
-            # group starts carries each sibling group's base forward.
-            base = np.maximum.accumulate(np.where(first, before, 0))
-            offset = np.zeros(self.num_vertices, dtype=np.int64)
-            offset[child] = before - base
-            start = np.zeros(self.num_vertices, dtype=np.int64)
-            for level in self.levels[1:]:
-                start[level] = start[parent[level]] + 1 + offset[level]
-            end = start + size
-            order = self.bottom_up_no_root
-            self._preorder = (start, end, start[order], end[order])
-        return self._preorder
-
-
-def preorder_rank(arrays: TreeArrays, ids: np.ndarray) -> np.ndarray:
+def preorder_rank(tree: "RoutingTree", ids: np.ndarray) -> np.ndarray:
     """``rank[p]``: how many of the unique vertices ``ids`` sit at preorder
     positions before ``p`` (``n + 1`` entries).
 
     The sort is a scatter: preorder positions are unique, so marking them
     and taking a running count gives every vertex its rank, and a subtree
-    ``[start[v], end[v])`` holds ``rank[end[v]] - rank[start[v]]`` of them.
+    ``[start, start + size)`` holds ``rank[start + size] - rank[start]``
+    of them.
     """
-    start, _ = arrays.preorder()
-    rank = np.zeros(arrays.num_vertices + 1, dtype=np.int64)
-    rank[start[ids] + 1] = 1
+    rank = np.zeros(tree.num_vertices + 1, dtype=np.int64)
+    rank[tree.preorder[ids] + 1] = 1
     np.cumsum(rank, out=rank)
     return rank
 
 
 def held_vertices(
-    arrays: TreeArrays, rank: np.ndarray, exclude: np.ndarray | None = None
+    tree: "RoutingTree", rank: np.ndarray, exclude: np.ndarray | None = None
 ) -> np.ndarray:
     """The bottom-up vertices (root excluded) whose subtree holds a ranked
     vertex (:func:`preorder_rank`), minus the ``exclude`` mask."""
-    _, _, start, end = arrays._bounds()
-    order = arrays.bottom_up_no_root
-    held = rank[end] > rank[start]
+    start = tree.preorder
+    held = rank[start + tree.size_array] > rank[start]
     if exclude is not None:
-        held &= ~exclude[order]
-    return order[held]
+        held &= ~exclude
+    order = tree.bottom_up
+    return order[held[order]]
 
 
 def fold_columns(
-    arrays: TreeArrays,
+    tree: "RoutingTree",
     ids: np.ndarray,
     cols: np.ndarray,
     holders: np.ndarray | None = None,
@@ -189,7 +86,8 @@ def fold_columns(
     reached the root).  So the holder ``v`` sums its preorder range minus
     the contributions whose ``top`` lies strictly inside its subtree —
     two prefix sums over contributors sorted by preorder position
-    (:func:`preorder_rank`).
+    (:func:`preorder_rank`).  Any preorder would do: the sums add integers
+    over contiguous subtree ranges.
 
     ``holders`` defaults to :func:`held_vertices` minus the ``exclude``
     mask.  Returns ``(holders, sums, root_sums)``: one row of ``sums`` per
@@ -197,21 +95,22 @@ def fold_columns(
     root.  Temporaries stay at contributors x columns plus a few
     per-vertex vectors.
     """
-    start, end = arrays.preorder()
-    n = arrays.num_vertices
+    start = tree.preorder
+    n = tree.num_vertices
     m, c = cols.shape
-    rank = preorder_rank(arrays, ids)
+    rank = preorder_rank(tree, ids)
     if holders is None:
-        holders = held_vertices(arrays, rank, exclude)
+        holders = held_vertices(tree, rank, exclude)
     prefix = np.zeros((m + 1, c), dtype=np.int64)
     prefix[rank[start[ids]] + 1] = cols
     np.cumsum(prefix, axis=0, out=prefix)
-    lo, hi = start[holders], end[holders]
+    lo = start[holders]
+    hi = lo + tree.size_array[holders]
     sums = prefix[rank[hi]]
     sums -= prefix[rank[lo]]
     root_sums = prefix[m]
     if top is not None:
-        stuck = top != arrays.root
+        stuck = top != tree.root
         if stuck.any():
             # Same scatter-rank trick over the stuck contributions' tops;
             # several may share a top, so their rows add up in one scatter.

@@ -214,18 +214,6 @@ class QDigest:
         """The compression parameter ``ceil(L / eps)``."""
         return _kappa(self.eps, self.levels)
 
-    def internal_counts_bounded(self) -> bool:
-        """True when every internal node respects the ``n // kappa`` bound.
-
-        This is the soundness invariant behind the deterministic error
-        guarantee; tests assert it after arbitrary merge trees.
-        """
-        leaf_base = 1 << self.levels
-        bound = self.n // self.kappa
-        return all(
-            count <= bound for node, count in self.entries if node < leaf_base
-        )
-
     @cached_property
     def _index(self) -> _QueryIndex:
         """The query index, built on the first query (the digest is immutable).

@@ -31,6 +31,7 @@ from repro.network.topology import PhysicalGraph
 from repro.network.tree import RoutingTree
 from repro.radio.energy import EnergyModel
 from repro.radio.ledger import EnergyLedger
+from repro.serving.algorithm import MultiQuerySketch
 from repro.sim.engine import TreeNetwork
 from repro.sim.oracle import exact_quantile, quantile_rank, rank_error
 from repro.types import QuerySpec, RoundOutcome
@@ -208,15 +209,14 @@ def _assert_phi_grid_invariant(
 ) -> None:
     """The φ-grid axis: every served grid point is monotone and in budget.
 
-    Algorithms exposing ``grid_answers()`` (the multi-query serving gate)
-    get their whole global φ-grid checked against the oracle on the final
+    The multi-query serving gate gets its whole global φ-grid
+    (:func:`grid_answers`) checked against the oracle on the final
     trustworthy round: values non-decreasing in φ, every value within its
     own ``eps * n`` rank budget.
     """
-    grid_answers = getattr(algorithm, "grid_answers", None)
-    if grid_answers is None:
+    if not isinstance(algorithm, MultiQuerySketch):
         return
-    grid = grid_answers()
+    grid = grid_answers(algorithm)
     participants = list(report.participating)
     values = workload.values(report.round_index)[participants]
     previous_value = None
@@ -254,3 +254,45 @@ def random_rounds(
         values = np.clip(base + noise + int(round(drift * t)), low, high)
         rounds.append(values.astype(np.int64))
     return rounds
+
+
+def grid_answers(
+    sketch: MultiQuerySketch,
+) -> dict[float, tuple[int | None, float]]:
+    """Global φ targets' ``(value, eps)`` — the harness's φ-grid axis."""
+    out: dict[float, tuple[int | None, float]] = {}
+    for target in sketch.targets.values():
+        if target.plan.kind == "phi" and target.plan.is_global:
+            out[float(target.plan.phi)] = (target.value, target.eps)
+    return out
+
+
+def depletion_round(ledger: EnergyLedger) -> int | None:
+    """First archived round index at which some sensor battery ran dry.
+
+    Exact replay over the ledger's archived per-round history; ``None``
+    when all sensor nodes survive every archived round.
+    """
+    if not ledger.round_energy_history:
+        return None
+    cumulative = np.zeros(ledger.num_vertices)
+    mask = ledger.sensor_mask()
+    for index, round_energy in enumerate(ledger.round_energy_history):
+        cumulative += round_energy
+        if (cumulative[mask] > ledger.model.initial_energy).any():
+            return index
+    return None
+
+
+def internal_counts_bounded(digest) -> bool:
+    """True when every internal node of a q-digest respects the
+    ``n // kappa`` bound.
+
+    This is the soundness invariant behind the deterministic error
+    guarantee; tests assert it after arbitrary merge trees.
+    """
+    leaf_base = 1 << digest.levels
+    bound = digest.n // digest.kappa
+    return all(
+        count <= bound for node, count in digest.entries if node < leaf_base
+    )

@@ -11,7 +11,14 @@ they are the oracle ``tests/test_topology_equivalence.py`` pins the array
 builders to.
 
 :class:`ReferenceGraph` is the tuple-of-tuples graph they run on;
-:func:`build_routing_tree` also runs on a ``PhysicalGraph``.
+:func:`build_routing_tree` also runs on a ``PhysicalGraph``.  The tree
+builders return a :class:`ReferenceTree`, a record of the tuple fields a
+``RoutingTree`` exposes.
+
+The walkers at the end take a ``RoutingTree`` and derive by stack search
+what it reads off its levels and preorder: each vertex's root branch (the
+watchdog's old branch map), the vertices cut off below down vertices (tree
+repair's old walk), and the subtree and internal-vertex lists.
 """
 
 from __future__ import annotations
@@ -85,7 +92,21 @@ def build_physical_graph(positions: np.ndarray, radio_range: float) -> Reference
     )
 
 
-def build_routing_tree(graph, root: int = 0) -> RoutingTree:
+@dataclass(frozen=True)
+class ReferenceTree:
+    """A routing tree's tuple fields, as the stack search derives them."""
+
+    root: int
+    parent: tuple[int, ...]
+    link_distance: tuple[float, ...]
+    children: tuple[tuple[int, ...], ...]
+    depth: tuple[int, ...]
+    bottom_up_order: tuple[int, ...]
+    subtree_size: tuple[int, ...]
+    relays: frozenset[int] = frozenset()
+
+
+def build_routing_tree(graph, root: int = 0) -> ReferenceTree:
     """Build a minimum-hop Shortest Path Tree rooted at ``root``.
 
     Breadth-first search from the root assigns every vertex the parent that
@@ -132,8 +153,8 @@ def tree_from_parents(
     root: int,
     parent: list[int],
     positions: np.ndarray | None = None,
-) -> RoutingTree:
-    """Construct a validated :class:`RoutingTree` from a parent array."""
+) -> ReferenceTree:
+    """Construct a validated :class:`ReferenceTree` from a parent array."""
     n = len(parent)
     if not 0 <= root < n:
         raise TopologyError(f"root {root} out of range for {n} vertices")
@@ -156,7 +177,7 @@ def tree_from_parent_links(
     parent: list[int],
     link: list[float],
     relays: frozenset[int] = frozenset(),
-) -> RoutingTree:
+) -> ReferenceTree:
     """Validate a parent array and derive the traversal structures."""
     n = len(parent)
     if parent[root] != -1:
@@ -197,7 +218,7 @@ def tree_from_parent_links(
         if vertex != root:
             subtree[parent[vertex]] += subtree[vertex]
 
-    return RoutingTree(
+    return ReferenceTree(
         root=root,
         parent=tuple(parent),
         link_distance=tuple(link),
@@ -214,3 +235,49 @@ def vertex_parent_check(vertex: int, parent: int) -> int:
     if vertex == parent:
         raise TopologyError(f"vertex {vertex} is its own parent")
     return parent
+
+
+def branch_map(tree: RoutingTree) -> dict[int, int]:
+    """Each vertex's top-level ancestor (the root child of its branch)."""
+    branch: dict[int, int] = {tree.root: tree.root}
+    for vertex in tree.top_down_order:
+        if vertex == tree.root:
+            continue
+        parent = tree.parent[vertex]
+        branch[vertex] = vertex if parent == tree.root else branch[parent]
+    return branch
+
+
+def cut_off(tree: RoutingTree, down: np.ndarray | None) -> set[int]:
+    """Vertices whose tree path to the root passes a down vertex.
+
+    That is the union of the down vertices' subtrees.  The root's own state
+    is the fail-over's business, so a down root cuts nothing here.
+    """
+    if down is None:
+        return set()
+    children = tree.children
+    stack = [v for v in np.flatnonzero(down).tolist() if v != tree.root]
+    cut: set[int] = set()
+    while stack:
+        vertex = stack.pop()
+        if vertex not in cut:
+            cut.add(vertex)
+            stack.extend(children[vertex])
+    return cut
+
+
+def subtree_vertices(tree: RoutingTree, vertex: int) -> tuple[int, ...]:
+    """All vertices of the subtree rooted at ``vertex`` (itself included)."""
+    out: list[int] = []
+    stack = [vertex]
+    while stack:
+        v = stack.pop()
+        out.append(v)
+        stack.extend(tree.children[v])
+    return tuple(out)
+
+
+def internal_vertices(tree: RoutingTree) -> tuple[int, ...]:
+    """Vertices with at least one child (these transmit on broadcasts)."""
+    return tuple(v for v in range(tree.num_vertices) if tree.children[v])

@@ -55,7 +55,6 @@ from repro.radio.ledger import EnergyLedger
 from repro.serving import GroupByQuery, QueryRegistry
 from repro.serving.algorithm import MultiQuerySketch
 from repro.sim.engine import TreeNetwork
-from repro.sim.vectorized import TreeArrays
 from repro.sketch import DigestBatch, one_value_digests
 from repro.types import QuerySpec
 
@@ -63,6 +62,7 @@ from tests import test_vectorized
 from tests.batch_kinds import KINDS, CountBatch, make_batch
 from tests.helpers import drive
 from tests.reference_engine import ReferenceFaultyTreeNetwork
+from tests.reference_topology import subtree_vertices
 from tests.test_fault_sampling import states_equal
 from tests.test_vectorized import (
     RADIO_RANGE,
@@ -291,13 +291,14 @@ class TestSketchCollectionPaths:
 
 def test_preorder_ranges_are_subtrees():
     tree = random_tree(40, seed=7)
-    start, end = TreeArrays(tree).preorder()
+    start = tree.preorder
+    end = start + tree.size_array
     assert sorted(start.tolist()) == list(range(tree.num_vertices))
     for vertex in range(tree.num_vertices):
         inside = {
             v for v in range(tree.num_vertices) if start[vertex] <= start[v] < end[vertex]
         }
-        assert inside == set(tree.subtree_vertices(vertex))
+        assert inside == set(subtree_vertices(tree, vertex))
 
 
 def faulty_pair(tree, plan_factory, arq_factory, virtual=frozenset()):

@@ -13,6 +13,8 @@ from repro.radio.energy import EnergyModel
 from repro.radio.ledger import EnergyLedger
 from repro.sim.engine import Payload, TreeNetwork
 
+from tests.reference_topology import internal_vertices
+
 
 @dataclass(frozen=True)
 class SumPayload(Payload):
@@ -99,7 +101,7 @@ class TestBroadcast:
     def test_internal_vertices_send_once(self, small_net: TreeNetwork):
         small_net.broadcast(16)
         sent = small_net.ledger.messages_sent
-        for vertex in small_net.tree.internal_vertices():
+        for vertex in internal_vertices(small_net.tree):
             assert sent[vertex] == 1
         for vertex in range(small_net.tree.num_vertices):
             if small_net.tree.is_leaf(vertex):
@@ -114,7 +116,7 @@ class TestBroadcast:
 
     def test_bits_include_header(self, small_net: TreeNetwork):
         small_net.broadcast(16)
-        internal = len(small_net.tree.internal_vertices())
+        internal = len(internal_vertices(small_net.tree))
         assert small_net.ledger.bits_sent.sum() == internal * (HEADER_BITS + 16)
 
     def test_negative_payload_rejected(self, small_net: TreeNetwork):

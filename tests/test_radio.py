@@ -10,6 +10,8 @@ from repro.radio.energy import EnergyModel
 from repro.radio.ledger import EnergyLedger
 from repro.radio.message import fragment_count, message_bits
 
+from tests.helpers import depletion_round
+
 
 class TestFragmentation:
     def test_small_payload_single_frame(self):
@@ -151,14 +153,14 @@ class TestEnergyLedger:
             ledger.begin_round()
             ledger.charge_send(1, message_bits(1000))
             ledger.end_round()
-        assert ledger.depletion_round() == 0
+        assert depletion_round(ledger) == 0
 
     def test_depletion_none_when_healthy(self):
         ledger = self.make_ledger()
         ledger.begin_round()
         ledger.charge_send(1, message_bits(8))
         ledger.end_round()
-        assert ledger.depletion_round() is None
+        assert depletion_round(ledger) is None
 
     def test_totals(self):
         ledger = self.make_ledger()

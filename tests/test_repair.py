@@ -27,6 +27,7 @@ from repro.network.tree import RoutingTree, tree_from_parents, tree_multi_repare
 from repro.types import QuerySpec
 
 from tests.helpers import SequenceWorkload
+from tests.reference_topology import subtree_vertices
 
 RANGE = 10.0
 
@@ -42,7 +43,7 @@ def tree_reparented(
         raise TopologyError("cannot re-parent the root")
     if not 0 <= new_parent < tree.num_vertices:
         raise TopologyError(f"new parent {new_parent} out of range")
-    if new_parent in tree.subtree_vertices(vertex):
+    if new_parent in subtree_vertices(tree, vertex):
         raise TopologyError(
             f"new parent {new_parent} lies inside the subtree of {vertex}"
         )

@@ -17,6 +17,8 @@ from repro.errors import ConfigurationError, ProtocolError
 from repro.sim.oracle import rank_error
 from repro.sketch import QDigest
 
+from tests.helpers import internal_counts_bounded
+
 R_MIN, R_MAX = 0, 127
 
 multisets = st.lists(st.integers(R_MIN, R_MAX), min_size=1, max_size=200)
@@ -57,7 +59,7 @@ class TestQDigestProperties:
         digest = merge_in_random_shape(values, eps, data)
         n = len(values)
         assert digest.n == n
-        assert digest.internal_counts_bounded()
+        assert internal_counts_bounded(digest)
         for k in {1, max(1, n // 2), n}:
             assert measured_rank_error(values, digest, k) <= eps * n
 

@@ -11,6 +11,12 @@ The random fields aim at the cell list's edges: points exactly on
 multiples of the range and on cell boundaries, lattices whose neighbours
 sit exactly one range apart, duplicate points, coordinates far off the
 field or negative, and one- or two-point deployments.
+
+``TestDerivedStructures`` pins what the tree reads off its arrays alone
+(preorder ranges, levels, the hop order, the children CSR, each vertex's
+branch and the cover below a mask) against stack-search oracles, on trees
+built every way a run builds them: from a parent array, re-parented,
+re-rooted and with relays.
 """
 
 from __future__ import annotations
@@ -252,7 +258,7 @@ class TestTreeBuilders:
             parent[vertex] = int(rng.choice([-1, n, n + 7]))
         elif fault == "cycle":
             # Re-attach a vertex under itself or a descendant.
-            below = tree_from_parents(root, parent).subtree_vertices(vertex)
+            below = ref.subtree_vertices(tree_from_parents(root, parent), vertex)
             parent[vertex] = below[int(rng.integers(0, len(below)))]
         else:
             parent[root] = others[0]
@@ -265,3 +271,113 @@ class TestTreeBuilders:
             assert outcome(_tree_from_parent_links, root, parent, links) == outcome(
                 ref.tree_from_parent_links, root, parent, links
             )
+
+
+@st.composite
+def routing_trees(draw):
+    """``(tree, rng)``: a random recursive tree, then possibly re-parented
+    by random moves (re-rooted along the successor's path or not) and
+    possibly given relays."""
+    root, parent, positions, rng = draw(recursive_trees())
+    tree = tree_from_parents(root, parent, positions)
+    n = tree.num_vertices
+    if draw(st.booleans()):
+        new_root, moves = None, []
+        if draw(st.booleans()):
+            new_root = int(rng.integers(0, n))
+            path = tree.path_to_root(new_root)
+            moves += [(path[i + 1], path[i], 1.5) for i in range(len(path) - 1)]
+        for _ in range(draw(st.integers(0, 6))):
+            vertex = int(rng.integers(0, n))
+            if vertex not in (root, new_root):
+                moves.append(
+                    (vertex, int(rng.integers(0, n)), float(rng.uniform(0, 40)))
+                )
+        try:
+            tree = tree_multi_reparented(tree, moves, new_root=new_root)
+        except TopologyError:
+            pass  # the moves closed a cycle; keep the tree they started from
+    if n > 2 and draw(st.booleans()):
+        relays = frozenset(
+            int(v) for v in rng.choice(n, size=min(3, n - 2), replace=False)
+        )
+        tree = tree.with_relays(relays - {tree.root})
+    return tree, rng
+
+
+class TestDerivedStructures:
+    @settings(max_examples=200, deadline=None)
+    @given(routing_trees())
+    def test_arrays_equal_their_oracles(self, drawn):
+        tree, rng = drawn
+        n, root = tree.num_vertices, tree.root
+        oracle = ref.tree_from_parent_links(
+            root, list(tree.parent), list(tree.link_distance), tree.relays
+        )
+        # Preorder ranges are exactly the subtrees.
+        start = tree.preorder
+        assert sorted(start.tolist()) == list(range(n))
+        at = np.argsort(start)
+        for vertex in range(n):
+            inside = at[start[vertex] : start[vertex] + tree.size_array[vertex]]
+            assert set(inside.tolist()) == set(ref.subtree_vertices(tree, vertex))
+        # The BFS levels are the depth groups.
+        depth = np.array(oracle.depth)
+        assert [sorted(level.tolist()) for level in tree.levels] == [
+            np.flatnonzero(depth == d).tolist() for d in range(depth.max() + 1)
+        ]
+        # The hop order plus the root is the stack search's bottom-up order.
+        assert tuple(tree.bottom_up.tolist()) + (root,) == oracle.bottom_up_order
+        assert tree.hop_order + (root,) == oracle.bottom_up_order
+        # The children CSR: each vertex's children, and who has any (the
+        # broadcast's senders).
+        ptr = tree.child_ptr.tolist()
+        kids = tree.child_index.tolist()
+        assert [tuple(kids[a:b]) for a, b in zip(ptr, ptr[1:])] == list(
+            oracle.children
+        )
+        has_children = tree.child_ptr[1:] > tree.child_ptr[:-1]
+        assert np.flatnonzero(has_children).tolist() == list(
+            ref.internal_vertices(tree)
+        )
+        assert dict(enumerate(tree.branch.tolist())) == ref.branch_map(tree)
+        for density in (0.0, 0.05, 0.3, 1.0):
+            mask = rng.random(n) < density
+            for with_root in (False, True):
+                mask[root] = with_root
+                below = set(np.flatnonzero(tree.below(mask)).tolist())
+                assert below == ref.cut_off(tree, mask)
+
+    @settings(max_examples=100, deadline=None)
+    @given(routing_trees())
+    def test_twins_compare_and_hash_equal(self, drawn):
+        tree, rng = drawn
+        twin = _tree_from_parent_links(
+            tree.root, list(tree.parent), list(tree.link_distance), tree.relays
+        )
+        assert twin is not tree
+        assert twin == tree and hash(twin) == hash(tree)
+        assert fields(twin) == fields(tree)
+        vertex = int(rng.integers(0, tree.num_vertices))
+        if vertex != tree.root:
+            moved = tree_multi_reparented(
+                tree, [(vertex, tree.parent[vertex], tree.link_distance[vertex] + 1.0)]
+            )
+            assert moved != tree
+
+    def test_arrays_are_read_only(self, small_tree):
+        arrays = [
+            small_tree.parent_array,
+            small_tree.link_array,
+            small_tree.child_ptr,
+            small_tree.child_index,
+            small_tree.depth_array,
+            small_tree.size_array,
+            small_tree.preorder,
+            small_tree.bottom_up,
+            small_tree.branch,
+            *small_tree.levels,
+        ]
+        for array in arrays:
+            with pytest.raises(ValueError):
+                array[0] = array[0]

@@ -2,11 +2,19 @@
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from repro.errors import TopologyError
 from repro.network.tree import RoutingTree, tree_from_parents
+from repro.radio.energy import EnergyModel
+from repro.radio.ledger import EnergyLedger
+from repro.sim.engine import TreeNetwork
+
+from tests.batch_kinds import CountBatch
+from tests.reference_topology import internal_vertices
 
 
 class TestTreeFromParents:
@@ -51,7 +59,7 @@ class TestTreeFromParents:
         assert len(small_tree.sensor_nodes) == 7
 
     def test_internal_vertices(self, small_tree: RoutingTree):
-        assert set(small_tree.internal_vertices()) == {0, 1, 2, 4}
+        assert set(internal_vertices(small_tree)) == {0, 1, 2, 4}
 
     def test_link_distances_from_positions(self):
         positions = np.array([[0.0, 0.0], [3.0, 4.0]])
@@ -133,3 +141,18 @@ class TestCachedOrders:
         assert small_tree.sensor_nodes and small_tree.top_down_order
         assert twin == small_tree
         assert hash(twin) == hash(small_tree)
+
+
+class TestArrayPaths:
+    def test_array_paths_build_no_tuple_view(self, random_deployment):
+        """Binding a network, a column-batch convergecast and a broadcast
+        read only the arrays the tree was built with: no tuple view (nor
+        any other cached structure) appears on the tree."""
+        _, tree = random_deployment
+        ledger = EnergyLedger(tree.num_vertices, tree.root, EnergyModel(), 45.0)
+        ledger.begin_round()
+        net = TreeNetwork(tree, ledger)
+        batch = CountBatch({v: 1 for v in range(1, tree.num_vertices, 2)})
+        assert net.convergecast(batch).count == len(batch)
+        net.broadcast(16)
+        assert set(vars(tree)) == {field.name for field in fields(RoutingTree)}
