@@ -29,7 +29,7 @@ from repro.experiments.config import AlgorithmFactory
 from repro.network.routing import build_routing_tree
 from repro.network.topology import connected_random_graph
 from repro.network.tree import RoutingTree
-from repro.sim.oracle import quantile_rank
+from repro.sim.oracle import insertion_rank_error, quantile_rank
 from repro.sim.runner import SimulationRunner
 from repro.types import QuerySpec
 
@@ -135,7 +135,7 @@ def run_sampling_experiment(
                 exact += int(answer == truth)
                 total += 1
                 rank_errors.append(
-                    _population_rank_error(values, answer, population_k)
+                    insertion_rank_error(values, answer, population_k)
                 )
 
         points.append(
@@ -150,12 +150,3 @@ def run_sampling_experiment(
             )
         )
     return SamplingResult(algorithm=algorithm_name, points=tuple(points))
-
-
-def _population_rank_error(values: np.ndarray, answer: int, k: int) -> int:
-    less = int((values < answer).sum())
-    equal = int((values == answer).sum())
-    low_rank, high_rank = less + 1, max(less + equal, less + 1)
-    if low_rank <= k <= high_rank:
-        return 0
-    return low_rank - k if k < low_rank else k - high_rank

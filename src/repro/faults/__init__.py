@@ -22,7 +22,6 @@ from repro.faults.experiment import (
     FaultSeriesPoint,
     RoundReport,
     fault_lineup,
-    insertion_rank_error,
     run_fault_experiment,
 )
 from repro.faults.network import (
@@ -46,6 +45,7 @@ from repro.faults.plan import (
 )
 from repro.faults.repair import RepairRound, RepairStats, TreeRepair
 from repro.faults.watchdog import RootWatchdog
+from repro.sim.oracle import insertion_rank_error
 
 __all__ = [
     "AdaptiveArqPolicy",

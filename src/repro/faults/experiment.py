@@ -69,24 +69,8 @@ from repro.network.topology import PhysicalGraph, connected_random_graph
 from repro.network.tree import RoutingTree
 from repro.radio.energy import EnergyModel
 from repro.radio.ledger import EnergyLedger
-from repro.sim.oracle import exact_quantile, quantile_rank
+from repro.sim.oracle import exact_quantile, insertion_rank_error, quantile_rank
 from repro.types import QuerySpec, RoundOutcome
-
-
-def insertion_rank_error(sensor_values: np.ndarray, answer: int, k: int) -> int:
-    """Distance between k and the closest true rank the answer occupies.
-
-    If the reported value does not occur in the network at all, the error is
-    measured against the rank it *would* take if inserted.
-    """
-    less = int((sensor_values < answer).sum())
-    equal = int((sensor_values == answer).sum())
-    low_rank, high_rank = less + 1, max(less + equal, less + 1)
-    if low_rank <= k <= high_rank:
-        return 0
-    if k < low_rank:
-        return low_rank - k
-    return k - high_rank
 
 
 def fault_lineup(sketch_eps: float = 0.05) -> dict[str, AlgorithmFactory]:

@@ -28,7 +28,6 @@ subtree misses the flood — see ``TreeNetwork.broadcast``.
 from __future__ import annotations
 
 import math
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Mapping, Optional, TypeVar
 
@@ -102,11 +101,11 @@ class AdaptiveArqPolicy(ArqPolicy):
     a Gilbert-Elliott burst ramps its budget up within a few rounds — the
     per-link replacement for the global ``retries`` knob.
 
-    The learned state lives in a :class:`~repro.network.linkstats.
-    LinkQualityEstimator` (pass ``estimator`` to share one with other
-    consumers; :class:`FaultyTreeNetwork` adopts the policy's estimator as
-    its :attr:`~FaultyTreeNetwork.link_stats` so ARQ, tree repair and
-    rotation all read the same per-link picture).
+    The learned state lives in the policy's own
+    :class:`~repro.network.linkstats.LinkQualityEstimator`
+    (:attr:`estimator`).  :class:`FaultyTreeNetwork` adopts it as its
+    :attr:`~FaultyTreeNetwork.link_stats`, so ARQ, tree repair and rotation
+    all read the same per-link picture.
 
     Note: instances carry mutable learning state — use one per experiment
     cell, not a shared constant.  Consequently equality is *identity*: two
@@ -121,7 +120,6 @@ class AdaptiveArqPolicy(ArqPolicy):
         target_delivery: float = 0.99,
         smoothing: float = 0.25,
         prior_loss: float = 0.05,
-        estimator: LinkQualityEstimator | None = None,
     ) -> None:
         if max_retries < 1:
             raise ConfigurationError(
@@ -131,13 +129,13 @@ class AdaptiveArqPolicy(ArqPolicy):
             raise ConfigurationError(
                 f"target_delivery must be in (0, 1), got {target_delivery}"
             )
-        if estimator is None:
-            estimator = LinkQualityEstimator(
-                smoothing=smoothing, prior_loss=prior_loss
-            )
         object.__setattr__(self, "max_retries", max_retries)
         object.__setattr__(self, "target_delivery", target_delivery)
-        object.__setattr__(self, "estimator", estimator)
+        object.__setattr__(
+            self,
+            "estimator",
+            LinkQualityEstimator(smoothing=smoothing, prior_loss=prior_loss),
+        )
 
     @property
     def smoothing(self) -> float:
@@ -287,12 +285,13 @@ class FaultyTreeNetwork(TreeNetwork):
 
         Bit-identical to the per-hop reference walk's decisions:
 
-        * i.i.d. loss under a static policy compares pre-drawn uniform
-          blocks inline, with the same rewind-and-replay exit as
-          :class:`~repro.faults.plan.UniformBlockStream`, so the generator
-          state matches scalar sampling exactly; other loss models (and a
-          plan overriding ``transmission_lost``) sample through the
-          :meth:`~repro.faults.plan.FaultPlan.batched_sampling` shim;
+        * i.i.d. loss under a static policy compares uniforms drawn in
+          blocks from the plan's generator inline; on exit the generator is
+          rewound and advanced by exactly the uniforms used, so its state
+          matches one scalar draw per frame.  Every other loss model, and
+          any loss under a learning policy, draws each frame through
+          :meth:`~repro.faults.plan.FaultPlan.transmission_lost`, the
+          reference walk's own call;
         * a static policy's link-quality samples are replayed after the
           walk (:meth:`~repro.network.linkstats.LinkQualityEstimator.
           observe_hops`); a learning policy (overridden ``attempts_for``
@@ -332,15 +331,10 @@ class FaultyTreeNetwork(TreeNetwork):
         enabled = arq.enabled
         budget = max(1, arq.max_attempts)
         loss = plan.loss
-        custom_loss = type(plan).transmission_lost is not FaultPlan.transmission_lost
-        inline_iid = (
-            not learning and not custom_loss and type(loss) is IndependentLoss
-        )
+        inline_iid = not learning and type(loss) is IndependentLoss
         p = loss.probability if inline_iid else 0.0
         draws = inline_iid and p > 0.0
-        sampled = learning or (
-            not inline_iid and (loss is not None or custom_loss)
-        )
+        sampled = learning or (not inline_iid and loss is not None)
         transmission_lost = plan.transmission_lost
 
         tx: list[int] = []
@@ -356,10 +350,10 @@ class FaultyTreeNetwork(TreeNetwork):
         lost_acks = 0
         hop_i = 0
 
-        # Local uniform-block state for the inline i.i.d. fast path: blocks
-        # are drawn straight off the plan's generator and the ``finally``
-        # clause rewinds-and-replays exactly like UniformBlockStream.close,
-        # so the generator ends bit-identical to scalar consumption.
+        # Uniform blocks for the inline i.i.d. path.  ``Generator.random(n)``
+        # yields the values of ``n`` scalar draws, so the ``finally`` clause
+        # rewinds the generator and replays only the uniforms used: it ends
+        # bit-identical to one scalar draw per frame.
         rng = plan.rng
         rng_random = rng.random
         block = max(128, 2 * len(ids))
@@ -368,110 +362,104 @@ class FaultyTreeNetwork(TreeNetwork):
         blen = 0
         nblocks = 0
         state0 = rng.bit_generator.state if draws else None
-        session = (
-            plan.batched_sampling(block=block)
-            if sampled and loss is not None
-            else nullcontext()
-        )
         has_virtual = bool(virtual)
         try:
-            with session:
-                for vertex in tree.hop_order:
-                    if not hp[vertex]:
-                        continue
-                    if down_list[vertex]:
-                        continue
-                    par = parent[vertex]
-                    if has_virtual and vertex in virtual:
-                        # A device-internal link: no radio, and it delivers
-                        # unless the host is down (a down vertex holds
-                        # nothing, so its virtual children's data dies too).
-                        edge_del[vertex] = not down_list[par]
-                        hp[par] = True
-                        continue
-                    hop_budget = (
-                        budget
-                        if fixed_budget
-                        else max(1, attempts_for(vertex, par))
-                    )
-                    k = 0
-                    delivered = False
-                    afin = False
-                    if down_list[par]:
-                        # Dead air: every attempt fails without a draw.
-                        k = hop_budget if enabled else 1
-                        for _ in range(k):
-                            fo_append(False)
-                            if arq_observes and enabled:
-                                arq_observe(vertex, par, False)
-                        pd_hops.append(hop_i)
-                    elif draws:
-                        while True:
-                            k += 1
+            for vertex in tree.hop_order:
+                if not hp[vertex]:
+                    continue
+                if down_list[vertex]:
+                    continue
+                par = parent[vertex]
+                if has_virtual and vertex in virtual:
+                    # A device-internal link: no radio, and it delivers
+                    # unless the host is down (a down vertex holds
+                    # nothing, so its virtual children's data dies too).
+                    edge_del[vertex] = not down_list[par]
+                    hp[par] = True
+                    continue
+                hop_budget = (
+                    budget
+                    if fixed_budget
+                    else max(1, attempts_for(vertex, par))
+                )
+                k = 0
+                delivered = False
+                afin = False
+                if down_list[par]:
+                    # Dead air: every attempt fails without a draw.
+                    k = hop_budget if enabled else 1
+                    for _ in range(k):
+                        fo_append(False)
+                        if arq_observes and enabled:
+                            arq_observe(vertex, par, False)
+                    pd_hops.append(hop_i)
+                elif draws:
+                    while True:
+                        k += 1
+                        if bi == blen:
+                            buf = rng_random(block).tolist()
+                            bi = 0
+                            blen = block
+                            nblocks += 1
+                        fo = buf[bi] >= p
+                        bi += 1
+                        fo_append(fo)
+                        if fo:
+                            delivered = True
+                            if not enabled:
+                                break
                             if bi == blen:
                                 buf = rng_random(block).tolist()
                                 bi = 0
-                                blen = block
                                 nblocks += 1
-                            fo = buf[bi] >= p
+                            afin = buf[bi] >= p
                             bi += 1
-                            fo_append(fo)
-                            if fo:
-                                delivered = True
-                                if not enabled:
-                                    break
-                                if bi == blen:
-                                    buf = rng_random(block).tolist()
-                                    bi = 0
-                                    nblocks += 1
-                                afin = buf[bi] >= p
-                                bi += 1
-                                if afin:
-                                    break
-                                lost_acks += 1
-                            elif not enabled:
+                            if afin:
                                 break
-                            if k == budget:
+                            lost_acks += 1
+                        elif not enabled:
+                            break
+                        if k == budget:
+                            break
+                elif sampled:
+                    while True:
+                        k += 1
+                        fo = not transmission_lost(vertex, par)
+                        if observe_up:
+                            observe(vertex, par, fo)
+                        fo_append(fo)
+                        if fo:
+                            delivered = True
+                            if not enabled:
                                 break
-                    elif sampled:
-                        while True:
-                            k += 1
-                            fo = not transmission_lost(vertex, par)
-                            if observe_up:
-                                observe(vertex, par, fo)
-                            fo_append(fo)
-                            if fo:
-                                delivered = True
-                                if not enabled:
-                                    break
-                                afin = not transmission_lost(par, vertex)
-                                if learning:
-                                    observe(par, vertex, afin)
-                                if afin:
-                                    if arq_observes:
-                                        arq_observe(vertex, par, True)
-                                    break
-                                lost_acks += 1
-                            elif not enabled:
+                            afin = not transmission_lost(par, vertex)
+                            if learning:
+                                observe(par, vertex, afin)
+                            if afin:
+                                if arq_observes:
+                                    arq_observe(vertex, par, True)
                                 break
-                            if arq_observes:
-                                arq_observe(vertex, par, False)
-                            if k == hop_budget:
-                                break
-                    else:
-                        # Loss disabled or zero-probability: no randomness
-                        # is consumed and the first frame always delivers.
-                        k = 1
-                        fo_append(True)
-                        delivered = True
-                        afin = True
-                    tx_append(vertex)
-                    natt_append(k)
-                    fa_append(afin)
-                    hop_i += 1
-                    if delivered:
-                        edge_del[vertex] = True
-                        hp[par] = True
+                            lost_acks += 1
+                        elif not enabled:
+                            break
+                        if arq_observes:
+                            arq_observe(vertex, par, False)
+                        if k == hop_budget:
+                            break
+                else:
+                    # Loss disabled or zero-probability: no randomness
+                    # is consumed and the first frame always delivers.
+                    k = 1
+                    fo_append(True)
+                    delivered = True
+                    afin = True
+                tx_append(vertex)
+                natt_append(k)
+                fa_append(afin)
+                hop_i += 1
+                if delivered:
+                    edge_del[vertex] = True
+                    hp[par] = True
         finally:
             if nblocks:
                 consumed = (nblocks - 1) * block + bi

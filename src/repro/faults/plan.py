@@ -38,8 +38,7 @@ round for deterministic tests.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from contextlib import contextmanager
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -57,14 +56,9 @@ def _validate_probability(name: str, value: float, upper_inclusive: bool = False
 class LinkLossModel(ABC):
     """Decides, per transmission attempt, whether a frame is lost.
 
-    Randomness contract: :meth:`lost` must consume randomness exclusively
-    through scalar ``rng.random()`` calls (any data-dependent number of
-    them, including zero).  That is what lets
-    :meth:`FaultPlan.batched_sampling` serve the same stream from
-    block-drawn uniforms while leaving the generator in the exact state
-    sequential sampling would have — the property the vectorized faulty
-    convergecast's bit-for-bit equivalence rests on
-    (``tests/test_fault_sampling.py``).
+    The network calls :meth:`lost` once per data or ACK frame, in the
+    per-hop walk's order, with the plan's generator; a model may draw from
+    it in any way.
     """
 
     #: Long-run average loss rate, for labelling results.
@@ -350,70 +344,6 @@ class ScheduledOutages(OutageModel):
         return self.schedule.get(round_index, ())
 
 
-class UniformBlockStream:
-    """Serves scalar ``random()`` draws from block-drawn uniform batches.
-
-    NumPy's ``Generator.random(n)`` produces exactly the values of ``n``
-    scalar ``.random()`` calls *and* leaves the bit generator in exactly
-    the state those scalar calls would (verified for PCG64, MT19937,
-    Philox and SFC64 in ``tests/test_fault_sampling.py``).  The stream
-    exploits that: it snapshots the generator state on entry, refills an
-    internal buffer with one vectorized draw per ``block`` consumed
-    uniforms, and on :meth:`close` rewinds the generator to the snapshot
-    and advances it by exactly the number of uniforms actually handed
-    out.  Callers that only ever invoke ``.random()`` therefore observe a
-    stream — and leave behind a final generator state — bit-identical to
-    sequential scalar sampling, while the underlying draws are amortized
-    into batches.
-
-    Only the zero-argument ``random()`` used by the link-loss models is
-    proxied; any other attribute access falls through to the real
-    generator, which would de-synchronize the rewind accounting — hence
-    the explicit ``AttributeError`` guard.
-    """
-
-    __slots__ = ("_rng", "_block", "_state0", "_buffer", "_next", "consumed")
-
-    def __init__(self, rng: np.random.Generator, block: int = 512) -> None:
-        if block < 1:
-            raise ConfigurationError(f"block must be >= 1, got {block}")
-        self._rng = rng
-        self._block = block
-        self._state0 = rng.bit_generator.state
-        self._buffer: np.ndarray = _EMPTY_F64
-        self._next = 0
-        #: Total scalar uniforms handed out so far.
-        self.consumed = 0
-
-    def random(self) -> float:
-        """One uniform in [0, 1) — bit-identical to ``Generator.random()``."""
-        if self._next >= self._buffer.shape[0]:
-            self._buffer = self._rng.random(self._block)
-            self._next = 0
-        value = self._buffer[self._next]
-        self._next += 1
-        self.consumed += 1
-        return float(value)
-
-    def __getattr__(self, name: str):
-        raise AttributeError(
-            f"UniformBlockStream proxies only 'random'; a loss model asked "
-            f"for {name!r}. Batched sampling requires loss models to draw "
-            f"exclusively via scalar rng.random() (see LinkLossModel)."
-        )
-
-    def close(self) -> None:
-        """Rewind the generator, then advance it by exactly ``consumed`` draws."""
-        self._rng.bit_generator.state = self._state0
-        if self.consumed:
-            self._rng.random(self.consumed)
-        self._buffer = _EMPTY_F64
-        self._next = 0
-
-
-_EMPTY_F64 = np.empty(0, dtype=np.float64)
-
-
 class FaultPlan:
     """One deployment's failure script: loss + churn + outages + randomness.
 
@@ -422,20 +352,26 @@ class FaultPlan:
     to the plain engine behaviour.
 
     The network reads the down set as a mask built from :attr:`dead` and
-    :attr:`down` (``FaultyTreeNetwork._down_mask``), so a subclass that
-    overrides :meth:`is_down` is refused when it is defined rather than
-    silently ignored; script outages through an :class:`OutageModel`.
+    :attr:`down` (``FaultyTreeNetwork._down_mask``), and it draws i.i.d.
+    loss under a static ARQ policy inline, straight from :attr:`rng`.  A
+    subclass that overrides :meth:`is_down` or :meth:`transmission_lost`
+    is therefore refused when it is defined rather than silently ignored;
+    script outages through an :class:`OutageModel` and loss through a
+    :class:`LinkLossModel`.
     """
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
-        if "is_down" in vars(cls):
-            raise TypeError(
-                f"{cls.__qualname__} overrides FaultPlan.is_down, but the "
-                "network reads the dead and down sets through "
-                "FaultyTreeNetwork._down_mask, so the override would be "
-                "ignored; script outages through an OutageModel instead"
-            )
+        for hook in ("is_down", "transmission_lost"):
+            if hook in vars(cls):
+                raise TypeError(
+                    f"{cls.__qualname__} overrides FaultPlan.{hook}, but the "
+                    "network reads the dead and down sets through "
+                    "FaultyTreeNetwork._down_mask and draws i.i.d. loss "
+                    "inline, so the override would be ignored; script "
+                    "outages through an OutageModel and loss through a "
+                    "LinkLossModel instead"
+                )
 
     def __init__(
         self,
@@ -563,31 +499,3 @@ class FaultPlan:
         return self.loss is not None and self.loss.lost(
             sender, receiver, self.rng
         )
-
-    @contextmanager
-    def batched_sampling(self, block: int = 512) -> Iterator[None]:
-        """Serve loss draws from vectorized RNG batches inside the block.
-
-        While active, :attr:`rng` is swapped for a
-        :class:`UniformBlockStream` so every ``transmission_lost`` call —
-        including through loss-model subclasses — consumes pre-drawn
-        uniform blocks instead of one scalar generator call per attempt.
-        On exit (normal or exceptional) the real generator is restored
-        and advanced to the exact state sequential sampling would have
-        left it in, so churn/outage draws in later rounds stay
-        bit-identical to scalar, one-draw-at-a-time sampling.
-
-        Sessions must not nest (the inner snapshot would capture the
-        shim, not the generator), and the plan must not be shared across
-        threads while a session is open.
-        """
-        real_rng = self.rng
-        if isinstance(real_rng, UniformBlockStream):
-            raise ConfigurationError("batched_sampling sessions cannot nest")
-        stream = UniformBlockStream(real_rng, block=block)
-        self.rng = stream  # type: ignore[assignment]
-        try:
-            yield
-        finally:
-            self.rng = real_rng
-            stream.close()

@@ -132,16 +132,18 @@ class RepairStats:
     rounds: list[RepairRound] = field(default_factory=list)
 
 
-def _cut_off(tree: RoutingTree, down: np.ndarray | None) -> set[int]:
-    """Vertices whose tree path to the root passes a down vertex.
+def _reachable(tree: RoutingTree, cut: np.ndarray | None) -> tuple[int, ...]:
+    """The sensors of ``tree`` outside ``cut``.
 
-    That is the union of the down vertices' subtrees
-    (:meth:`~repro.network.tree.RoutingTree.below`).  The root's own state
-    is the fail-over's business, so a down root cuts nothing here.
+    ``cut`` masks the vertices whose tree path to the root passes a down
+    vertex, :meth:`~repro.network.tree.RoutingTree.below` of the down mask
+    (``None`` when nothing is down).  The root's own state is the
+    fail-over's business, so a down root cuts nothing here.
     """
-    if down is None:
-        return set()
-    return set(np.flatnonzero(tree.below(down)).tolist())
+    if cut is None:
+        return tree.sensor_nodes
+    cut_off = cut.tolist()
+    return tuple(v for v in tree.sensor_nodes if not cut_off[v])
 
 
 class _WorkingTree:
@@ -163,14 +165,11 @@ class _WorkingTree:
 
     __slots__ = ("root", "parent", "depth", "rooted", "_children", "_moved", "_hops")
 
-    def __init__(self, tree: RoutingTree, cut: set[int]) -> None:
+    def __init__(self, tree: RoutingTree, cut: np.ndarray) -> None:
         self.root = tree.root
         self.parent = tree.parent_array.tolist()
         self.depth = tree.depth_array.tolist()
-        rooted = [True] * tree.num_vertices
-        for vertex in cut:
-            rooted[vertex] = False
-        self.rooted = rooted
+        self.rooted = (~cut).tolist()
         self._children = tree.children
         self._moved: dict[int, list[int]] = {}
         self._hops: dict[int, tuple[tuple[float, ...], bool]] = {}
@@ -323,12 +322,11 @@ class TreeRepair:
     # -- root-reachability ----------------------------------------------------
 
     def reachable_sensors(self) -> tuple[int, ...]:
-        """Up sensors whose whole path to the root is up."""
+        """Up sensors whose whole path to the root is up, read afresh from
+        the current tree and down set."""
         tree = self.net.tree
-        cut = _cut_off(tree, self.net._down_mask())
-        if not cut:
-            return tree.sensor_nodes
-        return tuple(v for v in tree.sensor_nodes if v not in cut)
+        down = self.net._down_mask()
+        return _reachable(tree, None if down is None else tree.below(down))
 
     # -- the per-round pass ---------------------------------------------------
 
@@ -345,16 +343,25 @@ class TreeRepair:
         The pass is booked before the error propagates: its charges reach
         the ledger, and :attr:`stats` records what it did up to the hook
         that raised (``stats.rounds[-1]``).
+
+        The pass changes neither the dead nor the down set, so it reads the
+        down mask once, and it computes the cut-off cover once for each tree
+        it works on: the round's tree, and the repaired one if an orphan
+        was re-attached.
         """
         energy_before = float(self.net.ledger.energy.sum())
         reattached: list[tuple[int, int]] = []
         fallback: list[int] = []
         detached: list[int] = []
         rejoined: list[int] = []
+        down = self.net._down_mask()
+        cut = None if down is None else self.net.tree.below(down)
         try:
-            reattached = self._reattach_orphans()
+            reattached = self._reattach_orphans(down, cut)
+            if reattached:
+                cut = self.net.tree.below(down)
             fallback = self._expired_fallbacks()
-            self._sync_membership(algorithm, values, detached, rejoined)
+            self._sync_membership(algorithm, values, cut, detached, rejoined)
         finally:
             self._flush()
             round_record = RepairRound(
@@ -367,7 +374,8 @@ class TreeRepair:
             )
             self._book(round_record, energy_before)
         if round_record.changed_membership and self.watchdog is not None:
-            self.watchdog.retarget(self.net.tree, self.reachable_sensors())
+            tree = self.net.tree
+            self.watchdog.retarget(tree, _reachable(tree, cut))
         return round_record
 
     def _book(self, round_record: RepairRound, energy_before: float) -> None:
@@ -390,13 +398,11 @@ class TreeRepair:
         planted on the reachable population only.
         """
         tree = self.net.tree
-        cut = _cut_off(tree, self.net._down_mask())
-        self.detached = {v for v in cut if v not in tree.relays}
+        reachable = self.reachable_sensors()
+        self.detached = set(tree.sensor_nodes).difference(reachable)
         algorithm.reset_participation(self.net, self.detached)
         if self.watchdog is not None:
-            self.watchdog.retarget(
-                tree, (v for v in tree.sensor_nodes if v not in cut)
-            )
+            self.watchdog.retarget(tree, reachable)
 
     # -- orphan re-attach -----------------------------------------------------
     #
@@ -404,15 +410,18 @@ class TreeRepair:
     # reads its rooted-up mask, and the real RoutingTree is rebuilt exactly
     # once per round via tree_multi_reparented.
 
-    def _reattach_orphans(self) -> list[tuple[int, int]]:
+    def _reattach_orphans(
+        self, down_mask: np.ndarray | None, cut: np.ndarray | None
+    ) -> list[tuple[int, int]]:
         """Re-attach this round's orphans: up sensors whose parent is down.
 
-        Orphans probe shallowest working depth first, then by vertex id.
-        The pass's charges are on the ledger when this returns.
+        ``down_mask`` is the round's down mask and ``cut`` its cover on the
+        current tree (both ``None`` when nothing is down).  Orphans probe
+        shallowest working depth first, then by vertex id.  The pass's
+        charges are on the ledger when this returns.
         """
         try:
             tree = self.net.tree
-            down_mask = self.net._down_mask()
             if down_mask is None:
                 self._settle_park_queue(None, [], set())
                 return []
@@ -427,7 +436,7 @@ class TreeRepair:
             if not pending:
                 self._settle_park_queue(None, down, set())
                 return []
-            work = _WorkingTree(tree, _cut_off(tree, down_mask))
+            work = _WorkingTree(tree, cut)
             depth = work.depth
             moves: list[tuple[int, int, float]] = []
             failed: set[int] = set()
@@ -578,32 +587,37 @@ class TreeRepair:
         self,
         algorithm,
         values: np.ndarray,
+        cut: np.ndarray | None,
         detached: list[int],
         rejoined: list[int],
     ) -> None:
         """Detach the newly cut-off sensors and rejoin the reconnected ones,
         appending each to ``detached``/``rejoined`` before its hook runs.
 
-        The hooks are root-side bookkeeping and charge nothing, so the
-        logged charges keep their order around them.
+        ``cut`` is the cut-off cover of the current tree (``None`` when
+        nothing is down).  The hooks are root-side bookkeeping and charge
+        nothing, so the logged charges keep their order around them.
         """
         tree = self.net.tree
-        cut = _cut_off(tree, self.net._down_mask())
         relays = tree.relays
-        newly_gone = sorted(
-            v for v in cut if v not in relays and v not in self.detached
-        )
+        if cut is None:
+            cut_off, gone = [False] * tree.num_vertices, []
+        else:
+            cut_off, gone = cut.tolist(), np.flatnonzero(cut).tolist()
+        newly_gone = [
+            v for v in gone if v not in relays and v not in self.detached
+        ]
         newly_back = sorted(
             v
             for v in self.detached
-            if v not in cut and v != tree.root and v not in relays
+            if not cut_off[v] and v != tree.root and v not in relays
         )
         try:
             for vertex in newly_gone:
                 # A down node's silence is noticed by its parent; the report
                 # can only travel where an up path exists.
                 reporter = tree.parent[vertex]
-                if reporter not in cut:
+                if not cut_off[reporter]:
                     self._report_to_root(reporter)
                 self.detached.add(vertex)
                 detached.append(vertex)

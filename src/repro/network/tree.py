@@ -49,8 +49,8 @@ class RoutingTree:
             ``child_index[child_ptr[v]:child_ptr[v + 1]]``.
         depth_array: hop distance from the root per vertex.
         levels: the breadth-first frontiers, ``levels[0] == [root]`` and
-            ``levels[d]`` the vertices at depth ``d``.  Broadcasts sweep
-            them top-down.
+            ``levels[d]`` the vertices at depth ``d``.  The faulty walk
+            sweeps them top-down to find how far each payload gets.
         size_array: subtree size per vertex, itself included.
         preorder: each vertex's position in a preorder (siblings visited in
             descending index order); the subtree of ``v`` occupies exactly

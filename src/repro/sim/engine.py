@@ -610,32 +610,19 @@ class TreeNetwork:
         tree = self.tree
         self.exchanges += 1
         cost = message_bits(payload_bits)
-        n = tree.num_vertices
-        root = tree.root
         has_children = tree.child_ptr[1:] > tree.child_ptr[:-1]
         down = self._down_mask()
         if down is None:
             senders_mask = has_children
-            receivers_mask = np.ones(n, dtype=bool)
-            receivers_mask[root] = False
-            reached_count = n - 1
+            receivers_mask = np.ones(tree.num_vertices, dtype=bool)
         else:
-            parent = tree.parent_array
-            reached = np.zeros(n, dtype=bool)
-            reached[root] = True
-            live_sender = ~down
-            live_sender[root] = True
-            for level in tree.levels[1:]:
-                parents_of_level = parent[level]
-                reached[level] = (
-                    reached[parents_of_level]
-                    & live_sender[parents_of_level]
-                    & live_sender[level]
-                )
-            senders_mask = reached & has_children & live_sender
-            reached_count = int(reached.sum()) - 1
-            receivers_mask = reached.copy()
-            receivers_mask[root] = False
+            # The flood reaches every vertex no down vertex cuts off.  A
+            # down root cuts off nothing (``RoutingTree.below``): it still
+            # floods.
+            receivers_mask = ~tree.below(down)
+            senders_mask = receivers_mask & has_children
+        reached_count = int(receivers_mask.sum()) - 1
+        receivers_mask[tree.root] = False
         if self._virtual_mask is not None:
             receivers_mask = receivers_mask & ~self._virtual_mask
         senders = np.nonzero(senders_mask)[0]

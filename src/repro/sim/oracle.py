@@ -63,6 +63,17 @@ def rank_error(values: np.ndarray, value: int, k: int) -> int:
     return max(0, less + 1 - k, k - less - equal)
 
 
+def insertion_rank_error(values: np.ndarray, answer: int, k: int) -> int:
+    """Distance between k and the closest true rank the answer occupies.
+
+    Like :func:`rank_error`, except that an answer absent from ``values``
+    (``e == 0``) counts as occupying the rank ``l + 1`` it *would* take if
+    inserted.  The fault and sampling studies report this metric.
+    """
+    less, equal, _ = rank_of_value(values, answer)
+    return max(0, less + 1 - k, k - less - max(equal, 1))
+
+
 def is_valid_quantile(values: np.ndarray, value: int, k: int) -> bool:
     """True iff ``value`` is the k-th smallest of ``values``.
 

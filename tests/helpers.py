@@ -296,3 +296,16 @@ def internal_counts_bounded(digest) -> bool:
     return all(
         count <= bound for node, count in digest.entries if node < leaf_base
     )
+
+
+def states_equal(a, b) -> bool:
+    """Recursive bit-generator state comparison.
+
+    MT19937's state dict embeds numpy arrays, so a plain ``==`` on the
+    dicts is ambiguous; compare leaves with ``np.array_equal``.
+    """
+    if isinstance(a, dict):
+        return set(a) == set(b) and all(states_equal(a[k], b[k]) for k in a)
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return np.array_equal(a, b)
+    return a == b

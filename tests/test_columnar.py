@@ -380,9 +380,14 @@ def test_virtual_leaf_under_down_host_delivers_nothing():
     assert_faulty_identical(*nets)
 
 
-def test_fault_plan_is_down_override_refused():
-    with pytest.raises(TypeError, match="_down_mask"):
-        type("Overrider", (FaultPlan,), {"is_down": lambda self, vertex: False})
+@pytest.mark.parametrize(
+    "hook, seam",
+    [("is_down", "_down_mask"), ("transmission_lost", "LinkLossModel")],
+    ids=["is_down", "transmission_lost"],
+)
+def test_fault_plan_is_down_override_refused(hook, seam):
+    with pytest.raises(TypeError, match=f"FaultPlan.{hook}, .*{seam}"):
+        type("Overrider", (FaultPlan,), {hook: lambda self, *args: False})
 
 
 NETWORKS = ("clean", "reliable", "lossy-static", "lossy-adaptive", "dead-forwarders")

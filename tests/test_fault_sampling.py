@@ -1,14 +1,26 @@
-"""Batched fault sampling is indistinguishable from sequential sampling.
+"""Loss draws: the faulty walk consumes the plan's generator exactly as the
+per-hop reference walk does.
 
-The vectorized faulty convergecast rests on one RNG property: serving
-uniforms from block draws (:class:`~repro.faults.plan.UniformBlockStream`,
-entered via :meth:`~repro.faults.plan.FaultPlan.batched_sampling`) must
-produce the exact value stream of sequential scalar ``rng.random()`` calls
-*and* leave the generator in the exact final state.  These tests pin that
-property directly — per bit generator, per loss model (including the
-Gilbert–Elliott per-link Markov state), across block sizes and session
-boundaries — so the differential suite in ``tests/test_vectorized.py``
-can attribute any divergence to the convergecast logic itself.
+``FaultyTreeNetwork._walk_hops`` decides frame outcomes on one of two
+routes:
+
+* i.i.d. loss under a static ARQ policy compares uniforms it draws in
+  blocks with ``Generator.random(n)`` and, on exit, rewinds the generator
+  and replays only the uniforms it used.  That rests on a NumPy property of
+  each bit generator: a block of ``n`` uniforms holds the values of ``n``
+  scalar draws and leaves the generator where those draws would.  The
+  inline tests run under PCG64, MT19937, Philox and SFC64, with
+  convergecasts that cross block boundaries, that end mid-block and that
+  draw nothing;
+* every other loss model, and any loss under a learning policy, calls
+  ``FaultPlan.transmission_lost`` once per frame — the reference walk's
+  own call — so a loss model may draw from the generator in any way (the
+  equivalence matrix in ``tests/test_vectorized.py`` runs one that draws
+  integers).
+
+Each test runs one fault schedule on both walks and compares the ledgers,
+the fault counters, the link-quality table (values and order) and the
+generator's final state.
 """
 
 from __future__ import annotations
@@ -18,12 +30,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ConfigurationError
+from repro.faults import ArqPolicy, FaultPlan
+from repro.faults.network import FaultyTreeNetwork
 from repro.faults.plan import (
-    FaultPlan,
     GilbertElliottLoss,
     IndependentLoss,
-    UniformBlockStream,
+    LinkLossModel,
+    RandomOutages,
+)
+from repro.radio.energy import EnergyModel
+from repro.radio.ledger import EnergyLedger
+
+from tests.batch_kinds import CountBatch
+from tests.helpers import states_equal
+from tests.reference_engine import ReferenceFaultyTreeNetwork
+from tests.test_vectorized import (
+    RADIO_RANGE,
+    assert_networks_identical,
+    random_tree,
 )
 
 BIT_GENERATORS = [
@@ -34,229 +58,100 @@ BIT_GENERATORS = [
 ]
 
 
-def states_equal(a, b) -> bool:
-    """Recursive bit-generator state comparison.
+def run_walk(
+    reference: bool,
+    loss: LinkLossModel,
+    rng: np.random.Generator,
+    *,
+    retries: int = 2,
+    size: int = 150,
+    tree_seed: int = 31,
+    rounds: int = 6,
+) -> FaultyTreeNetwork:
+    """Convergecasts of every sensor, of a few and of the root alone, over
+    one tree under ``loss`` and transient outages."""
+    tree = random_tree(size, seed=tree_seed)
+    plan = FaultPlan(
+        loss=loss, outages=RandomOutages(0.05, mean_downtime=2.0), rng=rng
+    )
+    ledger = EnergyLedger(
+        num_vertices=tree.num_vertices,
+        root=tree.root,
+        model=EnergyModel(),
+        radio_range=RADIO_RANGE,
+    )
+    cls = ReferenceFaultyTreeNetwork if reference else FaultyTreeNetwork
+    net = cls(tree, ledger, plan=plan, arq=ArqPolicy(max_retries=retries))
+    sensors = tree.sensor_nodes
+    for r in range(rounds):
+        net.begin_faults_round(r)
+        net.ledger.begin_round()
+        net.convergecast(CountBatch({v: 1 + (v + r) % 3 for v in sensors}))
+        net.convergecast(CountBatch({v: 1 for v in sensors[r::7]}))
+        net.convergecast(CountBatch({tree.root: 1}))
+        net.ledger.end_round()
+    return net
 
-    MT19937's state dict embeds numpy arrays, so a plain ``==`` on the
-    dicts is ambiguous; compare leaves with ``np.array_equal``.
-    """
-    if isinstance(a, dict):
-        return set(a) == set(b) and all(states_equal(a[k], b[k]) for k in a)
-    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-        return np.array_equal(a, b)
-    return a == b
+
+def assert_walks_identical(ref: FaultyTreeNetwork, net: FaultyTreeNetwork) -> None:
+    assert_networks_identical(ref, net)
+    for field in ("lost_transmissions", "retransmissions", "acks_sent", "lost_acks"):
+        assert getattr(ref, field) == getattr(net, field), field
+    assert list(ref.link_stats._loss.items()) == list(net.link_stats._loss.items())
+    assert states_equal(
+        ref.plan.rng.bit_generator.state, net.plan.rng.bit_generator.state
+    )
 
 
-def make_rng(bit_gen_cls, seed: int = 1234) -> np.random.Generator:
-    return np.random.Generator(bit_gen_cls(seed))
+def refuse_scalar_draws(monkeypatch) -> None:
+    def refuse(self, sender, receiver):
+        raise AssertionError("the inline i.i.d. walk drew a frame one by one")
+
+    monkeypatch.setattr(FaultPlan, "transmission_lost", refuse)
 
 
-class TestUniformBlockStream:
-    @pytest.mark.parametrize("bit_gen_cls", BIT_GENERATORS)
-    @pytest.mark.parametrize("draws,block", [(0, 4), (3, 4), (4, 4), (9, 4), (257, 64)])
-    def test_stream_and_final_state_match_scalar(self, bit_gen_cls, draws, block):
-        scalar_rng = make_rng(bit_gen_cls)
-        expected = [scalar_rng.random() for _ in range(draws)]
+class TestInlineIidWalk:
+    @pytest.mark.parametrize("bit_gen_cls", BIT_GENERATORS, ids=lambda c: c.__name__)
+    def test_matches_reference_walk(self, bit_gen_cls, monkeypatch):
+        ref = run_walk(True, IndependentLoss(0.3), np.random.Generator(bit_gen_cls(7)))
+        refuse_scalar_draws(monkeypatch)
+        net = run_walk(False, IndependentLoss(0.3), np.random.Generator(bit_gen_cls(7)))
+        assert_walks_identical(ref, net)
+        assert net.lost_transmissions > 0 and net.lost_acks > 0
+        # The generator is usable afterwards, not merely state-equal: later
+        # draws of any shape continue the scalar stream.
+        assert np.array_equal(ref.plan.rng.random(100), net.plan.rng.random(100))
 
-        batched_rng = make_rng(bit_gen_cls)
-        stream = UniformBlockStream(batched_rng, block=block)
-        got = [stream.random() for _ in range(draws)]
-        stream.close()
-
-        assert got == expected
-        assert stream.consumed == draws
-        assert states_equal(
-            scalar_rng.bit_generator.state, batched_rng.bit_generator.state
-        )
-
-    @pytest.mark.parametrize("bit_gen_cls", BIT_GENERATORS)
-    def test_post_close_draws_continue_the_scalar_stream(self, bit_gen_cls):
-        scalar_rng = make_rng(bit_gen_cls)
-        batched_rng = make_rng(bit_gen_cls)
-        stream = UniformBlockStream(batched_rng, block=8)
-        for _ in range(13):
-            scalar_rng.random()
-            stream.random()
-        stream.close()
-        # The generator must now be *usable*, not merely state-equal:
-        # later draws of any shape continue the scalar stream.
-        assert np.array_equal(scalar_rng.random(100), batched_rng.random(100))
-
-    def test_only_scalar_random_is_proxied(self):
-        stream = UniformBlockStream(np.random.default_rng(0))
-        with pytest.raises(AttributeError, match="proxies only 'random'"):
-            stream.integers
-        with pytest.raises(AttributeError, match="proxies only 'random'"):
-            stream.normal
-
-    def test_block_must_be_positive(self):
-        with pytest.raises(ConfigurationError):
-            UniformBlockStream(np.random.default_rng(0), block=0)
-
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=20, deadline=None)
     @given(
-        draws=st.integers(min_value=0, max_value=300),
-        block=st.integers(min_value=1, max_value=97),
+        probability=st.floats(min_value=0.0, max_value=0.95),
+        retries=st.integers(min_value=0, max_value=3),
+        size=st.integers(min_value=2, max_value=60),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
+        bit_gen_cls=st.sampled_from(BIT_GENERATORS),
     )
-    def test_fuzz_draw_counts_and_block_sizes(self, draws, block, seed):
-        scalar_rng = np.random.default_rng(seed)
-        expected = [scalar_rng.random() for _ in range(draws)]
-        batched_rng = np.random.default_rng(seed)
-        stream = UniformBlockStream(batched_rng, block=block)
-        got = [stream.random() for _ in range(draws)]
-        stream.close()
-        assert got == expected
-        assert states_equal(
-            scalar_rng.bit_generator.state, batched_rng.bit_generator.state
-        )
-
-
-def loss_models():
-    return [
-        ("iid", lambda: IndependentLoss(0.3)),
-        ("iid-zero", lambda: IndependentLoss(0.0)),
-        ("iid-high", lambda: IndependentLoss(0.95)),
-        ("ge", lambda: GilbertElliottLoss.from_average(0.2, burst_length=3.0)),
-        (
-            "ge-lossy-good",
-            lambda: GilbertElliottLoss(
-                p_enter_burst=0.15,
-                p_exit_burst=0.4,
-                loss_good=0.05,
-                loss_bad=0.9,
-            ),
-        ),
-    ]
-
-
-LINKS = [(1, 0), (2, 0), (3, 1), (4, 1), (5, 2)]
-
-
-def sample_sequence(plan: FaultPlan, repeats: int = 40) -> list[bool]:
-    outcomes = []
-    for r in range(repeats):
-        for sender, receiver in LINKS:
-            outcomes.append(plan.transmission_lost(sender, receiver))
-            outcomes.append(plan.transmission_lost(receiver, sender))
-    return outcomes
-
-
-class TestBatchedSamplingPerLossModel:
-    @pytest.mark.parametrize("name,factory", loss_models())
-    @pytest.mark.parametrize("block", [1, 3, 64])
-    def test_batched_equals_sequential(self, name, factory, block):
-        scalar_plan = FaultPlan(loss=factory(), rng=np.random.default_rng(9))
-        scalar_out = sample_sequence(scalar_plan)
-
-        batched_plan = FaultPlan(loss=factory(), rng=np.random.default_rng(9))
-        with batched_plan.batched_sampling(block=block):
-            batched_out = sample_sequence(batched_plan)
-
-        assert batched_out == scalar_out
-        assert states_equal(
-            scalar_plan.rng.bit_generator.state,
-            batched_plan.rng.bit_generator.state,
-        )
-
-    @pytest.mark.parametrize("block", [1, 7, 512])
-    def test_gilbert_elliott_burst_state_advances_identically(self, block):
-        scalar_loss = GilbertElliottLoss.from_average(0.25, burst_length=4.0)
-        batched_loss = GilbertElliottLoss.from_average(0.25, burst_length=4.0)
-        scalar_plan = FaultPlan(loss=scalar_loss, rng=np.random.default_rng(3))
-        batched_plan = FaultPlan(loss=batched_loss, rng=np.random.default_rng(3))
-
-        scalar_out = sample_sequence(scalar_plan, repeats=60)
-        with batched_plan.batched_sampling(block=block):
-            batched_out = sample_sequence(batched_plan, repeats=60)
-
-        assert batched_out == scalar_out
-        # The per-link Markov chain is part of the sampling state: both
-        # runs must end with identical burst flags per directed link.
-        assert scalar_loss._burst_state == batched_loss._burst_state
-        assert states_equal(
-            scalar_plan.rng.bit_generator.state,
-            batched_plan.rng.bit_generator.state,
-        )
-
-    def test_draws_after_session_continue_in_lockstep(self):
-        # Churn/outage draws after a batched convergecast must see the
-        # same generator a scalar convergecast would have left behind.
-        scalar_plan = FaultPlan(
-            loss=IndependentLoss(0.4), rng=np.random.default_rng(11)
-        )
-        batched_plan = FaultPlan(
-            loss=IndependentLoss(0.4), rng=np.random.default_rng(11)
-        )
-        sample_sequence(scalar_plan, repeats=7)
-        with batched_plan.batched_sampling(block=16):
-            sample_sequence(batched_plan, repeats=7)
-        assert np.array_equal(
-            scalar_plan.rng.random(50), batched_plan.rng.random(50)
-        )
-
-    def test_sessions_cannot_nest(self):
-        plan = FaultPlan(loss=IndependentLoss(0.5))
-        with plan.batched_sampling():
-            with pytest.raises(ConfigurationError, match="nest"):
-                with plan.batched_sampling():
-                    pass  # pragma: no cover
-
-    def test_session_restores_rng_on_error(self):
-        plan = FaultPlan(loss=IndependentLoss(0.5), rng=np.random.default_rng(5))
-        reference = np.random.default_rng(5)
-        with pytest.raises(RuntimeError):
-            with plan.batched_sampling(block=8):
-                for _ in range(5):
-                    plan.transmission_lost(1, 0)
-                raise RuntimeError("mid-convergecast failure")
-        # Five scalar draws must be accounted for despite the exception.
-        for _ in range(5):
-            reference.random()
-        assert states_equal(
-            reference.bit_generator.state, plan.rng.bit_generator.state
-        )
-        assert plan.rng is not None and not isinstance(
-            plan.rng, UniformBlockStream
-        )
-
-    @settings(max_examples=25, deadline=None)
-    @given(
-        probability=st.floats(min_value=0.0, max_value=0.99),
-        block=st.integers(min_value=1, max_value=64),
-        attempts=st.integers(min_value=0, max_value=200),
-        seed=st.integers(min_value=0, max_value=2**31 - 1),
-    )
-    def test_fuzz_iid_batched_equals_sequential(
-        self, probability, block, attempts, seed
+    def test_fuzz_matches_reference_walk(
+        self, probability, retries, size, seed, bit_gen_cls
     ):
-        scalar_plan = FaultPlan(
-            loss=IndependentLoss(probability), rng=np.random.default_rng(seed)
-        )
-        batched_plan = FaultPlan(
-            loss=IndependentLoss(probability), rng=np.random.default_rng(seed)
-        )
-        scalar_out = [
-            scalar_plan.transmission_lost(1, 0) for _ in range(attempts)
+        nets = [
+            run_walk(
+                reference,
+                IndependentLoss(probability),
+                np.random.Generator(bit_gen_cls(seed)),
+                retries=retries,
+                size=size,
+                tree_seed=seed % 1000,
+                rounds=3,
+            )
+            for reference in (True, False)
         ]
-        with batched_plan.batched_sampling(block=block):
-            batched_out = [
-                batched_plan.transmission_lost(1, 0) for _ in range(attempts)
-            ]
-        assert batched_out == scalar_out
-        assert states_equal(
-            scalar_plan.rng.bit_generator.state,
-            batched_plan.rng.bit_generator.state,
-        )
+        assert_walks_identical(*nets)
 
 
 class CountingLoss(IndependentLoss):
-    """A custom loss subclass: data-dependent draw counts per attempt.
-
-    Consumes one uniform to decide loss and, on a loss, a second uniform
-    (an intensity the model tracks) — exercising the contract that any
-    scalar-``random()`` consumption pattern batches correctly.
-    """
+    """I.i.d. loss that draws a second uniform, an intensity, per lost
+    frame.  Only ``IndependentLoss`` itself is drawn inline, so this
+    subclass takes the per-frame route."""
 
     def __init__(self, probability: float) -> None:
         super().__init__(probability)
@@ -269,21 +164,31 @@ class CountingLoss(IndependentLoss):
         return is_lost
 
 
-class TestCustomLossSubclass:
-    @pytest.mark.parametrize("block", [1, 5, 128])
-    def test_variable_draw_counts_batch_exactly(self, block):
-        scalar_loss = CountingLoss(0.45)
-        batched_loss = CountingLoss(0.45)
-        scalar_plan = FaultPlan(loss=scalar_loss, rng=np.random.default_rng(21))
-        batched_plan = FaultPlan(
-            loss=batched_loss, rng=np.random.default_rng(21)
+class TestDirectRoute:
+    """Every other loss model draws once per frame, as the reference does."""
+
+    def test_variable_draw_counts_match_reference(self):
+        losses = [CountingLoss(0.35), CountingLoss(0.35)]
+        ref, net = (
+            run_walk(reference, loss, np.random.default_rng(21))
+            for reference, loss in zip((True, False), losses)
         )
-        scalar_out = sample_sequence(scalar_plan, repeats=30)
-        with batched_plan.batched_sampling(block=block):
-            batched_out = sample_sequence(batched_plan, repeats=30)
-        assert batched_out == scalar_out
-        assert scalar_loss.intensities == batched_loss.intensities
-        assert states_equal(
-            scalar_plan.rng.bit_generator.state,
-            batched_plan.rng.bit_generator.state,
+        assert_walks_identical(ref, net)
+        assert losses[0].intensities == losses[1].intensities
+        assert losses[1].intensities
+
+    @pytest.mark.parametrize("retries", [0, 2])
+    def test_gilbert_elliott_burst_state_matches_reference(self, retries):
+        losses = [
+            GilbertElliottLoss.from_average(0.25, burst_length=4.0)
+            for _ in range(2)
+        ]
+        ref, net = (
+            run_walk(reference, loss, np.random.default_rng(3), retries=retries)
+            for reference, loss in zip((True, False), losses)
         )
+        assert_walks_identical(ref, net)
+        # The per-link Markov chain is part of the sampling state: both
+        # walks end with the same burst flag per directed link.
+        assert losses[0]._burst_state == losses[1]._burst_state
+        assert any(losses[1]._burst_state.values())

@@ -400,7 +400,8 @@ class TestEtxParentSelection:
         plan.begin_round(tree, 0)
         plan.begin_round(tree, 1)
         ledger.begin_round()
-        reattached = repair._reattach_orphans()
+        down = net._down_mask()
+        reattached = repair._reattach_orphans(down, tree.below(down))
         ledger.end_round()
         return reattached, net
 
@@ -429,7 +430,8 @@ class TestEtxParentSelection:
         plan.begin_round(tree, 0)
         plan.begin_round(tree, 1)
         ledger.begin_round()
-        reattached = repair._reattach_orphans()
+        down = net._down_mask()
+        reattached = repair._reattach_orphans(down, tree.below(down))
         ledger.end_round()
         # No link ever observed: ETX would just replay the prior, so the
         # PR 3 nearest-neighbour behaviour is preserved exactly.

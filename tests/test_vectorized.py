@@ -31,6 +31,7 @@ from repro.faults.network import FaultyTreeNetwork
 from repro.faults.plan import (
     GilbertElliottLoss,
     IndependentLoss,
+    LinkLossModel,
     RandomChurn,
     RandomOutages,
     ScheduledChurn,
@@ -44,13 +45,16 @@ from repro.sim.engine import Payload, TreeNetwork
 from repro.types import QuerySpec
 
 from tests.batch_kinds import KINDS, CountBatch, CountPayload, make_batch
-from tests.helpers import SequenceWorkload, assert_differential_invariant
+from tests.helpers import (
+    SequenceWorkload,
+    assert_differential_invariant,
+    states_equal,
+)
 from tests.reference_engine import (
     ReferenceFaultyTreeNetwork,
     ReferenceTreeNetwork,
     reference_drivers,
 )
-from tests.test_fault_sampling import states_equal
 
 RADIO_RANGE = 40.0
 
@@ -439,11 +443,23 @@ class TestFaultyEquivalence:
         self.assert_fault_counters_equal(net_o, net_v)
 
 
+class IntegerLoss(LinkLossModel):
+    """A custom model that draws integers: the walk calls it per frame."""
+
+    def __init__(self, per_mille: int) -> None:
+        self.per_mille = per_mille
+        self.nominal_loss = per_mille / 1000
+
+    def lost(self, sender, receiver, rng) -> bool:
+        return int(rng.integers(0, 1000)) < self.per_mille
+
+
 LOSS_AXIS = {
     "lossless": lambda: None,
     "iid-low": lambda: IndependentLoss(0.05),
     "iid-high": lambda: IndependentLoss(0.25),
     "gilbert-elliott": lambda: GilbertElliottLoss(0.2, 0.45, 0.03, 0.85),
+    "integer-draws": lambda: IntegerLoss(150),
 }
 
 
@@ -714,8 +730,9 @@ class TestFaultyEquivalenceMatrix:
 
 
 # The CLI's fault slices: the faulty path with repair and transient churn,
-# the same under learning (adaptive) ARQ, and a mid-run sink kill under
-# loss and ARQ.
+# the same under learning (adaptive) ARQ, a mid-run sink kill under loss
+# and ARQ, and Gilbert-Elliott burst loss, whose frames the walk draws one
+# by one through the plan.
 CLI_SLICES = {
     "faults": [
         "faults", "--loss", "0.05", "--retries", "2", "--transient", "0.05",
@@ -729,6 +746,10 @@ CLI_SLICES = {
     "root-kill": [
         "faults", "--loss", "0.05", "--retries", "2", "--root-kill", "5",
         "--nodes", "20", "--rounds", "12", "--range", "60", "--seed", "7",
+    ],
+    "burst": [
+        "faults", "--loss", "0.1", "--burst", "4", "--retries", "2",
+        "--nodes", "20", "--rounds", "10", "--range", "60", "--seed", "7",
     ],
 }
 
@@ -747,6 +768,8 @@ def test_cli_slice_identical_to_reference(name):
         assert "root killed @5" in printed[False]
     if name == "adaptive":
         assert "adp" in printed[False]
+    if name == "burst":
+        assert "Gilbert-Elliott" in printed[False]
 
 
 class TestFaultSeam:
