@@ -323,11 +323,15 @@ class FaultDriver:
     # -- membership views -----------------------------------------------------
 
     def participating(self, live: tuple[int, ...]) -> tuple[int, ...]:
-        """Live sensors the root's query currently covers."""
+        """Live sensors the root's query currently covers (``live``
+        ascending, as :meth:`~FaultyTreeNetwork.live_sensor_nodes` gives
+        them)."""
         if self.repair is None or not self.repair.detached:
             return live
-        detached = self.repair.detached
-        return tuple(v for v in live if v not in detached)
+        covered = np.zeros(self.net.tree.num_vertices, dtype=bool)
+        covered[list(live)] = True
+        covered[list(self.repair.detached)] = False
+        return tuple(np.flatnonzero(covered).tolist())
 
     # -- fault-aware rotation -------------------------------------------------
 
@@ -383,7 +387,8 @@ class FaultDriver:
         net = self.net
         net.begin_faults_round(round_index)
         plan = net.plan
-        if plan.dead.issuperset(net.tree.sensor_nodes):
+        sensors = net.tree.sensor_mask
+        if sum(1 for v in plan.dead if sensors[v]) == net.tree.num_sensor_nodes:
             # Permanent churn killed everyone; nothing can ever come back,
             # so there is no degraded service to provide — stop the loop.
             return None
@@ -433,13 +438,14 @@ class FaultDriver:
                     # complaining about — don't also re-initialize on top.
                     self._scheduled_reinit = False
                     self.cancelled_reinits += 1
+            participating = self.participating(live)
             if root_down_reason is not None:
                 # DEGRADED, but the continuous state is *not* stale logic:
                 # the sensors kept their filters, the root its counters —
                 # no re-init is scheduled.  Tracking resumes as soon as
                 # the root recovers or a fail-over lands.
                 degraded_reason = root_down_reason
-            elif not self.participating(live):
+            elif not participating:
                 # DEGRADED: churn detached the last participating sensor
                 # (or everyone is down).  Skip the algorithm — there is no
                 # answerable rank — and re-initialize once someone is back.
@@ -454,6 +460,7 @@ class FaultDriver:
                     reinitialized = True
                 if self.repair is not None:
                     self.repair.resync_after_reinit(self.algorithm)
+                    participating = self.participating(live)
                 outcome = self._initialize(values, booked=reinitialized)
                 self._initialized = True
                 self._scheduled_reinit = False
@@ -477,7 +484,9 @@ class FaultDriver:
                 # booked what it had done before re-raising.
                 repair_record = self.repair.stats.rounds[-1]
             self.failures += 1
-            if not self.participating(live):
+            # The raising hook may have run after the membership changed.
+            participating = self.participating(live)
+            if not participating:
                 # Even recovery has nobody to replant the query on.  Keep
                 # the (broken) algorithm for membership patching, degrade,
                 # and re-initialize when a sensor becomes reachable.
@@ -490,6 +499,7 @@ class FaultDriver:
                 self.algorithm = self.factory(self.spec)
                 if self.repair is not None:
                     self.repair.resync_after_reinit(self.algorithm)
+                    participating = self.participating(live)
                 try:
                     outcome = self._initialize(values, booked=True)
                     self.reinits += 1
@@ -509,7 +519,6 @@ class FaultDriver:
             if self._last_trustworthy_answer is not None:
                 # Serve the last answer the root could still prove right.
                 self.last_answer = self._last_trustworthy_answer
-        participating = self.participating(live)
         round_records = net.collection_log[log_start:]
         if any(r.coverage < 1.0 for r in round_records if r.expected > 0):
             # Something since the last (re-)init failed to arrive — the
@@ -548,7 +557,9 @@ class FaultDriver:
                 insertion_rank_error(live_values, answer, k_live)
             )
 
-        trustworthy = not degraded and self._trustworthy(failed, live)
+        trustworthy = not degraded and self._trustworthy(
+            failed, live, participating
+        )
         if trustworthy and self.last_answer is not None:
             self._last_trustworthy_answer = self.last_answer
         self.state = (
@@ -598,7 +609,12 @@ class FaultDriver:
                     float(self.ledger.energy.sum()) - energy_before
                 )
 
-    def _trustworthy(self, failed: bool, live: tuple[int, ...]) -> bool:
+    def _trustworthy(
+        self,
+        failed: bool,
+        live: tuple[int, ...],
+        participating: tuple[int, ...],
+    ) -> bool:
         if failed or self._tainted or not self._initialized:
             return False
         if self._scheduled_reinit:
@@ -608,9 +624,11 @@ class FaultDriver:
             # all; only a completely fault-free network keeps it in sync
             # (``live`` holds this round's up sensors).
             return len(live) == self.net.tree.num_sensor_nodes
-        return set(self.participating(live)) == set(
-            self.repair.reachable_sensors()
-        )
+        # The root's view must be exactly who can report, read afresh from
+        # the tree and the down set (a safety check keeps no cache).
+        covered = np.zeros(self.net.tree.num_vertices, dtype=bool)
+        covered[list(participating)] = True
+        return np.array_equal(covered, self.repair.reachable_mask())
 
     def point(
         self,

@@ -57,6 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.network.topology import csr_pairs
 from repro.network.tree import tree_multi_reparented
 from repro.radio.message import ack_cost
 from repro.sim.vectorized import ChargeLog
@@ -177,48 +178,74 @@ class RootFailover:
         """Live, attached root children; shallowest live sensors otherwise."""
         tree = self.net.tree
         detached = repair.detached if repair is not None else frozenset()
-        children = tuple(
-            v for v in tree.children[tree.root] if self._usable(v, detached)
-        )
+        root_children = tree.child_index[
+            tree.child_ptr[tree.root] : tree.child_ptr[tree.root + 1]
+        ].tolist()
+        children = tuple(v for v in root_children if self._usable(v, detached))
         if children:
             return children
         fallback = sorted(
             (v for v in tree.sensor_nodes if self._usable(v, detached)),
             key=lambda v: (tree.depth[v], v),
         )
-        return tuple(fallback[: max(1, len(tree.children[tree.root]))])
+        return tuple(fallback[: max(1, len(root_children))])
 
     def _elect(self, candidates: tuple[int, ...]) -> int:
         tree = self.net.tree
-        mask = self.net._down_mask()
-        down = [False] * tree.num_vertices if mask is None else mask.tolist()
         stats = self.net.link_stats
         # One jitter draw per candidate, in sorted order — deterministic
         # for a given seed regardless of set/dict iteration.
         jitter = {v: float(self._rng.random()) for v in sorted(candidates)}
+        # Each candidate scores the mean ETX of its observed links to up
+        # neighbours.  One zero-padded candidates x neighbours matrix holds
+        # those ETX values in neighbour order, and a row-wise np.cumsum
+        # folds it left, never a pairwise or compensated sum: Python
+        # 3.12+'s builtin sum() compensates, which would let a near-tie
+        # elect a different successor per Python version (repair's ETX
+        # path cost folds the same way).
+        owner, neighbor, column, width = self._neighbor_pairs(candidates)
+        etx, observed = stats.link_etx(np.asarray(candidates)[owner], neighbor)
+        down = self.net._down_mask()
+        if down is not None:
+            observed &= ~down[neighbor]
+        links = np.zeros((len(candidates), max(1, width)))
+        links[owner[observed], column[observed]] = etx[observed]
+        total = np.cumsum(links, axis=1)[:, -1].tolist()
+        count = np.bincount(owner[observed], minlength=len(candidates)).tolist()
+        size = tree.subtree_size
 
-        def score(vertex: int):
-            # A left fold, never a builtin sum(): Python 3.12+ compensates
-            # float sums, which would let a near-tie elect a different
-            # successor per Python version (repair's ETX path cost folds
-            # the same way).
-            total, observed = 0.0, 0
-            for u in self._neighbors(vertex):
-                if not down[u] and stats.link_observed(vertex, u):
-                    total += stats.etx(vertex, u)
-                    observed += 1
-            mean_etx = total / observed if observed else float("inf")
-            return (mean_etx, -tree.subtree_size[vertex], jitter[vertex], vertex)
+        def score(index: int):
+            vertex = candidates[index]
+            mean_etx = total[index] / count[index] if count[index] else float("inf")
+            return (mean_etx, -size[vertex], jitter[vertex], vertex)
 
-        return min(candidates, key=score)
+        return candidates[min(range(len(candidates)), key=score)]
 
-    def _neighbors(self, vertex: int) -> tuple[int, ...]:
+    def _neighbor_pairs(
+        self, candidates: tuple[int, ...]
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+        """Every neighbour of every candidate, candidate by candidate in
+        neighbour order: the candidate's index, the neighbour and its
+        column; and the largest neighbour count.  Neighbours are the
+        physical ones, or the tree's parent and children without a graph."""
+        cands = np.asarray(candidates, dtype=np.int64)
         if self.graph is not None:
-            return self.graph.neighbors(vertex)
-        tree = self.net.tree
-        parent = tree.parent[vertex]
-        up = () if parent < 0 else (parent,)
-        return up + tree.children[vertex]
+            indptr = self.graph.indptr
+            counts = indptr[cands + 1] - indptr[cands]
+            _, neighbor = csr_pairs(indptr, self.graph.indices, cands)
+        else:
+            tree = self.net.tree
+            lists = []
+            for v in candidates:
+                parent = tree.parent[v]
+                lists.append(((parent,) if parent >= 0 else ()) + tree.children[v])
+            counts = np.array([len(nbrs) for nbrs in lists], dtype=np.int64)
+            neighbor = np.array(
+                [u for nbrs in lists for u in nbrs], dtype=np.int64
+            )
+        owner = np.repeat(np.arange(len(cands)), counts)
+        column = np.arange(len(owner)) - np.repeat(np.cumsum(counts) - counts, counts)
+        return owner, neighbor, column, int(counts.max(initial=0))
 
     # -- execution -------------------------------------------------------------
 
@@ -295,12 +322,17 @@ class RootFailover:
         net = self.net
         beacon = ack_cost()
         log = ChargeLog(net.ledger)
+        # Row ``i``: every candidate but the ``i``-th smallest, in
+        # candidate order (candidates are distinct).
+        order = np.array(candidates, dtype=np.int64)
+        senders = np.sort(order)
+        listeners = np.broadcast_to(order, (len(order), len(order)))[
+            order != senders[:, None]
+        ].reshape(len(order), -1)
         try:
-            for sender in sorted(candidates):
+            for sender, others in zip(senders.tolist(), listeners):
                 log.charge_send(sender, beacon)
-                log.charge_recv_each(
-                    [v for v in candidates if v != sender], beacon
-                )
+                log.charge_recv_each(others, beacon)
         finally:
             log.flush()
         phase_bits = net.phase_bits

@@ -53,6 +53,25 @@ def _validate_probability(name: str, value: float, upper_inclusive: bool = False
         raise ConfigurationError(f"{name} must be in {bound}, got {value}")
 
 
+def _pool(tree: RoutingTree, *excluded) -> np.ndarray:
+    """Mask of the sensors of ``tree`` in none of the ``excluded`` vertex
+    collections; its nonzero indices are ascending, as ``sensor_nodes``."""
+    pool = tree.sensor_mask.copy()
+    for vertices in excluded:
+        if vertices:
+            pool[list(vertices)] = False
+    return pool
+
+
+def _eligible(tree: RoutingTree, pool: np.ndarray, root_ok: bool, vertex) -> bool:
+    """Whether a requested ``vertex`` is in ``pool``, or is the root and
+    ``root_ok``: scripts may name the current root, random models sample
+    the pool only."""
+    if vertex == tree.root:
+        return root_ok
+    return 0 <= vertex < len(pool) and bool(pool[vertex])
+
+
 class LinkLossModel(ABC):
     """Decides, per transmission attempt, whether a frame is lost.
 
@@ -206,8 +225,8 @@ class RandomChurn(ChurnModel):
     ) -> Iterable[int]:
         if round_index < self.start_round or self.rate == 0.0 or not live:
             return ()
-        mask = rng.random(len(live)) < self.rate
-        return [vertex for vertex, dead in zip(live, mask) if dead]
+        drawn = np.flatnonzero(rng.random(len(live)) < self.rate)
+        return [live[index] for index in drawn.tolist()]
 
 
 class ScheduledChurn(ChurnModel):
@@ -309,13 +328,11 @@ class RandomOutages(OutageModel):
     ) -> Iterable[tuple[int, int]]:
         if round_index < self.start_round or self.rate == 0.0 or not candidates:
             return ()
-        mask = rng.random(len(candidates)) < self.rate
+        drawn = np.flatnonzero(rng.random(len(candidates)) < self.rate)
         out: list[tuple[int, int]] = []
-        for vertex, down in zip(candidates, mask):
-            if not down:
-                continue
+        for index in drawn.tolist():
             duration = int(rng.geometric(1.0 / self.mean_downtime))
-            out.append((vertex, max(1, duration)))
+            out.append((candidates[index], max(1, duration)))
         return out
 
 
@@ -352,8 +369,10 @@ class FaultPlan:
     to the plain engine behaviour.
 
     The network reads the down set as a mask built from :attr:`dead` and
-    :attr:`down` (``FaultyTreeNetwork._down_mask``), and it draws i.i.d.
-    loss under a static ARQ policy inline, straight from :attr:`rng`.  A
+    :attr:`down` (``FaultyTreeNetwork._down_mask``), once per :attr:`stamp`,
+    and it draws i.i.d. loss under a static ARQ policy inline, straight
+    from :attr:`rng`.  Only :meth:`begin_round` and :meth:`retire` change
+    the two sets, and each moves the stamp on.  A
     subclass that overrides :meth:`is_down` or :meth:`transmission_lost`
     is therefore refused when it is defined rather than silently ignored;
     script outages through an :class:`OutageModel` and loss through a
@@ -397,6 +416,9 @@ class FaultPlan:
         self.newly_down: frozenset[int] = frozenset()
         #: Vertices whose transient outage ended entering this round.
         self.newly_recovered: frozenset[int] = frozenset()
+        #: Moves on whenever :attr:`dead` or :attr:`down` may have changed,
+        #: so a reader can keep what it derives from them per stamp.
+        self.stamp = 0
 
     @property
     def nominal_loss(self) -> float:
@@ -410,6 +432,7 @@ class FaultPlan:
         :attr:`newly_recovered`; the return value stays the set of newly
         *permanently* dead vertices (the original contract).
         """
+        self.stamp += 1
         recovered = self._tick_outages()
         newly_dead = self._churn_deaths(tree, round_index)
         # A vertex can die the very round its outage would have ended: it
@@ -436,12 +459,11 @@ class FaultPlan:
         # without perturbing the RNG draw sequence).  Explicit scripts
         # (ScheduledChurn) may still name the root — root death is a
         # fail-over event now, not a configuration error.
-        live = [v for v in tree.sensor_nodes if v not in self.dead]
-        requested = frozenset(self.churn.deaths(round_index, live, self.rng))
-        eligible = frozenset(live)
-        if tree.root not in self.dead:
-            eligible |= {tree.root}
-        newly = requested & eligible
+        pool = _pool(tree, self.dead)
+        live = np.flatnonzero(pool).tolist()
+        requested = self.churn.deaths(round_index, live, self.rng)
+        root_ok = tree.root not in self.dead
+        newly = frozenset(v for v in requested if _eligible(tree, pool, root_ok, v))
         self.dead |= newly
         # Death supersedes a pending outage: the vertex stays down forever.
         for vertex in newly:
@@ -454,22 +476,17 @@ class FaultPlan:
         # Like churn: random models only ever sample the sensors of the
         # current tree, but scripted outages may take the sink down — the
         # driver rides out its grace window or fails over.
-        candidates = [
-            v
-            for v in tree.sensor_nodes
-            if v not in self.dead and v not in self.down
-        ]
+        pool = _pool(tree, self.dead, self.down)
+        candidates = np.flatnonzero(pool).tolist()
         requested = self.outages.outages(round_index, candidates, self.rng)
         started: set[int] = set()
-        eligible = frozenset(candidates)
-        if tree.root not in self.dead and tree.root not in self.down:
-            eligible |= {tree.root}
+        root_ok = tree.root not in self.dead and tree.root not in self.down
         for vertex, duration in requested:
             if duration < 1:
                 raise ConfigurationError(
                     f"outage duration must be >= 1 round, got {duration}"
                 )
-            if vertex not in eligible or vertex in started:
+            if not _eligible(tree, pool, root_ok, vertex) or vertex in started:
                 continue
             self.down[vertex] = duration
             started.add(vertex)
@@ -483,6 +500,7 @@ class FaultPlan:
         successor has taken over its state, so the old root never returns
         to the query (any pending outage is superseded).
         """
+        self.stamp += 1
         self.dead.add(vertex)
         self.down.pop(vertex, None)
 

@@ -51,8 +51,9 @@ charging them one by one.
 
 A pass costs O(n) plus O(orphans x degree): the orphan set is read off the
 down vertices' children once, and each adoption updates a per-pass working
-tree (parent, children, depth, a rooted-up mask and cached ETX hop lists)
-instead of rescanning the network (see ``DESIGN.md``, "Recovery pass").
+tree (depth, a rooted-up mask, the orphans that moved and each vertex's
+hop-ETX row up to the root) instead of rescanning the network (see
+``DESIGN.md``, "Recovery pass").
 
 The root's membership view is modelled as consistent at the end of each
 repair pass (link-layer hello detection plus membership reports); reports
@@ -72,8 +73,8 @@ from repro.constants import VALUE_BITS
 from repro.errors import ConfigurationError
 from repro.faults.network import FaultyTreeNetwork
 from repro.faults.watchdog import RootWatchdog
-from repro.network.topology import PhysicalGraph
-from repro.network.tree import RoutingTree, tree_multi_reparented
+from repro.network.topology import PhysicalGraph, csr_pairs
+from repro.network.tree import RoutingTree, preorder_cover, tree_multi_reparented
 from repro.radio.message import MessageCost, ack_cost, message_bits
 from repro.sim.vectorized import ChargeLog
 
@@ -82,7 +83,7 @@ REPAIR_PHASE = "repair"
 
 #: Logged charges that trigger a mid-pass flush, which keeps the batch
 #: (and its memory) bounded on rounds with many orphans.
-_FLUSH_AT = 1024
+_FLUSH_AT = 8192
 
 
 @dataclass(frozen=True)
@@ -132,18 +133,20 @@ class RepairStats:
     rounds: list[RepairRound] = field(default_factory=list)
 
 
-def _reachable(tree: RoutingTree, cut: np.ndarray | None) -> tuple[int, ...]:
-    """The sensors of ``tree`` outside ``cut``.
+def _reachable(tree: RoutingTree, cut: np.ndarray | None) -> np.ndarray:
+    """Mask of the sensors of ``tree`` outside ``cut``.
 
     ``cut`` masks the vertices whose tree path to the root passes a down
     vertex, :meth:`~repro.network.tree.RoutingTree.below` of the down mask
     (``None`` when nothing is down).  The root's own state is the
     fail-over's business, so a down root cuts nothing here.
     """
-    if cut is None:
-        return tree.sensor_nodes
-    cut_off = cut.tolist()
-    return tuple(v for v in tree.sensor_nodes if not cut_off[v])
+    return tree.sensor_mask if cut is None else tree.sensor_mask & ~cut
+
+
+def _members(mask: np.ndarray) -> tuple[int, ...]:
+    """The masked vertices, ascending."""
+    return tuple(np.flatnonzero(mask).tolist())
 
 
 class _WorkingTree:
@@ -153,103 +156,185 @@ class _WorkingTree:
     whose whole working path to the root is up.  Within a pass, therefore:
 
     * the orphan set cannot grow;
-    * a rooted-up vertex keeps its path, so its ETX hop list is cached;
+    * a rooted-up vertex keeps its path, so its hop-ETX row stays valid;
     * an orphan's own subtree hangs below a down parent, so none of it is
-      rooted-up, and eligibility is one mask lookup;
+      rooted-up, eligibility is one mask lookup, and nothing moves into it
+      before the orphan itself moves;
     * an adoption moves one subtree: its depths shift by one constant, and
       the members whose path up to the orphan is up become rooted-up.
 
-    Children lists are copied on write, so setting up costs a few O(n)
-    copies at C speed.
+    So a working subtree is the vertex's range of the tree's preorder
+    minus the ranges of the orphans inside it that moved out earlier in
+    the pass, and the members below one of its down members are one cover
+    over that range (:func:`~repro.network.tree.preorder_cover`): every
+    adoption is a few array operations, however big the subtree.
+
+    With ETX ranking (``hop_etx``: the bound tree's per-vertex uplink ETX
+    and observed flags), row ``v`` of :attr:`rows` holds, for each hop
+    from ``v`` up to the root, its ETX and whether it was observed (1.0 or
+    0.0), zero-padded.  The link table does not change during a pass, so
+    the rows are built once, level by level, and an adoption only re-hangs
+    the moved subtree's rows under the new parent's.
     """
 
-    __slots__ = ("root", "parent", "depth", "rooted", "_children", "_moved", "_hops")
+    __slots__ = ("depth", "rooted", "rows", "_tree", "_order", "_left")
 
-    def __init__(self, tree: RoutingTree, cut: np.ndarray) -> None:
-        self.root = tree.root
-        self.parent = tree.parent_array.tolist()
-        self.depth = tree.depth_array.tolist()
-        self.rooted = (~cut).tolist()
-        self._children = tree.children
-        self._moved: dict[int, list[int]] = {}
-        self._hops: dict[int, tuple[tuple[float, ...], bool]] = {}
+    def __init__(
+        self,
+        tree: RoutingTree,
+        cut: np.ndarray,
+        hop_etx: tuple[np.ndarray, np.ndarray] | None = None,
+    ) -> None:
+        self.depth = tree.depth_array.copy()
+        self.rooted = ~cut
+        self._tree = tree
+        #: The vertex at each preorder position, and the positions of the
+        #: orphans that have moved this pass.
+        self._order = np.empty(tree.num_vertices, dtype=np.int64)
+        self._order[tree.preorder] = np.arange(tree.num_vertices)
+        self._left = np.zeros(tree.num_vertices, dtype=bool)
+        self.rows = None
+        if hop_etx is not None:
+            hops = np.column_stack(hop_etx).astype(np.float64)
+            rows = np.zeros((tree.num_vertices, max(1, len(tree.levels) - 1), 2))
+            parent = tree.parent_array
+            for level in tree.levels[1:]:
+                rows[level, 1:] = rows[parent[level], :-1]
+                rows[level, 0] = hops[level]
+            self.rows = rows
 
-    def children(self, vertex: int) -> list[int] | tuple[int, ...]:
-        moved = self._moved.get(vertex)
-        return self._children[vertex] if moved is None else moved
+    def subtree(self, vertex: int) -> np.ndarray:
+        """``vertex``'s working subtree in preorder (itself first), down
+        vertices included."""
+        size = self._tree.size_array
+        lo = self._tree.preorder[vertex]
+        inside = self._order[lo : lo + size[vertex]]
+        left = np.flatnonzero(self._left[lo + 1 : lo + size[vertex]]) + 1
+        if not len(left):
+            return inside
+        return inside[~preorder_cover(len(inside), left, size[inside[left]])]
 
-    def subtree(self, vertex: int) -> list[int]:
-        """``vertex``'s working subtree, itself and down vertices included."""
-        out, stack = [], [vertex]
-        while stack:
-            v = stack.pop()
-            out.append(v)
-            stack.extend(self.children(v))
-        return out
+    def adopt(
+        self,
+        orphan: int,
+        new_parent: int,
+        down: np.ndarray,
+        hop: list[float] | None = None,
+    ) -> np.ndarray:
+        """Re-parent ``orphan`` under ``new_parent``; returns the moved
+        subtree (``down``: the down mask).
 
-    def adopt(self, orphan: int, new_parent: int, down: list[bool]) -> list[int]:
-        """Re-parent ``orphan`` under ``new_parent``; returns the moved subtree."""
-        old_parent = self.parent[orphan]
-        self._moved[old_parent] = [
-            v for v in self.children(old_parent) if v != orphan
-        ]
-        self._moved[new_parent] = [*self.children(new_parent), orphan]
-        self.parent[orphan] = new_parent
+        ``hop`` is the new uplink's ETX and observed flag (ETX ranking).
+        """
         members = self.subtree(orphan)
+        start, size = self._tree.preorder, self._tree.size_array
+        lo = start[orphan]
+        self._left[lo] = True
         depth = self.depth
-        shift = depth[new_parent] + 1 - depth[orphan]
-        for v in members:
-            depth[v] += shift
-        rooted, stack = self.rooted, [orphan]
-        while stack:
-            v = stack.pop()
-            if not down[v]:
-                rooted[v] = True
-                stack.extend(self.children(v))
+        below = depth[members] - depth[orphan]
+        depth[members] += depth[new_parent] + 1 - depth[orphan]
+        down_here = members[down[members]]
+        if len(down_here):
+            # Members at or below a down member stay cut off.
+            cut = preorder_cover(size[orphan], start[down_here] - lo, size[down_here])
+            self.rooted[members[~cut[start[members] - lo]]] = True
+        else:
+            self.rooted[members] = True
+        if hop is not None:
+            self._rehang(members, below, new_parent, hop)
         return members
 
+    def _rehang(
+        self,
+        members: np.ndarray,
+        below: np.ndarray,
+        new_parent: int,
+        hop: list[float],
+    ) -> None:
+        """Rows of a moved subtree (``members[0]`` is its orphan, ``below``
+        each member's hops up to it): the orphan's new row is the new hop
+        on top of the new parent's row, and every other member keeps its
+        hops up to the orphan, followed by the orphan's row."""
+        rows = self.rows
+        width = rows.shape[1]
+        orphan = members[0]
+        deepest = int(self.depth[orphan] + below.max())
+        if deepest > width:
+            # Grow by half at least, so a deepening cascade copies the
+            # rows a logarithmic number of times.
+            grown = np.zeros((len(rows), max(deepest, width + width // 2), 2))
+            grown[:, :width] = rows
+            self.rows = rows = grown
+            width = rows.shape[1]
+        rows[orphan, 1:] = rows[new_parent, :-1]
+        rows[orphan, 0] = hop
+        if len(members) > 1:
+            rest = members[1:]
+            source = np.arange(width) - below[1:, None]
+            above = source >= 0
+            hung = rows[rest]
+            hung[above] = rows[orphan][source[above]]
+            rows[rest] = hung
+
     def etx_path_costs(
-        self, stats, orphan: int, candidates: list[int]
-    ) -> tuple[list[float], bool]:
-        """Per candidate: the ETX of the probe link plus the candidate's
-        working path to the root.
+        self, candidates: np.ndarray, probe: np.ndarray
+    ) -> tuple[np.ndarray, bool]:
+        """Per candidate: the ETX of its probe link plus its working path
+        to the root (``probe``: each probe link's ETX and observed flag).
 
         Also reports whether *any* link on those routes has ever been
         observed — if none has, the costs are pure prior and the caller
         prefers the distance ranking instead.  Each cost is a left fold
-        from the probe link up to the root, never a ``sum()``, whose
-        compensated float summation differs across Python versions.
+        from the probe link up to the root, a row-wise ``np.cumsum`` over
+        the zero-padded rows (adding the padding's zeros changes no sum),
+        never a pairwise or compensated sum, whose rounding differs.
         """
-        etx, link_observed, hops = stats.etx, stats.link_observed, self._hops
-        costs, any_observed = [], False
-        for candidate in candidates:
-            tail, observed = hops.get(candidate) or self._hop_list(stats, candidate)
-            cost = etx(orphan, candidate)
-            for hop in tail:
-                cost += hop
-            costs.append(cost)
-            any_observed = (
-                any_observed or observed or link_observed(orphan, candidate)
-            )
-        return costs, any_observed
+        rows = self.rows[candidates]
+        costs = np.cumsum(
+            np.column_stack([probe[:, 0], rows[:, :, 0]]), axis=1
+        )[:, -1]
+        return costs, bool(probe[:, 1].any() or rows[:, :, 1].any())
 
-    def _hop_list(self, stats, vertex: int) -> tuple[tuple[float, ...], bool]:
-        """Per-hop ETX from ``vertex`` up to the root, and whether any of
-        those links was observed; cached for the pass."""
-        hops, parent, chain = self._hops, self.parent, []
-        while vertex != self.root and vertex not in hops:
-            chain.append(vertex)
-            vertex = parent[vertex]
-        entry = ((), False) if vertex == self.root else hops[vertex]
-        for v in reversed(chain):
-            up = parent[v]
-            tail, observed = entry
-            entry = (
-                (stats.etx(v, up), *tail),
-                observed or stats.link_observed(v, up),
-            )
-            hops[v] = entry
-        return entry
+
+class _ProbeLinks:
+    """One pass's probe links: every pending orphan's physical neighbours.
+
+    Which neighbours hear a probe, their distances and (ETX ranking) each
+    link's ETX and observed flag do not change within a pass, so they are
+    looked up for all orphans in one batch; a probe reads its orphan's
+    slice.  Distances are ``np.hypot`` per element, the float a per-pair
+    call gives.
+    """
+
+    __slots__ = ("neighbors", "listen", "links", "_span")
+
+    def __init__(
+        self,
+        graph: PhysicalGraph,
+        orphans: list[int],
+        down: np.ndarray,
+        root: int,
+        stats=None,
+    ) -> None:
+        at = np.array(orphans, dtype=np.int64)
+        indptr = graph.indptr
+        counts = indptr[at + 1] - indptr[at]
+        owner, self.neighbors = csr_pairs(indptr, graph.indices, at)
+        self.listen = (self.neighbors == root) | ~down[self.neighbors]
+        here, there = graph.positions[owner], graph.positions[self.neighbors]
+        distance = np.hypot(here[:, 0] - there[:, 0], here[:, 1] - there[:, 1])
+        #: Per link: its distance, then (ETX ranking) its ETX and observed flag.
+        self.links = (
+            distance[:, None]
+            if stats is None
+            else np.column_stack([distance, *stats.link_etx(owner, self.neighbors)])
+        )
+        ends = np.cumsum(counts).tolist()
+        self._span = dict(zip(orphans, zip([0, *ends[:-1]], ends)))
+
+    def span(self, orphan: int) -> slice:
+        """The slice of ``orphan``'s links."""
+        return slice(*self._span[orphan])
 
 
 class TreeRepair:
@@ -321,12 +406,16 @@ class TreeRepair:
 
     # -- root-reachability ----------------------------------------------------
 
-    def reachable_sensors(self) -> tuple[int, ...]:
-        """Up sensors whose whole path to the root is up, read afresh from
-        the current tree and down set."""
+    def reachable_mask(self) -> np.ndarray:
+        """Mask of the up sensors whose whole path to the root is up, read
+        afresh from the current tree and down set."""
         tree = self.net.tree
         down = self.net._down_mask()
         return _reachable(tree, None if down is None else tree.below(down))
+
+    def reachable_sensors(self) -> tuple[int, ...]:
+        """:meth:`reachable_mask`'s sensors, ascending."""
+        return _members(self.reachable_mask())
 
     # -- the per-round pass ---------------------------------------------------
 
@@ -345,9 +434,9 @@ class TreeRepair:
         that raised (``stats.rounds[-1]``).
 
         The pass changes neither the dead nor the down set, so it reads the
-        down mask once, and it computes the cut-off cover once for each tree
-        it works on: the round's tree, and the repaired one if an orphan
-        was re-attached.
+        network's down mask and its cut-off cover, which the network keeps
+        per tree and plan stamp: the round's tree's, and the repaired
+        one's if an orphan was re-attached.
         """
         energy_before = float(self.net.ledger.energy.sum())
         reattached: list[tuple[int, int]] = []
@@ -355,11 +444,11 @@ class TreeRepair:
         detached: list[int] = []
         rejoined: list[int] = []
         down = self.net._down_mask()
-        cut = None if down is None else self.net.tree.below(down)
+        cut = self.net._cut_off()
         try:
             reattached = self._reattach_orphans(down, cut)
             if reattached:
-                cut = self.net.tree.below(down)
+                cut = self.net._cut_off()
             fallback = self._expired_fallbacks()
             self._sync_membership(algorithm, values, cut, detached, rejoined)
         finally:
@@ -375,7 +464,7 @@ class TreeRepair:
             self._book(round_record, energy_before)
         if round_record.changed_membership and self.watchdog is not None:
             tree = self.net.tree
-            self.watchdog.retarget(tree, _reachable(tree, cut))
+            self.watchdog.retarget(tree, _members(_reachable(tree, cut)))
         return round_record
 
     def _book(self, round_record: RepairRound, energy_before: float) -> None:
@@ -423,36 +512,45 @@ class TreeRepair:
         try:
             tree = self.net.tree
             if down_mask is None:
-                self._settle_park_queue(None, [], set())
+                self._settle_park_queue(None, None, set())
                 return []
-            down = down_mask.tolist()
-            relays = tree.relays
-            pending = [
-                child
-                for vertex in np.flatnonzero(down_mask).tolist()
-                for child in tree.children[vertex]
-                if not down[child] and child not in relays
-            ]
+            _, children = csr_pairs(
+                tree.child_ptr, tree.child_index, np.flatnonzero(down_mask)
+            )
+            pending = children[~down_mask[children]].tolist()
+            if tree.relays:
+                pending = [v for v in pending if v not in tree.relays]
             if not pending:
-                self._settle_park_queue(None, down, set())
+                self._settle_park_queue(None, down_mask, set())
                 return []
-            work = _WorkingTree(tree, cut)
+            etx = self.parent_metric == "etx"
+            work = _WorkingTree(tree, cut, self.net.uplink_etx() if etx else None)
+            probes = _ProbeLinks(
+                self.graph,
+                pending,
+                down_mask,
+                tree.root,
+                self.net.link_stats if etx else None,
+            )
             depth = work.depth
+            pending.sort(key=lambda v: (depth[v], v))
             moves: list[tuple[int, int, float]] = []
             failed: set[int] = set()
             while True:
-                choices = [v for v in pending if v not in failed]
-                if not choices:
+                orphan = next((v for v in pending if v not in failed), None)
+                if orphan is None:
                     break
-                orphan = min(choices, key=lambda v: (depth[v], v))
-                found = self._probe_for_parent(orphan, work, down)
+                found = self._probe_for_parent(orphan, work, probes)
                 if found is None:
                     failed.add(orphan)
                     continue
-                candidate, distance = found
+                candidate, distance, hop = found
                 self._charge_adopt_handshake(orphan, candidate, distance)
                 pending.remove(orphan)
-                moved = work.adopt(orphan, candidate, down)
+                moved = work.adopt(orphan, candidate, down_mask, hop)
+                if len(moved) > 1:
+                    # Pending orphans inside the moved subtree changed depth.
+                    pending.sort(key=lambda v: (depth[v], v))
                 if failed:
                     # A successful adopt restores root connectivity for exactly
                     # the orphan's subtree; a previously failed orphan can only
@@ -460,7 +558,7 @@ class TreeRepair:
                     # neighbours that subtree.  Everyone else's probe would
                     # replay the identical (charged!) beacon exchange and fail
                     # identically — don't re-probe them.
-                    reconnected = set(moved)
+                    reconnected = set(moved.tolist())
                     neighbors = self.graph.neighbors
                     failed = {
                         v
@@ -474,13 +572,16 @@ class TreeRepair:
                 # repaired tree so the root can patch its branch bookkeeping.
                 for _, new_parent, _ in moves:
                     self._report_to_root(new_parent)
-            self._settle_park_queue(work, down, failed)
+            self._settle_park_queue(work, down_mask, failed)
             return [(orphan, new_parent) for orphan, new_parent, _ in moves]
         finally:
             self._flush()
 
     def _settle_park_queue(
-        self, work: _WorkingTree | None, down: list[bool], failed: set[int]
+        self,
+        work: _WorkingTree | None,
+        down: np.ndarray | None,
+        failed: set[int],
     ) -> None:
         """Advance the parked-orphan queue after one re-attach pass.
 
@@ -513,8 +614,8 @@ class TreeRepair:
         for vertex in self._waiting:
             # Every listen costs the same, so the order of the subtree walk
             # leaves each vertex's float sum unchanged.
-            listeners = [m for m in work.subtree(vertex) if not down[m]]
-            self._log.charge_recv_each(listeners, ack)
+            members = work.subtree(vertex)
+            self._log.charge_recv_each(members[~down[members]], ack)
             self._maybe_flush()
 
     def _expired_fallbacks(self) -> list[int]:
@@ -523,18 +624,18 @@ class TreeRepair:
         return fresh
 
     def _probe_for_parent(
-        self, orphan: int, work: _WorkingTree, down: list[bool]
-    ) -> tuple[int, float] | None:
-        """One probe beacon + replies; the best eligible neighbour and its
-        distance, or ``None``.
+        self, orphan: int, work: _WorkingTree, probes: _ProbeLinks
+    ) -> tuple[int, float, list[float] | None] | None:
+        """One probe beacon + replies; the best eligible neighbour, its
+        distance and (ETX ranking) the new uplink's ETX and observed flag,
+        or ``None``.
 
         Eligible: physically in range and rooted-up in the working tree,
         which also rules out the orphan's own subtree.  Ranking follows
         :attr:`parent_metric` — ETX-weighted path cost to the root when
-        link estimates exist, Euclidean distance otherwise.
+        link estimates exist, Euclidean distance otherwise; ties go to the
+        nearer, then the lower-numbered neighbour.
         """
-        root = work.root
-        rooted = work.rooted
         ack = ack_cost()
         log = self._log
         # The probe is a local broadcast at full radio range; every up
@@ -543,33 +644,37 @@ class TreeRepair:
         # with an ack-sized beacon — nodes without a route to offer keep
         # quiet, exactly like route advertisements in CTP/RPL.
         self.stats.probe_count += 1
-        listeners = [
-            v for v in self.graph.neighbors(orphan) if v == root or not down[v]
-        ]
-        repliers = [v for v in listeners if rooted[v]]
-        distances = self._distances(orphan, repliers)
+        span = probes.span(orphan)
+        neighbors = probes.neighbors[span]
+        listen = probes.listen[span]
+        reply = listen & work.rooted[neighbors]
+        repliers = neighbors[reply]
+        links = probes.links[span][reply]
+        distances = links[:, 0]
         # A listener hears the beacon before it replies, and the orphan
         # beacons before it hears a reply: grouping the charges by kind
         # keeps every vertex's own charge order, hence its float sums.
         log.charge_send(orphan, ack, link_distance=self.graph.radio_range)
-        log.charge_recv_each(listeners, ack)
+        log.charge_recv_each(neighbors[listen], ack)
         log.charge_send_each(repliers, ack, distances)
         log.charge_recv_each([orphan] * len(repliers), ack)
         self._bits += (1 + len(repliers)) * ack.total_bits
         self._maybe_flush()
-        if not repliers:
+        if not len(repliers):
             return None
-        if self.parent_metric == "etx":
-            costs, observed = work.etx_path_costs(
-                self.net.link_stats, orphan, repliers
-            )
-            if observed:
-                _, distance, neighbor = min(zip(costs, distances, repliers))
-                return neighbor, distance
-        # No relevant link ever observed: ETX would just replay the prior
-        # everywhere, so fall back to nearest-neighbour adoption.
-        distance, neighbor = min(zip(distances, repliers))
-        return neighbor, distance
+        if work.rows is None:
+            best = np.lexsort((repliers, distances))[0]
+            return int(repliers[best]), float(distances[best]), None
+        costs, observed = work.etx_path_costs(repliers, links[:, 1:])
+        best = (
+            np.lexsort((repliers, distances, costs))[0]
+            if observed
+            # No relevant link ever observed: ETX would just replay the
+            # prior everywhere, so fall back to nearest-neighbour adoption.
+            else np.lexsort((repliers, distances))[0]
+        )
+        hop = links[best, 1:].tolist()
+        return int(repliers[best]), float(distances[best]), hop
 
     def _charge_adopt_handshake(
         self, orphan: int, new_parent: int, distance: float
@@ -639,18 +744,6 @@ class TreeRepair:
             self._flush()
 
     # -- charging helpers -----------------------------------------------------
-
-    def _distances(self, vertex: int, others: list[int]) -> list[float]:
-        """Euclidean distance from ``vertex`` to each of ``others``.
-
-        ``np.hypot`` runs the same libm call per element as on scalars, so
-        every distance is the float a per-pair call would give.
-        """
-        if not others:
-            return []
-        positions = self.graph.positions
-        here, there = positions[vertex], positions[others]
-        return np.hypot(here[0] - there[:, 0], here[1] - there[:, 1]).tolist()
 
     def _charge_send(self, sender: int, cost: MessageCost, distance: float) -> None:
         self._log.charge_send(sender, cost, link_distance=distance)

@@ -24,13 +24,24 @@ across.  Consumers:
 * :class:`~repro.faults.repair.TreeRepair` ranks candidate parents by
   ETX-weighted path cost to the root (distance remains the tie-break and
   the fallback while no estimate exists);
+* :class:`~repro.faults.failover.RootFailover` scores successor
+  candidates by the mean ETX of their observed links;
 * :func:`~repro.network.routing.build_randomized_routing_tree` biases
   rotation's parent sampling away from known-bad links.
+
+The estimates live in one ``float64`` array.  A link's *slot* in it is its
+first-observation rank, so slot order is the table's insertion order, and
+batch readers and writers work on slots: :meth:`LinkQualityEstimator.slots`
+looks them up, :meth:`~LinkQualityEstimator.etx_at` reads ETX as gathers,
+:meth:`~LinkQualityEstimator.link_etx` answers a neighbourhood's pairs and
+:meth:`~LinkQualityEstimator.observe_hops` folds a convergecast's channel
+samples in place.  Nothing is sized by the graph's edge count: the array
+grows with the links actually observed.
 """
 
 from __future__ import annotations
 
-from itertools import compress
+from itertools import repeat
 
 import numpy as np
 
@@ -39,6 +50,12 @@ from repro.errors import ConfigurationError
 #: Loss estimates are clamped below this when inverted into ETX so a
 #: fully-black link yields a large-but-finite cost.
 MAX_LOSS_FOR_ETX = 0.999
+
+
+def _link_key(sender, receiver):
+    """The directed link ``sender -> receiver`` as one integer, for vertex
+    ids (or arrays of them) that fit in 32 signed bits."""
+    return (sender << 32) | (receiver & 0xFFFFFFFF)
 
 
 class LinkQualityEstimator:
@@ -63,147 +80,40 @@ class LinkQualityEstimator:
             )
         self.smoothing = smoothing
         self.prior_loss = prior_loss
-        self._loss: dict[tuple[int, int], float] = {}
+        #: Each observed directed link's slot, its first-observation rank,
+        #: by :func:`_link_key`.
+        self._slot: dict[int, int] = {}
+        #: Per slot: the link's sender and receiver, and its loss estimate;
+        #: capacity beyond ``num_links`` is unused.
+        self._ends = np.empty((64, 2), dtype=np.int64)
+        self._values = np.empty(64, dtype=np.float64)
         #: Total channel samples folded in (all links).
         self.observations = 0
 
+    # -- scalar API -----------------------------------------------------------
+
     def observe(self, sender: int, receiver: int, delivered: bool) -> None:
         """Fold one channel outcome on ``sender -> receiver`` into the EWMA."""
-        key = (sender, receiver)
-        previous = self._loss.get(key, self.prior_loss)
+        slot = self._slot.get(_link_key(sender, receiver))
+        if slot is None:
+            slot = self._insert(np.array([sender]), np.array([receiver]))
+            previous = self.prior_loss
+        else:
+            previous = self._values.item(slot)
         sample = 0.0 if delivered else 1.0
-        self._loss[key] = (
+        self._values[slot] = (
             (1.0 - self.smoothing) * previous + self.smoothing * sample
         )
         self.observations += 1
 
-    def observe_hops(
-        self,
-        senders: list[int],
-        receivers: list[int],
-        attempts: np.ndarray,
-        frame_ok: np.ndarray,
-        uplink: np.ndarray | None,
-        final_ack: list[bool] | None,
-    ) -> None:
-        """Fold the channel samples of a batch of stop-and-wait hops.
-
-        Hop ``h`` sends ``attempts[h]`` data frames from ``senders[h]`` to
-        ``receivers[h]``; ``frame_ok`` holds every frame's outcome, hop by
-        hop.  When ``uplink[h]`` is set, each frame is one sample of the
-        uplink (``None``: no hop samples its uplink).  With ARQ on, every
-        delivered frame is acknowledged and each ACK samples the downlink:
-        all of a hop's ACKs but the last were lost, and the last one's
-        outcome is ``final_ack[h]`` (``None``: ARQ is off, no ACK).
-
-        Contract: each directed link is sampled by at most one hop of the
-        batch, and a hop's samples of a link are consecutive.  Per-link
-        EWMA chains are then independent, so folding them attempt rank by
-        attempt rank, one ``(1-s)*prev + s*sample`` array step each, runs
-        exactly the float sequence of :meth:`observe` called in hop order.
-        Links seen for the first time enter the table in hop order, uplink
-        before downlink, as the scalar calls would insert them.
-        """
-        loss = self._loss
-        prior = self.prior_loss
-        s = self.smoothing
-        keep = 1.0 - s
-        dget = loss.get
-        n_hops = len(senders)
-        offsets = np.zeros(n_hops, dtype=np.int64)
-        np.cumsum(attempts[:-1], out=offsets[1:])
-        all_up = uplink is not None and bool(uplink.all())
-        # Key tuples come straight off zip (the pair IS the key); prior
-        # lookups run as map(dict.get, ...) at C speed, with a missing
-        # link surfacing as None.  Missing links only appear while the
-        # topology is still being explored, so the slow interleaved
-        # insertion loop runs a handful of times per experiment.
-        if uplink is not None:
-            pairs_up = zip(senders, receivers)
-            up_keys = (
-                list(pairs_up)
-                if all_up
-                else list(compress(pairs_up, uplink.tolist()))
-            )
-        else:
-            up_keys = []
-        acks = (
-            np.add.reduceat(frame_ok.astype(np.int64), offsets)
-            if final_ack is not None
-            else None
-        )
-        dn_flags = (acks > 0).tolist() if acks is not None else None
-        if dn_flags is not None:
-            dn_keys = list(compress(zip(receivers, senders), dn_flags))
-        else:
-            dn_keys = []
-        prev_up = list(map(dget, up_keys))
-        prev_dn = list(map(dget, dn_keys))
-        new_links = (None in prev_up) or (None in prev_dn)
-        if new_links:
-            prev_up = [prior if p is None else p for p in prev_up]
-            prev_dn = [prior if p is None else p for p in prev_dn]
-        samples = 0
-        up_vals: list[float] = []
-        dn_vals: list[float] = []
-        if up_keys:
-            up_hops = np.arange(n_hops) if all_up else np.flatnonzero(uplink)
-            cur = np.array(prev_up, dtype=np.float64)
-            lens = attempts[up_hops]
-            starts = offsets[up_hops]
-            fail = (~frame_ok).astype(np.float64)
-            for j in range(int(lens.max())):
-                m = lens > j
-                cur[m] = keep * cur[m] + s * fail[starts[m] + j]
-            up_vals = cur.tolist()
-            samples += int(lens.sum())
-        if dn_keys:
-            dn_hops = np.flatnonzero(acks > 0)
-            curd = np.array(prev_dn, dtype=np.float64)
-            k_arr = acks[dn_hops]
-            final_fail = (
-                ~np.array(final_ack, dtype=bool)[dn_hops]
-            ).astype(np.float64)
-            for j in range(int(k_arr.max())):
-                m = k_arr > j
-                sample = np.where(k_arr[m] == j + 1, final_fail[m], 1.0)
-                curd[m] = keep * curd[m] + s * sample
-            dn_vals = curd.tolist()
-            samples += int(k_arr.sum())
-        if not new_links:
-            # Every key already exists, so assignment order cannot change
-            # the dict's (observable) insertion order: bulk-update.
-            loss.update(zip(up_keys, up_vals))
-            loss.update(zip(dn_keys, dn_vals))
-        else:
-            # First sighting of at least one link: insert in the scalar
-            # order — hop by hop, uplink before downlink.
-            up_iter = iter(zip(up_keys, up_vals))
-            dn_iter = iter(zip(dn_keys, dn_vals))
-            if uplink is None:
-                up_flags = [False] * n_hops
-            elif all_up:
-                up_flags = [True] * n_hops
-            else:
-                up_flags = uplink.tolist()
-            if dn_flags is None:
-                dn_flags = [False] * n_hops
-            for up_here, dn_here in zip(up_flags, dn_flags):
-                if up_here:
-                    key, val = next(up_iter)
-                    loss[key] = val
-                if dn_here:
-                    key, val = next(dn_iter)
-                    loss[key] = val
-        self.observations += samples
-
     def loss(self, sender: int, receiver: int) -> float:
         """Current loss estimate for the directed link (prior if unseen)."""
-        return self._loss.get((sender, receiver), self.prior_loss)
+        slot = self._slot.get(_link_key(sender, receiver))
+        return self.prior_loss if slot is None else self._values.item(slot)
 
     def has_estimate(self, sender: int, receiver: int) -> bool:
         """Whether the directed link has ever been observed."""
-        return (sender, receiver) in self._loss
+        return _link_key(sender, receiver) in self._slot
 
     def link_observed(self, a: int, b: int) -> bool:
         """Whether either direction of the ``a <-> b`` link has samples."""
@@ -223,7 +133,221 @@ class LinkQualityEstimator:
     @property
     def num_links(self) -> int:
         """Number of directed links with at least one sample."""
-        return len(self._loss)
+        return len(self._slot)
+
+    def table(self) -> list[tuple[tuple[int, int], float]]:
+        """``[((sender, receiver), loss), ...]`` in first-observation order."""
+        count = len(self._slot)
+        return list(
+            zip(
+                map(tuple, self._ends[:count].tolist()),
+                self._values[:count].tolist(),
+            )
+        )
+
+    # -- batch API ------------------------------------------------------------
+
+    def slots(self, senders, receivers) -> np.ndarray:
+        """Per directed link ``senders[i] -> receivers[i]``: its slot, or
+        ``-1`` while it has never been observed."""
+        keys = _link_key(
+            np.asarray(senders, dtype=np.int64),
+            np.asarray(receivers, dtype=np.int64),
+        )
+        return np.fromiter(
+            map(self._slot.get, keys.tolist(), repeat(-1)),
+            dtype=np.int64,
+            count=len(keys),
+        )
+
+    def etx_at(
+        self, up_slots: np.ndarray, down_slots: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`etx` and :meth:`link_observed` of the links whose uplink
+        and downlink sit in ``up_slots`` and ``down_slots`` (``-1``:
+        unseen), as gathers.  Each value is the scalar one: the array
+        operations are the scalar formula's, element by element."""
+        values, prior = self._values, self.prior_loss
+        p_up = np.where(up_slots >= 0, values[up_slots], prior)
+        p_down = np.where(down_slots >= 0, values[down_slots], prior)
+        np.minimum(p_up, MAX_LOSS_FOR_ETX, out=p_up)
+        np.minimum(p_down, MAX_LOSS_FOR_ETX, out=p_down)
+        etx = 1.0 / ((1.0 - p_up) * (1.0 - p_down))
+        return etx, (up_slots >= 0) | (down_slots >= 0)
+
+    def link_etx(self, senders, receivers) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`etx` and :meth:`link_observed` per pair
+        ``senders[i] -> receivers[i]`` (see :meth:`etx_at`).
+
+        Made for neighbourhoods, where the senders are a few vertices (an
+        orphan's probe links, an election's candidates): both directions
+        of a pair touch its sender, so only the table's links with an end
+        among the senders can match, and those are sorted by key and
+        searched.
+        """
+        senders = np.asarray(senders, dtype=np.int64)
+        receivers = np.asarray(receivers, dtype=np.int64)
+        ends = self._ends[: len(self._slot)]
+        touched = np.zeros(1 + max(ends.max(initial=0), senders.max(initial=0)), dtype=bool)
+        touched[senders] = True
+        near = np.flatnonzero(touched[ends[:, 0]] | touched[ends[:, 1]])
+        keys = _link_key(ends[near, 0], ends[near, 1])
+        order = np.argsort(keys)
+        keys, near = keys[order], near[order]
+
+        def find(wanted: np.ndarray) -> np.ndarray:
+            if not len(keys):
+                return np.full(len(wanted), -1, dtype=np.int64)
+            at = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
+            return np.where(keys[at] == wanted, near[at], -1)
+
+        return self.etx_at(
+            find(_link_key(senders, receivers)), find(_link_key(receivers, senders))
+        )
+
+    def observe_hops(
+        self,
+        senders,
+        receivers,
+        attempts: np.ndarray,
+        frame_ok: np.ndarray,
+        uplink: np.ndarray | None,
+        final_ack,
+        slots: tuple[np.ndarray, np.ndarray] | None = None,
+    ) -> None:
+        """Fold the channel samples of a batch of stop-and-wait hops.
+
+        Hop ``h`` sends ``attempts[h]`` data frames from ``senders[h]`` to
+        ``receivers[h]``; ``frame_ok`` holds every frame's outcome, hop by
+        hop.  When ``uplink[h]`` is set, each frame is one sample of the
+        uplink (``None``: no hop samples its uplink).  With ARQ on, every
+        delivered frame is acknowledged and each ACK samples the downlink:
+        all of a hop's ACKs but the last were lost, and the last one's
+        outcome is ``final_ack[h]`` (``None``: ARQ is off, no ACK).
+
+        ``slots`` are the hops' uplink and downlink slots when the caller
+        keeps them (``-1``: unseen); they are looked up otherwise.  Links
+        seen for the first time get their slots in one bulk step, hop by
+        hop and uplink before downlink, as the scalar calls would insert
+        them, and those slots are written into ``slots``.
+
+        Contract: each directed link is sampled by at most one hop of the
+        batch, and a hop's samples of a link are consecutive.  Per-link
+        EWMA chains are then independent: the estimates are gathered, each
+        attempt rank is folded in over the links that have a sample of
+        that rank, one ``(1-s)*prev + s*sample`` array step each, and the
+        results are scattered back.  That is exactly the float sequence of
+        :meth:`observe` called in hop order.
+        """
+        n_hops = len(senders)
+        if not n_hops:
+            return
+        senders = np.asarray(senders, dtype=np.int64)
+        receivers = np.asarray(receivers, dtype=np.int64)
+        attempts = np.asarray(attempts, dtype=np.int64)
+        frame_ok = np.asarray(frame_ok, dtype=bool)
+        if slots is None:
+            slots = (
+                self.slots(senders, receivers),
+                self.slots(receivers, senders),
+            )
+        up_slot, dn_slot = slots
+        # One row of channel samples per hop, rank by rank: its frames'
+        # losses (1.0), zero past its last attempt.
+        width = int(attempts.max())
+        ranks = np.arange(width)
+        lost = np.zeros((n_hops, width))
+        lost[ranks < attempts[:, None]] = ~frame_ok
+        no_hops = np.zeros(0, dtype=np.int64)
+        up_hops = no_hops if uplink is None else np.flatnonzero(uplink)
+        if final_ack is None:
+            dn_hops = no_hops
+        else:
+            acks = attempts - np.count_nonzero(lost, axis=1)
+            dn_hops = np.flatnonzero(acks)
+        self._insert_first_sightings(
+            senders, receivers, up_hops, dn_hops, up_slot, dn_slot
+        )
+        # An uplink's samples are its frames'; a downlink's are its ACKs',
+        # of which all but the last were lost.
+        slot = [up_slot[up_hops]]
+        lens = [attempts[up_hops]]
+        samples = [lost[up_hops]]
+        if len(dn_hops):
+            acked = acks[dn_hops]
+            last_lost = ~np.asarray(final_ack, dtype=bool)[dn_hops]
+            slot.append(dn_slot[dn_hops])
+            lens.append(acked)
+            samples.append(
+                np.where(
+                    ranks == acked[:, None] - 1, last_lost[:, None], True
+                ).astype(np.float64)
+            )
+        slot, lens, samples = (
+            np.concatenate(slot), np.concatenate(lens), np.concatenate(samples)
+        )
+        s = self.smoothing
+        keep = 1.0 - s
+        sampled = lens[:, None] > ranks
+        weighted = s * samples
+        cur = self._values[slot]
+        for rank in range(width):
+            np.copyto(cur, keep * cur + weighted[:, rank], where=sampled[:, rank])
+        self._values[slot] = cur
+        self.observations += int(lens.sum())
+
+    # -- storage --------------------------------------------------------------
+
+    def _insert(self, senders: np.ndarray, receivers: np.ndarray) -> int:
+        """Give the unseen links ``senders[i] -> receivers[i]`` the next
+        slots, in order, each starting at the prior; returns the first new
+        slot."""
+        first = len(self._slot)
+        end = first + len(senders)
+        if end > len(self._values):
+            capacity = max(end, 2 * len(self._values))
+            values = np.empty(capacity, dtype=np.float64)
+            values[:first] = self._values[:first]
+            ends = np.empty((capacity, 2), dtype=np.int64)
+            ends[:first] = self._ends[:first]
+            self._values, self._ends = values, ends
+        self._values[first:end] = self.prior_loss
+        self._ends[first:end, 0] = senders
+        self._ends[first:end, 1] = receivers
+        keys = _link_key(self._ends[first:end, 0], self._ends[first:end, 1])
+        self._slot.update(zip(keys.tolist(), range(first, end)))
+        return first
+
+    def _insert_first_sightings(
+        self,
+        senders: np.ndarray,
+        receivers: np.ndarray,
+        up_hops: np.ndarray,
+        dn_hops: np.ndarray,
+        up_slot: np.ndarray,
+        dn_slot: np.ndarray,
+    ) -> None:
+        """Insert the sampled links that have no slot yet, hop by hop and
+        uplink before downlink, and write their slots into ``up_slot`` and
+        ``dn_slot``."""
+        if up_slot.min() >= 0 and dn_slot.min() >= 0:
+            return
+        new_up = up_hops[up_slot[up_hops] < 0]
+        new_dn = dn_hops[dn_slot[dn_hops] < 0]
+        if not len(new_up) and not len(new_dn):
+            return
+        hops = np.concatenate([new_up, new_dn])
+        is_dn = np.zeros(len(hops), dtype=bool)
+        is_dn[len(new_up):] = True
+        order = np.lexsort((is_dn, hops))
+        hops, is_dn = hops[order], is_dn[order]
+        first = self._insert(
+            np.where(is_dn, receivers[hops], senders[hops]),
+            np.where(is_dn, senders[hops], receivers[hops]),
+        )
+        new = np.arange(first, first + len(hops), dtype=np.int64)
+        up_slot[hops[~is_dn]] = new[~is_dn]
+        dn_slot[hops[is_dn]] = new[is_dn]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

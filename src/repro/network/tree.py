@@ -176,6 +176,15 @@ class RoutingTree:
         )
 
     @cached_property
+    def sensor_mask(self) -> np.ndarray:
+        """:attr:`sensor_nodes` as a read-only per-vertex mask."""
+        mask = np.ones(self.num_vertices, dtype=bool)
+        mask[self.root] = False
+        if self.relays:
+            mask[list(self.relays)] = False
+        return _read_only(mask)
+
+    @cached_property
     def branch(self) -> np.ndarray:
         """Each vertex's top-level ancestor: the root child whose branch
         holds it (the root maps to itself)."""
@@ -196,11 +205,10 @@ class RoutingTree:
         """
         marked = np.flatnonzero(mask)
         marked = marked[marked != self.root]
-        start = self.preorder[marked]
-        n = self.num_vertices
-        cover = np.bincount(start, minlength=n + 1)
-        cover -= np.bincount(start + self.size_array[marked], minlength=n + 1)
-        return np.cumsum(cover[:n])[self.preorder] > 0
+        cover = preorder_cover(
+            self.num_vertices, self.preorder[marked], self.size_array[marked]
+        )
+        return cover[self.preorder]
 
     def with_relays(self, relays: frozenset[int] | set[int]) -> "RoutingTree":
         """A copy of this tree with ``relays`` demoted to pure forwarders."""
@@ -224,6 +232,14 @@ class RoutingTree:
         while path[-1] != self.root:
             path.append(self.parent[path[-1]])
         return path
+
+
+def preorder_cover(length: int, starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Which of ``length`` preorder positions lie in some subtree range
+    ``[start, start + size)``: one running count over the ranges' ends."""
+    cover = np.bincount(starts, minlength=length + 1)
+    cover -= np.bincount(starts + sizes, minlength=length + 1)
+    return np.cumsum(cover[:length]) > 0
 
 
 def tree_from_parents(

@@ -369,6 +369,13 @@ class TreeNetwork:
         """Per-vertex boolean down mask (``None`` = all up)."""
         return None
 
+    def _cut_off(self) -> np.ndarray | None:
+        """Mask of the vertices a down vertex cuts off from the root,
+        :meth:`~repro.network.tree.RoutingTree.below` of the down mask
+        (``None`` = all up)."""
+        down = self._down_mask()
+        return None if down is None else self.tree.below(down)
+
     def _hop_delivered(self, vertex: int, parent: int, payload: "Payload") -> tuple[bool, int]:
         """Transmit one merged payload over the ``vertex -> parent`` link.
 
@@ -464,12 +471,8 @@ class TreeNetwork:
                     accumulated[vertex] = None
         tree = self.tree
         delivered_up = hops.delivered_up
-        if delivered_up is None:
-            # Every uplink delivers: visit only the vertices whose subtree
-            # holds a contribution.
-            visit = held_vertices(tree, preorder_rank(tree, ids)).tolist()
-        else:
-            visit = tree.hop_order
+        # Only the vertices whose subtree holds a contribution can hold one.
+        visit = held_vertices(tree, preorder_rank(tree, ids)).tolist()
         parent = tree.parent
         holders: list[int] = []
         bits: list[int] = []
@@ -611,15 +614,15 @@ class TreeNetwork:
         self.exchanges += 1
         cost = message_bits(payload_bits)
         has_children = tree.child_ptr[1:] > tree.child_ptr[:-1]
-        down = self._down_mask()
-        if down is None:
+        cut = self._cut_off()
+        if cut is None:
             senders_mask = has_children
             receivers_mask = np.ones(tree.num_vertices, dtype=bool)
         else:
             # The flood reaches every vertex no down vertex cuts off.  A
             # down root cuts off nothing (``RoutingTree.below``): it still
             # floods.
-            receivers_mask = ~tree.below(down)
+            receivers_mask = ~cut
             senders_mask = receivers_mask & has_children
         reached_count = int(receivers_mask.sum()) - 1
         receivers_mask[tree.root] = False

@@ -283,8 +283,11 @@ class ChargeLog:
 
     Presents the ledger's ``charge_send``/``charge_recv`` signature so
     scalar-style charging code (tree repair, fail-over beacons) writes
-    through it unchanged; the per-charge joules are computed immediately
-    with the scalar ledger's own arithmetic, only the array updates are
+    through it unchanged, plus ``*_each`` forms that charge one message
+    cost to a run of vertices, in order, given as a sequence or an array.
+    Each call is kept as one chunk (the vertex sequence itself, so it must
+    not change before the flush) whose joules are computed immediately
+    with the scalar ledger's own arithmetic; only the array updates are
     deferred.  ``flush()`` must run before anything reads the ledger.
     """
 
@@ -300,6 +303,7 @@ class ChargeLog:
         "_messages",
         "_bits",
         "_values",
+        "_count",
     )
 
     def __init__(self, ledger: "EnergyLedger") -> None:
@@ -314,15 +318,28 @@ class ChargeLog:
             else self._model.send_cost_per_bit(self._radio_range)
         )
         self._recv_cpb = ledger.model.recv_cost
-        self._vertices: list[int] = []
-        self._joules: list[float] = []
+        # One entry per chunk: its vertices, its joules (one float for
+        # the whole chunk, or one per vertex), direction, per-charge
+        # message count, bits and values.
+        self._vertices: list = []
+        self._joules: list = []
         self._is_send: list[bool] = []
         self._messages: list[int] = []
         self._bits: list[int] = []
         self._values: list[int] = []
+        self._count = 0
 
     def __len__(self) -> int:
-        return len(self._vertices)
+        return self._count
+
+    def _chunk(self, vertices, joules, is_send: bool, cost, values: int) -> None:
+        self._vertices.append(vertices)
+        self._joules.append(joules)
+        self._is_send.append(is_send)
+        self._messages.append(cost.messages)
+        self._bits.append(cost.total_bits)
+        self._values.append(values)
+        self._count += len(vertices)
 
     def charge_send(
         self,
@@ -337,86 +354,80 @@ class ChargeLog:
             cpb = self._model.send_cost_per_bit(
                 self._radio_range, link_distance
             )
-        self._vertices.append(sender)
-        self._joules.append(cost.total_bits * cpb)
-        self._is_send.append(True)
-        self._messages.append(cost.messages)
-        self._bits.append(cost.total_bits)
-        self._values.append(values)
+        self._chunk((sender,), cost.total_bits * cpb, True, cost, values)
 
     def charge_recv(self, receiver: int, cost: "MessageCost") -> None:
         """Record one reception (same contract as the ledger's)."""
-        self._vertices.append(receiver)
-        self._joules.append(cost.total_bits * self._recv_cpb)
-        self._is_send.append(False)
-        self._messages.append(cost.messages)
-        self._bits.append(cost.total_bits)
-        self._values.append(0)
+        self._chunk(
+            (receiver,), cost.total_bits * self._recv_cpb, False, cost, 0
+        )
 
     def charge_send_each(
         self,
-        senders: Sequence[int],
+        senders: "Sequence[int] | np.ndarray",
         cost: "MessageCost",
-        link_distances: Sequence[float],
+        link_distances: "Sequence[float] | np.ndarray",
     ) -> None:
         """Record one ``cost`` transmission per sender, in order, each over
-        its own link: :meth:`charge_send` in a loop, at list speed."""
-        count = len(senders)
+        its own link: :meth:`charge_send` in a loop."""
         cpb = self._send_cpb
         if cpb is None:
             send_cpb, radio_range = self._model.send_cost_per_bit, self._radio_range
             joules = [
                 cost.total_bits * send_cpb(radio_range, distance)
-                for distance in link_distances
+                for distance in np.asarray(link_distances).tolist()
             ]
         else:
-            joules = [cost.total_bits * cpb] * count
-        self._vertices.extend(senders)
-        self._joules.extend(joules)
-        self._is_send.extend([True] * count)
-        self._messages.extend([cost.messages] * count)
-        self._bits.extend([cost.total_bits] * count)
-        self._values.extend([0] * count)
+            joules = cost.total_bits * cpb
+        self._chunk(senders, joules, True, cost, 0)
 
     def charge_recv_each(
-        self, receivers: Sequence[int], cost: "MessageCost"
+        self, receivers: "Sequence[int] | np.ndarray", cost: "MessageCost"
     ) -> None:
         """Record one ``cost`` reception per receiver, in order:
-        :meth:`charge_recv` in a loop, at list speed."""
-        count = len(receivers)
-        self._vertices.extend(receivers)
-        self._joules.extend([cost.total_bits * self._recv_cpb] * count)
-        self._is_send.extend([False] * count)
-        self._messages.extend([cost.messages] * count)
-        self._bits.extend([cost.total_bits] * count)
-        self._values.extend([0] * count)
+        :meth:`charge_recv` in a loop."""
+        self._chunk(receivers, cost.total_bits * self._recv_cpb, False, cost, 0)
 
     def flush(self) -> None:
         """Apply every recorded charge to the ledger in recorded order."""
-        if not self._vertices:
+        if not self._count:
             return
-        vertices = np.array(self._vertices, dtype=np.int64)
-        joules = np.array(self._joules, dtype=np.float64)
-        is_send = np.array(self._is_send, dtype=bool)
-        messages = np.array(self._messages, dtype=np.int64)
-        bits = np.array(self._bits, dtype=np.int64)
-        values = np.array(self._values, dtype=np.int64)
-        send = is_send
+        sizes = [len(chunk) for chunk in self._vertices]
+        vertices = np.concatenate(self._vertices).astype(np.int64, copy=False)
+        if not any(isinstance(j, list) for j in self._joules):
+            joules = np.repeat(np.array(self._joules, dtype=np.float64), sizes)
+        else:
+            joules = np.concatenate(
+                [
+                    np.array(j, dtype=np.float64)
+                    if isinstance(j, list)
+                    else np.full(size, j, dtype=np.float64)
+                    for j, size in zip(self._joules, sizes)
+                ]
+            )
+        is_send = np.repeat(np.array(self._is_send, dtype=bool), sizes)
+        messages = np.repeat(np.array(self._messages, dtype=np.int64), sizes)
+        bits = np.repeat(np.array(self._bits, dtype=np.int64), sizes)
+        values = np.repeat(np.array(self._values, dtype=np.int64), sizes)
         recv = ~is_send
         self._ledger.charge_batch(
             energy_vertices=vertices,
             energy_joules=joules,
-            send_vertices=vertices[send],
-            send_messages=messages[send],
-            send_bits=bits[send],
-            send_values=values[send],
+            send_vertices=vertices[is_send],
+            send_messages=messages[is_send],
+            send_bits=bits[is_send],
+            send_values=values[is_send],
             recv_vertices=vertices[recv],
             recv_messages=messages[recv],
             recv_bits=bits[recv],
         )
-        self._vertices.clear()
-        self._joules.clear()
-        self._is_send.clear()
-        self._messages.clear()
-        self._bits.clear()
-        self._values.clear()
+        for chunks in (
+            self._vertices,
+            self._joules,
+            self._is_send,
+            self._messages,
+            self._bits,
+            self._values,
+        ):
+            chunks.clear()
+        self._count = 0

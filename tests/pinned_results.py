@@ -186,7 +186,7 @@ class Digest:
             net.retransmissions,
             net.acks_sent,
             net.lost_acks,
-            list(net.link_stats._loss.items()),
+            net.link_stats.table(),
             net.link_stats.observations,
         )
 

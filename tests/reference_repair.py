@@ -11,7 +11,8 @@ pin the production pass to, record for record and ledger float for
 ledger float.
 
 :class:`ReferenceRootFailover` likewise charges the election beacons one
-scalar frame at a time.
+scalar frame at a time, and scores the candidates with one scalar link
+estimator call per neighbour.
 """
 
 from __future__ import annotations
@@ -327,7 +328,8 @@ class ReferenceTreeRepair:
 
 
 class ReferenceRootFailover(RootFailover):
-    """Fail-over whose election beacons are scalar ledger charges."""
+    """Fail-over whose election beacons are scalar ledger charges and whose
+    election reads the link table one scalar call at a time."""
 
     def _charge_election(self, candidates: tuple[int, ...]) -> None:
         net = self.net
@@ -343,3 +345,28 @@ class ReferenceRootFailover(RootFailover):
         phase_bits[FAILOVER_PHASE] = (
             phase_bits.get(FAILOVER_PHASE, 0) + total_bits
         )
+
+    def _elect(self, candidates: tuple[int, ...]) -> int:
+        """The scalar election: each candidate's observed links to up
+        neighbours, read one estimator call at a time and folded left."""
+        tree = self.net.tree
+        plan = self.net.plan
+        stats = self.net.link_stats
+        jitter = {v: float(self._rng.random()) for v in sorted(candidates)}
+
+        def neighbors(vertex: int) -> tuple[int, ...]:
+            if self.graph is not None:
+                return self.graph.neighbors(vertex)
+            parent = tree.parent[vertex]
+            return ((parent,) if parent >= 0 else ()) + tree.children[vertex]
+
+        def score(vertex: int):
+            total, observed = 0.0, 0
+            for u in neighbors(vertex):
+                if not plan.is_down(u) and stats.link_observed(vertex, u):
+                    total += stats.etx(vertex, u)
+                    observed += 1
+            mean_etx = total / observed if observed else float("inf")
+            return (mean_etx, -tree.subtree_size[vertex], jitter[vertex], vertex)
+
+        return min(candidates, key=score)

@@ -169,15 +169,18 @@ class TestFailoverMechanics:
         never the tie-break on subtree size that favours vertex 1."""
 
         class FixedEtx(LinkQualityEstimator):
+            """Pinned ETX values behind the election's batch read."""
+
             def __init__(self, table):
                 super().__init__()
                 self.table = table
 
-            def link_observed(self, a, b):
-                return (a, b) in self.table
-
-            def etx(self, a, b):
-                return self.table[(a, b)]
+            def link_etx(self, senders, receivers):
+                pairs = list(zip(np.asarray(senders).tolist(), np.asarray(receivers).tolist()))
+                return (
+                    np.array([self.table.get(pair, 0.0) for pair in pairs]),
+                    np.array([pair in self.table for pair in pairs], dtype=bool),
+                )
 
         tree = tree_from_parents(0, [-1, 0, 0] + [1] * 7 + [2])
         table = {(1, leaf): 1.9 for leaf in range(3, 10)}

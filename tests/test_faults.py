@@ -255,6 +255,28 @@ class TestChurnInNetwork:
         assert net.ledger.messages_received[5] == 1
         assert net.ledger.messages_received[3] == 0
 
+    def test_retire_moves_the_stamp_the_network_keys_its_masks_on(
+        self, small_tree
+    ):
+        """The network keeps its down mask and cut-off cover per plan
+        stamp, so each call that changes the dead or down set must move
+        the stamp; a retire that left it alone would leave the retired
+        vertex up in every mask read after it."""
+        plan = FaultPlan()
+        net = make_faulty(small_tree, plan=plan)
+        stamp = plan.stamp
+        net.begin_faults_round(0)
+        assert plan.stamp != stamp
+        assert net._down_mask() is None
+        assert net.broadcast(16) == 7
+        stamp = plan.stamp
+        plan.retire(4)
+        assert plan.stamp != stamp
+        assert net._down_mask().tolist() == [v == 4 for v in range(8)]
+        assert 4 not in net.live_sensor_nodes()
+        # 4 is dead: its subtree (6) misses the flood.
+        assert net.broadcast(16) == 5
+
     def test_broadcast_reaches_all_without_faults(self, small_tree):
         net = make_faulty(small_tree)
         assert net.broadcast(16) == 7

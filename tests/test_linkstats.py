@@ -11,9 +11,15 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
+from repro.faults.network import FaultyTreeNetwork
 from repro.network.linkstats import MAX_LOSS_FOR_ETX, LinkQualityEstimator
+from repro.network.tree import tree_from_parents
+from repro.radio.energy import EnergyModel
+from repro.radio.ledger import EnergyLedger
 
 
 class TestValidation:
@@ -157,7 +163,7 @@ class TestObserveHops:
             final_ack if arq else None,
         )
         # Values, insertion order and the sample counter all identical.
-        assert list(scalar._loss.items()) == list(batched._loss.items())
+        assert scalar.table() == batched.table()
         assert scalar.observations == batched.observations
 
 
@@ -234,3 +240,95 @@ class TestBurstTracking:
         assert np.mean(bad_estimates) > 0.5
         assert np.mean(good_estimates) < 0.25
         assert np.mean(bad_estimates) > np.mean(good_estimates) + 0.3
+
+
+# -- the array store against a scalar observe sequence ------------------------
+
+
+@st.composite
+def replays(draw):
+    """A vertex set, then batches of stop-and-wait hops, each on a random
+    tree over the same vertices (rooted at 0, re-parented between batches,
+    so a link first seen as a downlink may later be an uplink)."""
+    n = draw(st.integers(3, 14))
+    arq = draw(st.booleans())
+    budget = draw(st.integers(1, 3))
+    batches = []
+    for _ in range(draw(st.integers(1, 5))):
+        if batches and draw(st.booleans()):
+            # The same tree again, every link of it known already.
+            parent = batches[-1][0]
+        else:
+            order = [0] + draw(st.permutations(range(1, n)))
+            parent = [-1] * n
+            for i, vertex in enumerate(order[1:], start=1):
+                parent[vertex] = order[draw(st.integers(0, i - 1))]
+        senders = draw(st.lists(st.integers(1, n - 1), unique=True, min_size=1))
+        if draw(st.booleans()):
+            senders = list(range(1, n))
+        hops = []
+        for _ in senders:
+            frames = draw(
+                st.lists(st.booleans(), min_size=1, max_size=budget if arq else 1)
+            )
+            hops.append((frames, draw(st.booleans()), draw(st.booleans())))
+        batches.append((parent, senders, hops))
+    return n, arq, batches
+
+
+def scalar_replay(est, parent, senders, hops, arq):
+    """The batch's samples through ``observe``, hop by hop in hop order."""
+    for sender, (frames, uplink, last_ack) in zip(senders, hops):
+        receiver = parent[sender]
+        acks = sum(frames)
+        seen = 0
+        for ok in frames:
+            if uplink:
+                est.observe(sender, receiver, ok)
+            if arq and ok:
+                seen += 1
+                est.observe(receiver, sender, last_ack if seen == acks else False)
+
+
+@settings(max_examples=150, deadline=None)
+@given(replays())
+def test_array_store_is_the_scalar_store(replay):
+    """Batches replayed through a network's per-tree slot cache into the
+    array store leave the same table (values and insertion order), the
+    same sample count and the same scalar and batch reads on every
+    ordered pair, unseen pairs included, as ``observe`` called sample by
+    sample."""
+    n, arq, batches = replay
+    scalar = LinkQualityEstimator(smoothing=0.3, prior_loss=0.08)
+    batched = LinkQualityEstimator(smoothing=0.3, prior_loss=0.08)
+    ledger = EnergyLedger(n, 0, EnergyModel(), 35.0)
+    net = None
+    for parent, senders, hops in batches:
+        tree = tree_from_parents(0, parent)
+        if net is None:
+            net = FaultyTreeNetwork(tree, ledger, link_stats=batched)
+        else:
+            net.retarget(tree)
+        scalar_replay(scalar, parent, senders, hops, arq)
+        net._observe_hops(
+            np.array(senders, dtype=np.int64),
+            np.array([len(frames) for frames, _, _ in hops], dtype=np.int64),
+            np.array([ok for frames, _, _ in hops for ok in frames], dtype=bool),
+            np.array([uplink for _, uplink, _ in hops], dtype=bool),
+            np.array([last for _, _, last in hops], dtype=bool) if arq else None,
+        )
+        assert batched.table() == scalar.table()
+        assert batched.observations == scalar.observations
+        assert batched.num_links == scalar.num_links
+        up, down = net._link_slots()
+        vertices = np.arange(n)
+        parents = np.array(parent)
+        assert up.tolist() == batched.slots(vertices, parents).tolist()
+        assert down.tolist() == batched.slots(parents, vertices).tolist()
+    a, b = (pairs.ravel() for pairs in np.meshgrid(np.arange(n), np.arange(n)))
+    etx, observed = batched.link_etx(a, b)
+    for i, (x, y) in enumerate(zip(a.tolist(), b.tolist())):
+        assert batched.loss(x, y) == scalar.loss(x, y)
+        assert batched.etx(x, y) == scalar.etx(x, y) == etx[i]
+        assert batched.has_estimate(x, y) == scalar.has_estimate(x, y)
+        assert batched.link_observed(x, y) == scalar.link_observed(x, y) == observed[i]

@@ -726,3 +726,78 @@ def test_repair_and_failover_make_no_scalar_charges(monkeypatch):
     assert driver.failover.count == 1
     assert driver.repair.stats.reattach_count > 10
     assert scalar == []
+
+
+def test_fault_path_makes_no_scalar_link_estimator_calls(monkeypatch):
+    """The faulty convergecast, the repair pass and the fail-over election
+    read and write the link table only through its batch methods: killing
+    the sink of a 1,000-node deployment under ARQ 2 (loss, outages, one
+    election, then a cascade of ETX-ranked re-attachments) makes no
+    ``observe``, ``loss``, ``etx``, ``has_estimate`` or ``link_observed``
+    call inside any of them."""
+    from repro.datasets.synthetic import SyntheticWorkload
+    from repro.faults import IndependentLoss, RandomOutages, ScheduledChurn
+    from repro.faults.failover import RootFailover
+    from repro.faults.network import FaultyTreeNetwork
+    from repro.network.linkstats import LinkQualityEstimator
+    from repro.network.routing import build_routing_tree
+    from repro.network.topology import connected_random_graph
+
+    rng = np.random.default_rng(1000)
+    graph = connected_random_graph(1001, 35.0, rng, area_side=200.0)
+    tree = build_routing_tree(graph, root=0)
+    workload = SyntheticWorkload(graph.positions, rng)
+    plan = FaultPlan(
+        loss=IndependentLoss(0.05),
+        churn=ScheduledChurn({2: (tree.root,)}),
+        outages=RandomOutages(0.01, mean_downtime=3.0),
+        rng=np.random.default_rng(1001),
+    )
+    driver = FaultDriver(
+        default_algorithms()["HBC"],
+        QuerySpec(r_min=workload.r_min, r_max=workload.r_max),
+        tree,
+        workload,
+        plan,
+        ArqPolicy(max_retries=2),
+        graph=graph,
+    )
+
+    inside, scalar = [0], []
+
+    def watched(method):
+        def wrapper(*args, **kwargs):
+            inside[0] += 1
+            try:
+                return method(*args, **kwargs)
+            finally:
+                inside[0] -= 1
+
+        return wrapper
+
+    def counted(name, method):
+        def wrapper(*args, **kwargs):
+            if inside[0]:
+                scalar.append(name)
+            return method(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("observe", "loss", "etx", "has_estimate", "link_observed"):
+        monkeypatch.setattr(
+            LinkQualityEstimator,
+            name,
+            counted(name, getattr(LinkQualityEstimator, name)),
+        )
+    for owner, name in (
+        (FaultyTreeNetwork, "convergecast"),
+        (TreeRepair, "repair_round"),
+        (RootFailover, "maybe_failover"),
+    ):
+        monkeypatch.setattr(owner, name, watched(getattr(owner, name)))
+    driver.run(4)
+
+    assert driver.failover.count == 1
+    assert driver.repair.stats.reattach_count > 10
+    assert driver.net.link_stats.num_links > 1000
+    assert scalar == []

@@ -34,12 +34,15 @@ from repro.faults import (
     TreeRepair,
 )
 from repro.faults.failover import RootFailover
-from repro.faults.network import FaultyTreeNetwork
+from repro.faults.network import ArqPolicy, FaultyTreeNetwork
+from repro.faults.plan import IndependentLoss
 from repro.network.routing import build_routing_tree
 from repro.network.topology import connected_random_graph
 from repro.radio.energy import EnergyModel
 from repro.radio.ledger import EnergyLedger
 
+from tests.batch_kinds import CountBatch
+from tests.reference_engine import ReferenceFaultyTreeNetwork
 from tests.reference_repair import ReferenceRootFailover, ReferenceTreeRepair
 
 RANGE = 35.0
@@ -93,10 +96,23 @@ def deployment(scenario: Scenario):
     return graph, build_routing_tree(graph, root=0)
 
 
-def run_twin(scenario: Scenario, graph, tree, repair_cls, failover_cls):
-    """Drive one twin through the fault script; returns what it produced."""
+def run_twin(
+    scenario: Scenario,
+    graph,
+    tree,
+    repair_cls,
+    failover_cls,
+    net_cls=None,
+):
+    """Drive one twin through the fault script; returns what it produced.
+
+    Without ``net_cls`` a scalar stand-in feeds the link table; with it,
+    the twin runs on that network class under i.i.d. loss and ARQ 2, and
+    one real convergecast per round feeds it.
+    """
     seed = scenario.seed
     plan = FaultPlan(
+        loss=None if net_cls is None else IndependentLoss(0.1),
         churn=CompositeChurn(
             RandomChurn(scenario.churn_rate) if scenario.churn_rate else None,
             ScheduledChurn({scenario.kill_round: (tree.root,)}),
@@ -106,7 +122,10 @@ def run_twin(scenario: Scenario, graph, tree, repair_cls, failover_cls):
     )
     model = EnergyModel(per_link_distance=scenario.per_link_distance)
     ledger = EnergyLedger(tree.num_vertices, tree.root, model, RANGE)
-    net = FaultyTreeNetwork(tree, ledger, plan=plan)
+    if net_cls is None:
+        net = FaultyTreeNetwork(tree, ledger, plan=plan)
+    else:
+        net = net_cls(tree, ledger, plan=plan, arq=ArqPolicy(max_retries=2))
     watchdog = RootWatchdog(tree)
     repair = repair_cls(
         graph,
@@ -128,25 +147,48 @@ def run_twin(scenario: Scenario, graph, tree, repair_cls, failover_cls):
         )
         if failover.root_unavailable() is None:
             repair.repair_round(algorithm, values)
-        # Stand-in for the ARQ layer: every live uplink of the repaired
-        # tree feeds one sample to the shared link estimator, so the ETX
-        # ranking has observed links to work with from round 1 on.
         current = net.tree
-        for vertex in current.sensor_nodes:
-            up = current.parent[vertex]
-            if not plan.is_down(vertex) and not plan.is_down(up):
-                net.link_stats.observe(
-                    vertex, up, delivered=bool(links.random() > 0.2)
-                )
+        if net_cls is not None:
+            # Every live sensor counts itself up the repaired tree: the
+            # walk's batch replay writes the link table repair reads.
+            net.convergecast(
+                CountBatch({v: 1 for v in current.sensor_nodes if not plan.is_down(v)})
+            )
+        else:
+            # Stand-in for the ARQ layer: every live uplink of the repaired
+            # tree feeds one sample to the shared link estimator, so the
+            # ETX ranking has observed links to work with from round 1 on.
+            for vertex in current.sensor_nodes:
+                up = current.parent[vertex]
+                if not plan.is_down(vertex) and not plan.is_down(up):
+                    net.link_stats.observe(
+                        vertex, up, delivered=bool(links.random() > 0.2)
+                    )
         ledger.end_round()
         trees.append((current.root, current.parent, current.link_distance))
     return repair, failover, algorithm, net, trees
 
 
-def assert_twins_identical(scenario: Scenario) -> TreeRepair:
+def assert_twins_identical(scenario: Scenario, walks: bool = False) -> TreeRepair:
+    """With ``walks``, the reference twin also runs the per-hop reference
+    walk and the other one the batched walk."""
     graph, tree = deployment(scenario)
-    new = run_twin(scenario, graph, tree, TreeRepair, RootFailover)
-    ref = run_twin(scenario, graph, tree, ReferenceTreeRepair, ReferenceRootFailover)
+    new = run_twin(
+        scenario,
+        graph,
+        tree,
+        TreeRepair,
+        RootFailover,
+        FaultyTreeNetwork if walks else None,
+    )
+    ref = run_twin(
+        scenario,
+        graph,
+        tree,
+        ReferenceTreeRepair,
+        ReferenceRootFailover,
+        ReferenceFaultyTreeNetwork if walks else None,
+    )
     (repair, failover, algorithm, net, trees) = new
     (ref_repair, ref_failover, ref_algorithm, ref_net, ref_trees) = ref
 
@@ -164,6 +206,8 @@ def assert_twins_identical(scenario: Scenario) -> TreeRepair:
     history = net.ledger.round_energy_history
     ref_history = ref_net.ledger.round_energy_history
     assert [r.tobytes() for r in history] == [r.tobytes() for r in ref_history]
+    assert net.link_stats.table() == ref_net.link_stats.table()
+    assert net.link_stats.observations == ref_net.link_stats.observations
     return repair
 
 
@@ -211,3 +255,26 @@ def test_per_link_distance_cell(parent_metric, heal_patience):
     # cascade and parked or fallen-back orphans.
     assert stats.reattach_count > 10
     assert stats.fallback_count + stats.parked_rounds > 0
+
+
+@pytest.mark.parametrize("seed", (7, 20140324))
+def test_real_walks_feed_the_etx_ranking(seed):
+    """Each twin runs one i.i.d.-loss ARQ-2 convergecast per round, the
+    reference twin on the per-hop reference walk and the other on the
+    batched walk, so repair's and the election's ETX reads see tables the
+    batch replay wrote on re-parented trees."""
+    repair = assert_twins_identical(
+        Scenario(
+            nodes=200,
+            seed=seed,
+            parent_metric="etx",
+            heal_patience=3,
+            per_link_distance=True,
+            outage_rate=0.05,
+            churn_rate=0.01,
+            kill_round=3,
+        ),
+        walks=True,
+    )
+    assert repair.stats.reattach_count > 10
+    assert repair.net.link_stats.num_links > 300

@@ -519,9 +519,7 @@ class TestFaultyEquivalenceMatrix:
         assert ans_o == ans_v
         # The EWMA link table must agree in values AND insertion order —
         # repair/rotation iterate it, so order is observable behaviour.
-        assert list(net_o.link_stats._loss.items()) == list(
-            net_v.link_stats._loss.items()
-        )
+        assert net_o.link_stats.table() == net_v.link_stats.table()
         assert net_o.link_stats.observations == net_v.link_stats.observations
         # Identical final RNG state proves both walks consumed the exact
         # same draw sequence (churn/outage draws included).
