@@ -55,15 +55,12 @@ FAULTY_ROUNDS = 6
 SINK_KILL_ROUND = 3
 
 
-def grandparent_moves(tree, positions) -> list[tuple[int, int, float]]:
+def grandparent_moves(tree) -> list[tuple[int, int]]:
     """Every hundredth leaf below depth 1, re-parented to its grandparent."""
     parent = tree.parent_array
     leaves = np.flatnonzero(tree.child_ptr[1:] == tree.child_ptr[:-1])
     leaves = leaves[tree.depth_array[leaves] > 1][::100]
-    grand = parent[parent[leaves]]
-    delta = positions[leaves] - positions[grand]
-    distance = np.hypot(delta[:, 0], delta[:, 1])
-    return list(zip(leaves.tolist(), grand.tolist(), distance.tolist()))
+    return list(zip(leaves.tolist(), parent[parent[leaves]].tolist()))
 
 
 def faulty_rounds(graph, tree, side: float) -> tuple[list[float], int, int]:
@@ -109,7 +106,7 @@ def main(argv: list[str]) -> int:
     tree = build_routing_tree(graph, root=0)
     done = perf_counter()
 
-    moves = grandparent_moves(tree, graph.positions)
+    moves = grandparent_moves(tree)
     ledger = EnergyLedger(tree.num_vertices, tree.root, EnergyModel(), RADIO_RANGE_M)
     ledger.begin_round()
     start_rebuild = perf_counter()

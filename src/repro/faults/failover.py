@@ -274,9 +274,8 @@ class RootFailover:
         for provider in state_providers:
             handover_bits += int(provider())
 
-        distance = self._distance(old_root, successor)
         new_tree = tree_multi_reparented(
-            tree, [(old_root, successor, distance)], new_root=successor
+            tree, [(old_root, successor)], new_root=successor
         )
         net.retarget(new_tree, allow_reroot=True)
         net.plan.retire(old_root)
@@ -340,9 +339,3 @@ class RootFailover:
             phase_bits.get(FAILOVER_PHASE, 0)
             + beacon.total_bits * len(candidates)
         )
-
-    def _distance(self, a: int, b: int) -> float:
-        if self.graph is None:
-            return 0.0
-        pa, pb = self.graph.positions[a], self.graph.positions[b]
-        return float(np.hypot(pa[0] - pb[0], pa[1] - pb[1]))

@@ -144,11 +144,6 @@ def _reachable(tree: RoutingTree, cut: np.ndarray | None) -> np.ndarray:
     return tree.sensor_mask if cut is None else tree.sensor_mask & ~cut
 
 
-def _members(mask: np.ndarray) -> tuple[int, ...]:
-    """The masked vertices, ascending."""
-    return tuple(np.flatnonzero(mask).tolist())
-
-
 class _WorkingTree:
     """The routing tree as one repair pass rewrites it, adoption by adoption.
 
@@ -415,7 +410,7 @@ class TreeRepair:
 
     def reachable_sensors(self) -> tuple[int, ...]:
         """:meth:`reachable_mask`'s sensors, ascending."""
-        return _members(self.reachable_mask())
+        return tuple(np.flatnonzero(self.reachable_mask()).tolist())
 
     # -- the per-round pass ---------------------------------------------------
 
@@ -464,7 +459,7 @@ class TreeRepair:
             self._book(round_record, energy_before)
         if round_record.changed_membership and self.watchdog is not None:
             tree = self.net.tree
-            self.watchdog.retarget(tree, _members(_reachable(tree, cut)))
+            self.watchdog.retarget(tree, np.flatnonzero(_reachable(tree, cut)))
         return round_record
 
     def _book(self, round_record: RepairRound, energy_before: float) -> None:
@@ -487,11 +482,11 @@ class TreeRepair:
         planted on the reachable population only.
         """
         tree = self.net.tree
-        reachable = self.reachable_sensors()
-        self.detached = set(tree.sensor_nodes).difference(reachable)
+        reachable = self.reachable_mask()
+        self.detached = set(np.flatnonzero(tree.sensor_mask & ~reachable).tolist())
         algorithm.reset_participation(self.net, self.detached)
         if self.watchdog is not None:
-            self.watchdog.retarget(tree, reachable)
+            self.watchdog.retarget(tree, np.flatnonzero(reachable))
 
     # -- orphan re-attach -----------------------------------------------------
     #
@@ -534,7 +529,7 @@ class TreeRepair:
             )
             depth = work.depth
             pending.sort(key=lambda v: (depth[v], v))
-            moves: list[tuple[int, int, float]] = []
+            moves: list[tuple[int, int]] = []
             failed: set[int] = set()
             while True:
                 orphan = next((v for v in pending if v not in failed), None)
@@ -544,8 +539,8 @@ class TreeRepair:
                 if found is None:
                     failed.add(orphan)
                     continue
-                candidate, distance, hop = found
-                self._charge_adopt_handshake(orphan, candidate, distance)
+                candidate, hop = found
+                self._charge_adopt_handshake(orphan, candidate)
                 pending.remove(orphan)
                 moved = work.adopt(orphan, candidate, down_mask, hop)
                 if len(moved) > 1:
@@ -565,15 +560,15 @@ class TreeRepair:
                         for v in failed
                         if not any(n in reconnected for n in neighbors(v))
                     }
-                moves.append((orphan, candidate, distance))
+                moves.append((orphan, candidate))
             if moves:
                 self.net.retarget(tree_multi_reparented(tree, moves))
                 # The adopting parents report the membership change up the
                 # repaired tree so the root can patch its branch bookkeeping.
-                for _, new_parent, _ in moves:
+                for _, new_parent in moves:
                     self._report_to_root(new_parent)
             self._settle_park_queue(work, down_mask, failed)
-            return [(orphan, new_parent) for orphan, new_parent, _ in moves]
+            return moves
         finally:
             self._flush()
 
@@ -625,10 +620,9 @@ class TreeRepair:
 
     def _probe_for_parent(
         self, orphan: int, work: _WorkingTree, probes: _ProbeLinks
-    ) -> tuple[int, float, list[float] | None] | None:
-        """One probe beacon + replies; the best eligible neighbour, its
-        distance and (ETX ranking) the new uplink's ETX and observed flag,
-        or ``None``.
+    ) -> tuple[int, list[float] | None] | None:
+        """One probe beacon + replies; the best eligible neighbour and (ETX
+        ranking) the new uplink's ETX and observed flag, or ``None``.
 
         Eligible: physically in range and rooted-up in the working tree,
         which also rules out the orphan's own subtree.  Ranking follows
@@ -654,9 +648,9 @@ class TreeRepair:
         # A listener hears the beacon before it replies, and the orphan
         # beacons before it hears a reply: grouping the charges by kind
         # keeps every vertex's own charge order, hence its float sums.
-        log.charge_send(orphan, ack, link_distance=self.graph.radio_range)
+        log.charge_send(orphan, ack)
         log.charge_recv_each(neighbors[listen], ack)
-        log.charge_send_each(repliers, ack, distances)
+        log.charge_send_each(repliers, ack)
         log.charge_recv_each([orphan] * len(repliers), ack)
         self._bits += (1 + len(repliers)) * ack.total_bits
         self._maybe_flush()
@@ -664,7 +658,7 @@ class TreeRepair:
             return None
         if work.rows is None:
             best = np.lexsort((repliers, distances))[0]
-            return int(repliers[best]), float(distances[best]), None
+            return int(repliers[best]), None
         costs, observed = work.etx_path_costs(repliers, links[:, 1:])
         best = (
             np.lexsort((repliers, distances, costs))[0]
@@ -673,17 +667,14 @@ class TreeRepair:
             # prior everywhere, so fall back to nearest-neighbour adoption.
             else np.lexsort((repliers, distances))[0]
         )
-        hop = links[best, 1:].tolist()
-        return int(repliers[best]), float(distances[best]), hop
+        return int(repliers[best]), links[best, 1:].tolist()
 
-    def _charge_adopt_handshake(
-        self, orphan: int, new_parent: int, distance: float
-    ) -> None:
+    def _charge_adopt_handshake(self, orphan: int, new_parent: int) -> None:
         """Adopt request / accept, both ack-sized control frames."""
         ack = ack_cost()
-        self._charge_send(orphan, ack, distance)
+        self._charge_send(orphan, ack)
         self._charge_recv(new_parent, ack)
-        self._charge_send(new_parent, ack, distance)
+        self._charge_send(new_parent, ack)
         self._charge_recv(orphan, ack)
 
     # -- membership sync ------------------------------------------------------
@@ -732,9 +723,7 @@ class TreeRepair:
             for vertex in newly_back:
                 # Filter re-push (one hop down), then the node reports its
                 # current value up so the root can patch its counters.
-                self._charge_send(
-                    tree.parent[vertex], push, tree.link_distance[vertex]
-                )
+                self._charge_send(tree.parent[vertex], push)
                 self._charge_recv(vertex, push)
                 self._report_to_root(vertex)
                 self.detached.discard(vertex)
@@ -745,8 +734,8 @@ class TreeRepair:
 
     # -- charging helpers -----------------------------------------------------
 
-    def _charge_send(self, sender: int, cost: MessageCost, distance: float) -> None:
-        self._log.charge_send(sender, cost, link_distance=distance)
+    def _charge_send(self, sender: int, cost: MessageCost) -> None:
+        self._log.charge_send(sender, cost)
         self._bits += cost.total_bits
 
     def _charge_recv(self, receiver: int, cost: MessageCost) -> None:
@@ -785,8 +774,6 @@ class TreeRepair:
         # Every vertex hears its child before it forwards, so logging all
         # receives before all sends keeps each vertex's charge order.
         self._log.charge_recv_each(path[1:], cost)
-        self._log.charge_send_each(
-            senders, cost, [tree.link_distance[v] for v in senders]
-        )
+        self._log.charge_send_each(senders, cost)
         self._bits += cost.total_bits * len(senders)
         self._maybe_flush()

@@ -30,6 +30,14 @@ from repro.errors import ConfigurationError
 from repro.network.tree import RoutingTree
 from repro.sim.engine import CollectionRecord
 
+#: A collection is suspicious when its coverage falls below this fraction
+#: of the baseline coverage.
+COVERAGE_DROP = 0.5
+
+#: Fraction of the believed-live population a convergecast must target to
+#: count as a full collection.
+FULL_FRACTION = 0.9
+
 
 class RootWatchdog:
     """Detects persistently silent subtrees from full-collection outcomes.
@@ -38,56 +46,42 @@ class RootWatchdog:
         tree: the routing tree (to map contributors to root branches).
         patience: consecutive suspicious full collections before a
             re-initialization is recommended.
-        coverage_drop: a collection is suspicious when its coverage falls
-            below ``coverage_drop * baseline_coverage``.
-        full_fraction: fraction of the believed-live population a
-            convergecast must target to count as a full collection.
     """
 
-    def __init__(
-        self,
-        tree: RoutingTree,
-        patience: int = 2,
-        coverage_drop: float = 0.5,
-        full_fraction: float = 0.9,
-    ) -> None:
+    def __init__(self, tree: RoutingTree, patience: int = 2) -> None:
         if patience < 1:
             raise ConfigurationError(f"patience must be >= 1, got {patience}")
-        if not 0.0 < coverage_drop <= 1.0:
-            raise ConfigurationError(
-                f"coverage_drop must be in (0, 1], got {coverage_drop}"
-            )
-        if not 0.0 < full_fraction <= 1.0:
-            raise ConfigurationError(
-                f"full_fraction must be in (0, 1], got {full_fraction}"
-            )
         self.tree = tree
         self.patience = patience
-        self.coverage_drop = coverage_drop
-        self.full_fraction = full_fraction
         self._baseline_coverage = 1.0
-        self._baseline_branches = self._branches(tree.sensor_nodes)
+        self._baseline_branches = self._branches(np.flatnonzero(tree.sensor_mask))
         self._streak = 0
         #: Re-initializations recommended so far.
         self.triggered = 0
 
-    def _branches(self, vertices: Iterable[int]) -> frozenset[int]:
+    def _branches(self, vertices: "Iterable[int] | np.ndarray") -> frozenset[int]:
         """The branches (root children, :attr:`RoutingTree.branch`) that
-        host ``vertices``.
+        host ``vertices``: one scatter marks them, and only the few marked
+        ids become Python ints.
 
         The tree's branch array covers every vertex, so only an id outside
         the tree can miss it; such an id counts as its own branch, which no
         awaited branch ever is.
         """
-        ids = np.fromiter(vertices, dtype=np.int64)
+        ids = (
+            vertices
+            if isinstance(vertices, np.ndarray)
+            else np.fromiter(vertices, dtype=np.int64)
+        )
         branch = self.tree.branch
         inside = (ids >= 0) & (ids < len(branch))
-        ids[inside] = branch[ids[inside]]
-        return frozenset(ids.tolist())
+        hit = np.zeros(len(branch), dtype=bool)
+        hit[branch[ids[inside]]] = True
+        return frozenset(np.flatnonzero(hit).tolist()).union(ids[~inside].tolist())
 
     def is_full_collection(self, record: CollectionRecord, live: int) -> bool:
         """Whether ``record`` targeted (nearly) the whole live population."""
-        return live > 0 and record.expected >= self.full_fraction * live
+        return live > 0 and record.expected >= FULL_FRACTION * live
 
     def observe(self, record: CollectionRecord) -> bool:
         """Feed one full-collection record; True recommends re-initializing.
@@ -105,7 +99,7 @@ class RootWatchdog:
             record.delivered
         )
         suspicious = (
-            coverage < self.coverage_drop * self._baseline_coverage
+            coverage < COVERAGE_DROP * self._baseline_coverage
             or bool(silent_branches)
         )
         if not suspicious:
@@ -121,7 +115,7 @@ class RootWatchdog:
         return True
 
     def retarget(
-        self, tree: RoutingTree, members: Iterable[int] | None = None
+        self, tree: RoutingTree, members: "Iterable[int] | np.ndarray | None" = None
     ) -> None:
         """Adopt a repaired routing tree (and optionally a member set).
 
@@ -146,7 +140,7 @@ class RootWatchdog:
         """
         self.tree = tree
         if members is None:
-            members = tree.sensor_nodes
+            members = np.flatnonzero(tree.sensor_mask)
         self._baseline_branches = self._branches(members)
         self._baseline_coverage = 0.0
         self._streak = 0

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.network.tree import RoutingTree, _tree_from_parent_links
+from repro.network.tree import RoutingTree, _tree_from_parent_array
 
 
 @dataclass(frozen=True)
@@ -54,9 +54,8 @@ def expand_tree(tree: RoutingTree, values_per_node: int) -> MultiValueExpansion:
     """Attach ``values_per_node - 1`` artificial children to every sensor.
 
     The original vertex ids are preserved; artificial vertices get the ids
-    ``tree.num_vertices ..``.  Physical links keep their lengths, and a
-    device-internal link has length 0.  Relay vertices (layered sampling)
-    stay relays and are left unexpanded — they contribute no measurements.
+    ``tree.num_vertices ..``.  Relay vertices (layered sampling) stay
+    relays and are left unexpanded — they contribute no measurements.
     """
     if values_per_node < 1:
         raise ConfigurationError(
@@ -76,9 +75,8 @@ def expand_tree(tree: RoutingTree, values_per_node: int) -> MultiValueExpansion:
             virtual.append(next_id)
             next_id += 1
 
-    link = np.concatenate([tree.link_array, np.zeros(len(virtual))])
     return MultiValueExpansion(
-        tree=_tree_from_parent_links(tree.root, parent, link, relays=tree.relays),
+        tree=_tree_from_parent_array(tree.root, parent, relays=tree.relays),
         virtual_vertices=frozenset(virtual),
         values_per_node=values_per_node,
         host_of=tuple(host_of),

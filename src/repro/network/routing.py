@@ -38,7 +38,7 @@ def build_routing_tree(graph: PhysicalGraph, root: int = 0) -> RoutingTree:
         first = np.ones(len(order), dtype=bool)
         first[1:] = child[order[1:]] != child[order[:-1]]
         parent[child[order[first]]] = cand[order[first]]
-    return tree_from_parents(root, parent.tolist(), pos)
+    return tree_from_parents(root, parent.tolist())
 
 
 def _min_hop_depths(
@@ -111,4 +111,4 @@ def build_randomized_routing_tree(
             parent[vertex] = int(candidates[int(choice)])
         else:
             parent[vertex] = int(candidates[rng.integers(0, len(candidates))])
-    return tree_from_parents(root, parent, graph.positions)
+    return tree_from_parents(root, parent)

@@ -74,17 +74,24 @@ def bfs_levels(
     frontier lists its vertices in order of discovery: the previous frontier
     in its order, each vertex's neighbours in adjacency order — the order a
     FIFO-queue search pops them in.
+
+    A vertex reached several times joins at its first occurrence: each
+    vertex keeps its smallest position in the level's reached list, and
+    the list keeps the entries at those positions.  A vertex is reached
+    in one level only, so the per-vertex array never needs resetting.
     """
     depth = np.full(len(indptr) - 1, -1, dtype=np.int64)
     depth[source] = 0
+    first = np.full(len(depth), len(indices), dtype=np.int64)
     levels = [np.array([source], dtype=np.int64)]
     while True:
         _, reached = csr_pairs(indptr, indices, levels[-1])
         reached = reached[depth[reached] < 0]
         if not reached.size:
             return depth, levels
-        _, first = np.unique(reached, return_index=True)
-        frontier = reached[np.sort(first)]
+        at = np.arange(len(reached))
+        np.minimum.at(first, reached, at)
+        frontier = reached[first[reached] == at]
         depth[frontier] = len(levels)
         levels.append(frontier)
 

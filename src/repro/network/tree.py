@@ -2,13 +2,15 @@
 
 All query traffic flows along this tree: convergecasts go child -> parent,
 broadcasts go parent -> children.  The tree is a set of read-only per-vertex
-arrays (parent, link lengths, a children CSR, depths, breadth-first levels,
-subtree sizes, a preorder and the bottom-up hop order), derived once from
-the parent array when the tree is built.  This is the only module that
-derives structure from a parent array; the simulation engine, the faulty
-walk, the watchdog and tree repair all read these arrays.  Python loops that
-index the tree element by element read tuple views of the same arrays,
-built on first use.
+arrays (parent, a children CSR, depths, breadth-first levels, subtree
+sizes, a preorder and the bottom-up hop order), derived once from the
+parent array when the tree is built.  It holds no link lengths, because
+every transmission is charged at the nominal radio range
+(:mod:`repro.radio.energy`).  This is the only module that derives
+structure from a parent array; the simulation engine, the faulty walk, the
+watchdog and tree repair all read these arrays.  Python loops that index
+the tree element by element read tuple views of the same arrays, built on
+first use.
 """
 
 from __future__ import annotations
@@ -40,10 +42,6 @@ class RoutingTree:
     Attributes:
         root: index of the root (sink) vertex.
         parent_array: ``int64`` parent per vertex, ``-1`` at the root.
-        link_array: ``float64`` Euclidean length [m] of each vertex's uplink
-            (0.0 for the root).  Kept for energy models where the transmit
-            amplifier may depend on the actual link length rather than the
-            nominal radio range.
         child_ptr, child_index: the children in CSR form, siblings
             ascending: the children of ``v`` are
             ``child_index[child_ptr[v]:child_ptr[v + 1]]``.
@@ -65,7 +63,6 @@ class RoutingTree:
 
     root: int
     parent_array: np.ndarray
-    link_array: np.ndarray
     child_ptr: np.ndarray
     child_index: np.ndarray
     depth_array: np.ndarray
@@ -75,8 +72,8 @@ class RoutingTree:
     bottom_up: np.ndarray
     relays: frozenset[int] = frozenset()
 
-    # Two trees are equal when they have the same root, parents, link
-    # lengths and relays; everything else derives from those.
+    # Two trees are equal when they have the same root, parents and
+    # relays; everything else derives from those.
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self):
             return NotImplemented
@@ -84,24 +81,15 @@ class RoutingTree:
             self.root == other.root
             and self.relays == other.relays
             and np.array_equal(self.parent_array, other.parent_array)
-            and np.array_equal(self.link_array, other.link_array)
         )
 
     def __hash__(self) -> int:
-        # ``+ 0.0`` turns -0.0 into 0.0, which compares equal to it.
-        return hash(
-            (
-                self.root,
-                self.parent_array.tobytes(),
-                (self.link_array + 0.0).tobytes(),
-                self.relays,
-            )
-        )
+        return hash((self.root, self.parent_array.tobytes(), self.relays))
 
     def __repr__(self) -> str:
         return (
             f"RoutingTree(root={self.root!r}, parent={self.parent!r}, "
-            f"link_distance={self.link_distance!r}, relays={self.relays!r})"
+            f"relays={self.relays!r})"
         )
 
     @property
@@ -116,19 +104,14 @@ class RoutingTree:
 
     # The views below are built on first use and cached per instance (the
     # tree is immutable; ``with_relays`` and the rebuilders return new
-    # instances).  They hold Python ints and floats, whose reprs feed the
-    # pinned fingerprints; loops that index the tree one vertex at a time
+    # instances).  They hold Python ints, whose reprs feed the pinned
+    # fingerprints; loops that index the tree one vertex at a time
     # read them instead of the arrays.
 
     @cached_property
     def parent(self) -> tuple[int, ...]:
         """``parent[v]`` is the parent of ``v``; ``parent[root] == -1``."""
         return tuple(self.parent_array.tolist())
-
-    @cached_property
-    def link_distance(self) -> tuple[float, ...]:
-        """Uplink length [m] per vertex (0.0 for the root)."""
-        return tuple(self.link_array.tolist())
 
     @cached_property
     def children(self) -> tuple[tuple[int, ...], ...]:
@@ -242,16 +225,11 @@ def preorder_cover(length: int, starts: np.ndarray, sizes: np.ndarray) -> np.nda
     return np.cumsum(cover[:length]) > 0
 
 
-def tree_from_parents(
-    root: int,
-    parent: list[int],
-    positions: np.ndarray | None = None,
-) -> RoutingTree:
+def tree_from_parents(root: int, parent: list[int]) -> RoutingTree:
     """Construct a validated :class:`RoutingTree` from a parent array.
 
     Checks that the structure is a single tree spanning all vertices and
-    rooted at ``root``.  ``positions`` (``(n, 2)``) is used to record link
-    lengths; if omitted all link lengths are zero.
+    rooted at ``root``.
     """
     n = len(parent)
     if not 0 <= root < n:
@@ -259,29 +237,19 @@ def tree_from_parents(
     for vertex, par in enumerate(parent):
         if vertex != root and not 0 <= par < n:
             raise TopologyError(f"vertex {vertex} has invalid parent {par}")
-    array = np.array(parent, dtype=np.int64)
-    if positions is not None:
-        pos = np.asarray(positions, dtype=float)
-        ends = array.copy()
-        ends[root] = root
-        delta = pos[:n] - pos[ends]
-        link = np.hypot(delta[:, 0], delta[:, 1])
-    else:
-        link = np.zeros(n)
-    return _tree_from_parent_links(root, array, link)
+    return _tree_from_parent_array(root, np.array(parent, dtype=np.int64))
 
 
-def _tree_from_parent_links(
+def _tree_from_parent_array(
     root: int,
     parent: "Sequence[int] | np.ndarray",
-    link: "Sequence[float] | np.ndarray",
     relays: frozenset[int] = frozenset(),
 ) -> RoutingTree:
     """Validate a parent array and derive the tree's arrays from it.
 
-    ``int64`` and ``float64`` arrays passed as ``parent`` and ``link``
-    become the tree's own (read-only) arrays, so callers pass arrays that
-    nothing else holds.
+    An ``int64`` array passed as ``parent`` becomes the tree's own
+    (read-only) parent array, so callers pass an array that nothing else
+    holds.
     """
     n = len(parent)
     if parent[root] != -1:
@@ -331,7 +299,6 @@ def _tree_from_parent_links(
     return RoutingTree(
         root=root,
         parent_array=_read_only(par),
-        link_array=_read_only(np.asarray(link, dtype=np.float64)),
         child_ptr=_read_only(indptr),
         child_index=_read_only(kids),
         depth_array=_read_only(depth),
@@ -345,18 +312,17 @@ def _tree_from_parent_links(
 
 def tree_multi_reparented(
     tree: RoutingTree,
-    moves: "Sequence[tuple[int, int, float]]",
+    moves: "Sequence[tuple[int, int]]",
     *,
     new_root: int | None = None,
 ) -> RoutingTree:
     """A copy of ``tree`` with many re-parentings applied in one rebuild.
 
-    ``moves`` is a sequence of ``(vertex, new_parent, link_distance)``
-    entries, applied in order (a later move for the same vertex wins).
-    Tree repair applies a whole round's cascade of adoptions through this
-    single call instead of rebuilding the derived traversal structures once
-    per adoption — the O(n) rebuild happens once per round, not once per
-    orphan.
+    ``moves`` is a sequence of ``(vertex, new_parent)`` entries, applied in
+    order (a later move for the same vertex wins).  Tree repair applies a
+    whole round's cascade of adoptions through this single call instead of
+    rebuilding the derived traversal structures once per adoption — the
+    O(n) rebuild happens once per round, not once per orphan.
 
     ``new_root`` re-roots the result at a different vertex in the same
     O(n) rebuild (root fail-over: the successor takes over the sink role).
@@ -377,18 +343,11 @@ def tree_multi_reparented(
     if root in tree.relays:
         raise TopologyError(f"new root {root} is a relay")
     parent = tree.parent_array.copy()
-    link = tree.link_array.copy()
-    for vertex, new_parent, link_distance in moves:
+    for vertex, new_parent in moves:
         if vertex == root or (new_root is None and vertex == tree.root):
             raise TopologyError("cannot re-parent the root")
         if not 0 <= new_parent < tree.num_vertices:
             raise TopologyError(f"new parent {new_parent} out of range")
-        if link_distance < 0.0:
-            raise TopologyError(
-                f"link_distance must be >= 0, got {link_distance}"
-            )
         parent[vertex] = new_parent
-        link[vertex] = link_distance
     parent[root] = -1
-    link[root] = 0.0
-    return _tree_from_parent_links(root, parent, link, relays=tree.relays)
+    return _tree_from_parent_array(root, parent, relays=tree.relays)

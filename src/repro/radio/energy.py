@@ -5,8 +5,9 @@ receiving ``s`` bits costs ``s * alpha_recv``.  Sleeping is free (the paper
 sets sleep cost to zero because it depends on the MAC layer).  ``rho`` is the
 nominal radio range: the paper charges the amplifier for the full range
 regardless of the actual link length, because nodes do not do per-link power
-control; we keep that behaviour and expose ``per_link_distance`` for
-ablations.
+control.  So a network has one send cost per bit,
+:meth:`EnergyModel.send_cost_per_bit` at its radio range, and this module is
+the only place that computes it.
 """
 
 from __future__ import annotations
@@ -33,8 +34,6 @@ class EnergyModel:
         path_loss_exponent: exponent ``p`` of the amplifier term.
         recv_cost: receive cost [J/bit].
         initial_energy: per-node battery capacity [J].
-        per_link_distance: if True, charge the amplifier for the actual link
-            length instead of the nominal radio range (ablation only).
         idle_cost_per_round: fixed per-round cost charged to every sensor
             node [J].  The paper sets it to zero ("the sleeping cost depends
             highly on the underlying MAC layer", Section 5.1.4); non-zero
@@ -47,7 +46,6 @@ class EnergyModel:
     path_loss_exponent: float = PATH_LOSS_EXPONENT
     recv_cost: float = RECV_J_PER_BIT
     initial_energy: float = INITIAL_ENERGY_J
-    per_link_distance: bool = False
     idle_cost_per_round: float = 0.0
 
     def __post_init__(self) -> None:
@@ -57,24 +55,15 @@ class EnergyModel:
             if getattr(self, name) < 0:
                 raise ConfigurationError(f"{name} must be >= 0")
 
-    def send_cost_per_bit(self, radio_range: float, link_distance: float = 0.0) -> float:
-        """Joules to transmit one bit.
+    def send_cost_per_bit(self, radio_range: float) -> float:
+        """Joules to transmit one bit at the nominal radio range ``rho`` [m]."""
+        return self.alpha + self.beta * radio_range**self.path_loss_exponent
 
-        Args:
-            radio_range: nominal radio range ``rho`` [m].
-            link_distance: actual link length [m]; only used when
-                ``per_link_distance`` is set.
-        """
-        distance = link_distance if self.per_link_distance else radio_range
-        return self.alpha + self.beta * distance**self.path_loss_exponent
-
-    def send_energy(
-        self, bits: int, radio_range: float, link_distance: float = 0.0
-    ) -> float:
+    def send_energy(self, bits: int, radio_range: float) -> float:
         """Joules to transmit ``bits`` bits."""
         if bits < 0:
             raise ConfigurationError(f"bits must be >= 0, got {bits}")
-        return bits * self.send_cost_per_bit(radio_range, link_distance)
+        return bits * self.send_cost_per_bit(radio_range)
 
     def recv_energy(self, bits: int) -> float:
         """Joules to receive ``bits`` bits."""

@@ -103,17 +103,9 @@ class EnergyLedger:
 
     # -- charging ------------------------------------------------------------
 
-    def charge_send(
-        self,
-        sender: int,
-        cost: MessageCost,
-        values: int = 0,
-        link_distance: float = 0.0,
-    ) -> None:
+    def charge_send(self, sender: int, cost: MessageCost, values: int = 0) -> None:
         """Charge ``sender`` for putting ``cost`` on the air."""
-        joules = self._model.send_energy(
-            cost.total_bits, self._radio_range, link_distance
-        )
+        joules = self._model.send_energy(cost.total_bits, self._radio_range)
         self.energy[sender] += joules
         if self._round_open:
             self._round_energy[sender] += joules

@@ -61,7 +61,6 @@ from repro.sim.vectorized import (
     fold_columns,
     held_vertices,
     preorder_rank,
-    send_cost_per_bit_array,
 )
 
 P = TypeVar("P", bound="Payload")
@@ -299,29 +298,18 @@ class TreeNetwork:
         #: fault experiments feed these to the root-side watchdog; long
         #: reliable runs may :meth:`list.clear` it between rounds.
         self.collection_log: list[CollectionRecord] = []
-        self._send_cpb: float = 0.0
+        #: Transmit cost [J/bit]: every send is charged at the radio range.
+        self._send_cpb = ledger.model.send_cost_per_bit(ledger.radio_range)
         self._virtual_mask: np.ndarray | None = None
         if virtual:
             mask = np.zeros(tree.num_vertices, dtype=bool)
             mask[list(virtual)] = True
             self._virtual_mask = mask
-        self._refresh_send_cost()
 
     @property
     def num_sensor_nodes(self) -> int:
         """Number of measuring nodes ``|N|``."""
         return self.tree.num_sensor_nodes
-
-    def _refresh_send_cost(self) -> None:
-        """Rebuild the per-link send cost after a tree swap."""
-        model = self.ledger.model
-        if model.per_link_distance:
-            self._send_cpb_array = send_cost_per_bit_array(
-                model, self.ledger.radio_range, self.tree.link_distance
-            )
-        else:
-            self._send_cpb_array = None
-            self._send_cpb = model.send_cost_per_bit(self.ledger.radio_range)
 
     def retarget(self, tree: RoutingTree, *, allow_reroot: bool = False) -> None:
         """Swap in a repaired routing tree over the same vertex set.
@@ -349,7 +337,6 @@ class TreeNetwork:
         if tree.relays != self.tree.relays:
             raise ProtocolError("retarget changed the relay set")
         self.tree = tree
-        self._refresh_send_cost()
 
     # -- fault seam -----------------------------------------------------------
     #
@@ -383,12 +370,7 @@ class TreeNetwork:
         ``(delivered, bits_on_air)``: a reliable hop always delivers.
         """
         cost = message_bits(payload.payload_bits())
-        self.ledger.charge_send(
-            vertex,
-            cost,
-            values=payload.num_values(),
-            link_distance=self.tree.link_distance[vertex],
-        )
+        self.ledger.charge_send(vertex, cost, values=payload.num_values())
         self.ledger.charge_recv(parent, cost)
         return True, cost.total_bits
 
@@ -568,11 +550,6 @@ class TreeNetwork:
                 frames = frames[hop_index]
                 values = values[hop_index]
                 parent_up = hops.parent_up[hop_index]
-            send_cpb = (
-                self._send_cpb_array[senders]
-                if self._send_cpb_array is not None
-                else self._send_cpb
-            )
             ack_bits = 0
             if hops.arq:
                 ack_bits = ack_cost().total_bits
@@ -587,7 +564,7 @@ class TreeNetwork:
                     parent_up,
                     hops.frame_ok,
                     hops.arq,
-                    send_cpb,
+                    self._send_cpb,
                     self.ledger.model.recv_cost,
                     ack_bits,
                 )
@@ -630,19 +607,16 @@ class TreeNetwork:
             receivers_mask = receivers_mask & ~self._virtual_mask
         senders = np.nonzero(senders_mask)[0]
         receivers = np.nonzero(receivers_mask)[0]
-        recv_joule = cost.total_bits * self.ledger.model.recv_cost
-        if self._send_cpb_array is not None:
-            send_joules = cost.total_bits * self._send_cpb_array[senders]
-        else:
-            send_joules = np.full(
-                len(senders), cost.total_bits * self._send_cpb
-            )
         # A vertex receives from its parent before it retransmits, so the
         # receive batch is applied first to preserve the per-hop walk's
         # per-vertex float-addition order.
         energy_vertices = np.concatenate([receivers, senders])
-        energy_joules = np.concatenate(
-            [np.full(len(receivers), recv_joule), send_joules]
+        energy_joules = np.repeat(
+            [
+                cost.total_bits * self.ledger.model.recv_cost,
+                cost.total_bits * self._send_cpb,
+            ],
+            [len(receivers), len(senders)],
         )
         self.ledger.charge_batch(
             energy_vertices=energy_vertices,

@@ -127,23 +127,6 @@ def fold_columns(
     return holders, sums, root_sums
 
 
-def send_cost_per_bit_array(
-    model, radio_range: float, link_distance: Sequence[float]
-) -> np.ndarray:
-    """Per-vertex transmit cost [J/bit], scalar-exact.
-
-    Each entry is produced by the same
-    :meth:`~repro.radio.energy.EnergyModel.send_cost_per_bit` float
-    arithmetic the scalar ledger path runs, so batched ``bits * cost``
-    products equal the scalar ones bit for bit (a vectorized ``dist ** p``
-    could round differently on some platforms).
-    """
-    return np.array(
-        [model.send_cost_per_bit(radio_range, d) for d in link_distance],
-        dtype=np.float64,
-    )
-
-
 def expand_arq_charges(
     att_child: np.ndarray,
     att_parent: np.ndarray,
@@ -153,7 +136,7 @@ def expand_arq_charges(
     att_parent_up: np.ndarray | None,
     att_frame_ok: np.ndarray | None,
     arq_enabled: bool,
-    send_cpb,
+    send_cpb: float,
     recv_cpb: float,
     ack_bits: int,
 ) -> dict:
@@ -167,16 +150,14 @@ def expand_arq_charges(
 
     1. child data send — always;
     2. parent data receive — iff the parent is up;
-    3. parent ACK send — iff ARQ is enabled and the frame survived
-       (charged at the *child's* uplink distance, like the scalar path);
+    3. parent ACK send — iff ARQ is enabled and the frame survived;
     4. child ACK-window receive — iff ARQ is enabled (a real ACK receive
        or the vain listen after a lost frame, same cost either way).
 
     Joules are per-event products of integer bit counts with the same
-    J/bit factors the scalar ledger uses (``send_cpb`` is a per-attempt
-    array or a scalar for distance-independent models), so a ledger fed
-    the returned ``charge_batch`` kwargs accumulates every per-vertex
-    float in scalar order, bit for bit.  The integer traffic counters are
+    J/bit factors the scalar ledger uses, so a ledger fed the returned
+    ``charge_batch`` kwargs accumulates every per-vertex float in scalar
+    order, bit for bit.  The integer traffic counters are
     order-independent and returned pre-split by direction.
 
     ``att_parent_up=None`` is the reliable network's case: one delivered
@@ -204,8 +185,6 @@ def expand_arq_charges(
             "recv_bits": att_bits,
         }
     n = att_child.shape[0]
-    if np.ndim(send_cpb) == 0:
-        send_cpb = np.full(n, float(send_cpb))
     data_send_j = att_bits * send_cpb
     data_recv_j = att_bits * recv_cpb
     up = att_parent_up
@@ -230,11 +209,10 @@ def expand_arq_charges(
     energy_vertices[recv_slots] = att_parent[up]
     energy_joules[recv_slots] = data_recv_j[up]
     if arq_enabled:
-        ack_send_j = ack_bits * send_cpb
         slot += up_i
         ack_send_slots = slot[ok]
         energy_vertices[ack_send_slots] = att_parent[ok]
-        energy_joules[ack_send_slots] = ack_send_j[ok]
+        energy_joules[ack_send_slots] = ack_bits * send_cpb
         slot += ok_i
         energy_vertices[slot] = att_child
         energy_joules[slot] = ack_bits * recv_cpb
@@ -293,8 +271,6 @@ class ChargeLog:
 
     __slots__ = (
         "_ledger",
-        "_model",
-        "_radio_range",
         "_send_cpb",
         "_recv_cpb",
         "_vertices",
@@ -308,21 +284,12 @@ class ChargeLog:
 
     def __init__(self, ledger: "EnergyLedger") -> None:
         self._ledger = ledger
-        self._model = ledger.model
-        self._radio_range = ledger.radio_range
-        #: Send J/bit, one constant unless ``per_link_distance`` makes it
-        #: depend on the link (``None``: computed per charge).
-        self._send_cpb = (
-            None
-            if self._model.per_link_distance
-            else self._model.send_cost_per_bit(self._radio_range)
-        )
+        self._send_cpb = ledger.model.send_cost_per_bit(ledger.radio_range)
         self._recv_cpb = ledger.model.recv_cost
-        # One entry per chunk: its vertices, its joules (one float for
-        # the whole chunk, or one per vertex), direction, per-charge
-        # message count, bits and values.
+        # One entry per chunk: its vertices, the joules each of them pays,
+        # direction, per-charge message count, bits and values.
         self._vertices: list = []
-        self._joules: list = []
+        self._joules: list[float] = []
         self._is_send: list[bool] = []
         self._messages: list[int] = []
         self._bits: list[int] = []
@@ -332,61 +299,37 @@ class ChargeLog:
     def __len__(self) -> int:
         return self._count
 
-    def _chunk(self, vertices, joules, is_send: bool, cost, values: int) -> None:
+    def _chunk(self, vertices, is_send: bool, cost, values: int) -> None:
+        cpb = self._send_cpb if is_send else self._recv_cpb
         self._vertices.append(vertices)
-        self._joules.append(joules)
+        self._joules.append(cost.total_bits * cpb)
         self._is_send.append(is_send)
         self._messages.append(cost.messages)
         self._bits.append(cost.total_bits)
         self._values.append(values)
         self._count += len(vertices)
 
-    def charge_send(
-        self,
-        sender: int,
-        cost: "MessageCost",
-        values: int = 0,
-        link_distance: float = 0.0,
-    ) -> None:
+    def charge_send(self, sender: int, cost: "MessageCost", values: int = 0) -> None:
         """Record one transmission (same contract as the ledger's)."""
-        cpb = self._send_cpb
-        if cpb is None:
-            cpb = self._model.send_cost_per_bit(
-                self._radio_range, link_distance
-            )
-        self._chunk((sender,), cost.total_bits * cpb, True, cost, values)
+        self._chunk((sender,), True, cost, values)
 
     def charge_recv(self, receiver: int, cost: "MessageCost") -> None:
         """Record one reception (same contract as the ledger's)."""
-        self._chunk(
-            (receiver,), cost.total_bits * self._recv_cpb, False, cost, 0
-        )
+        self._chunk((receiver,), False, cost, 0)
 
     def charge_send_each(
-        self,
-        senders: "Sequence[int] | np.ndarray",
-        cost: "MessageCost",
-        link_distances: "Sequence[float] | np.ndarray",
+        self, senders: "Sequence[int] | np.ndarray", cost: "MessageCost"
     ) -> None:
-        """Record one ``cost`` transmission per sender, in order, each over
-        its own link: :meth:`charge_send` in a loop."""
-        cpb = self._send_cpb
-        if cpb is None:
-            send_cpb, radio_range = self._model.send_cost_per_bit, self._radio_range
-            joules = [
-                cost.total_bits * send_cpb(radio_range, distance)
-                for distance in np.asarray(link_distances).tolist()
-            ]
-        else:
-            joules = cost.total_bits * cpb
-        self._chunk(senders, joules, True, cost, 0)
+        """Record one ``cost`` transmission per sender, in order:
+        :meth:`charge_send` in a loop."""
+        self._chunk(senders, True, cost, 0)
 
     def charge_recv_each(
         self, receivers: "Sequence[int] | np.ndarray", cost: "MessageCost"
     ) -> None:
         """Record one ``cost`` reception per receiver, in order:
         :meth:`charge_recv` in a loop."""
-        self._chunk(receivers, cost.total_bits * self._recv_cpb, False, cost, 0)
+        self._chunk(receivers, False, cost, 0)
 
     def flush(self) -> None:
         """Apply every recorded charge to the ledger in recorded order."""
@@ -394,17 +337,7 @@ class ChargeLog:
             return
         sizes = [len(chunk) for chunk in self._vertices]
         vertices = np.concatenate(self._vertices).astype(np.int64, copy=False)
-        if not any(isinstance(j, list) for j in self._joules):
-            joules = np.repeat(np.array(self._joules, dtype=np.float64), sizes)
-        else:
-            joules = np.concatenate(
-                [
-                    np.array(j, dtype=np.float64)
-                    if isinstance(j, list)
-                    else np.full(size, j, dtype=np.float64)
-                    for j, size in zip(self._joules, sizes)
-                ]
-            )
+        joules = np.repeat(np.array(self._joules, dtype=np.float64), sizes)
         is_send = np.repeat(np.array(self._is_send, dtype=bool), sizes)
         messages = np.repeat(np.array(self._messages, dtype=np.int64), sizes)
         bits = np.repeat(np.array(self._bits, dtype=np.int64), sizes)

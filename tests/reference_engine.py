@@ -132,9 +132,7 @@ def walk_broadcast(
             continue
         if vertex != tree.root and vertex_down(vertex):
             continue  # pruned by churn: the subtree misses the flood
-        net.ledger.charge_send(
-            vertex, cost, link_distance=tree.link_distance[vertex]
-        )
+        net.ledger.charge_send(vertex, cost)
         phase_total += cost.total_bits
         for child in tree.children[vertex]:
             if vertex_down(child):
@@ -196,7 +194,6 @@ class ReferenceFaultyTreeNetwork(FaultyTreeNetwork):
     ) -> tuple[bool, int]:
         """One hop of stop-and-wait ARQ, every attempt charged to the ledger."""
         cost = message_bits(payload.payload_bits())
-        distance = self.tree.link_distance[vertex]
         parent_down = self.plan.is_down(parent)
         ack = ack_cost()
         arq = self.arq
@@ -206,9 +203,7 @@ class ReferenceFaultyTreeNetwork(FaultyTreeNetwork):
         for attempt in range(max(1, arq.attempts_for(vertex, parent))):
             if attempt > 0:
                 self.retransmissions += 1
-            ledger.charge_send(
-                vertex, cost, values=payload.num_values(), link_distance=distance
-            )
+            ledger.charge_send(vertex, cost, values=payload.num_values())
             bits += cost.total_bits
             if parent_down:
                 frame_ok = False
@@ -229,7 +224,7 @@ class ReferenceFaultyTreeNetwork(FaultyTreeNetwork):
                 break
             if frame_ok:
                 # Parent acknowledges; the ACK rides the same lossy channel.
-                ledger.charge_send(parent, ack, link_distance=distance)
+                ledger.charge_send(parent, ack)
                 ledger.charge_recv(vertex, ack)
                 self.acks_sent += 1
                 bits += ack.total_bits

@@ -102,7 +102,7 @@ class ReferenceTreeRepair:
         if self.watchdog is not None:
             self.watchdog.retarget(self.net.tree, tuple(sorted(reachable)))
 
-    # -- orphan re-attach on working parent/link copies -------------------------
+    # -- orphan re-attach on a working parent copy ----------------------------
 
     def _orphans_in(self, parent: list[int]) -> list[int]:
         orphans = [
@@ -154,8 +154,7 @@ class ReferenceTreeRepair:
     def _reattach_orphans(self) -> list[tuple[int, int]]:
         tree = self.net.tree
         parent = list(tree.parent)
-        link = list(tree.link_distance)
-        moves: list[tuple[int, int, float]] = []
+        moves: list[tuple[int, int]] = []
         failed: set[int] = set()
         while True:
             pending = [v for v in self._orphans_in(parent) if v not in failed]
@@ -166,8 +165,7 @@ class ReferenceTreeRepair:
             if candidate is None:
                 failed.add(orphan)
                 continue
-            distance = self._distance(orphan, candidate)
-            self._charge_adopt_handshake(orphan, candidate, distance)
+            self._charge_adopt_handshake(orphan, candidate)
             if failed:
                 reconnected = self._subtree_in(parent, orphan)
                 failed = {
@@ -178,14 +176,13 @@ class ReferenceTreeRepair:
                     )
                 }
             parent[orphan] = candidate
-            link[orphan] = distance
-            moves.append((orphan, candidate, distance))
+            moves.append((orphan, candidate))
         if moves:
             self.net.retarget(tree_multi_reparented(tree, moves))
-            for _, new_parent, _ in moves:
+            for _, new_parent in moves:
                 self._report_to_root(new_parent)
         self._settle_park_queue(parent, failed)
-        return [(orphan, new_parent) for orphan, new_parent, _ in moves]
+        return moves
 
     def _settle_park_queue(self, parent: list[int], failed: set[int]) -> None:
         previously_waiting = {
@@ -217,7 +214,7 @@ class ReferenceTreeRepair:
         root = self.net.tree.root
         ack = ack_cost()
         self.stats.probe_count += 1
-        self._charge_send(orphan, ack, self.graph.radio_range)
+        self._charge_send(orphan, ack)
         stats = self.net.link_stats if self.parent_metric == "etx" else None
         candidates: list[tuple[float, float, int, bool]] = []
         for neighbor in self.graph.neighbors(orphan):
@@ -228,8 +225,7 @@ class ReferenceTreeRepair:
                 self._path_up_ok(parent, neighbor)
             ):
                 continue
-            distance = self._distance(orphan, neighbor)
-            self._charge_send(neighbor, ack, distance)
+            self._charge_send(neighbor, ack)
             self._charge_recv(orphan, ack)
             if stats is None:
                 etx_cost, observed = 0.0, False
@@ -237,7 +233,9 @@ class ReferenceTreeRepair:
                 etx_cost, observed = self._etx_path_cost(
                     stats, parent, orphan, neighbor
                 )
-            candidates.append((etx_cost, distance, neighbor, observed))
+            candidates.append(
+                (etx_cost, self._distance(orphan, neighbor), neighbor, observed)
+            )
         if not candidates:
             return None
         if stats is not None and any(observed for *_, observed in candidates):
@@ -260,13 +258,11 @@ class ReferenceTreeRepair:
             vertex = up
         return cost, observed
 
-    def _charge_adopt_handshake(
-        self, orphan: int, new_parent: int, distance: float
-    ) -> None:
+    def _charge_adopt_handshake(self, orphan: int, new_parent: int) -> None:
         ack = ack_cost()
-        self._charge_send(orphan, ack, distance)
+        self._charge_send(orphan, ack)
         self._charge_recv(new_parent, ack)
-        self._charge_send(new_parent, ack, distance)
+        self._charge_send(new_parent, ack)
         self._charge_recv(orphan, ack)
 
     # -- membership sync ------------------------------------------------------
@@ -294,7 +290,7 @@ class ReferenceTreeRepair:
         for vertex in newly_back:
             push = message_bits(VALUE_BITS)
             parent = tree.parent[vertex]
-            self._charge_send(parent, push, tree.link_distance[vertex])
+            self._charge_send(parent, push)
             self._charge_recv(vertex, push)
             self._report_to_root(vertex)
             self.detached.discard(vertex)
@@ -307,8 +303,8 @@ class ReferenceTreeRepair:
         pa, pb = self.graph.positions[a], self.graph.positions[b]
         return float(np.hypot(pa[0] - pb[0], pa[1] - pb[1]))
 
-    def _charge_send(self, sender: int, cost: MessageCost, distance: float) -> None:
-        self.net.ledger.charge_send(sender, cost, link_distance=distance)
+    def _charge_send(self, sender: int, cost: MessageCost) -> None:
+        self.net.ledger.charge_send(sender, cost)
         self.stats.repair_bits += cost.total_bits
         phase_bits = self.net.phase_bits
         phase_bits[REPAIR_PHASE] = phase_bits.get(REPAIR_PHASE, 0) + cost.total_bits
@@ -323,7 +319,7 @@ class ReferenceTreeRepair:
         cost = MessageCost(messages=0, total_bits=VALUE_BITS, payload_bits=VALUE_BITS)
         path = tree.path_to_root(start)
         for child, parent in zip(path, path[1:]):
-            self._charge_send(child, cost, tree.link_distance[child])
+            self._charge_send(child, cost)
             self._charge_recv(parent, cost)
 
 

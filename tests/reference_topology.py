@@ -98,7 +98,6 @@ class ReferenceTree:
 
     root: int
     parent: tuple[int, ...]
-    link_distance: tuple[float, ...]
     children: tuple[tuple[int, ...], ...]
     depth: tuple[int, ...]
     bottom_up_order: tuple[int, ...]
@@ -142,18 +141,14 @@ def build_routing_tree(graph, root: int = 0) -> ReferenceTree:
             f"{len(missing)} vertices cannot reach root {root} "
             f"(first few: {missing[:5]}); increase the radio range"
         )
-    return tree_from_parents(root, parent, graph.positions)
+    return tree_from_parents(root, parent)
 
 
 def _distance(positions: np.ndarray, a: int, b: int) -> float:
     return float(np.hypot(*(positions[a] - positions[b])))
 
 
-def tree_from_parents(
-    root: int,
-    parent: list[int],
-    positions: np.ndarray | None = None,
-) -> ReferenceTree:
+def tree_from_parents(root: int, parent: list[int]) -> ReferenceTree:
     """Construct a validated :class:`ReferenceTree` from a parent array."""
     n = len(parent)
     if not 0 <= root < n:
@@ -161,21 +156,12 @@ def tree_from_parents(
     for vertex, par in enumerate(parent):
         if vertex != root and not 0 <= par < n:
             raise TopologyError(f"vertex {vertex} has invalid parent {par}")
-    if positions is not None:
-        pos = np.asarray(positions, dtype=float)
-        link = [
-            0.0 if v == root else float(np.hypot(*(pos[v] - pos[parent[v]])))
-            for v in range(n)
-        ]
-    else:
-        link = [0.0] * n
-    return tree_from_parent_links(root, list(parent), link)
+    return tree_from_parent_array(root, list(parent))
 
 
-def tree_from_parent_links(
+def tree_from_parent_array(
     root: int,
     parent: list[int],
-    link: list[float],
     relays: frozenset[int] = frozenset(),
 ) -> ReferenceTree:
     """Validate a parent array and derive the traversal structures."""
@@ -221,7 +207,6 @@ def tree_from_parent_links(
     return ReferenceTree(
         root=root,
         parent=tuple(parent),
-        link_distance=tuple(link),
         children=tuple(tuple(sorted(kids)) for kids in children),
         depth=tuple(depth),
         bottom_up_order=bottom_up,

@@ -357,9 +357,7 @@ def test_virtual_leaf_under_down_host_delivers_nothing():
     child's payload, so the object fold priced the hops off by one."""
     # 0 <- 6 <- 1 <- {2 (virtual), 5}, 0 <- 3 <- 4; vertex 1 dies, and its
     # parent 6 sends after it.
-    tree = tree_from_parents(
-        0, [-1, 6, 1, 0, 3, 1, 0], np.random.default_rng(1).uniform(0.0, 30.0, (7, 2))
-    )
+    tree = tree_from_parents(0, [-1, 6, 1, 0, 3, 1, 0])
     nets = faulty_pair(
         tree,
         lambda: FaultPlan(churn=ScheduledChurn({0: (1,)})),
@@ -403,7 +401,8 @@ def test_batch_fold_equals_reference_walk(seed, size, kind, network):
     and so does the object fold over those payloads."""
     rng = np.random.default_rng(seed)
     parents = [-1] + [int(rng.integers(0, v)) for v in range(1, size)]
-    tree = tree_from_parents(0, parents, rng.uniform(0.0, 30.0, size=(size, 2)))
+    rng.uniform(0.0, 30.0, size=(size, 2))  # unused: keeps the later draws
+    tree = tree_from_parents(0, parents)
     leaves = [v for v in tree.sensor_nodes if tree.is_leaf(v)]
     virtual = frozenset(v for v in leaves if rng.random() < 0.3)
     internal = [v for v in tree.sensor_nodes if not tree.is_leaf(v)]
@@ -435,12 +434,11 @@ def test_batch_fold_equals_reference_walk(seed, size, kind, network):
         # The reliable network and the faulty one under a null plan differ
         # only in their hop decider, so they must fold every payload form
         # identically; one network class relies on this.
-        model = EnergyModel(per_link_distance=bool(rng.integers(2)))
         null_pair = [
-            make_net(False, tree, model=model, virtual=virtual),
+            make_net(False, tree, virtual=virtual),
             FaultyTreeNetwork(
                 tree,
-                EnergyLedger(tree.num_vertices, tree.root, model, RADIO_RANGE),
+                EnergyLedger(tree.num_vertices, tree.root, EnergyModel(), RADIO_RANGE),
                 plan=FaultPlan(),
                 arq=ArqPolicy(),
                 virtual_vertices=virtual,

@@ -232,9 +232,7 @@ class TestSingleParticipant:
 
     @pytest.mark.parametrize("name", sorted(default_algorithms()))
     def test_population_of_one_tracks_the_survivor(self, name):
-        tree = tree_from_parents(
-            0, [-1, 0], positions=np.array([(0.0, 0.0), (8.0, 0.0)])
-        )
+        tree = tree_from_parents(0, [-1, 0])
         factory = default_algorithms()[name]
         algorithm = factory(SPEC)
         rng = np.random.default_rng(7)

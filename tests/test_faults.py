@@ -320,7 +320,7 @@ class TestRootWatchdog:
         assert dog.observe(self.record(3, {5}))
 
     def test_full_collection_threshold(self, small_tree):
-        dog = RootWatchdog(small_tree, full_fraction=0.9)
+        dog = RootWatchdog(small_tree)
         assert dog.is_full_collection(self.record(7, set()), live=7)
         # A 3-contributor validation round is not a full collection.
         assert not dog.is_full_collection(self.record(3, {1}), live=7)
@@ -329,10 +329,6 @@ class TestRootWatchdog:
     def test_validates_parameters(self, small_tree):
         with pytest.raises(ConfigurationError):
             RootWatchdog(small_tree, patience=0)
-        with pytest.raises(ConfigurationError):
-            RootWatchdog(small_tree, coverage_drop=0.0)
-        with pytest.raises(ConfigurationError):
-            RootWatchdog(small_tree, full_fraction=1.5)
 
 
 class TestFaultExperiment:

@@ -15,13 +15,9 @@ from repro.sim.engine import TreeNetwork
 from repro.sim.oracle import exact_quantile, quantile_rank
 from repro.types import QuerySpec
 
-from tests.batch_kinds import CountBatch
 
-
-def make_net(tree, virtual=frozenset(), model=None):
-    ledger = EnergyLedger(
-        tree.num_vertices, tree.root, model or EnergyModel(), 35.0
-    )
+def make_net(tree, virtual=frozenset()):
+    ledger = EnergyLedger(tree.num_vertices, tree.root, EnergyModel(), 35.0)
     return TreeNetwork(tree, ledger, virtual_vertices=virtual)
 
 
@@ -61,24 +57,6 @@ class TestExpandTree:
     def test_invalid_m_rejected(self, small_tree):
         with pytest.raises(ConfigurationError):
             expand_tree(small_tree, 0)
-
-    def test_physical_hops_keep_their_link_costs(self, random_deployment):
-        """Under per-link distances, a physical hop of the expanded network
-        is charged what the same hop costs on the unexpanded tree."""
-        _, tree = random_deployment
-        expansion = expand_tree(tree, 3)
-        n = tree.num_vertices
-        assert expansion.tree.link_distance[:n] == tree.link_distance
-        assert max(tree.link_distance) > 0.0
-        assert not any(expansion.tree.link_distance[n:])
-
-        model = EnergyModel(per_link_distance=True)
-        plain = make_net(tree, model=model)
-        expanded = make_net(expansion.tree, expansion.virtual_vertices, model)
-        for net in (plain, expanded):
-            net.convergecast(CountBatch({v: 1 for v in tree.sensor_nodes}))
-        assert np.array_equal(expanded.ledger.energy[:n], plain.ledger.energy)
-        assert not expanded.ledger.energy[n:].any()
 
 
 class TestExpandValues:

@@ -54,18 +54,6 @@ class TestEnergyModel:
         model = EnergyModel()
         assert model.send_energy(1000, 85.0) > model.send_energy(1000, 15.0)
 
-    def test_per_link_distance_mode(self):
-        model = EnergyModel(per_link_distance=True)
-        near = model.send_energy(1000, radio_range=85.0, link_distance=5.0)
-        far = model.send_energy(1000, radio_range=85.0, link_distance=80.0)
-        assert near < far
-
-    def test_default_mode_ignores_link_distance(self):
-        model = EnergyModel()
-        a = model.send_energy(1000, 35.0, link_distance=1.0)
-        b = model.send_energy(1000, 35.0, link_distance=34.0)
-        assert a == b
-
     def test_negative_bits_rejected(self):
         model = EnergyModel()
         with pytest.raises(ConfigurationError):

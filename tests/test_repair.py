@@ -32,9 +32,7 @@ from tests.reference_topology import subtree_vertices
 RANGE = 10.0
 
 
-def tree_reparented(
-    tree: RoutingTree, vertex: int, new_parent: int, link_distance: float
-) -> RoutingTree:
+def tree_reparented(tree: RoutingTree, vertex: int, new_parent: int) -> RoutingTree:
     """A copy of ``tree`` with ``vertex`` (and its whole subtree) re-attached
     under ``new_parent``: one orphan adopting a new parent after its old one
     went down.  ``new_parent`` must lie outside the subtree of ``vertex``.
@@ -47,15 +45,13 @@ def tree_reparented(
         raise TopologyError(
             f"new parent {new_parent} lies inside the subtree of {vertex}"
         )
-    if link_distance < 0.0:
-        raise TopologyError(f"link_distance must be >= 0, got {link_distance}")
-    return tree_multi_reparented(tree, [(vertex, new_parent, link_distance)])
+    return tree_multi_reparented(tree, [(vertex, new_parent)])
 
 
 def deployment(positions, parents):
     positions = np.asarray(positions, dtype=float)
     graph = build_physical_graph(positions, RANGE)
-    tree = tree_from_parents(0, list(parents), positions)
+    tree = tree_from_parents(0, list(parents))
     return graph, tree
 
 
@@ -267,22 +263,21 @@ class TestWatchdogGraceWindow:
 class TestTreeReparenting:
     def test_reparent_rewrites_subtree(self, reattachable):
         _, tree = reattachable
-        repaired = tree_reparented(tree, 4, 2, 8.5)
+        repaired = tree_reparented(tree, 4, 2)
         assert repaired.parent[4] == 2
         assert 4 in repaired.children[2]
         assert 4 not in repaired.children[3]
-        assert repaired.link_distance[4] == pytest.approx(8.5)
         # The original tree is untouched (frozen value semantics).
         assert tree.parent[4] == 3
 
     def test_reparent_rejects_cycles_and_root(self, reattachable):
         _, tree = reattachable
         with pytest.raises(TopologyError):
-            tree_reparented(tree, 0, 1, 1.0)  # the root has no parent
+            tree_reparented(tree, 0, 1)  # the root has no parent
         with pytest.raises(TopologyError):
-            tree_reparented(tree, 1, 3, 1.0)  # 3 is inside 1's subtree
+            tree_reparented(tree, 1, 3)  # 3 is inside 1's subtree
         with pytest.raises(TopologyError):
-            tree_reparented(tree, 4, 4, 1.0)  # self-adoption
+            tree_reparented(tree, 4, 4)  # self-adoption
 
     def test_repair_requires_matching_graph(self, reattachable, small_net):
         graph, _ = reattachable

@@ -5,12 +5,11 @@ its traffic as ordered ledger batches; ``tests/reference_repair.py`` keeps
 the scalar walk it replaced.  Twin networks share one deployment and one
 seeded fault script, and each runs one of the two walks (plus root
 fail-over, whose election beacons are batched too).  Every round's
-``RepairRound``, the probe count, the routing tree's ``parent`` and
-``link_distance`` tuples, the membership hook calls, every ledger array
-and ``phase_bits`` must come out identical.  The default energy model
-charges every send at the nominal range, so only the
-``per_link_distance`` cells can catch a link distance that is wrong in
-its last bit.
+``RepairRound``, the probe count, the routing tree's root and ``parent``
+tuple, the membership hook calls, every ledger array and ``phase_bits``
+must come out identical.  Every send costs the one per-bit price of the
+nominal radio range, so the ledgers pin who sends and receives how many
+bits, and in which order each vertex adds its charges.
 """
 
 from __future__ import annotations
@@ -66,7 +65,6 @@ class Scenario:
     seed: int
     parent_metric: str
     heal_patience: int
-    per_link_distance: bool
     outage_rate: float
     churn_rate: float
     kill_round: int
@@ -120,8 +118,7 @@ def run_twin(
         outages=RandomOutages(scenario.outage_rate, mean_downtime=3.0),
         rng=np.random.default_rng(seed + 1),
     )
-    model = EnergyModel(per_link_distance=scenario.per_link_distance)
-    ledger = EnergyLedger(tree.num_vertices, tree.root, model, RANGE)
+    ledger = EnergyLedger(tree.num_vertices, tree.root, EnergyModel(), RANGE)
     if net_cls is None:
         net = FaultyTreeNetwork(tree, ledger, plan=plan)
     else:
@@ -165,7 +162,7 @@ def run_twin(
                         vertex, up, delivered=bool(links.random() > 0.2)
                     )
         ledger.end_round()
-        trees.append((current.root, current.parent, current.link_distance))
+        trees.append((current.root, current.parent))
     return repair, failover, algorithm, net, trees
 
 
@@ -217,7 +214,6 @@ scenarios = st.builds(
     seed=st.integers(0, 2**31 - 1),
     parent_metric=st.sampled_from(TreeRepair.PARENT_METRICS),
     heal_patience=st.sampled_from((1, 3)),
-    per_link_distance=st.booleans(),
     outage_rate=st.sampled_from((0.02, 0.05, 0.1)),
     churn_rate=st.sampled_from((0.0, 0.01)),
     kill_round=st.integers(2, ROUNDS - 2),
@@ -236,15 +232,15 @@ def test_batched_pass_equals_reference_walk(scenario):
 
 @pytest.mark.parametrize("parent_metric", TreeRepair.PARENT_METRICS)
 @pytest.mark.parametrize("heal_patience", (1, 3))
-def test_per_link_distance_cell(parent_metric, heal_patience):
-    """Link lengths reach the ledger: a distance off in its last bit fails."""
+def test_sink_kill_cascade_cell(parent_metric, heal_patience):
+    """A deterministic 200-node cell: outages, churn and the sink killed
+    at round 3, so the fail-over's orphans cascade through repair."""
     repair = assert_twins_identical(
         Scenario(
             nodes=200,
             seed=20140324,
             parent_metric=parent_metric,
             heal_patience=heal_patience,
-            per_link_distance=True,
             outage_rate=0.1,
             churn_rate=0.01,
             kill_round=3,
@@ -269,7 +265,6 @@ def test_real_walks_feed_the_etx_ranking(seed):
             seed=seed,
             parent_metric="etx",
             heal_patience=3,
-            per_link_distance=True,
             outage_rate=0.05,
             churn_rate=0.01,
             kill_round=3,

@@ -49,7 +49,7 @@ def build_min_energy_tree(graph: PhysicalGraph, root: int = 0) -> RoutingTree:
             f"{len(missing)} vertices cannot reach root {root} "
             f"(first few: {missing[:5]}); increase the radio range"
         )
-    return tree_from_parents(root, parent, graph.positions)
+    return tree_from_parents(root, parent)
 
 
 class TestShortestPathTree:
@@ -118,8 +118,10 @@ class TestMinEnergyTree:
         def root_path_distance(tree, vertex):
             total = 0.0
             while vertex != tree.root:
-                total += tree.link_distance[vertex]
-                vertex = tree.parent[vertex]
+                parent = tree.parent[vertex]
+                delta = graph.positions[vertex] - graph.positions[parent]
+                total += float(np.hypot(*delta))
+                vertex = parent
             return total
 
         for vertex in range(1, 40):

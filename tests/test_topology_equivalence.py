@@ -32,7 +32,7 @@ from repro.network.routing import build_randomized_routing_tree, build_routing_t
 from repro.network.topology import build_physical_graph
 from repro.network.tree import (
     RoutingTree,
-    _tree_from_parent_links,
+    _tree_from_parent_array,
     tree_from_parents,
     tree_multi_reparented,
 )
@@ -44,11 +44,10 @@ RANGES = (0.1, 1.0, 2.5, 35.0)
 
 def fields(tree: RoutingTree) -> tuple:
     """Every field, element types included (the tuples must hold Python
-    ints and floats, as the fingerprints hash their reprs)."""
+    ints, as the fingerprints hash their reprs)."""
     values = (
         tree.root,
         tree.parent,
-        tree.link_distance,
         tree.children,
         tree.depth,
         tree.bottom_up_order,
@@ -57,7 +56,6 @@ def fields(tree: RoutingTree) -> tuple:
     )
     kinds = (
         [type(v) for v in tree.parent],
-        [type(v) for v in tree.link_distance],
         [type(v) for v in tree.depth + tree.bottom_up_order + tree.subtree_size],
         [type(v) for kids in tree.children for v in kids],
     )
@@ -177,25 +175,27 @@ class TestAgainstReference:
 
 @st.composite
 def recursive_trees(draw):
-    """``(root, parent, positions)``: a random recursive tree on 2–400
-    vertices with random labels, so the root is any vertex."""
+    """``(root, parent, rng)``: a random recursive tree on 2–400 vertices
+    with random labels, so the root is any vertex, and the generator the
+    tests draw moves, relays and masks from."""
     n = draw(st.integers(2, 400))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     labels = rng.permutation(n)
     parent = [-1] * n
     for index in range(1, n):
         parent[int(labels[index])] = int(labels[rng.integers(0, index)])
-    positions = rng.uniform(-50.0, 150.0, (n, 2)) if draw(st.booleans()) else None
-    return int(labels[0]), parent, positions, rng
+    if draw(st.booleans()):
+        rng.uniform(-50.0, 150.0, (n, 2))  # unused: keeps the later draws
+    return int(labels[0]), parent, rng
 
 
 class TestTreeBuilders:
     @settings(max_examples=300, deadline=None)
     @given(recursive_trees())
     def test_tree_from_parents(self, tree_case):
-        root, parent, positions, _ = tree_case
-        assert outcome(tree_from_parents, root, parent, positions) == outcome(
-            ref.tree_from_parents, root, parent, positions
+        root, parent, _ = tree_case
+        assert outcome(tree_from_parents, root, parent) == outcome(
+            ref.tree_from_parents, root, parent
         )
 
     @settings(max_examples=200, deadline=None)
@@ -203,8 +203,8 @@ class TestTreeBuilders:
     def test_multi_reparented(self, tree_case, reroot, extra_moves):
         """Random moves (some of which close cycles) and, with ``reroot``,
         a fail-over that reverses the successor's path to the old root."""
-        root, parent, positions, rng = tree_case
-        tree = tree_from_parents(root, parent, positions)
+        root, parent, rng = tree_case
+        tree = tree_from_parents(root, parent)
         n = tree.num_vertices
         relays = frozenset(
             int(v) for v in rng.choice(n, size=min(3, n - 2), replace=False)
@@ -217,37 +217,34 @@ class TestTreeBuilders:
             if new_root in tree.relays:
                 new_root = root
             path = tree.path_to_root(new_root)
-            moves += [(path[i + 1], path[i], 1.5) for i in range(len(path) - 1)]
+            moves += [(path[i + 1], path[i]) for i in range(len(path) - 1)]
         final_root = root if new_root is None else new_root
         for _ in range(extra_moves):
             vertex = int(rng.integers(0, n))
             if vertex in (root, final_root):
                 continue
-            moves.append((vertex, int(rng.integers(0, n)), float(rng.uniform(0, 40))))
+            moves.append((vertex, int(rng.integers(0, n))))
+            rng.uniform(0, 40)  # unused: keeps the later draws
 
         expected_parent = list(tree.parent)
-        expected_link = list(tree.link_distance)
-        for vertex, new_parent, distance in moves:
+        for vertex, new_parent in moves:
             expected_parent[vertex] = new_parent
-            expected_link[vertex] = distance
         expected_parent[final_root] = -1
-        expected_link[final_root] = 0.0
         got = outcome(tree_multi_reparented, tree, moves, new_root=new_root)
         if not moves and new_root is None:
             assert got == fields(tree)
             return
         assert got == outcome(
-            ref.tree_from_parent_links,
+            ref.tree_from_parent_array,
             final_root,
             expected_parent,
-            expected_link,
             relays=tree.relays,
         )
 
     @settings(max_examples=200, deadline=None)
     @given(recursive_trees(), st.sampled_from(("self", "range", "cycle", "root")))
     def test_bad_parent_arrays_raise_the_same_error(self, tree_case, fault):
-        root, parent, positions, rng = tree_case
+        root, parent, rng = tree_case
         n = len(parent)
         parent = list(parent)
         others = [v for v in range(n) if v != root]
@@ -262,14 +259,13 @@ class TestTreeBuilders:
             parent[vertex] = below[int(rng.integers(0, len(below)))]
         else:
             parent[root] = others[0]
-        got = outcome(tree_from_parents, root, parent, positions)
+        got = outcome(tree_from_parents, root, parent)
         assert got[0] == "TopologyError"
-        assert got == outcome(ref.tree_from_parents, root, parent, positions)
+        assert got == outcome(ref.tree_from_parents, root, parent)
         if fault != "range":
             # Past the range check: the derivation itself must reject it.
-            links = [0.0] * n
-            assert outcome(_tree_from_parent_links, root, parent, links) == outcome(
-                ref.tree_from_parent_links, root, parent, links
+            assert outcome(_tree_from_parent_array, root, parent) == outcome(
+                ref.tree_from_parent_array, root, parent
             )
 
 
@@ -278,21 +274,20 @@ def routing_trees(draw):
     """``(tree, rng)``: a random recursive tree, then possibly re-parented
     by random moves (re-rooted along the successor's path or not) and
     possibly given relays."""
-    root, parent, positions, rng = draw(recursive_trees())
-    tree = tree_from_parents(root, parent, positions)
+    root, parent, rng = draw(recursive_trees())
+    tree = tree_from_parents(root, parent)
     n = tree.num_vertices
     if draw(st.booleans()):
         new_root, moves = None, []
         if draw(st.booleans()):
             new_root = int(rng.integers(0, n))
             path = tree.path_to_root(new_root)
-            moves += [(path[i + 1], path[i], 1.5) for i in range(len(path) - 1)]
+            moves += [(path[i + 1], path[i]) for i in range(len(path) - 1)]
         for _ in range(draw(st.integers(0, 6))):
             vertex = int(rng.integers(0, n))
             if vertex not in (root, new_root):
-                moves.append(
-                    (vertex, int(rng.integers(0, n)), float(rng.uniform(0, 40)))
-                )
+                moves.append((vertex, int(rng.integers(0, n))))
+                rng.uniform(0, 40)  # unused: keeps the later draws
         try:
             tree = tree_multi_reparented(tree, moves, new_root=new_root)
         except TopologyError:
@@ -311,9 +306,7 @@ class TestDerivedStructures:
     def test_arrays_equal_their_oracles(self, drawn):
         tree, rng = drawn
         n, root = tree.num_vertices, tree.root
-        oracle = ref.tree_from_parent_links(
-            root, list(tree.parent), list(tree.link_distance), tree.relays
-        )
+        oracle = ref.tree_from_parent_array(root, list(tree.parent), tree.relays)
         # Preorder ranges are exactly the subtrees.
         start = tree.preorder
         assert sorted(start.tolist()) == list(range(n))
@@ -352,23 +345,27 @@ class TestDerivedStructures:
     @given(routing_trees())
     def test_twins_compare_and_hash_equal(self, drawn):
         tree, rng = drawn
-        twin = _tree_from_parent_links(
-            tree.root, list(tree.parent), list(tree.link_distance), tree.relays
-        )
+        twin = _tree_from_parent_array(tree.root, list(tree.parent), tree.relays)
         assert twin is not tree
         assert twin == tree and hash(twin) == hash(tree)
         assert fields(twin) == fields(tree)
         vertex = int(rng.integers(0, tree.num_vertices))
         if vertex != tree.root:
-            moved = tree_multi_reparented(
-                tree, [(vertex, tree.parent[vertex], tree.link_distance[vertex] + 1.0)]
-            )
-            assert moved != tree
+            # Any vertex outside the subtree but the current parent is a
+            # new parent that keeps it a tree.
+            inside = set(ref.subtree_vertices(tree, vertex))
+            others = [
+                v
+                for v in range(tree.num_vertices)
+                if v not in inside and v != tree.parent[vertex]
+            ]
+            if others:
+                moved = tree_multi_reparented(tree, [(vertex, others[0])])
+                assert moved != tree
 
     def test_arrays_are_read_only(self, small_tree):
         arrays = [
             small_tree.parent_array,
-            small_tree.link_array,
             small_tree.child_ptr,
             small_tree.child_index,
             small_tree.depth_array,

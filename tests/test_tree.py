@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from dataclasses import fields
 
-import numpy as np
 import pytest
 
 from repro.errors import TopologyError
@@ -61,12 +60,6 @@ class TestTreeFromParents:
     def test_internal_vertices(self, small_tree: RoutingTree):
         assert set(internal_vertices(small_tree)) == {0, 1, 2, 4}
 
-    def test_link_distances_from_positions(self):
-        positions = np.array([[0.0, 0.0], [3.0, 4.0]])
-        tree = tree_from_parents(0, [-1, 0], positions)
-        assert tree.link_distance[0] == 0.0
-        assert tree.link_distance[1] == pytest.approx(5.0)
-
 
 class TestValidation:
     def test_rejects_cycle(self):
@@ -119,10 +112,8 @@ class TestCachedOrders:
         successor = tree.children[tree.root][0]
         derived = [
             tree.with_relays({leaf}),
-            tree_multi_reparented(tree, [(leaf, tree.root, 1.0)]),
-            tree_multi_reparented(
-                tree, [(tree.root, successor, 1.0)], new_root=successor
-            ),
+            tree_multi_reparented(tree, [(leaf, tree.root)]),
+            tree_multi_reparented(tree, [(tree.root, successor)], new_root=successor),
         ]
         for variant in derived:
             assert (

@@ -80,10 +80,9 @@ class SizedPayload(Payload):
 
 def random_tree(n: int, seed: int = 5) -> RoutingTree:
     rng = np.random.default_rng(seed)
-    positions = rng.uniform(0.0, 30.0, size=(n, 2))
-    positions[0] = (15.0, 15.0)
+    rng.uniform(0.0, 30.0, size=(n, 2))  # unused: keeps the parent draws
     parents = [-1] + [int(rng.integers(0, v)) for v in range(1, n)]
-    return tree_from_parents(0, parents, positions)
+    return tree_from_parents(0, parents)
 
 
 def make_net(
@@ -166,8 +165,8 @@ class TestLosslessEquivalence:
         assert_networks_identical(ref_net, net)
         assert [a.values for a in ref_answers] == [a.values for a in answers]
 
-    def test_per_link_distance_and_idle_model(self):
-        model = EnergyModel(per_link_distance=True, idle_cost_per_round=1e-6)
+    def test_idle_model(self):
+        model = EnergyModel(idle_cost_per_round=1e-6)
         ref_net, ref_answers = self.run_rounds(True, model=model)
         net, answers = self.run_rounds(False, model=model)
         assert_networks_identical(ref_net, net)
@@ -290,13 +289,9 @@ class TestLosslessEquivalence:
     def test_retarget_refreshes_vector_state(self):
         tree = random_tree(30, seed=6)
         rng = np.random.default_rng(17)
-        positions = np.array(
-            [(0.0, 0.0)] + rng.uniform(0.0, 10.0, size=(29, 2)).tolist()
-        )
+        rng.uniform(0.0, 10.0, size=(29, 2))  # unused: keeps the parent draws
         reparented = tree_from_parents(
-            0,
-            [-1] + [int(rng.integers(0, v)) for v in range(1, 30)],
-            positions=None,
+            0, [-1] + [int(rng.integers(0, v)) for v in range(1, 30)]
         )
         nets = {}
         for reference in (True, False):
@@ -403,7 +398,7 @@ class TestFaultyEquivalence:
             graph = build_physical_graph(positions, RADIO_RANGE)
             prng = np.random.default_rng(5)
             parents = [-1] + [int(prng.integers(0, v)) for v in range(1, n)]
-            tree = tree_from_parents(0, parents, positions)
+            tree = tree_from_parents(0, parents)
             vrng = np.random.default_rng(3)
             rounds = [
                 vrng.integers(0, 128, size=n) for _ in range(12)
@@ -570,7 +565,7 @@ class TestFaultyEquivalenceMatrix:
             graph = build_physical_graph(positions, RADIO_RANGE)
             prng = np.random.default_rng(8)
             parents = [-1] + [int(prng.integers(0, v)) for v in range(1, n)]
-            tree = tree_from_parents(0, parents, positions)
+            tree = tree_from_parents(0, parents)
             vrng = np.random.default_rng(6)
             rounds = [vrng.integers(0, 100, size=n) for _ in range(10)]
             plan = FaultPlan(
@@ -632,7 +627,7 @@ class TestFaultyEquivalenceMatrix:
         graph = build_physical_graph(positions, RADIO_RANGE)
         prng = np.random.default_rng(seed + 1)
         parents = [-1] + [int(prng.integers(0, v)) for v in range(1, n)]
-        tree = tree_from_parents(0, parents, positions)
+        tree = tree_from_parents(0, parents)
         vrng = np.random.default_rng(seed + 2)
         rounds = [vrng.integers(0, 64, size=n) for _ in range(6)]
         factories = {"POS": default_algorithms()["POS"]}
@@ -680,7 +675,7 @@ class TestFaultyEquivalenceMatrix:
             graph = build_physical_graph(positions, RADIO_RANGE)
             prng = np.random.default_rng(9)
             parents = [-1] + [int(prng.integers(0, v)) for v in range(1, n)]
-            tree = tree_from_parents(0, parents, positions)
+            tree = tree_from_parents(0, parents)
             vrng = np.random.default_rng(13)
             rounds = [vrng.integers(0, 100, size=n) for _ in range(10)]
             plan = FaultPlan(
