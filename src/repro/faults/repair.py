@@ -50,10 +50,12 @@ and reach the ledger as ordered batches, so the ledger is bit-identical to
 charging them one by one.
 
 A pass costs O(n) plus O(orphans x degree): the orphan set is read off the
-down vertices' children once, and each adoption updates a per-pass working
-tree (depth, a rooted-up mask, the orphans that moved and each vertex's
-hop-ETX row up to the root) instead of rescanning the network (see
-``DESIGN.md``, "Recovery pass").
+down vertices' children once, every candidate route is scored once (a
+rooted-up vertex keeps its path for the rest of the pass), and each
+adoption updates a per-pass working tree (depth, when each vertex became
+rooted-up, the orphans that moved, the orphan's new uplink) and scores only
+the links to the vertices it rooted up (see ``DESIGN.md``, "Recovery
+pass").
 
 The root's membership view is modelled as consistent at the end of each
 repair pass (link-layer hello detection plus membership reports); reports
@@ -65,6 +67,7 @@ watchdog grace window from being re-initialized on top (and double-charged).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,6 +76,7 @@ from repro.constants import VALUE_BITS
 from repro.errors import ConfigurationError
 from repro.faults.network import FaultyTreeNetwork
 from repro.faults.watchdog import RootWatchdog
+from repro.network.geometry import csr_ranges
 from repro.network.topology import PhysicalGraph, csr_pairs
 from repro.network.tree import RoutingTree, preorder_cover, tree_multi_reparented
 from repro.radio.message import MessageCost, ack_cost, message_bits
@@ -81,9 +85,8 @@ from repro.sim.vectorized import ChargeLog
 #: Phase label repair traffic is charged under in ``net.phase_bits``.
 REPAIR_PHASE = "repair"
 
-#: Logged charges that trigger a mid-pass flush, which keeps the batch
-#: (and its memory) bounded on rounds with many orphans.
-_FLUSH_AT = 8192
+#: :attr:`_WorkingTree.rooted_after` of a vertex that is cut off.
+_NEVER = np.iinfo(np.int64).max
 
 
 @dataclass(frozen=True)
@@ -151,7 +154,7 @@ class _WorkingTree:
     whose whole working path to the root is up.  Within a pass, therefore:
 
     * the orphan set cannot grow;
-    * a rooted-up vertex keeps its path, so its hop-ETX row stays valid;
+    * a rooted-up vertex keeps its path, so its path cost never changes;
     * an orphan's own subtree hangs below a down parent, so none of it is
       rooted-up, eligibility is one mask lookup, and nothing moves into it
       before the orphan itself moves;
@@ -164,15 +167,29 @@ class _WorkingTree:
     over that range (:func:`~repro.network.tree.preorder_cover`): every
     adoption is a few array operations, however big the subtree.
 
+    :attr:`rooted_after` records when each vertex became rooted-up: ``-1``
+    for the vertices rooted-up when the pass starts, the step of the probe
+    whose adoption rooted it up, or :data:`_NEVER` while it is cut off.
+    The vertices rooted-up at probe ``s`` are those below ``s``.
+
     With ETX ranking (``hop_etx``: the bound tree's per-vertex uplink ETX
-    and observed flags), row ``v`` of :attr:`rows` holds, for each hop
-    from ``v`` up to the root, its ETX and whether it was observed (1.0 or
-    0.0), zero-padded.  The link table does not change during a pass, so
-    the rows are built once, level by level, and an adoption only re-hangs
-    the moved subtree's rows under the new parent's.
+    and observed flags), :attr:`up` is each vertex's working parent (the
+    root is its own) and :attr:`up_etx`/:attr:`up_seen` its uplink's ETX
+    and observed flag (the root's is a zero hop, never observed).  The
+    link table does not change during a pass, so an adoption only rewrites
+    the orphan's own entries, and a path cost is a walk up :attr:`up`.
     """
 
-    __slots__ = ("depth", "rooted", "rows", "_tree", "_order", "_left")
+    __slots__ = (
+        "depth",
+        "rooted_after",
+        "up",
+        "up_etx",
+        "up_seen",
+        "_tree",
+        "_order",
+        "_left",
+    )
 
     def __init__(
         self,
@@ -181,22 +198,20 @@ class _WorkingTree:
         hop_etx: tuple[np.ndarray, np.ndarray] | None = None,
     ) -> None:
         self.depth = tree.depth_array.copy()
-        self.rooted = ~cut
+        self.rooted_after = np.where(cut, _NEVER, -1)
         self._tree = tree
         #: The vertex at each preorder position, and the positions of the
         #: orphans that have moved this pass.
         self._order = np.empty(tree.num_vertices, dtype=np.int64)
         self._order[tree.preorder] = np.arange(tree.num_vertices)
         self._left = np.zeros(tree.num_vertices, dtype=bool)
-        self.rows = None
+        self.up = None
         if hop_etx is not None:
-            hops = np.column_stack(hop_etx).astype(np.float64)
-            rows = np.zeros((tree.num_vertices, max(1, len(tree.levels) - 1), 2))
-            parent = tree.parent_array
-            for level in tree.levels[1:]:
-                rows[level, 1:] = rows[parent[level], :-1]
-                rows[level, 0] = hops[level]
-            self.rows = rows
+            self.up = tree.parent_array.copy()
+            self.up_etx, self.up_seen = (hops.copy() for hops in hop_etx)
+            self.up[tree.root] = tree.root
+            self.up_etx[tree.root] = 0.0
+            self.up_seen[tree.root] = False
 
     def subtree(self, vertex: int) -> np.ndarray:
         """``vertex``'s working subtree in preorder (itself first), down
@@ -214,94 +229,90 @@ class _WorkingTree:
         orphan: int,
         new_parent: int,
         down: np.ndarray,
+        step: int,
         hop: list[float] | None = None,
-    ) -> np.ndarray:
-        """Re-parent ``orphan`` under ``new_parent``; returns the moved
-        subtree (``down``: the down mask).
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Re-parent ``orphan`` under ``new_parent`` after probe ``step``;
+        returns the moved subtree and the members it rooted up (``down``:
+        the down mask).
 
         ``hop`` is the new uplink's ETX and observed flag (ETX ranking).
         """
-        members = self.subtree(orphan)
         start, size = self._tree.preorder, self._tree.size_array
         lo = start[orphan]
         self._left[lo] = True
+        if hop is not None:
+            self.up[orphan] = new_parent
+            self.up_etx[orphan], self.up_seen[orphan] = hop
         depth = self.depth
-        below = depth[members] - depth[orphan]
+        if size[orphan] == 1:
+            # A leaf of the round's tree (most adoptions): nothing below it
+            # can have moved, and the orphan itself is up.
+            depth[orphan] = depth[new_parent] + 1
+            self.rooted_after[orphan] = step
+            members = self._order[lo : lo + 1]
+            return members, members
+        members = self.subtree(orphan)
         depth[members] += depth[new_parent] + 1 - depth[orphan]
         down_here = members[down[members]]
+        rooted = members
         if len(down_here):
             # Members at or below a down member stay cut off.
             cut = preorder_cover(size[orphan], start[down_here] - lo, size[down_here])
-            self.rooted[members[~cut[start[members] - lo]]] = True
-        else:
-            self.rooted[members] = True
-        if hop is not None:
-            self._rehang(members, below, new_parent, hop)
-        return members
+            rooted = members[~cut[start[members] - lo]]
+        self.rooted_after[rooted] = step
+        return members, rooted
 
-    def _rehang(
-        self,
-        members: np.ndarray,
-        below: np.ndarray,
-        new_parent: int,
-        hop: list[float],
+    def path_costs(
+        self, start: np.ndarray, seen: np.ndarray, at: "np.ndarray | int", hops: int
     ) -> None:
-        """Rows of a moved subtree (``members[0]`` is its orphan, ``below``
-        each member's hops up to it): the orphan's new row is the new hop
-        on top of the new parent's row, and every other member keeps its
-        hops up to the orphan, followed by the orphan's row."""
-        rows = self.rows
-        width = rows.shape[1]
-        orphan = members[0]
-        deepest = int(self.depth[orphan] + below.max())
-        if deepest > width:
-            # Grow by half at least, so a deepening cascade copies the
-            # rows a logarithmic number of times.
-            grown = np.zeros((len(rows), max(deepest, width + width // 2), 2))
-            grown[:, :width] = rows
-            self.rows = rows = grown
-            width = rows.shape[1]
-        rows[orphan, 1:] = rows[new_parent, :-1]
-        rows[orphan, 0] = hop
-        if len(members) > 1:
-            rest = members[1:]
-            source = np.arange(width) - below[1:, None]
-            above = source >= 0
-            hung = rows[rest]
-            hung[above] = rows[orphan][source[above]]
-            rows[rest] = hung
-
-    def etx_path_costs(
-        self, candidates: np.ndarray, probe: np.ndarray
-    ) -> tuple[np.ndarray, bool]:
-        """Per candidate: the ETX of its probe link plus its working path
-        to the root (``probe``: each probe link's ETX and observed flag).
-
-        Also reports whether *any* link on those routes has ever been
-        observed — if none has, the costs are pure prior and the caller
-        prefers the distance ranking instead.  Each cost is a left fold
-        from the probe link up to the root, a row-wise ``np.cumsum`` over
-        the zero-padded rows (adding the padding's zeros changes no sum),
-        never a pairwise or compensated sum, whose rounding differs.
-        """
-        rows = self.rows[candidates]
-        costs = np.cumsum(
-            np.column_stack([probe[:, 0], rows[:, :, 0]]), axis=1
-        )[:, -1]
-        return costs, bool(probe[:, 1].any() or rows[:, :, 1].any())
+        """Fold ``hops`` steps of the working paths from rooted-up ``at``
+        (or one shared vertex) up to the root onto ``start`` and ``seen``,
+        in place: one hop at a time, left to right, never a pairwise or
+        compensated sum, whose rounding differs.  Past the root a walk adds
+        zero hops, which change no sum, so every walk takes the deepest
+        one's steps."""
+        up, up_etx, up_seen = self.up, self.up_etx, self.up_seen
+        for _ in range(hops):
+            start += up_etx[at]
+            seen |= up_seen[at]
+            at = up[at]
 
 
 class _ProbeLinks:
-    """One pass's probe links: every pending orphan's physical neighbours.
+    """One pass's probe links: every pending orphan's physical neighbours,
+    each scored once.
 
     Which neighbours hear a probe, their distances and (ETX ranking) each
     link's ETX and observed flag do not change within a pass, so they are
-    looked up for all orphans in one batch; a probe reads its orphan's
-    slice.  Distances are ``np.hypot`` per element, the float a per-pair
-    call gives.
+    looked up for all orphans in one batch.  Distances are ``np.hypot`` per
+    element, the float a per-pair call gives.
+
+    A neighbour answers a probe once it is rooted-up, and from then on it
+    keeps its working path (see :class:`_WorkingTree`).  So a link's score
+    as a candidate route is final once computed: with ETX ranking, the ETX
+    of the probe link plus its neighbour's path to the root, and whether
+    any link on that route was ever observed.  The links to the vertices
+    rooted-up when the pass starts are scored in one batch, and
+    :meth:`offer` scores the links to the vertices an adoption rooted up,
+    for every orphan at once.  A link's cost stays NaN until then (without
+    ETX ranking it is zero once scored), so a probe's repliers are exactly
+    its links with a cost, and one sort over its links finds the best.
     """
 
-    __slots__ = ("neighbors", "listen", "links", "_span")
+    __slots__ = (
+        "neighbors",
+        "_listen",
+        "_distance",
+        "_etx",
+        "_observed",
+        "_cost",
+        "_route_observed",
+        "_span",
+        "_by_neighbor",
+        "_neighbor_ptr",
+        "_work",
+    )
 
     def __init__(
         self,
@@ -309,27 +320,155 @@ class _ProbeLinks:
         orphans: list[int],
         down: np.ndarray,
         root: int,
+        work: _WorkingTree,
         stats=None,
     ) -> None:
         at = np.array(orphans, dtype=np.int64)
         indptr = graph.indptr
         counts = indptr[at + 1] - indptr[at]
-        owner, self.neighbors = csr_pairs(indptr, graph.indices, at)
-        self.listen = (self.neighbors == root) | ~down[self.neighbors]
-        here, there = graph.positions[owner], graph.positions[self.neighbors]
-        distance = np.hypot(here[:, 0] - there[:, 0], here[:, 1] - there[:, 1])
-        #: Per link: its distance, then (ETX ranking) its ETX and observed flag.
-        self.links = (
-            distance[:, None]
-            if stats is None
-            else np.column_stack([distance, *stats.link_etx(owner, self.neighbors)])
+        owner, neighbors = csr_pairs(indptr, graph.indices, at)
+        self.neighbors = neighbors
+        self._listen = (neighbors == root) | ~down[neighbors]
+        x, y = graph.positions[:, 0], graph.positions[:, 1]
+        self._distance = np.hypot(
+            np.repeat(x[at], counts) - x[neighbors], np.repeat(y[at], counts) - y[neighbors]
         )
         ends = np.cumsum(counts).tolist()
         self._span = dict(zip(orphans, zip([0, *ends[:-1]], ends)))
+        #: The links by neighbour: those to ``v`` are
+        #: ``_by_neighbor[_neighbor_ptr[v]:_neighbor_ptr[v + 1]]``, in no
+        #: particular order.
+        self._by_neighbor = np.argsort(neighbors)
+        self._neighbor_ptr = np.zeros(graph.num_vertices + 1, dtype=np.int64)
+        np.cumsum(
+            np.bincount(neighbors, minlength=graph.num_vertices),
+            out=self._neighbor_ptr[1:],
+        )
+        self._work = work
+        self._etx = None
+        if stats is not None:
+            self._etx, self._observed = stats.link_etx(owner, neighbors)
+        self._cost = np.full(len(neighbors), np.nan)
+        self._route_observed = np.zeros(len(neighbors), dtype=bool)
+        first = np.flatnonzero(self._listen & (work.rooted_after[neighbors] < 0))
+        self._score(first, neighbors[first])
 
-    def span(self, orphan: int) -> slice:
+    def _score(
+        self, links: np.ndarray, neighbors: "np.ndarray | int", hops: int | None = None
+    ) -> None:
+        """Score ``links``, whose neighbours (or one shared neighbour, at
+        depth ``hops``) are rooted-up: the probe link's ETX and observed
+        flag, folded with the neighbour's path up to the root."""
+        if self._etx is None:
+            self._cost[links] = 0.0
+            return
+        work = self._work
+        if hops is None:
+            hops = int(work.depth[neighbors].max(initial=0))
+        cost, seen = self._etx[links], self._observed[links]
+        work.path_costs(cost, seen, neighbors, hops)
+        self._cost[links] = cost
+        self._route_observed[links] = seen
+
+    def offer(self, rooted: np.ndarray) -> None:
+        """Score every orphan's links to ``rooted``, vertices an adoption
+        just rooted up (each of them up, so every such link listens)."""
+        ptr = self._neighbor_ptr
+        if len(rooted) == 1:
+            vertex = int(rooted[0])
+            links = self._by_neighbor[ptr[vertex] : ptr[vertex + 1]]
+            self._score(links, vertex, int(self._work.depth[vertex]))
+        else:
+            links = self._by_neighbor[csr_ranges(ptr[rooted], ptr[rooted + 1] - ptr[rooted])]
+            self._score(links, self.neighbors[links])
+
+    def links(self, orphan: int) -> slice:
         """The slice of ``orphan``'s links."""
         return slice(*self._span[orphan])
+
+    def best(self, orphan: int) -> tuple[int, list[float] | None] | None:
+        """The best replier to ``orphan``'s probe now and (ETX ranking)
+        its link's ETX and observed flag, or ``None``.
+
+        Ranking by ETX-weighted path cost to the root while some
+        replier's route was ever observed, by Euclidean distance otherwise
+        (or always, without ETX ranking); ties go to the nearer, then the
+        lower-numbered neighbour.
+        """
+        lo, hi = self._span[orphan]
+        cost = self._cost[lo:hi]
+        # A NaN cost sorts last: it marks a neighbour that does not reply.
+        first = int(
+            np.lexsort(
+                (self.neighbors[lo:hi], self._distance[lo:hi], cost)
+                if self._route_observed[lo:hi].any()
+                # No relevant link ever observed: ETX would just replay the
+                # prior everywhere, so fall back to nearest-neighbour adoption.
+                else (self.neighbors[lo:hi], self._distance[lo:hi], np.isnan(cost))
+            )[0]
+        )
+        if math.isnan(cost[first]):
+            return None
+        link = lo + first
+        if self._etx is None:
+            return int(self.neighbors[link]), None
+        return int(self.neighbors[link]), [float(self._etx[link]), float(self._observed[link])]
+
+    def charges(self, probed: list[int], parents: list[int]) -> tuple[np.ndarray, np.ndarray]:
+        """Every frame of the pass's probes, in exchange order: the vertex
+        of each and whether it sends (one ACK-sized cost for all).
+
+        Probe ``s`` of orphan ``probed[s]`` is its beacon, every listening
+        neighbour hearing it, a reply from each neighbour rooted-up at
+        ``s``, the orphan hearing each reply, then, if it adopted
+        ``parents[s]`` (``-1``: the probe failed), the adopt request and
+        accept.  Each vertex's charges keep that order.
+        """
+        orphans = np.array(probed, dtype=np.int64)
+        parents = np.array(parents, dtype=np.int64)
+        spans = [self._span[orphan] for orphan in probed]
+        starts = np.array([lo for lo, _ in spans], dtype=np.int64)
+        counts = np.array([hi for _, hi in spans], dtype=np.int64) - starts
+        step = np.repeat(np.arange(len(probed)), counts)
+        links = csr_ranges(starts, counts)
+        # The probe is a local broadcast at full radio range: every up
+        # neighbour pays the listen, but only neighbours that hold a working
+        # route (and are not in the orphan's own subtree) answer, with an
+        # ACK-sized beacon, like route advertisements in CTP or RPL.
+        heard = self._listen[links]
+        replied = heard & (self._work.rooted_after[self.neighbors[links]] < step)
+        listeners = np.bincount(step[heard], minlength=len(probed))
+        replies = np.bincount(step[replied], minlength=len(probed))
+        adopted = parents >= 0
+        # Each probe's frames in order, and where each part starts.
+        sizes = 1 + listeners + 2 * replies + 4 * adopted
+        beacon = np.cumsum(sizes) - sizes
+        heard_at = beacon + 1
+        replied_at = heard_at + listeners
+        adopt_at = replied_at + 2 * replies
+        total = int(sizes.sum())
+        vertices = np.empty(total, dtype=np.int64)
+        sends = np.zeros(total, dtype=bool)
+        vertices[beacon] = orphans
+        sends[beacon] = True
+        # The k-th frame of a part sits k places after the part's start.
+        steps, first = step[heard], np.cumsum(listeners) - listeners
+        vertices[heard_at[steps] + np.arange(len(steps)) - first[steps]] = self.neighbors[
+            links[heard]
+        ]
+        steps, first = step[replied], np.cumsum(replies) - replies
+        at = replied_at[steps] + np.arange(len(steps)) - first[steps]
+        vertices[at] = self.neighbors[links[replied]]
+        sends[at] = True
+        # The orphan hears each reply, in reply order, right after them.
+        vertices[at + replies[steps]] = orphans[steps]
+        # The adopt request, heard by the parent, and its accept, heard by
+        # the orphan.
+        at = adopt_at[adopted]
+        vertices[at] = vertices[at + 3] = orphans[adopted]
+        vertices[at + 1] = vertices[at + 2] = parents[adopted]
+        sends[at] = sends[at + 2] = True
+        return vertices, sends
 
 
 class TreeRepair:
@@ -522,28 +661,38 @@ class TreeRepair:
             work = _WorkingTree(tree, cut, self.net.uplink_etx() if etx else None)
             probes = _ProbeLinks(
                 self.graph,
-                pending,
+                sorted(pending),
                 down_mask,
                 tree.root,
+                work,
                 self.net.link_stats if etx else None,
             )
             depth = work.depth
             pending.sort(key=lambda v: (depth[v], v))
+            orphans = set(pending)
+            # Each probe's orphan and adopted parent (-1: it failed).
+            probed: list[int] = []
+            parents: list[int] = []
             moves: list[tuple[int, int]] = []
             failed: set[int] = set()
             while True:
                 orphan = next((v for v in pending if v not in failed), None)
                 if orphan is None:
                     break
-                found = self._probe_for_parent(orphan, work, probes)
+                found = probes.best(orphan)
+                probed.append(orphan)
                 if found is None:
+                    parents.append(-1)
                     failed.add(orphan)
                     continue
                 candidate, hop = found
-                self._charge_adopt_handshake(orphan, candidate)
+                parents.append(candidate)
+                moved, rooted = work.adopt(
+                    orphan, candidate, down_mask, len(probed) - 1, hop
+                )
+                probes.offer(rooted)
                 pending.remove(orphan)
-                moved = work.adopt(orphan, candidate, down_mask, hop)
-                if len(moved) > 1:
+                if len(moved) > 1 and not orphans.isdisjoint(moved[1:].tolist()):
                     # Pending orphans inside the moved subtree changed depth.
                     pending.sort(key=lambda v: (depth[v], v))
                 if failed:
@@ -553,20 +702,23 @@ class TreeRepair:
                     # neighbours that subtree.  Everyone else's probe would
                     # replay the identical (charged!) beacon exchange and fail
                     # identically — don't re-probe them.
-                    reconnected = set(moved.tolist())
-                    neighbors = self.graph.neighbors
+                    neighbors = probes.neighbors
                     failed = {
                         v
                         for v in failed
-                        if not any(n in reconnected for n in neighbors(v))
+                        if not np.isin(neighbors[probes.links(v)], moved).any()
                     }
                 moves.append((orphan, candidate))
+            self.stats.probe_count += len(probed)
+            vertices, sends = probes.charges(probed, parents)
+            ack = ack_cost()
+            self._log.charge_each(vertices, sends, ack)
+            self._bits += int(np.count_nonzero(sends)) * ack.total_bits
             if moves:
                 self.net.retarget(tree_multi_reparented(tree, moves))
                 # The adopting parents report the membership change up the
                 # repaired tree so the root can patch its branch bookkeeping.
-                for _, new_parent in moves:
-                    self._report_to_root(new_parent)
+                self._report_to_root([new_parent for _, new_parent in moves])
             self._settle_park_queue(work, down_mask, failed)
             return moves
         finally:
@@ -611,71 +763,11 @@ class TreeRepair:
             # leaves each vertex's float sum unchanged.
             members = work.subtree(vertex)
             self._log.charge_recv_each(members[~down[members]], ack)
-            self._maybe_flush()
 
     def _expired_fallbacks(self) -> list[int]:
         fresh = self._expired
         self._expired = []
         return fresh
-
-    def _probe_for_parent(
-        self, orphan: int, work: _WorkingTree, probes: _ProbeLinks
-    ) -> tuple[int, list[float] | None] | None:
-        """One probe beacon + replies; the best eligible neighbour and (ETX
-        ranking) the new uplink's ETX and observed flag, or ``None``.
-
-        Eligible: physically in range and rooted-up in the working tree,
-        which also rules out the orphan's own subtree.  Ranking follows
-        :attr:`parent_metric` — ETX-weighted path cost to the root when
-        link estimates exist, Euclidean distance otherwise; ties go to the
-        nearer, then the lower-numbered neighbour.
-        """
-        ack = ack_cost()
-        log = self._log
-        # The probe is a local broadcast at full radio range; every up
-        # neighbour pays the listen, but only neighbours that actually hold
-        # a working route (and are not in the orphan's own subtree) answer
-        # with an ack-sized beacon — nodes without a route to offer keep
-        # quiet, exactly like route advertisements in CTP/RPL.
-        self.stats.probe_count += 1
-        span = probes.span(orphan)
-        neighbors = probes.neighbors[span]
-        listen = probes.listen[span]
-        reply = listen & work.rooted[neighbors]
-        repliers = neighbors[reply]
-        links = probes.links[span][reply]
-        distances = links[:, 0]
-        # A listener hears the beacon before it replies, and the orphan
-        # beacons before it hears a reply: grouping the charges by kind
-        # keeps every vertex's own charge order, hence its float sums.
-        log.charge_send(orphan, ack)
-        log.charge_recv_each(neighbors[listen], ack)
-        log.charge_send_each(repliers, ack)
-        log.charge_recv_each([orphan] * len(repliers), ack)
-        self._bits += (1 + len(repliers)) * ack.total_bits
-        self._maybe_flush()
-        if not len(repliers):
-            return None
-        if work.rows is None:
-            best = np.lexsort((repliers, distances))[0]
-            return int(repliers[best]), None
-        costs, observed = work.etx_path_costs(repliers, links[:, 1:])
-        best = (
-            np.lexsort((repliers, distances, costs))[0]
-            if observed
-            # No relevant link ever observed: ETX would just replay the
-            # prior everywhere, so fall back to nearest-neighbour adoption.
-            else np.lexsort((repliers, distances))[0]
-        )
-        return int(repliers[best]), links[best, 1:].tolist()
-
-    def _charge_adopt_handshake(self, orphan: int, new_parent: int) -> None:
-        """Adopt request / accept, both ack-sized control frames."""
-        ack = ack_cost()
-        self._charge_send(orphan, ack)
-        self._charge_recv(new_parent, ack)
-        self._charge_send(new_parent, ack)
-        self._charge_recv(orphan, ack)
 
     # -- membership sync ------------------------------------------------------
 
@@ -695,26 +787,22 @@ class TreeRepair:
         nothing, so the logged charges keep their order around them.
         """
         tree = self.net.tree
-        relays = tree.relays
-        if cut is None:
-            cut_off, gone = [False] * tree.num_vertices, []
-        else:
-            cut_off, gone = cut.tolist(), np.flatnonzero(cut).tolist()
-        newly_gone = [
-            v for v in gone if v not in relays and v not in self.detached
-        ]
-        newly_back = sorted(
-            v
-            for v in self.detached
-            if not cut_off[v] and v != tree.root and v not in relays
-        )
+        sensors = tree.sensor_mask
+        back = np.fromiter(self.detached, dtype=np.int64, count=len(self.detached))
+        newly_gone = []
+        if cut is not None:
+            gone = cut & sensors
+            gone[back] = False
+            newly_gone = np.flatnonzero(gone).tolist()
+            back = back[~cut[back]]
+        newly_back = np.sort(back[sensors[back]]).tolist()
         try:
             for vertex in newly_gone:
                 # A down node's silence is noticed by its parent; the report
                 # can only travel where an up path exists.
                 reporter = tree.parent[vertex]
-                if not cut_off[reporter]:
-                    self._report_to_root(reporter)
+                if not cut[reporter]:
+                    self._report_to_root([reporter])
                 self.detached.add(vertex)
                 detached.append(vertex)
                 algorithm.detach(self.net, vertex)
@@ -723,9 +811,10 @@ class TreeRepair:
             for vertex in newly_back:
                 # Filter re-push (one hop down), then the node reports its
                 # current value up so the root can patch its counters.
-                self._charge_send(tree.parent[vertex], push)
-                self._charge_recv(vertex, push)
-                self._report_to_root(vertex)
+                self._log.charge_send(tree.parent[vertex], push)
+                self._log.charge_recv(vertex, push)
+                self._bits += push.total_bits
+                self._report_to_root([vertex])
                 self.detached.discard(vertex)
                 rejoined.append(vertex)
                 algorithm.rejoin(self.net, values, vertex)
@@ -733,17 +822,6 @@ class TreeRepair:
             self._flush()
 
     # -- charging helpers -----------------------------------------------------
-
-    def _charge_send(self, sender: int, cost: MessageCost) -> None:
-        self._log.charge_send(sender, cost)
-        self._bits += cost.total_bits
-
-    def _charge_recv(self, receiver: int, cost: MessageCost) -> None:
-        self._log.charge_recv(receiver, cost)
-
-    def _maybe_flush(self) -> None:
-        if len(self._log) >= _FLUSH_AT:
-            self._flush()
 
     def _flush(self) -> None:
         """Apply the logged charges to the ledger, in logged order, and
@@ -757,23 +835,28 @@ class TreeRepair:
             )
             self._bits = 0
 
-    def _report_to_root(self, start: int) -> None:
-        """Report a membership change from ``start`` up the tree path.
+    def _report_to_root(self, starts: list[int]) -> None:
+        """Report a membership change from each of ``starts`` up its tree
+        path, in order.
 
         Membership reports are tiny (a vertex id and a flag) and ride
         piggybacked on the next already-scheduled frame of each hop, so they
         cost their payload bits but no extra MAC frames or headers.
         """
         tree = self.net.tree
-        if start == tree.root:
-            return
-        cost = MessageCost(messages=0, total_bits=VALUE_BITS, payload_bits=VALUE_BITS)
-        path = tree.path_to_root(start)
-        senders = path[:-1]
-        # Each hop is a send by the child and a receive by its parent.
-        # Every vertex hears its child before it forwards, so logging all
-        # receives before all sends keeps each vertex's charge order.
-        self._log.charge_recv_each(path[1:], cost)
-        self._log.charge_send_each(senders, cost)
-        self._bits += cost.total_bits * len(senders)
-        self._maybe_flush()
+        vertices: list[int] = []
+        sends: list[bool] = []
+        for start in starts:
+            path = tree.path_to_root(start)
+            hops = len(path) - 1
+            # Each hop is a send by the child and a receive by its parent.
+            # Every vertex hears its child before it forwards, so logging a
+            # report's receives before its sends keeps each vertex's order.
+            vertices += path[1:]
+            vertices += path[:-1]
+            sends += [False] * hops
+            sends += [True] * hops
+        if vertices:
+            cost = MessageCost(messages=0, total_bits=VALUE_BITS, payload_bits=VALUE_BITS)
+            self._log.charge_each(vertices, sends, cost)
+            self._bits += cost.total_bits * (len(vertices) // 2)

@@ -46,6 +46,7 @@ from itertools import repeat
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.network.geometry import csr_ranges
 
 #: Loss estimates are clamped below this when inverted into ETX so a
 #: fully-black link yields a large-but-finite cost.
@@ -182,8 +183,11 @@ class LinkQualityEstimator:
         Made for neighbourhoods, where the senders are a few vertices (an
         orphan's probe links, an election's candidates): both directions
         of a pair touch its sender, so only the table's links with an end
-        among the senders can match, and those are sorted by key and
-        searched.
+        among the senders can match.  Those few are searched among the
+        pairs' sorted keys, each as the uplink of its own pair and as the
+        downlink of the reversed one.  Pairs listed sender by sender with
+        ascending receivers are sorted already, which the stable sort
+        notices in one pass.
         """
         senders = np.asarray(senders, dtype=np.int64)
         receivers = np.asarray(receivers, dtype=np.int64)
@@ -191,18 +195,22 @@ class LinkQualityEstimator:
         touched = np.zeros(1 + max(ends.max(initial=0), senders.max(initial=0)), dtype=bool)
         touched[senders] = True
         near = np.flatnonzero(touched[ends[:, 0]] | touched[ends[:, 1]])
-        keys = _link_key(ends[near, 0], ends[near, 1])
-        order = np.argsort(keys)
-        keys, near = keys[order], near[order]
+        pairs = _link_key(senders, receivers)
+        order = np.argsort(pairs, kind="stable")
+        pairs = pairs[order]
 
-        def find(wanted: np.ndarray) -> np.ndarray:
-            if not len(keys):
-                return np.full(len(wanted), -1, dtype=np.int64)
-            at = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
-            return np.where(keys[at] == wanted, near[at], -1)
+        def slots(keys: np.ndarray) -> np.ndarray:
+            """Per pair: the slot of the near link whose key is the pair's
+            (``keys``, per near link), or ``-1``."""
+            first = np.searchsorted(pairs, keys, side="left")
+            count = np.searchsorted(pairs, keys, side="right") - first
+            out = np.full(len(pairs), -1, dtype=np.int64)
+            out[order[csr_ranges(first, count)]] = np.repeat(near, count)
+            return out
 
         return self.etx_at(
-            find(_link_key(senders, receivers)), find(_link_key(receivers, senders))
+            slots(_link_key(ends[near, 0], ends[near, 1])),
+            slots(_link_key(ends[near, 1], ends[near, 0])),
         )
 
     def observe_hops(

@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.errors import TopologyError
-from repro.network.topology import bfs_levels, csr_pairs
+from repro.network.topology import csr_pairs
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -270,8 +270,19 @@ def _tree_from_parent_array(
 
     # Breadth-first from the root establishes reachability and acyclicity:
     # a parent array whose edges reach all n vertices from the root is a
-    # tree (a cycle and whatever hangs off it stay unreached).
-    depth, levels = bfs_levels(indptr, kids, root)
+    # tree (a cycle and whatever hangs off it stay unreached).  Every vertex
+    # is the child of one parent, so no level reaches a vertex twice and
+    # each level is just the children of the one before (the order
+    # :func:`~repro.network.topology.bfs_levels` gives).
+    depth = np.full(n, -1, dtype=np.int64)
+    depth[root] = 0
+    levels = [np.array([root], dtype=np.int64)]
+    while True:
+        _, frontier = csr_pairs(indptr, kids, levels[-1])
+        if not len(frontier):
+            break
+        depth[frontier] = len(levels)
+        levels.append(frontier)
     unreachable = np.flatnonzero(depth < 0).tolist()
     if unreachable:
         raise TopologyError(

@@ -41,6 +41,7 @@ degraded rounds and query deregistration (tracks are kept until
 from __future__ import annotations
 
 import bisect
+import math
 from collections import deque
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Iterable
@@ -239,6 +240,31 @@ class CacheStats:
     def hit_rate(self) -> float:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
+
+
+def _linear_quantile(values: list[float], phi: float) -> float:
+    """``float(np.quantile(values, phi))`` for a float ``phi``, bit for bit,
+    in Python floats: NumPy's ``linear`` method on the sorted values.
+
+    The virtual index is ``(n - 1) * phi``; at or past the last value both
+    neighbours are the last value and the weight is the index plus one,
+    as NumPy's index clamp leaves it.  The interpolation is NumPy's
+    two-sided ``_lerp``, and a NaN anywhere makes the result NaN.
+    """
+    if any(math.isnan(value) for value in values):
+        return math.nan
+    ordered = sorted(values)
+    last = len(ordered) - 1
+    index = last * phi
+    if index >= last:
+        below = above = ordered[-1]
+        weight = index + 1
+    else:
+        lower = math.floor(index)
+        below, above = ordered[lower], ordered[lower + 1]
+        weight = index - lower
+    step = above - below
+    return above - step * (1 - weight) if weight >= 0.5 else below + step * weight
 
 
 class _LabelSeries:
@@ -586,7 +612,7 @@ class HistoryStore:
         if not series.ring:
             raise ConfigurationError(f"query {query!r} has no absorbed data")
         retained = [value for _, value in list(series.ring)[-n:]]
-        value = float(np.quantile(np.array(retained), phi))
+        value = _linear_quantile(retained, phi)
         return self._clock_read(query, label, "window", series, value, len(retained))
 
     def _compute_decayed(

@@ -7,9 +7,9 @@ a handful of segmented array operations:
 
 * :class:`ChargeLog` — an ordered recorder with the
   ``charge_send``/``charge_recv`` signature of
-  :class:`~repro.radio.ledger.EnergyLedger`.  Joules are computed at log
-  time with exactly the scalar ledger's float arithmetic; ``flush()``
-  replays the whole sequence through one
+  :class:`~repro.radio.ledger.EnergyLedger`.  Joules are computed with
+  exactly the scalar ledger's float arithmetic; ``flush()`` replays the
+  whole sequence through one
   :meth:`~repro.radio.ledger.EnergyLedger.charge_batch` call.  Because
   ``np.add.at`` accumulates repeated indices in array order, the per-vertex
   addition sequence — and therefore every float in the ledger — matches the
@@ -262,11 +262,12 @@ class ChargeLog:
     Presents the ledger's ``charge_send``/``charge_recv`` signature so
     scalar-style charging code (tree repair, fail-over beacons) writes
     through it unchanged, plus ``*_each`` forms that charge one message
-    cost to a run of vertices, in order, given as a sequence or an array.
+    cost to a run of vertices, in order, given as a sequence or an array,
+    and :meth:`charge_each`, whose run mixes transmissions and receptions.
     Each call is kept as one chunk (the vertex sequence itself, so it must
-    not change before the flush) whose joules are computed immediately
-    with the scalar ledger's own arithmetic; only the array updates are
-    deferred.  ``flush()`` must run before anything reads the ledger.
+    not change before the flush); ``flush()`` computes every charge's
+    joules with the scalar ledger's own arithmetic (bits times the per-bit
+    price) and must run before anything reads the ledger.
     """
 
     __slots__ = (
@@ -274,8 +275,7 @@ class ChargeLog:
         "_send_cpb",
         "_recv_cpb",
         "_vertices",
-        "_joules",
-        "_is_send",
+        "_sends",
         "_messages",
         "_bits",
         "_values",
@@ -286,11 +286,11 @@ class ChargeLog:
         self._ledger = ledger
         self._send_cpb = ledger.model.send_cost_per_bit(ledger.radio_range)
         self._recv_cpb = ledger.model.recv_cost
-        # One entry per chunk: its vertices, the joules each of them pays,
-        # direction, per-charge message count, bits and values.
+        # One entry per chunk: its vertices, which of them send (one flag
+        # for the chunk, or one per vertex), per-charge message count,
+        # bits and values.
         self._vertices: list = []
-        self._joules: list[float] = []
-        self._is_send: list[bool] = []
+        self._sends: list = []
         self._messages: list[int] = []
         self._bits: list[int] = []
         self._values: list[int] = []
@@ -299,11 +299,9 @@ class ChargeLog:
     def __len__(self) -> int:
         return self._count
 
-    def _chunk(self, vertices, is_send: bool, cost, values: int) -> None:
-        cpb = self._send_cpb if is_send else self._recv_cpb
+    def _chunk(self, vertices, sends, cost, values: int) -> None:
         self._vertices.append(vertices)
-        self._joules.append(cost.total_bits * cpb)
-        self._is_send.append(is_send)
+        self._sends.append(sends)
         self._messages.append(cost.messages)
         self._bits.append(cost.total_bits)
         self._values.append(values)
@@ -331,33 +329,53 @@ class ChargeLog:
         :meth:`charge_recv` in a loop."""
         self._chunk(receivers, False, cost, 0)
 
+    def charge_each(
+        self,
+        vertices: "Sequence[int] | np.ndarray",
+        sends: "Sequence[bool] | np.ndarray",
+        cost: "MessageCost",
+    ) -> None:
+        """Record one ``cost`` frame per vertex, in order: a transmission
+        where ``sends`` is true, a reception elsewhere."""
+        self._chunk(vertices, sends, cost, 0)
+
     def flush(self) -> None:
         """Apply every recorded charge to the ledger in recorded order."""
         if not self._count:
             return
         sizes = [len(chunk) for chunk in self._vertices]
         vertices = np.concatenate(self._vertices).astype(np.int64, copy=False)
-        joules = np.repeat(np.array(self._joules, dtype=np.float64), sizes)
-        is_send = np.repeat(np.array(self._is_send, dtype=bool), sizes)
-        messages = np.repeat(np.array(self._messages, dtype=np.int64), sizes)
-        bits = np.repeat(np.array(self._bits, dtype=np.int64), sizes)
-        values = np.repeat(np.array(self._values, dtype=np.int64), sizes)
-        recv = ~is_send
+        is_send = np.repeat(np.array([sends is True for sends in self._sends]), sizes)
+        # Per chunk: how many of its charges are transmissions.
+        sent = []
+        start = 0
+        for sends, size in zip(self._sends, sizes):
+            if isinstance(sends, bool):
+                sent.append(size if sends else 0)
+            else:
+                run = is_send[start : start + size]
+                run[:] = sends
+                sent.append(int(np.count_nonzero(run)))
+            start += size
+        sent = np.array(sent, dtype=np.int64)
+        heard = np.array(sizes, dtype=np.int64) - sent
+        bits = np.array(self._bits, dtype=np.int64)
+        messages = np.array(self._messages, dtype=np.int64)
         self._ledger.charge_batch(
             energy_vertices=vertices,
-            energy_joules=joules,
+            energy_joules=np.repeat(bits, sizes)
+            * np.where(is_send, self._send_cpb, self._recv_cpb),
             send_vertices=vertices[is_send],
-            send_messages=messages[is_send],
-            send_bits=bits[is_send],
-            send_values=values[is_send],
-            recv_vertices=vertices[recv],
-            recv_messages=messages[recv],
-            recv_bits=bits[recv],
+            send_messages=np.repeat(messages, sent),
+            send_bits=np.repeat(bits, sent),
+            send_values=np.repeat(np.array(self._values, dtype=np.int64), sent),
+            recv_vertices=vertices[~is_send],
+            recv_messages=np.repeat(messages, heard),
+            recv_bits=np.repeat(bits, heard),
         )
         for chunks in (
             self._vertices,
-            self._joules,
-            self._is_send,
+            self._sends,
             self._messages,
             self._bits,
             self._values,

@@ -13,6 +13,9 @@ cache's hit/miss accounting, and the runner/driver wiring.
 
 from __future__ import annotations
 
+import math
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -155,6 +158,34 @@ class TestWindowReads:
         read = store.window("q", n, "p50", phi=phi)
         expected = float(np.quantile(values[-n:], phi))
         assert read.value == pytest.approx(expected)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        values=st.lists(
+            st.one_of(
+                st.floats(-1e300, 1e300, allow_nan=False),
+                st.integers(-3, 3).map(float),
+                st.just(math.nan),
+            ),
+            min_size=1,
+            max_size=64,
+        ),
+        phi=st.one_of(st.floats(0.0, 1.0), st.sampled_from((0.0, 0.5, 1.0))),
+    )
+    def test_window_is_numpy_quantile_bit_for_bit(self, values, phi):
+        """The cold read reproduces ``np.quantile``'s default method in
+        Python floats: ties, φ at 0 and 1, huge magnitudes and NaN.  Only
+        the sign of a zero may differ, since NumPy leaves the order of
+        equal values to its partition."""
+        store = HistoryStore(window_capacity=64)
+        fill(store, values)
+        ours = store.window("q", len(values), "p50", phi=phi).value
+        expected = float(np.quantile(np.array(values), phi))
+        if math.isnan(expected) or expected == 0.0:
+            assert math.isnan(ours) == math.isnan(expected)
+            assert ours == expected or math.isnan(ours)
+        else:
+            assert struct.pack("<d", ours) == struct.pack("<d", expected)
 
     def test_validation(self):
         store = HistoryStore()

@@ -15,6 +15,7 @@ bits, and in which order each vertex adds its charges.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,7 @@ from repro.faults import (
     TreeRepair,
 )
 from repro.faults.failover import RootFailover
+from repro.faults.repair import _ProbeLinks
 from repro.faults.network import ArqPolicy, FaultyTreeNetwork
 from repro.faults.plan import IndependentLoss
 from repro.network.routing import build_routing_tree
@@ -49,6 +51,9 @@ ROUNDS = 8
 #: Mean physical degree of the sampled deployments: sparse enough that
 #: some orphans find no parent and park, dense enough to stay connected.
 DEGREE = 9.0
+#: The end-to-end benchmark's density (1,000 sensors on a 200 m field):
+#: about 96 neighbours each, so a sink kill orphans a wave of them.
+BENCH_DEGREE = 1000 * math.pi * RANGE**2 / 200.0**2
 LEDGER_ARRAYS = (
     "energy",
     "messages_sent",
@@ -68,6 +73,7 @@ class Scenario:
     outage_rate: float
     churn_rate: float
     kill_round: int
+    degree: float = DEGREE
 
 
 class RecordingAlgorithm:
@@ -88,7 +94,7 @@ class RecordingAlgorithm:
 
 
 def deployment(scenario: Scenario):
-    side = RANGE * math.sqrt(scenario.nodes * math.pi / DEGREE)
+    side = RANGE * math.sqrt(scenario.nodes * math.pi / scenario.degree)
     rng = np.random.default_rng(scenario.seed)
     graph = connected_random_graph(scenario.nodes + 1, RANGE, rng, area_side=side)
     return graph, build_routing_tree(graph, root=0)
@@ -251,6 +257,43 @@ def test_sink_kill_cascade_cell(parent_metric, heal_patience):
     # cascade and parked or fallen-back orphans.
     assert stats.reattach_count > 10
     assert stats.fallback_count + stats.parked_rounds > 0
+
+
+@pytest.mark.parametrize("parent_metric", TreeRepair.PARENT_METRICS)
+@pytest.mark.parametrize("heal_patience", (1, 3))
+def test_dense_sink_kill_wave_cell(parent_metric, heal_patience, monkeypatch):
+    """At the benchmark's density the sink kill orphans a wave: the kill
+    round re-attaches dozens of orphans, each adoption rooting up vertices
+    that neighbour the orphans still waiting, and some orphan that failed
+    earlier in a pass is probed again after a neighbour's adoption."""
+    probes: list[Counter] = []
+    best, reattach = _ProbeLinks.best, TreeRepair._reattach_orphans
+
+    def counted_best(self, orphan):
+        probes[-1][orphan] += 1
+        return best(self, orphan)
+
+    def counted_reattach(self, *args):
+        probes.append(Counter())
+        return reattach(self, *args)
+
+    monkeypatch.setattr(_ProbeLinks, "best", counted_best)
+    monkeypatch.setattr(TreeRepair, "_reattach_orphans", counted_reattach)
+    kill_round = 3
+    repair = assert_twins_identical(
+        Scenario(
+            nodes=400,
+            seed=2,
+            parent_metric=parent_metric,
+            heal_patience=heal_patience,
+            outage_rate=0.05,
+            churn_rate=0.01,
+            kill_round=kill_round,
+            degree=BENCH_DEGREE,
+        )
+    )
+    assert len(repair.stats.rounds[kill_round].reattached) >= 30
+    assert any(count > 1 for counts in probes for count in counts.values())
 
 
 @pytest.mark.parametrize("seed", (7, 20140324))
