@@ -32,7 +32,7 @@ from repro.core.payloads import (
     HistogramBatch,
     ValidationBatch,
     ValidationPayload,
-    ValueSetPayload,
+    value_set,
 )
 from repro.errors import MembershipError, ProtocolError
 from repro.sim.engine import TreeNetwork
@@ -273,12 +273,10 @@ class ContinuousQuantileAlgorithm(ABC):
         return net.num_sensor_nodes - len(self._detached_vertices)
 
     def participating_sensors(self, net: TreeNetwork) -> tuple[int, ...]:
-        """Sensor nodes currently participating in the query."""
+        """Sensor nodes currently participating in the query, ascending."""
         if not self._detached_vertices:
             return net.tree.sensor_nodes
-        return tuple(
-            v for v in net.tree.sensor_nodes if v not in self._detached_vertices
-        )
+        return tuple(np.flatnonzero(self.participation_mask(net)).tolist())
 
     def participation_mask(self, net: TreeNetwork) -> np.ndarray:
         """Like :func:`sensor_mask` but with detached vertices cleared.
@@ -615,14 +613,15 @@ def request_values(
     is the only place value-set contributions are built; phase labels and
     request broadcasts stay with the callers.
     """
+    ids = np.asarray(participants, dtype=np.int64)
+    sent = np.asarray(values)[ids].astype(np.int64)
     if low is not None:
-        participants = [v for v in participants if low <= int(values[v]) <= high]
+        inside = (sent >= low) & (sent <= high)
+        ids, sent = ids[inside], sent[inside]
     merged = net.convergecast(
         {
-            vertex: ValueSetPayload(
-                values=(int(values[vertex]),), keep=keep, keep_largest=keep_largest
-            )
-            for vertex in participants
+            vertex: value_set((value,), keep, keep_largest)
+            for vertex, value in zip(ids.tolist(), sent.tolist())
         }
     )
     return merged.values if merged is not None else ()
@@ -728,7 +727,7 @@ def tag_initialization(
     if len(smallest) < k:
         raise ProtocolError("TAG initialization did not deliver k values")
     quantile = smallest[k - 1]
-    # ValueSetPayload merges keep the tuple ascending, so the rank splits
+    # Value-set merges keep the tuple ascending, so the rank splits
     # fall out of two binary searches instead of two linear scans.
     less = bisect_left(smallest, quantile)
     equal = bisect_right(smallest, quantile) - less

@@ -11,7 +11,8 @@ histograms and bucket deltas — also come as column batches
 value and state arrays, and the convergecast folds them as integer
 columns (:class:`repro.sim.PayloadBatch`).  The dataclasses remain the
 root's view of a merged batch and the per-hop form the reference walk
-merges.  Value sets stay objects: their merge sorts and prunes.
+merges.  Value sets stay objects: their merge sorts and prunes.  They are
+slotted, and the hot path builds them with :func:`value_set`.
 """
 
 from __future__ import annotations
@@ -113,7 +114,7 @@ class ValidationPayload(Payload):
         return self.hint_min is not None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ValueSetPayload(Payload):
     """A multiset of raw measurements, optionally pruned in-network.
 
@@ -122,6 +123,9 @@ class ValueSetPayload(Payload):
     refinement responses need the ties to handle duplicate measurements
     exactly (Section 4.2.2).  ``keep=None`` forwards everything (TAG-style
     direct value requests).
+
+    The hot path builds instances with :func:`value_set`, which equals this
+    constructor at under half its cost.
     """
 
     values: tuple[int, ...] = ()
@@ -129,14 +133,11 @@ class ValueSetPayload(Payload):
     keep_largest: bool = False
 
     def merged_with(self, other: "ValueSetPayload") -> "ValueSetPayload":
-        if (self.keep, self.keep_largest) != (other.keep, other.keep_largest):
+        keep, keep_largest = self.keep, self.keep_largest
+        if keep != other.keep or keep_largest != other.keep_largest:
             raise ProtocolError("cannot merge value sets with different pruning")
         merged = merge_sorted(self.values, other.values)
-        return ValueSetPayload(
-            prune_with_ties(merged, self.keep, self.keep_largest),
-            self.keep,
-            self.keep_largest,
-        )
+        return value_set(prune_with_ties(merged, keep, keep_largest), keep, keep_largest)
 
     def payload_bits(self) -> int:
         return len(self.values) * VALUE_BITS
@@ -146,6 +147,28 @@ class ValueSetPayload(Payload):
 
     def is_empty(self) -> bool:
         return not self.values
+
+
+_new = object.__new__
+_set_values = ValueSetPayload.values.__set__
+_set_keep = ValueSetPayload.keep.__set__
+_set_keep_largest = ValueSetPayload.keep_largest.__set__
+
+
+def value_set(
+    values: tuple[int, ...], keep: int | None, keep_largest: bool
+) -> ValueSetPayload:
+    """``ValueSetPayload(values, keep, keep_largest)``, built slot by slot.
+
+    Writing the slots through their descriptors skips the frozen
+    ``__init__``'s three ``object.__setattr__`` calls; the result is an
+    ordinary frozen instance, equal to (and hashing like) the constructor's.
+    """
+    payload = _new(ValueSetPayload)
+    _set_values(payload, values)
+    _set_keep(payload, keep)
+    _set_keep_largest(payload, keep_largest)
+    return payload
 
 
 def prune_with_ties(

@@ -53,46 +53,67 @@ from repro.types import QuerySpec, RoundOutcome
 TARGET_ID_BITS = 8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GridValidationPayload(Payload):
     """Per-target transition counters, summed tree-wise.
 
     ``counts`` holds ``(target_index, into_lt, outof_lt, into_gt,
     outof_gt)`` tuples, sorted by target index, only for targets some
-    sensor in the subtree crossed this round.
+    sensor in the subtree crossed this round; each target appears at most
+    once.  The hot path builds instances with :func:`_grid_validation`.
     """
 
     counts: tuple[tuple[int, int, int, int, int], ...]
 
     def merged_with(self, other: "GridValidationPayload") -> "GridValidationPayload":
-        merged: dict[int, list[int]] = {}
-        for tid, a, b, c, d in self.counts + other.counts:
-            entry = merged.setdefault(tid, [0, 0, 0, 0])
-            entry[0] += a
-            entry[1] += b
-            entry[2] += c
-            entry[3] += d
-        return GridValidationPayload(
-            counts=tuple(
-                (tid, *merged[tid]) for tid in sorted(merged)
-            )
-        )
+        # Both rows ascend by target: one merge-join sums the shared ones.
+        a, b = self.counts, other.counts
+        i = j = 0
+        merged = []
+        while i < len(a) and j < len(b):
+            x, y = a[i], b[j]
+            if x[0] < y[0]:
+                merged.append(x)
+                i += 1
+            elif y[0] < x[0]:
+                merged.append(y)
+                j += 1
+            else:
+                merged.append((x[0], x[1] + y[1], x[2] + y[2], x[3] + y[3], x[4] + y[4]))
+                i += 1
+                j += 1
+        merged += a[i:]
+        merged += b[j:]
+        return _grid_validation(tuple(merged))
 
     def payload_bits(self) -> int:
         # Sparse encoding: a 4-bit presence mask per entry, then only the
         # nonzero counters.  A typical single-sensor crossing carries two
         # nonzero counters, a pure one-sided shift just one.
-        bits = 0
+        nonzero = 0
         for _, a, b, c, d in self.counts:
-            nonzero = sum(1 for counter in (a, b, c, d) if counter)
-            bits += TARGET_ID_BITS + 4 + nonzero * COUNTER_BITS
-        return bits
+            nonzero += (a != 0) + (b != 0) + (c != 0) + (d != 0)
+        return len(self.counts) * (TARGET_ID_BITS + 4) + nonzero * COUNTER_BITS
 
     def num_values(self) -> int:
         return 0
 
     def is_empty(self) -> bool:
         return not self.counts
+
+
+_new = object.__new__
+_set_counts = GridValidationPayload.counts.__set__
+
+
+def _grid_validation(
+    counts: tuple[tuple[int, int, int, int, int], ...],
+) -> GridValidationPayload:
+    """``GridValidationPayload(counts)``, with the slot written through its
+    descriptor instead of the frozen ``__init__``."""
+    payload = _new(GridValidationPayload)
+    _set_counts(payload, counts)
+    return payload
 
 
 @dataclass(kw_only=True)
@@ -536,7 +557,7 @@ class MultiQuerySketch(ContinuousQuantileAlgorithm):
                     )
                 )
         return {
-            vertex: GridValidationPayload(counts=tuple(sorted(entries)))
+            vertex: _grid_validation(tuple(sorted(entries)))
             for vertex, entries in per_vertex.items()
         }
 

@@ -15,21 +15,29 @@ from repro.core.base import (
     EQ,
     GT,
     LT,
+    ContinuousQuantileAlgorithm,
     FilterQuantile,
     RootCounters,
     build_validation,
     classify,
     classify_interval,
     hint_bounds,
+    request_values,
     sensor_mask,
     tag_initialization,
 )
 from repro.core.hbc import HBC
 from repro.core.iq import IQ
-from repro.core.payloads import ValidationPayload
+from repro.core.payloads import ValidationPayload, ValueSetPayload
 from repro.core.sketchq import SketchQuantile
 from repro.errors import MembershipError, ProtocolError
-from repro.network.tree import tree_from_parents
+from repro.faults import ArqPolicy, FaultPlan, FaultyTreeNetwork, IndependentLoss
+from repro.network.routing import build_routing_tree
+from repro.network.topology import connected_random_graph
+from repro.network.tree import tree_from_parents, tree_multi_reparented
+from repro.radio.energy import EnergyModel
+from repro.radio.ledger import EnergyLedger
+from repro.sim.engine import TreeNetwork
 from repro.sim.oracle import rank_of_value
 from repro.types import QuerySpec
 
@@ -364,3 +372,150 @@ class TestParticipationMaskCache:
             int(np.count_nonzero((participating >= low) & (participating <= high))),
             int(np.count_nonzero(participating > high)),
         )
+
+
+def request_values_oracle(
+    net, values, participants, low=None, high=None, keep=None, keep_largest=False
+):
+    """:func:`request_values` one participant at a time: ``int()`` per
+    value and the dataclass constructor per contribution."""
+    if low is not None:
+        participants = [v for v in participants if low <= int(values[v]) <= high]
+    merged = net.convergecast(
+        {
+            v: ValueSetPayload(
+                values=(int(values[v]),), keep=keep, keep_largest=keep_largest
+            )
+            for v in participants
+        }
+    )
+    return merged.values if merged is not None else ()
+
+
+#: A 41-vertex deployment for the value-set request tests.
+REQUEST_TREE = build_routing_tree(
+    connected_random_graph(41, 45.0, np.random.default_rng(3)), root=0
+)
+
+
+@st.composite
+def value_requests(draw):
+    """``(values, participants, low, high, keep, keep_largest)`` on
+    :data:`REQUEST_TREE`: int64 or float64 values with negatives, a random
+    subset of sensors (possibly empty, in any order) as a tuple, a list or
+    an array, and bounds drawn partly from the truncated values."""
+    n = REQUEST_TREE.num_vertices
+    if draw(st.booleans()):
+        values = np.array(draw(st.lists(st.integers(-60, 60), min_size=n, max_size=n)))
+    else:
+        floats = st.floats(-60.0, 60.0, allow_nan=False)
+        values = np.array(draw(st.lists(floats, min_size=n, max_size=n)), dtype=np.float64)
+    chosen = draw(st.lists(st.sampled_from(REQUEST_TREE.sensor_nodes), unique=True))
+    form = draw(st.sampled_from([tuple, list, partial(np.array, dtype=np.int64)]))
+    low = high = None
+    if draw(st.booleans()):
+        edge = st.sampled_from([int(x) for x in values]) | st.integers(-70, 70)
+        low, high = sorted((draw(edge), draw(edge)))
+    keep = draw(st.none() | st.integers(1, len(chosen) + 1))
+    return values, form(chosen), low, high, keep, draw(st.booleans())
+
+
+class TestRequestValues:
+    """The array-filtered :func:`request_values` against the per-participant
+    oracle, on a reliable network and under loss 0.05 with ARQ 2: equal
+    received values, ledger arrays, phase bits and collection logs."""
+
+    @staticmethod
+    def network(faulty: bool, seed: int) -> TreeNetwork:
+        tree = REQUEST_TREE
+        ledger = EnergyLedger(tree.num_vertices, tree.root, EnergyModel(), 35.0)
+        ledger.begin_round()
+        if faulty:
+            plan = FaultPlan(loss=IndependentLoss(0.05), rng=np.random.default_rng(seed))
+            net = FaultyTreeNetwork(tree, ledger, plan, ArqPolicy(max_retries=2))
+        else:
+            net = TreeNetwork(tree, ledger)
+        net.phase = "refinement"
+        return net
+
+    @pytest.mark.parametrize("faulty", [False, True], ids=["reliable", "loss-arq"])
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(request=value_requests(), seed=st.integers(0, 2**16))
+    def test_matches_per_participant_oracle(self, faulty, request, seed):
+        net, oracle_net = self.network(faulty, seed), self.network(faulty, seed)
+        # Twice on the same networks: the second request draws on from
+        # wherever the first left the loss stream.
+        for _ in range(2):
+            assert request_values(net, *request) == request_values_oracle(
+                oracle_net, *request
+            )
+        for name, array in vars(net.ledger).items():
+            if isinstance(array, np.ndarray):
+                assert np.array_equal(array, getattr(oracle_net.ledger, name)), name
+        assert net.phase_bits == oracle_net.phase_bits
+        assert net.collection_log == oracle_net.collection_log
+
+
+class _Members(ContinuousQuantileAlgorithm):
+    """The base class's membership bookkeeping and nothing else."""
+
+    def initialize(self, net, values):
+        raise NotImplementedError
+
+    def update(self, net, values):
+        raise NotImplementedError
+
+
+class TestParticipatingSensors:
+    """:meth:`participating_sensors` read off the cached mask equals the
+    generator over the tree's sensors it replaced, across random detach,
+    rejoin, root hand-over (with the re-root fail-over runs next) and
+    reset sequences, whether or not the mask was cached in between."""
+
+    steps = st.lists(
+        st.tuples(
+            st.sampled_from(["detach", "rejoin", "handover", "reset", "mask"]),
+            st.integers(0, 2**20),
+        ),
+        max_size=25,
+    )
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 20), steps=steps)
+    def test_matches_generator(self, seed, steps):
+        tree = build_routing_tree(
+            connected_random_graph(21, 60.0, np.random.default_rng(seed)), root=0
+        )
+        net = _fresh_net(tree)
+        algorithm = _Members(QuerySpec(r_min=0, r_max=63))
+        retired: set[int] = set()
+        for kind, pick in steps:
+            detached = algorithm._detached_vertices
+            sensors = net.tree.sensor_nodes
+            inside = [v for v in sensors if v not in detached]
+            back = sorted(detached - retired)
+            if kind == "detach" and inside:
+                algorithm.detach(net, inside[pick % len(inside)])
+            elif kind == "rejoin" and back:
+                algorithm.rejoin(net, np.zeros(tree.num_vertices), back[pick % len(back)])
+            elif kind == "handover":
+                root = net.tree.root
+                children = [v for v in net.tree.children[root] if v not in detached]
+                if not children:
+                    continue
+                successor = children[pick % len(children)]
+                algorithm.handover(net, root, successor)
+                net.retarget(
+                    tree_multi_reparented(net.tree, [(root, successor)], new_root=successor),
+                    allow_reroot=True,
+                )
+                retired.add(root)
+            elif kind == "reset":
+                chosen = {v for v in sensors if pick >> (v % 20) & 1} | retired
+                if len(chosen - retired) < len(sensors) - len(retired):
+                    algorithm.reset_participation(net, chosen)
+            elif kind == "mask":
+                algorithm.participation_mask(net)
+            assert algorithm.participating_sensors(net) == tuple(
+                v for v in net.tree.sensor_nodes if v not in algorithm._detached_vertices
+            )

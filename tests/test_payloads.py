@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+from dataclasses import FrozenInstanceError
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.constants import (
     BUCKET_COUNT_BITS,
@@ -17,6 +21,7 @@ from repro.core.payloads import (
     ValueSetPayload,
     merge_sorted,
     prune_with_ties,
+    value_set,
 )
 from repro.errors import ProtocolError
 
@@ -131,6 +136,55 @@ class TestValueSetPayload:
         assert payload.payload_bits() == 3 * VALUE_BITS
         assert payload.num_values() == 3
         assert ValueSetPayload().is_empty()
+
+
+#: Ascending value tuples with plenty of ties.
+ascending = st.lists(st.integers(-8, 8), max_size=12).map(lambda xs: tuple(sorted(xs)))
+
+
+@st.composite
+def value_set_pairs(draw):
+    a, b = draw(ascending), draw(ascending)
+    keep = draw(st.none() | st.integers(1, max(1, len(a) + len(b))))
+    return a, b, keep, draw(st.booleans())
+
+
+class TestValueSetPayloadFormula:
+    """The slotted value set and :func:`value_set` against the formulas
+    the merge had before they were introduced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(value_set_pairs())
+    def test_merge_is_sort_then_prune(self, pair):
+        a, b, keep, keep_largest = pair
+        merged = ValueSetPayload(a, keep, keep_largest).merged_with(
+            value_set(b, keep, keep_largest)
+        )
+        expected = ValueSetPayload(
+            prune_with_ties(tuple(sorted(a + b)), keep, keep_largest),
+            keep,
+            keep_largest,
+        )
+        assert merged == expected
+        assert hash(merged) == hash(expected)
+        assert repr(merged) == repr(expected)
+
+    @settings(max_examples=100, deadline=None)
+    @given(ascending, st.none() | st.integers(1, 12), st.booleans())
+    def test_hot_constructor_equals_dataclass(self, values, keep, keep_largest):
+        hot = value_set(values, keep, keep_largest)
+        built = ValueSetPayload(values=values, keep=keep, keep_largest=keep_largest)
+        assert type(hot) is ValueSetPayload
+        assert hot == built
+        assert hash(hot) == hash(built)
+        assert repr(hot) == repr(built)
+
+    @pytest.mark.parametrize("field", ["values", "keep", "keep_largest"])
+    def test_hot_instances_stay_frozen(self, field):
+        payload = value_set((1, 2), 2, False)
+        with pytest.raises(FrozenInstanceError):
+            setattr(payload, field, None)
+        assert payload == ValueSetPayload((1, 2), 2, False)
 
 
 class TestHistogramPayload:

@@ -10,11 +10,14 @@ the network.  The faulted half lives in ``test_serving_faults.py``.
 
 from __future__ import annotations
 
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.constants import COUNTER_BITS
 from repro.datasets.synthetic import SyntheticWorkload
 from repro.errors import ConfigurationError
 from repro.network.routing import build_routing_tree
@@ -29,7 +32,12 @@ from repro.serving import (
     phi_label,
     value_bounds,
 )
-from repro.serving.algorithm import MultiQuerySketch
+from repro.serving.algorithm import (
+    TARGET_ID_BITS,
+    GridValidationPayload,
+    MultiQuerySketch,
+    _grid_validation,
+)
 from repro.sim.oracle import exact_quantile, quantile_rank, rank_error
 from repro.sketch import QDigest
 from repro.types import QuerySpec
@@ -169,6 +177,64 @@ def test_phi_grid_monotone_and_bounds_contain_oracle(values, eps):
         lo, hi = value_bounds(sketch, k)
         oracle = exact_quantile(array, k)
         assert lo <= oracle <= hi
+
+
+def dict_merged_counts(a, b):
+    """The gate's counter merge as a dict and a sort (the old formula)."""
+    merged: dict[int, list[int]] = {}
+    for tid, w, x, y, z in a + b:
+        entry = merged.setdefault(tid, [0, 0, 0, 0])
+        entry[0] += w
+        entry[1] += x
+        entry[2] += y
+        entry[3] += z
+    return tuple((tid, *merged[tid]) for tid in sorted(merged))
+
+
+def generator_bits(counts):
+    """The gate payload's size with a generator count (the old formula)."""
+    bits = 0
+    for _, w, x, y, z in counts:
+        nonzero = sum(1 for counter in (w, x, y, z) if counter)
+        bits += TARGET_ID_BITS + 4 + nonzero * COUNTER_BITS
+    return bits
+
+
+#: Counter rows as ``_transition_contributions`` builds them and merges
+#: keep them: each target at most once, ascending.
+gate_rows = st.lists(
+    st.tuples(st.integers(0, 20), *[st.integers(0, 4)] * 4),
+    max_size=10,
+    unique_by=lambda entry: entry[0],
+).map(lambda entries: tuple(sorted(entries)))
+
+
+class TestGridValidationPayload:
+    """The slotted gate payload's merge-join and size against the dict,
+    sort and generator formulas they replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(gate_rows, gate_rows)
+    def test_merge_join_matches_dict_and_sort(self, a, b):
+        merged = GridValidationPayload(a).merged_with(_grid_validation(b))
+        expected = GridValidationPayload(dict_merged_counts(a, b))
+        assert merged == expected
+        assert hash(merged) == hash(expected)
+        assert repr(merged) == repr(expected)
+        for payload in (merged, GridValidationPayload(a), GridValidationPayload(b)):
+            assert payload.payload_bits() == generator_bits(payload.counts)
+
+    @settings(max_examples=100, deadline=None)
+    @given(gate_rows)
+    def test_hot_constructor_equals_dataclass(self, counts):
+        hot = _grid_validation(counts)
+        built = GridValidationPayload(counts=counts)
+        assert type(hot) is GridValidationPayload
+        assert hot == built
+        assert hash(hot) == hash(built)
+        assert repr(hot) == repr(built)
+        with pytest.raises(FrozenInstanceError):
+            hot.counts = ()
 
 
 class TestServingFaultFree:
