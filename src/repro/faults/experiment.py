@@ -456,12 +456,15 @@ class FaultDriver:
             elif not self._initialized or self._scheduled_reinit:
                 if round_index > 0:
                     self.algorithm = self.factory(self.spec)
-                    self.reinits += 1
                     reinitialized = True
                 if self.repair is not None:
                     self.repair.resync_after_reinit(self.algorithm)
                     participating = self.participating(live)
                 outcome = self._initialize(values, booked=reinitialized)
+                if reinitialized:
+                    # Counted once it completed, like the same-round retry
+                    # below, which counts a drowned attempt in its place.
+                    self.reinits += 1
                 self._initialized = True
                 self._scheduled_reinit = False
                 self._tainted = False

@@ -11,11 +11,7 @@ composes the gate with the fault layer and fans out per-round
 :class:`QueryAnswer` records.
 """
 
-from repro.serving.algorithm import (
-    GridValidationPayload,
-    MultiQuerySketch,
-    value_bounds,
-)
+from repro.serving.algorithm import GridValidationPayload, MultiQuerySketch
 from repro.serving.history import (
     PRIMARY_LABEL,
     PRIMARY_TRACK,
@@ -72,5 +68,4 @@ __all__ = [
     "ServingRound",
     "oracle_grid",
     "phi_label",
-    "value_bounds",
 ]

@@ -27,6 +27,7 @@ cost about one gated collection, not k.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
@@ -40,8 +41,8 @@ from repro.core.base import (
     classify_array,
 )
 from repro.core.sketchq import RankBounds
-from repro.errors import ConfigurationError, ProtocolError
-from repro.serving.registry import PlanTarget, QueryRegistry, ServingPlan
+from repro.errors import ProtocolError
+from repro.serving.registry import DEFAULT_CELL, PlanTarget, QueryRegistry, ServingPlan
 from repro.sim.engine import Payload, TreeNetwork
 from repro.sim.oracle import quantile_rank
 from repro.sketch import QDigest, TaggedSketchPayload, one_value_digests
@@ -116,6 +117,16 @@ def _grid_validation(
     return payload
 
 
+#: A transition's four counters ``(into_lt, outof_lt, into_gt,
+#: outof_gt)``, at ``(old - LT) * 3 + (new - LT)`` for states ``LT, EQ, GT
+#: = -1, 0, 1``.
+_COUNTERS = tuple(
+    (int(new == LT), int(old == LT), int(new == GT), int(old == GT))
+    for old in (LT, EQ, GT)
+    for new in (LT, EQ, GT)
+)
+
+
 @dataclass(kw_only=True)
 class GateTarget(RankBounds):
     """Root-side state of one boundary the gate tracks.
@@ -130,6 +141,8 @@ class GateTarget(RankBounds):
 
     plan: PlanTarget
     index: int
+    #: The plan's read-only vertex mask of the scope, shared by every
+    #: target over it for the whole plan version.
     scope_mask: np.ndarray
     value: int | None = None
     value_lo: int | None = None
@@ -146,44 +159,6 @@ class GateTarget(RankBounds):
     @property
     def eps(self) -> float:
         return self.plan.eps
-
-
-def value_bounds(sketch, k: int) -> tuple[int, int]:
-    """A sound value interval containing the true k-th smallest value.
-
-    The value interval of a φ target's answer (:meth:`MultiQuerySketch._anchor`).
-    Uses only the sketch's sound rank bounds: the true k-th value ``x*``
-    satisfies ``x* <= v`` iff ``#{< v+1} >= k`` and ``x* >= v`` iff
-    ``#{< v} < k``, both monotone in ``v``, so each endpoint is a binary
-    search over the universe.  The interval's rank-width is at most the
-    sketch's ambiguity (``eps * n`` for a q-digest), and it contains the
-    exact quantile of the summarized multiset for every valid ``k``.
-    """
-    if not 1 <= k <= sketch.n:
-        raise ConfigurationError(f"rank {k} out of range for {sketch.n} values")
-    r_min, r_max = sketch.r_min, sketch.r_max
-
-    # Upper endpoint: smallest v with a *guaranteed* #{< v+1} >= k.
-    lo_v, hi_v = r_min, r_max
-    while lo_v < hi_v:
-        mid = (lo_v + hi_v) // 2
-        if sketch.rank_bounds(mid + 1)[0] >= k:
-            hi_v = mid
-        else:
-            lo_v = mid + 1
-    upper = lo_v
-
-    # Lower endpoint: largest v with a *guaranteed* #{< v} < k.
-    lo_v, hi_v = r_min, r_max
-    while lo_v < hi_v:
-        mid = (lo_v + hi_v + 1) // 2
-        if sketch.rank_bounds(mid)[1] < k:
-            lo_v = mid
-        else:
-            hi_v = mid - 1
-    lower = lo_v
-
-    return min(lower, upper), upper
 
 
 class MultiQuerySketch(ContinuousQuantileAlgorithm):
@@ -211,6 +186,15 @@ class MultiQuerySketch(ContinuousQuantileAlgorithm):
         self.registry = registry
         self.positions = positions
         self.plan: ServingPlan | None = None
+        #: The plan's array form, compiled once per plan version (see
+        #: :meth:`_ensure_plan`): per plan target, the number of its scope;
+        #: per scope, one read-only vertex mask every target over it shares.
+        self.scope_of_target: tuple[int, ...] = ()
+        self.scope_masks: tuple[np.ndarray, ...] = ()
+        #: Every vertex's cell as a code into :attr:`cell_names`, the sorted
+        #: cell tags; vertices outside the plan sit in the default cell.
+        self.cell_codes: np.ndarray | None = None
+        self.cell_names: tuple[str, ...] = ()
         self.targets: dict[tuple, GateTarget] = {}
         #: Full refresh collections performed (initialization included).
         self.refreshes = 0
@@ -281,12 +265,37 @@ class MultiQuerySketch(ContinuousQuantileAlgorithm):
     # -- refresh / rebuild ----------------------------------------------------
 
     def _ensure_plan(self, net: TreeNetwork) -> bool:
-        """(Re)compile the plan if the registry changed; True if it did."""
+        """(Re)compile the plan if the registry changed; True if it did.
+
+        Compiling also builds the plan's array form once for the whole
+        version: one read-only vertex mask per distinct target scope and
+        every vertex's cell code, which each collection and refresh reads.
+        """
         if self.plan is not None and self.plan.version == self.registry.version:
             return False
-        self.plan = self.registry.plan(
+        plan = self.plan = self.registry.plan(
             net.tree.sensor_nodes, self.positions, self.spec.phi
         )
+        num_vertices = net.tree.num_vertices
+        numbers: dict[tuple[int, ...], int] = {}
+        masks: list[np.ndarray] = []
+        for target in plan.targets:
+            if target.scope not in numbers:
+                mask = np.zeros(num_vertices, dtype=bool)
+                mask[np.fromiter(target.scope, np.int64, len(target.scope))] = True
+                mask.flags.writeable = False
+                numbers[target.scope] = len(masks)
+                masks.append(mask)
+        self.scope_of_target = tuple(numbers[target.scope] for target in plan.targets)
+        self.scope_masks = tuple(masks)
+        self.cell_names = tuple(sorted({DEFAULT_CELL, *plan.cell_of.values()}))
+        code = {name: i for i, name in enumerate(self.cell_names)}
+        codes = np.full(num_vertices, code[DEFAULT_CELL], dtype=np.int64)
+        codes[np.fromiter(plan.cell_of, np.int64, len(plan.cell_of))] = [
+            code[cell] for cell in plan.cell_of.values()
+        ]
+        codes.flags.writeable = False
+        self.cell_codes = codes
         return True
 
     def _refresh(
@@ -313,25 +322,30 @@ class MultiQuerySketch(ContinuousQuantileAlgorithm):
         selective-refresh path.  Returns ``None`` only for a restricted
         collection with no eligible sensor; a *full* collection delivering
         nothing is a protocol failure (the driver re-initializes).  The
-        digests travel as a column batch while no hop can compress
-        (:func:`~repro.sketch.payload.one_value_digests`).
+        contributors are a mask over the vertices and their tags the
+        compiled cell codes; the digests travel as a column batch while no
+        hop can compress (:func:`~repro.sketch.payload.one_value_digests`).
         """
-        assert self.plan is not None
+        assert self.plan is not None and self.cell_codes is not None
         net.phase = "collection"
-        cell_of = self.plan.cell_of
-        ids: list[int] = []
-        tags: list[str] = []
-        for vertex in self.participating_sensors(net):
-            tag = cell_of.get(vertex, "*")
-            if cells is None or tag in cells:
-                ids.append(vertex)
-                tags.append(tag)
-        if cells is not None and not ids:
+        eligible = self.participation_mask(net)
+        if cells is not None:
+            wanted = np.zeros(len(self.cell_names), dtype=bool)
+            wanted[[self.cell_names.index(cell) for cell in cells]] = True
+            eligible = eligible & wanted[self.cell_codes]
+        ids = np.flatnonzero(eligible)
+        if cells is not None and not len(ids):
             return None
         spec = self.spec
         merged = net.convergecast(
             one_value_digests(
-                ids, values[ids], self.plan.sketch_eps, spec.r_min, spec.r_max, tags
+                ids,
+                values[ids],
+                self.plan.sketch_eps,
+                spec.r_min,
+                spec.r_max,
+                self.cell_codes[ids],
+                self.cell_names,
             )
         )
         if merged is None and cells is None:
@@ -349,7 +363,7 @@ class MultiQuerySketch(ContinuousQuantileAlgorithm):
         self.refreshes += 1
         mask = self.participation_mask(net)
         targets: dict[tuple, GateTarget] = {}
-        scopes: dict[frozenset[str], QDigest | None] = {}
+        scopes: dict[int, tuple[QDigest | None, np.ndarray, int]] = {}
         for index, plan_target in enumerate(self.plan.targets):
             targets[plan_target.key] = self._build_target(
                 plan_target, index, collected, values, mask, scopes
@@ -364,26 +378,28 @@ class MultiQuerySketch(ContinuousQuantileAlgorithm):
         collected: TaggedSketchPayload,
         values: np.ndarray,
         mask: np.ndarray,
-        scopes: dict[frozenset[str], QDigest | None],
+        scopes: dict[int, tuple[QDigest | None, np.ndarray, int]],
     ) -> GateTarget:
         """Fresh gate state for one plan target from a collected payload.
 
-        ``scopes`` caches the merged digest per cell set for the current
-        refresh, so targets sharing a scope share one merge and one query
-        index.
+        ``scopes`` caches, per scope number for the current refresh, the
+        merged digest of the scope's cells and its participating members,
+        so targets sharing a scope share one merge, one query index and
+        one membership mask.
         """
-        scope_mask = np.zeros(len(values), dtype=bool)
-        if plan_target.scope:
-            scope_mask[list(plan_target.scope)] = True
+        number = self.scope_of_target[index]
+        scope_mask = self.scope_masks[number]
         target = GateTarget(
             plan=plan_target, index=index, scope_mask=scope_mask
         )
-        participating = scope_mask & mask
-        n_scope = int(participating.sum())
-        cells = plan_target.cells
-        if cells not in scopes:
-            scopes[cells] = collected.merged_cells(cells)
-        sub = scopes[cells]
+        if number not in scopes:
+            participating = scope_mask & mask
+            scopes[number] = (
+                collected.merged_cells(plan_target.cells),
+                participating,
+                int(participating.sum()),
+            )
+        sub, participating, n_scope = scopes[number]
         if n_scope == 0:
             target.empty_scope = True
         elif sub is None or sub.n == 0:
@@ -413,7 +429,7 @@ class MultiQuerySketch(ContinuousQuantileAlgorithm):
         collected = self._collect(net, values, cells=cells)
         if collected is not None:
             self.partial_refreshes += 1
-            scopes: dict[frozenset[str], QDigest | None] = {}
+            scopes: dict[int, tuple[QDigest | None, np.ndarray, int]] = {}
             for index, plan_target in enumerate(self.plan.targets):
                 if plan_target.cells and plan_target.cells <= cells:
                     self.targets[plan_target.key] = self._build_target(
@@ -464,7 +480,7 @@ class MultiQuerySketch(ContinuousQuantileAlgorithm):
             k = min(quantile_rank(n_scope, plan_target.phi), sub.n)
             value = int(sub.quantile(k))
             target.anchor(sub, value, missing)
-            target.value_lo, target.value_hi = value_bounds(sub, k)
+            target.value_lo, target.value_hi = sub.value_bounds(k)
         else:
             value = int(plan_target.boundary)
             l_lo, l_hi = sub.rank_bounds(value)
@@ -537,29 +553,37 @@ class MultiQuerySketch(ContinuousQuantileAlgorithm):
     def _transition_contributions(
         self, new_states: dict[int, np.ndarray]
     ) -> dict[int, GridValidationPayload]:
-        """Per-sensor validation messages across all targets at once."""
-        per_vertex: dict[int, list[tuple[int, int, int, int, int]]] = {}
-        for target in self.targets.values():
-            if target.state is None or target.index not in new_states:
-                continue
-            new_state = new_states[target.index]
-            for vertex in np.flatnonzero(target.state != new_state):
-                vertex = int(vertex)
-                old = int(target.state[vertex])
-                new = int(new_state[vertex])
-                per_vertex.setdefault(vertex, []).append(
-                    (
-                        target.index,
-                        1 if new == LT else 0,
-                        1 if old == LT else 0,
-                        1 if new == GT else 0,
-                        1 if old == GT else 0,
-                    )
-                )
-        return {
-            vertex: _grid_validation(tuple(sorted(entries)))
-            for vertex, entries in per_vertex.items()
-        }
+        """Per-sensor validation messages across all targets at once.
+
+        The validated targets' old and new states stack into vertex x
+        target tables, targets by ascending index.  Their changed cells,
+        in row-major order, are every (vertex, target, old, new) transition
+        sorted by vertex, then target, so each vertex's run of them is its
+        counter rows ``(target, into_lt, outof_lt, into_gt, outof_gt)`` in
+        order.
+        """
+        validated = sorted(
+            (
+                (target.index, target.state)
+                for target in self.targets.values()
+                if target.state is not None and target.index in new_states
+            ),
+            key=itemgetter(0),
+        )
+        if not validated:
+            return {}
+        indices, states = zip(*validated)
+        old = np.stack(states, axis=1)
+        new = np.stack([new_states[index] for index in indices], axis=1)
+        changed = np.flatnonzero(old != new)
+        vertex, column = np.divmod(changed, len(indices))
+        transition = (old.ravel()[changed] - LT) * 3 + new.ravel()[changed] - LT
+        rows: dict[int, tuple[tuple[int, int, int, int, int], ...]] = {}
+        for v, c, t in zip(vertex.tolist(), column.tolist(), transition.tolist()):
+            row = (indices[c], *_COUNTERS[t])
+            earlier = rows.get(v)
+            rows[v] = (row,) if earlier is None else earlier + (row,)
+        return {v: _grid_validation(counts) for v, counts in rows.items()}
 
     def _apply_counters(self, merged: GridValidationPayload) -> None:
         by_index = {t.index: t for t in self.targets.values()}

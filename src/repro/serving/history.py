@@ -43,7 +43,8 @@ from __future__ import annotations
 import bisect
 import math
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from itertools import chain, islice
 from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
@@ -204,7 +205,7 @@ class IncrementalQuantile:
         self._buffer.clear()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HistoryRead:
     """One answered history read.
 
@@ -213,7 +214,8 @@ class HistoryRead:
     degraded or not — advances the clock, so a value re-read during an
     outage honestly ages).  ``count`` is the number of observations
     backing the value; ``cached`` tells whether the read was served from
-    the per-query read cache.
+    the per-query read cache.  The store builds every instance with
+    :func:`_history_read`.
     """
 
     query: str
@@ -225,6 +227,45 @@ class HistoryRead:
     trustworthy: bool
     count: int
     cached: bool = False
+
+
+_new = object.__new__
+_set_query = HistoryRead.query.__set__
+_set_label = HistoryRead.label.__set__
+_set_op = HistoryRead.op.__set__
+_set_value = HistoryRead.value.__set__
+_set_round_index = HistoryRead.round_index.__set__
+_set_age_rounds = HistoryRead.age_rounds.__set__
+_set_trustworthy = HistoryRead.trustworthy.__set__
+_set_count = HistoryRead.count.__set__
+_set_cached = HistoryRead.cached.__set__
+
+
+def _history_read(
+    query: str,
+    label: str,
+    op: str,
+    value: float | None,
+    round_index: int,
+    age_rounds: int,
+    trustworthy: bool,
+    count: int,
+    cached: bool,
+) -> HistoryRead:
+    """``HistoryRead(...)``, with the slots written through their
+    descriptors instead of the frozen ``__init__``: the one constructor of
+    fresh reads, cached copies and re-stamped ages."""
+    read = _new(HistoryRead)
+    _set_query(read, query)
+    _set_label(read, label)
+    _set_op(read, op)
+    _set_value(read, value)
+    _set_round_index(read, round_index)
+    _set_age_rounds(read, age_rounds)
+    _set_trustworthy(read, trustworthy)
+    _set_count(read, count)
+    _set_cached(read, cached)
+    return read
 
 
 @dataclass(frozen=True)
@@ -454,7 +495,7 @@ class HistoryStore:
         absorbed rounds, so the estimate is a pure function of the data —
         degraded rounds (excluded from the ring) cannot move it.
         """
-        if half_life <= 0:
+        if not half_life > 0:  # NaN fails too
             raise ConfigurationError(
                 f"half_life must be > 0, got {half_life}"
             )
@@ -481,6 +522,8 @@ class HistoryStore:
         self, query: str, phi: float, label: str | None = None
     ) -> HistoryRead:
         """φ-quantile of the entire absorbed history (IQagent summary)."""
+        if not 0.0 <= phi <= 1.0:
+            raise ConfigurationError(f"phi must be in [0, 1], got {phi}")
         track = self._track_or_raise(query)
         resolved = self._label(track, label)
         key = ("summary", resolved, float(phi))
@@ -559,19 +602,28 @@ class HistoryStore:
         hit = track.cache.get(key)
         if hit is not None:
             track.hits += 1
+            age, trustworthy = hit.age_rounds, hit.trustworthy
             if key[0] != "at-round":
                 # Staleness is clock-relative for window/decayed/summary
-                # reads: re-stamp the age (and drop the trustworthy flag
-                # once the value no longer reflects the current round) on
-                # every hit.  ``at_round`` ages relative to the requested
-                # round instead, which never moves.
+                # reads: re-stamp the age on every hit, and drop the
+                # trustworthy flag once the value no longer reflects the
+                # current round (the clock only moves forward, so the
+                # stored read's flag with ``age == 0`` is that flag).
+                # ``at_round`` ages relative to the requested round
+                # instead, which never moves.
                 age = self.current_round - hit.round_index
-                if age != hit.age_rounds:
-                    hit = replace(
-                        hit, age_rounds=age, trustworthy=hit.trustworthy and age == 0
-                    )
-                    track.cache[key] = hit
-            return replace(hit, cached=True)
+                trustworthy = trustworthy and age == 0
+            return _history_read(
+                hit.query,
+                hit.label,
+                hit.op,
+                hit.value,
+                hit.round_index,
+                age,
+                trustworthy,
+                hit.count,
+                True,
+            )
         track.misses += 1
         series = track.series.get(key[1])
         if series is None:
@@ -594,15 +646,16 @@ class HistoryStore:
         """A read reflecting the series' newest absorbed round, aged against
         the store's clock: trustworthy only while that round is current."""
         newest = series.last_round
-        return HistoryRead(
-            query=query,
-            label=label,
-            op=op,
-            value=value,
-            round_index=newest,
-            age_rounds=self.current_round - newest,
-            trustworthy=series.last_trustworthy and newest == self.current_round,
-            count=count,
+        return _history_read(
+            query,
+            label,
+            op,
+            value,
+            newest,
+            self.current_round - newest,
+            series.last_trustworthy and newest == self.current_round,
+            count,
+            False,
         )
 
     def _compute_window(
@@ -611,7 +664,8 @@ class HistoryStore:
         _, label, n, phi = key
         if not series.ring:
             raise ConfigurationError(f"query {query!r} has no absorbed data")
-        retained = [value for _, value in list(series.ring)[-n:]]
+        ring = series.ring
+        retained = [value for _, value in islice(ring, max(0, len(ring) - n), None)]
         value = _linear_quantile(retained, phi)
         return self._clock_read(query, label, "window", series, value, len(retained))
 
@@ -621,8 +675,8 @@ class HistoryStore:
         _, label, half_life = key
         if not series.ring:
             raise ConfigurationError(f"query {query!r} has no absorbed data")
-        rounds = np.array([r for r, _ in series.ring], dtype=float)
-        values = np.array([value for _, value in series.ring])
+        ring = np.fromiter(chain.from_iterable(series.ring), float, 2 * len(series.ring))
+        rounds, values = ring[0::2], ring[1::2]
         weights = np.exp2(-(rounds[-1] - rounds) / half_life)
         value = float(np.sum(weights * values) / np.sum(weights))
         return self._clock_read(query, label, "decayed", series, value, len(values))
@@ -646,15 +700,16 @@ class HistoryStore:
                 )
             found = (series.checkpoint_rounds[pos], series.checkpoint_values[pos])
         absorbed, value = found
-        return HistoryRead(
-            query=query,
-            label=label,
-            op="at-round",
-            value=value,
-            round_index=absorbed,
-            age_rounds=round_index - absorbed,
-            trustworthy=absorbed == round_index,
-            count=1,
+        return _history_read(
+            query,
+            label,
+            "at-round",
+            value,
+            absorbed,
+            round_index - absorbed,
+            absorbed == round_index,
+            1,
+            False,
         )
 
     def _compute_summary(

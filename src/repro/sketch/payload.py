@@ -21,6 +21,7 @@ must clamp query ranks to it and widen rank bounds by the shortfall — see
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Protocol, Sequence, runtime_checkable
 
 import numpy as np
@@ -162,11 +163,13 @@ class DigestBatch(PayloadBatch):
     """One-value q-digest contributions as integer columns.
 
     Row ``i`` is contributor ``ids[i]`` with one measurement, ``values[i]``
-    (converted with ``int``), under cell tag ``tags[i]`` in the tagged form
-    (:class:`TaggedSketchPayload`) or alone in the untagged one
-    (:class:`SketchPayload`).  A row's key is its tag's index in the sorted
-    :attr:`tags` times the universe size, plus its leaf (value minus
-    ``r_min``).
+    (converted to ``int64``, truncating like ``int``), under the cell tag
+    ``names[codes[i]]`` in the tagged form (:class:`TaggedSketchPayload`)
+    or alone in the untagged one (:class:`SketchPayload`, ``codes`` left
+    ``None``).  ``names`` must ascend; names no row uses are dropped, so
+    :attr:`tags` holds the sorted distinct tags of the rows.  A row's key
+    is its tag's index in :attr:`tags` times the universe size, plus its
+    leaf (value minus ``r_min``).
 
     The batch folds exactly only while no hop can compress
     (:attr:`lossless`): when every tag has fewer than ``kappa``
@@ -196,32 +199,35 @@ class DigestBatch(PayloadBatch):
     def __init__(
         self,
         ids: np.ndarray,
-        values: Sequence[int],
+        values: np.ndarray,
         eps: float,
         r_min: int,
         r_max: int,
-        tags: Sequence[str] | None = None,
+        codes: np.ndarray | None = None,
+        names: Sequence[str] = (),
     ) -> None:
         super().__init__(ids)
         #: The empty digest of these parameters (validated on creation).
         self.template = QDigest.empty(eps, r_min, r_max)
-        ints = list(map(int, np.asarray(values).tolist()))
-        if ints and not r_min <= min(ints) <= max(ints) <= r_max:
-            bad = next(v for v in ints if not r_min <= v <= r_max)
+        universe = self.template.universe_size
+        leaf = np.asarray(values).astype(np.int64, copy=False) - r_min
+        outside = (leaf < 0) | (leaf >= universe)
+        if outside.any():
+            bad = int(leaf[outside.argmax()]) + r_min
             raise ConfigurationError(f"value {bad} outside universe [{r_min}, {r_max}]")
         #: The sorted distinct cell tags, or ``None`` for the untagged form.
         self.tags: tuple[str, ...] | None = None
-        if tags is None:
-            tag = np.zeros(len(ints), dtype=np.int64)
-            num_tags = 1
+        if codes is None:
+            tag = np.zeros(len(leaf), dtype=np.int64)
+            self._per_tag = np.bincount(tag, minlength=1)
         else:
-            self.tags = tuple(sorted(set(tags)))
-            index = {name: i for i, name in enumerate(self.tags)}
-            tag = np.fromiter(map(index.__getitem__, tags), dtype=np.int64, count=len(ints))
-            num_tags = len(self.tags)
-        universe = self.template.universe_size
-        self._key = tag * universe + (np.array(ints, dtype=np.int64) - r_min)
-        self._per_tag = np.bincount(tag, minlength=num_tags)
+            per_name = np.bincount(codes, minlength=len(names))
+            used = per_name > 0
+            self.tags = tuple(compress(names, used.tolist()))
+            tag = (np.cumsum(used) - 1)[codes]
+            self._per_tag = per_name[used]
+        num_tags = len(self._per_tag)
+        self._key = tag * universe + leaf
         keys, key_of_row, rows_per_key = np.unique(
             self._key, return_inverse=True, return_counts=True
         )
@@ -324,21 +330,24 @@ class DigestBatch(PayloadBatch):
 
 
 def one_value_digests(
-    ids: Sequence[int],
-    values: Sequence[int],
+    ids: np.ndarray,
+    values: np.ndarray,
     eps: float,
     r_min: int,
     r_max: int,
-    tags: Sequence[str] | None = None,
+    codes: np.ndarray | None = None,
+    names: Sequence[str] = (),
 ) -> "DigestBatch | dict[int, SketchPayload | TaggedSketchPayload]":
     """Every contributor's one-value q-digest, ready for a convergecast.
 
-    ``values[i]`` (and, when tagged, ``tags[i]``) belong to vertex
-    ``ids[i]``.  Returns a :class:`DigestBatch` when no hop can compress
-    (every tag has fewer than ``kappa`` contributors) and otherwise the
-    ``{vertex: payload}`` mapping, merged as objects: a compressing merge
-    re-applies its threshold after each pairwise merge, so a hop's size
-    depends on the fold's merge order, not only on its column sums.
+    ``values[i]`` (and, when tagged, the tag ``names[codes[i]]``) belong
+    to vertex ``ids[i]``, as in :class:`DigestBatch`.  Returns the batch
+    when no hop can compress (every tag has fewer than ``kappa``
+    contributors) and otherwise the ``{vertex: payload}`` mapping, merged
+    as objects: a compressing merge re-applies its threshold after each
+    pairwise merge, so a hop's size depends on the fold's merge order, not
+    only on its column sums.
     """
-    batch = DigestBatch(np.asarray(ids, dtype=np.int64), values, eps, r_min, r_max, tags)
+    ids = np.asarray(ids, dtype=np.int64)
+    batch = DigestBatch(ids, values, eps, r_min, r_max, codes, names)
     return batch if batch.lossless else batch.payloads()

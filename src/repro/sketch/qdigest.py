@@ -174,6 +174,35 @@ class QDigest:
         index = self._index
         return self.r_min + index.ends[bisect_left(index.end_prefix, k) - 1]
 
+    def value_bounds(self, k: int) -> tuple[int, int]:
+        """A sound value interval containing the true ``k``-th smallest value.
+
+        The true ``k``-th value ``x*`` satisfies ``x* <= v`` iff ``#{< v+1}
+        >= k`` is guaranteed (``rank_bounds(v + 1)[0] >= k``) and ``x* >=
+        v`` iff ``#{< v} < k`` is (``rank_bounds(v)[1] < k``).  Both
+        endpoints are read off the query index in one bisection each:
+
+        * upper: the smallest ``v`` whose ends-before-``v + 1`` count
+          reaches ``k`` is the clipped end of the first entry, in end
+          order, at which the end prefix reaches ``k``, which is
+          :meth:`quantile`;
+        * lower: the largest ``v`` whose starts-before-``v`` count stays
+          below ``k`` is the start of the first entry, in start order, at
+          which the start prefix reaches ``k`` (every count is positive, so
+          the prefix grows strictly), clamped to the universe.
+
+        The interval's rank-width is at most the digest's ambiguity
+        (``eps * n``), and it contains the exact ``k``-th value of the
+        summarized multiset for every valid ``k``.
+        """
+        if not 1 <= k <= self.n:
+            raise ConfigurationError(f"rank {k} out of range for {self.n} values")
+        index = self._index
+        upper = index.ends[bisect_left(index.end_prefix, k) - 1]
+        start = index.starts[bisect_left(index.start_prefix, k) - 1]
+        lower = min(start, self.universe_size - 1, upper)
+        return self.r_min + lower, self.r_min + upper
+
     def quantile_phi(self, phi: float) -> int:
         """The ``phi``-quantile under the paper's rank convention."""
         return self.quantile(max(1, int(math.floor(phi * self.n))))
@@ -222,12 +251,25 @@ class QDigest:
         range reaching into the padding effectively ends at ``r_max``: the
         ends are clipped there.  ``O(m log m)`` once for ``m`` entries;
         every query after that is ``O(log m)``.
+
+        A digest whose entries are all leaves (every lossless one) needs no
+        sort: its entries ascend by node id, a leaf's range starts and ends
+        at its own offset, so both orders are the entry order and one
+        running count is both prefixes.
         """
         levels = self.levels
+        entries = self.entries
+        if entries and entries[0][0] >> levels:
+            # The smallest node id is a leaf, so every entry is one.
+            nodes, counts = zip(*entries)
+            leaf_base = 1 << levels
+            offsets = [node - leaf_base for node in nodes]
+            prefix = list(accumulate(counts, initial=0))
+            return _QueryIndex(offsets, prefix, offsets, prefix)
         last = self.universe_size - 1
         by_end = []
         by_start = []
-        for node, count in self.entries:
+        for node, count in entries:
             # A node at depth d covers 2^(L-d) leaves from (node - 2^d) * 2^(L-d).
             shift = levels + 1 - node.bit_length()
             first = (node << shift) - (1 << levels)

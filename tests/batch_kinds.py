@@ -7,7 +7,8 @@ contract is open to new kinds.  :func:`make_batch` draws one random batch
 of any kind — the count batch, one of the paper's three or the one-value
 q-digest batch — so a test can run the same contributions through the
 array paths and, expanded with ``payloads()``, through the per-hop
-reference walk.
+reference walk.  :class:`StringTagDigestBatch` keeps the digest batch's
+former string-tag constructor as the oracle of its cell-code form.
 """
 
 from __future__ import annotations
@@ -18,8 +19,9 @@ from typing import Mapping
 import numpy as np
 
 from repro.core.payloads import BucketDeltaBatch, HistogramBatch, ValidationBatch
+from repro.errors import ConfigurationError
 from repro.sim.engine import Payload, PayloadBatch
-from repro.sketch import DigestBatch
+from repro.sketch import DigestBatch, QDigest
 
 #: Size [bits] of one count payload on the air.
 COUNT_BITS = 24
@@ -132,16 +134,63 @@ def make_batch(
             grid,
         )
     if kind == "digest":
-        r_min = int(rng.integers(-20, 20))
-        r_max = r_min + int(rng.choice([0, 3, 12, 1000]))
-        values = rng.integers(r_min, r_max + 1, rows)
-        values[rng.permutation(rows)[:2]] = (r_min, r_max)[: min(rows, 2)]
-        tags = None
-        if rng.random() < 0.7:
-            names = ("*", "q00", "q01", "q10")[: int(rng.integers(1, 5))]
-            tags = [names[t] for t in rng.integers(0, len(names), rows)]
-        # kappa = ceil(L / eps) >= 100 exceeds every test tree's contributor
-        # count, so no hop compresses.
-        eps = float(rng.choice([0.005, 0.01]))
-        return DigestBatch(ids, values, eps, r_min, r_max, tags)
+        return DigestBatch(*digest_inputs(rng, ids))
     raise ValueError(f"unknown batch kind {kind!r}")
+
+
+def digest_inputs(rng: np.random.Generator, ids: np.ndarray) -> tuple:
+    """``DigestBatch`` arguments ``(ids, values, eps, r_min, r_max, codes,
+    names)`` for the contributors ``ids``: tagged or not, over a narrow
+    universe (keys repeat) or a wide one (most keys are singletons), with
+    values at both universe ends, and an eps small enough that no hop
+    compresses."""
+    rows = len(ids)
+    r_min = int(rng.integers(-20, 20))
+    r_max = r_min + int(rng.choice([0, 3, 12, 1000]))
+    values = rng.integers(r_min, r_max + 1, rows)
+    values[rng.permutation(rows)[:2]] = (r_min, r_max)[: min(rows, 2)]
+    codes, names = None, ()
+    if rng.random() < 0.7:
+        names = ("*", "q00", "q01", "q10")[: int(rng.integers(1, 5))]
+        codes = rng.integers(0, len(names), rows)
+    # kappa = ceil(L / eps) >= 100 exceeds every test tree's contributor
+    # count, so no hop compresses.
+    eps = float(rng.choice([0.005, 0.01]))
+    return ids, values, eps, r_min, r_max, codes, names
+
+
+class StringTagDigestBatch(DigestBatch):
+    """The digest batch's former constructor form, the oracle of the code
+    form: cell tags as strings (``None`` for the untagged form), each
+    row's tag index looked up in a dict and each value converted with
+    ``int``.  Everything but the constructor is the package's."""
+
+    def __init__(self, ids, values, eps, r_min, r_max, tags=None) -> None:
+        PayloadBatch.__init__(self, ids)
+        self.template = QDigest.empty(eps, r_min, r_max)
+        ints = list(map(int, np.asarray(values).tolist()))
+        if ints and not r_min <= min(ints) <= max(ints) <= r_max:
+            bad = next(v for v in ints if not r_min <= v <= r_max)
+            raise ConfigurationError(f"value {bad} outside universe [{r_min}, {r_max}]")
+        self.tags = None
+        if tags is None:
+            tag = np.zeros(len(ints), dtype=np.int64)
+            num_tags = 1
+        else:
+            self.tags = tuple(sorted(set(tags)))
+            index = {name: i for i, name in enumerate(self.tags)}
+            tag = np.fromiter(map(index.__getitem__, tags), dtype=np.int64, count=len(ints))
+            num_tags = len(self.tags)
+        universe = self.template.universe_size
+        self._key = tag * universe + (np.array(ints, dtype=np.int64) - r_min)
+        self._per_tag = np.bincount(tag, minlength=num_tags)
+        keys, key_of_row, rows_per_key = np.unique(
+            self._key, return_inverse=True, return_counts=True
+        )
+        shared = rows_per_key > 1
+        column_of_key = np.where(shared, num_tags + np.cumsum(shared) - 1, keys // universe)
+        self._column = column_of_key[key_of_row]
+        shared_tag = keys[shared] // universe
+        starts = np.flatnonzero(np.diff(shared_tag, prepend=-1))
+        self._num_shared = len(shared_tag)
+        self._runs = (starts, shared_tag[starts])

@@ -7,11 +7,15 @@ the digest's old ``_node_range`` helper moved here beside them.  They are
 slow on purpose: they are the oracle ``tests/test_qdigest_index.py`` pins
 the bisection queries to.
 
-:class:`ScanDigest` wraps a digest so that generic sketch consumers
-(such as ``repro.serving.value_bounds``) run on the scans.
+:func:`value_bounds` is the serving gate's old value interval: two binary
+searches over the universe through any sketch's ``rank_bounds``, the
+oracle of ``QDigest.value_bounds``, which reads both ends off the index.
+:class:`ScanDigest` wraps a digest so that it runs on the scans.
 """
 
 from __future__ import annotations
+
+from itertools import accumulate
 
 from repro.errors import ConfigurationError
 
@@ -65,6 +69,58 @@ def quantile(digest, k: int) -> int:
         if cumulative >= k:
             break
     return min(result, digest.r_max)
+
+
+def sorted_index(digest) -> tuple[list[int], list[int], list[int], list[int]]:
+    """``QDigest._index`` by sorting every entry's clipped range end and
+    range start: the one build of every digest before leaf-only digests
+    skipped the sort."""
+    last = digest.universe_size - 1
+    by_end = sorted(
+        (min(node_range(digest, node)[1], last), count) for node, count in digest.entries
+    )
+    by_start = sorted((node_range(digest, node)[0], count) for node, count in digest.entries)
+    return (
+        [end for end, _ in by_end],
+        list(accumulate((c for _, c in by_end), initial=0)),
+        [start for start, _ in by_start],
+        list(accumulate((c for _, c in by_start), initial=0)),
+    )
+
+
+def value_bounds(sketch, k: int) -> tuple[int, int]:
+    """A sound value interval containing the true k-th smallest value.
+
+    Uses only the sketch's sound rank bounds: the true k-th value ``x*``
+    satisfies ``x* <= v`` iff ``#{< v+1} >= k`` and ``x* >= v`` iff
+    ``#{< v} < k``, both monotone in ``v``, so each endpoint is a binary
+    search over the universe.
+    """
+    if not 1 <= k <= sketch.n:
+        raise ConfigurationError(f"rank {k} out of range for {sketch.n} values")
+    r_min, r_max = sketch.r_min, sketch.r_max
+
+    # Upper endpoint: smallest v with a *guaranteed* #{< v+1} >= k.
+    lo_v, hi_v = r_min, r_max
+    while lo_v < hi_v:
+        mid = (lo_v + hi_v) // 2
+        if sketch.rank_bounds(mid + 1)[0] >= k:
+            hi_v = mid
+        else:
+            lo_v = mid + 1
+    upper = lo_v
+
+    # Lower endpoint: largest v with a *guaranteed* #{< v} < k.
+    lo_v, hi_v = r_min, r_max
+    while lo_v < hi_v:
+        mid = (lo_v + hi_v + 1) // 2
+        if sketch.rank_bounds(mid)[1] < k:
+            lo_v = mid
+        else:
+            hi_v = mid - 1
+    lower = lo_v
+
+    return min(lower, upper), upper
 
 
 class ScanDigest:

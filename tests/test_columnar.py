@@ -26,6 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.base import GT, LT
 from repro.core.payloads import (
     BucketDeltaBatch,
     BucketDeltaPayload,
@@ -52,14 +53,26 @@ from repro.network.topology import connected_random_graph
 from repro.network.tree import tree_from_parents
 from repro.radio.energy import EnergyModel
 from repro.radio.ledger import EnergyLedger
-from repro.serving import GroupByQuery, QueryRegistry
-from repro.serving.algorithm import MultiQuerySketch
+from repro.serving import (
+    GroupByQuery,
+    MultiQueryRunner,
+    PhiQuery,
+    QueryRegistry,
+    RangeQuery,
+)
+from repro.serving.algorithm import GridValidationPayload, MultiQuerySketch
 from repro.sim.engine import TreeNetwork
 from repro.sketch import DigestBatch, one_value_digests
 from repro.types import QuerySpec
 
 from tests import test_vectorized
-from tests.batch_kinds import KINDS, CountBatch, make_batch
+from tests.batch_kinds import (
+    KINDS,
+    CountBatch,
+    StringTagDigestBatch,
+    digest_inputs,
+    make_batch,
+)
 from tests.helpers import drive
 from tests.reference_engine import ReferenceFaultyTreeNetwork
 from tests.reference_topology import subtree_vertices
@@ -285,7 +298,8 @@ class TestSketchCollectionPaths:
                 0.25,
                 KAPPA_SPEC.r_min,
                 KAPPA_SPEC.r_max,
-                None if tags is None else [tags] * sensors,
+                None if tags is None else np.zeros(sensors, dtype=np.int64),
+                () if tags is None else (tags,),
             )
 
 
@@ -468,3 +482,143 @@ def test_batch_fold_equals_reference_walk(seed, size, kind, network):
         assert_faulty_identical(*nets)
     if null_pair:
         assert_networks_identical(*null_pair)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**16),
+    size=st.integers(min_value=2, max_value=45),
+    lossy=st.booleans(),
+)
+def test_digest_batch_codes_equal_the_string_tag_build(seed, size, lossy):
+    """A digest batch built from values and cell codes is the batch the
+    former string-tag constructor built: tags, columns, hop sizes, root
+    payloads and payload objects.  Its convergecast equals the old batch's
+    and the reference walk over the old batch's payloads."""
+    rng = np.random.default_rng(seed)
+    tree = random_tree(size, seed=seed)
+    vertices = np.arange(tree.num_vertices)
+    ids = np.sort(vertices[rng.random(len(vertices)) < 0.7]).astype(np.int64)
+    ids, values, eps, r_min, r_max, codes, names = digest_inputs(rng, ids)
+    batch = DigestBatch(ids, values, eps, r_min, r_max, codes, names)
+    tags = None if codes is None else [names[code] for code in codes.tolist()]
+    old = StringTagDigestBatch(ids, values, eps, r_min, r_max, tags)
+    assert batch.tags == old.tags
+    assert batch.lossless == old.lossless
+    assert np.array_equal(batch.columns(), old.columns())
+    held = rng.random((6, len(ids))) < 0.5
+    sums = held.astype(np.int64) @ batch.columns()
+    for new_part, old_part in zip(batch.hop_sizes(sums), old.hop_sizes(sums)):
+        assert np.array_equal(new_part, old_part)
+    if len(ids):
+        for reached in (None, held[0] | (np.arange(len(ids)) == 0)):
+            assert batch.root_payload(sums[:1], reached) == old.root_payload(sums[:1], reached)
+    assert batch.payloads() == old.payloads()
+
+    def plan():
+        if not lossy:
+            return FaultPlan()
+        return FaultPlan(
+            loss=IndependentLoss(0.3),
+            outages=RandomOutages(0.1, mean_downtime=2.0),
+            rng=np.random.default_rng(seed + 1),
+        )
+
+    def arq():
+        return ArqPolicy(max_retries=2)
+
+    reference, net = faulty_pair(tree, plan, arq)
+    old_net = faulty_pair(tree, plan, arq)[1]
+    for r in range(2):
+        for each in (reference, net, old_net):
+            each.begin_faults_round(r)
+        merged = net.convergecast(batch)
+        assert merged == old_net.convergecast(old)
+        assert merged == reference.convergecast(old.payloads())
+    assert_faulty_identical(reference, net)
+    assert_faulty_identical(old_net, net)
+
+
+def loop_transition_contributions(gate, new_states):
+    """The gate's validation messages as the per-target, per-vertex loop
+    that the stacked state tables replaced built them."""
+    per_vertex = {}
+    for target in gate.targets.values():
+        if target.state is None or target.index not in new_states:
+            continue
+        new_state = new_states[target.index]
+        for vertex in np.flatnonzero(target.state != new_state):
+            vertex = int(vertex)
+            old = int(target.state[vertex])
+            new = int(new_state[vertex])
+            per_vertex.setdefault(vertex, []).append(
+                (
+                    target.index,
+                    1 if new == LT else 0,
+                    1 if old == LT else 0,
+                    1 if new == GT else 0,
+                    1 if old == GT else 0,
+                )
+            )
+    return {
+        vertex: GridValidationPayload(tuple(sorted(entries)))
+        for vertex, entries in per_vertex.items()
+    }
+
+
+def test_transition_contributions_equal_the_loop_and_fold_in_any_order(monkeypatch):
+    """Every validation round of a faulted dashboard run builds the old
+    loop's keys and equal payloads; and a convergecast of the mapping on a
+    lossy network (loss 0.05, ARQ 2) is the same whatever its key order:
+    ascending, the loop's, or reversed."""
+    rng = np.random.default_rng(4)
+    graph = connected_random_graph(61, 60.0, rng)
+    tree = build_routing_tree(graph, root=0)
+    workload = SyntheticWorkload(graph.positions, rng)
+    spec = QuerySpec(r_min=workload.r_min, r_max=workload.r_max)
+    registry = QueryRegistry()
+    registry.register(GroupByQuery("halves", assign=lambda v, p: "w" if p[0] < 100 else "e"))
+    registry.register(PhiQuery("grid", phis=(0.1, 0.5, 0.9)))
+    registry.register(RangeQuery("band", low=300, high=600))
+    runner = MultiQueryRunner(
+        registry,
+        spec,
+        tree,
+        workload,
+        FaultPlan(loss=IndependentLoss(0.05), outages=RandomOutages(0.03), seed=4),
+        ArqPolicy(max_retries=2),
+        graph=graph,
+    )
+    built = MultiQuerySketch._transition_contributions
+    mappings = []
+
+    def checked(gate, new_states):
+        mapping = built(gate, new_states)
+        expected = loop_transition_contributions(gate, new_states)
+        assert list(mapping) == sorted(expected)
+        assert mapping == expected
+        for vertex, payload in expected.items():
+            assert repr(mapping[vertex]) == repr(payload)
+            assert hash(mapping[vertex]) == hash(payload)
+        mappings.append((mapping, expected))
+        return mapping
+
+    monkeypatch.setattr(MultiQuerySketch, "_transition_contributions", checked)
+    runner.run(16)
+    assert sum(len(mapping) > 1 for mapping, _ in mappings) >= 5
+    for call, (mapping, expected) in enumerate(mappings):
+        orders = (mapping, expected, dict(reversed(list(mapping.items()))))
+        nets = []
+        for contributions in orders:
+            net = FaultyTreeNetwork(
+                tree,
+                EnergyLedger(tree.num_vertices, tree.root, EnergyModel(), RADIO_RANGE),
+                plan=FaultPlan(loss=IndependentLoss(0.05), seed=call),
+                arq=ArqPolicy(max_retries=2),
+            )
+            net.begin_faults_round(0)
+            nets.append((net, net.convergecast(contributions)))
+        (first, merged), *others = nets
+        for net, other in others:
+            assert other == merged
+            assert_faulty_identical(first, net)

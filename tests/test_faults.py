@@ -428,6 +428,54 @@ class TestFaultExperiment:
         assert any(failed[1:]), "the scenario must drown a re-initialization"
         assert driver.reinit_energy_j == pytest.approx(sum(deltas[1:]), rel=1e-12)
 
+    @pytest.mark.parametrize(
+        ("seed", "name"),
+        [(8, "HBC"), (8, "POS"), (17, "IQ"), (30, "HBC"), (30, "IQ"), (30, "POS")],
+    )
+    def test_each_reinitialization_counts_once(self, seed, name):
+        """``reinits`` rises by at most one per round, and only in a round
+        whose initialization completed: a scheduled re-init that drowns and
+        the same-round retry that replaces it count once.  In each of these
+        runs a scheduled re-init drowned, and both used to count."""
+        from repro import HBC, IQ, POS, SyntheticWorkload, build_routing_tree
+        from repro.faults import FaultDriver, RandomOutages
+        from repro.network.topology import connected_random_graph
+
+        rng = np.random.default_rng(seed)
+        graph = connected_random_graph(60, 35.0, rng, area_side=120.0)
+        tree = build_routing_tree(graph, root=0)
+        workload = SyntheticWorkload(graph.positions, rng, area_side=120.0)
+        spec = QuerySpec(r_min=workload.r_min, r_max=workload.r_max)
+        attempts: list[bool] = []  # per initialize call: did it complete?
+
+        def factory(s):
+            algorithm = {"HBC": HBC, "IQ": IQ, "POS": POS}[name](s)
+            initialize = algorithm.initialize
+
+            def metered(net, values):
+                attempts.append(False)
+                outcome = initialize(net, values)
+                attempts[-1] = True
+                return outcome
+
+            algorithm.initialize = metered
+            return algorithm
+
+        plan = FaultPlan(
+            loss=IndependentLoss(0.2), outages=RandomOutages(0.02), seed=seed
+        )
+        driver = FaultDriver(factory, spec, tree, workload, plan, graph=graph)
+        drowned_then_retried = False
+        for round_index in range(25):
+            before, first = driver.reinits, len(attempts)
+            driver.step(round_index)
+            rise = driver.reinits - before
+            completed = any(attempts[first:])
+            assert rise in (0, 1)
+            assert not rise or completed
+            drowned_then_retried |= attempts[first:] == [False, True]
+        assert drowned_then_retried, "the scenario must drown a scheduled re-init"
+
 
 class TestRefinementTermination:
     def test_lcll_slip_raises_instead_of_oscillating(self, small_tree):

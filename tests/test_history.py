@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import math
 import struct
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
@@ -28,6 +29,7 @@ from repro.network.topology import build_physical_graph
 from repro.serving import (
     PRIMARY_TRACK,
     AnswerItem,
+    HistoryRead,
     HistoryStore,
     IncrementalQuantile,
     MultiQueryRunner,
@@ -35,6 +37,7 @@ from repro.serving import (
     QueryAnswer,
     QueryRegistry,
 )
+from repro.serving.history import _history_read
 from repro.types import QuerySpec
 
 from tests.helpers import SequenceWorkload
@@ -207,6 +210,35 @@ class TestDecayedReads:
             np.sum(weights * np.array([10.0, 20.0, 40.0])) / np.sum(weights)
         )
         assert store.decayed("q", 2.0, "p50").value == pytest.approx(expected)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        values=st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=1, max_size=40),
+        skipped=st.sets(st.integers(0, 39)),
+        half_life=st.floats(0.01, 500.0),
+    )
+    def test_decayed_is_the_list_formula_bit_for_bit(self, values, skipped, half_life):
+        """The ring converted in one call gives the float bits of the
+        per-field list conversions (rounds with gaps from degraded rounds
+        included)."""
+        store = HistoryStore(window_capacity=16)
+        ring = []
+        for round_index, value in enumerate(values):
+            degraded = round_index in skipped
+            store.absorb_answers(
+                round_index,
+                [make_answer(round_index, value, reason="degraded" if degraded else None)],
+            )
+            if not degraded:
+                ring = [*ring, (round_index, value)][-16:]
+        if not ring:
+            return
+        rounds = np.array([r for r, _ in ring], dtype=float)
+        kept = np.array([value for _, value in ring])
+        weights = np.exp2(-(rounds[-1] - rounds) / half_life)
+        expected = float(np.sum(weights * kept) / np.sum(weights))
+        got = store.decayed("q", half_life, "p50").value
+        assert struct.pack("<d", got) == struct.pack("<d", expected)
 
     def test_short_half_life_tracks_the_latest_value(self):
         store = HistoryStore()
@@ -417,6 +449,142 @@ class TestReadCache:
         store.drop("q")
         with pytest.raises(ConfigurationError):
             store.latest("q")
+
+    @pytest.mark.parametrize(
+        "read",
+        [
+            lambda store: store.decayed("q", math.nan, "p50"),
+            lambda store: store.decayed("q", -1.0, "p50"),
+            lambda store: store.summary_quantile("q", 1.5, "p50"),
+            lambda store: store.summary_quantile("q", -0.1, "p50"),
+            lambda store: store.summary_quantile("q", math.nan, "p50"),
+        ],
+        ids=["decayed-nan", "decayed-negative", "summary-above", "summary-below", "summary-nan"],
+    )
+    def test_invalid_reads_raise_before_the_cache(self, read):
+        """A rejected read neither counts a miss nor caches a value: a NaN
+        half-life used to serve and cache a NaN marked trustworthy, and an
+        out-of-range summary φ counted a miss before the summary refused it."""
+        store = HistoryStore()
+        fill(store, [1.0, 2.0, 3.0])
+        store.window("q", 2, "p50")
+        before = store.cache_stats("q")
+        with pytest.raises(ConfigurationError):
+            read(store)
+        assert store.cache_stats("q") == before
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        fields=st.tuples(
+            st.sampled_from(["q", "grid", ""]),
+            st.sampled_from(["p50", "east:p95", ""]),
+            st.sampled_from(["latest", "window", "decayed", "at-round", "summary"]),
+            st.none() | st.floats(allow_nan=False),
+            st.integers(-1, 10**6),
+            st.integers(0, 10**6),
+            st.booleans(),
+            st.integers(0, 10**6),
+            st.booleans(),
+        )
+    )
+    def test_hot_constructor_equals_dataclass(self, fields):
+        hot = _history_read(*fields)
+        built = HistoryRead(*fields)
+        assert type(hot) is HistoryRead
+        assert hot == built
+        assert hash(hot) == hash(built)
+        assert repr(hot) == repr(built)
+        with pytest.raises(FrozenInstanceError):
+            hot.cached = not hot.cached
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        steps=st.lists(
+            st.one_of(
+                st.tuples(st.just("absorb"), st.floats(-50, 50) | st.none()),
+                st.tuples(st.just("degraded"), st.floats(-50, 50)),
+                st.tuples(
+                    st.sampled_from(["window", "decayed", "at-round", "summary", "latest"]),
+                    st.integers(1, 2),
+                ),
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    @example(
+        steps=[
+            ("absorb", 1.0),
+            ("window", 1),
+            ("decayed", 1),
+            ("at-round", 1),
+            ("degraded", 2.0),
+            ("window", 1),
+            ("decayed", 1),
+            ("at-round", 1),
+            ("degraded", 3.0),
+            ("window", 1),
+            ("summary", 1),
+        ]
+    )
+    def test_reads_equal_the_replace_copies(self, steps):
+        """Fresh reads, cached copies and re-stamped ages equal the reads
+        of a store whose cache copied with ``dataclasses.replace`` and
+        stored every re-stamp, with equal cache counters after each step."""
+        stores = (HistoryStore(window_capacity=8), ReplaceCopyStore(window_capacity=8))
+        clock = 0
+        for op, arg in steps:
+            if op in ("absorb", "degraded"):
+                degraded = op == "degraded"
+                answer = make_answer(
+                    clock,
+                    arg,
+                    reason="degraded" if degraded else None,
+                    trustworthy=not degraded,
+                )
+                for store in stores:
+                    store.absorb_answers(clock, [answer])
+                clock += 1
+                continue
+            reads = []
+            for store in stores:
+                try:
+                    reads.append(read_once(store, op, arg, clock))
+                except ConfigurationError as error:
+                    reads.append(str(error))
+            assert reads[0] == reads[1]
+            assert stores[0].cache_stats() == stores[1].cache_stats()
+
+
+class ReplaceCopyStore(HistoryStore):
+    """The read cache as it was: each hit copied the stored read with
+    ``dataclasses.replace`` and a changed age was stored back re-stamped."""
+
+    def _cached(self, track, query, key, compute):
+        hit = track.cache.get(key)
+        if hit is not None:
+            track.hits += 1
+            if key[0] != "at-round":
+                age = self.current_round - hit.round_index
+                if age != hit.age_rounds:
+                    hit = replace(
+                        hit, age_rounds=age, trustworthy=hit.trustworthy and age == 0
+                    )
+                    track.cache[key] = hit
+            return replace(hit, cached=True)
+        return super()._cached(track, query, key, compute)
+
+
+def read_once(store: HistoryStore, op: str, arg: int, clock: int):
+    if op == "window":
+        return store.window("q", arg, "p50", phi=0.25 * arg)
+    if op == "decayed":
+        return store.decayed("q", float(arg), "p50")
+    if op == "at-round":
+        return store.at_round("q", max(0, clock - arg), "p50")
+    if op == "summary":
+        return store.summary_quantile("q", 0.4 * arg, "p50")
+    return store.latest("q", "p50")
 
 
 class TestWiring:

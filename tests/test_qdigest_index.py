@@ -5,8 +5,10 @@ prefix index built once per digest.  The scans they replaced live in
 ``tests/reference_qdigest.py``; here hypothesis pins the two together
 over random universes (size 1, non-powers of two, negative ``r_min``),
 both compression regimes and random merge trees, for every boundary and
-every rank — and pins ``value_bounds``, which binary-searches the
-universe through ``rank_bounds``, to its scan-backed value.
+every rank.  It also pins ``QDigest.value_bounds``, which reads both ends
+of the value interval off the index, to the universe binary search through
+``rank_bounds`` it replaced (on the index and on the scans), and the index
+a leaf-only digest builds without a sort to the sorted build.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.serving import value_bounds
+from repro.errors import ConfigurationError
 from repro.sketch import QDigest
 from tests import reference_qdigest as reference
 from tests.reference_qdigest import ScanDigest
@@ -69,9 +71,28 @@ def test_index_queries_equal_the_scan(regime, data):
     scan = ScanDigest(digest)
     for k in range(1, digest.n + 1):
         assert digest.quantile(k) == reference.quantile(digest, k)
-        bounds = value_bounds(digest, k)
-        assert bounds == value_bounds(scan, k)
+        bounds = digest.value_bounds(k)
+        assert bounds == reference.value_bounds(scan, k)
+        assert bounds == reference.value_bounds(digest, k)
         assert bounds[1] == digest.quantile(k)
+
+
+@pytest.mark.parametrize("regime", ["lossless", "compressed"])
+@settings(deadline=None)
+@given(data=st.data())
+def test_leaf_only_index_equals_the_sorted_build(regime, data):
+    digest = data.draw(merged_digests(regime))
+    leaves_only = all(node >> digest.levels for node, _ in digest.entries)
+    # Every lossless digest is a sparse histogram of leaves.
+    assert leaves_only or regime == "compressed"
+    assert digest._index == reference.sorted_index(digest)
+
+
+@pytest.mark.parametrize("k", [0, 4])
+def test_value_bounds_rejects_a_rank_out_of_range(k):
+    digest = QDigest.from_values((3, 5, 5), 0.1, 0, 15)
+    with pytest.raises(ConfigurationError, match="out of range"):
+        digest.value_bounds(k)
 
 
 @pytest.mark.parametrize("r_min, r_max", [(0, 0), (-5, 7), (3, 1026)])

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from repro.constants import COUNTER_BITS
 from repro.datasets.synthetic import SyntheticWorkload
 from repro.errors import ConfigurationError
+from repro.faults import FaultPlan, RandomOutages
 from repro.network.routing import build_routing_tree
 from repro.network.topology import connected_random_graph
 from repro.serving import (
@@ -30,7 +31,6 @@ from repro.serving import (
     RangeQuery,
     oracle_grid,
     phi_label,
-    value_bounds,
 )
 from repro.serving.algorithm import (
     TARGET_ID_BITS,
@@ -38,6 +38,7 @@ from repro.serving.algorithm import (
     MultiQuerySketch,
     _grid_validation,
 )
+from repro.serving.registry import DEFAULT_CELL
 from repro.sim.oracle import exact_quantile, quantile_rank, rank_error
 from repro.sketch import QDigest
 from repro.types import QuerySpec
@@ -164,7 +165,7 @@ def test_phi_grid_monotone_and_bounds_contain_oracle(values, eps):
     (``QDigest.quantile`` per φ, as the gate anchors its φ targets) must be
     non-decreasing in φ, every grid point must be within ``eps * n`` ranks
     of the true quantile, and every per-φ value interval from
-    :func:`value_bounds` must contain the oracle's exact quantile.
+    :meth:`QDigest.value_bounds` must contain the oracle's exact quantile.
     """
     array = np.asarray(values)
     sketch = QDigest.from_values(tuple(values), eps, 0, 1023)
@@ -174,7 +175,7 @@ def test_phi_grid_monotone_and_bounds_contain_oracle(values, eps):
     for phi, value in zip(phis, grid):
         k = quantile_rank(len(values), phi)
         assert rank_error(array, value, k) <= eps * len(values)
-        lo, hi = value_bounds(sketch, k)
+        lo, hi = sketch.value_bounds(k)
         oracle = exact_quantile(array, k)
         assert lo <= oracle <= hi
 
@@ -384,6 +385,76 @@ def test_one_merge_per_scope_per_refresh(monkeypatch):
     assert len(plan.targets) == 10
     assert len({target.cells for target in plan.targets}) == 5
     assert merges == [3]
+
+
+def sparse(vertex, position):
+    """Every ninth sensor in a small region that outages can empty."""
+    return "sparse" if vertex % 9 == 0 else "dense"
+
+
+#: Queries a registry sequence draws from: φ-grids, group-bys (one with a
+#: region few sensors share) and ranges.
+QUERY_POOL = (
+    PhiQuery("grid", phis=(0.5, 0.9, 0.99)),
+    PhiQuery("tails", phis=(0.05, 0.95), eps=0.04),
+    GroupByQuery("quadrants", assign=quadrant),
+    GroupByQuery("sparse", assign=sparse, phis=(0.5, 0.9)),
+    RangeQuery("band", low=300, high=599),
+    RangeQuery("low", low=0, high=199, eps=0.1),
+)
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    toggles=st.lists(st.integers(0, len(QUERY_POOL) - 1), min_size=1, max_size=6),
+    seed=st.integers(0, 50),
+)
+def test_compiled_masks_and_codes_equal_the_plan(toggles, seed):
+    """Under random register/deregister sequences (each toggle registers or
+    deregisters one pooled query, then serves a round under outages), every
+    gate target's scope mask is its ``PlanTarget.scope`` as a read-only
+    vertex mask, shared by every target over that scope and kept for the
+    whole plan version, and the cell codes name ``ServingPlan.cell_of``
+    (the default cell off the plan)."""
+    graph, tree, workload, spec = make_deployment(num_nodes=40, seed=seed)
+    registry = QueryRegistry()
+    runner = MultiQueryRunner(
+        registry,
+        spec,
+        tree,
+        workload,
+        FaultPlan(outages=RandomOutages(0.15), seed=seed),
+        graph=graph,
+    )
+    compiled = {}
+    for round_index, toggle in enumerate(toggles):
+        query = QUERY_POOL[toggle]
+        if query.name in registry:
+            runner.deregister(query.name)
+        else:
+            runner.register(query)
+        runner.step(round_index)
+        gate = runner.driver.algorithm
+        plan = gate.plan
+        if plan is None:
+            continue
+        masks = compiled.setdefault((id(gate), plan.version), gate.scope_masks)
+        assert gate.scope_masks is masks
+        assert len(masks) == len({target.scope for target in plan.targets})
+        by_scope = {}
+        for index, planned in enumerate(plan.targets):
+            mask = masks[gate.scope_of_target[index]]
+            assert np.flatnonzero(mask).tolist() == sorted(planned.scope)
+            assert not mask.flags.writeable
+            assert by_scope.setdefault(planned.scope, mask) is mask
+            target = gate.gate_target(planned.key)
+            if target is not None:
+                assert target.scope_mask is mask
+        assert list(gate.cell_names) == sorted(set(gate.cell_names))
+        assert not gate.cell_codes.flags.writeable
+        assert [gate.cell_names[code] for code in gate.cell_codes.tolist()] == [
+            plan.cell_of.get(vertex, DEFAULT_CELL) for vertex in range(tree.num_vertices)
+        ]
 
 
 def test_phi_label():
