@@ -663,7 +663,8 @@ def _run_history(args) -> int:
             print(
                 f"at round {r}: {query}/{label} = {read.value:g} "
                 f"(observed round {read.round_index}, "
-                f"age {read.age_rounds} rounds)"
+                f"age {read.age_rounds} rounds, "
+                f"{'trusted' if read.trustworthy else 'untrusted'})"
             )
 
     # Replay a read-heavy client against the warm cache: the serving

@@ -96,7 +96,7 @@ class RootWatchdog:
             return False
         coverage = record.coverage
         silent_branches = self._baseline_branches - self._branches(
-            record.delivered
+            record.delivered_ids
         )
         suspicious = (
             coverage < COVERAGE_DROP * self._baseline_coverage
@@ -155,5 +155,5 @@ class RootWatchdog:
         if record.expected == 0:
             return
         self._baseline_coverage = record.coverage
-        self._baseline_branches = self._branches(record.delivered)
+        self._baseline_branches = self._branches(record.delivered_ids)
         self._streak = 0

@@ -622,18 +622,20 @@ class MultiQuerySketch(ContinuousQuantileAlgorithm):
         """The gate state for one plan target key, or None if unplanned."""
         return self.targets.get(key)
 
-    def scope_population(self, target: GateTarget) -> int:
-        """Currently participating sensors inside the target's scope."""
+    def scope_view(
+        self, target: GateTarget, values: np.ndarray | None
+    ) -> tuple[int, np.ndarray | None]:
+        """The currently participating sensors inside the target's scope:
+        their number and, given ``values``, their values in vertex order
+        (``None`` without, or while the scope is empty before the first
+        participation mask)."""
         if self._mask is None:
-            return 0
-        return int((target.scope_mask & self._mask).sum())
-
-    def scope_values(self, target: GateTarget, values: np.ndarray) -> np.ndarray:
-        """``values`` of the currently participating sensors in scope, in
-        vertex order (empty before the first participation mask)."""
-        if self._mask is None:
-            return values[:0]
-        return values[target.scope_mask & self._mask]
+            return 0, None
+        members = target.scope_mask & self._mask
+        if values is None:
+            return int(np.count_nonzero(members)), None
+        selected = values[members]
+        return len(selected), selected
 
     # -- repair hooks (repro.faults.repair) -----------------------------------
 

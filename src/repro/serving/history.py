@@ -313,9 +313,11 @@ class _LabelSeries:
 
     __slots__ = (
         "ring",
+        "ring_trust",
         "summary",
         "checkpoint_rounds",
         "checkpoint_values",
+        "checkpoint_trust",
         "checkpoint_every",
         "max_checkpoints",
         "last_round",
@@ -326,9 +328,13 @@ class _LabelSeries:
 
     def __init__(self, window_capacity: int, max_checkpoints: int) -> None:
         self.ring: deque[tuple[int, float]] = deque(maxlen=window_capacity)
+        #: Per ring entry, per checkpoint: the flag its round was absorbed
+        #: with, kept beside the ``(round, value)`` pairs.
+        self.ring_trust: deque[bool] = deque(maxlen=window_capacity)
         self.summary = IncrementalQuantile()
         self.checkpoint_rounds: list[int] = []
         self.checkpoint_values: list[float] = []
+        self.checkpoint_trust: list[bool] = []
         self.checkpoint_every = 1
         self.max_checkpoints = max_checkpoints
         self.last_round = -1
@@ -338,6 +344,7 @@ class _LabelSeries:
 
     def absorb(self, round_index: int, value: float, trustworthy: bool) -> None:
         self.ring.append((round_index, value))
+        self.ring_trust.append(trustworthy)
         self.summary.add(value)
         self.last_round = round_index
         self.last_value = value
@@ -345,10 +352,12 @@ class _LabelSeries:
         if self.absorbed % self.checkpoint_every == 0:
             self.checkpoint_rounds.append(round_index)
             self.checkpoint_values.append(value)
+            self.checkpoint_trust.append(trustworthy)
             if len(self.checkpoint_rounds) > self.max_checkpoints:
                 # Geometric thinning: halve the resolution, keep the span.
                 self.checkpoint_rounds = self.checkpoint_rounds[::2]
                 self.checkpoint_values = self.checkpoint_values[::2]
+                self.checkpoint_trust = self.checkpoint_trust[::2]
                 self.checkpoint_every *= 2
         self.absorbed += 1
 
@@ -511,7 +520,9 @@ class HistoryStore:
 
         Exact while the round is still in the ring; beyond that, the
         nearest earlier checkpoint answers, its distance reported as
-        ``age_rounds`` relative to the requested round.
+        ``age_rounds`` relative to the requested round.  The read is
+        trustworthy only when it found ``round_index`` itself and that
+        round was absorbed trustworthy.
         """
         track = self._track_or_raise(query)
         resolved = self._label(track, label)
@@ -624,12 +635,12 @@ class HistoryStore:
                 hit.count,
                 True,
             )
-        track.misses += 1
         series = track.series.get(key[1])
         if series is None:
             raise ConfigurationError(
                 f"query {query!r} has no series labelled {key[1]!r}"
             )
+        track.misses += 1
         read = compute(query, key, series)
         track.cache[key] = read
         return read
@@ -686,9 +697,16 @@ class HistoryStore:
     ) -> HistoryRead:
         _, label, round_index = key
         # The ring answers exactly while the round is retained; beyond it,
-        # the nearest earlier checkpoint does.
+        # the nearest earlier checkpoint does.  Only an exact-round hit
+        # absorbed trustworthy reads trustworthy.
         found = next(
-            ((r, value) for r, value in reversed(series.ring) if r <= round_index),
+            (
+                (r, value, trusted)
+                for (r, value), trusted in zip(
+                    reversed(series.ring), reversed(series.ring_trust)
+                )
+                if r <= round_index
+            ),
             None,
         )
         if found is None:
@@ -698,8 +716,12 @@ class HistoryStore:
                     f"no history for query {query!r} at or before round "
                     f"{round_index}"
                 )
-            found = (series.checkpoint_rounds[pos], series.checkpoint_values[pos])
-        absorbed, value = found
+            found = (
+                series.checkpoint_rounds[pos],
+                series.checkpoint_values[pos],
+                series.checkpoint_trust[pos],
+            )
+        absorbed, value, trusted = found
         return _history_read(
             query,
             label,
@@ -707,7 +729,7 @@ class HistoryStore:
             value,
             absorbed,
             round_index - absorbed,
-            absorbed == round_index,
+            trusted and absorbed == round_index,
             1,
             False,
         )

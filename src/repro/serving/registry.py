@@ -32,7 +32,7 @@ silently serving stale values.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable
 
 import numpy as np
 
@@ -50,7 +50,11 @@ from repro.serving.queries import (
 from repro.sim.oracle import exact_quantile, quantile_rank, rank_error
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.serving.algorithm import MultiQuerySketch
+    from repro.serving.algorithm import GateTarget, MultiQuerySketch
+
+#: A target's participating population and, with the true values, their
+#: values (:meth:`MultiQuerySketch.scope_view`).
+ScopeView = Callable[["GateTarget"], "tuple[int, np.ndarray | None]"]
 
 #: Scope id of whole-population targets.
 GLOBAL_SCOPE = "*"
@@ -304,7 +308,8 @@ class QueryRegistry:
         Root-side only — fanning k answers out of one gate costs no radio
         traffic, which is the whole point of the shared collection.
         ``values`` (the true measurement vector) is optional diagnostics:
-        when given, each item carries its measured oracle error.
+        when given, each item carries its measured oracle error.  Each
+        scope's population and values are read once per call.
         """
         plan = algorithm.plan
         if plan is None or plan.version != self.version:
@@ -324,6 +329,15 @@ class QueryRegistry:
                 for q in self._queries.values()
             )
 
+        views: dict[int, tuple[int, np.ndarray | None]] = {}
+
+        def scope(target: "GateTarget") -> tuple[int, np.ndarray | None]:
+            number = algorithm.scope_of_target[target.index]
+            view = views.get(number)
+            if view is None:
+                view = views[number] = algorithm.scope_view(target, values)
+            return view
+
         out: list[QueryAnswer] = []
         for query_plan in plan.query_plans:
             q = query_plan.query
@@ -335,11 +349,11 @@ class QueryRegistry:
             for planned in query_plan.items:
                 if isinstance(q, RangeQuery):
                     item, item_reason, item_budget = self._range_item(
-                        algorithm, q, planned, values
+                        algorithm, q, planned, scope
                     )
                 else:
                     item, item_reason, item_budget = self._phi_item(
-                        algorithm, q, planned, values
+                        algorithm, q, planned, scope
                     )
                 items.append(item)
                 reason = reason or item_reason
@@ -365,12 +379,12 @@ class QueryRegistry:
         algorithm: "MultiQuerySketch",
         q: PhiQuery | GroupByQuery,
         planned: PlannedItem,
-        values: np.ndarray | None,
+        scope: ScopeView,
     ) -> tuple[AnswerItem, str | None, float]:
         target = algorithm.gate_target(planned.keys[0])
         if target is None:
             return AnswerItem(label=planned.label, value=None), "stale", 0.0
-        population = algorithm.scope_population(target)
+        population, scope_values = scope(target)
         if population == 0:
             reason = (
                 "empty-population"
@@ -388,8 +402,7 @@ class QueryRegistry:
         k = quantile_rank(population, target.plan.phi)
         worst = float(target.worst_rank_error(k))
         oracle_error: float | None = None
-        if values is not None:
-            scope_values = algorithm.scope_values(target, values)
+        if scope_values is not None:
             oracle_error = float(rank_error(scope_values, int(target.value), k))
         item = AnswerItem(
             label=planned.label,
@@ -406,13 +419,13 @@ class QueryRegistry:
         algorithm: "MultiQuerySketch",
         q: RangeQuery,
         planned: PlannedItem,
-        values: np.ndarray | None,
+        scope: ScopeView,
     ) -> tuple[AnswerItem, str | None, float]:
         low_t = algorithm.gate_target(planned.keys[0])
         high_t = algorithm.gate_target(planned.keys[1])
         if low_t is None or high_t is None:
             return AnswerItem(label=planned.label, value=None), "stale", 0.0
-        population = algorithm.scope_population(low_t)
+        population, scope_values = scope(low_t)
         if population == 0:
             return (
                 AnswerItem(label=planned.label, value=None),
@@ -428,12 +441,13 @@ class QueryRegistry:
         hi = count_hi / population
         estimate = (lo + hi) / 2.0
         oracle_error: float | None = None
-        if values is not None:
-            scope_values = algorithm.scope_values(low_t, values)
-            truth = float(
-                np.mean((scope_values >= q.low) & (scope_values <= q.high))
+        if scope_values is not None:
+            # The fraction inside [low, high], the correctly rounded
+            # quotient of two integers, as ``np.mean`` of the mask is.
+            inside = np.count_nonzero(
+                (scope_values >= q.low) & (scope_values <= q.high)
             )
-            oracle_error = abs(estimate - truth)
+            oracle_error = abs(estimate - inside / population)
         item = AnswerItem(
             label=planned.label,
             value=estimate,

@@ -47,7 +47,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, TypeVar
+from typing import Callable, Iterable, Mapping, Optional, TypeVar
 
 import numpy as np
 
@@ -66,26 +66,64 @@ from repro.sim.vectorized import (
 P = TypeVar("P", bound="Payload")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class CollectionRecord:
     """Root-observable outcome of one convergecast.
 
     ``expected`` counts the non-empty contributions that entered the tree;
-    ``delivered`` holds the contributors whose payload is represented in the
-    merged root payload.  On a reliable network the two always coincide;
-    under fault injection (``repro.faults``) the gap is what the root-side
-    watchdog watches.
+    ``delivered_ids`` holds the distinct contributors whose payload is
+    represented in the merged root payload, as one read-only ``int64``
+    array in no particular order.  On a reliable network the two always
+    coincide; under fault injection (``repro.faults``) the gap is what the
+    root-side watchdog watches.
+
+    The constructor takes the delivered ids as a set or any iterable
+    (duplicates count once) or as an integer array of distinct ids; the
+    record keeps its own copy, so writing into the array later leaves the
+    record unchanged.  Records compare and hash by ``expected`` and the id
+    set.
     """
 
     expected: int
-    delivered: frozenset[int]
+    delivered_ids: np.ndarray
+
+    def __init__(
+        self, expected: int, delivered: "Iterable[int] | np.ndarray" = ()
+    ) -> None:
+        if isinstance(delivered, np.ndarray):
+            ids = delivered.astype(np.int64)
+        else:
+            ids = np.unique(np.fromiter(delivered, dtype=np.int64))
+        ids.flags.writeable = False
+        object.__setattr__(self, "expected", expected)
+        object.__setattr__(self, "delivered_ids", ids)
+
+    @property
+    def delivered(self) -> frozenset[int]:
+        """The delivered contributors as a set, built on each call."""
+        return frozenset(self.delivered_ids.tolist())
 
     @property
     def coverage(self) -> float:
         """Delivered fraction of the expected contributions (1.0 if none)."""
         if self.expected == 0:
             return 1.0
-        return len(self.delivered) / self.expected
+        return len(self.delivered_ids) / self.expected
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CollectionRecord):
+            return NotImplemented
+        return self.expected == other.expected and np.array_equal(
+            np.sort(self.delivered_ids), np.sort(other.delivered_ids)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.expected, np.sort(self.delivered_ids).tobytes()))
+
+
+#: The record of a convergecast nobody contributed to; records never
+#: change, so every silent convergecast logs this one.
+_SILENT = CollectionRecord(0)
 
 
 class Payload(ABC):
@@ -134,20 +172,13 @@ class PayloadBatch(ABC):
     the two must agree bit for bit: ledger, logs and root payload (``==``).
     """
 
-    __slots__ = ("ids", "_contributors")
+    __slots__ = ("ids",)
 
     def __init__(self, ids: np.ndarray) -> None:
         self.ids = ids
-        self._contributors: frozenset[int] | None = None
 
     def __len__(self) -> int:
         return int(self.ids.shape[0])
-
-    def contributors(self) -> frozenset[int]:
-        """The contributing vertices as a set, built once per batch."""
-        if self._contributors is None:
-            self._contributors = frozenset(self.ids.tolist())
-        return self._contributors
 
     @abstractmethod
     def columns(self) -> np.ndarray:
@@ -430,7 +461,7 @@ class TreeNetwork:
                 exclude=self._virtual_mask,
             )
             self._charge_hops(hops, senders, *contributions.hop_sizes(sums))
-            reached = self._log_delivered(hops, ids, contributions.contributors)
+            reached = self._log_delivered(hops, ids)
             if reached is not None and not reached.any():
                 return None
             return contributions.root_payload(root_sums, reached)
@@ -485,40 +516,31 @@ class TreeNetwork:
                 senders[radio], hop_bits[radio], hop_values[radio]
             )
         self._charge_hops(hops, senders, hop_bits, hop_values)
-        self._log_delivered(hops, ids, lambda: frozenset(contributors))
+        self._log_delivered(hops, ids)
         return accumulated[tree.root]
 
     def _log_silent(self) -> None:
         """Book a convergecast in which nobody contributed."""
         self.phase_bits[self.phase] = self.phase_bits.get(self.phase, 0)
-        self.collection_log.append(CollectionRecord(expected=0, delivered=frozenset()))
+        self.collection_log.append(_SILENT)
 
-    def _log_delivered(
-        self,
-        hops: _Hops,
-        ids: np.ndarray,
-        everyone: Callable[[], frozenset[int]],
-    ) -> np.ndarray | None:
+    def _log_delivered(self, hops: _Hops, ids: np.ndarray) -> np.ndarray | None:
         """Log which contributions reached an up root.
 
         Returns that mask over ``ids``, or ``None`` when the hops reach the
-        root by construction (every one of them got through).  ``everyone``
-        builds the set of all ``ids`` (a batch caches it).
+        root by construction (every one of them got through).  The record
+        keeps its own copy of the delivered ids.
         """
-        if hops.reach is None:
-            reached = None
-            delivered = everyone()
-        else:
+        reached = None
+        delivered = ids
+        if hops.reach is not None:
             root = self.tree.root
             reached = hops.reach[ids] == root
             if hops.down[root]:
                 reached[:] = False  # not even the root's own contribution counts
-            delivered = (
-                everyone() if reached.all() else frozenset(ids[reached].tolist())
-            )
-        self.collection_log.append(
-            CollectionRecord(expected=len(ids), delivered=delivered)
-        )
+            if not reached.all():
+                delivered = ids[reached]
+        self.collection_log.append(CollectionRecord(len(ids), delivered))
         return reached
 
     def _charge_hops(

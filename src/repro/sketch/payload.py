@@ -190,6 +190,7 @@ class DigestBatch(PayloadBatch):
         "template",
         "tags",
         "_key",
+        "_unique",
         "_per_tag",
         "_column",
         "_num_shared",
@@ -231,6 +232,9 @@ class DigestBatch(PayloadBatch):
         keys, key_of_row, rows_per_key = np.unique(
             self._key, return_inverse=True, return_counts=True
         )
+        #: The rows' sorted distinct keys, each row's key index and the
+        #: rows per key, which :meth:`root_payload` reuses.
+        self._unique = (keys, key_of_row, rows_per_key)
         shared = rows_per_key > 1
         column_of_key = np.where(shared, num_tags + np.cumsum(shared) - 1, keys // universe)
         self._column = column_of_key[key_of_row]
@@ -284,9 +288,11 @@ class DigestBatch(PayloadBatch):
     ) -> "SketchPayload | TaggedSketchPayload":
         template = self.template
         universe = template.universe_size
-        keys, counts = np.unique(
-            self._key if reached is None else self._key[reached], return_counts=True
-        )
+        keys, key_of_row, counts = self._unique
+        if reached is not None:
+            counts = np.bincount(key_of_row[reached], minlength=len(keys))
+            kept = counts > 0
+            keys, counts = keys[kept], counts[kept]
         tag_bounds = np.searchsorted(
             keys, np.arange(len(self._per_tag) + 1) * universe
         ).tolist()

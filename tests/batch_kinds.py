@@ -8,7 +8,8 @@ of any kind — the count batch, one of the paper's three or the one-value
 q-digest batch — so a test can run the same contributions through the
 array paths and, expanded with ``payloads()``, through the per-hop
 reference walk.  :class:`StringTagDigestBatch` keeps the digest batch's
-former string-tag constructor as the oracle of its cell-code form.
+former string-tag constructor and ``np.unique`` root payload as the oracle
+of its cell-code form.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 from repro.core.payloads import BucketDeltaBatch, HistogramBatch, ValidationBatch
 from repro.errors import ConfigurationError
 from repro.sim.engine import Payload, PayloadBatch
-from repro.sketch import DigestBatch, QDigest
+from repro.sketch import DigestBatch, QDigest, SketchPayload, TaggedSketchPayload
 
 #: Size [bits] of one count payload on the air.
 COUNT_BITS = 24
@@ -163,7 +164,8 @@ class StringTagDigestBatch(DigestBatch):
     """The digest batch's former constructor form, the oracle of the code
     form: cell tags as strings (``None`` for the untagged form), each
     row's tag index looked up in a dict and each value converted with
-    ``int``.  Everything but the constructor is the package's."""
+    ``int``.  The root payload runs its own ``np.unique`` over the keys
+    that reached the root; everything else is the package's."""
 
     def __init__(self, ids, values, eps, r_min, r_max, tags=None) -> None:
         PayloadBatch.__init__(self, ids)
@@ -194,3 +196,34 @@ class StringTagDigestBatch(DigestBatch):
         starts = np.flatnonzero(np.diff(shared_tag, prepend=-1))
         self._num_shared = len(shared_tag)
         self._runs = (starts, shared_tag[starts])
+
+    def root_payload(self, sums, reached):
+        template = self.template
+        universe = template.universe_size
+        keys, counts = np.unique(
+            self._key if reached is None else self._key[reached], return_counts=True
+        )
+        tag_bounds = np.searchsorted(
+            keys, np.arange(len(self._per_tag) + 1) * universe
+        ).tolist()
+        nodes = (keys % universe + (1 << template.levels)).tolist()
+        counts = counts.tolist()
+        digests = [
+            (
+                tag,
+                QDigest(
+                    entries=tuple(zip(nodes[lo:hi], counts[lo:hi])),
+                    n=sum(counts[lo:hi]),
+                    eps=template.eps,
+                    r_min=template.r_min,
+                    r_max=template.r_max,
+                ),
+            )
+            for tag, (lo, hi) in enumerate(zip(tag_bounds, tag_bounds[1:]))
+            if lo < hi
+        ]
+        if self.tags is None:
+            return SketchPayload(digests[0][1])
+        return TaggedSketchPayload(
+            sketches=tuple((self.tags[tag], digest) for tag, digest in digests)
+        )

@@ -155,6 +155,23 @@ class TestCommands:
         assert "at round 4" in out
         assert "reads/sec" in out and "hit rate" in out
 
+    def test_history_at_round_prints_the_trust_flag(self, capsys):
+        """CI's history slice: round 5 was absorbed untrusted on every
+        track, and its at-round lines say so."""
+        code = main(
+            "history --phis 0.5 0.95 --windows 4 8 --half-lives 4 16 "
+            "--at-round 5 --reads 20 --loss 0.05 --retries 2 --nodes 24 "
+            "--rounds 10 --range-radio 60 --seed 7".split()
+        )
+        assert code == 0
+        lines = [
+            line
+            for line in capsys.readouterr().out.splitlines()
+            if line.startswith("at round 5:")
+        ]
+        assert len(lines) == 3
+        assert all(line.endswith("age 0 rounds, untrusted)") for line in lines)
+
     def test_pressure_prints_table(self, capsys, monkeypatch):
         code = main(["pressure", "--scale", "0.05"])
         assert code == 0

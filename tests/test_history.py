@@ -400,6 +400,80 @@ class TestAtRound:
         series = store._track_or_raise("q").series["p50"]
         assert len(series.checkpoint_rounds) <= 6
 
+    @pytest.mark.parametrize(
+        "capacity, checkpoints, rounds", [(4, 64, 12), (4, 4, 40)]
+    )
+    def test_untrusted_round_reads_untrusted(self, capacity, checkpoints, rounds):
+        """A round absorbed with ``trustworthy=False`` reads untrusted at
+        that round, from the ring and from its checkpoint after the ring
+        evicted it (thinned or not), cold and cached; its trusted
+        neighbours read trusted, and a fallback to an earlier round reads
+        untrusted."""
+        store = HistoryStore(window_capacity=capacity, max_checkpoints=checkpoints)
+        trusted = [r % 3 != 1 for r in range(rounds)]
+        for r, ok in enumerate(trusted):
+            store.absorb_answers(r, [make_answer(r, float(r), trustworthy=ok)])
+        series = store._track_or_raise("q").series["p50"]
+        ring = [r for r, _ in series.ring]
+        assert ring == list(range(rounds - capacity, rounds))
+        evicted_hits = {
+            trusted[r] for r in series.checkpoint_rounds if r not in ring
+        }
+        assert evicted_hits == {True, False}
+        for r in range(rounds):
+            cold = store.at_round("q", r, "p50")
+            cached = store.at_round("q", r, "p50")
+            assert not cold.cached and cached.cached
+            assert cold.value == float(cold.round_index)
+            exact = cold.round_index == r
+            assert exact == (r in ring or r in series.checkpoint_rounds)
+            assert cold.trustworthy is (exact and trusted[r])
+            assert cached.trustworthy is cold.trustworthy
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        absorbs=st.lists(
+            st.tuples(st.booleans(), st.booleans()), min_size=1, max_size=60
+        ),
+        capacity=st.integers(1, 6),
+        checkpoints=st.integers(1, 8),
+    )
+    def test_at_round_trust_is_the_absorbed_flag_of_an_exact_hit(
+        self, absorbs, capacity, checkpoints
+    ):
+        """Whatever the ring or the thinned checkpoints answer, the read is
+        the absorbed value of the round it reports, and it is trustworthy
+        exactly when that round is the requested one and was absorbed
+        trustworthy; a cached read repeats the cold one."""
+        store = HistoryStore(window_capacity=capacity, max_checkpoints=checkpoints)
+        absorbed: dict[int, bool] = {}
+        for r, (skip, ok) in enumerate(absorbs):
+            if skip:
+                continue  # a round with no answer: the next read falls back
+            store.absorb_answers(r, [make_answer(r, float(r), trustworthy=ok)])
+            absorbed[r] = ok
+        if not absorbed:
+            return
+        for r in range(len(absorbs) + 2):
+            try:
+                cold = store.at_round("q", r, "p50")
+            except ConfigurationError:
+                # The first absorbed round is always a checkpoint.
+                assert r < min(absorbed)
+                continue
+            assert cold.round_index in absorbed and cold.round_index <= r
+            assert cold.value == float(cold.round_index)
+            assert cold.trustworthy == (
+                cold.round_index == r and absorbed[cold.round_index]
+            )
+            cached = store.at_round("q", r, "p50")
+            assert cached.cached
+            assert (cached.value, cached.round_index, cached.trustworthy) == (
+                cold.value,
+                cold.round_index,
+                cold.trustworthy,
+            )
+
 
 class TestReadCache:
     def test_hits_and_misses_are_counted(self):
@@ -458,13 +532,28 @@ class TestReadCache:
             lambda store: store.summary_quantile("q", 1.5, "p50"),
             lambda store: store.summary_quantile("q", -0.1, "p50"),
             lambda store: store.summary_quantile("q", math.nan, "p50"),
+            lambda store: store.window("q", 2, "nope"),
+            lambda store: store.decayed("q", 4.0, "nope"),
+            lambda store: store.at_round("q", 1, "nope"),
+            lambda store: store.summary_quantile("q", 0.5, "nope"),
         ],
-        ids=["decayed-nan", "decayed-negative", "summary-above", "summary-below", "summary-nan"],
+        ids=[
+            "decayed-nan",
+            "decayed-negative",
+            "summary-above",
+            "summary-below",
+            "summary-nan",
+            "window-unknown-label",
+            "decayed-unknown-label",
+            "at-round-unknown-label",
+            "summary-unknown-label",
+        ],
     )
     def test_invalid_reads_raise_before_the_cache(self, read):
         """A rejected read neither counts a miss nor caches a value: a NaN
-        half-life used to serve and cache a NaN marked trustworthy, and an
-        out-of-range summary φ counted a miss before the summary refused it."""
+        half-life used to serve and cache a NaN marked trustworthy, an
+        out-of-range summary φ counted a miss before the summary refused
+        it, and so did a read for a label with no series."""
         store = HistoryStore()
         fill(store, [1.0, 2.0, 3.0])
         store.window("q", 2, "p50")
