@@ -32,7 +32,7 @@ from repro.core.payloads import (
     HistogramBatch,
     ValidationBatch,
     ValidationPayload,
-    value_set,
+    ValueSetBatch,
 )
 from repro.errors import MembershipError, ProtocolError
 from repro.sim.engine import TreeNetwork
@@ -607,23 +607,25 @@ def request_values(
     """One value-set convergecast; returns the ascending values received.
 
     Every participant sends its value (truncated like ``int()``), or only
-    those whose value lies in ``[low, high]`` when bounds are given.  With
-    ``keep`` the hops prune to the ``keep`` smallest (``keep_largest``:
-    largest) values plus ties of the boundary value (Section 4.2.2).  This
+    those whose value lies in ``[low, high]`` when bounds are given; a
+    repeated participant sends once.  With ``keep`` the hops prune to the
+    ``keep`` smallest (``keep_largest``: largest) values plus ties of the
+    boundary value (Section 4.2.2).  The contributions fold as a
+    :class:`~repro.core.payloads.ValueSetBatch` when no hop below the root
+    can prune (``keep`` is ``None`` or no root branch holds more than
+    ``keep`` contributors) and merge as payload objects otherwise.  This
     is the only place value-set contributions are built; phase labels and
     request broadcasts stay with the callers.
     """
     ids = np.asarray(participants, dtype=np.int64)
+    if not (ids[1:] > ids[:-1]).all():  # unsorted, or a repeat to drop
+        ids = ids[np.sort(np.unique(ids, return_index=True)[1])]
     sent = np.asarray(values)[ids].astype(np.int64)
     if low is not None:
         inside = (sent >= low) & (sent <= high)
         ids, sent = ids[inside], sent[inside]
-    merged = net.convergecast(
-        {
-            vertex: value_set((value,), keep, keep_largest)
-            for vertex, value in zip(ids.tolist(), sent.tolist())
-        }
-    )
+    batch = ValueSetBatch(ids, sent, keep, keep_largest)
+    merged = net.convergecast(batch if batch.folds_on(net.tree) else batch.payloads())
     return merged.values if merged is not None else ()
 
 

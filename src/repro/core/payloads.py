@@ -11,8 +11,12 @@ histograms and bucket deltas — also come as column batches
 value and state arrays, and the convergecast folds them as integer
 columns (:class:`repro.sim.PayloadBatch`).  The dataclasses remain the
 root's view of a merged batch and the per-hop form the reference walk
-merges.  Value sets stay objects: their merge sorts and prunes.  They are
-slotted, and the hot path builds them with :func:`value_set`.
+merges.  One-value value sets fold as a count column too
+(:class:`ValueSetBatch`) while no hop below the root can prune: then a
+hop's set is all of its contributors' values.  Value sets that prune below
+the root stay objects, because where a merge cuts depends on the values,
+not only on the column sums.  They are slotted, and the hot path builds
+them with :func:`value_set`.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from repro.constants import (
     VALUE_BITS,
 )
 from repro.errors import ProtocolError
+from repro.network.tree import RoutingTree
 from repro.sim.engine import Payload, PayloadBatch
 
 #: On-air size of one compressed histogram entry or one bucket delta.
@@ -473,6 +478,61 @@ class BucketDeltaBatch(PayloadBatch):
                     break
                 column -= width
         return tuple(entries)
+
+
+class ValueSetBatch(PayloadBatch):
+    """One-value value sets (:class:`ValueSetPayload`) as one count column.
+
+    Row ``i`` sends ``value[i]`` (``int64``) for vertex ``ids[i]``, every
+    row under the same ``keep`` and ``keep_largest``.  The batch folds
+    exactly only on trees where no hop below the root can prune
+    (:meth:`folds_on`): there a hop's set is all of its contributors'
+    values, so its size is their count.  The root sorts the values that
+    reached it and prunes once, which keeps what pruning after every
+    pairwise merge keeps.
+    """
+
+    __slots__ = ("value", "keep", "keep_largest")
+
+    def __init__(
+        self, ids: np.ndarray, value: np.ndarray, keep: int | None, keep_largest: bool
+    ) -> None:
+        super().__init__(ids)
+        self.value = value
+        self.keep = keep
+        self.keep_largest = keep_largest
+
+    def folds_on(self, tree: RoutingTree) -> bool:
+        """No hop below the root of ``tree`` can prune: ``keep`` is
+        ``None`` or no root branch holds more than ``keep`` contributors
+        (a root-keyed row rides no hop).  Loss, outages and ARQ only take
+        contributions away from a hop, so this holds on a faulty network
+        too."""
+        if self.keep is None:
+            return True
+        branch = tree.branch[self.ids]
+        branch = branch[branch != tree.root]
+        return not len(branch) or int(np.bincount(branch).max()) <= self.keep
+
+    def columns(self) -> np.ndarray:
+        return np.ones((len(self.ids), 1), dtype=np.int64)
+
+    def hop_sizes(self, sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        count = sums[:, 0]
+        return count * VALUE_BITS, count
+
+    def root_payload(self, sums: np.ndarray, reached: np.ndarray | None) -> ValueSetPayload:
+        value = self.value if reached is None else self.value[reached]
+        keep, keep_largest = self.keep, self.keep_largest
+        ascending = tuple(np.sort(value).tolist())
+        return value_set(prune_with_ties(ascending, keep, keep_largest), keep, keep_largest)
+
+    def payloads(self) -> dict[int, ValueSetPayload]:
+        keep, keep_largest = self.keep, self.keep_largest
+        return {
+            vertex: value_set((value,), keep, keep_largest)
+            for vertex, value in zip(self.ids.tolist(), self.value.tolist())
+        }
 
 
 def _opt_min(a: int | None, b: int | None) -> int | None:

@@ -70,6 +70,7 @@ from repro.network.tree import RoutingTree
 from repro.radio.energy import EnergyModel
 from repro.radio.ledger import EnergyLedger
 from repro.sim.oracle import exact_quantile, insertion_rank_error, quantile_rank
+from repro.sim.runner import finite_values
 from repro.types import QuerySpec, RoundOutcome
 
 
@@ -400,7 +401,7 @@ class FaultDriver:
             and round_index % self.rotate_every == 0
         ):
             self._rotate()
-        values = np.asarray(self.workload.values(round_index))
+        values = finite_values(self.workload.values(round_index), round_index)
         self.ledger.begin_round()
         log_start = len(net.collection_log)
         failed = reinitialized = False

@@ -35,6 +35,20 @@ ValuesProvider = Callable[[int], np.ndarray]
 NetworkFactory = Callable[[RoutingTree, EnergyLedger], TreeNetwork]
 
 
+def finite_values(values: np.ndarray, round_index: int) -> np.ndarray:
+    """One round's measurements as an array, refusing NaN and infinities,
+    which the algorithms' ``int64`` casts would turn into the smallest
+    integer without a word."""
+    values = np.asarray(values)
+    if values.dtype.kind == "f" and not np.isfinite(values).all():
+        vertex = int(np.argmin(np.isfinite(values)))
+        raise ConfigurationError(
+            f"round {round_index}: vertex {vertex} measured {values[vertex]}, "
+            "not a finite value"
+        )
+    return values
+
+
 @dataclass
 class RunResult:
     """Everything measured over one simulation run."""
@@ -144,7 +158,7 @@ class SimulationRunner:
         sensor_mask = ledger.sensor_mask()
         previous_messages = previous_values_sent = previous_exchanges = 0
         for round_index in range(num_rounds):
-            values = np.asarray(values_provider(round_index))
+            values = finite_values(values_provider(round_index), round_index)
             ledger.begin_round()
             if round_index == 0:
                 outcome = algorithm.initialize(net, values)

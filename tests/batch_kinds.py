@@ -4,12 +4,14 @@
 add-fold column of positive counts, whose reference-walk form is the plain
 :class:`CountPayload`.  It shows the :class:`~repro.sim.PayloadBatch`
 contract is open to new kinds.  :func:`make_batch` draws one random batch
-of any kind — the count batch, one of the paper's three or the one-value
-q-digest batch — so a test can run the same contributions through the
-array paths and, expanded with ``payloads()``, through the per-hop
-reference walk.  :class:`StringTagDigestBatch` keeps the digest batch's
-former string-tag constructor and ``np.unique`` root payload as the oracle
-of its cell-code form.
+of any kind — the count batch, one of the paper's three, the one-value
+q-digest batch or the one-value value-set batch — so a test can run the
+same contributions through the array paths and, expanded with
+``payloads()``, through the per-hop reference walk.  The value-set kind
+draws ``keep`` for the tree it folds on, so no hop below the root prunes.
+:class:`StringTagDigestBatch` keeps the digest batch's former string-tag
+constructor and ``np.unique`` root payload as the oracle of its cell-code
+form.
 """
 
 from __future__ import annotations
@@ -19,9 +21,15 @@ from typing import Mapping
 
 import numpy as np
 
-from repro.core.payloads import BucketDeltaBatch, HistogramBatch, ValidationBatch
+from repro.core.payloads import (
+    BucketDeltaBatch,
+    HistogramBatch,
+    ValidationBatch,
+    ValueSetBatch,
+)
 from repro.errors import ConfigurationError
-from repro.sim.engine import Payload, PayloadBatch
+from repro.network.tree import RoutingTree
+from repro.sim.engine import Payload, PayloadBatch, TreeNetwork
 from repro.sketch import DigestBatch, QDigest, SketchPayload, TaggedSketchPayload
 
 #: Size [bits] of one count payload on the air.
@@ -29,7 +37,7 @@ COUNT_BITS = 24
 
 #: Every batch kind :func:`make_batch` draws.  ``uniform`` is the count
 #: batch: every hop carries the same fixed-size payload.
-KINDS = ("uniform", "validation", "histogram", "delta", "digest")
+KINDS = ("uniform", "validation", "histogram", "delta", "digest", "valueset")
 
 
 @dataclass(frozen=True)
@@ -76,10 +84,9 @@ class CountBatch(PayloadBatch):
         }
 
 
-def make_batch(
-    kind: str, rng: np.random.Generator, vertices: np.ndarray
-) -> PayloadBatch:
-    """One random batch of ``kind`` over a random subset of ``vertices``.
+def make_batch(kind: str, rng: np.random.Generator, tree: RoutingTree) -> PayloadBatch:
+    """One random batch of ``kind`` over a random subset of the vertices
+    of ``tree``, its root included.
 
     * validation rows mix POS-style hinted transitions, counter-only
       transitions (any ``hint_values``, also 0) and IQ-style in-band rows
@@ -90,8 +97,13 @@ def make_batch(
       some senders and some rows cancel to nothing (and are dropped);
     * digests are tagged or not, over a narrow universe (keys repeat) or a
       wide one (most keys are singletons), with values at both universe
-      ends, and an eps small enough that no hop compresses.
+      ends, and an eps small enough that no hop compresses;
+    * value sets hold negative values, narrow (ties) or wide, keep the
+      smallest or the largest, and keep all (``keep=None``) or at least
+      the largest root branch's contributor count but, where the rows
+      allow it, fewer than the rows: the root prunes, no hop below it.
     """
+    vertices = np.arange(tree.num_vertices)
     ids = np.sort(vertices[rng.random(len(vertices)) < 0.7]).astype(np.int64)
     rows = len(ids)
     if kind == "uniform":
@@ -136,7 +148,38 @@ def make_batch(
         )
     if kind == "digest":
         return DigestBatch(*digest_inputs(rng, ids))
+    if kind == "valueset":
+        spread = int(rng.choice([3, 1000]))
+        values = rng.integers(-spread, spread, rows)
+        keep = None
+        if rng.random() < 0.75:
+            largest = max(largest_branch(tree, ids.tolist()), 1)
+            keep = int(rng.integers(largest, max(largest, rows - 1) + 1))
+        batch = ValueSetBatch(ids, values, keep, bool(rng.random() < 0.5))
+        assert batch.folds_on(tree)
+        return batch
     raise ValueError(f"unknown batch kind {kind!r}")
+
+
+def largest_branch(tree: RoutingTree, contributors) -> int:
+    """The most contributors any root branch of ``tree`` holds (the root's
+    own contribution rides no hop and counts for no branch)."""
+    branch = tree.branch[[v for v in set(contributors) if v != tree.root]]
+    return int(np.bincount(branch).max()) if len(branch) else 0
+
+
+def value_set_folds(net: TreeNetwork) -> list[bool]:
+    """Per convergecast of ``net`` from now on: whether the fold got a
+    :class:`ValueSetBatch` (``False``: a mapping of payload objects)."""
+    folded: list[bool] = []
+    fold = net._fold
+
+    def spy(contributions, decide):
+        folded.append(isinstance(contributions, ValueSetBatch))
+        return fold(contributions, decide)
+
+    net._fold = spy
+    return folded
 
 
 def digest_inputs(rng: np.random.Generator, ids: np.ndarray) -> tuple:

@@ -29,6 +29,7 @@ from repro.baselines.tag import TAG
 from repro.core.payloads import value_set
 from repro.faults import ArqPolicy, FaultPlan
 from repro.faults.plan import IndependentLoss, RandomOutages, ScheduledOutages
+from repro.network.tree import RoutingTree
 from repro.sim.engine import CollectionRecord
 from repro.types import QuerySpec
 
@@ -42,10 +43,11 @@ from tests.test_vectorized import assert_networks_identical, make_net, random_tr
 FORMS = KINDS + ("value-set",)
 
 
-def contributions(form: str, rng: np.random.Generator, vertices: np.ndarray):
+def contributions(form: str, rng: np.random.Generator, tree: RoutingTree):
     """One random convergecast's contributions of ``form``."""
     if form != "value-set":
-        return make_batch(form, rng, vertices)
+        return make_batch(form, rng, tree)
+    vertices = np.arange(tree.num_vertices)
     chosen = vertices[rng.random(len(vertices)) < 0.7].tolist()
     # Some sets are empty: the fold skips them and they are not expected.
     return {
@@ -167,10 +169,9 @@ def test_records_equal_the_reference_walk(seed, size, form, faulty):
         )
     else:
         nets = [make_net(reference, tree) for reference in (True, False)]
-    vertices = np.arange(tree.num_vertices)
     for r in range(4):
         rng = np.random.default_rng((seed, r))
-        contributed = contributions(form, rng, vertices)
+        contributed = contributions(form, rng, tree)
         for net in nets:
             if faulty:
                 net.begin_faults_round(r)
@@ -200,10 +201,9 @@ def test_partial_delivery_records_equal_the_reference_walk(form):
             rng=np.random.default_rng(2),
         ),
     )
-    vertices = np.arange(tree.num_vertices)
     partial = 0
     for r in range(3):
-        contributed = contributions(form, np.random.default_rng((7, r)), vertices)
+        contributed = contributions(form, np.random.default_rng((7, r)), tree)
         for net in nets:
             net.begin_faults_round(r)
             net.convergecast(contributed)

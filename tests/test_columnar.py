@@ -7,7 +7,10 @@ columns on both networks.  These tests pin:
 * that each paper algorithm stays on that fold on the reliable network and
   under static and learning ARQ — merging one of the three payload classes
   or expanding a batch anywhere fails here instead of hiding under a perf
-  gate — while TAG's value sets still merge as objects;
+  gate — and that TAG's collections and the TAG-style initializations and
+  direct requests fold their value sets as a count column;
+* the value-set rule: the count column while no root branch holds more
+  than ``keep`` contributors, payload objects from one more on;
 * that every batch kind equals the per-hop reference walk over its
   expanded payloads, on random trees with virtual vertices, a root-keyed
   contribution, loss, static and learning ARQ, outages and dead forwarders;
@@ -26,7 +29,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.base import GT, LT
+from repro.core.base import GT, LT, request_values
 from repro.core.payloads import (
     BucketDeltaBatch,
     BucketDeltaPayload,
@@ -34,6 +37,7 @@ from repro.core.payloads import (
     HistogramPayload,
     ValidationBatch,
     ValidationPayload,
+    ValueSetBatch,
     ValueSetPayload,
 )
 from repro.core.sketchq import SketchQuantile
@@ -50,7 +54,7 @@ from repro.faults.plan import (
 )
 from repro.network.routing import build_routing_tree
 from repro.network.topology import connected_random_graph
-from repro.network.tree import tree_from_parents
+from repro.network.tree import tree_from_parents, tree_multi_reparented
 from repro.radio.energy import EnergyModel
 from repro.radio.ledger import EnergyLedger
 from repro.serving import (
@@ -72,6 +76,7 @@ from tests.batch_kinds import (
     StringTagDigestBatch,
     digest_inputs,
     make_batch,
+    value_set_folds,
 )
 from tests.helpers import drive
 from tests.reference_engine import ReferenceFaultyTreeNetwork
@@ -92,14 +97,17 @@ PAPER_LINEUP = ("TAG", "POS", "LCLL-H", "LCLL-S", "HBC", "IQ")
 
 #: The batch kinds each paper algorithm folds (more than 64 sensors, so
 #: refinements take histograms and binary-search probes, not only direct
-#: value requests).
+#: value requests).  No root branch of the deployment holds more than
+#: ``k`` sensors, so TAG's collections and the TAG-style initializations
+#: and direct requests fold their value sets (LCLL-H initializes with
+#: histograms).
 FOLDS = {
-    "TAG": set(),
-    "POS": {"ValidationBatch"},
+    "TAG": {"ValueSetBatch"},
+    "POS": {"ValidationBatch", "ValueSetBatch"},
     "LCLL-H": {"HistogramBatch", "BucketDeltaBatch"},
-    "LCLL-S": {"HistogramBatch", "BucketDeltaBatch"},
-    "HBC": {"ValidationBatch", "HistogramBatch"},
-    "IQ": {"ValidationBatch"},
+    "LCLL-S": {"HistogramBatch", "BucketDeltaBatch", "ValueSetBatch"},
+    "HBC": {"ValidationBatch", "HistogramBatch", "ValueSetBatch"},
+    "IQ": {"ValidationBatch", "ValueSetBatch"},
 }
 
 
@@ -109,7 +117,8 @@ class TestPaperAlgorithmsStayColumnar:
     @pytest.fixture
     def paths(self, monkeypatch) -> dict[str, int]:
         """Refuse object merges of the columnar payloads and batch
-        expansion; count value-set merges and folded batches by kind."""
+        expansion; count value-set merges and folded batches by kind
+        (value-set batches may expand: IQ's small refinements prune)."""
 
         def refuse(*args, **kwargs):
             raise AssertionError("a columnar payload left the columnar fold")
@@ -128,6 +137,9 @@ class TestPaperAlgorithmsStayColumnar:
         for cls in COLUMNAR_BATCHES:
             monkeypatch.setattr(cls, "payloads", refuse)
             monkeypatch.setattr(cls, "columns", counting(cls.__name__, cls.columns))
+        monkeypatch.setattr(
+            ValueSetBatch, "columns", counting("ValueSetBatch", ValueSetBatch.columns)
+        )
         monkeypatch.setattr(
             ValueSetPayload,
             "merged_with",
@@ -148,7 +160,7 @@ class TestPaperAlgorithmsStayColumnar:
     def assert_paths(name: str, paths: dict[str, int]) -> None:
         assert set(paths) - {"ValueSetPayload"} == FOLDS[name]
         if name == "TAG":
-            assert paths["ValueSetPayload"] > 0
+            assert "ValueSetPayload" not in paths
 
     @pytest.mark.parametrize("name", PAPER_LINEUP)
     def test_reliable_network(self, name, paths):
@@ -301,6 +313,79 @@ class TestSketchCollectionPaths:
                 None if tags is None else np.zeros(sensors, dtype=np.int64),
                 () if tags is None else (tags,),
             )
+
+
+#: Three root branches of three sensors: 0 <- {1, 2, 3}, 1 <- {4, 5},
+#: 2 <- {6, 7}, 3 <- {8, 9}.
+THREE_BRANCHES = tree_from_parents(0, [-1, 0, 0, 0, 1, 1, 2, 2, 3, 3])
+#: Negative values with ties: every cut has duplicates of its boundary.
+TIED_VALUES = np.array([9, 5, -3, 5, 2, -3, 7, 5, 1, -3])
+
+
+class TestValueSetRule:
+    """A value-set request folds as a count column exactly while no root
+    branch holds more than ``keep`` of its contributors, and equals the
+    reference walk on both paths."""
+
+    @staticmethod
+    def request(tree, participants, keep, keep_largest=False, reroot=None):
+        """``request_values`` on the array path and on the reference walk,
+        after re-rooting both at ``reroot`` if given.  Returns the values
+        received and whether the array path folded a batch."""
+        answers = []
+        nets = [make_net(reference, tree) for reference in (True, False)]
+        folded = value_set_folds(nets[1])
+        for net in nets:
+            if reroot is not None:
+                net.retarget(
+                    tree_multi_reparented(tree, [(tree.root, reroot)], new_root=reroot),
+                    allow_reroot=True,
+                )
+            answers.append(
+                request_values(
+                    net, TIED_VALUES, participants, keep=keep, keep_largest=keep_largest
+                )
+            )
+        assert answers[0] == answers[1]
+        assert_networks_identical(*nets)
+        assert len(folded) == 1
+        return answers[1], folded[0]
+
+    @pytest.mark.parametrize("keep_largest", [False, True])
+    def test_largest_branch_at_keep_takes_the_batch(self, keep_largest):
+        received, folded = self.request(THREE_BRANCHES, range(1, 10), 3, keep_largest)
+        assert folded
+        # The root prunes nine values to three plus the boundary's ties.
+        assert received == ((-3, -3, -3) if not keep_largest else (5, 5, 5, 7))
+
+    @pytest.mark.parametrize("keep_largest", [False, True])
+    def test_one_more_contributor_than_keep_takes_objects(self, keep_largest):
+        received, folded = self.request(THREE_BRANCHES, range(1, 10), 2, keep_largest)
+        assert not folded
+        assert received == ((-3, -3, -3) if not keep_largest else (5, 5, 5, 7))
+
+    def test_keep_none_takes_the_batch(self):
+        received, folded = self.request(THREE_BRANCHES, range(1, 10), None)
+        assert folded
+        assert received == tuple(sorted(TIED_VALUES[1:].tolist()))
+
+    def test_root_keyed_row_is_not_counted(self):
+        """One branch holds ``keep`` sensors; the root's own row makes the
+        rows one more than ``keep`` but rides no hop."""
+        chain = tree_from_parents(0, [-1, 0, 1, 1])
+        received, folded = self.request(chain, [0, 1, 2, 3], 3)
+        assert folded
+        assert received == (-3, 5, 5)
+
+    def test_new_tree_branches_decide_after_failover(self):
+        """Re-rooted at vertex 1, the old root's branch holds the six
+        sensors of branches 2 and 3: keep 3 takes objects, keep 6 the batch."""
+        sensors = range(2, 10)
+        assert self.request(THREE_BRANCHES, sensors, 3)[1]
+        assert not self.request(THREE_BRANCHES, sensors, 3, reroot=1)[1]
+        received, folded = self.request(THREE_BRANCHES, sensors, 6, reroot=1)
+        assert folded
+        assert received == (-3, -3, -3, 1, 2, 5, 5)
 
 
 def test_preorder_ranges_are_subtrees():
@@ -459,10 +544,9 @@ def test_batch_fold_equals_reference_walk(seed, size, kind, network):
             ),
         ]
     # Root included: a root-keyed contribution merges without radio cost.
-    vertices = np.arange(tree.num_vertices)
     answers = [[], []]
     for r in range(3):
-        batch = make_batch(kind, np.random.default_rng((seed, r)), vertices)
+        batch = make_batch(kind, np.random.default_rng((seed, r)), tree)
         for net, out in zip(nets, answers):
             if network != "clean":
                 net.begin_faults_round(r)

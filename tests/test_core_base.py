@@ -32,6 +32,7 @@ from repro.core.payloads import ValidationPayload, ValueSetPayload
 from repro.core.sketchq import SketchQuantile
 from repro.errors import MembershipError, ProtocolError
 from repro.faults import ArqPolicy, FaultPlan, FaultyTreeNetwork, IndependentLoss
+from repro.faults.plan import ScheduledOutages
 from repro.network.routing import build_routing_tree
 from repro.network.topology import connected_random_graph
 from repro.network.tree import tree_from_parents, tree_multi_reparented
@@ -40,6 +41,8 @@ from repro.radio.ledger import EnergyLedger
 from repro.sim.engine import TreeNetwork
 from repro.sim.oracle import rank_of_value
 from repro.types import QuerySpec
+
+from tests.batch_kinds import largest_branch, value_set_folds
 
 
 class TestClassify:
@@ -398,12 +401,20 @@ REQUEST_TREE = build_routing_tree(
 )
 
 
+def request_contributors(values, participants, low, high) -> list[int]:
+    """The participants whose truncated value lies in ``[low, high]``."""
+    return [v for v in participants if low is None or low <= int(values[v]) <= high]
+
+
 @st.composite
 def value_requests(draw):
     """``(values, participants, low, high, keep, keep_largest)`` on
     :data:`REQUEST_TREE`: int64 or float64 values with negatives, a random
-    subset of sensors (possibly empty, in any order) as a tuple, a list or
-    an array, and bounds drawn partly from the truncated values."""
+    subset of sensors (possibly empty, in any order, some repeated) as a
+    tuple, a list or an array, bounds drawn partly from the truncated
+    values, and ``keep`` anywhere up to one past the participants or
+    within two of the largest root branch the contributors fill, so the
+    requests fold as a batch and merge as objects in every test run."""
     n = REQUEST_TREE.num_vertices
     if draw(st.booleans()):
         values = np.array(draw(st.lists(st.integers(-60, 60), min_size=n, max_size=n)))
@@ -411,49 +422,86 @@ def value_requests(draw):
         floats = st.floats(-60.0, 60.0, allow_nan=False)
         values = np.array(draw(st.lists(floats, min_size=n, max_size=n)), dtype=np.float64)
     chosen = draw(st.lists(st.sampled_from(REQUEST_TREE.sensor_nodes), unique=True))
+    chosen += draw(st.lists(st.sampled_from(chosen), max_size=3)) if chosen else []
     form = draw(st.sampled_from([tuple, list, partial(np.array, dtype=np.int64)]))
     low = high = None
     if draw(st.booleans()):
         edge = st.sampled_from([int(x) for x in values]) | st.integers(-70, 70)
         low, high = sorted((draw(edge), draw(edge)))
-    keep = draw(st.none() | st.integers(1, len(chosen) + 1))
+    largest = largest_branch(REQUEST_TREE, request_contributors(values, chosen, low, high))
+    keep = draw(
+        st.integers(max(largest - 2, 1), largest + 2)
+        | st.integers(1, len(chosen) + 1)
+        | st.none()
+    )
     return values, form(chosen), low, high, keep, draw(st.booleans())
 
 
 class TestRequestValues:
     """The array-filtered :func:`request_values` against the per-participant
-    oracle, on a reliable network and under loss 0.05 with ARQ 2: equal
-    received values, ledger arrays, phase bits and collection logs."""
+    oracle, on a reliable network, under loss 0.05 with ARQ 2, and with
+    outages on top that take the root down in half the draws: equal received
+    values, ledger arrays, phase bits and collection logs.  Each request
+    folds a batch exactly when no root branch holds more than ``keep`` of
+    the contributors left after the bounds."""
 
     @staticmethod
-    def network(faulty: bool, seed: int) -> TreeNetwork:
+    def network(faults: str, seed: int) -> TreeNetwork:
         tree = REQUEST_TREE
         ledger = EnergyLedger(tree.num_vertices, tree.root, EnergyModel(), 35.0)
         ledger.begin_round()
-        if faulty:
-            plan = FaultPlan(loss=IndependentLoss(0.05), rng=np.random.default_rng(seed))
-            net = FaultyTreeNetwork(tree, ledger, plan, ArqPolicy(max_retries=2))
-        else:
+        if faults == "reliable":
             net = TreeNetwork(tree, ledger)
+        else:
+            rng = np.random.default_rng(seed)
+            down = rng.choice(tree.sensor_nodes, 3, replace=False).tolist()
+            down += [tree.root] if rng.random() < 0.5 else []
+            outages = ScheduledOutages({0: tuple((v, 2) for v in down)})
+            plan = FaultPlan(
+                loss=IndependentLoss(0.05),
+                outages=outages if faults == "outages" else None,
+                rng=rng,
+            )
+            net = FaultyTreeNetwork(tree, ledger, plan, ArqPolicy(max_retries=2))
+            net.begin_faults_round(0)
         net.phase = "refinement"
         return net
 
-    @pytest.mark.parametrize("faulty", [False, True], ids=["reliable", "loss-arq"])
+    @pytest.mark.parametrize("faults", ["reliable", "loss-arq", "outages"])
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(request=value_requests(), seed=st.integers(0, 2**16))
-    def test_matches_per_participant_oracle(self, faulty, request, seed):
-        net, oracle_net = self.network(faulty, seed), self.network(faulty, seed)
+    def test_matches_per_participant_oracle(self, faults, request, seed):
+        net, oracle_net = self.network(faults, seed), self.network(faults, seed)
+        folded = value_set_folds(net)
+        values, participants, low, high, keep, _ = request
+        contributors = request_contributors(values, participants, low, high)
+        batch = keep is None or largest_branch(REQUEST_TREE, contributors) <= keep
         # Twice on the same networks: the second request draws on from
         # wherever the first left the loss stream.
         for _ in range(2):
             assert request_values(net, *request) == request_values_oracle(
                 oracle_net, *request
             )
+        assert folded == [batch, batch]
         for name, array in vars(net.ledger).items():
             if isinstance(array, np.ndarray):
                 assert np.array_equal(array, getattr(oracle_net.ledger, name)), name
         assert net.phase_bits == oracle_net.phase_bits
         assert net.collection_log == oracle_net.collection_log
+
+    @pytest.mark.parametrize("keep", [None, 1])
+    def test_repeated_participant_sends_once(self, keep):
+        """Like a ``{vertex: payload}`` mapping, a repeated participant
+        contributes one value, on the batch path and on the objects path."""
+        values = np.arange(REQUEST_TREE.num_vertices) - 20
+        sensors = list(REQUEST_TREE.sensor_nodes)
+        net, once = self.network("reliable", 0), self.network("reliable", 0)
+        folded = value_set_folds(net)
+        received = request_values(net, values, sensors + sensors[::2], keep=keep)
+        assert received == request_values(once, values, sensors, keep=keep)
+        assert folded == [keep is None]
+        assert net.collection_log[-1].expected == len(sensors)
+        assert np.array_equal(net.ledger.energy, once.ledger.energy)
 
 
 class _Members(ContinuousQuantileAlgorithm):

@@ -477,6 +477,33 @@ class TestFaultExperiment:
         assert drowned_then_retried, "the scenario must drown a scheduled re-init"
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_fault_driver_refuses_non_finite_measurement(small_tree, bad):
+    """The fault driver stops at the round and vertex of a measurement
+    that is not finite, under loss and ARQ as on a clean plan."""
+    from repro import TAG
+    from repro.faults import FaultDriver
+
+    from tests.helpers import SequenceWorkload
+
+    rounds = [np.linspace(0.0, 70.5, small_tree.num_vertices) for _ in range(4)]
+    rounds[3] = rounds[3].copy()
+    rounds[3][6] = bad
+    driver = FaultDriver(
+        TAG,
+        QuerySpec(r_max=100),
+        small_tree,
+        SequenceWorkload(rounds),
+        FaultPlan(loss=IndependentLoss(0.1), seed=3),
+        ArqPolicy(max_retries=2),
+    )
+    driver.run(3)
+    with pytest.raises(
+        ConfigurationError, match=rf"round 3: vertex 6 measured {bad}, not a finite"
+    ):
+        driver.step(3)
+
+
 class TestRefinementTermination:
     def test_lcll_slip_raises_instead_of_oscillating(self, small_tree):
         """Corrupted boundary counters must fail fast, not loop forever.

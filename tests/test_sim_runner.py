@@ -52,6 +52,24 @@ class TestSimulationRunner:
         assert not result.all_exact
         assert result.rounds[0].rank_error_value == abs(-999 - 30)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_measurement_refused(self, small_tree, bad):
+        """A float measurement that is not finite stops the run at its
+        round and vertex; an ``int64`` cast would have made it the
+        smallest value."""
+        values = np.array([0.0, 10.5, 20, 30, 40, 50, 60, 70])
+        broken = values.copy()
+        broken[5] = bad
+        runner = SimulationRunner(small_tree, radio_range=35.0)
+
+        def provider(round_index):
+            return broken if round_index == 2 else values
+
+        with pytest.raises(
+            ConfigurationError, match=rf"round 2: vertex 5 measured {bad}, not a finite"
+        ):
+            runner.run(TAG(QuerySpec(r_max=100)), provider, 4)
+
     def test_per_round_counters_are_differences(self, small_tree):
         values = np.array([0, 10, 20, 30, 40, 50, 60, 70])
         runner = SimulationRunner(small_tree, radio_range=35.0)

@@ -223,10 +223,7 @@ class TestLosslessEquivalence:
             net = make_net(reference, tree)
             rng = np.random.default_rng(41)
             answers[reference] = [
-                net.convergecast(
-                    make_batch(kind, rng, np.arange(tree.num_vertices))
-                )
-                for _ in range(6)
+                net.convergecast(make_batch(kind, rng, tree)) for _ in range(6)
             ]
             nets[reference] = net
         assert answers[True] == answers[False]
@@ -499,9 +496,7 @@ class TestFaultyEquivalenceMatrix:
             if kind == "generic":
                 contributions = sized_contributions(tree, r)
             else:
-                contributions = make_batch(
-                    kind, batches, np.arange(tree.num_vertices)
-                )
+                contributions = make_batch(kind, batches, tree)
             answers.append(net.convergecast(contributions))
             net.broadcast(24)
             net.ledger.end_round()
